@@ -50,13 +50,13 @@ Outcome RunSweep(double spike_rate, Nanos spike_extra,
   spec.slide = spec.window_size;
   cfg.base = RunConfig::Make(spec);
   cfg.base.data_plane.preserve_subwindows = preserve;
-  cfg.num_switches = 2;
+  cfg.topology.line_switches = 2;
   cfg.link = {.latency = 20 * kMicro, .jitter = 10 * kMicro,
               .spike_rate = spike_rate, .spike_extra = spike_extra};
 
   std::vector<std::uint64_t> totals(2, 0);
   std::size_t which = 0;
-  const NetworkRunResult result = RunOmniWindowLine(
+  const NetworkRunResult result = RunOmniWindowFabric(
       trace,
       [&](std::size_t) {
         return std::make_shared<QueryAdapter>(def, 1 << 14);

@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "bench/harness.h"
+#include "src/core/network_runner.h"
 #include "src/sketch/count_min.h"
 #include "src/sketch/elastic.h"
 #include "src/sketch/univmon.h"
@@ -346,28 +347,15 @@ std::map<Nanos, FlowCounts> RunVolOmni(const Trace& trace, bool sliding) {
   const WindowSpec spec = sliding ? SlidingSpec(params) : TumblingSpec(params);
 
   std::map<Nanos, FlowCounts> out;
-  Switch sw(0);
-  RunConfig cfg = RunConfig::Make(spec);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([&](const WindowResult& w) {
+  NetworkRunConfig cfg{.base = RunConfig::Make(spec),
+                       .topology = {.line_switches = 1}};
+  cfg.window_observer = [&](std::size_t, const WindowResult& w) {
     FlowCounts est;
     w.table->ForEach(
         [&](const KvSlot& slot) { est[slot.key] = slot.attrs[0]; });
     out[Nanos(w.span.first) * kSub] = std::move(est);
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + kSub;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-  const Nanos horizon = trace.Duration() + 10 * kSecond;
-  sw.RunUntilIdle(horizon);
-  if (!controller.Flush(horizon)) {
-    sw.RunUntilIdle(horizon);
-    controller.Flush(horizon);
-  }
+  };
+  RunOmniWindowFabric(trace, [&](std::size_t) { return app; }, cfg);
   return out;
 }
 
@@ -443,25 +431,12 @@ std::map<Nanos, double> RunCardOmni(const Trace& trace, bool sliding,
   EvalParams params;
   const WindowSpec spec = sliding ? SlidingSpec(params) : TumblingSpec(params);
   std::map<Nanos, double> out;
-  Switch sw(0);
-  RunConfig cfg = RunConfig::Make(spec);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([&](const WindowResult& w) {
+  NetworkRunConfig cfg{.base = RunConfig::Make(spec),
+                       .topology = {.line_switches = 1}};
+  cfg.window_observer = [&](std::size_t, const WindowResult& w) {
     out[Nanos(w.span.first) * kSub] = estimate(*w.table);
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + kSub;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-  const Nanos horizon = trace.Duration() + 10 * kSecond;
-  sw.RunUntilIdle(horizon);
-  if (!controller.Flush(horizon)) {
-    sw.RunUntilIdle(horizon);
-    controller.Flush(horizon);
-  }
+  };
+  RunOmniWindowFabric(trace, [&](std::size_t) { return app; }, cfg);
   return out;
 }
 

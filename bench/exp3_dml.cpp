@@ -59,7 +59,7 @@ int main() {
   fin.iteration = std::uint32_t(cfg.iterations);
   fin.ts = trace.Duration() + kMilli;
   sw.EnqueueFromWire(fin, fin.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
+  sw.RunBatch(trace.Duration() + 10 * kSecond);
   controller.Flush(trace.Duration() + 10 * kSecond);
 
   const auto& truth = workload.truth();

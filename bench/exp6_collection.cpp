@@ -82,7 +82,7 @@ Nanos MeasureCollection(std::size_t cached_keys, std::size_t rows,
   Packet sentinel;
   sentinel.ts = 150 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunUntilIdle(kSecond * 100);
+  sw.RunBatch(kSecond * 100);
 
   if (trigger_at < 0 || last_afr_at < 0) return -1;
   // Exclude the controller's grace period (fixed wait, not collection

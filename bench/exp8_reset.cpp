@@ -70,7 +70,8 @@ Nanos MeasureOmniReset(std::size_t registers, std::size_t clear_packets) {
     p.ow.flag = OwFlag::kReset;
     sw.EnqueueFromWire(p, 0);
   }
-  const Nanos done = sw.RunUntilIdle(100 * kSecond);
+  sw.RunBatch(100 * kSecond);
+  const Nanos done = sw.last_event_time();
   // Verify the reset completed.
   for (auto& r : prog->regs_) {
     for (std::size_t i = 0; i < kEntries; i += 4'096) {

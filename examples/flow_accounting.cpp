@@ -51,7 +51,7 @@ int main() {
   Packet sentinel;
   sentinel.ts = trace.Duration() + 100 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
+  sw.RunBatch(trace.Duration() + 10 * kSecond);
   controller.Flush(trace.Duration() + 10 * kSecond);
 
   std::printf("\n%8s %10s %12s %12s\n", "window", "flows", "exact-match%",

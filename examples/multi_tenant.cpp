@@ -83,8 +83,8 @@ int main() {
   sentinel.ts = trace.Duration() + 100 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
   const Nanos horizon = trace.Duration() + 10 * kSecond;
-  sw.RunUntilIdle(horizon);
-  while (!harness.FlushAll(horizon)) sw.RunUntilIdle(horizon);
+  sw.RunBatch(horizon);
+  while (!harness.FlushAll(horizon)) sw.RunBatch(horizon);
 
   std::printf("app 0 (syn flood):    %zu window-detections\n", detections[0]);
   std::printf("app 1 (ddos):         %zu window-detections\n", detections[1]);

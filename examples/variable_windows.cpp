@@ -7,7 +7,7 @@
 // session-window run driven by traffic gaps.
 #include <cstdio>
 
-#include "src/core/runner.h"
+#include "src/core/network_runner.h"
 #include "src/telemetry/query.h"
 #include "src/trace/generator.h"
 
@@ -54,22 +54,13 @@ int main() {
     spec.type = WindowType::kTumbling;
     spec.window_size = 500 * kMilli;
     spec.subwindow_size = 100 * kMilli;
-    RunConfig rc = RunConfig::Make(spec);
-    rc.controller.retain_subwindows = 64;  // keep history for ad-hoc spans
+    NetworkRunConfig cfg{.base = RunConfig::Make(spec),
+                         .topology = {.line_switches = 1}};
+    cfg.base.controller.retain_subwindows = 64;  // history for ad-hoc spans
 
-    Switch sw(0, rc.switch_timings);
-    auto program = std::make_shared<OmniWindowProgram>(rc.data_plane, app);
-    sw.SetProgram(program);
-    OmniWindowController controller(rc.controller, app->merge_kind());
-    controller.AttachSwitch(&sw);
-    controller.SetWindowHandler([](const WindowResult&) {});
-    for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-    Packet sentinel;
-    sentinel.ts = trace.Duration() + 100 * kMilli;
-    sw.EnqueueFromWire(sentinel, sentinel.ts);
-    sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
-    controller.Flush(trace.Duration() + 10 * kSecond);
-
+    FabricSession session(trace, [&](std::size_t) { return app; }, cfg);
+    session.Finish();
+    const OmniWindowController& controller = session.controller(0);
     const auto span = controller.RetainedSpan();
     if (span) {
       std::printf("\nretained sub-windows: [%u, %u] — querying ad-hoc "

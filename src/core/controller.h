@@ -144,8 +144,8 @@ class OmniWindowController {
   void OnPacket(const Packet& p, Nanos arrival);
 
   /// End-of-run cleanup. First call: issues retransmissions for incomplete
-  /// sub-windows and returns false (drive the switch with RunUntilIdle,
-  /// then call again). Once nothing is missing (or nothing can be
+  /// sub-windows and returns false (drive the switch with RunBatch, then
+  /// call again). Once nothing is missing (or nothing can be
   /// recovered), force-finalizes the remainder and returns true.
   bool Flush(Nanos now);
 

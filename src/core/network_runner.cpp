@@ -105,6 +105,19 @@ FabricSession::FabricSession(
   cfg_.base.controller.fault_profile = cfg_.base.fault.controller;
   cfg_.base.controller.fault_seed = cfg_.base.fault.seed;
 
+  // RDMA completion trusts each sub-window's completion notification. One
+  // that arrives late after a report-path loss drains buffer and mirror
+  // slots a later sub-window already wrote: wrong windows, no flag. Only
+  // lossy report paths are refused; with jitter alone every window stays
+  // exact (FabricRdma.LossyReportPathIsRefused).
+  const bool rdma = cfg_.base.controller.rdma || cfg_.base.data_plane.rdma;
+  if (rdma && (cfg_.report_link.loss_rate > 0 ||
+               cfg_.base.fault.report_link.drop_rate > 0)) {
+    throw std::invalid_argument(
+        "FabricSession: RDMA collection needs a report link that cannot "
+        "drop packets");
+  }
+
   const std::size_t num_switches = adj_.size();
   net_.SetParallel(cfg_.parallel);
   result_.per_switch.resize(num_switches);
@@ -118,6 +131,17 @@ FabricSession::FabricSession(
     auto controller = std::make_unique<OmniWindowController>(
         cfg_.base.controller, program->app().merge_kind());
     controller->AttachSwitch(sw);
+    if (rdma) {
+      nics_.push_back(std::make_unique<RdmaNic>());
+      auto ctx = controller->InitRdma(*nics_.back());
+      if (cfg_.base.fault.rdma.Any()) {
+        // Faults target the unacked cold-key append path only; the hot-key
+        // mirror and atomics stay reliable.
+        nics_.back()->ArmFaults(cfg_.base.fault.rdma, cfg_.base.fault.seed + i,
+                                ctx->buffer_rkey);
+      }
+      program->SetRdmaContext(std::move(ctx));
+    }
     // Interpose the report link on the switch->controller path (AttachSwitch
     // wired a direct handler). Injections stay direct: the controller talks
     // to its own switch over the management port, reports ride the fabric.
@@ -390,17 +414,6 @@ NetworkRunResult RunOmniWindowFabric(
     std::function<FlowSet(TableView)> detect) {
   FabricSession session(trace, make_app, std::move(cfg), std::move(detect));
   return session.Finish();
-}
-
-NetworkRunResult RunOmniWindowLine(
-    const Trace& trace,
-    const std::function<AdapterPtr(std::size_t switch_index)>& make_app,
-    NetworkRunConfig cfg,
-    std::function<FlowSet(TableView)> detect) {
-  cfg.topology.kind = TopologyKind::kLine;
-  cfg.topology.line_switches = cfg.num_switches;
-  return RunOmniWindowFabric(trace, make_app, std::move(cfg),
-                             std::move(detect));
 }
 
 }  // namespace ow

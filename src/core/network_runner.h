@@ -59,8 +59,7 @@ NextHopFn MakeTopologyNextHop(const TopologyConfig& topo);
 
 struct NetworkRunConfig {
   RunConfig base;
-  std::size_t num_switches = 2;  ///< line length (RunOmniWindowLine)
-  TopologyConfig topology;       ///< fabric shape (RunOmniWindowFabric)
+  TopologyConfig topology;  ///< fabric shape
   LinkParams link;  ///< between connected switches
   std::uint64_t link_seed = 0x11417C5ull;
   /// Switch -> controller report path (AFR reports, triggers, spilled
@@ -139,7 +138,13 @@ struct NetworkRunResult {
 class FabricSession {
  public:
   /// Builds the fabric and enqueues the trace plus the end-of-trace
-  /// sentinel; nothing runs until DriveUntil/Finish.
+  /// sentinel; nothing runs until DriveUntil/Finish. RDMA collection
+  /// (`base.controller.rdma` or `base.data_plane.rdma`) gets one RdmaNic
+  /// per switch, with `base.fault.rdma` armed at seed `base.fault.seed + i`.
+  /// Throws std::invalid_argument when RDMA meets a report path that can
+  /// drop packets (`report_link.loss_rate` or
+  /// `base.fault.report_link.drop_rate` above 0): a late completion
+  /// notification would drain slots a later sub-window already wrote.
   FabricSession(const Trace& trace,
                 const std::function<AdapterPtr(std::size_t switch_index)>&
                     make_app,
@@ -237,6 +242,10 @@ class FabricSession {
   NetworkRunConfig cfg_;
   std::function<FlowSet(TableView)> detect_;
   std::vector<std::vector<int>> adj_;
+  /// One NIC per switch when RDMA collection is on (empty otherwise).
+  /// Declared before the fabric so it outlives the programs and
+  /// controllers that point into it.
+  std::vector<std::unique_ptr<RdmaNic>> nics_;
   Network net_;
   std::vector<Switch*> switches_;
   std::vector<std::shared_ptr<OmniWindowProgram>> programs_;
@@ -257,15 +266,6 @@ class FabricSession {
 /// switch, in id order); `detect` extracts each completed window's
 /// detections. Thin wrapper over FabricSession (construct + Finish).
 NetworkRunResult RunOmniWindowFabric(
-    const Trace& trace,
-    const std::function<AdapterPtr(std::size_t switch_index)>& make_app,
-    NetworkRunConfig cfg,
-    std::function<FlowSet(TableView)> detect = {});
-
-/// Replay `trace` through a chain of `cfg.num_switches` switches — the
-/// historical line harness, now a thin wrapper over RunOmniWindowFabric
-/// (bit-identical to the pre-port engine, see topology_test).
-NetworkRunResult RunOmniWindowLine(
     const Trace& trace,
     const std::function<AdapterPtr(std::size_t switch_index)>& make_app,
     NetworkRunConfig cfg,

@@ -1,5 +1,7 @@
 #include "src/core/runner.h"
 
+#include "src/core/network_runner.h"
+
 namespace ow {
 
 RunConfig RunConfig::Make(WindowSpec spec) {
@@ -21,60 +23,13 @@ FlowSet RunResult::AllDetected() const {
 
 RunResult RunOmniWindow(const Trace& trace, AdapterPtr app, RunConfig cfg,
                         std::function<FlowSet(TableView)> detect) {
-  cfg.controller.window = cfg.window;
-  cfg.data_plane.signal.subwindow_size = cfg.window.subwindow_size;
-  cfg.controller.fault_profile = cfg.fault.controller;
-  cfg.controller.fault_seed = cfg.fault.seed;
-
-  Switch sw(/*id=*/0, cfg.switch_timings);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-
-  RdmaNic nic;
-  if (cfg.controller.rdma || cfg.data_plane.rdma) {
-    auto ctx = controller.InitRdma(nic);
-    if (cfg.fault.rdma.Any()) {
-      // Faults target the unacked cold-key append path only; the hot-key
-      // mirror and atomics stay reliable.
-      nic.ArmFaults(cfg.fault.rdma, cfg.fault.seed, ctx->buffer_rkey);
-    }
-    program->SetRdmaContext(std::move(ctx));
-  }
-
-  RunResult result;
-  controller.SetWindowHandler([&](const WindowResult& w) {
-    EmittedWindow ew;
-    ew.span = w.span;
-    ew.completed_at = w.completed_at;
-    ew.partial = w.partial;
-    if (detect) ew.detected = detect(*w.table);
-    result.windows.push_back(std::move(ew));
-  });
-
-  for (const Packet& p : trace.packets) {
-    sw.EnqueueFromWire(p, p.ts);
-  }
-  // Sentinel packet past the last boundary so the timeout signal terminates
-  // the trailing sub-windows (a quiet wire fires no signals).
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + cfg.window.subwindow_size;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-
-  const Nanos horizon = trace.Duration() + 10 * kSecond;
-  sw.RunBatch(horizon);
-  // Final flush: chase losses (bounded retransmission rounds), then
-  // force-finalize whatever remains.
-  while (!controller.Flush(trace.Duration())) {
-    sw.RunBatch(horizon);
-  }
-
-  result.data_plane = program->stats();
-  result.controller = controller.stats();
-  result.timings = controller.timings();
-  return result;
+  FabricSession session(
+      trace, [&app](std::size_t) { return app; },
+      {.base = std::move(cfg), .topology = {.line_switches = 1}},
+      std::move(detect));
+  SwitchRun run = std::move(session.Finish().per_switch[0]);
+  return RunResult{std::move(run.windows), run.data_plane, run.controller,
+                   session.controller(0).timings()};
 }
 
 }  // namespace ow

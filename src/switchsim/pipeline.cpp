@@ -238,12 +238,6 @@ std::size_t Switch::RunBatch(Nanos max_time, std::size_t max_events) {
   return processed;
 }
 
-void Switch::RunUntil(Nanos t) { RunBatch(t); }
-
-Nanos Switch::RunUntilIdle(Nanos max_time) {
-  return RunBatch(max_time) == 0 ? -1 : last_dispatched_;
-}
-
 namespace {
 
 void SaveEvent(SnapshotWriter& w, Nanos time, std::uint64_t seq,

@@ -158,12 +158,6 @@ class Switch {
     to_controller_ = std::move(handler);
   }
 
-  /// A/B switch for the FIFO wire lane (on by default). With the lane off,
-  /// every event goes through the heap — the historical engine. Results
-  /// must be identical either way (pipeline_fastpath_test).
-  void SetFifoLaneEnabled(bool enabled) noexcept { fifo_enabled_ = enabled; }
-  bool fifo_lane_enabled() const noexcept { return fifo_enabled_; }
-
   void EnqueueFromWire(Packet p, Nanos arrival);
   void EnqueueFromController(Packet p, Nanos arrival);
 
@@ -207,18 +201,12 @@ class Switch {
     on_activity_ = std::move(listener);
   }
 
-  /// Process every queued event with time <= t, in time order. Recirculated
-  /// packets scheduled within the horizon are processed too.
-  void RunUntil(Nanos t);
-
-  /// Process until no events remain or `max_time` is exceeded. Returns the
-  /// time of the last processed event.
-  Nanos RunUntilIdle(Nanos max_time);
-
   /// Batched drain: process up to `max_events` events with time <=
-  /// `max_time`, favoring tight runs of same-lane events (no per-event lane
-  /// comparison while the heap is empty). Returns the number of events
-  /// processed. RunUntil / RunUntilIdle are thin wrappers over this.
+  /// `max_time`, in (time, seq) order — recirculations and injections
+  /// scheduled within the horizon included — favoring tight runs of
+  /// same-lane events (no per-event lane comparison while the heap is
+  /// empty). Returns the number of events processed; last_event_time()
+  /// reports how far the drain got.
   std::size_t RunBatch(
       Nanos max_time,
       std::size_t max_events = std::numeric_limits<std::size_t>::max());
@@ -292,7 +280,6 @@ class Switch {
   /// seq arm because their small seqs can tie the tail's time yet sort
   /// before a shared-seq tail event.
   bool FifoAdmissible(Nanos time, std::uint64_t seq) const noexcept {
-    if (!fifo_enabled_) return false;
     if (FifoEmpty()) return true;
     const Event& tail = FifoTail();
     return time != tail.time ? time > tail.time : seq > tail.seq;
@@ -316,7 +303,6 @@ class Switch {
   std::size_t fifo_head_ = 0;
   std::size_t fifo_size_ = 0;
   PooledVector<Event> heap_;
-  bool fifo_enabled_ = true;
 
   PooledVector<StagedArrival> staged_;
   Nanos staged_min_ = -1;

@@ -107,11 +107,11 @@ TEST(NetworkRunner, ThreeSwitchLineAgreesOnWindows) {
     spec.slide = spec.window_size;
     return spec;
   }());
-  cfg.num_switches = 3;
+  cfg.topology.line_switches = 3;
   cfg.link = {.latency = 25 * kMicro, .jitter = 10 * kMicro};
 
   std::vector<std::shared_ptr<QueryAdapter>> apps;
-  const NetworkRunResult result = RunOmniWindowLine(
+  const NetworkRunResult result = RunOmniWindowFabric(
       trace,
       [&](std::size_t) {
         apps.push_back(std::make_shared<QueryAdapter>(def, 4096));

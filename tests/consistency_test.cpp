@@ -46,7 +46,7 @@ struct Fixture {
       got = true;
     });
     sw.EnqueueFromWire(std::move(p), at);
-    sw.RunUntilIdle(at + kSecond);
+    sw.RunBatch(at + kSecond);
     EXPECT_TRUE(got);
     return forwarded;
   }
@@ -179,7 +179,7 @@ TEST(Consistency, ControllerFoldsSpikesIntoPendingSubWindow) {
   ancient.ow.subwindow_num = 0;
   sw.EnqueueFromWire(std::move(ancient), 121 * kMilli);
   sw.EnqueueFromWire(At(0, 6), 200 * kMilli);  // flush boundaries
-  sw.RunUntilIdle(10 * kSecond);
+  sw.RunBatch(10 * kSecond);
   controller.Flush(10 * kSecond);
 
   ASSERT_FALSE(totals.empty());

@@ -66,10 +66,10 @@ NetworkRunResult RunLine(const Trace& trace, const fault::FaultPlan& plan,
   NetworkRunConfig cfg;
   cfg.base = RunConfig::Make(spec);
   cfg.base.fault = plan;
-  cfg.num_switches = 2;
+  cfg.topology.line_switches = 2;
   cfg.report_link_seed = 777;
   apps.clear();
-  return RunOmniWindowLine(
+  return RunOmniWindowFabric(
       trace,
       [&](std::size_t) {
         apps.push_back(std::make_shared<QueryAdapter>(CountDef(), 2048));

@@ -136,7 +136,7 @@ TEST(FlowRadar, EndToEndWindowCountsViaTransform) {
   Packet sentinel;
   sentinel.ts = trace.Duration() + 60 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
+  sw.RunBatch(trace.Duration() + 10 * kSecond);
   controller.Flush(trace.Duration() + 10 * kSecond);
 
   ASSERT_GE(windows.size(), 2u);

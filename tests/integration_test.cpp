@@ -210,8 +210,8 @@ TEST(EndToEnd, ReliabilityRecoversLostAfrs) {
   sw.EnqueueFromWire(sentinel, sentinel.ts);
 
   const Nanos horizon = s.trace.Duration() + 10 * kSecond;
-  sw.RunUntilIdle(horizon);
-  while (!controller.Flush(s.trace.Duration())) sw.RunUntilIdle(horizon);
+  sw.RunBatch(horizon);
+  while (!controller.Flush(s.trace.Duration())) sw.RunBatch(horizon);
 
   EXPECT_GT(controller.stats().retransmissions_requested, 0u);
   EXPECT_GT(windows, 0u);
@@ -348,7 +348,7 @@ TEST(EndToEnd, DmlIterationWindows) {
   fin.iteration = std::uint32_t(cfg.iterations);
   fin.ts = trace.Duration() + kMilli;
   sw.EnqueueFromWire(fin, fin.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
+  sw.RunBatch(trace.Duration() + 10 * kSecond);
   controller.Flush(trace.Duration() + 10 * kSecond);
 
   ASSERT_GE(windows.size(), cfg.iterations - 1);

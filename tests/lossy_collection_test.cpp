@@ -69,13 +69,13 @@ Outcome RunAtLoss(const Trace& trace, double loss) {
 
   NetworkRunConfig cfg;
   cfg.base = RunConfig::Make(spec);
-  cfg.num_switches = 2;
+  cfg.topology.line_switches = 2;
   cfg.report_link.loss_rate = loss;
   cfg.report_link_seed = 777;
 
   std::vector<std::shared_ptr<QueryAdapter>> apps;
   Outcome out;
-  out.net = RunOmniWindowLine(
+  out.net = RunOmniWindowFabric(
       trace,
       [&](std::size_t) {
         apps.push_back(std::make_shared<QueryAdapter>(CountDef(), 2048));
@@ -183,10 +183,10 @@ TEST(LossyCollection, UnrecoverableSubWindowIsForceFinalized) {
   sentinel.ts = trace.Duration() + 60 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
   const Nanos horizon = trace.Duration() + 10 * kSecond;
-  sw.RunUntilIdle(horizon);
+  sw.RunBatch(horizon);
   for (int round = 0; round < 32; ++round) {
     if (controller.Flush(trace.Duration())) break;
-    sw.RunUntilIdle(horizon);
+    sw.RunBatch(horizon);
   }
 
   const auto& stats = controller.stats();

@@ -6,7 +6,7 @@
 #include <cmath>
 #include <memory>
 
-#include "src/core/runner.h"
+#include "src/core/network_runner.h"
 #include "src/telemetry/cardinality_apps.h"
 #include "src/telemetry/query.h"
 #include "src/trace/generator.h"
@@ -38,13 +38,14 @@ Trace MakeFlows(std::size_t flows_per_window, std::size_t windows,
   return trace;
 }
 
-WindowSpec Spec(Nanos window = 100 * kMilli, Nanos sub = 50 * kMilli) {
+/// One-switch session over 100 ms tumbling windows of 50 ms sub-windows.
+NetworkRunConfig OneSwitch() {
   WindowSpec spec;
   spec.type = WindowType::kTumbling;
-  spec.window_size = window;
-  spec.subwindow_size = sub;
-  spec.slide = window;
-  return spec;
+  spec.window_size = 100 * kMilli;
+  spec.subwindow_size = 50 * kMilli;
+  spec.slide = spec.window_size;
+  return {.base = RunConfig::Make(spec), .topology = {.line_switches = 1}};
 }
 
 TEST(SliceKeys, DistinctPerIndex) {
@@ -57,24 +58,15 @@ TEST(StateMigration, LinearCountingCardinalityPerWindow) {
   constexpr std::size_t kFlows = 800;
   const Trace trace = MakeFlows(kFlows, 4);
   auto app = std::make_shared<LinearCountingApp>(1 << 14);
-  RunConfig cfg = RunConfig::Make(Spec());
+  NetworkRunConfig cfg = OneSwitch();
 
   std::vector<double> estimates;
-  Switch sw(0, cfg.switch_timings);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([&](const WindowResult& w) {
+  cfg.window_observer = [&](std::size_t, const WindowResult& w) {
     estimates.push_back(
         LinearCountingApp::EstimateFromTable(*w.table, app->bits()));
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + 50 * kMilli;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
+  };
+  const NetworkRunResult run =
+      RunOmniWindowFabric(trace, [&](std::size_t) { return app; }, cfg);
 
   ASSERT_GE(estimates.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -82,32 +74,22 @@ TEST(StateMigration, LinearCountingCardinalityPerWindow) {
         << "window " << i;
   }
   // The migration path, not AFRs: no flowkey tracking happened.
-  EXPECT_EQ(program->stats().spilled_keys, 0u);
-  EXPECT_GT(program->stats().afr_generated, 0u);  // slices shipped
+  EXPECT_EQ(run.per_switch[0].data_plane.spilled_keys, 0u);
+  EXPECT_GT(run.per_switch[0].data_plane.afr_generated, 0u);  // slices
 }
 
 TEST(StateMigration, HyperLogLogCardinalityPerWindow) {
   constexpr std::size_t kFlows = 3'000;
   const Trace trace = MakeFlows(kFlows, 3);
   auto app = std::make_shared<HyperLogLogApp>(10);
-  RunConfig cfg = RunConfig::Make(Spec());
+  NetworkRunConfig cfg = OneSwitch();
 
   std::vector<double> estimates;
-  Switch sw(0, cfg.switch_timings);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([&](const WindowResult& w) {
+  cfg.window_observer = [&](std::size_t, const WindowResult& w) {
     estimates.push_back(
         HyperLogLogApp::EstimateFromTable(*w.table, app->precision()));
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + 50 * kMilli;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
+  };
+  RunOmniWindowFabric(trace, [&](std::size_t) { return app; }, cfg);
 
   ASSERT_GE(estimates.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -130,25 +112,15 @@ TEST(StateMigration, MergedSubWindowsEqualWholeWindowUnion) {
   }
   trace.SortByTime();
   auto app = std::make_shared<LinearCountingApp>(1 << 13);
-  RunConfig cfg = RunConfig::Make(Spec());
+  NetworkRunConfig cfg = OneSwitch();
 
   double estimate = -1;
-  Switch sw(0, cfg.switch_timings);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([&](const WindowResult& w) {
+  cfg.window_observer = [&](std::size_t, const WindowResult& w) {
     if (estimate < 0) {
       estimate = LinearCountingApp::EstimateFromTable(*w.table, app->bits());
     }
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + 60 * kMilli;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
+  };
+  RunOmniWindowFabric(trace, [&](std::size_t) { return app; }, cfg);
 
   EXPECT_NEAR(estimate, 300.0, 40.0);  // NOT ~600
 }
@@ -173,21 +145,12 @@ TEST(RangeQuery, MergesArbitrarySpans) {
   def.aggregate = QueryAggregate::kCount;
   def.threshold = 1;
   auto app = std::make_shared<QueryAdapter>(def, 1024);
-  RunConfig cfg = RunConfig::Make(Spec(100 * kMilli, 50 * kMilli));
-  cfg.controller.retain_subwindows = 16;  // keep everything
+  NetworkRunConfig cfg = OneSwitch();
+  cfg.base.controller.retain_subwindows = 16;  // keep everything
 
-  Switch sw(0, cfg.switch_timings);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([](const WindowResult&) {});
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + 60 * kMilli;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
+  FabricSession session(trace, [&](std::size_t) { return app; }, cfg);
+  session.Finish();
+  const OmniWindowController& controller = session.controller(0);
 
   const FlowKey key(FlowKeyKind::kFiveTuple, FiveTuple{1, 2, 3, 4, 17});
   const auto span = controller.RetainedSpan();
@@ -226,24 +189,13 @@ TEST(RangeQuery, WithoutRetentionOldSpansExpire) {
   def.aggregate = QueryAggregate::kCount;
   def.threshold = 1;
   auto app = std::make_shared<QueryAdapter>(def, 256);
-  RunConfig cfg = RunConfig::Make(Spec(100 * kMilli, 50 * kMilli));
-  cfg.controller.retain_subwindows = 0;
+  NetworkRunConfig cfg = OneSwitch();
+  cfg.base.controller.retain_subwindows = 0;
 
-  Switch sw(0, cfg.switch_timings);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([](const WindowResult&) {});
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + 60 * kMilli;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
-
+  FabricSession session(trace, [&](std::size_t) { return app; }, cfg);
+  session.Finish();
   KeyValueTable out(64);
-  EXPECT_FALSE(controller.QueryRange({0, 1}, out));
+  EXPECT_FALSE(session.controller(0).QueryRange({0, 1}, out));
 }
 
 }  // namespace

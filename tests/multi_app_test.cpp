@@ -85,8 +85,8 @@ TEST(MultiApp, TwoAppsDetectTheirOwnAnomalies) {
   sentinel.ts = s.trace.Duration() + 60 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
   const Nanos horizon = s.trace.Duration() + 10 * kSecond;
-  sw.RunUntilIdle(horizon);
-  while (!harness.FlushAll(horizon)) sw.RunUntilIdle(horizon);
+  sw.RunBatch(horizon);
+  while (!harness.FlushAll(horizon)) sw.RunBatch(horizon);
 
   ASSERT_GE(syn_windows.size(), 3u);
   ASSERT_GE(ddos_windows.size(), 3u);
@@ -128,8 +128,8 @@ TEST(MultiApp, MatchesSingleAppRuns) {
   sentinel.ts = s.trace.Duration() + 60 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
   const Nanos horizon = s.trace.Duration() + 10 * kSecond;
-  sw.RunUntilIdle(horizon);
-  while (!harness.FlushAll(horizon)) sw.RunUntilIdle(horizon);
+  sw.RunBatch(horizon);
+  while (!harness.FlushAll(horizon)) sw.RunBatch(horizon);
 
   ASSERT_EQ(multi_syn.size(), solo_syn.size());
   for (std::size_t i = 0; i < solo_syn.size(); ++i) {

@@ -65,7 +65,6 @@ TEST(InferFlowLoss, EndToEndMatchesActualLinkDrops) {
   spec.slide = spec.window_size;
   cfg.base = RunConfig::Make(spec);
   cfg.base.controller.kv_capacity = 1 << 16;
-  cfg.num_switches = 2;
   cfg.link = {.latency = 20 * kMicro, .jitter = 5 * kMicro,
               .loss_rate = 0.005};
 
@@ -174,8 +173,8 @@ TEST(ProtocolStress, RandomReportLossStaysConsistent) {
     sentinel.ts = trace.Duration() + 60 * kMilli;
     sw.EnqueueFromWire(sentinel, sentinel.ts);
     const Nanos horizon = trace.Duration() + 10 * kSecond;
-    sw.RunUntilIdle(horizon);
-    while (!controller.Flush(trace.Duration())) sw.RunUntilIdle(horizon);
+    sw.RunBatch(horizon);
+    while (!controller.Flush(trace.Duration())) sw.RunBatch(horizon);
     return totals;
   };
 

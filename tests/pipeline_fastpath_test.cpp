@@ -1,16 +1,25 @@
-// A/B determinism test for the switch event engine (PR: zero-allocation
-// batched fast path). The FIFO wire lane plus per-switch scratch must be a
-// pure performance change: with the lane enabled (fast path) and disabled
-// (every event through the heap — the historical engine), a full OmniWindow
-// run over the same trace must produce bit-identical results: the same
-// emitted windows and detections, the same data-plane and controller stats,
-// the same total/recirc pass counts, and the same obs counter deltas.
+// Golden fingerprints of full single-switch OmniWindow replays. Each
+// workload runs RunOmniWindow over a fixed trace and folds everything
+// observable about the run into one 64-bit value: per window its span,
+// completed_at, partial flag and sorted detections; every data-plane and
+// controller Stats field; and the switch.* obs counter deltas. A change to
+// window contents, simulated timing, recovery rounds or pass counts shows
+// up as a mismatch. Only integers are hashed, so every compiler and build
+// type computes the same values.
+//
+// The constants were recorded from the replay engine these tests pin. Re-
+// record one (the failure message prints the new value) only for a
+// deliberate change of observable behaviour, and say why in the change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/core/runner.h"
+#include "src/fault/fault.h"
 #include "src/obs/obs.h"
 #include "src/telemetry/query.h"
 #include "src/trace/generator.h"
@@ -18,116 +27,74 @@
 namespace ow {
 namespace {
 
-/// Everything observable about one run, for exact comparison.
-struct RunFingerprint {
-  std::vector<EmittedWindow> windows;
-  OmniWindowProgram::Stats dp;
-  OmniWindowController::Stats ctrl;
-  std::uint64_t total_passes = 0;
-  std::uint64_t recirc_passes = 0;
-  std::vector<std::uint64_t> obs_deltas;  // switch.* counters, fixed order
-};
-
-const char* kObsCounters[] = {
-    "switch.passes",           "switch.recirc_passes",
-    "switch.to_controller_packets", "switch.forwarded",
+const char* const kObsCounters[] = {
+    "switch.passes",
+    "switch.recirc_passes",
+    "switch.to_controller_packets",
+    "switch.forwarded",
     "switch.dropped_in_pipeline",
 };
 
-/// RunOmniWindow with the engine knob exposed: same wiring as
-/// src/core/runner.cpp, plus SetFifoLaneEnabled before the replay.
-RunFingerprint RunWithLane(const Trace& trace, AdapterPtr app, RunConfig cfg,
-                           bool fifo_lane,
-                           std::function<FlowSet(TableView)> detect) {
-  std::vector<std::uint64_t> obs_before;
-  for (const char* name : kObsCounters) {
-    obs_before.push_back(obs::Global().GetCounter(name).value());
+struct Replay {
+  RunResult run;
+  std::vector<std::uint64_t> obs_deltas;  ///< kObsCounters order
+};
+
+std::uint64_t Fingerprint(const Replay& r) {
+  std::uint64_t h = 0;
+  const auto add = [&h](std::uint64_t v) { h = Mix64(h ^ v); };
+  add(r.run.windows.size());
+  for (const EmittedWindow& w : r.run.windows) {
+    add(w.span.first);
+    add(w.span.last);
+    add(std::uint64_t(w.completed_at));
+    add(w.partial);
+    std::vector<FlowKey> keys(w.detected.begin(), w.detected.end());
+    std::sort(keys.begin(), keys.end());
+    add(keys.size());
+    for (const FlowKey& k : keys) {
+      add(std::uint64_t(k.kind()));
+      add(k.bytes().size());
+      for (const std::uint8_t b : k.bytes()) add(b);
+    }
   }
-
-  cfg.controller.window = cfg.window;
-  cfg.data_plane.signal.subwindow_size = cfg.window.subwindow_size;
-
-  Switch sw(/*id=*/0, cfg.switch_timings);
-  sw.SetFifoLaneEnabled(fifo_lane);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-
-  RunFingerprint fp;
-  controller.SetWindowHandler([&](const WindowResult& w) {
-    EmittedWindow ew;
-    ew.span = w.span;
-    ew.completed_at = w.completed_at;
-    if (detect) ew.detected = detect(*w.table);
-    fp.windows.push_back(std::move(ew));
-  });
-
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + cfg.window.subwindow_size;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-
-  const Nanos horizon = trace.Duration() + 10 * kSecond;
-  sw.RunBatch(horizon);
-  while (!controller.Flush(trace.Duration())) {
-    sw.RunBatch(horizon);
+  const OmniWindowProgram::Stats& dp = r.run.data_plane;
+  for (const std::uint64_t v :
+       {dp.packets_measured, dp.terminations, dp.afr_generated, dp.reset_passes,
+        dp.spilled_keys, dp.stale_packets, dp.collect_overruns, dp.rdma_writes,
+        dp.rdma_fetch_adds}) {
+    add(v);
   }
-
-  fp.dp = program->stats();
-  fp.ctrl = controller.stats();
-  fp.total_passes = sw.total_passes();
-  fp.recirc_passes = sw.recirc_passes();
-  for (std::size_t i = 0; i < obs_before.size(); ++i) {
-    fp.obs_deltas.push_back(
-        obs::Global().GetCounter(kObsCounters[i]).value() - obs_before[i]);
+  const OmniWindowController::Stats& c = r.run.controller;
+  for (const std::uint64_t v :
+       {c.afrs_received, c.subwindows_finalized, c.subwindows_force_finalized,
+        c.windows_emitted, c.spilled_keys_stored, c.retransmissions_requested,
+        c.spike_packets, c.duplicate_afrs, c.inserts_rejected,
+        c.windows_partial, c.merge_stalls, c.rdma_holes_detected,
+        c.subwindows_degraded_by_switch}) {
+    add(v);
   }
-  return fp;
+  add(c.degraded_subwindows.size());
+  for (const SubWindowNum s : c.degraded_subwindows) add(s);
+  for (const std::uint64_t d : r.obs_deltas) add(d);
+  return h;
 }
 
-void ExpectIdentical(const RunFingerprint& fast, const RunFingerprint& heap) {
-  ASSERT_EQ(fast.windows.size(), heap.windows.size());
-  for (std::size_t i = 0; i < fast.windows.size(); ++i) {
-    EXPECT_EQ(fast.windows[i].span.first, heap.windows[i].span.first)
-        << "window " << i;
-    EXPECT_EQ(fast.windows[i].span.last, heap.windows[i].span.last)
-        << "window " << i;
-    EXPECT_EQ(fast.windows[i].completed_at, heap.windows[i].completed_at)
-        << "window " << i;
-    EXPECT_EQ(fast.windows[i].detected, heap.windows[i].detected)
-        << "window " << i;
+Replay RunQuery(const Trace& trace, const QueryDef& def, std::size_t cells,
+                const RunConfig& cfg) {
+  std::vector<std::uint64_t> before;
+  for (const char* name : kObsCounters) {
+    before.push_back(obs::Global().GetCounter(name).value());
   }
-
-  EXPECT_EQ(fast.dp.packets_measured, heap.dp.packets_measured);
-  EXPECT_EQ(fast.dp.terminations, heap.dp.terminations);
-  EXPECT_EQ(fast.dp.afr_generated, heap.dp.afr_generated);
-  EXPECT_EQ(fast.dp.reset_passes, heap.dp.reset_passes);
-  EXPECT_EQ(fast.dp.spilled_keys, heap.dp.spilled_keys);
-  EXPECT_EQ(fast.dp.stale_packets, heap.dp.stale_packets);
-  EXPECT_EQ(fast.dp.collect_overruns, heap.dp.collect_overruns);
-  EXPECT_EQ(fast.dp.rdma_writes, heap.dp.rdma_writes);
-  EXPECT_EQ(fast.dp.rdma_fetch_adds, heap.dp.rdma_fetch_adds);
-
-  EXPECT_EQ(fast.ctrl.afrs_received, heap.ctrl.afrs_received);
-  EXPECT_EQ(fast.ctrl.subwindows_finalized, heap.ctrl.subwindows_finalized);
-  EXPECT_EQ(fast.ctrl.subwindows_force_finalized,
-            heap.ctrl.subwindows_force_finalized);
-  EXPECT_EQ(fast.ctrl.windows_emitted, heap.ctrl.windows_emitted);
-  EXPECT_EQ(fast.ctrl.spilled_keys_stored, heap.ctrl.spilled_keys_stored);
-  EXPECT_EQ(fast.ctrl.retransmissions_requested,
-            heap.ctrl.retransmissions_requested);
-  EXPECT_EQ(fast.ctrl.spike_packets, heap.ctrl.spike_packets);
-  EXPECT_EQ(fast.ctrl.duplicate_afrs, heap.ctrl.duplicate_afrs);
-  EXPECT_EQ(fast.ctrl.inserts_rejected, heap.ctrl.inserts_rejected);
-
-  EXPECT_EQ(fast.total_passes, heap.total_passes);
-  EXPECT_EQ(fast.recirc_passes, heap.recirc_passes);
-  ASSERT_EQ(fast.obs_deltas.size(), heap.obs_deltas.size());
-  for (std::size_t i = 0; i < fast.obs_deltas.size(); ++i) {
-    EXPECT_EQ(fast.obs_deltas[i], heap.obs_deltas[i])
-        << "obs counter " << kObsCounters[i];
+  auto app = std::make_shared<QueryAdapter>(def, cells);
+  Replay r;
+  r.run = RunOmniWindow(trace, app, cfg,
+                        [&](TableView t) { return app->Detect(t); });
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    r.obs_deltas.push_back(obs::Global().GetCounter(kObsCounters[i]).value() -
+                           before[i]);
   }
+  return r;
 }
 
 WindowSpec TumblingSpec(Nanos window, Nanos sub) {
@@ -139,9 +106,8 @@ WindowSpec TumblingSpec(Nanos window, Nanos sub) {
   return spec;
 }
 
-TEST(PipelineFastPath, QueryDrivenRunIsBitIdentical) {
-  // Exp#1-style workload: SYN-flood victim over background traffic, Sonata
-  // count query, tumbling windows.
+/// Exp#1-style trace: a SYN-flood victim over background traffic.
+Trace SynFloodTrace() {
   TraceConfig tc;
   tc.seed = 3;
   tc.duration = 500 * kMilli;
@@ -151,25 +117,31 @@ TEST(PipelineFastPath, QueryDrivenRunIsBitIdentical) {
   Trace trace = gen.GenerateBackground();
   gen.InjectSynFlood(trace, 50 * kMilli, 300 * kMilli, 600);
   trace.SortByTime();
+  return trace;
+}
 
-  auto make_app = [] {
-    return std::make_shared<QueryAdapter>(StandardQuery(5), 4096);
-  };
+/// RDMA collection (§7) over the SYN-flood trace: recurring flows turn hot
+/// and land in the mirror, fresh ones take the append buffer.
+RunConfig RdmaConfig() {
   RunConfig cfg = RunConfig::Make(TumblingSpec(100 * kMilli, 50 * kMilli));
+  cfg.data_plane.rdma = true;
+  cfg.controller.rdma = true;
+  return cfg;
+}
 
-  auto app_fast = make_app();
-  const RunFingerprint fast =
-      RunWithLane(trace, app_fast, cfg, /*fifo_lane=*/true,
-                  [&](TableView t) { return app_fast->Detect(t); });
-  auto app_heap = make_app();
-  const RunFingerprint heap =
-      RunWithLane(trace, app_heap, cfg, /*fifo_lane=*/false,
-                  [&](TableView t) { return app_heap->Detect(t); });
+void ExpectGolden(const Replay& r, std::uint64_t golden) {
+  const std::uint64_t fingerprint = Fingerprint(r);
+  EXPECT_EQ(fingerprint, golden) << "fingerprint 0x" << std::hex
+                                 << fingerprint;
+}
 
-  // Sanity: the workload is non-trivial on both engines.
-  ASSERT_GE(fast.windows.size(), 4u);
-  ASSERT_GT(fast.dp.afr_generated, 0u);
-  ExpectIdentical(fast, heap);
+TEST(PipelineFastPath, QueryDrivenRunIsBitIdentical) {
+  const Replay r =
+      RunQuery(SynFloodTrace(), StandardQuery(5), 4096,
+               RunConfig::Make(TumblingSpec(100 * kMilli, 50 * kMilli)));
+  ASSERT_GE(r.run.windows.size(), 4u);
+  ASSERT_GT(r.run.data_plane.afr_generated, 0u);
+  ExpectGolden(r, 0x02994f95be27a952);
 }
 
 TEST(PipelineFastPath, RecirculationHeavyRunIsBitIdentical) {
@@ -181,25 +153,53 @@ TEST(PipelineFastPath, RecirculationHeavyRunIsBitIdentical) {
   tc.packets_per_sec = 20'000;
   tc.num_flows = 2'000;
   TraceGenerator gen(tc);
-  const Trace trace = gen.GenerateBackground();
+  const Replay r =
+      RunQuery(gen.GenerateBackground(), StandardQuery(3), 1 << 13,
+               RunConfig::Make(TumblingSpec(50 * kMilli, 25 * kMilli)));
+  ASSERT_GT(r.obs_deltas[1], 1'000u);  // switch.recirc_passes
+  ExpectGolden(r, 0x336f282d1f9af88e);
+}
 
-  auto make_app = [] {
-    return std::make_shared<QueryAdapter>(StandardQuery(3), 1 << 13);
-  };
-  RunConfig cfg = RunConfig::Make(TumblingSpec(50 * kMilli, 25 * kMilli));
+TEST(PipelineFastPath, RdmaRunIsBitIdentical) {
+  const Replay r = RunQuery(SynFloodTrace(), StandardQuery(5), 4096,
+                            RdmaConfig());
+  ASSERT_GT(r.run.data_plane.rdma_writes, 0u);
+  ASSERT_EQ(r.run.controller.rdma_holes_detected, 0u);
+  ExpectGolden(r, 0xf6f124f4acec2ccc);
+}
 
-  auto app_fast = make_app();
-  const RunFingerprint fast =
-      RunWithLane(trace, app_fast, cfg, /*fifo_lane=*/true,
-                  [&](TableView t) { return app_fast->Detect(t); });
-  auto app_heap = make_app();
-  const RunFingerprint heap =
-      RunWithLane(trace, app_heap, cfg, /*fifo_lane=*/false,
-                  [&](TableView t) { return app_heap->Detect(t); });
+TEST(PipelineFastPath, RdmaFaultRunIsBitIdentical) {
+  RunConfig cfg = RdmaConfig();
+  cfg.fault = fault::MakeChaosPlan(fault::ChaosKind::kRdmaFail, 0.3, 7);
+  const Replay r = RunQuery(SynFloodTrace(), StandardQuery(5), 4096, cfg);
+  ASSERT_GT(r.run.controller.rdma_holes_detected, 0u);
+  ExpectGolden(r, 0xb41a3d9b2a96ba4d);
+}
 
-  // The point of this workload: heavy recirculation traffic.
-  ASSERT_GT(fast.recirc_passes, 1'000u);
-  ExpectIdentical(fast, heap);
+TEST(PipelineFastPath, SlidingMergeStallRunIsBitIdentical) {
+  // Sonata Q4 (DDoS victims) over sliding windows, with injected merge
+  // stalls on the controller.
+  TraceConfig tc;
+  tc.seed = 77;
+  tc.duration = kSecond;
+  tc.packets_per_sec = 10'000;
+  tc.num_flows = 1'000;
+  TraceGenerator gen(tc);
+  Trace trace = gen.GenerateBackground();
+  gen.InjectDdos(trace, 300 * kMilli, 400 * kMilli, 200);
+  trace.SortByTime();
+
+  WindowSpec spec;
+  spec.type = WindowType::kSliding;
+  spec.window_size = 500 * kMilli;
+  spec.slide = 100 * kMilli;
+  spec.subwindow_size = 100 * kMilli;
+  RunConfig cfg = RunConfig::Make(spec);
+  cfg.fault.controller.merge_stall_rate = 0.3;
+  const Replay r = RunQuery(trace, StandardQuery(4), 1 << 13, cfg);
+  ASSERT_GE(r.run.windows.size(), 5u);
+  ASSERT_GT(r.run.controller.merge_stalls, 0u);
+  ExpectGolden(r, 0x5a05b7a4cc492314);
 }
 
 }  // namespace

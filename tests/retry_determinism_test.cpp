@@ -79,11 +79,11 @@ Fingerprint RunOnce(const Trace& trace, const fault::FaultPlan& plan,
   cfg.base = RunConfig::Make(spec);
   cfg.base.fault = plan;
   cfg.base.controller.merge_threads = merge_threads;
-  cfg.num_switches = 2;
+  cfg.topology.line_switches = 2;
   cfg.report_link_seed = 777;
 
   std::vector<std::shared_ptr<QueryAdapter>> apps;
-  const NetworkRunResult net = RunOmniWindowLine(
+  const NetworkRunResult net = RunOmniWindowFabric(
       trace,
       [&](std::size_t) {
         apps.push_back(std::make_shared<QueryAdapter>(CountDef(), 2048));
@@ -154,10 +154,10 @@ TEST(RetryDeterminism, BackoffWithJitterIsStillReproducible) {
     cfg.base.controller.merge_threads = threads;
     cfg.base.controller.retry.base_delay = 200 * kMicro;
     cfg.base.controller.retry.jitter_frac = 0.5;
-    cfg.num_switches = 2;
+    cfg.topology.line_switches = 2;
     cfg.report_link_seed = 777;
     std::vector<std::shared_ptr<QueryAdapter>> apps;
-    const NetworkRunResult net = RunOmniWindowLine(
+    const NetworkRunResult net = RunOmniWindowFabric(
         trace,
         [&](std::size_t) {
           apps.push_back(std::make_shared<QueryAdapter>(CountDef(), 2048));

@@ -131,7 +131,7 @@ TEST(Switch, ForwardsNormalPackets) {
       [&](const Packet&, Nanos t) { forwarded.push_back(t); });
   Packet p;
   sw.EnqueueFromWire(p, 1000);
-  sw.RunUntilIdle(kSecond);
+  sw.RunBatch(kSecond);
   ASSERT_EQ(forwarded.size(), 1u);
   EXPECT_EQ(forwarded[0], 1000 + sw.timings().pipeline_latency);
 }
@@ -145,7 +145,8 @@ TEST(Switch, RecirculationCountsAndLatency) {
   p.ow.flag = OwFlag::kCollection;
   p.ow.payload = 3;  // recirculate three times
   sw.EnqueueFromWire(p, 0);
-  const Nanos last = sw.RunUntilIdle(kSecond);
+  sw.RunBatch(kSecond);
+  const Nanos last = sw.last_event_time();
   EXPECT_EQ(prog->passes, 4);          // initial + 3 recirculations
   EXPECT_EQ(prog->recirc_passes, 3);
   EXPECT_EQ(sw.recirc_passes(), 3u);
@@ -162,7 +163,7 @@ TEST(Switch, CloneToControllerLatency) {
   p.ow.present = true;
   p.ow.flag = OwFlag::kTrigger;
   sw.EnqueueFromWire(p, 500);
-  sw.RunUntilIdle(kSecond);
+  sw.RunBatch(kSecond);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], 500 + sw.timings().to_controller_latency);
 }
@@ -184,7 +185,7 @@ TEST(Switch, ProcessesInTimeOrder) {
   sw.EnqueueFromWire(b, 200);
   sw.EnqueueFromWire(a, 100);
   sw.EnqueueFromWire(c, 300);
-  sw.RunUntilIdle(kSecond);
+  sw.RunBatch(kSecond);
   EXPECT_EQ(prog->order, (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
@@ -192,7 +193,7 @@ TEST(Switch, ThrowsWithoutProgram) {
   Switch sw(0);
   Packet p;
   sw.EnqueueFromWire(p, 0);
-  EXPECT_THROW(sw.RunUntilIdle(kSecond), std::logic_error);
+  EXPECT_THROW(sw.RunBatch(kSecond), std::logic_error);
 }
 
 TEST(SwitchOs, ReadCostScalesLinearly) {

@@ -409,6 +409,86 @@ TEST(Fabric, DuplicationInflationNeverWrapsLossCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// RDMA collection on the session: honoured on every switch, or refused.
+
+NetworkRunConfig RdmaConfig(TopologyConfig topology) {
+  NetworkRunConfig cfg = LeafSpineConfig();
+  cfg.topology = topology;
+  cfg.base.data_plane.rdma = true;
+  cfg.base.controller.rdma = true;
+  return cfg;
+}
+
+/// Every window of every switch must hold exactly the packets routed
+/// through that switch during its span, with no window flagged, and the
+/// switches must have collected over their NICs.
+void ExpectExactRdmaWindows(const Trace& trace, const NetworkRunConfig& cfg,
+                            const NetworkRunResult& run) {
+  const NextHopFn next_hop = MakeTopologyNextHop(cfg.topology);
+  const Nanos sub = cfg.base.window.subwindow_size;
+  std::vector<std::map<SubWindowNum, FlowCounts>> want(run.per_switch.size());
+  for (const Packet& p : trace.packets) {
+    const FlowKey key = p.Key(FlowKeyKind::kFiveTuple);
+    // Tumbling windows of two sub-windows, keyed by their first one.
+    const SubWindowNum first = SubWindowNum(p.ts / sub) & ~SubWindowNum(1);
+    for (int u = 0; u >= 0; u = next_hop(u, key)) {
+      ++want[std::size_t(u)][first][key];
+    }
+  }
+  std::uint64_t rdma_writes = 0;
+  for (std::size_t i = 0; i < run.per_switch.size(); ++i) {
+    const SwitchRun& sw = run.per_switch[i];
+    rdma_writes += sw.data_plane.rdma_writes;
+    EXPECT_EQ(sw.controller.windows_partial, 0u) << "switch " << i;
+    ASSERT_GE(sw.counts.size(), 3u) << "switch " << i;
+    for (const auto& [first, counts] : sw.counts) {
+      EXPECT_EQ(counts, want[i][first])
+          << "switch " << i << " window " << first;
+    }
+  }
+  EXPECT_GT(rdma_writes, 0u);
+}
+
+TEST(FabricRdma, LossyReportPathIsRefused) {
+  // RDMA completion trusts the completion notification. Over a report link
+  // that drops packets, a late notification drains buffer and mirror slots
+  // a later sub-window already wrote, and windows come out wrong without a
+  // flag, so the session refuses the combination.
+  TraceConfig tc;
+  tc.duration = kSecond;
+  tc.packets_per_sec = 10'000;
+  const Trace trace = TraceGenerator(tc).GenerateBackground();
+  const auto make_app = [](std::size_t) {
+    return std::make_shared<ExactCountApp>();
+  };
+  const TopologyConfig one_switch{.line_switches = 1};
+
+  NetworkRunConfig lossy = RdmaConfig(one_switch);
+  lossy.report_link.loss_rate = 0.1;
+  EXPECT_THROW(FabricSession(trace, make_app, lossy), std::invalid_argument);
+
+  NetworkRunConfig faulted = RdmaConfig(one_switch);
+  faulted.base.fault.report_link.drop_rate = 0.2;
+  EXPECT_THROW(FabricSession(trace, make_app, faulted), std::invalid_argument);
+  EXPECT_THROW(RunOmniWindow(trace, std::make_shared<ExactCountApp>(),
+                             faulted.base),
+               std::invalid_argument);
+
+  // Jitter delays reports but never drops them: allowed, and exact.
+  NetworkRunConfig jittery = RdmaConfig(one_switch);
+  jittery.report_link.jitter = 200 * kMicro;
+  ExpectExactRdmaWindows(trace, jittery, RunLeafSpine(trace, jittery));
+}
+
+TEST(FabricRdma, LeafSpineWindowsAreExact) {
+  // Every switch of a 3-leaf x 2-spine fabric collects over its own NIC.
+  const Trace trace = FabricTrace(5);
+  const NetworkRunConfig cfg = RdmaConfig(
+      {.kind = TopologyKind::kLeafSpine, .spines = 2, .leaves = 3});
+  ExpectExactRdmaWindows(trace, cfg, RunLeafSpine(trace, cfg));
+}
+
+// ---------------------------------------------------------------------------
 // Line A/B: the port-based wiring must be bit-identical to the historical
 // SetForwardHandler + raw-Link engine — windows, stats, and obs deltas.
 

@@ -4,7 +4,7 @@
 
 #include <memory>
 
-#include "src/core/runner.h"
+#include "src/core/network_runner.h"
 #include "src/telemetry/query.h"
 
 namespace ow {
@@ -30,12 +30,24 @@ Trace SteadyTraffic(std::size_t packets, Nanos gap) {
   return trace;
 }
 
+/// One-switch session replay; returns each window's total packet count.
+std::vector<std::uint64_t> WindowTotals(const Trace& trace, RunConfig base) {
+  auto app = std::make_shared<QueryAdapter>(CountDef(), 1024);
+  NetworkRunConfig cfg{.base = std::move(base),
+                       .topology = {.line_switches = 1}};
+  std::vector<std::uint64_t> totals;
+  cfg.window_observer = [&](std::size_t, const WindowResult& w) {
+    std::uint64_t total = 0;
+    w.table->ForEach([&](const KvSlot& slot) { total += slot.attrs[0]; });
+    totals.push_back(total);
+  };
+  RunOmniWindowFabric(trace, [&](std::size_t) { return app; }, cfg);
+  return totals;
+}
+
 TEST(CounterWindows, TerminateEveryNPackets) {
   // 5000 packets, counter threshold 1000 -> sub-windows of exactly 1000
   // packets each.
-  const Trace trace = SteadyTraffic(5'000, 20 * kMicro);
-  auto app = std::make_shared<QueryAdapter>(CountDef(), 1024);
-
   WindowSpec spec;
   spec.type = WindowType::kTumbling;
   spec.window_size = spec.subwindow_size = 100 * kMilli;  // W = 1
@@ -43,21 +55,8 @@ TEST(CounterWindows, TerminateEveryNPackets) {
   cfg.data_plane.signal.kind = SignalKind::kCounter;
   cfg.data_plane.signal.counter_threshold = 1'000;
 
-  std::vector<std::uint64_t> window_totals;
-  Switch sw(0, cfg.switch_timings);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([&](const WindowResult& w) {
-    std::uint64_t total = 0;
-    w.table->ForEach([&](const KvSlot& slot) { total += slot.attrs[0]; });
-    window_totals.push_back(total);
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
-
+  const std::vector<std::uint64_t> window_totals =
+      WindowTotals(SteadyTraffic(5'000, 20 * kMicro), cfg);
   ASSERT_GE(window_totals.size(), 4u);
   // The packet that fires the counter signal is measured into the NEW
   // sub-window, so the very first window holds threshold-1 packets and
@@ -81,7 +80,6 @@ TEST(SessionWindows, GapsTerminateSessions) {
   }
   trace.SortByTime();
 
-  auto app = std::make_shared<QueryAdapter>(CountDef(), 256);
   WindowSpec spec;
   spec.type = WindowType::kSession;
   spec.window_size = spec.subwindow_size = 100 * kMilli;  // W = 1
@@ -89,23 +87,9 @@ TEST(SessionWindows, GapsTerminateSessions) {
   cfg.data_plane.signal.kind = SignalKind::kSession;
   cfg.data_plane.signal.session_gap = 200 * kMilli;
 
-  std::vector<std::uint64_t> sessions;
-  Switch sw(0, cfg.switch_timings);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([&](const WindowResult& w) {
-    std::uint64_t total = 0;
-    w.table->ForEach([&](const KvSlot& slot) { total += slot.attrs[0]; });
-    sessions.push_back(total);
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  sw.RunUntilIdle(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
-
   // The first two bursts terminate via gap detection; the trailing one is
-  // force-finalized by Flush.
+  // force-finalized by the flush.
+  const std::vector<std::uint64_t> sessions = WindowTotals(trace, cfg);
   ASSERT_GE(sessions.size(), 2u);
   EXPECT_EQ(sessions[0], 300u);
   EXPECT_EQ(sessions[1], 300u);
@@ -164,8 +148,8 @@ TEST(Retransmission, ServesCachedValuesAfterReset) {
   sentinel.ts = trace.Duration() + 60 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
   const Nanos horizon = trace.Duration() + 10 * kSecond;
-  sw.RunUntilIdle(horizon);
-  while (!controller.Flush(trace.Duration())) sw.RunUntilIdle(horizon);
+  sw.RunBatch(horizon);
+  while (!controller.Flush(trace.Duration())) sw.RunBatch(horizon);
 
   EXPECT_GT(controller.stats().retransmissions_requested, 0u);
   // Sub-window 0's window must report the victim's TRUE count (50), served

@@ -253,12 +253,12 @@ Snapshot SnapLine(const Trace& trace, const fault::FaultPlan& plan,
   NetworkRunConfig cfg;
   cfg.base = RunConfig::Make(Spec());
   cfg.base.fault = plan;
-  cfg.num_switches = 2;
+  cfg.topology.line_switches = 2;
   cfg.report_link_seed = 777 + seed;
   cfg.link_seed = 555 + seed;
 
   std::vector<std::shared_ptr<QueryAdapter>> apps;
-  const NetworkRunResult net = RunOmniWindowLine(
+  const NetworkRunResult net = RunOmniWindowFabric(
       trace,
       [&](std::size_t) {
         apps.push_back(std::make_shared<QueryAdapter>(CountDef(), 2048));
