@@ -1,7 +1,9 @@
 #include "src/net/network.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,6 +31,7 @@ Switch* Network::AddSwitch(SwitchTimings timings, Nanos clock_deviation) {
   // activity hook, so the sequential scan list stays correct even for
   // switches wired up manually with raw Links instead of Connect.
   sw->SetActivityListener([this, idx] { MarkActive(idx); });
+  cycles_stale_ = true;
   return sw;
 }
 
@@ -105,6 +108,7 @@ Link* Network::Connect(Switch* a, Switch* b, LinkParams params,
     WireEndpoint* raw_ep = ep.get();
     nodes_[dst]->ingress.push_back(raw_ep);
     endpoints_.push_back(std::move(ep));
+    cycles_stale_ = true;
     deliver = [raw_ep](Packet p, Nanos arrival) {
       raw_ep->Deliver(std::move(p), arrival);
     };
@@ -132,12 +136,46 @@ Link* Network::ConnectToSink(Switch* a, LinkParams params, Link::Deliver sink,
   return raw;
 }
 
+void Network::RefreshCycleLookaheads() {
+  const std::size_t n = nodes_.size();
+  std::vector<std::vector<const WireEndpoint*>> out(n);
+  for (const auto& ep : endpoints_) {
+    out[std::size_t(ep->src_node)].push_back(ep.get());
+  }
+  cycle_lookahead_.assign(n, kNeverNs);
+  std::vector<Nanos> dist(n);
+  using Reached = std::pair<Nanos, std::size_t>;
+  std::priority_queue<Reached, std::vector<Reached>, std::greater<>> frontier;
+  for (std::size_t s = 0; s < n; ++s) {
+    std::fill(dist.begin(), dist.end(), kNeverNs);
+    dist[s] = 0;
+    frontier.push({0, s});
+    while (!frontier.empty()) {
+      const auto [d, u] = frontier.top();
+      frontier.pop();
+      if (d > dist[u]) continue;
+      for (const WireEndpoint* ep : out[u]) {
+        const std::size_t v = std::size_t(ep->dst_node);
+        const Nanos via = d + ep->lookahead;
+        if (v == s) {
+          cycle_lookahead_[s] = std::min(cycle_lookahead_[s], via);
+        } else if (via < dist[v]) {
+          dist[v] = via;
+          frontier.push({via, v});
+        }
+      }
+    }
+  }
+  cycles_stale_ = false;
+}
+
 Nanos Network::RunUntilQuiescent(Nanos max_time) {
   if (parallel_.threads > 0 && !nodes_.empty()) return RunParallel(max_time);
   return RunSequential(max_time);
 }
 
 Nanos Network::RunSequential(Nanos max_time) {
+  if (cycles_stale_) RefreshCycleLookaheads();
   Nanos last = -1;
   while (true) {
     // Pick the switch with the earliest pending event, and the next-earliest
@@ -147,9 +185,10 @@ Nanos Network::RunSequential(Nanos max_time) {
     // by Connect), so no other device — however many upstream links feed it
     // — can create work for the earliest switch before `bound`, and
     // per-switch event order — the only order that matters, device state is
-    // per-switch — is untouched. The argument is topology-free: `others`
-    // ranges over every other device, so multi-downstream fan-out and
-    // fan-in tighten the bound but never invalidate it.
+    // per-switch — is untouched. `others` ranges over every other device,
+    // so multi-downstream fan-out and fan-in tighten the bound but never
+    // invalidate it; the one thing it cannot bound is the earliest
+    // switch's own traffic returning around a cycle (the cap below).
     //
     // Only switches that have signalled activity are scanned (quiescence
     // detection is O(active), not O(fabric)); a drained switch drops out of
@@ -183,12 +222,18 @@ Nanos Network::RunSequential(Nanos max_time) {
     }
     active_.resize(w);
     if (best == std::size_t(-1)) break;
-    const Nanos bound = others < 0 ? max_time : others;
+    Nanos bound = others < 0 ? max_time : others;
+    // The OTHER switches' pending times cannot see the chosen switch's own
+    // output coming back around a cycle: whatever it dispatches from best_t
+    // on returns no earlier than best_t + its shortest round trip.
+    const Nanos cycle = cycle_lookahead_[best];
+    if (cycle < kNeverNs) bound = std::min(bound, best_t + cycle - 1);
     Switch* sw = nodes_[best]->sw.get();
     // Wave-partition contract (Switch::CommitStagedThrough): every other
     // device's pending time is >= bound, so any arrival it later sends
-    // lands strictly after bound — nothing at or before bound can still be
-    // staged after this call.
+    // lands strictly after bound, and the cycle cap keeps the switch's own
+    // returning traffic after bound too — nothing at or before bound can
+    // still be staged after this call.
     sw->CommitStagedThrough(bound);
     sw->RunBatch(bound);
     if (sw->last_event_time() > last) last = sw->last_event_time();

@@ -10,9 +10,13 @@
 //     links must have positive latency; Connect enforces it), processing
 //     the globally-earliest device first preserves causality without a
 //     shared event queue — for arbitrary directed topologies, not just
-//     chains. An activity-driven skip list keeps the per-batch scan
-//     proportional to the number of switches that actually have work, not
-//     the fabric size.
+//     chains. On a cyclic fabric the batch is also capped one ns short of
+//     its own earliest event plus the shortest round trip back to it over
+//     Connect links (the sum of their lookaheads), so a switch never runs
+//     past its own packets coming back around a cycle; on a DAG that cap
+//     is infinite and the schedule is exactly the two-rule one. An
+//     activity-driven skip list keeps the per-batch scan proportional to
+//     the number of switches that actually have work, not the fabric size.
 //
 //   * Parallel (threads >= 1): conservative-lookahead workers. Switches
 //     are sharded round-robin across a thread pool; each shard advances a
@@ -200,6 +204,10 @@ class Network {
   /// Activity hook: adds the switch to the sequential engine's scan list.
   /// No-op while parallel workers run (they sweep their shards directly).
   void MarkActive(std::size_t idx);
+  /// Shortest round trip from each switch back to itself over Connect
+  /// links (Dijkstra on endpoint lookaheads), or the far-future "never"
+  /// sentinel for a switch on no cycle.
+  void RefreshCycleLookaheads();
 
   Nanos RunSequential(Nanos max_time);
   Nanos RunParallel(Nanos max_time);
@@ -213,6 +221,10 @@ class Network {
   /// Switches with (possibly) pending work, maintained by MarkActive and
   /// compacted during the sequential scan.
   std::vector<std::size_t> active_;
+  /// Per-switch shortest cycle lookahead (RefreshCycleLookaheads), rebuilt
+  /// by the sequential engine after AddSwitch/Connect change the fabric.
+  std::vector<Nanos> cycle_lookahead_;
+  bool cycles_stale_ = false;
   ParallelConfig parallel_;
   std::atomic<bool> parallel_running_{false};
 };

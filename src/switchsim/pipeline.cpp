@@ -55,38 +55,22 @@ void Switch::StageFromWire(Packet p, Nanos arrival, std::uint32_t ingress_link,
                            std::uint64_t tx_index) {
   NotifyActivity();
   staged_.push_back({arrival, ingress_link, tx_index, std::move(p)});
-  if (staged_min_ < 0 || arrival < staged_min_) staged_min_ = arrival;
+  std::push_heap(staged_.begin(), staged_.end(), StagedAfter{});
 }
 
 std::size_t Switch::CommitStagedThrough(Nanos bound) {
-  if (staged_min_ < 0 || staged_min_ > bound) return 0;
-  // Partition the ready arrivals to the tail so the survivors keep their
-  // storage without a second pass, then sort the tail into canonical
-  // (time, ingress_link, tx_index) order.
-  auto ready = std::partition(
-      staged_.begin(), staged_.end(),
-      [bound](const StagedArrival& a) { return a.time > bound; });
-  std::sort(ready, staged_.end(),
-            [](const StagedArrival& a, const StagedArrival& b) {
-              if (a.time != b.time) return a.time < b.time;
-              if (a.ingress != b.ingress) return a.ingress < b.ingress;
-              return a.tx < b.tx;
-            });
   std::size_t committed = 0;
-  for (auto it = ready; it != staged_.end(); ++it) {
-    Event ev{it->time, staged_seq_++, PacketSource::kWire,
-             std::move(it->packet)};
+  while (!staged_.empty() && staged_.front().time <= bound) {
+    std::pop_heap(staged_.begin(), staged_.end(), StagedAfter{});
+    StagedArrival& a = staged_.back();
+    Event ev{a.time, staged_seq_++, PacketSource::kWire, std::move(a.packet)};
+    staged_.pop_back();
     if (FifoAdmissible(ev.time, ev.seq)) {
       FifoPush(std::move(ev));
     } else {
       HeapPush(std::move(ev));
     }
     ++committed;
-  }
-  staged_.erase(ready, staged_.end());
-  staged_min_ = -1;
-  for (const StagedArrival& a : staged_) {
-    if (staged_min_ < 0 || a.time < staged_min_) staged_min_ = a.time;
   }
   return committed;
 }
@@ -271,7 +255,7 @@ void Switch::Save(SnapshotWriter& w) const {
     w.U64(a.tx);
     SavePacket(w, a.packet);
   }
-  w.I64(staged_min_);
+  w.I64(StagedMinTime());
   w.U64(staged_seq_);
   w.U64(next_seq_);
   w.I64(last_dispatched_);
@@ -288,7 +272,10 @@ void Switch::Load(SnapshotReader& r) {
     ev.source = PacketSource(r.U8());
     LoadPacket(r, ev.packet);
   };
-  const std::size_t nfifo = r.Size();
+  // Counts are bounded by the bytes left (an event is at least its
+  // time + seq + source, a staged arrival its time + ingress + tx) before
+  // any lane is sized.
+  const std::size_t nfifo = r.Count(17);
   std::size_t cap = 64;
   while (cap < nfifo) cap *= 2;
   fifo_.clear();
@@ -297,17 +284,28 @@ void Switch::Load(SnapshotReader& r) {
   fifo_size_ = nfifo;
   for (std::size_t i = 0; i < nfifo; ++i) load_event(fifo_[i]);
   heap_.clear();
-  heap_.resize(r.Size());
+  heap_.resize(r.Count(17));
   for (Event& ev : heap_) load_event(ev);
   staged_.clear();
-  staged_.resize(r.Size());
+  staged_.resize(r.Count(20));
   for (StagedArrival& a : staged_) {
     a.time = r.I64();
     a.ingress = r.U32();
     a.tx = r.U64();
     LoadPacket(r, a.packet);
   }
-  staged_min_ = r.I64();
+  // Snapshots may list staged arrivals in any order (older writers left
+  // them partitioned, not heap-ordered); the canonical key alone decides
+  // commit order.
+  std::make_heap(staged_.begin(), staged_.end(), StagedAfter{});
+  const Nanos staged_min = r.I64();
+  if (staged_min != StagedMinTime()) {
+    throw SnapshotError(
+        "Switch [section 0x14]: saved staged minimum " +
+        std::to_string(staged_min) + " disagrees with the earliest of the " +
+        std::to_string(staged_.size()) + " staged arrivals (" +
+        std::to_string(StagedMinTime()) + ")");
+  }
   staged_seq_ = r.U64();
   next_seq_ = r.U64();
   last_dispatched_ = r.I64();

@@ -167,29 +167,37 @@ class Switch {
   /// assigned at send time by the upstream switch's (deterministic)
   /// dispatch order — together with the arrival time they define one
   /// canonical total order over wire arrivals that no engine or thread
-  /// schedule can perturb.
+  /// schedule can perturb. The staged buffer is a binary min-heap on that
+  /// key, so staging costs O(log staged), however much of a trace a
+  /// one-shot replay has staged ahead of the commit bound.
   void StageFromWire(Packet p, Nanos arrival, std::uint32_t ingress_link,
                      std::uint64_t tx_index);
 
   /// Move every staged arrival with time <= `bound` into the event lanes,
   /// in canonical (time, ingress_link, tx_index) order, assigning staged
-  /// seqs. The caller (src/net) guarantees that no arrival at or before
-  /// `bound` can be staged after this call — under that wave-partition
-  /// contract, concatenating the per-call commit sequences yields the
-  /// global canonical sort regardless of where the wave boundaries fall,
-  /// which is why sequential and parallel execution dispatch bit-identical
+  /// seqs: pops the staged heap while its top is within `bound`, O(log
+  /// staged) per committed arrival and O(1) when nothing is ready. The
+  /// caller (src/net) guarantees that no arrival at or before `bound` can
+  /// be staged after this call — under that wave-partition contract,
+  /// concatenating the per-call commit sequences yields the global
+  /// canonical sort regardless of where the wave boundaries fall, which is
+  /// why sequential and parallel execution dispatch bit-identical
   /// per-switch event orders. Returns the number of events committed.
   std::size_t CommitStagedThrough(Nanos bound);
 
-  /// Earliest staged (uncommitted) arrival time, or -1 when none.
-  Nanos StagedMinTime() const noexcept { return staged_min_; }
+  /// Earliest staged (uncommitted) arrival time — the staged heap's top —
+  /// or -1 when none.
+  Nanos StagedMinTime() const noexcept {
+    return staged_.empty() ? -1 : staged_.front().time;
+  }
 
   /// Earliest pending work over lanes AND the staged buffer (-1 if idle).
   Nanos EarliestPendingTime() const noexcept {
     const Nanos lanes = NextEventTime();
-    if (lanes < 0) return staged_min_;
-    if (staged_min_ < 0) return lanes;
-    return lanes < staged_min_ ? lanes : staged_min_;
+    const Nanos staged = StagedMinTime();
+    if (lanes < 0) return staged;
+    if (staged < 0) return lanes;
+    return lanes < staged ? lanes : staged;
   }
 
   /// Hook invoked on every enqueue/stage (when set). The owning Network
@@ -226,7 +234,11 @@ class Switch {
   /// pass counters. Program state, port handlers and the forwarding policy
   /// are configuration the restoring side rebuilds before calling Load.
   /// The FIFO ring is renormalized to head 0 and the heap restored in
-  /// layout order, so dispatch order is preserved exactly.
+  /// layout order, so dispatch order is preserved exactly. The staged
+  /// buffer is re-heapified on load (its saved order is arbitrary; the
+  /// canonical key alone decides commit order) and the saved staged
+  /// minimum must equal the restored heap's top, else Load throws
+  /// SnapshotError.
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
@@ -260,6 +272,15 @@ class Switch {
     std::uint32_t ingress;
     std::uint64_t tx;
     Packet packet;
+  };
+  /// min-heap comparator on the canonical (time, ingress, tx) key, unique
+  /// per arrival: `a` commits after `b`.
+  struct StagedAfter {
+    bool operator()(const StagedArrival& a, const StagedArrival& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      if (a.ingress != b.ingress) return a.ingress > b.ingress;
+      return a.tx > b.tx;
+    }
   };
 
   void DispatchEvent(Event& ev, PassCounts& counts);
@@ -304,8 +325,7 @@ class Switch {
   std::size_t fifo_size_ = 0;
   PooledVector<Event> heap_;
 
-  PooledVector<StagedArrival> staged_;
-  Nanos staged_min_ = -1;
+  PooledVector<StagedArrival> staged_;  ///< binary min-heap (StagedAfter)
   std::uint64_t staged_seq_ = 0;
   std::function<void()> on_activity_;
 

@@ -4,7 +4,9 @@
 // deltas for every thread count — with and without faults armed — because
 // wire seq numbers are assigned deterministically at send time and each
 // switch commits staged arrivals in one canonical order regardless of which
-// worker (or how many) drives it (docs/parallel_execution.md).
+// worker (or how many) drives it (docs/parallel_execution.md). A cyclic
+// fabric pins the same equivalence where the sequential engine must also
+// stop short of a switch's own traffic coming back around the cycle.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -204,6 +206,73 @@ TEST(ParallelFabric, LineTopologyMatchesSequential) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const Fingerprint par = RunFabric(trace, cfg, threads);
     EXPECT_EQ(seq, par);
+  }
+}
+
+/// Logs every pass and bounces each packet until it has crossed
+/// `kBounceHops` links (the hop count rides in `ow.payload`).
+class BounceProgram : public SwitchProgram {
+ public:
+  static constexpr std::uint32_t kBounceHops = 3;
+  struct Pass {
+    Nanos time;
+    std::uint32_t id;
+    std::uint32_t hops;
+    bool operator==(const Pass&) const = default;
+  };
+
+  void Process(Packet& p, Nanos now, PacketSource,
+               PipelineActions& act) override {
+    log.push_back({now, p.seq, p.ow.payload});
+    if (p.ow.payload == kBounceHops) {
+      act.drop = true;
+    } else {
+      ++p.ow.payload;
+    }
+  }
+  std::vector<Pass> log;
+};
+
+std::vector<std::vector<BounceProgram::Pass>> RunBounceCycle(
+    std::size_t threads) {
+  Network net;
+  net.SetParallel({.threads = threads});
+  Switch* a = net.AddSwitch();
+  Switch* b = net.AddSwitch();
+  const LinkParams wire{.latency = kMicro, .jitter = 0};
+  net.Connect(a, b, wire);
+  net.Connect(b, a, wire);
+  std::vector<std::shared_ptr<BounceProgram>> programs;
+  for (Switch* sw : {a, b}) {
+    programs.push_back(std::make_shared<BounceProgram>());
+    sw->SetProgram(programs.back());
+  }
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    Packet p;
+    p.seq = i;
+    a->EnqueueFromWire(p, Nanos(i) * 100);
+  }
+  net.RunUntilQuiescent(kSecond);
+  return {programs[0]->log, programs[1]->log};
+}
+
+TEST(ParallelFabric, CyclicFabricKeepsCausality) {
+  // A <-> B with 1 us links: every packet A dispatches comes back to A
+  // 3.2 us later, behind packets A injected after it. The sequential
+  // engine must not batch A past its own returning traffic, so each switch
+  // sees its passes in time order, exactly as every parallel run does.
+  const auto seq = RunBounceCycle(/*threads=*/0);
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    SCOPED_TRACE("switch " + std::to_string(i));
+    ASSERT_EQ(seq[i].size(), 200u);
+    for (std::size_t k = 1; k < seq[i].size(); ++k) {
+      ASSERT_LE(seq[i][k - 1].time, seq[i][k].time)
+          << "pass " << k << " ran out of time order";
+    }
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(seq, RunBounceCycle(threads));
   }
 }
 

@@ -8,18 +8,23 @@
 // and still usable), dense<->sparse encoding equivalence across the
 // occupancy range, the durable-file framing (every bit flip and truncation
 // of a WriteFile checkpoint is caught, with the error naming the section and
-// absolute file offsets), and the delta-checkpoint encode/apply pair.
+// absolute file offsets), the delta-checkpoint encode/apply pair, and
+// Switch::Load's staged wire lane (any saved order commits canonically, a
+// forged staged minimum or count throws).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/packet.h"
 #include "src/common/snapshot.h"
 #include "src/controller/key_value_table.h"
+#include "src/switchsim/pipeline.h"
 
 namespace ow {
 namespace {
@@ -508,6 +513,120 @@ TEST(SnapshotDelta, EveryBitFlipAndTruncationIsCaught) {
     const std::vector<std::uint8_t> bad(delta.begin(), delta.begin() + len);
     EXPECT_THROW((void)ApplySnapshotDelta(base, bad), SnapshotError)
         << "delta truncated to " << len << " bytes applied successfully";
+  }
+}
+
+// --- Switch::Load: the staged wire lane ------------------------------------
+
+struct StagedEntry {
+  Nanos time;
+  std::uint32_t ingress;
+  std::uint64_t tx;
+  std::uint32_t id;  ///< carried in Packet::seq
+};
+
+/// A hand-written kSwitch section: empty FIFO and heap lanes, `staged` in
+/// the listed order, and `staged_min` as the saved staged minimum.
+std::vector<std::uint8_t> SwitchSection(const std::vector<StagedEntry>& staged,
+                                        Nanos staged_min) {
+  SnapshotWriter w;
+  w.Section(snap::kSwitch);
+  w.Size(0);  // FIFO lane
+  w.Size(0);  // heap lane
+  w.Size(staged.size());
+  for (const StagedEntry& a : staged) {
+    w.I64(a.time);
+    w.U32(a.ingress);
+    w.U64(a.tx);
+    Packet p;
+    p.seq = a.id;
+    SavePacket(w, p);
+  }
+  w.I64(staged_min);
+  w.U64(0);               // staged seq
+  w.U64(kSharedSeqBase);  // shared seq
+  w.I64(-1);              // last dispatched
+  w.U64(0);               // total passes
+  w.U64(0);               // recirculation passes
+  w.U64(0);               // pass epoch
+  return w.Take();
+}
+
+/// Offset of the staged count: header (8), section tag (4), FIFO and heap
+/// counts (8 each).
+constexpr std::size_t kStagedCountOffset = 8 + 4 + 8 + 8;
+
+struct OrderProgram : SwitchProgram {
+  void Process(Packet& p, Nanos, PacketSource, PipelineActions&) override {
+    order.push_back(p.seq);
+  }
+  std::vector<std::uint32_t> order;
+};
+
+TEST(SwitchLoadHardening, StagedArrivalsInAnyOrderCommitCanonically) {
+  // Ids follow the canonical (time, ingress, tx) order; the section lists
+  // them in reverse, an order a snapshot from before the staged lane was
+  // kept as a heap can hold.
+  const std::vector<StagedEntry> canonical = {
+      {100, 0, 0, 0}, {100, 0, 1, 1}, {100, 2, 0, 2},
+      {250, 1, 0, 3}, {250, 1, 4, 4}, {400, 0, 2, 5}};
+  const std::vector<StagedEntry> reversed(canonical.rbegin(),
+                                          canonical.rend());
+  const std::vector<std::uint8_t> bytes = SwitchSection(reversed, 100);
+
+  Switch sw(0);
+  auto prog = std::make_shared<OrderProgram>();
+  sw.SetProgram(prog);
+  SnapshotReader r(bytes);
+  sw.Load(r);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(sw.StagedMinTime(), 100);
+  // Two commit waves, as the fabric engines issue them.
+  EXPECT_EQ(sw.CommitStagedThrough(250), 5u);
+  sw.RunBatch(250);
+  EXPECT_EQ(sw.StagedMinTime(), 400);
+  EXPECT_EQ(sw.CommitStagedThrough(kSecond), 1u);
+  sw.RunBatch(kSecond);
+  EXPECT_EQ(prog->order, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(SwitchLoadHardening, ForgedStagedMinimumThrows) {
+  const std::vector<StagedEntry> staged = {{300, 0, 0, 0}, {200, 1, 0, 1}};
+  // Later than the true minimum (commits would be held back and packets
+  // run out of order), earlier (a phantom arrival), or "none" over a
+  // non-empty buffer (both arrivals stranded for good).
+  for (const Nanos forged : {Nanos(300), Nanos(199), Nanos(-1)}) {
+    SCOPED_TRACE("staged_min=" + std::to_string(forged));
+    const std::vector<std::uint8_t> bytes = SwitchSection(staged, forged);
+    Switch sw(0);
+    SnapshotReader r(bytes);
+    EXPECT_THROW(sw.Load(r), SnapshotError);
+  }
+  {
+    const std::vector<std::uint8_t> bytes = SwitchSection({}, 200);
+    Switch sw(0);
+    SnapshotReader r(bytes);
+    EXPECT_THROW(sw.Load(r), SnapshotError) << "minimum over an empty lane";
+  }
+  const std::vector<std::uint8_t> bytes = SwitchSection(staged, 200);
+  Switch sw(0);
+  SnapshotReader r(bytes);
+  sw.Load(r);
+  EXPECT_EQ(sw.StagedMinTime(), 200);
+}
+
+TEST(SwitchLoadHardening, ForgedStagedCountFailsBeforeAllocation) {
+  std::vector<std::uint8_t> bytes = SwitchSection({{300, 0, 0, 0}}, 300);
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  std::memcpy(bytes.data() + kStagedCountOffset, &huge, 8);
+  Switch sw(0);
+  SnapshotReader r(bytes);
+  try {
+    sw.Load(r);
+    FAIL() << "forged 2^60-arrival staged count must throw";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -2,7 +2,10 @@
 // resource accounting, switch-OS latency model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <vector>
 
 #include "src/switchsim/mat.h"
 #include "src/switchsim/pipeline.h"
@@ -168,14 +171,16 @@ TEST(Switch, CloneToControllerLatency) {
   EXPECT_EQ(got[0], 500 + sw.timings().to_controller_latency);
 }
 
+// Records the dispatch order by Packet::seq.
+struct OrderProgram : SwitchProgram {
+  void Process(Packet& p, Nanos, PacketSource, PipelineActions&) override {
+    order.push_back(p.seq);
+  }
+  std::vector<std::uint32_t> order;
+};
+
 TEST(Switch, ProcessesInTimeOrder) {
   Switch sw(0);
-  struct OrderProgram : SwitchProgram {
-    void Process(Packet& p, Nanos, PacketSource, PipelineActions&) override {
-      order.push_back(p.seq);
-    }
-    std::vector<std::uint32_t> order;
-  };
   auto prog = std::make_shared<OrderProgram>();
   sw.SetProgram(prog);
   Packet a, b, c;
@@ -187,6 +192,60 @@ TEST(Switch, ProcessesInTimeOrder) {
   sw.EnqueueFromWire(c, 300);
   sw.RunBatch(kSecond);
   EXPECT_EQ(prog->order, (std::vector<std::uint32_t>{1, 2, 3}));
+}
+
+TEST(Switch, StagedArrivalsCommitInCanonicalOrderAtScale) {
+  // 200k wire arrivals staged in shuffled order, with exact-time ties
+  // across three ingress links, then committed through 100k increasing
+  // bounds: dispatch must follow the canonical (time, ingress, tx) sort.
+  // Staging is O(log staged) per arrival, so an optimized build runs this
+  // in well under a second; a commit that rescans the staged buffer is
+  // quadratic here and runs into the suite's TIMEOUT.
+  struct Arrival {
+    Nanos time;
+    std::uint32_t ingress;
+    std::uint64_t tx;
+    std::uint32_t id;
+  };
+  constexpr std::uint32_t kArrivals = 200'000;
+  constexpr Nanos kTimes = 100'000;
+  std::mt19937_64 rng(0x57A6ED);
+  std::vector<Arrival> arrivals;
+  arrivals.reserve(kArrivals);
+  std::uint64_t tx[3] = {0, 0, 0};
+  for (std::uint32_t id = 0; id < kArrivals; ++id) {
+    const auto ingress = std::uint32_t(rng() % 3);
+    arrivals.push_back({Nanos(rng() % kTimes), ingress, tx[ingress]++, id});
+  }
+  std::shuffle(arrivals.begin(), arrivals.end(), rng);
+
+  Switch sw(0);
+  auto prog = std::make_shared<OrderProgram>();
+  prog->order.reserve(kArrivals);
+  sw.SetProgram(prog);
+  for (const Arrival& a : arrivals) {
+    Packet p;
+    p.seq = a.id;
+    sw.StageFromWire(std::move(p), a.time, a.ingress, a.tx);
+  }
+  std::size_t committed = 0;
+  for (Nanos bound = 0; bound < kTimes; ++bound) {
+    committed += sw.CommitStagedThrough(bound);
+    sw.RunBatch(bound);
+  }
+  EXPECT_EQ(committed, std::size_t(kArrivals));
+  EXPECT_EQ(sw.StagedMinTime(), -1);
+
+  std::sort(arrivals.begin(), arrivals.end(),
+            [](const Arrival& a, const Arrival& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.ingress != b.ingress) return a.ingress < b.ingress;
+              return a.tx < b.tx;
+            });
+  std::vector<std::uint32_t> expected;
+  expected.reserve(kArrivals);
+  for (const Arrival& a : arrivals) expected.push_back(a.id);
+  EXPECT_EQ(prog->order, expected);
 }
 
 TEST(Switch, ThrowsWithoutProgram) {
