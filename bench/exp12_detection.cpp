@@ -9,12 +9,12 @@
 // streaming precision / recall / detection latency.
 //
 // Part A scores the detector on a line fabric and a leaf-spine fabric.
-// Part B re-runs the leaf-spine fabric across merge_threads x engine
-// threads and asserts the alert stream is bit-identical to the sequential
-// single-merge-thread reference (the PR 1/6 determinism discipline).
+// Part B re-runs the leaf-spine fabric on the parallel engine (4 threads)
+// and asserts the alert stream is bit-identical to the sequential
+// reference.
 //
 // Emits BENCH_detect.json (--out=) and exits non-zero if leaf-spine
-// precision < 0.9, recall < 0.8, or any determinism cell mismatches —
+// precision < 0.9, recall < 0.8, or the parallel run mismatches —
 // the CI detection smoke job runs this binary on a thinned trace (--pps=).
 #include <chrono>
 #include <cstdint>
@@ -112,11 +112,10 @@ RunOutcome RunDetection(const Trace& trace, NetworkRunConfig cfg,
 struct ResultRow {
   std::string fabric;
   std::size_t switches = 0;
-  std::size_t merge_threads = 1;
   std::size_t threads = 0;
   RunOutcome run;
   detect::StreamingScore score;
-  bool identical = true;  ///< alert stream == the (mt=1, threads=0) reference
+  bool identical = true;  ///< alert stream == the threads=0 reference
 };
 
 void PrintAlert(const char* tag, const detect::Alert& a) {
@@ -148,9 +147,9 @@ void PrintFirstDiff(const std::vector<detect::Alert>& ref,
 
 void PrintRow(const ResultRow& r) {
   std::printf(
-      "%15s mt=%zu thr=%zu  windows=%-5zu alerts=%-4zu p=%.3f r=%.3f "
+      "%15s thr=%zu  windows=%-5zu alerts=%-4zu p=%.3f r=%.3f "
       "(%zu/%zu labels) lat=%.0f/%.0f ms  tracked-peak=%zu  %s\n",
-      r.fabric.c_str(), r.merge_threads, r.threads, r.run.windows,
+      r.fabric.c_str(), r.threads, r.run.windows,
       r.score.actionable_alerts, r.score.pr.precision, r.score.pr.recall,
       r.score.labels_detected, r.score.labels,
       double(r.score.mean_detection_latency) / double(kMilli),
@@ -184,7 +183,6 @@ bool WriteJson(const std::string& path, const LabeledTrace& lt,
     const ResultRow& r = rows[i];
     out << "    {\"fabric\": \"" << r.fabric << "\""
         << ", \"switches\": " << r.switches
-        << ", \"merge_threads\": " << r.merge_threads
         << ", \"threads\": " << r.threads
         << ", \"windows\": " << r.run.windows
         << ", \"alerts\": " << r.run.alerts.size()
@@ -249,31 +247,22 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\n-- Part B: leaf-spine determinism matrix "
-      "(merge_threads x engine threads, vs mt=1/thr=0 reference) --\n");
-  // Copy, not reference: the loop below push_backs into `rows`, and a
-  // reallocation would leave a reference into the old buffer dangling.
-  const std::vector<detect::Alert> reference = rows.back().run.alerts;
-  bool all_identical = true;
-  for (const auto& [mt, threads] :
-       std::vector<std::pair<std::size_t, std::size_t>>{
-           {4, 0}, {1, 4}, {4, 4}}) {
-    NetworkRunConfig cfg = BaseConfig(leafspine);
-    cfg.base.controller.merge_threads = mt;
-    cfg.parallel.threads = threads;
-    ResultRow row;
-    row.fabric = "leafspine-4x3";
-    row.merge_threads = mt;
-    row.threads = threads;
-    row.run = RunDetection(lt.trace, cfg, dcfg);
-    row.switches = row.run.switches;
-    row.score = detect::ScoreAlertStream(row.run.alerts, lt.labels);
-    row.identical = row.run.alerts == reference;
-    all_identical = all_identical && row.identical;
-    PrintRow(row);
-    if (!row.identical) PrintFirstDiff(reference, row.run.alerts);
-    rows.push_back(std::move(row));
-  }
+      "\n-- Part B: leaf-spine determinism "
+      "(parallel engine vs thr=0 reference) --\n");
+  NetworkRunConfig parallel_cfg = BaseConfig(leafspine);
+  parallel_cfg.parallel.threads = 4;
+  ResultRow parallel;
+  parallel.fabric = "leafspine-4x3";
+  parallel.threads = parallel_cfg.parallel.threads;
+  parallel.run = RunDetection(lt.trace, parallel_cfg, dcfg);
+  parallel.switches = parallel.run.switches;
+  parallel.score = detect::ScoreAlertStream(parallel.run.alerts, lt.labels);
+  const std::vector<detect::Alert>& reference = rows.back().run.alerts;
+  const bool identical = parallel.run.alerts == reference;
+  parallel.identical = identical;
+  PrintRow(parallel);
+  if (!identical) PrintFirstDiff(reference, parallel.run.alerts);
+  rows.push_back(std::move(parallel));
 
   if (WriteJson(out_path, lt, dcfg, rows)) {
     std::printf("\nwrote %s\n", out_path.c_str());
@@ -282,9 +271,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Acceptance floors (the leaf-spine quality row + the determinism matrix).
+  // Acceptance floors (the leaf-spine quality row + the determinism row).
   const ResultRow& headline = rows[1];
-  bool ok = all_identical;
+  bool ok = identical;
   if (headline.score.pr.precision < 0.9) {
     std::printf("FAIL: leaf-spine precision %.3f < 0.9\n",
                 headline.score.pr.precision);
@@ -295,6 +284,6 @@ int main(int argc, char** argv) {
                 headline.score.pr.recall);
     ok = false;
   }
-  if (!all_identical) std::printf("FAIL: alert streams not bit-identical\n");
+  if (!identical) std::printf("FAIL: alert streams not bit-identical\n");
   return ok ? 0 : 1;
 }

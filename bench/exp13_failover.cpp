@@ -7,8 +7,8 @@
 // window, wider than the switch retransmission cache of depth 8). The
 // primary controller plane is killed at a fixed boundary; the standby
 // takes over (FabricSession::FailOver) and re-requests everything its
-// checkpoint predates. Swept over snapshot cadence x merge_threads x
-// fabric engine threads against a per-engine uninterrupted reference.
+// checkpoint predates. Swept over snapshot cadence x fabric engine
+// threads against a per-engine uninterrupted reference.
 //
 // The headline curve: windows_lost (reference windows NOT recovered
 // exactly — flagged or absent; absent is always 0 by the exact-or-flagged
@@ -64,7 +64,7 @@ Trace MakeTrace(double pps) {
   return gen.GenerateBackground();
 }
 
-NetworkRunConfig BaseConfig(std::size_t merge, std::size_t threads) {
+NetworkRunConfig BaseConfig(std::size_t threads) {
   WindowSpec spec;
   spec.type = WindowType::kSliding;
   spec.window_size = 500 * kMilli;
@@ -73,7 +73,6 @@ NetworkRunConfig BaseConfig(std::size_t merge, std::size_t threads) {
   NetworkRunConfig cfg;
   cfg.base = RunConfig::Make(spec);
   cfg.base.controller.kv_capacity = 1 << 16;
-  cfg.base.controller.merge_threads = merge;
   cfg.topology.kind = TopologyKind::kLeafSpine;
   cfg.topology.leaves = 2;
   cfg.topology.spines = 2;
@@ -88,7 +87,6 @@ AdapterPtr MakeApp(std::size_t) { return std::make_shared<ExactCountApp>(); }
 
 struct ResultRow {
   std::size_t cadence = 1;
-  std::size_t merge_threads = 1;
   std::size_t threads = 0;
   failover::FailoverReport report;
   failover::WindowComparison cmp;
@@ -98,10 +96,10 @@ struct ResultRow {
 
 void PrintRow(const ResultRow& r) {
   std::printf(
-      "cadence=%-2zu mt=%zu thr=%zu  kill@%zu stale=%-2zu snap=%6zuB  "
+      "cadence=%-2zu thr=%zu  kill@%zu stale=%-2zu snap=%6zuB  "
       "windows=%-3zu exact=%-3zu flagged=%-2zu lost=%zu  requeried=%zu "
       "sw-lost=%zu dup=%zu  takeover sim=%.1fms wall=%.0fus  %s\n",
-      r.cadence, r.merge_threads, r.threads, r.report.kill_boundary,
+      r.cadence, r.threads, r.report.kill_boundary,
       r.report.staleness_boundaries, r.report.snapshot_bytes,
       r.cmp.windows_total, r.cmp.exact, r.cmp.flagged, r.windows_lost,
       r.report.subwindows_requeried, r.report.subwindows_lost,
@@ -124,11 +122,9 @@ bool WriteJson(const std::string& path, const Trace& trace,
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ResultRow& r = rows[i];
-    out << "    {\"workload\": \"failover-c" << r.cadence << "-mt"
-        << r.merge_threads << "\""
+    out << "    {\"workload\": \"failover-c" << r.cadence << "\""
         << ", \"threads\": " << r.threads
         << ", \"cadence\": " << r.cadence
-        << ", \"merge_threads\": " << r.merge_threads
         << ", \"staleness_boundaries\": " << r.report.staleness_boundaries
         << ", \"snapshot_bytes\": " << r.report.snapshot_bytes
         << ", \"windows_total\": " << r.cmp.windows_total
@@ -165,47 +161,43 @@ int main(int argc, char** argv) {
 
   std::vector<ResultRow> rows;
   bool ok = true;
-  for (const std::size_t merge : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-      const NetworkRunConfig cfg = BaseConfig(merge, threads);
-      const NetworkRunResult ref = RunOmniWindowFabric(trace, MakeApp, cfg);
-      for (const std::size_t cadence :
-           {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
-            std::size_t{16}}) {
-        failover::FailoverConfig fcfg;
-        fcfg.snapshot_cadence = cadence;
-        fcfg.kill_boundary = kKillBoundary;
-        const failover::FailoverRunResult run =
-            failover::RunWithFailover(trace, MakeApp, cfg, fcfg);
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    const NetworkRunConfig cfg = BaseConfig(threads);
+    const NetworkRunResult ref = RunOmniWindowFabric(trace, MakeApp, cfg);
+    for (const std::size_t cadence :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
+          std::size_t{16}}) {
+      failover::FailoverConfig fcfg;
+      fcfg.snapshot_cadence = cadence;
+      fcfg.kill_boundary = kKillBoundary;
+      const failover::FailoverRunResult run =
+          failover::RunWithFailover(trace, MakeApp, cfg, fcfg);
 
-        ResultRow row;
-        row.cadence = cadence;
-        row.merge_threads = merge;
-        row.threads = threads;
-        row.report = run.report;
-        row.cmp = failover::CompareWindows(ref, run.spliced);
-        row.windows_lost = row.cmp.windows_total - row.cmp.exact;
-        PrintRow(row);
+      ResultRow row;
+      row.cadence = cadence;
+      row.threads = threads;
+      row.report = run.report;
+      row.cmp = failover::CompareWindows(ref, run.spliced);
+      row.windows_lost = row.cmp.windows_total - row.cmp.exact;
+      PrintRow(row);
 
-        // The takeover contract, everywhere: nothing absent, nothing
-        // silently divergent, always caught up.
-        if (row.cmp.lost || row.cmp.divergent_unflagged ||
-            !row.report.caught_up) {
-          std::printf("FAIL: takeover contract violated in cadence=%zu "
-                      "mt=%zu thr=%zu\n",
-                      cadence, merge, threads);
-          ok = false;
-        }
-        // The headline gate: cadence 1 keeps the staleness inside the
-        // switch retransmission cache — zero windows lost.
-        if (cadence == 1 && row.windows_lost != 0) {
-          std::printf("FAIL: %zu windows lost at cadence 1 (mt=%zu "
-                      "thr=%zu)\n",
-                      row.windows_lost, merge, threads);
-          ok = false;
-        }
-        rows.push_back(std::move(row));
+      // The takeover contract, everywhere: nothing absent, nothing
+      // silently divergent, always caught up.
+      if (row.cmp.lost || row.cmp.divergent_unflagged ||
+          !row.report.caught_up) {
+        std::printf("FAIL: takeover contract violated in cadence=%zu "
+                    "thr=%zu\n",
+                    cadence, threads);
+        ok = false;
       }
+      // The headline gate: cadence 1 keeps the staleness inside the
+      // switch retransmission cache — zero windows lost.
+      if (cadence == 1 && row.windows_lost != 0) {
+        std::printf("FAIL: %zu windows lost at cadence 1 (thr=%zu)\n",
+                    row.windows_lost, threads);
+        ok = false;
+      }
+      rows.push_back(std::move(row));
     }
   }
 

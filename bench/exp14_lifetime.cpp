@@ -9,8 +9,7 @@
 // windows it emitted. The parent splices the per-segment window streams
 // and asserts BIT-IDENTITY with an uninterrupted in-process reference —
 // spans, completion times, partial flags, detection sets, delivered and
-// per-link counters all equal. Swept over merge_threads {1,4} x fabric
-// engine threads {0,4}.
+// per-link counters all equal. Swept over fabric engine threads {0,4}.
 //
 // Measured into BENCH_lifetime.json (committed baseline, gated by
 // tools/check_bench_regression.py --metrics=bytes):
@@ -95,7 +94,7 @@ Trace MakeTrace(double pps) {
   return gen.GenerateBackground();
 }
 
-NetworkRunConfig BaseConfig(std::size_t merge, std::size_t threads) {
+NetworkRunConfig BaseConfig(std::size_t threads) {
   WindowSpec spec;
   spec.type = WindowType::kSliding;
   spec.window_size = 500 * kMilli;
@@ -106,7 +105,6 @@ NetworkRunConfig BaseConfig(std::size_t merge, std::size_t threads) {
   // Provisioned far above the ~2k live flows: the sparse-vs-dense gap this
   // bench exists to measure (dense serializes all 1<<17 slots per switch).
   cfg.base.controller.kv_capacity = 1 << 17;
-  cfg.base.controller.merge_threads = merge;
   cfg.topology.kind = TopologyKind::kLeafSpine;
   cfg.topology.leaves = 2;
   cfg.topology.spines = 2;
@@ -312,7 +310,6 @@ std::size_t FileBytes(const std::string& path) {
 /// and dump the windows this lifetime emitted.
 int RunChild(int argc, char** argv) {
   const double pps = ArgD(argc, argv, "--pps", 8'000);
-  const std::size_t merge = std::size_t(ArgD(argc, argv, "--merge", 1));
   const std::size_t threads = std::size_t(ArgD(argc, argv, "--threads", 0));
   const std::size_t to = std::size_t(ArgD(argc, argv, "--to", 0));
   const std::string restore = ArgS(argc, argv, "--restore", "");
@@ -321,7 +318,7 @@ int RunChild(int argc, char** argv) {
   const bool final = HasArg(argc, argv, "--finish");
 
   const Trace trace = MakeTrace(pps);
-  FabricSession session(trace, MakeApp, BaseConfig(merge, threads), Detect);
+  FabricSession session(trace, MakeApp, BaseConfig(threads), Detect);
   if (!restore.empty()) session.RestoreFromFile(restore);
   for (std::size_t k = std::size_t(ArgD(argc, argv, "--from", 0)) + 1;
        k <= to; ++k) {
@@ -337,7 +334,6 @@ int RunChild(int argc, char** argv) {
 }
 
 struct ResultRow {
-  std::size_t merge_threads = 1;
   std::size_t threads = 0;
   std::size_t segments = 0;
   std::size_t checkpoints = 0;
@@ -368,9 +364,8 @@ bool WriteJson(const std::string& path, const Trace& trace,
   char buf[160];
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ResultRow& r = rows[i];
-    out << "    {\"workload\": \"lifetime-mt" << r.merge_threads << "\""
+    out << "    {\"workload\": \"lifetime\""
         << ", \"threads\": " << r.threads
-        << ", \"merge_threads\": " << r.merge_threads
         << ", \"segments\": " << r.segments
         << ", \"checkpoints\": " << r.checkpoints;
     std::snprintf(buf, sizeof(buf),
@@ -454,132 +449,124 @@ int main(int argc, char** argv) {
 
   std::vector<ResultRow> rows;
   bool ok = true;
-  for (const std::size_t merge : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-      ResultRow row;
-      row.merge_threads = merge;
-      row.threads = threads;
-      row.segments = cuts.size() + 1;
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    ResultRow row;
+    row.threads = threads;
+    row.segments = cuts.size() + 1;
 
-      // Uninterrupted reference, sampling auto-vs-dense checkpoint bytes
-      // at every would-be checkpoint boundary.
-      const std::uint64_t ref_start = WallNs();
-      FabricSession ref_session(trace, MakeApp, BaseConfig(merge, threads),
-                                Detect);
-      double auto_bytes = 0, dense_bytes = 0;
-      std::size_t next_cut = 0;
-      for (std::size_t k = 1; k < kTotal; ++k) {
-        ref_session.DriveUntil(Nanos(k) * kSub);
-        if (next_cut < cuts.size() && k == cuts[next_cut]) {
-          auto_bytes +=
-              double(ref_session.Snapshot(KvSnapshotMode::kAuto).size());
-          dense_bytes +=
-              double(ref_session.Snapshot(KvSnapshotMode::kDense).size());
-          ++next_cut;
-          ++row.checkpoints;
-        }
+    // Uninterrupted reference, sampling auto-vs-dense checkpoint bytes
+    // at every would-be checkpoint boundary.
+    const std::uint64_t ref_start = WallNs();
+    FabricSession ref_session(trace, MakeApp, BaseConfig(threads), Detect);
+    double auto_bytes = 0, dense_bytes = 0;
+    std::size_t next_cut = 0;
+    for (std::size_t k = 1; k < kTotal; ++k) {
+      ref_session.DriveUntil(Nanos(k) * kSub);
+      if (next_cut < cuts.size() && k == cuts[next_cut]) {
+        auto_bytes +=
+            double(ref_session.Snapshot(KvSnapshotMode::kAuto).size());
+        dense_bytes +=
+            double(ref_session.Snapshot(KvSnapshotMode::kDense).size());
+        ++next_cut;
+        ++row.checkpoints;
       }
-      const FlatRun ref = FlattenResult(ref_session.Finish(), true);
-      row.ref_wall_ms = double(WallNs() - ref_start) / 1e6;
-      row.snapshot_bytes = auto_bytes / double(row.checkpoints);
-      row.dense_snapshot_bytes = dense_bytes / double(row.checkpoints);
-      row.sparse_reduction = dense_bytes / auto_bytes;
-
-      // Segmented run: each lifetime is a real child process.
-      const std::string tag =
-          "exp14_mt" + std::to_string(merge) + "_t" + std::to_string(threads);
-      const std::uint64_t splice_start = WallNs();
-      std::vector<FlatRun> segments;
-      bool spawn_ok = true;
-      for (std::size_t s = 0; s <= cuts.size(); ++s) {
-        const std::size_t from = s == 0 ? 0 : cuts[s - 1];
-        const bool final = s == cuts.size();
-        const std::size_t to = final ? kTotal : cuts[s];
-        const std::string ckpt = tag + "_ck" + std::to_string(s) + ".owsnap";
-        const std::string dump = tag + "_seg" + std::to_string(s) + ".bin";
-        std::string cmd = std::string(argv[0]) + " --child --pps=" +
-                          std::to_string(pps) +
-                          " --merge=" + std::to_string(merge) +
-                          " --threads=" + std::to_string(threads) +
-                          " --from=" + std::to_string(from) +
-                          " --to=" + std::to_string(to) + " --dump=" + dump;
-        if (s > 0) cmd += " --restore=" + tag + "_ck" +
-                          std::to_string(s - 1) + ".owsnap";
-        if (final) {
-          cmd += " --finish";
-        } else {
-          cmd += " --ckpt=" + ckpt;
-        }
-        if (std::system(cmd.c_str()) != 0) {
-          std::printf("FAIL: child segment %zu exited non-zero (mt=%zu "
-                      "thr=%zu)\n",
-                      s, merge, threads);
-          spawn_ok = false;
-          break;
-        }
-        segments.push_back(ReadRun(dump));
-      }
-      row.splice_wall_ms = double(WallNs() - splice_start) / 1e6;
-      row.restart_overhead =
-          row.ref_wall_ms > 0 ? row.splice_wall_ms / row.ref_wall_ms : 0;
-
-      if (spawn_ok) {
-        const std::string mismatch = CompareSplice(ref, segments);
-        row.splice_identical = mismatch.empty();
-        if (!row.splice_identical) {
-          std::printf("FAIL: splice diverges (mt=%zu thr=%zu): %s\n", merge,
-                      threads, mismatch.c_str());
-        }
-      }
-      ok = ok && spawn_ok && row.splice_identical;
-
-      // Durable-file metrics + corruption sweep on the first checkpoint.
-      const std::string first_ck = tag + "_ck0.owsnap";
-      row.checkpoint_file_bytes = FileBytes(first_ck);
-      {
-        const std::uint64_t w0 = WallNs();
-        FabricSession probe(trace, MakeApp, BaseConfig(merge, threads),
-                            Detect);
-        probe.RestoreFromFile(first_ck);
-        const std::string wtmp = tag + "_wprobe.owsnap";
-        probe.SnapshotToFile(wtmp, KvSnapshotMode::kAuto);
-        const std::uint64_t w1 = WallNs();
-        row.write_mbps = double(FileBytes(wtmp)) / 1e6 /
-                         (double(w1 - w0) / 1e9);
-        std::remove(wtmp.c_str());
-      }
-      CorruptSweep(first_ck, row);
-      if (row.corrupt_caught != row.corrupt_trials) {
-        std::printf("FAIL: %zu/%zu corruptions loaded without SnapshotError "
-                    "(mt=%zu thr=%zu)\n",
-                    row.corrupt_trials - row.corrupt_caught,
-                    row.corrupt_trials, merge, threads);
-        ok = false;
-      }
-      if (row.sparse_reduction < 10.0) {
-        std::printf("FAIL: sparse reduction %.2fx below the 10x bar (mt=%zu "
-                    "thr=%zu)\n",
-                    row.sparse_reduction, merge, threads);
-        ok = false;
-      }
-
-      for (std::size_t s = 0; s <= cuts.size(); ++s) {
-        std::remove((tag + "_ck" + std::to_string(s) + ".owsnap").c_str());
-        std::remove((tag + "_seg" + std::to_string(s) + ".bin").c_str());
-      }
-
-      std::printf(
-          "mt=%zu thr=%zu  segments=%zu ckpt=%6.0fKB dense=%7.0fKB "
-          "(%.1fx)  file=%zuB write=%.0fMB/s  ref=%.0fms splice=%.0fms "
-          "(%.2fx)  corrupt=%zu/%zu  %s\n",
-          merge, threads, row.segments, row.snapshot_bytes / 1e3,
-          row.dense_snapshot_bytes / 1e3, row.sparse_reduction,
-          row.checkpoint_file_bytes, row.write_mbps, row.ref_wall_ms,
-          row.splice_wall_ms, row.restart_overhead, row.corrupt_caught,
-          row.corrupt_trials,
-          row.splice_identical ? "splice-identical" : "SPLICE DIVERGED");
-      rows.push_back(row);
     }
+    const FlatRun ref = FlattenResult(ref_session.Finish(), true);
+    row.ref_wall_ms = double(WallNs() - ref_start) / 1e6;
+    row.snapshot_bytes = auto_bytes / double(row.checkpoints);
+    row.dense_snapshot_bytes = dense_bytes / double(row.checkpoints);
+    row.sparse_reduction = dense_bytes / auto_bytes;
+
+    // Segmented run: each lifetime is a real child process.
+    const std::string tag = "exp14_t" + std::to_string(threads);
+    const std::uint64_t splice_start = WallNs();
+    std::vector<FlatRun> segments;
+    bool spawn_ok = true;
+    for (std::size_t s = 0; s <= cuts.size(); ++s) {
+      const std::size_t from = s == 0 ? 0 : cuts[s - 1];
+      const bool final = s == cuts.size();
+      const std::size_t to = final ? kTotal : cuts[s];
+      const std::string ckpt = tag + "_ck" + std::to_string(s) + ".owsnap";
+      const std::string dump = tag + "_seg" + std::to_string(s) + ".bin";
+      std::string cmd = std::string(argv[0]) + " --child --pps=" +
+                        std::to_string(pps) +
+                        " --threads=" + std::to_string(threads) +
+                        " --from=" + std::to_string(from) +
+                        " --to=" + std::to_string(to) + " --dump=" + dump;
+      if (s > 0) cmd += " --restore=" + tag + "_ck" +
+                        std::to_string(s - 1) + ".owsnap";
+      if (final) {
+        cmd += " --finish";
+      } else {
+        cmd += " --ckpt=" + ckpt;
+      }
+      if (std::system(cmd.c_str()) != 0) {
+        std::printf("FAIL: child segment %zu exited non-zero (thr=%zu)\n",
+                    s, threads);
+        spawn_ok = false;
+        break;
+      }
+      segments.push_back(ReadRun(dump));
+    }
+    row.splice_wall_ms = double(WallNs() - splice_start) / 1e6;
+    row.restart_overhead =
+        row.ref_wall_ms > 0 ? row.splice_wall_ms / row.ref_wall_ms : 0;
+
+    if (spawn_ok) {
+      const std::string mismatch = CompareSplice(ref, segments);
+      row.splice_identical = mismatch.empty();
+      if (!row.splice_identical) {
+        std::printf("FAIL: splice diverges (thr=%zu): %s\n", threads,
+                    mismatch.c_str());
+      }
+    }
+    ok = ok && spawn_ok && row.splice_identical;
+
+    // Durable-file metrics + corruption sweep on the first checkpoint.
+    const std::string first_ck = tag + "_ck0.owsnap";
+    row.checkpoint_file_bytes = FileBytes(first_ck);
+    {
+      const std::uint64_t w0 = WallNs();
+      FabricSession probe(trace, MakeApp, BaseConfig(threads), Detect);
+      probe.RestoreFromFile(first_ck);
+      const std::string wtmp = tag + "_wprobe.owsnap";
+      probe.SnapshotToFile(wtmp, KvSnapshotMode::kAuto);
+      const std::uint64_t w1 = WallNs();
+      row.write_mbps = double(FileBytes(wtmp)) / 1e6 /
+                       (double(w1 - w0) / 1e9);
+      std::remove(wtmp.c_str());
+    }
+    CorruptSweep(first_ck, row);
+    if (row.corrupt_caught != row.corrupt_trials) {
+      std::printf("FAIL: %zu/%zu corruptions loaded without SnapshotError "
+                  "(thr=%zu)\n",
+                  row.corrupt_trials - row.corrupt_caught,
+                  row.corrupt_trials, threads);
+      ok = false;
+    }
+    if (row.sparse_reduction < 10.0) {
+      std::printf("FAIL: sparse reduction %.2fx below the 10x bar "
+                  "(thr=%zu)\n",
+                  row.sparse_reduction, threads);
+      ok = false;
+    }
+
+    for (std::size_t s = 0; s <= cuts.size(); ++s) {
+      std::remove((tag + "_ck" + std::to_string(s) + ".owsnap").c_str());
+      std::remove((tag + "_seg" + std::to_string(s) + ".bin").c_str());
+    }
+
+    std::printf(
+        "thr=%zu  segments=%zu ckpt=%6.0fKB dense=%7.0fKB "
+        "(%.1fx)  file=%zuB write=%.0fMB/s  ref=%.0fms splice=%.0fms "
+        "(%.2fx)  corrupt=%zu/%zu  %s\n",
+        threads, row.segments, row.snapshot_bytes / 1e3,
+        row.dense_snapshot_bytes / 1e3, row.sparse_reduction,
+        row.checkpoint_file_bytes, row.write_mbps, row.ref_wall_ms,
+        row.splice_wall_ms, row.restart_overhead, row.corrupt_caught,
+        row.corrupt_trials,
+        row.splice_identical ? "splice-identical" : "SPLICE DIVERGED");
+    rows.push_back(row);
   }
 
   if (WriteJson(out_path, trace, rows)) {

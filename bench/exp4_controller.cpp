@@ -62,35 +62,6 @@ int main(int argc, char** argv) {
            result.timings, 5, 5);
   }
 
-  // (c) merge-thread sweep: O2+O3 per sub-window with the sharded parallel
-  // merge engine at 1/2/4/8 threads (critical-path CPU attribution — the
-  // wall time on a host with one free core per thread).
-  std::printf("(c) sliding window, merge-thread sweep\n");
-  std::printf("%8s %16s %16s %12s\n", "threads", "O2-insert(avg)",
-              "O3-merge(avg)", "speedup");
-  double base = 0;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    auto app = std::make_shared<QueryAdapter>(def, params.window_cells / 4);
-    RunConfig cfg = RunConfig::Make(SlidingSpec(params));
-    cfg.controller.merge_threads = threads;
-    const RunResult result = RunOmniWindow(
-        trace, app, cfg,
-        [&](TableView table) { return app->Detect(table); });
-    double o2 = 0, o3 = 0;
-    std::size_t n = 0;
-    for (const auto& t : result.timings) {
-      if (t.subwindow < 5 || t.subwindow >= 15) continue;
-      o2 += double(t.o2_insert);
-      o3 += double(t.o3_merge);
-      ++n;
-    }
-    if (!n) continue;
-    o2 /= double(n) * 1e3;  // us
-    o3 /= double(n) * 1e3;
-    if (threads == 1) base = o2 + o3;
-    std::printf("%8zu %13.1f us %13.1f us %11.2fx\n", threads, o2, o3,
-                base / (o2 + o3));
-  }
   if (obs_out && !DumpObs(*obs_out)) {
     std::fprintf(stderr, "failed to write obs dump to %s.*\n",
                  obs_out->c_str());

@@ -9,19 +9,15 @@
 // advantage narrows; the paper's testbed had more memory bandwidth per
 // core). The shape to reproduce: both reductions finish orders of magnitude
 // below a 100 ms sub-window, and the vectorized kernel wins.
-// A third subject extends the figure: the full sharded merge pipeline
-// (partition + insert + fold) swept over 1/2/4/8 merge threads. Items/s is
-// AFR records merged per second; on a host with enough cores the wall-time
-// speedup tracks the thread count (see bench/perf_merge.cpp for the JSON
-// trajectory emitter and the core-starved-host caveat).
+// A third subject extends the figure: the controller's full batch merge
+// (MergeBatch: insert + fold). Items/s is AFR records merged per second
+// (bench/perf_merge.cpp emits the JSON baseline CI gates).
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "src/common/hash.h"
 #include "src/controller/merge.h"
-#include "src/controller/merge_engine.h"
-#include "src/controller/sharded_key_value_table.h"
 
 namespace {
 
@@ -60,11 +56,10 @@ void BM_MaxScalar(benchmark::State& state) {
 }
 void BM_MaxSimd(benchmark::State& state) { RunKernel(state, BatchMaxSimd, 3); }
 
-// Thread sweep of the sharded controller merge (batch = one sub-window's
-// AFR flood, 64 K records over 48 K keys — enough duplication to exercise
-// both the insert and the fold path).
-void BM_ShardedMerge(benchmark::State& state) {
-  const std::size_t threads = std::size_t(state.range(0));
+// The controller merge (batch = one sub-window's AFR flood, 64 K records
+// over 48 K keys — enough duplication to exercise both the insert and the
+// fold path).
+void BM_Merge(benchmark::State& state) {
   constexpr std::size_t kRecords = 64 * 1024;
   constexpr std::size_t kKeys = 48 * 1024;
   std::vector<FlowRecord> batch;
@@ -81,12 +76,12 @@ void BM_ShardedMerge(benchmark::State& state) {
     rec.seq_id = std::uint32_t(i);
     batch.push_back(rec);
   }
-  MergeEngine engine(threads);
+  MergeScratch scratch;
   for (auto _ : state) {
     state.PauseTiming();
-    ShardedKeyValueTable table(1 << 17, threads);
+    KeyValueTable table(1 << 17);
     state.ResumeTiming();
-    engine.MergeBatch(MergeKind::kFrequency, batch, table);
+    MergeBatch(MergeKind::kFrequency, batch, table, scratch);
     benchmark::DoNotOptimize(table.size());
   }
   state.SetItemsProcessed(std::int64_t(state.iterations()) *
@@ -112,14 +107,7 @@ BENCHMARK(BM_MaxSimd)
     ->Arg(kCacheResident)
     ->Arg(kPaperScale)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ShardedMerge)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMicrosecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
+BENCHMARK(BM_Merge)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -1,35 +1,22 @@
-// Controller merge throughput: thread sweep over the sharded merge engine.
+// Controller merge throughput.
 //
 // Reconstructs the per-sub-window AFR batches a controller would collect
 // from the standard evaluation trace (one frequency record per flow per
-// sub-window) and replays them through MergeEngine at 1/2/4/8 threads,
-// reporting records/s and the speedup over single-threaded. Results go to
-// BENCH_merge.json (override with argv[1]) as the start of the merge-path
-// perf trajectory.
-//
-// Two timings are recorded per thread count:
-//  * wall:          elapsed time of the MergeBatch calls, as observed on
-//                   this host. Only meaningful as a speedup when the host
-//                   has a free core per merge thread.
-//  * critical_path: serial partition cost + max over workers of per-thread
-//                   CPU time — what the wall clock shows with enough cores.
-//                   On a core-starved host (CI containers are often 1-2
-//                   vCPU) this is the honest scaling signal; host_cpus is
-//                   recorded so readers can tell which regime applied.
-// The sweep also cross-checks that every thread count produced bit-identical
-// merged contents (the engine's core invariant).
+// sub-window) and replays them through MergeBatch, reporting wall ns per
+// record and records/s. Results go to BENCH_merge.json (override with
+// argv[1]); CI's bench-gate and alloc-gate jobs compare it with
+// bench/results/BENCH_merge.json.
 #include <chrono>
-#include <thread>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "bench/harness.h"
 #include "src/common/alloc_trace.h"
-#include "src/controller/merge_engine.h"
-#include "src/controller/sharded_key_value_table.h"
+#include "src/controller/merge.h"
 
 namespace {
 
@@ -66,59 +53,6 @@ Batches MakeAfrBatches(const Trace& trace, Nanos subwindow_size) {
   return batches;
 }
 
-std::map<FlowKey, std::array<std::uint64_t, 4>> Dump(
-    const ShardedKeyValueTable& table) {
-  std::map<FlowKey, std::array<std::uint64_t, 4>> out;
-  table.ForEach([&](const KvSlot& slot) { out[slot.key] = slot.attrs; });
-  return out;
-}
-
-struct SweepPoint {
-  std::size_t threads = 0;
-  double wall_ns_per_record = 0;
-  double critical_path_ns_per_record = 0;
-  double wall_records_per_sec = 0;
-  /// Heap allocations inside the timed MergeBatch calls per record
-  /// (OW_ALLOC_TRACE builds only; -1 = no tracing). Steady-state target: 0.
-  double allocs_per_record = -1;
-};
-
-SweepPoint RunSweepPoint(const Batches& batches, std::size_t threads,
-                         std::size_t total_records, int rounds,
-                         std::map<FlowKey, std::array<std::uint64_t, 4>>*
-                             dump_out) {
-  MergeEngine engine(threads);
-  SweepPoint point;
-  point.threads = threads;
-  double wall_ns = 0;
-  double critical_ns = 0;
-  std::uint64_t allocs = 0;
-  for (int round = -1; round < rounds; ++round) {  // round -1 warms up
-    ShardedKeyValueTable table(1 << 17, threads);
-    for (const auto& batch : batches) {
-      const alloc_trace::Scope trace_scope;
-      const auto t0 = std::chrono::steady_clock::now();
-      const MergeEngine::BatchTiming bt =
-          engine.MergeBatch(MergeKind::kFrequency, batch, table);
-      const auto t1 = std::chrono::steady_clock::now();
-      if (round >= 0) {
-        wall_ns += double(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              t1 - t0)
-                              .count());
-        critical_ns += double(bt.Total());
-        allocs += trace_scope.news();
-      }
-    }
-    if (round == rounds - 1 && dump_out) *dump_out = Dump(table);
-  }
-  const double n = double(total_records) * rounds;
-  point.wall_ns_per_record = wall_ns / n;
-  point.critical_path_ns_per_record = critical_ns / n;
-  point.wall_records_per_sec = 1e9 / point.wall_ns_per_record;
-  if (alloc_trace::Enabled()) point.allocs_per_record = double(allocs) / n;
-  return point;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -133,41 +67,42 @@ int main(int argc, char** argv) {
       trace.packets.size(), total_records, batches.size());
 
   constexpr int kRounds = 20;
-  std::vector<SweepPoint> points;
-  std::map<FlowKey, std::array<std::uint64_t, 4>> reference, dump;
-  bool identical = true;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    dump.clear();
-    points.push_back(
-        RunSweepPoint(batches, threads, total_records, kRounds, &dump));
-    if (threads == 1) {
-      reference = dump;
-    } else if (dump != reference) {
-      identical = false;
+  MergeScratch scratch;
+  double wall_ns = 0;
+  std::uint64_t allocs = 0;
+  for (int round = -1; round < kRounds; ++round) {  // round -1 warms up
+    KeyValueTable table(1 << 17);
+    for (const auto& batch : batches) {
+      const alloc_trace::Scope trace_scope;
+      const auto t0 = std::chrono::steady_clock::now();
+      MergeBatch(MergeKind::kFrequency, batch, table, scratch);
+      const auto t1 = std::chrono::steady_clock::now();
+      if (round >= 0) {
+        wall_ns += double(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              t1 - t0)
+                              .count());
+        allocs += trace_scope.news();
+      }
     }
-    const SweepPoint& p = points.back();
-    std::printf(
-        "  threads=%zu  wall %7.1f ns/rec (%6.2f Mrec/s)  "
-        "critical-path %7.1f ns/rec",
-        p.threads, p.wall_ns_per_record, p.wall_records_per_sec / 1e6,
-        p.critical_path_ns_per_record);
-    if (p.allocs_per_record >= 0) {
-      std::printf("  %.4f allocs/rec", p.allocs_per_record);
-    }
-    std::printf("\n");
   }
-  std::printf("  merged contents identical across thread counts: %s\n",
-              identical ? "yes" : "NO (BUG)");
+  const double n = double(total_records) * kRounds;
+  const double ns_per_record = wall_ns / n;
+  // Heap allocations inside the timed MergeBatch calls per record
+  // (OW_ALLOC_TRACE builds only). Steady-state target: 0.
+  const bool traced = alloc_trace::Enabled();
+  const double allocs_per_record = double(allocs) / n;
+  std::printf("  wall %7.1f ns/rec (%6.2f Mrec/s)", ns_per_record,
+              1e3 / ns_per_record);
+  if (traced) std::printf("  %.4f allocs/rec", allocs_per_record);
+  std::printf("\n");
 
-  const double base_wall = points[0].wall_ns_per_record;
-  const double base_crit = points[0].critical_path_ns_per_record;
   FILE* f = std::fopen(json_path.c_str(), "w");
   if (!f) {
     std::perror("perf_merge: fopen");
     return 1;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"controller_merge_engine\",\n");
+  std::fprintf(f, "  \"bench\": \"controller_merge\",\n");
   std::fprintf(f,
                "  \"trace\": {\"name\": \"MakeEvalTrace(4004)\", "
                "\"packets\": %zu, \"afrs\": %zu, \"subwindows\": %zu},\n",
@@ -175,27 +110,16 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"rounds\": %d,\n", kRounds);
   std::fprintf(f, "  \"host_cpus\": %u,\n",
                std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"contents_identical_across_threads\": %s,\n",
-               identical ? "true" : "false");
   std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& p = points[i];
-    std::fprintf(
-        f,
-        "    {\"threads\": %zu, \"wall_ns_per_record\": %.1f, "
-        "\"wall_records_per_sec\": %.0f, "
-        "\"critical_path_ns_per_record\": %.1f, "
-        "\"speedup_wall\": %.2f, \"speedup_critical_path\": %.2f",
-        p.threads, p.wall_ns_per_record, p.wall_records_per_sec,
-        p.critical_path_ns_per_record, base_wall / p.wall_ns_per_record,
-        base_crit / p.critical_path_ns_per_record);
-    if (p.allocs_per_record >= 0) {
-      std::fprintf(f, ", \"allocs_per_record\": %.4f", p.allocs_per_record);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
+  std::fprintf(f,
+               "    {\"workload\": \"frequency\", "
+               "\"wall_ns_per_record\": %.1f, \"wall_records_per_sec\": %.0f",
+               ns_per_record, 1e9 / ns_per_record);
+  if (traced) {
+    std::fprintf(f, ", \"allocs_per_record\": %.4f", allocs_per_record);
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "}\n  ]\n}\n");
   std::fclose(f);
   std::printf("  wrote %s\n", json_path.c_str());
-  return identical ? 0 : 1;
+  return 0;
 }

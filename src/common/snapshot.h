@@ -51,7 +51,9 @@ class SnapshotError : public std::runtime_error {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// v3: KeyValueTable gained the occupancy-aware (dense/sparse) encoding.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// v4: the controller's flow table is one KeyValueTable; the shard-count
+/// word before it is gone.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;
@@ -256,7 +258,7 @@ inline constexpr std::uint32_t kControllerPlane = 0x21;
 /// Shape guard for Load paths: `expected` is what the rebuilt object owns,
 /// `found` what the stream claims. Throws a SnapshotError naming the
 /// section, the quantity and both values, so a config drift (wrong
-/// topology, fault arming, shard count) is diagnosable from the message
+/// topology, fault arming, table capacity) is diagnosable from the message
 /// alone instead of only from the layer name.
 inline void CheckShape(std::uint32_t section_tag, const char* layer,
                        const char* what, std::uint64_t expected,

@@ -133,4 +133,9 @@ class KeyValueTable {
   std::uint64_t rejected_ = 0;
 };
 
+/// How window consumers (detection queries, cardinality estimators, loss
+/// inference) take a merged table: read-only, by reference, valid only for
+/// the duration of the call.
+using TableView = const KeyValueTable&;
+
 }  // namespace ow

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
 #include "src/common/hash.h"
+#include "src/obs/obs.h"
 
 namespace ow {
 
@@ -56,6 +58,48 @@ void ApplyMerge(MergeKind kind, KvSlot& slot, bool created,
       slot.num_attrs = 4;
       break;
   }
+}
+
+// --------------------------------------------------------------- batch merge
+
+namespace {
+
+Nanos WallNow() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// The span-free half of MergeBatch: a live RAII span frame across the
+/// per-record loops pessimizes their codegen (docs/observability.md).
+MergeTiming MergeBatchHot(MergeKind kind, std::span<const FlowRecord> records,
+                          KeyValueTable& table, MergeScratch& scratch) {
+  scratch.clear();
+  scratch.reserve(records.size());
+  const Nanos t0 = WallNow();
+  for (const FlowRecord& rec : records) {
+    bool created = false;
+    KvSlot* slot = table.TryFindOrInsert(rec.key, created);
+    scratch.emplace_back(slot, created);
+  }
+  const Nanos t1 = WallNow();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (KvSlot* slot = scratch[i].first) {
+      ApplyMerge(kind, *slot, scratch[i].second, records[i]);
+    }
+  }
+  return {t1 - t0, WallNow() - t1};
+}
+
+}  // namespace
+
+MergeTiming MergeBatch(MergeKind kind, std::span<const FlowRecord> records,
+                       KeyValueTable& table, MergeScratch& scratch) {
+  if (obs::Global().tracing()) {
+    obs::ScopedSpan span(obs::Global(), "merge.batch");
+    return MergeBatchHot(kind, records, table, scratch);
+  }
+  return MergeBatchHot(kind, records, table, scratch);
 }
 
 // ------------------------------------------------------------- batch kernels

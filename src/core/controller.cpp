@@ -33,9 +33,7 @@ OmniWindowController::OmniWindowController(ControllerConfig cfg,
                                            MergeKind merge_kind)
     : cfg_(cfg),
       merge_kind_(merge_kind),
-      table_(cfg.kv_capacity, cfg.merge_threads),
-      view_(table_),
-      merge_engine_(table_.shard_count()),
+      table_(cfg.kv_capacity),
       // Distinct per-feature recovery streams, decorrelated via tag XOR
       // (the net::Link seeding discipline).
       retry_rng_(cfg.fault_seed ^ 0x52455452'59524E47ull),
@@ -59,6 +57,7 @@ OmniWindowController::OmniWindowController(ControllerConfig cfg,
   obs_.rdma_holes = &reg.GetCounter("fault.rdma.holes_detected");
   obs_.switch_degraded =
       &reg.GetCounter("controller.subwindows_degraded_by_switch");
+  obs_.merge_records = &reg.GetCounter("merge.records");
   obs_.inserts_rejected = &reg.GetGauge("controller.inserts_rejected");
   obs_.retry_attempts = &reg.GetHistogram("controller.retry_attempts");
   obs_.o2_insert_ns = &reg.GetHistogram("controller.o2_insert_ns");
@@ -356,14 +355,13 @@ void OmniWindowController::FinalizeSubWindow(PendingSubWindow& pending,
     t.o3_merge += timer.Elapsed();
   }
 
-  // O2 + O3: shard-parallel table inserts and attribute merges. Timings
-  // are critical-path (max over workers) per-thread CPU time — on a host
-  // with a free core per merge thread this is what the wall clock shows.
+  // O2 + O3: table inserts, then attribute merges.
   {
-    const MergeEngine::BatchTiming bt =
-        merge_engine_.MergeBatch(merge_kind_, pending.records, table_);
-    t.o2_insert += bt.partition + bt.insert;
-    t.o3_merge += bt.merge;
+    const MergeTiming mt =
+        MergeBatch(merge_kind_, pending.records, table_, merge_scratch_);
+    t.o2_insert += mt.insert;
+    t.o3_merge += mt.merge;
+    obs_.merge_records->Add(pending.records.size());
     if (cfg_.fault_profile.merge_stall_rate > 0 &&
         stall_rng_.Bernoulli(cfg_.fault_profile.merge_stall_rate)) {
       // Injected stall: inflates the simulated O3 budget only — results
@@ -374,8 +372,8 @@ void OmniWindowController::FinalizeSubWindow(PendingSubWindow& pending,
     }
     stats_.inserts_rejected = table_.rejected_inserts();
     obs_.inserts_rejected->Set(std::int64_t(stats_.inserts_rejected));
-    obs_.o2_insert_ns->Record(std::uint64_t(bt.partition + bt.insert));
-    obs_.o3_merge_ns->Record(std::uint64_t(bt.merge));
+    obs_.o2_insert_ns->Record(std::uint64_t(mt.insert));
+    obs_.o3_merge_ns->Record(std::uint64_t(mt.merge));
   }
   if (cfg_.rdma) UpdateHotKeys(pending);
   history_.emplace_back(pending.subwindow, std::move(pending.records));
@@ -425,7 +423,7 @@ void OmniWindowController::EmitWindowsAfter(SubWindowNum sw, Nanos now) {
     obs::ScopedSpan ospan(obs::Global(), "controller.o4_process");
     WallTimer timer;
     if (handler_) {
-      handler_(WindowResult{span, &view_, now, partial});
+      handler_(WindowResult{span, &table_, now, partial});
     }
     const Nanos elapsed = timer.Elapsed();
     t.o4_process += elapsed;

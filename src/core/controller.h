@@ -30,8 +30,6 @@
 #include "src/fault/fault.h"
 #include "src/controller/key_value_table.h"
 #include "src/controller/merge.h"
-#include "src/controller/merge_engine.h"
-#include "src/controller/sharded_key_value_table.h"
 #include "src/core/data_plane.h"
 #include "src/core/window.h"
 #include "src/obs/obs.h"
@@ -48,13 +46,6 @@ struct ControllerConfig {
   /// Exp#6/#8 sweep 3/4/8/16).
   std::size_t collection_packets = 16;
   std::size_t kv_capacity = 1 << 17;
-  /// Merge parallelism (the paper's multi-lcore controller, §8): the flow
-  /// table is hash-partitioned into this many shards (rounded up to a power
-  /// of two) and each sub-window's AFR batch is merged by that many threads,
-  /// the calling thread included. Results are bit-identical for every value
-  /// — shards are disjoint and per-key merge order is preserved — so this
-  /// is purely a throughput knob. 1 (default) spawns no threads.
-  std::size_t merge_threads = 1;
   DpdkCosts costs;
   bool rdma = false;
   std::size_t rdma_buffer_bytes = 8u << 20;
@@ -85,12 +76,12 @@ struct ControllerConfig {
   std::uint64_t fault_seed = 0xFA017BA5Eull;
 };
 
-/// One completed window handed to the application. `table` views the
-/// controller's (possibly sharded) merged flow table; it is valid only for
-/// the duration of the handler call.
+/// One completed window handed to the application. `table` is the
+/// controller's merged flow table; it is valid only for the duration of the
+/// handler call.
 struct WindowResult {
   SubWindowSpan span;
-  const TableView* table = nullptr;
+  const KeyValueTable* table = nullptr;
   Nanos completed_at = 0;  ///< simulated time
   /// True when any sub-window in `span` exhausted its retry budget (or lost
   /// unfoldable latency-spike copies) and was finalized with records
@@ -185,8 +176,7 @@ class OmniWindowController {
   SubWindowNum next_to_finalize() const noexcept { return next_to_finalize_; }
 
   const std::vector<SubWindowTiming>& timings() const { return timings_; }
-  const ShardedKeyValueTable& table() const { return table_; }
-  TableView view() const { return TableView(table_); }
+  const KeyValueTable& table() const { return table_; }
 
   /// Merge an arbitrary retained span of sub-windows into a fresh table
   /// (variable window sizes, requirement G1). Returns false if any
@@ -211,8 +201,8 @@ class OmniWindowController {
     std::uint64_t retransmissions_requested = 0;
     std::uint64_t spike_packets = 0;
     std::uint64_t duplicate_afrs = 0;
-    /// AFRs dropped because their table shard hit the 7/8 load limit
-    /// (KeyValueTable::rejected_inserts summed across shards).
+    /// AFRs dropped because the flow table hit its 7/8 load limit
+    /// (KeyValueTable::rejected_inserts).
     std::uint64_t inserts_rejected = 0;
     /// Windows emitted with the partial flag set (degraded, not wrong).
     std::uint64_t windows_partial = 0;
@@ -300,11 +290,9 @@ class OmniWindowController {
   WindowHandler handler_;
   SubWindowTransform transform_;
 
-  ShardedKeyValueTable table_;
-  /// Stable view of table_ handed to window handlers.
-  TableView view_;
-  /// Parallel merge pool; shard count always equals table_'s.
-  MergeEngine merge_engine_;
+  KeyValueTable table_;
+  /// MergeBatch's pass-1 slots, reused across sub-windows.
+  MergeScratch merge_scratch_;
   /// Finalized sub-window records retained while a window may still need
   /// them (sliding-window eviction rebuilds, O6 release).
   PooledDeque<std::pair<SubWindowNum, RecordVec>> history_;
@@ -351,6 +339,7 @@ class OmniWindowController {
     obs::Counter* merge_stalls;
     obs::Counter* rdma_holes;
     obs::Counter* switch_degraded;
+    obs::Counter* merge_records;
     obs::Gauge* inserts_rejected;
     obs::Histogram* retry_attempts;
     obs::Histogram* o2_insert_ns;

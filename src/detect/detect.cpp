@@ -95,7 +95,7 @@ EntityDetector::EntityDetector(const DetectorConfig& cfg, int switch_id)
 
 void EntityDetector::OnWindow(const WindowResult& w) {
   // Aggregate the (arbitrary-kind, arbitrary-order) flow table into ordered
-  // per-entity totals first: scoring must not observe shard iteration order.
+  // per-entity totals first: scoring must not observe table slot order.
   TotalsMap totals;
   w.table->ForEach([&](const KvSlot& slot) {
     const std::uint64_t v = slot.attrs[0];

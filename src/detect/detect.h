@@ -24,8 +24,7 @@
 // of trace length.
 //
 // Determinism: per-window totals are aggregated into an ordered map before
-// any scoring, so results are bit-identical across ControllerConfig::
-// merge_threads (shard iteration order differs, contents do not). Each
+// any scoring, so results never depend on the flow table's slot order. Each
 // switch has its own detector and the fabric engine serializes handler
 // calls per switch, so alert streams are bit-identical across parallel
 // fabric thread counts; DetectionService::Alerts() returns a canonically

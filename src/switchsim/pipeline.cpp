@@ -269,7 +269,12 @@ void Switch::Load(SnapshotReader& r) {
   const auto load_event = [&r](Event& ev) {
     ev.time = r.I64();
     ev.seq = r.U64();
-    ev.source = PacketSource(r.U8());
+    const std::uint8_t source = r.U8();
+    if (source > std::uint8_t(PacketSource::kRecirculation)) {
+      throw SnapshotError("Switch [section 0x14]: event source byte " +
+                          std::to_string(source) + " is not a PacketSource");
+    }
+    ev.source = PacketSource(source);
     LoadPacket(r, ev.packet);
   };
   // Counts are bounded by the bytes left (an event is at least its
@@ -282,10 +287,27 @@ void Switch::Load(SnapshotReader& r) {
   fifo_.resize(cap);
   fifo_head_ = 0;
   fifo_size_ = nfifo;
-  for (std::size_t i = 0; i < nfifo; ++i) load_event(fifo_[i]);
+  // Both lanes dispatch as restored, so their order is checked here: the
+  // FIFO must be sorted by (time, seq) and the heap array must be a heap.
+  for (std::size_t i = 0; i < nfifo; ++i) {
+    load_event(fifo_[i]);
+    if (i > 0 && !EventAfter{}(fifo_[i], fifo_[i - 1])) {
+      throw SnapshotError(
+          "Switch [section 0x14]: FIFO entry " + std::to_string(i) +
+          " (t=" + std::to_string(fifo_[i].time) + ", seq " +
+          std::to_string(fifo_[i].seq) + ") does not follow entry " +
+          std::to_string(i - 1) + " (t=" + std::to_string(fifo_[i - 1].time) +
+          ", seq " + std::to_string(fifo_[i - 1].seq) + ")");
+    }
+  }
   heap_.clear();
   heap_.resize(r.Count(17));
   for (Event& ev : heap_) load_event(ev);
+  if (!std::is_heap(heap_.begin(), heap_.end(), EventAfter{})) {
+    throw SnapshotError("Switch [section 0x14]: the " +
+                        std::to_string(heap_.size()) +
+                        "-event heap lane is not a (time, seq) min-heap");
+  }
   staged_.clear();
   staged_.resize(r.Count(20));
   for (StagedArrival& a : staged_) {

@@ -234,11 +234,12 @@ class Switch {
   /// pass counters. Program state, port handlers and the forwarding policy
   /// are configuration the restoring side rebuilds before calling Load.
   /// The FIFO ring is renormalized to head 0 and the heap restored in
-  /// layout order, so dispatch order is preserved exactly. The staged
-  /// buffer is re-heapified on load (its saved order is arbitrary; the
-  /// canonical key alone decides commit order) and the saved staged
-  /// minimum must equal the restored heap's top, else Load throws
-  /// SnapshotError.
+  /// layout order, so dispatch order is preserved exactly; Load throws
+  /// SnapshotError unless the FIFO strictly increases in (time, seq), the
+  /// heap array is a heap and every source byte names a PacketSource. The
+  /// staged buffer is re-heapified on load (its saved order is arbitrary;
+  /// the canonical key alone decides commit order) and the saved staged
+  /// minimum must equal the restored heap's top, else Load throws.
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 

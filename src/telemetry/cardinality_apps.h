@@ -13,7 +13,7 @@
 
 #include <memory>
 
-#include "src/controller/sharded_key_value_table.h"
+#include "src/controller/key_value_table.h"
 #include "src/core/adapter.h"
 #include "src/core/state_layout.h"
 

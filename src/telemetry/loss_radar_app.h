@@ -12,7 +12,7 @@
 #include <array>
 #include <memory>
 
-#include "src/controller/sharded_key_value_table.h"
+#include "src/controller/key_value_table.h"
 #include "src/core/adapter.h"
 #include "src/telemetry/loss_radar.h"
 

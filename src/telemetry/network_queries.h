@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "src/common/metrics.h"
-#include "src/controller/sharded_key_value_table.h"
+#include "src/controller/key_value_table.h"
 
 namespace ow {
 

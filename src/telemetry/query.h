@@ -19,7 +19,7 @@
 
 #include "src/common/metrics.h"
 #include "src/common/packet.h"
-#include "src/controller/sharded_key_value_table.h"
+#include "src/controller/key_value_table.h"
 #include "src/core/adapter.h"
 #include "src/core/state_layout.h"
 #include "src/trace/trace.h"

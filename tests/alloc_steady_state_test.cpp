@@ -16,8 +16,7 @@
 #include <vector>
 
 #include "src/common/alloc_trace.h"
-#include "src/controller/merge_engine.h"
-#include "src/controller/sharded_key_value_table.h"
+#include "src/controller/merge.h"
 #include "src/core/data_plane.h"
 #include "src/sketch/mv_sketch.h"
 #include "src/telemetry/query_builder.h"
@@ -33,7 +32,7 @@ FlowKey Key(std::uint32_t v) {
 
 /// Synthetic AFR batches: `flows` frequency records per sub-window across
 /// `subwindows` sub-windows — the batch shape the controller feeds
-/// MergeEngine::MergeBatch once per collection.
+/// MergeBatch once per collection.
 std::vector<std::vector<FlowRecord>> MakeBatches(std::uint32_t flows,
                                                  std::uint32_t subwindows) {
   std::vector<std::vector<FlowRecord>> batches;
@@ -54,38 +53,29 @@ std::vector<std::vector<FlowRecord>> MakeBatches(std::uint32_t flows,
   return batches;
 }
 
-/// Merge region: everything MergeBatch does (partitioning, shard scratch,
-/// slot growth) must recycle through the pool after one full warm-up pass.
-void ExpectMergeHeapSilent(std::size_t threads) {
+/// Merge region: everything MergeBatch does (pass-1 scratch, slot growth)
+/// must recycle through the pool after one full warm-up pass.
+TEST(AllocSteadyState, MergeBatchHeapSilent) {
   if (!alloc_trace::Enabled()) {
     GTEST_SKIP() << "OW_ALLOC_TRACE not compiled in";
   }
   const auto batches = MakeBatches(/*flows=*/4000, /*subwindows=*/6);
-  MergeEngine engine(threads);
-  {  // Warm-up: grows engine scratch, pool bins, and table slot storage.
-    ShardedKeyValueTable table(1 << 14, threads);
+  MergeScratch scratch;
+  {  // Warm-up: grows the scratch, pool bins, and table slot storage.
+    KeyValueTable table(1 << 14);
     for (const auto& b : batches) {
-      engine.MergeBatch(MergeKind::kFrequency, b, table);
+      MergeBatch(MergeKind::kFrequency, b, table, scratch);
     }
   }
   // Steady state: a fresh table of the same shape plus the same batches must
   // be served entirely from recycled pool blocks.
-  ShardedKeyValueTable table(1 << 14, threads);
+  KeyValueTable table(1 << 14);
   const alloc_trace::Scope scope;
   for (const auto& b : batches) {
-    engine.MergeBatch(MergeKind::kFrequency, b, table);
+    MergeBatch(MergeKind::kFrequency, b, table, scratch);
   }
   EXPECT_EQ(scope.news(), 0u)
-      << "MergeBatch allocated on the heap after warm-up (threads=" << threads
-      << ")";
-}
-
-TEST(AllocSteadyState, MergeBatchHeapSilentSingleThread) {
-  ExpectMergeHeapSilent(1);
-}
-
-TEST(AllocSteadyState, MergeBatchHeapSilentFourThreads) {
-  ExpectMergeHeapSilent(4);
+      << "MergeBatch allocated on the heap after warm-up";
 }
 
 Trace& SteadyTrace() {

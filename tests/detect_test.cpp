@@ -5,7 +5,7 @@
 // (cold-window seeding, top-K bound, idle eviction) and alert/ground-truth
 // matching. End to end: a fabric run over injected anomalies must detect
 // them streaming with bounded memory, and the alert stream must be
-// bit-identical across merge_threads and parallel engine thread counts.
+// bit-identical across parallel engine thread counts.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -372,14 +372,12 @@ WindowSpec SlidingSpec() {
 
 std::vector<Alert> RunFabricDetection(const LabeledTrace& lt,
                                       TopologyConfig topo,
-                                      std::size_t merge_threads,
                                       std::size_t engine_threads,
                                       DetectionService** out_service,
                                       DetectionService* storage) {
   NetworkRunConfig cfg;
   cfg.base = RunConfig::Make(SlidingSpec());
   cfg.base.controller.kv_capacity = 1 << 15;
-  cfg.base.controller.merge_threads = merge_threads;
   cfg.topology = topo;
   cfg.parallel.threads = engine_threads;
   *storage = DetectionService(DetectorConfig{}, TopologySwitchCount(topo));
@@ -399,7 +397,7 @@ TEST(DetectEndToEnd, StreamsAlertsForInjectedAnomaliesWithBoundedMemory) {
   DetectionService storage(DetectorConfig{}, 0);
   DetectionService* svc = nullptr;
   const std::vector<Alert> alerts =
-      RunFabricDetection(lt, topo, 1, 0, &svc, &storage);
+      RunFabricDetection(lt, topo, 0, &svc, &storage);
 
   const detect::StreamingScore s = detect::ScoreAlertStream(alerts, lt.labels);
   EXPECT_EQ(s.labels, 4u);
@@ -416,18 +414,6 @@ TEST(DetectEndToEnd, StreamsAlertsForInjectedAnomaliesWithBoundedMemory) {
   EXPECT_GT(svc->TotalStats().tracked_peak, 0u);
 }
 
-TEST(DetectEndToEnd, AlertStreamBitIdenticalAcrossMergeThreads) {
-  const LabeledTrace lt = MakeAttackTrace();
-  TopologyConfig topo;
-  topo.kind = TopologyKind::kLine;
-  topo.line_switches = 2;
-  DetectionService s1(DetectorConfig{}, 0), s2(DetectorConfig{}, 0);
-  const std::vector<Alert> a = RunFabricDetection(lt, topo, 1, 0, nullptr, &s1);
-  const std::vector<Alert> b = RunFabricDetection(lt, topo, 4, 0, nullptr, &s2);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-}
-
 TEST(DetectEndToEnd, AlertStreamBitIdenticalAcrossEngineThreads) {
   const LabeledTrace lt = MakeAttackTrace();
   TopologyConfig topo;
@@ -435,8 +421,8 @@ TEST(DetectEndToEnd, AlertStreamBitIdenticalAcrossEngineThreads) {
   topo.leaves = 2;
   topo.spines = 2;
   DetectionService s1(DetectorConfig{}, 0), s2(DetectorConfig{}, 0);
-  const std::vector<Alert> a = RunFabricDetection(lt, topo, 1, 0, nullptr, &s1);
-  const std::vector<Alert> b = RunFabricDetection(lt, topo, 1, 4, nullptr, &s2);
+  const std::vector<Alert> a = RunFabricDetection(lt, topo, 0, nullptr, &s1);
+  const std::vector<Alert> b = RunFabricDetection(lt, topo, 4, nullptr, &s2);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }

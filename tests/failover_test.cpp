@@ -268,37 +268,33 @@ TEST(Failover, DeltaCheckpointsTakeOverIdenticallyToFullOnes) {
 
 TEST(Failover, ZeroLossAtCadenceOneAcrossEngineMatrix) {
   const Trace trace = MakeTrace(9303, 1'200 * kMilli);
-  for (const std::size_t merge : {1u, 4u}) {
-    for (const std::size_t threads : {0u, 4u}) {
-      SCOPED_TRACE("merge_threads=" + std::to_string(merge) +
-                   " fabric_threads=" + std::to_string(threads));
-      NetworkRunConfig cfg = SlidingFabricConfig();
-      cfg.base.controller.merge_threads = merge;
-      cfg.parallel.threads = threads;
+  for (const std::size_t threads : {0u, 4u}) {
+    SCOPED_TRACE("fabric_threads=" + std::to_string(threads));
+    NetworkRunConfig cfg = SlidingFabricConfig();
+    cfg.parallel.threads = threads;
 
-      const NetworkRunResult ref =
-          RunOmniWindowFabric(trace, MakeCountApp, cfg);
+    const NetworkRunResult ref =
+        RunOmniWindowFabric(trace, MakeCountApp, cfg);
 
-      FailoverConfig fcfg;
-      fcfg.snapshot_cadence = 1;
-      fcfg.kill_boundary = 14;
-      const FailoverRunResult run =
-          RunWithFailover(trace, MakeCountApp, cfg, fcfg);
+    FailoverConfig fcfg;
+    fcfg.snapshot_cadence = 1;
+    fcfg.kill_boundary = 14;
+    const FailoverRunResult run =
+        RunWithFailover(trace, MakeCountApp, cfg, fcfg);
 
-      EXPECT_EQ(run.report.kill_boundary, 14u);
-      EXPECT_EQ(run.report.staleness_boundaries, 1u);
-      EXPECT_TRUE(run.report.caught_up);
-      EXPECT_EQ(run.report.subwindows_lost, 0u);
-      EXPECT_GT(run.report.subwindows_requeried, 0u);
+    EXPECT_EQ(run.report.kill_boundary, 14u);
+    EXPECT_EQ(run.report.staleness_boundaries, 1u);
+    EXPECT_TRUE(run.report.caught_up);
+    EXPECT_EQ(run.report.subwindows_lost, 0u);
+    EXPECT_GT(run.report.subwindows_requeried, 0u);
 
-      const WindowComparison cmp = CompareWindows(ref, run.spliced);
-      ASSERT_GT(cmp.windows_total, 0u);
-      EXPECT_EQ(cmp.lost, 0u);
-      EXPECT_EQ(cmp.divergent_unflagged, 0u);
-      EXPECT_EQ(cmp.flagged, 0u)
-          << "cadence 1 is always within the retransmission cache";
-      EXPECT_EQ(cmp.exact, cmp.windows_total);
-    }
+    const WindowComparison cmp = CompareWindows(ref, run.spliced);
+    ASSERT_GT(cmp.windows_total, 0u);
+    EXPECT_EQ(cmp.lost, 0u);
+    EXPECT_EQ(cmp.divergent_unflagged, 0u);
+    EXPECT_EQ(cmp.flagged, 0u)
+        << "cadence 1 is always within the retransmission cache";
+    EXPECT_EQ(cmp.exact, cmp.windows_total);
   }
 }
 

@@ -1,7 +1,8 @@
 // Retry/backoff determinism (the reproducibility contract of the fault
 // subsystem): for a fixed FaultPlan seed, two runs — and runs differing
-// only in merge_threads — produce identical retry counts, identical
-// flagged-window sets, identical detections and identical obs deltas.
+// only in the fabric engine's thread count — produce identical retry
+// counts, identical flagged-window sets, identical detections and
+// identical obs deltas.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -67,7 +68,7 @@ struct Fingerprint {
 };
 
 Fingerprint RunOnce(const Trace& trace, const fault::FaultPlan& plan,
-                    std::size_t merge_threads) {
+                    std::size_t engine_threads) {
   obs::Global().Reset();
   WindowSpec spec;
   spec.type = WindowType::kTumbling;
@@ -78,9 +79,9 @@ Fingerprint RunOnce(const Trace& trace, const fault::FaultPlan& plan,
   NetworkRunConfig cfg;
   cfg.base = RunConfig::Make(spec);
   cfg.base.fault = plan;
-  cfg.base.controller.merge_threads = merge_threads;
   cfg.topology.line_switches = 2;
   cfg.report_link_seed = 777;
+  cfg.parallel.threads = engine_threads;
 
   std::vector<std::shared_ptr<QueryAdapter>> apps;
   const NetworkRunResult net = RunOmniWindowFabric(
@@ -118,22 +119,22 @@ Fingerprint RunOnce(const Trace& trace, const fault::FaultPlan& plan,
   return fp;
 }
 
-TEST(RetryDeterminism, SameSeedSameOutcomeAcrossRunsAndMergeThreads) {
+TEST(RetryDeterminism, SameSeedSameOutcomeAcrossRunsAndEngineThreads) {
   const Trace trace = MakeTrace();
   fault::FaultPlan plan =
       fault::MakeChaosPlan(fault::ChaosKind::kLoss, 0.25, 0xD57E12);
   // Exercise the full backoff machinery, not just immediate reissue.
   // (Delays are simulated time, so this costs no wall clock.)
 
-  const Fingerprint a = RunOnce(trace, plan, /*merge_threads=*/1);
-  const Fingerprint b = RunOnce(trace, plan, /*merge_threads=*/1);
+  const Fingerprint a = RunOnce(trace, plan, /*engine_threads=*/0);
+  const Fingerprint b = RunOnce(trace, plan, /*engine_threads=*/0);
   EXPECT_EQ(a, b) << "identical runs diverged";
   // Faults really fired and recovery really ran.
   EXPECT_GT(a.retransmissions, 0u);
   EXPECT_GT(a.retry_hist_count, 0u);
 
-  const Fingerprint c = RunOnce(trace, plan, /*merge_threads=*/4);
-  EXPECT_EQ(a, c) << "merge_threads changed fault-path results";
+  const Fingerprint c = RunOnce(trace, plan, /*engine_threads=*/4);
+  EXPECT_EQ(a, c) << "the parallel engine changed fault-path results";
 }
 
 TEST(RetryDeterminism, BackoffWithJitterIsStillReproducible) {
@@ -151,7 +152,7 @@ TEST(RetryDeterminism, BackoffWithJitterIsStillReproducible) {
     NetworkRunConfig cfg;
     cfg.base = RunConfig::Make(spec);
     cfg.base.fault = plan;
-    cfg.base.controller.merge_threads = threads;
+    cfg.parallel.threads = threads;
     cfg.base.controller.retry.base_delay = 200 * kMicro;
     cfg.base.controller.retry.jitter_frac = 0.5;
     cfg.topology.line_switches = 2;
@@ -175,8 +176,8 @@ TEST(RetryDeterminism, BackoffWithJitterIsStillReproducible) {
     return std::make_pair(sig, retx);
   };
 
-  const auto r1 = with_backoff(1);
-  const auto r2 = with_backoff(1);
+  const auto r1 = with_backoff(0);
+  const auto r2 = with_backoff(0);
   const auto r4 = with_backoff(4);
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(r1, r4);

@@ -8,9 +8,11 @@
 // and still usable), dense<->sparse encoding equivalence across the
 // occupancy range, the durable-file framing (every bit flip and truncation
 // of a WriteFile checkpoint is caught, with the error naming the section and
-// absolute file offsets), the delta-checkpoint encode/apply pair, and
-// Switch::Load's staged wire lane (any saved order commits canonically, a
-// forged staged minimum or count throws).
+// absolute file offsets), the delta-checkpoint encode/apply pair, the
+// stream's version check, and Switch::Load's event lanes (any saved staged
+// order commits canonically; a forged staged minimum or count, an unsorted
+// FIFO, a heap array that is not a heap or an unknown packet source
+// throws).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -516,7 +518,33 @@ TEST(SnapshotDelta, EveryBitFlipAndTruncationIsCaught) {
   }
 }
 
-// --- Switch::Load: the staged wire lane ------------------------------------
+// --- the stream version ----------------------------------------------------
+
+TEST(SnapshotVersion, OtherVersionIsRejectedNamingBoth) {
+  SnapshotWriter w;
+  w.Section(snap::kSwitch);
+  const std::vector<std::uint8_t> good = w.Take();
+  ASSERT_NO_THROW(SnapshotReader{good});
+  for (const std::uint32_t other :
+       {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
+    std::vector<std::uint8_t> bytes = good;
+    std::memcpy(bytes.data() + 4, &other, 4);  // after the magic
+    try {
+      SnapshotReader r(bytes);
+      FAIL() << "a version " << other << " stream was accepted";
+    } catch (const SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("version " + std::to_string(other)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("version " + std::to_string(kSnapshotVersion)),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+// --- Switch::Load: the event lanes ------------------------------------------
 
 struct StagedEntry {
   Nanos time;
@@ -525,14 +553,34 @@ struct StagedEntry {
   std::uint32_t id;  ///< carried in Packet::seq
 };
 
-/// A hand-written kSwitch section: empty FIFO and heap lanes, `staged` in
-/// the listed order, and `staged_min` as the saved staged minimum.
-std::vector<std::uint8_t> SwitchSection(const std::vector<StagedEntry>& staged,
-                                        Nanos staged_min) {
+/// A FIFO or heap lane event as Switch::Save writes it.
+struct EventEntry {
+  Nanos time;
+  std::uint64_t seq;
+  std::uint8_t source;  ///< PacketSource byte
+  std::uint32_t id;     ///< carried in Packet::seq
+};
+
+/// A hand-written kSwitch section: `fifo` and `heap` lanes and `staged`
+/// arrivals in the listed order, and `staged_min` as the saved staged
+/// minimum.
+std::vector<std::uint8_t> SwitchSection(
+    const std::vector<StagedEntry>& staged, Nanos staged_min,
+    const std::vector<EventEntry>& fifo = {},
+    const std::vector<EventEntry>& heap = {}) {
   SnapshotWriter w;
   w.Section(snap::kSwitch);
-  w.Size(0);  // FIFO lane
-  w.Size(0);  // heap lane
+  for (const auto* lane : {&fifo, &heap}) {
+    w.Size(lane->size());
+    for (const EventEntry& ev : *lane) {
+      w.I64(ev.time);
+      w.U64(ev.seq);
+      w.U8(ev.source);
+      Packet p;
+      p.seq = ev.id;
+      SavePacket(w, p);
+    }
+  }
   w.Size(staged.size());
   for (const StagedEntry& a : staged) {
     w.I64(a.time);
@@ -552,16 +600,98 @@ std::vector<std::uint8_t> SwitchSection(const std::vector<StagedEntry>& staged,
   return w.Take();
 }
 
-/// Offset of the staged count: header (8), section tag (4), FIFO and heap
-/// counts (8 each).
+/// Offset of the staged count with empty FIFO and heap lanes: header (8),
+/// section tag (4), FIFO and heap counts (8 each).
 constexpr std::size_t kStagedCountOffset = 8 + 4 + 8 + 8;
 
 struct OrderProgram : SwitchProgram {
-  void Process(Packet& p, Nanos, PacketSource, PipelineActions&) override {
+  void Process(Packet& p, Nanos, PacketSource src,
+               PipelineActions&) override {
     order.push_back(p.seq);
+    sources.push_back(src);
   }
   std::vector<std::uint32_t> order;
+  std::vector<PacketSource> sources;
 };
+
+constexpr std::uint8_t kWireByte = std::uint8_t(PacketSource::kWire);
+
+void ExpectLoadThrows(const std::vector<std::uint8_t>& bytes,
+                      const std::string& needle) {
+  Switch sw(0);
+  SnapshotReader r(bytes);
+  try {
+    sw.Load(r);
+    FAIL() << "forged section loaded (expected \"" << needle << "\")";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("section 0x14"), std::string::npos) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
+TEST(SwitchLoadHardening, UnsortedFifoLaneThrows) {
+  // Dispatched as restored, a FIFO of [t=300, t=100] would run 300 first.
+  ExpectLoadThrows(SwitchSection({}, -1,
+                                 {{300, kSharedSeqBase, kWireByte, 0},
+                                  {100, kSharedSeqBase + 1, kWireByte, 1}}),
+                   "FIFO entry 1");
+  // Equal times must still increase in seq, and no entry may repeat.
+  ExpectLoadThrows(SwitchSection({}, -1,
+                                 {{100, kSharedSeqBase + 5, kWireByte, 0},
+                                  {100, kSharedSeqBase + 2, kWireByte, 1}}),
+                   "FIFO entry 1");
+  ExpectLoadThrows(SwitchSection({}, -1,
+                                 {{100, kSharedSeqBase, kWireByte, 0},
+                                  {200, kSharedSeqBase + 1, kWireByte, 1},
+                                  {200, kSharedSeqBase + 1, kWireByte, 2}}),
+                   "FIFO entry 2");
+}
+
+TEST(SwitchLoadHardening, NonHeapEventLaneThrows) {
+  // [300, 100, 200] is not a min-heap: restored verbatim, it would pop 300
+  // first.
+  ExpectLoadThrows(SwitchSection({}, -1, {},
+                                 {{300, kSharedSeqBase, kWireByte, 0},
+                                  {100, kSharedSeqBase + 1, kWireByte, 1},
+                                  {200, kSharedSeqBase + 2, kWireByte, 2}}),
+                   "heap");
+}
+
+TEST(SwitchLoadHardening, UnknownPacketSourceThrows) {
+  const EventEntry forged{100, kSharedSeqBase, 7, 0};
+  ExpectLoadThrows(SwitchSection({}, -1, {forged}), "source byte 7");
+  ExpectLoadThrows(SwitchSection({}, -1, {}, {forged}), "source byte 7");
+}
+
+TEST(SwitchLoadHardening, ValidLanesDispatchInTimeSeqOrder) {
+  constexpr std::uint64_t b = kSharedSeqBase;
+  const auto ctl = std::uint8_t(PacketSource::kController);
+  const auto recirc = std::uint8_t(PacketSource::kRecirculation);
+  // Ids follow the (time, seq) dispatch order across both lanes. The FIFO
+  // is sorted; the heap array [50, 200, 150] is a min-heap but not sorted.
+  const std::vector<std::uint8_t> bytes =
+      SwitchSection({}, -1,
+                    {{100, b + 1, kWireByte, 1},
+                     {100, b + 4, kWireByte, 2},
+                     {300, b + 6, kWireByte, 5}},
+                    {{50, b + 3, recirc, 0},
+                     {200, b + 7, ctl, 4},
+                     {150, b + 2, ctl, 3}});
+  Switch sw(0);
+  auto prog = std::make_shared<OrderProgram>();
+  sw.SetProgram(prog);
+  SnapshotReader r(bytes);
+  sw.Load(r);
+  EXPECT_TRUE(r.AtEnd());
+  sw.RunBatch(kSecond);
+  EXPECT_EQ(prog->order, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(prog->sources,
+            (std::vector<PacketSource>{
+                PacketSource::kRecirculation, PacketSource::kWire,
+                PacketSource::kWire, PacketSource::kController,
+                PacketSource::kController, PacketSource::kWire}));
+}
 
 TEST(SwitchLoadHardening, StagedArrivalsInAnyOrderCommitCanonically) {
   // Ids follow the canonical (time, ingress, tx) order; the section lists

@@ -3,8 +3,8 @@
 // configured session, Restore(), and the resumed run must reproduce the
 // uninterrupted run exactly — same windows, per-window count tables,
 // data-plane/controller stats, link ground truth, sink deliveries and
-// detector alert streams — across merge-thread counts, fabric engine
-// thread counts, and with the fault machinery armed.
+// detector alert streams — across fabric engine thread counts and with
+// the fault machinery armed.
 //
 // Stream-vs-counter contract (see FabricSession): cumulative counters come
 // out of the restored session's Finish() directly; the WINDOW stream is
@@ -248,20 +248,15 @@ TEST(SnapshotRestore, LineTopologyBitIdentical) {
 TEST(SnapshotRestore, LeafSpineBitIdenticalAcrossThreadMatrix) {
   const Trace trace = FabricTrace(8102);
   const Nanos snap_t = 175 * kMilli;
-  for (const std::size_t merge : {1u, 4u}) {
-    for (const std::size_t threads : {0u, 4u}) {
-      SCOPED_TRACE("merge_threads=" + std::to_string(merge) +
-                   " fabric_threads=" + std::to_string(threads));
-      NetworkRunConfig cfg = LeafSpineConfig(3, 2);
-      cfg.base.controller.merge_threads = merge;
-      cfg.parallel.threads = threads;
-      const Fingerprint ref =
-          FingerprintOf(RunOmniWindowFabric(trace, MakeCountApp, cfg));
-      ASSERT_GT(ref.delivered, 0u);
-      const Fingerprint got =
-          FingerprintOf(KillRestoreRun(trace, cfg, snap_t));
-      EXPECT_EQ(ref, got) << "kill/restore diverged from uninterrupted run";
-    }
+  for (const std::size_t threads : {0u, 4u}) {
+    SCOPED_TRACE("fabric_threads=" + std::to_string(threads));
+    NetworkRunConfig cfg = LeafSpineConfig(3, 2);
+    cfg.parallel.threads = threads;
+    const Fingerprint ref =
+        FingerprintOf(RunOmniWindowFabric(trace, MakeCountApp, cfg));
+    ASSERT_GT(ref.delivered, 0u);
+    const Fingerprint got = FingerprintOf(KillRestoreRun(trace, cfg, snap_t));
+    EXPECT_EQ(ref, got) << "kill/restore diverged from uninterrupted run";
   }
 }
 

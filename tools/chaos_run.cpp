@@ -43,8 +43,8 @@
 // ingested controller-plane checkpoints every boundary (cadence 1) takes
 // over against the live switches (FabricSession::FailOver) at a
 // pseudo-random sub-window boundary and re-requests what its checkpoint
-// predates. Swept across merge_threads {1,4} x fabric threads {0,4} and
-// every intensity of the fabric-loss plan, the bar is the takeover
+// predates. Swept across fabric threads {0,4} and every intensity of the
+// fabric-loss plan, the bar is the takeover
 // contract: no reference window may go absent or silently divergent, and
 // at intensity 0 the spliced stream must be fully exact (cadence 1 keeps
 // the staleness inside the switch retransmission cache — zero windows
@@ -847,7 +847,7 @@ int main(int argc, char** argv) {
   // switch retransmission cache the spliced stream must be fully EXACT
   // against the uninterrupted run — at every intensity of the fabric-loss
   // plan (inner-link drops hit reference and takeover runs identically;
-  // the report path is clean), and under every engine combination.
+  // the report path is clean), and under both engines.
   if (opt.failover) {
     const auto make_app = [](std::size_t) {
       return std::make_shared<ExactCountApp>();
@@ -871,40 +871,37 @@ int main(int argc, char** argv) {
         // trace remains for the takeover to catch up in-band.
         const std::size_t kill = 6 + std::size_t(kill_rng.Uniform(12));
 
-        for (const std::size_t merge : {std::size_t{1}, std::size_t{4}}) {
-          for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-            NetworkRunConfig cfg;
-            cfg.base = RunConfig::Make(FailoverSpec());
-            cfg.base.fault = plan;
-            cfg.base.controller.kv_capacity = 1 << 14;
-            cfg.base.controller.merge_threads = merge;
-            cfg.topology = FabricTopology();
-            cfg.capture_counts = true;
-            cfg.fault_link_index = armed;
-            cfg.report_link_seed = 777 + std::uint64_t(s);
-            cfg.link_seed = 555 + std::uint64_t(s);
-            cfg.parallel.threads = threads;
+        for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+          NetworkRunConfig cfg;
+          cfg.base = RunConfig::Make(FailoverSpec());
+          cfg.base.fault = plan;
+          cfg.base.controller.kv_capacity = 1 << 14;
+          cfg.topology = FabricTopology();
+          cfg.capture_counts = true;
+          cfg.fault_link_index = armed;
+          cfg.report_link_seed = 777 + std::uint64_t(s);
+          cfg.link_seed = 555 + std::uint64_t(s);
+          cfg.parallel.threads = threads;
 
-            const NetworkRunResult ref =
-                RunOmniWindowFabric(line_trace, make_app, cfg, detect);
-            failover::FailoverConfig fcfg;
-            fcfg.snapshot_cadence = 1;
-            fcfg.kill_boundary = std::int64_t(kill);
-            const failover::FailoverRunResult run = failover::RunWithFailover(
-                line_trace, make_app, cfg, fcfg, detect);
+          const NetworkRunResult ref =
+              RunOmniWindowFabric(line_trace, make_app, cfg, detect);
+          failover::FailoverConfig fcfg;
+          fcfg.snapshot_cadence = 1;
+          fcfg.kill_boundary = std::int64_t(kill);
+          const failover::FailoverRunResult run = failover::RunWithFailover(
+              line_trace, make_app, cfg, fcfg, detect);
 
-            const failover::WindowComparison cmp =
-                failover::CompareWindows(ref, run.spliced);
-            cell.windows_total += cmp.windows_total;
-            cell.windows_exact += cmp.exact;
-            cell.windows_flagged += cmp.flagged;
-            // The takeover contract: nothing absent, nothing silently
-            // divergent — and at cadence 1 nothing even flagged.
-            cell.divergent_unflagged += cmp.lost + cmp.divergent_unflagged +
-                                        cmp.flagged +
-                                        run.report.subwindows_lost;
-            if (!run.report.caught_up) ++cell.divergent_unflagged;
-          }
+          const failover::WindowComparison cmp =
+              failover::CompareWindows(ref, run.spliced);
+          cell.windows_total += cmp.windows_total;
+          cell.windows_exact += cmp.exact;
+          cell.windows_flagged += cmp.flagged;
+          // The takeover contract: nothing absent, nothing silently
+          // divergent — and at cadence 1 nothing even flagged.
+          cell.divergent_unflagged += cmp.lost + cmp.divergent_unflagged +
+                                      cmp.flagged +
+                                      run.report.subwindows_lost;
+          if (!run.report.caught_up) ++cell.divergent_unflagged;
         }
         cell.injected_faults = SumFaultCounters();
         if (cell.divergent_unflagged > 0) ok = false;
