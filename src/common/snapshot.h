@@ -53,7 +53,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// v3: KeyValueTable gained the occupancy-aware (dense/sparse) encoding.
 /// v4: the controller's flow table is one KeyValueTable; the shard-count
 /// word before it is gone.
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+/// v5: KeyValueTable deletes by backward shift: no tombstones, so a slot's
+/// state byte is 0 or 1 and the `used` (live + tombstone) tally is gone.
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;

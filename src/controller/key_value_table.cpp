@@ -18,10 +18,6 @@ std::uint64_t KeyValueTable::HashOf(const FlowKey& key) {
   return key.Hash(0x7AB1E0FFull);
 }
 
-std::size_t KeyValueTable::Probe(const FlowKey& key) const {
-  return static_cast<std::size_t>(HashOf(key)) & mask_;
-}
-
 KvSlot* KeyValueTable::Find(const FlowKey& key) {
   const std::uint64_t h = HashOf(key);
   const std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
@@ -29,9 +25,7 @@ KvSlot* KeyValueTable::Find(const FlowKey& key) {
   for (std::size_t n = 0; n <= mask_; ++n, i = (i + 1) & mask_) {
     KvSlot& s = slots_[i];
     if (s.state == KvSlot::State::kEmpty) return nullptr;
-    if (s.state == KvSlot::State::kLive && s.hash_tag == tag && s.key == key) {
-      return &s;
-    }
+    if (s.hash_tag == tag && s.key == key) return &s;
   }
   return nullptr;
 }
@@ -49,30 +43,18 @@ KvSlot* KeyValueTable::TryFindOrInsert(const FlowKey& key, bool& created) {
   const std::uint64_t h = HashOf(key);
   const std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
   std::size_t i = static_cast<std::size_t>(h) & mask_;
-  KvSlot* first_tombstone = nullptr;
   for (std::size_t n = 0; n <= mask_; ++n, i = (i + 1) & mask_) {
     KvSlot& s = slots_[i];
-    if (s.state == KvSlot::State::kLive && s.hash_tag == tag && s.key == key) {
-      created = false;
-      return &s;
-    }
-    if (s.state == KvSlot::State::kTombstone && !first_tombstone) {
-      first_tombstone = &s;
-    }
     if (s.state == KvSlot::State::kEmpty) {
-      KvSlot& target = first_tombstone ? *first_tombstone : s;
-      if (used_ + 1 > slots_.size() - slots_.size() / 8 && !first_tombstone) {
-        ++rejected_;
-        return nullptr;
-      }
-      if (!first_tombstone) ++used_;
-      target = KvSlot{};
-      target.key = key;
-      target.hash_tag = tag;
-      target.state = KvSlot::State::kLive;
+      if (live_ + 1 > slots_.size() - slots_.size() / 8) break;
+      s = KvSlot{.key = key, .hash_tag = tag, .state = KvSlot::State::kLive};
       ++live_;
       created = true;
-      return &target;
+      return &s;
+    }
+    if (s.hash_tag == tag && s.key == key) {
+      created = false;
+      return &s;
     }
   }
   ++rejected_;
@@ -82,7 +64,19 @@ KvSlot* KeyValueTable::TryFindOrInsert(const FlowKey& key, bool& created) {
 bool KeyValueTable::Erase(const FlowKey& key) {
   KvSlot* s = Find(key);
   if (!s) return false;
-  s->state = KvSlot::State::kTombstone;
+  // Walk the rest of the cluster; a slot whose probe path from its home
+  // passes the hole moves into it, and its old slot becomes the hole.
+  std::size_t hole = static_cast<std::size_t>(s - slots_.data());
+  for (std::size_t j = (hole + 1) & mask_;
+       slots_[j].state == KvSlot::State::kLive; j = (j + 1) & mask_) {
+    const std::size_t home =
+        static_cast<std::size_t>(HashOf(slots_[j].key)) & mask_;
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = KvSlot{};
   --live_;
   return true;
 }
@@ -90,16 +84,6 @@ bool KeyValueTable::Erase(const FlowKey& key) {
 void KeyValueTable::Clear() {
   for (auto& s : slots_) s = KvSlot{};
   live_ = 0;
-  used_ = 0;
-}
-
-std::size_t KeyValueTable::SlotIndex(const KvSlot& slot) const {
-  return static_cast<std::size_t>(&slot - slots_.data());
-}
-
-std::size_t KeyValueTable::AttrOffsetBytes(std::size_t slot_index,
-                                           std::size_t attr) const {
-  return slot_index * sizeof(KvSlot) + offsetof(KvSlot, attrs) + attr * 8;
 }
 
 void KeyValueTable::ForEach(const std::function<void(KvSlot&)>& fn) {
@@ -117,14 +101,14 @@ void KeyValueTable::ForEach(
 
 void KeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   if (mode == KvSnapshotMode::kAuto) {
-    mode = used_ < SparseSaveThreshold(slots_.size()) ? KvSnapshotMode::kSparse
+    mode = live_ < SparseSaveThreshold(slots_.size()) ? KvSnapshotMode::kSparse
                                                       : KvSnapshotMode::kDense;
   }
   w.Section(snap::kKvTable);
   w.U8(mode == KvSnapshotMode::kSparse ? 1 : 0);
   w.Size(slots_.size());
   if (mode == KvSnapshotMode::kSparse) {
-    w.Size(used_);
+    w.Size(live_);
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       if (slots_[i].state == KvSlot::State::kEmpty) continue;
       w.U64(i);
@@ -134,7 +118,6 @@ void KeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
     w.Bytes(slots_.data(), slots_.size() * sizeof(KvSlot));
   }
   w.Size(live_);
-  w.Size(used_);
   w.U64(rejected_);
 }
 
@@ -173,21 +156,17 @@ void KeyValueTable::Load(SnapshotReader& r) {
     r.Bytes(scratch.data(), cap * sizeof(KvSlot));
   }
   const std::size_t live = r.Size();
-  const std::size_t used = r.Size();
   const std::uint64_t rejected = r.U64();
-  // Verify the stream's tallies against the array it described: a corrupt
+  // Verify the stream's tally against the array it described: a corrupt
   // state byte or dropped sparse entry surfaces here, not as a probe-chain
   // heisenbug three windows later.
-  std::size_t rebuilt_live = 0, rebuilt_used = 0;
+  std::size_t rebuilt_live = 0;
   for (const KvSlot& s : scratch) {
     // Compare as raw bytes: the state came off an untrusted stream and may
     // hold a value no enumerator names.
     const std::uint8_t st = static_cast<std::uint8_t>(s.state);
     if (st == static_cast<std::uint8_t>(KvSlot::State::kLive)) {
       ++rebuilt_live;
-      ++rebuilt_used;
-    } else if (st == static_cast<std::uint8_t>(KvSlot::State::kTombstone)) {
-      ++rebuilt_used;
     } else if (st != static_cast<std::uint8_t>(KvSlot::State::kEmpty)) {
       throw SnapshotError("KeyValueTable: invalid slot state " +
                           std::to_string(unsigned(st)));
@@ -195,11 +174,34 @@ void KeyValueTable::Load(SnapshotReader& r) {
   }
   CheckShape(snap::kKvTable, "KeyValueTable", "live slots", rebuilt_live,
              live);
-  CheckShape(snap::kKvTable, "KeyValueTable", "occupied slots", rebuilt_used,
-             used);
+  const auto corrupt = [](const std::string& what) {
+    return SnapshotError("KeyValueTable [section 0x1B]: " + what);
+  };
+  if (const std::size_t max_live = cap - cap / 8; live > max_live) {
+    throw corrupt(std::to_string(live) + " live slots exceed the load limit " +
+                  std::to_string(max_live));
+  }
+  // Every live key must be where Find's walk from its home (to the first
+  // empty slot or tag-and-key match) ends: a key past an empty slot, under
+  // a wrong tag, or stored twice is unreachable and would be stored again.
+  for (std::size_t p = 0; p < cap; ++p) {
+    const KvSlot& s = scratch[p];
+    if (s.state != KvSlot::State::kLive) continue;
+    const std::uint64_t h = HashOf(s.key);
+    const std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
+    std::size_t i = static_cast<std::size_t>(h) & mask_;
+    while (scratch[i].state == KvSlot::State::kLive &&
+           !(scratch[i].hash_tag == tag && scratch[i].key == s.key)) {
+      i = (i + 1) & mask_;
+    }
+    if (i != p) {
+      throw corrupt("the key in slot " + std::to_string(p) +
+                    " is unreachable: its probe ends at slot " +
+                    std::to_string(i));
+    }
+  }
   std::memcpy(slots_.data(), scratch.data(), cap * sizeof(KvSlot));
   live_ = live;
-  used_ = used;
   rejected_ = rejected;
 }
 

@@ -1,11 +1,11 @@
 // Controller flow key-value table.
 //
 // Stand-in for the DPDK rte_hash table the paper's controller uses to store
-// merged AFRs (§4.2, §8). Open addressing with linear probing over a flat
-// slot array, which gives the property the RDMA optimization needs: every
-// (key, attribute) pair has a STABLE byte offset that can be handed to the
-// switch as an RDMA WRITE / FETCH_ADD destination (§7). Deletion uses
-// tombstones for the same reason — live slots never move.
+// merged AFRs (§4.2, §8). Open addressing with linear probing over a flat,
+// fixed-capacity slot array. Erase backward-shifts the rest of the probe
+// cluster into the freed slot, so no tombstones are left behind: occupancy
+// is the live-key count, and insert/erase churn never fills the table. An
+// Erase may move live slots (invalidating slot pointers); inserts never do.
 #pragma once
 
 #include <array>
@@ -40,15 +40,14 @@ struct KvSlot {
   /// from the index bits (low bits & mask), so they discriminate within a
   /// chain.
   std::uint32_t hash_tag = 0;
-  enum class State : std::uint8_t { kEmpty, kLive, kTombstone };
+  enum class State : std::uint8_t { kEmpty, kLive };
   State state = State::kEmpty;
 };
 
 class KeyValueTable {
  public:
   /// Capacity is rounded up to a power of two. The table refuses inserts
-  /// beyond a 7/8 load factor (throws) rather than rehashing, because
-  /// rehashing would invalidate RDMA-registered offsets.
+  /// beyond a 7/8 load factor (throws) rather than rehashing.
   explicit KeyValueTable(std::size_t capacity);
 
   /// Find the slot for `key`, or nullptr.
@@ -60,60 +59,45 @@ class KeyValueTable {
 
   /// Like FindOrInsert, but a rejected insert (the 7/8 load limit) returns
   /// nullptr and bumps rejected_inserts() instead of throwing — the form
-  /// the controller's merge path uses, where dropping one AFR is preferable
-  /// to aborting a collection round. Lookups of existing keys always
-  /// succeed, even at the load limit.
+  /// the controller's merge and eviction paths use, where dropping one AFR
+  /// and flagging its windows beats aborting a collection round. Lookups
+  /// of existing keys always succeed, even at the load limit.
   KvSlot* TryFindOrInsert(const FlowKey& key, bool& created);
 
-  /// Tombstone the slot for `key`. Returns true if it was live.
+  /// Remove `key`, shifting later members of its probe cluster back into
+  /// the hole. Returns true if it was live.
   bool Erase(const FlowKey& key);
 
-  /// Drop all entries (tombstones included).
+  /// Drop all entries.
   void Clear();
 
   std::size_t size() const noexcept { return live_; }
   std::size_t capacity() const noexcept { return slots_.size(); }
-  /// Occupancy gating inserts: live + tombstone slots over capacity (the
-  /// table refuses fresh inserts past 7/8).
+  /// Live slots over capacity (the table refuses fresh inserts past 7/8).
   double load_factor() const noexcept {
-    return slots_.empty() ? 0.0 : double(used_) / double(slots_.size());
+    return slots_.empty() ? 0.0 : double(live_) / double(slots_.size());
   }
   /// Inserts refused at the load limit since construction (monotonic;
   /// Clear() does not reset it).
   std::uint64_t rejected_inserts() const noexcept { return rejected_; }
 
-  /// Stable slot index for RDMA address publication; only valid while the
-  /// slot is live.
-  std::size_t SlotIndex(const KvSlot& slot) const;
-
-  /// Byte offset of `attrs[attr]` of slot `slot_index` within the table's
-  /// backing array — the address the controller installs into the switch's
-  /// address MAT.
-  std::size_t AttrOffsetBytes(std::size_t slot_index, std::size_t attr) const;
-
-  /// Raw backing array access for RDMA MR mirroring.
-  KvSlot* data() noexcept { return slots_.data(); }
-  std::size_t backing_bytes() const noexcept {
-    return slots_.size() * sizeof(KvSlot);
-  }
-
   /// Visit every live slot.
   void ForEach(const std::function<void(KvSlot&)>& fn);
   void ForEach(const std::function<void(const KvSlot&)>& fn) const;
 
-  /// Checkpoint the slot array (slots are trivially copyable, and the probe
-  /// layout must survive verbatim so RDMA-stable offsets and probe chains
-  /// are preserved). Sparse tables emit only their occupied (live +
-  /// tombstone) slots as (index, slot) pairs — checkpoint cost scales with
-  /// state, not provisioned capacity. Load validates the claimed capacity
-  /// and every untrusted count BEFORE touching this table, reconstructs the
-  /// full array, verifies the rebuilt live/used tallies against the
-  /// stream's, and leaves the table UNCHANGED if it throws.
+  /// Checkpoint the slot array verbatim (slots are trivially copyable), so
+  /// a restored table probes exactly like the saved one. Sparse tables emit
+  /// only their live slots as (index, slot) pairs — checkpoint cost scales
+  /// with state, not provisioned capacity. Load validates the claimed
+  /// capacity and every untrusted count BEFORE touching this table,
+  /// reconstructs the full array, verifies the rebuilt live tally against
+  /// the stream's and that every live key sits where its own probe finds
+  /// it exactly once, and leaves the table UNCHANGED if it throws.
   void Save(SnapshotWriter& w,
             KvSnapshotMode mode = KvSnapshotMode::kAuto) const;
   void Load(SnapshotReader& r);
 
-  /// Occupied-slot count below which kAuto saves sparse. With ~64-byte
+  /// Live-slot count below which kAuto saves sparse. With ~64-byte
   /// slots an (index, slot) pair costs ~1.12 slots, so sparse stays
   /// smaller well past half occupancy; half keeps a comfortable margin.
   static std::size_t SparseSaveThreshold(std::size_t capacity) {
@@ -122,14 +106,12 @@ class KeyValueTable {
 
  private:
   static std::uint64_t HashOf(const FlowKey& key);
-  std::size_t Probe(const FlowKey& key) const;
 
-  // Pool-backed: window-type resets (tumbling Clear + reconstruction) and
-  // QueryRange scratch tables recycle slot arrays instead of reallocating.
+  // Pool-backed: QueryRange scratch tables recycle slot arrays instead of
+  // reallocating.
   PooledVector<KvSlot> slots_;
   std::size_t mask_;
   std::size_t live_ = 0;
-  std::size_t used_ = 0;  // live + tombstones
   std::uint64_t rejected_ = 0;
 };
 

@@ -61,9 +61,9 @@ using MergeScratch = PooledVector<std::pair<KvSlot*, bool>>;
 /// Merge one sub-window's AFRs into `table` in two passes: TryFindOrInsert
 /// every record (O2), then ApplyMerge every record in batch order (O3), so
 /// a key repeated within the batch is created once and folded after. An
-/// insert refused at the table's 7/8 load limit leaves a null slot that
-/// pass 2 skips; the table counts it in rejected_inserts(). Records a
-/// `merge.batch` span while tracing.
+/// insert refused at the table's 7/8 load limit leaves a null slot in
+/// `scratch` that pass 2 skips; the table counts it in rejected_inserts().
+/// Records a `merge.batch` span while tracing.
 MergeTiming MergeBatch(MergeKind kind, std::span<const FlowRecord> records,
                        KeyValueTable& table, MergeScratch& scratch);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ranges>
 #include <stdexcept>
 
 #include "src/common/snapshot.h"
@@ -357,8 +358,21 @@ void OmniWindowController::FinalizeSubWindow(PendingSubWindow& pending,
 
   // O2 + O3: table inserts, then attribute merges.
   {
+    const std::uint64_t rejected = table_.rejected_inserts();
     const MergeTiming mt =
         MergeBatch(merge_kind_, pending.records, table_, merge_scratch_);
+    // A refused insert leaves its key out of every window over this
+    // sub-window: flag them rather than emit them short, and keep the
+    // record out of history_ so that O5 never retires what never landed.
+    if (table_.rejected_inserts() != rejected) {
+      MarkDegraded(pending.subwindow);
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < pending.records.size(); ++i) {
+        if (!merge_scratch_[i].first) continue;
+        pending.records[kept++] = pending.records[i];
+      }
+      pending.records.resize(kept);
+    }
     t.o2_insert += mt.insert;
     t.o3_merge += mt.merge;
     obs_.merge_records->Add(pending.records.size());
@@ -370,8 +384,6 @@ void OmniWindowController::FinalizeSubWindow(PendingSubWindow& pending,
       ++stats_.merge_stalls;
       obs_.merge_stalls->Add();
     }
-    stats_.inserts_rejected = table_.rejected_inserts();
-    obs_.inserts_rejected->Set(std::int64_t(stats_.inserts_rejected));
     obs_.o2_insert_ns->Record(std::uint64_t(mt.insert));
     obs_.o3_merge_ns->Record(std::uint64_t(mt.merge));
   }
@@ -388,6 +400,8 @@ void OmniWindowController::FinalizeSubWindow(PendingSubWindow& pending,
     obs_.subwindows_force_finalized->Add();
   }
   EmitWindowsAfter(pending.subwindow, now);
+  stats_.inserts_rejected = table_.rejected_inserts();
+  obs_.inserts_rejected->Set(std::int64_t(stats_.inserts_rejected));
 }
 
 void OmniWindowController::MarkDegraded(SubWindowNum sw) {
@@ -397,17 +411,10 @@ void OmniWindowController::MarkDegraded(SubWindowNum sw) {
 }
 
 void OmniWindowController::EmitWindowsAfter(SubWindowNum sw, Nanos now) {
+  // Every window type but sliding advances by a whole window (S == W).
   const std::size_t W = cfg_.window.SubWindowsPerWindow();
   const std::size_t S = cfg_.window.SubWindowsPerSlide();
-  const bool sliding = cfg_.window.type == WindowType::kSliding;
-
-  bool emit = false;
-  if (sliding) {
-    emit = (sw + 1 >= W) && ((sw + 1 - W) % S == 0);
-  } else {
-    emit = ((sw + 1) % W == 0);
-  }
-  if (!emit) return;
+  if (sw + 1 < W || (sw + 1 - W) % S != 0) return;
 
   SubWindowTiming& t = TimingFor(sw);
   const SubWindowSpan span{SubWindowNum(sw + 1 - W), sw};
@@ -437,19 +444,14 @@ void OmniWindowController::EmitWindowsAfter(SubWindowNum sw, Nanos now) {
   }
   // Degraded marks below the next window's first sub-window can never be
   // covered again.
-  const SubWindowNum next_first = sliding ? span.first + S : sw + 1;
+  const SubWindowNum next_first = span.first + S;
   degraded_.erase(degraded_.begin(), degraded_.lower_bound(next_first));
 
   // O5 / O6: retire sub-windows that no future window needs.
   {
     obs::ScopedSpan ospan(obs::Global(), "controller.o5_evict");
     WallTimer timer;
-    if (sliding) {
-      EvictFromTable(SubWindowNum(sw + 1 - W + S));
-    } else {
-      table_.Clear();
-      table_floor_ = sw + 1;
-    }
+    EvictFromTable(next_first);
     TrimHistory();
     const Nanos elapsed = timer.Elapsed();
     t.o5_evict += elapsed;
@@ -458,18 +460,25 @@ void OmniWindowController::EmitWindowsAfter(SubWindowNum sw, Nanos now) {
 }
 
 void OmniWindowController::EvictFromTable(SubWindowNum keep_from) {
-  std::vector<FlowRecord> evicted;
-  for (const auto& [hsw, recs] : history_) {
-    if (hsw >= table_floor_ && hsw < keep_from) {
-      evicted.insert(evicted.end(), recs.begin(), recs.end());
-    }
-  }
+  // The retired sub-windows' records, read in place: history_ holds every
+  // record the table was merged from, in sub-window order.
+  const SubWindowNum old_floor = table_floor_;
   table_floor_ = std::max(table_floor_, keep_from);
-  if (evicted.empty()) return;
+  auto retired = history_ | std::views::filter([&](const auto& h) {
+                   return h.first >= old_floor && h.first < keep_from;
+                 }) |
+                 std::views::values | std::views::join;
+
+  if (history_.empty() || history_.back().first < keep_from) {
+    // No retained sub-window stays in the table (every tumbling emission):
+    // the retired keys are all it holds.
+    for (const FlowRecord& rec : retired) table_.Erase(rec.key);
+    return;
+  }
 
   if (merge_kind_ == MergeKind::kFrequency) {
     // Frequency merges invert: subtract and drop emptied slots.
-    for (const FlowRecord& rec : evicted) {
+    for (const FlowRecord& rec : retired) {
       KvSlot* slot = table_.Find(rec.key);
       if (!slot) continue;
       bool all_zero = true;
@@ -487,15 +496,19 @@ void OmniWindowController::EvictFromTable(SubWindowNum keep_from) {
   // Non-invertible merges: rebuild the affected keys from the sub-windows
   // still reflected in the table.
   std::set<FlowKey> affected;
-  for (const FlowRecord& rec : evicted) affected.insert(rec.key);
+  for (const FlowRecord& rec : retired) affected.insert(rec.key);
   for (const FlowKey& key : affected) table_.Erase(key);
   for (const auto& [hsw, recs] : history_) {
     if (hsw < table_floor_) continue;
     for (const FlowRecord& rec : recs) {
       if (!affected.contains(rec.key)) continue;
       bool created = false;
-      KvSlot& slot = table_.FindOrInsert(rec.key, created);
-      ApplyMerge(merge_kind_, slot, created, rec);
+      KvSlot* slot = table_.TryFindOrInsert(rec.key, created);
+      if (!slot) {
+        MarkDegraded(hsw);
+        continue;
+      }
+      ApplyMerge(merge_kind_, *slot, created, rec);
     }
   }
 }

@@ -202,7 +202,7 @@ class OmniWindowController {
     std::uint64_t spike_packets = 0;
     std::uint64_t duplicate_afrs = 0;
     /// AFRs dropped because the flow table hit its 7/8 load limit
-    /// (KeyValueTable::rejected_inserts).
+    /// (KeyValueTable::rejected_inserts); each flags its sub-window.
     std::uint64_t inserts_rejected = 0;
     /// Windows emitted with the partial flag set (degraded, not wrong).
     std::uint64_t windows_partial = 0;
@@ -294,7 +294,7 @@ class OmniWindowController {
   /// MergeBatch's pass-1 slots, reused across sub-windows.
   MergeScratch merge_scratch_;
   /// Finalized sub-window records retained while a window may still need
-  /// them (sliding-window eviction rebuilds, O6 release).
+  /// them (O5 eviction reads them in place, O6 releases them).
   PooledDeque<std::pair<SubWindowNum, RecordVec>> history_;
   PooledMap<SubWindowNum, PendingSubWindow> pending_;
   /// Controller-resident (spilled) keys per sub-window awaiting injection.

@@ -2,6 +2,13 @@
 // strategies, batch kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <optional>
+#include <random>
+#include <unordered_map>
+
+#include "src/common/snapshot.h"
 #include "src/controller/key_value_table.h"
 #include "src/controller/merge.h"
 
@@ -76,19 +83,6 @@ TEST(KeyValueTable, RefusesOverload) {
       std::length_error);
 }
 
-TEST(KeyValueTable, StableOffsetsForRdma) {
-  KeyValueTable table(64);
-  bool created = false;
-  KvSlot& slot = table.FindOrInsert(Key(9), created);
-  const std::size_t idx = table.SlotIndex(slot);
-  const std::size_t off0 = table.AttrOffsetBytes(idx, 0);
-  const std::size_t off1 = table.AttrOffsetBytes(idx, 1);
-  EXPECT_EQ(off1 - off0, 8u);
-  // Inserting more keys must not move the slot (tombstone design).
-  for (std::uint32_t i = 100; i < 120; ++i) table.FindOrInsert(Key(i), created);
-  EXPECT_EQ(&slot, table.Find(Key(9)));
-}
-
 TEST(KeyValueTable, CollisionHeavyChainsResolveCorrectly) {
   // A minimum-size table (8 slots, 7 usable) forces every key into one probe
   // chain, so lookups must walk past slots whose index collides but whose
@@ -118,31 +112,153 @@ TEST(KeyValueTable, CollisionHeavyChainsResolveCorrectly) {
 }
 
 TEST(KeyValueTable, TombstoneReuseRefreshesHashTag) {
-  // Erase leaves the old key's tag behind in the tombstone; reusing that
-  // slot for a DIFFERENT key must overwrite the tag, or the new key becomes
-  // unfindable under the tag-first compare. Cycle insert/erase through an
-  // 8-slot table: once tombstones saturate it, every successful insert goes
-  // through tombstone reuse. (An insert can legitimately be refused when
-  // its probe lands straight on the lone empty slot — tombstones count
-  // toward the 7/8 load limit — so we only require that most succeed.)
+  // A freed slot taken by a DIFFERENT key must carry that key's tag, or the
+  // new key becomes unfindable under the tag-first compare. Cycle 32 keys
+  // through an 8-slot table with up to six live at once, so every slot is
+  // freed and retaken many times. Erase leaves no tombstones, so no insert
+  // may be refused.
   KeyValueTable table(8);
   bool created = false;
-  std::uint32_t succeeded = 0;
   for (std::uint32_t i = 0; i < 32; ++i) {
     KvSlot* s = table.TryFindOrInsert(Key(i), created);
-    if (!s) continue;  // refused at load limit; acceptable
+    ASSERT_NE(s, nullptr) << "key " << i << " refused";
     EXPECT_TRUE(created);
     s->attrs[0] = 1000 + i;
-    KvSlot* found = table.Find(Key(i));
-    ASSERT_NE(found, nullptr) << "key " << i << " vanished after insert";
-    EXPECT_EQ(found->attrs[0], 1000u + i);
-    EXPECT_TRUE(table.Erase(Key(i)));
-    EXPECT_EQ(table.Find(Key(i)), nullptr);
-    ++succeeded;
+    if (i >= 6) {
+      EXPECT_TRUE(table.Erase(Key(i - 6)));
+      EXPECT_EQ(table.Find(Key(i - 6)), nullptr);
+    }
+    for (std::uint32_t k = i >= 5 ? i - 5 : 0; k <= i; ++k) {
+      KvSlot* found = table.Find(Key(k));
+      ASSERT_NE(found, nullptr) << "key " << k << " vanished at step " << i;
+      EXPECT_EQ(found->attrs[0], 1000u + k);
+    }
   }
-  // The table never rejects everything: reuse keeps working.
-  EXPECT_GE(succeeded, 20u);
+  EXPECT_EQ(table.rejected_inserts(), 0u);
+  EXPECT_EQ(table.size(), 6u);
+}
+
+TEST(KeyValueTable, InsertEraseChurnNeverFillsTheTable) {
+  // 400 rounds of 50 fresh keys inserted then erased: 20,000 distinct keys
+  // through a 1024-slot table that never holds more than 50.
+  KeyValueTable table(1024);
+  bool created = false;
+  std::size_t erased = 0;
+  for (std::uint32_t round = 0; round < 400; ++round) {
+    for (std::uint32_t i = 0; i < 50; ++i) {
+      table.TryFindOrInsert(Key(round * 50 + i), created);
+    }
+    for (std::uint32_t i = 0; i < 50; ++i) {
+      erased += table.Erase(Key(round * 50 + i));
+    }
+  }
+  EXPECT_EQ(table.rejected_inserts(), 0u);
+  EXPECT_EQ(erased, 20'000u);
   EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.load_factor(), 0.0);
+}
+
+/// The slot array as a dense checkpoint records it: the key of the live
+/// slot at each index, or nullopt for an empty one.
+std::vector<std::optional<FlowKey>> Layout(const KeyValueTable& table) {
+  SnapshotWriter w;
+  table.Save(w, KvSnapshotMode::kDense);
+  const std::vector<std::uint8_t> bytes = w.Take();
+  // Header (8), section tag (4), mode byte (1), capacity (8), then slots.
+  constexpr std::size_t kSlotsAt = 8 + 4 + 1 + 8;
+  std::vector<std::optional<FlowKey>> out(table.capacity());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    KvSlot s;
+    std::memcpy(&s, bytes.data() + kSlotsAt + i * sizeof(KvSlot),
+                sizeof(KvSlot));
+    if (s.state == KvSlot::State::kLive) out[i] = s.key;
+  }
+  return out;
+}
+
+/// The home slot of key `id` in a table of `capacity`: where it lands alone.
+std::size_t HomeOf(std::uint32_t id, std::size_t capacity) {
+  KeyValueTable table(capacity);
+  bool created = false;
+  table.FindOrInsert(Key(id), created);
+  const auto layout = Layout(table);
+  return std::size_t(std::find(layout.begin(), layout.end(), Key(id)) -
+                     layout.begin());
+}
+
+TEST(KeyValueTable, EraseMatchesMapModelIncludingWrappedClusters) {
+  for (const std::size_t cap : {std::size_t{8}, std::size_t{64}}) {
+    SCOPED_TRACE("capacity=" + std::to_string(cap));
+    // A cluster that wraps past the end: three keys homed in the last slot
+    // fill it and slots 0 and 1, and a key homed in slot 0 lands in slot 2.
+    // Erasing the first shifts all three back by one, across the wrap.
+    std::vector<std::uint32_t> last, first;
+    for (std::uint32_t id = 0; last.size() < 3 || first.empty(); ++id) {
+      const std::size_t home = HomeOf(id, cap);
+      if (home == cap - 1 && last.size() < 3) last.push_back(id);
+      if (home == 0 && first.empty()) first.push_back(id);
+    }
+    {
+      KeyValueTable table(cap);
+      bool created = false;
+      for (const std::uint32_t id : {last[0], last[1], last[2], first[0]}) {
+        table.FindOrInsert(Key(id), created).attrs[0] = id;
+      }
+      ASSERT_EQ(Layout(table)[2], Key(first[0]));
+      EXPECT_TRUE(table.Erase(Key(last[0])));
+      const auto layout = Layout(table);
+      EXPECT_EQ(layout[cap - 1], Key(last[1]));
+      EXPECT_EQ(layout[0], Key(last[2]));
+      EXPECT_EQ(layout[1], Key(first[0]));
+      EXPECT_EQ(layout[2], std::nullopt);
+      for (const std::uint32_t id : {last[1], last[2], first[0]}) {
+        ASSERT_NE(table.Find(Key(id)), nullptr) << "key " << id;
+        EXPECT_EQ(table.Find(Key(id))->attrs[0], id);
+      }
+    }
+
+    // Random insert/erase sequences over a key pool twice the capacity, so
+    // the table runs near its load limit and clusters wrap freely.
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed));
+      std::mt19937_64 rng(seed);
+      KeyValueTable table(cap);
+      std::unordered_map<std::uint32_t, std::uint64_t> model;
+      for (std::uint32_t step = 0; step < 4000; ++step) {
+        const std::uint32_t id = std::uint32_t(rng() % (2 * cap));
+        if (rng() % 2) {
+          bool created = false;
+          KvSlot* s = table.TryFindOrInsert(Key(id), created);
+          const bool present = model.contains(id);
+          if (!present && model.size() == cap - cap / 8) {
+            EXPECT_EQ(s, nullptr) << "insert past the load limit";
+            continue;
+          }
+          ASSERT_NE(s, nullptr) << "step " << step;
+          EXPECT_EQ(created, !present);
+          s->attrs[0] = step;
+          model[id] = step;
+        } else {
+          EXPECT_EQ(table.Erase(Key(id)), model.erase(id) == 1)
+              << "step " << step;
+        }
+        ASSERT_EQ(table.size(), model.size());
+        for (const auto& [k, v] : model) {
+          const KvSlot* s = table.Find(Key(k));
+          ASSERT_NE(s, nullptr) << "key " << k << " lost at step " << step;
+          EXPECT_EQ(s->attrs[0], v);
+        }
+      }
+      // The final layout passes Load's probe-reachability check.
+      SnapshotWriter w;
+      table.Save(w);
+      const std::vector<std::uint8_t> bytes = w.Take();
+      SnapshotReader r(bytes);
+      KeyValueTable copy(cap);
+      EXPECT_NO_THROW(copy.Load(r));
+      EXPECT_EQ(copy.size(), model.size());
+    }
+  }
 }
 
 TEST(KeyValueTable, HighLoadRandomizedFindAll) {
@@ -165,8 +281,8 @@ TEST(KeyValueTable, HighLoadRandomizedFindAll) {
 }
 
 TEST(KeyValueTable, SlotLayoutKeepsRdmaOffsets) {
-  // The hash_tag field must not disturb the RDMA-published layout: attrs
-  // offset and slot stride are part of the switch-facing address contract.
+  // Checkpoints write KvSlot raw (dense arrays and sparse entries alike),
+  // so its field offsets and stride are part of the snapshot format.
   EXPECT_EQ(offsetof(KvSlot, attrs), 16u);
   EXPECT_EQ(sizeof(KvSlot), 64u);
 }

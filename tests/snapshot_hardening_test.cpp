@@ -5,7 +5,8 @@
 // BEFORE it can OOM the process or mutate the object being restored. Pinned
 // here: forged length prefixes bounded by the remaining stream,
 // KeyValueTable::Load's strong exception guarantee (throw => table unchanged
-// and still usable), dense<->sparse encoding equivalence across the
+// and still usable), its rejection of a live key its own probe cannot reach
+// or that is stored twice, dense<->sparse encoding equivalence across the
 // occupancy range, the durable-file framing (every bit flip and truncation
 // of a WriteFile checkpoint is caught, with the error naming the section and
 // absolute file offsets), the delta-checkpoint encode/apply pair, the
@@ -35,9 +36,9 @@ FlowKey Key(std::uint32_t id) {
   return FlowKey(FlowKeyKind::kSrcIp, FiveTuple{.src_ip = id});
 }
 
-/// Fill `table` with `n` live keys (deterministic contents), then tombstone
-/// every fourth one so round-trips cover all three slot states.
-void Fill(KeyValueTable& table, std::uint32_t n, bool with_tombstones) {
+/// Fill `table` with `n` live keys (deterministic contents), then erase
+/// every fourth one so round-trips cover slots moved by backward shift.
+void Fill(KeyValueTable& table, std::uint32_t n, bool with_erasures) {
   bool created = false;
   for (std::uint32_t i = 1; i <= n; ++i) {
     KvSlot& s = table.FindOrInsert(Key(i), created);
@@ -46,7 +47,7 @@ void Fill(KeyValueTable& table, std::uint32_t n, bool with_tombstones) {
     s.num_attrs = 2;
     s.last_subwindow = i;
   }
-  if (with_tombstones) {
+  if (with_erasures) {
     for (std::uint32_t i = 4; i <= n; i += 4) table.Erase(Key(i));
   }
 }
@@ -58,11 +59,10 @@ std::vector<std::uint8_t> SaveBytes(const KeyValueTable& table,
   return w.Take();
 }
 
+/// The dense encoding is the raw slot array.
 bool BackingEqual(const KeyValueTable& a, const KeyValueTable& b) {
-  return a.capacity() == b.capacity() &&
-         std::memcmp(const_cast<KeyValueTable&>(a).data(),
-                     const_cast<KeyValueTable&>(b).data(),
-                     a.backing_bytes()) == 0;
+  return SaveBytes(a, KvSnapshotMode::kDense) ==
+         SaveBytes(b, KvSnapshotMode::kDense);
 }
 
 void LoadInto(KeyValueTable& table, const std::vector<std::uint8_t>& bytes) {
@@ -154,13 +154,13 @@ TEST(SnapshotHardening, TruncationErrorNamesSectionAndOffset) {
 
 TEST(KvTableHardening, CapacityMismatchLeavesTableUntouchedAndUsable) {
   KeyValueTable src(64);
-  Fill(src, 10, /*with_tombstones=*/false);
+  Fill(src, 10, /*with_erasures=*/false);
   const std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kAuto);
 
   KeyValueTable dst(128);
-  Fill(dst, 5, /*with_tombstones=*/false);
+  Fill(dst, 5, /*with_erasures=*/false);
   KeyValueTable before(128);
-  Fill(before, 5, /*with_tombstones=*/false);
+  Fill(before, 5, /*with_erasures=*/false);
 
   EXPECT_THROW(LoadInto(dst, bytes), SnapshotError);
   EXPECT_TRUE(BackingEqual(dst, before)) << "failed Load mutated the table";
@@ -176,14 +176,14 @@ TEST(KvTableHardening, CapacityMismatchLeavesTableUntouchedAndUsable) {
 
 TEST(KvTableHardening, TruncatedStreamLeavesTableUntouchedAndUsable) {
   KeyValueTable src(64);
-  Fill(src, 12, /*with_tombstones=*/true);
+  Fill(src, 12, /*with_erasures=*/true);
   std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kSparse);
   bytes.resize(bytes.size() - 40);  // cut into the trailing tallies/entries
 
   KeyValueTable dst(64);
-  Fill(dst, 5, /*with_tombstones=*/false);
+  Fill(dst, 5, /*with_erasures=*/false);
   KeyValueTable before(64);
-  Fill(before, 5, /*with_tombstones=*/false);
+  Fill(before, 5, /*with_erasures=*/false);
 
   EXPECT_THROW(LoadInto(dst, bytes), SnapshotError);
   EXPECT_TRUE(BackingEqual(dst, before)) << "failed Load mutated the table";
@@ -194,11 +194,11 @@ TEST(KvTableHardening, TruncatedStreamLeavesTableUntouchedAndUsable) {
 
 TEST(KvTableHardening, TamperedTallyIsCaughtBeforeCommit) {
   KeyValueTable src(64);
-  Fill(src, 9, /*with_tombstones=*/false);
+  Fill(src, 9, /*with_erasures=*/false);
   std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kSparse);
-  // Trailing fields are live(8) | used(8) | rejected(8); bump `live` so the
-  // stream's tally disagrees with the slots it describes.
-  bytes[bytes.size() - 24] ^= 0x01;
+  // Trailing fields are live(8) | rejected(8); bump `live` so the stream's
+  // tally disagrees with the slots it describes.
+  bytes[bytes.size() - 16] ^= 0x01;
 
   KeyValueTable dst(64);
   try {
@@ -216,25 +216,95 @@ TEST(KvTableHardening, TamperedTallyIsCaughtBeforeCommit) {
 
 TEST(KvTableHardening, InvalidSlotStateByteIsRejected) {
   KeyValueTable src(64);
-  Fill(src, 4, /*with_tombstones=*/false);
-  std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kDense);
-  // Overwrite slot 0's state byte with a value no enumerator names.
-  bytes[kKvHeaderBytes + offsetof(KvSlot, state)] = 0x77;
+  Fill(src, 4, /*with_erasures=*/false);
+  // 0x77 is a value no enumerator names; 2 was a tombstone up to format v4,
+  // and no table writes it any more.
+  for (const std::uint8_t state : {std::uint8_t{0x77}, std::uint8_t{2}}) {
+    std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kDense);
+    // Overwrite slot 0's state byte.
+    bytes[kKvHeaderBytes + offsetof(KvSlot, state)] = state;
 
+    KeyValueTable dst(64);
+    try {
+      LoadInto(dst, bytes);
+      FAIL() << "state byte " << unsigned(state) << " must throw";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid slot state " +
+                                           std::to_string(state)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// A one-key 64-slot table saved sparse, and the slot index it was saved at
+/// (the key's home: it is alone).
+struct LoneKey {
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t home = 0;
+  KvSlot slot;
+};
+
+LoneKey SaveLoneKey(std::uint32_t id) {
+  KeyValueTable table(64);
+  bool created = false;
+  table.FindOrInsert(Key(id), created).attrs[0] = 7;
+  LoneKey lone;
+  lone.bytes = SaveBytes(table, KvSnapshotMode::kSparse);
+  // Sparse payload: occupied count (8), then the (index, slot) pair.
+  std::memcpy(&lone.home, lone.bytes.data() + kKvHeaderBytes + 8, 8);
+  std::memcpy(&lone.slot, lone.bytes.data() + kKvHeaderBytes + 16,
+              sizeof(KvSlot));
+  return lone;
+}
+
+void ExpectKvCorrupt(const std::vector<std::uint8_t>& bytes,
+                     const std::string& needle) {
   KeyValueTable dst(64);
   try {
     LoadInto(dst, bytes);
-    FAIL() << "invalid state byte must throw";
+    FAIL() << "forged stream loaded; expected \"" << needle << "\"";
   } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("invalid slot state"),
-              std::string::npos)
-        << e.what();
+    const std::string what = e.what();
+    EXPECT_NE(what.find("section 0x1B"), std::string::npos) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
   }
+  EXPECT_EQ(dst.size(), 0u);
+}
+
+TEST(KvTableHardening, KeyPastAnEmptySlotOnItsProbeIsRejected) {
+  // The lone live slot moved three slots past its home, tallies intact:
+  // Find would stop at the empty home and miss it, and a later insert
+  // would store the key a second time.
+  LoneKey lone = SaveLoneKey(5);
+  const std::uint64_t moved = (lone.home + 3) % 64;
+  std::memcpy(lone.bytes.data() + kKvHeaderBytes + 8, &moved, 8);
+  ExpectKvCorrupt(lone.bytes, "unreachable");
+}
+
+TEST(KvTableHardening, KeyStoredTwiceIsRejected) {
+  // The same key in two adjacent slots from its home on: both reachable,
+  // but Find only ever returns the first, and ForEach visits it twice.
+  std::uint32_t id = 1;
+  while (SaveLoneKey(id).home >= 63) ++id;
+  const LoneKey lone = SaveLoneKey(id);
+  SnapshotWriter w;
+  w.Section(snap::kKvTable);
+  w.U8(1);    // sparse
+  w.Size(64); // capacity
+  w.Size(2);  // occupied
+  for (const std::uint64_t idx : {lone.home, lone.home + 1}) {
+    w.U64(idx);
+    w.Pod(lone.slot);
+  }
+  w.Size(2);  // live
+  w.U64(0);   // rejected inserts
+  ExpectKvCorrupt(w.Take(), "unreachable");
 }
 
 TEST(KvTableHardening, SparseIndexOutOfOrderOrBeyondCapacityRejected) {
   KeyValueTable src(64);
-  Fill(src, 2, /*with_tombstones=*/false);
+  Fill(src, 2, /*with_erasures=*/false);
   std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kSparse);
   // First sparse entry starts right after the occupied count: forge its
   // slot index beyond the capacity.
@@ -251,10 +321,10 @@ TEST(KvTableHardening, DenseSparseRoundTripAcrossOccupancies) {
   // Capacity 64 => sparse threshold 32, insert ceiling 56 (7/8 load).
   const std::size_t threshold = KeyValueTable::SparseSaveThreshold(64);
   ASSERT_EQ(threshold, 32u);
-  for (const std::uint32_t occupancy : {0u, 1u, 31u, 32u, 56u}) {
+  for (const std::uint32_t occupancy : {0u, 1u, 31u, 32u, 40u, 56u}) {
     SCOPED_TRACE("occupancy=" + std::to_string(occupancy));
     KeyValueTable src(64);
-    Fill(src, occupancy, /*with_tombstones=*/occupancy >= 8);
+    Fill(src, occupancy, /*with_erasures=*/occupancy >= 8);
 
     for (const KvSnapshotMode mode :
          {KvSnapshotMode::kDense, KvSnapshotMode::kSparse}) {
@@ -270,16 +340,17 @@ TEST(KvTableHardening, DenseSparseRoundTripAcrossOccupancies) {
       EXPECT_EQ(SaveBytes(dst, mode), bytes);
     }
 
-    // kAuto picks sparse strictly below the threshold, dense at and above.
+    // kAuto picks sparse while the live slots stay strictly below the
+    // threshold, dense at and above (erased keys leave nothing behind).
     const std::vector<std::uint8_t> bytes =
         SaveBytes(src, KvSnapshotMode::kAuto);
-    EXPECT_EQ(bytes[kKvModeByteOffset], occupancy < threshold ? 1 : 0);
+    EXPECT_EQ(bytes[kKvModeByteOffset], src.size() < threshold ? 1 : 0);
   }
 }
 
 TEST(KvTableHardening, SparseEncodingShrinksLowOccupancyCheckpoints) {
   KeyValueTable table(1 << 12);
-  Fill(table, 64, /*with_tombstones=*/false);
+  Fill(table, 64, /*with_erasures=*/false);
   const std::size_t sparse = SaveBytes(table, KvSnapshotMode::kSparse).size();
   const std::size_t dense = SaveBytes(table, KvSnapshotMode::kDense).size();
   EXPECT_GE(dense / sparse, 10u)
@@ -318,7 +389,7 @@ std::vector<std::uint8_t> ReadRaw(const std::string& path) {
 SnapshotWriter TwoSectionWriter(std::size_t* second_section_offset) {
   SnapshotWriter w;
   KeyValueTable table(64);
-  Fill(table, 10, /*with_tombstones=*/true);
+  Fill(table, 10, /*with_erasures=*/true);
   table.Save(w, KvSnapshotMode::kSparse);
   *second_section_offset = w.buffer().size();
   w.Section(snap::kController);
@@ -340,7 +411,7 @@ TEST(SnapshotFile, WriteReadRoundTrip) {
   SnapshotReader r(back);
   KeyValueTable table(64);
   table.Load(r);
-  EXPECT_EQ(table.size(), 8u);  // 10 inserts, 2 tombstoned (4 and 8)
+  EXPECT_EQ(table.size(), 8u);  // 10 inserts, 2 erased (4 and 8)
   r.Section(snap::kController);
   for (std::uint64_t i = 0; i < 32; ++i) EXPECT_EQ(r.U64(), i * 3);
   EXPECT_TRUE(r.AtEnd());
