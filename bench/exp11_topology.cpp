@@ -15,11 +15,11 @@
 // table tightens — localization inherits the app's error, the window
 // mechanism adds none of its own.
 //
-// Part C sweeps the conservative-lookahead parallel fabric engine
-// (docs/parallel_execution.md) over thread count x fabric size and emits
-// BENCH_fabric.json (override with --out=, round budget with --min-time=)
-// for the regression gate in tools/check_bench_regression.py. Every row
-// replays once untimed before its timed rounds.
+// Part C times the fabric engine (docs/network_topologies.md) over three
+// leaf-spine sizes, one row per fabric, and emits BENCH_fabric.json
+// (override with --out=, round budget with --min-time=) for the regression
+// gate in tools/check_bench_regression.py. Every row replays once untimed
+// before its timed rounds.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -32,7 +32,6 @@
 
 #include "bench/harness.h"
 #include "src/core/network_runner.h"
-#include "src/obs/obs.h"
 #include "src/telemetry/exact_count.h"
 #include "src/telemetry/network_queries.h"
 #include "src/telemetry/query_builder.h"
@@ -213,25 +212,7 @@ void LocalizationSweep(const Trace& trace) {
 }
 
 // ---------------------------------------------------------------------------
-// Part C: parallel engine, thread-count x fabric-size sweep.
-
-/// Sum-of-worker-busy over max-worker-busy from the `net.parallel.busy_ns.*`
-/// counters of the runs since the last obs reset: how much concurrent work
-/// the conservative horizons exposed, independent of how many cores the
-/// host actually has (the perf_merge convention for 1-2 vCPU CI hosts —
-/// wall-clock speedup is only meaningful when host_cpus covers the workers).
-double CriticalPathSpeedup(std::size_t threads) {
-  std::uint64_t sum = 0, longest = 0;
-  for (std::size_t w = 0; w < threads; ++w) {
-    const std::uint64_t busy =
-        obs::Global()
-            .GetCounter("net.parallel.busy_ns.w" + std::to_string(w))
-            .value();
-    sum += busy;
-    longest = std::max(longest, busy);
-  }
-  return longest > 0 ? double(sum) / double(longest) : 0.0;
-}
+// Part C: fabric engine cost by fabric size.
 
 void FabricSweep(const Trace& trace, double min_time,
                  const std::string& out_path) {
@@ -240,73 +221,64 @@ void FabricSweep(const Trace& trace, double min_time,
     std::size_t leaves, spines;
   };
   // 64 switches (48 leaves x 16 spines) is the headline point; the smaller
-  // fabrics show where the horizon overhead starts paying for itself.
+  // fabrics show how the per-packet cost grows with the hop count and the
+  // number of switches the engine scans.
   const std::vector<Fabric> fabrics = {
       {"leafspine-4x3", 4, 3},
       {"leafspine-8x8", 8, 8},
       {"leafspine-48x16", 48, 16},
   };
   std::vector<bench::BenchThroughputRow> rows;
-  std::printf("%16s %8s %7s %9s %8s %10s %6s\n", "fabric", "threads",
-              "rounds", "agg-pkts", "ns/pkt", "Mpps", "cp-x");
+  std::printf("%16s %7s %9s %8s %10s\n", "fabric", "rounds", "agg-pkts",
+              "ns/pkt", "Mpps");
   for (const Fabric& fab : fabrics) {
     TopologyConfig topo;
     topo.kind = TopologyKind::kLeafSpine;
     topo.leaves = fab.leaves;
     topo.spines = fab.spines;
-    for (const std::size_t threads : {0u, 1u, 2u, 4u, 8u}) {
-      NetworkRunConfig cfg = BaseConfig(topo);
-      cfg.capture_counts = false;  // bench the engine, not the table copies
-      cfg.parallel.threads = threads;
-      const auto replay = [&] {
-        return RunOmniWindowFabric(
-            trace,
-            [](std::size_t) { return std::make_shared<ExactCountApp>(); },
-            cfg);
-      };
-      // One untimed round first: otherwise whichever row runs first on a
-      // fabric pays the first-touch page faults of its per-switch tables
-      // (64 x 4 MB at 48x16) and reads as a slower engine.
-      (void)replay();
-      obs::Global().Reset();
-      double wall_ns = 0;
-      std::uint64_t agg_pkts = 0;  // every packet at every switch it crossed
-      int rounds = 0;
-      while (rounds < 1 || wall_ns < min_time * 1e9) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const NetworkRunResult net = replay();
-        wall_ns += double(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
-        agg_pkts = 0;
-        for (const SwitchRun& sw : net.per_switch) {
-          agg_pkts += sw.data_plane.packets_measured;
-        }
-        ++rounds;
+    NetworkRunConfig cfg = BaseConfig(topo);
+    cfg.capture_counts = false;  // bench the engine, not the table copies
+    const auto replay = [&] {
+      return RunOmniWindowFabric(
+          trace, [](std::size_t) { return std::make_shared<ExactCountApp>(); },
+          cfg);
+    };
+    // One untimed round first, so the timed rounds do not pay the
+    // first-touch page faults of the per-switch tables (64 x 4 MB at
+    // 48x16).
+    (void)replay();
+    double wall_ns = 0;
+    std::uint64_t agg_pkts = 0;  // every packet at every switch it crossed
+    int rounds = 0;
+    while (rounds < 1 || wall_ns < min_time * 1e9) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const NetworkRunResult net = replay();
+      wall_ns += double(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+      agg_pkts = 0;
+      for (const SwitchRun& sw : net.per_switch) {
+        agg_pkts += sw.data_plane.packets_measured;
       }
-      bench::BenchThroughputRow row;
-      row.workload = fab.name;
-      row.items = agg_pkts;
-      row.rounds = rounds;
-      row.ns_per_item = wall_ns / (double(agg_pkts) * rounds);
-      row.items_per_sec = 1e9 / row.ns_per_item;
-      row.threads = int(threads);
-      if (threads > 0) {
-        row.critical_path_speedup = CriticalPathSpeedup(threads);
-      }
-      std::printf("%16s %8zu %7d %9llu %8.1f %10.3f %6.2f\n", fab.name,
-                  threads, rounds, (unsigned long long)agg_pkts,
-                  row.ns_per_item, row.items_per_sec / 1e6,
-                  row.critical_path_speedup);
-      rows.push_back(std::move(row));
+      ++rounds;
     }
+    bench::BenchThroughputRow row;
+    row.workload = fab.name;
+    row.items = agg_pkts;
+    row.rounds = rounds;
+    row.ns_per_item = wall_ns / (double(agg_pkts) * rounds);
+    row.items_per_sec = 1e9 / row.ns_per_item;
+    std::printf("%16s %7d %9llu %8.1f %10.3f\n", fab.name, rounds,
+                (unsigned long long)agg_pkts, row.ns_per_item,
+                row.items_per_sec / 1e6);
+    rows.push_back(std::move(row));
   }
   char trace_desc[160];
   std::snprintf(trace_desc, sizeof(trace_desc),
                 "{\"name\": \"MakeTrace(1101)\", \"packets\": %zu, "
                 "\"duration_ms\": 400}",
                 trace.packets.size());
-  if (bench::WriteThroughputJson(out_path, "fabric_parallel", trace_desc,
+  if (bench::WriteThroughputJson(out_path, "fabric", trace_desc,
                                  min_time, "packet", rows)) {
     std::printf("wrote %s\n", out_path.c_str());
   } else {
@@ -332,8 +304,7 @@ int main(int argc, char** argv) {
   std::printf("\n(The exact instrument charges every drop to the armed link; "
               "shrinking hash tables add collision phantoms — the residual "
               "error is the app's, not the window mechanism's.)\n");
-  std::printf("\n-- Part C: parallel engine, thread x fabric sweep "
-              "(conservative lookahead, bit-identical windows) --\n");
+  std::printf("\n-- Part C: fabric engine cost by leaf-spine size --\n");
   FabricSweep(trace, min_time, out_path);
   return 0;
 }

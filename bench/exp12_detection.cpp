@@ -9,13 +9,10 @@
 // streaming precision / recall / detection latency.
 //
 // Part A scores the detector on a line fabric and a leaf-spine fabric.
-// Part B re-runs the leaf-spine fabric on the parallel engine (4 threads)
-// and asserts the alert stream is bit-identical to the sequential
-// reference.
 //
 // Emits BENCH_detect.json (--out=) and exits non-zero if leaf-spine
-// precision < 0.9, recall < 0.8, or the parallel run mismatches —
-// the CI detection smoke job runs this binary on a thinned trace (--pps=).
+// precision < 0.9 or recall < 0.8 — the CI detection smoke job runs this
+// binary on a thinned trace (--pps=).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -112,50 +109,20 @@ RunOutcome RunDetection(const Trace& trace, NetworkRunConfig cfg,
 struct ResultRow {
   std::string fabric;
   std::size_t switches = 0;
-  std::size_t threads = 0;
   RunOutcome run;
   detect::StreamingScore score;
-  bool identical = true;  ///< alert stream == the threads=0 reference
 };
-
-void PrintAlert(const char* tag, const detect::Alert& a) {
-  std::printf(
-      "  %s sw=%d entity=(kind=%u src=%08x dst=%08x) %s->%s score=%.4f "
-      "value=%llu span=[%llu,%llu] win=[%lld,%lld]ms done=%lld partial=%d\n",
-      tag, a.switch_id, unsigned(a.entity.kind()), a.entity.src_ip(),
-      a.entity.dst_ip(), detect::HealthStateName(a.from),
-      detect::HealthStateName(a.to), a.score, (unsigned long long)a.value,
-      (unsigned long long)a.span.first, (unsigned long long)a.span.last,
-      (long long)(a.window_start / kMilli), (long long)(a.window_end / kMilli),
-      (long long)a.completed_at, int(a.partial));
-}
-
-/// Diagnostic for determinism failures: show the first differing alert.
-void PrintFirstDiff(const std::vector<detect::Alert>& ref,
-                    const std::vector<detect::Alert>& got) {
-  const std::size_t n = std::min(ref.size(), got.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ref[i] == got[i]) continue;
-    std::printf("  first difference at alert %zu:\n", i);
-    PrintAlert("ref", ref[i]);
-    PrintAlert("got", got[i]);
-    return;
-  }
-  std::printf("  streams diverge in length: ref=%zu got=%zu\n", ref.size(),
-              got.size());
-}
 
 void PrintRow(const ResultRow& r) {
   std::printf(
-      "%15s thr=%zu  windows=%-5zu alerts=%-4zu p=%.3f r=%.3f "
-      "(%zu/%zu labels) lat=%.0f/%.0f ms  tracked-peak=%zu  %s\n",
-      r.fabric.c_str(), r.threads, r.run.windows,
+      "%15s  windows=%-5zu alerts=%-4zu p=%.3f r=%.3f "
+      "(%zu/%zu labels) lat=%.0f/%.0f ms  tracked-peak=%zu\n",
+      r.fabric.c_str(), r.run.windows,
       r.score.actionable_alerts, r.score.pr.precision, r.score.pr.recall,
       r.score.labels_detected, r.score.labels,
       double(r.score.mean_detection_latency) / double(kMilli),
       double(r.score.max_detection_latency) / double(kMilli),
-      r.run.stats.tracked_peak,
-      r.identical ? "bit-identical" : "DETERMINISM MISMATCH");
+      r.run.stats.tracked_peak);
 }
 
 bool WriteJson(const std::string& path, const LabeledTrace& lt,
@@ -183,7 +150,6 @@ bool WriteJson(const std::string& path, const LabeledTrace& lt,
     const ResultRow& r = rows[i];
     out << "    {\"fabric\": \"" << r.fabric << "\""
         << ", \"switches\": " << r.switches
-        << ", \"threads\": " << r.threads
         << ", \"windows\": " << r.run.windows
         << ", \"alerts\": " << r.run.alerts.size()
         << ", \"actionable_alerts\": " << r.score.actionable_alerts
@@ -199,9 +165,7 @@ bool WriteJson(const std::string& path, const LabeledTrace& lt,
         << ", \"tracked_peak\": " << r.run.stats.tracked_peak
         << ", \"tracked_cap\": " << dcfg.max_entities * r.switches
         << ", \"evictions\": " << r.run.stats.evictions
-        << ", \"wall_ms\": " << r.run.wall_ms
-        << ", \"identical_to_reference\": "
-        << (r.identical ? "true" : "false") << "}"
+        << ", \"wall_ms\": " << r.run.wall_ms << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -246,24 +210,6 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
 
-  std::printf(
-      "\n-- Part B: leaf-spine determinism "
-      "(parallel engine vs thr=0 reference) --\n");
-  NetworkRunConfig parallel_cfg = BaseConfig(leafspine);
-  parallel_cfg.parallel.threads = 4;
-  ResultRow parallel;
-  parallel.fabric = "leafspine-4x3";
-  parallel.threads = parallel_cfg.parallel.threads;
-  parallel.run = RunDetection(lt.trace, parallel_cfg, dcfg);
-  parallel.switches = parallel.run.switches;
-  parallel.score = detect::ScoreAlertStream(parallel.run.alerts, lt.labels);
-  const std::vector<detect::Alert>& reference = rows.back().run.alerts;
-  const bool identical = parallel.run.alerts == reference;
-  parallel.identical = identical;
-  PrintRow(parallel);
-  if (!identical) PrintFirstDiff(reference, parallel.run.alerts);
-  rows.push_back(std::move(parallel));
-
   if (WriteJson(out_path, lt, dcfg, rows)) {
     std::printf("\nwrote %s\n", out_path.c_str());
   } else {
@@ -271,9 +217,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Acceptance floors (the leaf-spine quality row + the determinism row).
+  // Acceptance floors on the leaf-spine quality row.
   const ResultRow& headline = rows[1];
-  bool ok = identical;
+  bool ok = true;
   if (headline.score.pr.precision < 0.9) {
     std::printf("FAIL: leaf-spine precision %.3f < 0.9\n",
                 headline.score.pr.precision);
@@ -284,6 +230,5 @@ int main(int argc, char** argv) {
                 headline.score.pr.recall);
     ok = false;
   }
-  if (!identical) std::printf("FAIL: alert streams not bit-identical\n");
   return ok ? 0 : 1;
 }

@@ -7,8 +7,8 @@
 // window, wider than the switch retransmission cache of depth 8). The
 // primary controller plane is killed at a fixed boundary; the standby
 // takes over (FabricSession::FailOver) and re-requests everything its
-// checkpoint predates. Swept over snapshot cadence x fabric engine
-// threads against a per-engine uninterrupted reference.
+// checkpoint predates. Swept over snapshot cadence against one
+// uninterrupted reference.
 //
 // The headline curve: windows_lost (reference windows NOT recovered
 // exactly — flagged or absent; absent is always 0 by the exact-or-flagged
@@ -64,7 +64,7 @@ Trace MakeTrace(double pps) {
   return gen.GenerateBackground();
 }
 
-NetworkRunConfig BaseConfig(std::size_t threads) {
+NetworkRunConfig BaseConfig() {
   WindowSpec spec;
   spec.type = WindowType::kSliding;
   spec.window_size = 500 * kMilli;
@@ -79,7 +79,6 @@ NetworkRunConfig BaseConfig(std::size_t threads) {
   cfg.capture_counts = true;
   cfg.link.latency = 20 * kMicro;
   cfg.link.jitter = 2 * kMicro;
-  cfg.parallel.threads = threads;
   return cfg;
 }
 
@@ -87,7 +86,6 @@ AdapterPtr MakeApp(std::size_t) { return std::make_shared<ExactCountApp>(); }
 
 struct ResultRow {
   std::size_t cadence = 1;
-  std::size_t threads = 0;
   failover::FailoverReport report;
   failover::WindowComparison cmp;
   /// Reference windows not recovered exactly (flagged or absent).
@@ -96,10 +94,10 @@ struct ResultRow {
 
 void PrintRow(const ResultRow& r) {
   std::printf(
-      "cadence=%-2zu thr=%zu  kill@%zu stale=%-2zu snap=%6zuB  "
+      "cadence=%-2zu kill@%zu stale=%-2zu snap=%6zuB  "
       "windows=%-3zu exact=%-3zu flagged=%-2zu lost=%zu  requeried=%zu "
       "sw-lost=%zu dup=%zu  takeover sim=%.1fms wall=%.0fus  %s\n",
-      r.cadence, r.threads, r.report.kill_boundary,
+      r.cadence, r.report.kill_boundary,
       r.report.staleness_boundaries, r.report.snapshot_bytes,
       r.cmp.windows_total, r.cmp.exact, r.cmp.flagged, r.windows_lost,
       r.report.subwindows_requeried, r.report.subwindows_lost,
@@ -123,7 +121,6 @@ bool WriteJson(const std::string& path, const Trace& trace,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ResultRow& r = rows[i];
     out << "    {\"workload\": \"failover-c" << r.cadence << "\""
-        << ", \"threads\": " << r.threads
         << ", \"cadence\": " << r.cadence
         << ", \"staleness_boundaries\": " << r.report.staleness_boundaries
         << ", \"snapshot_bytes\": " << r.report.snapshot_bytes
@@ -161,44 +158,38 @@ int main(int argc, char** argv) {
 
   std::vector<ResultRow> rows;
   bool ok = true;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    const NetworkRunConfig cfg = BaseConfig(threads);
-    const NetworkRunResult ref = RunOmniWindowFabric(trace, MakeApp, cfg);
-    for (const std::size_t cadence :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
-          std::size_t{16}}) {
-      failover::FailoverConfig fcfg;
-      fcfg.snapshot_cadence = cadence;
-      fcfg.kill_boundary = kKillBoundary;
-      const failover::FailoverRunResult run =
-          failover::RunWithFailover(trace, MakeApp, cfg, fcfg);
+  const NetworkRunConfig cfg = BaseConfig();
+  const NetworkRunResult ref = RunOmniWindowFabric(trace, MakeApp, cfg);
+  for (const std::size_t cadence :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8},
+        std::size_t{16}}) {
+    failover::FailoverConfig fcfg;
+    fcfg.snapshot_cadence = cadence;
+    fcfg.kill_boundary = kKillBoundary;
+    const failover::FailoverRunResult run =
+        failover::RunWithFailover(trace, MakeApp, cfg, fcfg);
 
-      ResultRow row;
-      row.cadence = cadence;
-      row.threads = threads;
-      row.report = run.report;
-      row.cmp = failover::CompareWindows(ref, run.spliced);
-      row.windows_lost = row.cmp.windows_total - row.cmp.exact;
-      PrintRow(row);
+    ResultRow row;
+    row.cadence = cadence;
+    row.report = run.report;
+    row.cmp = failover::CompareWindows(ref, run.spliced);
+    row.windows_lost = row.cmp.windows_total - row.cmp.exact;
+    PrintRow(row);
 
-      // The takeover contract, everywhere: nothing absent, nothing
-      // silently divergent, always caught up.
-      if (row.cmp.lost || row.cmp.divergent_unflagged ||
-          !row.report.caught_up) {
-        std::printf("FAIL: takeover contract violated in cadence=%zu "
-                    "thr=%zu\n",
-                    cadence, threads);
-        ok = false;
-      }
-      // The headline gate: cadence 1 keeps the staleness inside the
-      // switch retransmission cache — zero windows lost.
-      if (cadence == 1 && row.windows_lost != 0) {
-        std::printf("FAIL: %zu windows lost at cadence 1 (thr=%zu)\n",
-                    row.windows_lost, threads);
-        ok = false;
-      }
-      rows.push_back(std::move(row));
+    // The takeover contract, everywhere: nothing absent, nothing silently
+    // divergent, always caught up.
+    if (row.cmp.lost || row.cmp.divergent_unflagged || !row.report.caught_up) {
+      std::printf("FAIL: takeover contract violated in cadence=%zu\n",
+                  cadence);
+      ok = false;
     }
+    // The headline gate: cadence 1 keeps the staleness inside the switch
+    // retransmission cache — zero windows lost.
+    if (cadence == 1 && row.windows_lost != 0) {
+      std::printf("FAIL: %zu windows lost at cadence 1\n", row.windows_lost);
+      ok = false;
+    }
+    rows.push_back(std::move(row));
   }
 
   if (WriteJson(out_path, trace, rows)) {

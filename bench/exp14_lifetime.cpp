@@ -9,7 +9,7 @@
 // windows it emitted. The parent splices the per-segment window streams
 // and asserts BIT-IDENTITY with an uninterrupted in-process reference —
 // spans, completion times, partial flags, detection sets, delivered and
-// per-link counters all equal. Swept over fabric engine threads {0,4}.
+// per-link counters all equal.
 //
 // Measured into BENCH_lifetime.json (committed baseline, gated by
 // tools/check_bench_regression.py --metrics=bytes):
@@ -94,7 +94,7 @@ Trace MakeTrace(double pps) {
   return gen.GenerateBackground();
 }
 
-NetworkRunConfig BaseConfig(std::size_t threads) {
+NetworkRunConfig BaseConfig() {
   WindowSpec spec;
   spec.type = WindowType::kSliding;
   spec.window_size = 500 * kMilli;
@@ -110,7 +110,6 @@ NetworkRunConfig BaseConfig(std::size_t threads) {
   cfg.topology.spines = 2;
   cfg.link.latency = 20 * kMicro;
   cfg.link.jitter = 2 * kMicro;
-  cfg.parallel.threads = threads;
   return cfg;
 }
 
@@ -310,7 +309,6 @@ std::size_t FileBytes(const std::string& path) {
 /// and dump the windows this lifetime emitted.
 int RunChild(int argc, char** argv) {
   const double pps = ArgD(argc, argv, "--pps", 8'000);
-  const std::size_t threads = std::size_t(ArgD(argc, argv, "--threads", 0));
   const std::size_t to = std::size_t(ArgD(argc, argv, "--to", 0));
   const std::string restore = ArgS(argc, argv, "--restore", "");
   const std::string ckpt = ArgS(argc, argv, "--ckpt", "");
@@ -318,7 +316,7 @@ int RunChild(int argc, char** argv) {
   const bool final = HasArg(argc, argv, "--finish");
 
   const Trace trace = MakeTrace(pps);
-  FabricSession session(trace, MakeApp, BaseConfig(threads), Detect);
+  FabricSession session(trace, MakeApp, BaseConfig(), Detect);
   if (!restore.empty()) session.RestoreFromFile(restore);
   for (std::size_t k = std::size_t(ArgD(argc, argv, "--from", 0)) + 1;
        k <= to; ++k) {
@@ -334,7 +332,6 @@ int RunChild(int argc, char** argv) {
 }
 
 struct ResultRow {
-  std::size_t threads = 0;
   std::size_t segments = 0;
   std::size_t checkpoints = 0;
   double snapshot_bytes = 0;        ///< avg auto-encoded payload bytes
@@ -351,7 +348,7 @@ struct ResultRow {
 };
 
 bool WriteJson(const std::string& path, const Trace& trace,
-               const std::vector<ResultRow>& rows) {
+               const ResultRow& r) {
   std::ofstream out(path);
   if (!out) return false;
   out << "{\n  \"bench\": \"lifetime\",\n";
@@ -362,31 +359,26 @@ bool WriteJson(const std::string& path, const Trace& trace,
   out << "  \"checkpoint_cadence_boundaries\": " << kCadence << ",\n";
   out << "  \"results\": [\n";
   char buf[160];
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ResultRow& r = rows[i];
-    out << "    {\"workload\": \"lifetime\""
-        << ", \"threads\": " << r.threads
-        << ", \"segments\": " << r.segments
-        << ", \"checkpoints\": " << r.checkpoints;
-    std::snprintf(buf, sizeof(buf),
-                  ", \"snapshot_bytes\": %.0f"
-                  ", \"dense_snapshot_bytes\": %.0f"
-                  ", \"sparse_reduction\": %.2f"
-                  ", \"checkpoint_file_bytes\": %zu",
-                  r.snapshot_bytes, r.dense_snapshot_bytes,
-                  r.sparse_reduction, r.checkpoint_file_bytes);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  ", \"write_MBps\": %.1f, \"ref_wall_ms\": %.1f"
-                  ", \"splice_wall_ms\": %.1f, \"restart_overhead\": %.2f",
-                  r.write_mbps, r.ref_wall_ms, r.splice_wall_ms,
-                  r.restart_overhead);
-    out << buf << ", \"splice_identical\": "
-        << (r.splice_identical ? "true" : "false")
-        << ", \"corrupt_trials\": " << r.corrupt_trials
-        << ", \"corrupt_caught\": " << r.corrupt_caught << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
+  out << "    {\"workload\": \"lifetime\""
+      << ", \"segments\": " << r.segments
+      << ", \"checkpoints\": " << r.checkpoints;
+  std::snprintf(buf, sizeof(buf),
+                ", \"snapshot_bytes\": %.0f"
+                ", \"dense_snapshot_bytes\": %.0f"
+                ", \"sparse_reduction\": %.2f"
+                ", \"checkpoint_file_bytes\": %zu",
+                r.snapshot_bytes, r.dense_snapshot_bytes, r.sparse_reduction,
+                r.checkpoint_file_bytes);
+  out << buf;
+  std::snprintf(buf, sizeof(buf),
+                ", \"write_MBps\": %.1f, \"ref_wall_ms\": %.1f"
+                ", \"splice_wall_ms\": %.1f, \"restart_overhead\": %.2f",
+                r.write_mbps, r.ref_wall_ms, r.splice_wall_ms,
+                r.restart_overhead);
+  out << buf << ", \"splice_identical\": "
+      << (r.splice_identical ? "true" : "false")
+      << ", \"corrupt_trials\": " << r.corrupt_trials
+      << ", \"corrupt_caught\": " << r.corrupt_caught << "}\n";
   out << "  ]\n}\n";
   return bool(out);
 }
@@ -447,129 +439,115 @@ int main(int argc, char** argv) {
       trace.packets.size(), (long long)(kDuration / kMilli), kTotal, kCadence,
       cuts.size() + 1);
 
-  std::vector<ResultRow> rows;
-  bool ok = true;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    ResultRow row;
-    row.threads = threads;
-    row.segments = cuts.size() + 1;
+  ResultRow row;
+  row.segments = cuts.size() + 1;
 
-    // Uninterrupted reference, sampling auto-vs-dense checkpoint bytes
-    // at every would-be checkpoint boundary.
-    const std::uint64_t ref_start = WallNs();
-    FabricSession ref_session(trace, MakeApp, BaseConfig(threads), Detect);
-    double auto_bytes = 0, dense_bytes = 0;
-    std::size_t next_cut = 0;
-    for (std::size_t k = 1; k < kTotal; ++k) {
-      ref_session.DriveUntil(Nanos(k) * kSub);
-      if (next_cut < cuts.size() && k == cuts[next_cut]) {
-        auto_bytes +=
-            double(ref_session.Snapshot(KvSnapshotMode::kAuto).size());
-        dense_bytes +=
-            double(ref_session.Snapshot(KvSnapshotMode::kDense).size());
-        ++next_cut;
-        ++row.checkpoints;
-      }
+  // Uninterrupted reference, sampling auto-vs-dense checkpoint bytes at
+  // every would-be checkpoint boundary.
+  const std::uint64_t ref_start = WallNs();
+  FabricSession ref_session(trace, MakeApp, BaseConfig(), Detect);
+  double auto_bytes = 0, dense_bytes = 0;
+  std::size_t next_cut = 0;
+  for (std::size_t k = 1; k < kTotal; ++k) {
+    ref_session.DriveUntil(Nanos(k) * kSub);
+    if (next_cut < cuts.size() && k == cuts[next_cut]) {
+      auto_bytes += double(ref_session.Snapshot(KvSnapshotMode::kAuto).size());
+      dense_bytes +=
+          double(ref_session.Snapshot(KvSnapshotMode::kDense).size());
+      ++next_cut;
+      ++row.checkpoints;
     }
-    const FlatRun ref = FlattenResult(ref_session.Finish(), true);
-    row.ref_wall_ms = double(WallNs() - ref_start) / 1e6;
-    row.snapshot_bytes = auto_bytes / double(row.checkpoints);
-    row.dense_snapshot_bytes = dense_bytes / double(row.checkpoints);
-    row.sparse_reduction = dense_bytes / auto_bytes;
+  }
+  const FlatRun ref = FlattenResult(ref_session.Finish(), true);
+  row.ref_wall_ms = double(WallNs() - ref_start) / 1e6;
+  row.snapshot_bytes = auto_bytes / double(row.checkpoints);
+  row.dense_snapshot_bytes = dense_bytes / double(row.checkpoints);
+  row.sparse_reduction = dense_bytes / auto_bytes;
 
-    // Segmented run: each lifetime is a real child process.
-    const std::string tag = "exp14_t" + std::to_string(threads);
-    const std::uint64_t splice_start = WallNs();
-    std::vector<FlatRun> segments;
-    bool spawn_ok = true;
-    for (std::size_t s = 0; s <= cuts.size(); ++s) {
-      const std::size_t from = s == 0 ? 0 : cuts[s - 1];
-      const bool final = s == cuts.size();
-      const std::size_t to = final ? kTotal : cuts[s];
-      const std::string ckpt = tag + "_ck" + std::to_string(s) + ".owsnap";
-      const std::string dump = tag + "_seg" + std::to_string(s) + ".bin";
-      std::string cmd = std::string(argv[0]) + " --child --pps=" +
-                        std::to_string(pps) +
-                        " --threads=" + std::to_string(threads) +
-                        " --from=" + std::to_string(from) +
-                        " --to=" + std::to_string(to) + " --dump=" + dump;
-      if (s > 0) cmd += " --restore=" + tag + "_ck" +
-                        std::to_string(s - 1) + ".owsnap";
-      if (final) {
-        cmd += " --finish";
-      } else {
-        cmd += " --ckpt=" + ckpt;
-      }
-      if (std::system(cmd.c_str()) != 0) {
-        std::printf("FAIL: child segment %zu exited non-zero (thr=%zu)\n",
-                    s, threads);
-        spawn_ok = false;
-        break;
-      }
-      segments.push_back(ReadRun(dump));
+  // Segmented run: each lifetime is a real child process.
+  const std::string tag = "exp14";
+  const std::uint64_t splice_start = WallNs();
+  std::vector<FlatRun> segments;
+  bool spawn_ok = true;
+  for (std::size_t s = 0; s <= cuts.size(); ++s) {
+    const std::size_t from = s == 0 ? 0 : cuts[s - 1];
+    const bool final = s == cuts.size();
+    const std::size_t to = final ? kTotal : cuts[s];
+    const std::string ckpt = tag + "_ck" + std::to_string(s) + ".owsnap";
+    const std::string dump = tag + "_seg" + std::to_string(s) + ".bin";
+    std::string cmd = std::string(argv[0]) + " --child --pps=" +
+                      std::to_string(pps) + " --from=" + std::to_string(from) +
+                      " --to=" + std::to_string(to) + " --dump=" + dump;
+    if (s > 0) {
+      cmd += " --restore=" + tag + "_ck" + std::to_string(s - 1) + ".owsnap";
     }
-    row.splice_wall_ms = double(WallNs() - splice_start) / 1e6;
-    row.restart_overhead =
-        row.ref_wall_ms > 0 ? row.splice_wall_ms / row.ref_wall_ms : 0;
+    if (final) {
+      cmd += " --finish";
+    } else {
+      cmd += " --ckpt=" + ckpt;
+    }
+    if (std::system(cmd.c_str()) != 0) {
+      std::printf("FAIL: child segment %zu exited non-zero\n", s);
+      spawn_ok = false;
+      break;
+    }
+    segments.push_back(ReadRun(dump));
+  }
+  row.splice_wall_ms = double(WallNs() - splice_start) / 1e6;
+  row.restart_overhead =
+      row.ref_wall_ms > 0 ? row.splice_wall_ms / row.ref_wall_ms : 0;
 
-    if (spawn_ok) {
-      const std::string mismatch = CompareSplice(ref, segments);
-      row.splice_identical = mismatch.empty();
-      if (!row.splice_identical) {
-        std::printf("FAIL: splice diverges (thr=%zu): %s\n", threads,
-                    mismatch.c_str());
-      }
-    }
-    ok = ok && spawn_ok && row.splice_identical;
-
-    // Durable-file metrics + corruption sweep on the first checkpoint.
-    const std::string first_ck = tag + "_ck0.owsnap";
-    row.checkpoint_file_bytes = FileBytes(first_ck);
-    {
-      const std::uint64_t w0 = WallNs();
-      FabricSession probe(trace, MakeApp, BaseConfig(threads), Detect);
-      probe.RestoreFromFile(first_ck);
-      const std::string wtmp = tag + "_wprobe.owsnap";
-      probe.SnapshotToFile(wtmp, KvSnapshotMode::kAuto);
-      const std::uint64_t w1 = WallNs();
-      row.write_mbps = double(FileBytes(wtmp)) / 1e6 /
-                       (double(w1 - w0) / 1e9);
-      std::remove(wtmp.c_str());
-    }
-    CorruptSweep(first_ck, row);
-    if (row.corrupt_caught != row.corrupt_trials) {
-      std::printf("FAIL: %zu/%zu corruptions loaded without SnapshotError "
-                  "(thr=%zu)\n",
-                  row.corrupt_trials - row.corrupt_caught,
-                  row.corrupt_trials, threads);
+  bool ok = spawn_ok;
+  if (spawn_ok) {
+    const std::string mismatch = CompareSplice(ref, segments);
+    row.splice_identical = mismatch.empty();
+    if (!row.splice_identical) {
+      std::printf("FAIL: splice diverges: %s\n", mismatch.c_str());
       ok = false;
     }
-    if (row.sparse_reduction < 10.0) {
-      std::printf("FAIL: sparse reduction %.2fx below the 10x bar "
-                  "(thr=%zu)\n",
-                  row.sparse_reduction, threads);
-      ok = false;
-    }
-
-    for (std::size_t s = 0; s <= cuts.size(); ++s) {
-      std::remove((tag + "_ck" + std::to_string(s) + ".owsnap").c_str());
-      std::remove((tag + "_seg" + std::to_string(s) + ".bin").c_str());
-    }
-
-    std::printf(
-        "thr=%zu  segments=%zu ckpt=%6.0fKB dense=%7.0fKB "
-        "(%.1fx)  file=%zuB write=%.0fMB/s  ref=%.0fms splice=%.0fms "
-        "(%.2fx)  corrupt=%zu/%zu  %s\n",
-        threads, row.segments, row.snapshot_bytes / 1e3,
-        row.dense_snapshot_bytes / 1e3, row.sparse_reduction,
-        row.checkpoint_file_bytes, row.write_mbps, row.ref_wall_ms,
-        row.splice_wall_ms, row.restart_overhead, row.corrupt_caught,
-        row.corrupt_trials,
-        row.splice_identical ? "splice-identical" : "SPLICE DIVERGED");
-    rows.push_back(row);
   }
 
-  if (WriteJson(out_path, trace, rows)) {
+  // Durable-file metrics + corruption sweep on the first checkpoint.
+  const std::string first_ck = tag + "_ck0.owsnap";
+  row.checkpoint_file_bytes = FileBytes(first_ck);
+  {
+    const std::uint64_t w0 = WallNs();
+    FabricSession probe(trace, MakeApp, BaseConfig(), Detect);
+    probe.RestoreFromFile(first_ck);
+    const std::string wtmp = tag + "_wprobe.owsnap";
+    probe.SnapshotToFile(wtmp, KvSnapshotMode::kAuto);
+    const std::uint64_t w1 = WallNs();
+    row.write_mbps = double(FileBytes(wtmp)) / 1e6 / (double(w1 - w0) / 1e9);
+    std::remove(wtmp.c_str());
+  }
+  CorruptSweep(first_ck, row);
+  if (row.corrupt_caught != row.corrupt_trials) {
+    std::printf("FAIL: %zu/%zu corruptions loaded without SnapshotError\n",
+                row.corrupt_trials - row.corrupt_caught, row.corrupt_trials);
+    ok = false;
+  }
+  if (row.sparse_reduction < 10.0) {
+    std::printf("FAIL: sparse reduction %.2fx below the 10x bar\n",
+                row.sparse_reduction);
+    ok = false;
+  }
+
+  for (std::size_t s = 0; s <= cuts.size(); ++s) {
+    std::remove((tag + "_ck" + std::to_string(s) + ".owsnap").c_str());
+    std::remove((tag + "_seg" + std::to_string(s) + ".bin").c_str());
+  }
+
+  std::printf(
+      "segments=%zu ckpt=%6.0fKB dense=%7.0fKB (%.1fx)  file=%zuB "
+      "write=%.0fMB/s  ref=%.0fms splice=%.0fms (%.2fx)  corrupt=%zu/%zu  "
+      "%s\n",
+      row.segments, row.snapshot_bytes / 1e3, row.dense_snapshot_bytes / 1e3,
+      row.sparse_reduction, row.checkpoint_file_bytes, row.write_mbps,
+      row.ref_wall_ms, row.splice_wall_ms, row.restart_overhead,
+      row.corrupt_caught, row.corrupt_trials,
+      row.splice_identical ? "splice-identical" : "SPLICE DIVERGED");
+
+  if (WriteJson(out_path, trace, row)) {
     std::printf("\nwrote %s\n", out_path.c_str());
   } else {
     std::printf("\nFAILED to write %s\n", out_path.c_str());

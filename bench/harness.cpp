@@ -48,11 +48,6 @@ bool WriteThroughputJson(const std::string& path, const std::string& bench,
                  static_cast<unsigned long long>(r.items), r.rounds,
                  item_name.c_str(), r.ns_per_item, item_name.c_str(),
                  r.items_per_sec);
-    if (r.threads >= 0) std::fprintf(f, ", \"threads\": %d", r.threads);
-    if (r.critical_path_speedup > 0) {
-      std::fprintf(f, ", \"critical_path_speedup\": %.2f",
-                   r.critical_path_speedup);
-    }
     if (r.allocs_per_item >= 0) {
       std::fprintf(f, ", \"allocs_per_%s\": %.4f", item_name.c_str(),
                    r.allocs_per_item);

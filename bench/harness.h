@@ -84,13 +84,6 @@ struct BenchThroughputRow {
   int rounds = 0;
   double ns_per_item = 0;
   double items_per_sec = 0;
-  /// Worker threads used (emitted when >= 0; part of the row identity in
-  /// tools/check_bench_regression.py, which keys rows by workload+threads).
-  int threads = -1;
-  /// Sum-of-worker-busy over max-worker-busy: how much concurrent work the
-  /// engine exposed, independent of how many cores the host actually has
-  /// (the perf_merge convention for 1-vCPU CI hosts). Emitted when > 0.
-  double critical_path_speedup = 0;
   /// Heap allocations (operator new calls) per item inside the timed
   /// region, measured via the OW_ALLOC_TRACE hook. Emitted when >= 0;
   /// negative means the build has no tracing. The steady-state target — and

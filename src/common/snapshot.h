@@ -3,7 +3,7 @@
 // A snapshot captures the complete mutable state of a running simulation —
 // switch event lanes, register cells, tracker blooms, controller pending
 // state, RNG streams, link counters, detector baselines — at a quiescent
-// point (no worker threads running, typically a sub-window boundary), so a
+// point (no drive in progress, typically a sub-window boundary), so a
 // fresh process can rebuild the same topology from config and resume the
 // run *bit-identically*: the same windows, stats and alert streams as an
 // uninterrupted run.
@@ -55,7 +55,10 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// word before it is gone.
 /// v5: KeyValueTable deletes by backward shift: no tombstones, so a slot's
 /// state byte is 0 or 1 and the `used` (live + tombstone) tally is gone.
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+/// v6: links deliver straight into the switch event lanes: the Switch
+/// section loses the staged-arrival lane, its saved minimum and its seq
+/// counter, and the Network section its per-endpoint tx counters.
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;

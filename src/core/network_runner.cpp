@@ -119,7 +119,6 @@ FabricSession::FabricSession(
   }
 
   const std::size_t num_switches = adj_.size();
-  net_.SetParallel(cfg_.parallel);
   result_.per_switch.resize(num_switches);
 
   for (std::size_t i = 0; i < num_switches; ++i) {
@@ -160,7 +159,7 @@ FabricSession::FabricSession(
         [report](const Packet& p, Nanos now) { report->Transmit(p, now); });
     controller->SetWindowHandler([this, i](const WindowResult& w) {
       // Streaming consumers see the window first, while the table view
-      // is live. Concurrency contract: see NetworkRunConfig.
+      // is live.
       if (cfg_.window_observer) cfg_.window_observer(i, w);
       EmittedWindow ew;
       ew.span = w.span;
@@ -211,8 +210,8 @@ FabricSession::FabricSession(
   // Egress switches of multi-path fabrics deliver to counted sinks; the
   // line keeps its historical "last hop forwards into the void" behavior so
   // pre-change runs reproduce bit for bit. Each sink counts into its own
-  // cell (stable deque addresses): under a parallel drive sinks fire on the
-  // worker that owns their leaf, so a shared total would race.
+  // cell (stable deque addresses), which the session snapshot saves per
+  // sink.
   if (cfg_.topology.kind != TopologyKind::kLine) {
     for (std::size_t u = 0; u < num_switches; ++u) {
       if (!adj_[u].empty() || u == 0) continue;

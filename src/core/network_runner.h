@@ -76,19 +76,10 @@ struct NetworkRunConfig {
   /// historical line behavior. Targeted arming gives localization tests a
   /// single known-lossy link as ground truth.
   int fault_link_index = -1;
-  /// Execution engine for the fabric drive: threads == 0 is the sequential
-  /// engine, threads >= 1 the conservative-lookahead worker pool. Windows,
-  /// stats, and link counters are bit-identical across thread counts
-  /// (parallel_fabric_test); `detect` callbacks must be thread-safe under
-  /// a parallel drive (per-switch window handlers may run concurrently).
-  ParallelConfig parallel;
   /// Always-on streaming consumer: invoked for every completed window of
   /// every controller, with the owning switch's index, while the window's
-  /// table view is still valid. Under a parallel drive, calls for one
-  /// switch are serialized but different switches may call concurrently —
-  /// the observer must not share unsynchronized state across switch ids
-  /// (src/detect's DetectionService keeps per-switch detectors for exactly
-  /// this reason).
+  /// table view is still valid. Calls run one at a time, on the thread
+  /// that drives the session.
   std::function<void(std::size_t switch_index, const WindowResult&)>
       window_observer;
 };

@@ -216,25 +216,4 @@ class ScopedSpan {
   std::uint64_t start_ = 0;
 };
 
-/// RAII wall-clock accumulator: adds the nanoseconds between construction
-/// and destruction to a Counter. Unlike ScopedSpan it is always on and
-/// feeds a plain counter, so aggregate busy-time accounting (e.g. the
-/// parallel fabric engine's per-worker busy totals, the runner's
-/// fabric-drive total) lands in the stats JSON without tracing enabled.
-class ScopedTimerNs {
- public:
-  explicit ScopedTimerNs(Counter& c) noexcept : c_(&c) {
-    if constexpr (kEnabled) start_ = NowNs();
-  }
-  ~ScopedTimerNs() {
-    if constexpr (kEnabled) c_->Add(NowNs() - start_);
-  }
-  ScopedTimerNs(const ScopedTimerNs&) = delete;
-  ScopedTimerNs& operator=(const ScopedTimerNs&) = delete;
-
- private:
-  Counter* c_;
-  std::uint64_t start_ = 0;
-};
-
 }  // namespace ow::obs

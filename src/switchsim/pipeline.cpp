@@ -39,7 +39,7 @@ void Switch::EnqueueFromWire(Packet p, Nanos arrival) {
   // In-order arrivals ride the FIFO lane; a late arrival (links with jitter
   // can reorder) falls back to the heap so the (time, seq) total order is
   // preserved exactly.
-  if (FifoAdmissible(ev.time, ev.seq)) {
+  if (FifoAdmissible(ev.time)) {
     FifoPush(std::move(ev));
   } else {
     HeapPush(std::move(ev));
@@ -49,30 +49,6 @@ void Switch::EnqueueFromWire(Packet p, Nanos arrival) {
 void Switch::EnqueueFromController(Packet p, Nanos arrival) {
   NotifyActivity();
   HeapPush({arrival, next_seq_++, PacketSource::kController, std::move(p)});
-}
-
-void Switch::StageFromWire(Packet p, Nanos arrival, std::uint32_t ingress_link,
-                           std::uint64_t tx_index) {
-  NotifyActivity();
-  staged_.push_back({arrival, ingress_link, tx_index, std::move(p)});
-  std::push_heap(staged_.begin(), staged_.end(), StagedAfter{});
-}
-
-std::size_t Switch::CommitStagedThrough(Nanos bound) {
-  std::size_t committed = 0;
-  while (!staged_.empty() && staged_.front().time <= bound) {
-    std::pop_heap(staged_.begin(), staged_.end(), StagedAfter{});
-    StagedArrival& a = staged_.back();
-    Event ev{a.time, staged_seq_++, PacketSource::kWire, std::move(a.packet)};
-    staged_.pop_back();
-    if (FifoAdmissible(ev.time, ev.seq)) {
-      FifoPush(std::move(ev));
-    } else {
-      HeapPush(std::move(ev));
-    }
-    ++committed;
-  }
-  return committed;
 }
 
 void Switch::FifoPush(Event ev) {
@@ -178,7 +154,7 @@ void Switch::FlushCounts(const PassCounts& counts) noexcept {
   if (counts.dropped) obs_dropped_->Add(counts.dropped);
 }
 
-std::size_t Switch::RunBatch(Nanos max_time, std::size_t max_events) {
+std::size_t Switch::RunBatch(Nanos max_time) {
   if (!program_ && (!FifoEmpty() || !heap_.empty())) {
     throw std::logic_error("Switch " + std::to_string(id_) + ": no program");
   }
@@ -192,17 +168,16 @@ std::size_t Switch::RunBatch(Nanos max_time, std::size_t max_events) {
     ~Flusher() { sw->FlushCounts(*c); }
   } flusher{this, &counts};
 
-  while (processed < max_events) {
+  while (true) {
     // Fast lane: a run of in-order wire packets with nothing on the heap
     // (the steady state between collection rounds) needs no lane
     // comparison — pop, process, repeat.
-    while (!FifoEmpty() && heap_.empty() && processed < max_events) {
+    while (!FifoEmpty() && heap_.empty()) {
       if (FifoFront().time > max_time) return processed;
       Event ev = FifoPop();
       DispatchEvent(ev, counts);
       ++processed;
     }
-    if (processed >= max_events) break;
 
     const bool have_fifo = !FifoEmpty();
     const bool have_heap = !heap_.empty();
@@ -248,15 +223,6 @@ void Switch::Save(SnapshotWriter& w) const {
   for (const Event& ev : heap_) {
     SaveEvent(w, ev.time, ev.seq, ev.source, ev.packet);
   }
-  w.Size(staged_.size());
-  for (const StagedArrival& a : staged_) {
-    w.I64(a.time);
-    w.U32(a.ingress);
-    w.U64(a.tx);
-    SavePacket(w, a.packet);
-  }
-  w.I64(StagedMinTime());
-  w.U64(staged_seq_);
   w.U64(next_seq_);
   w.I64(last_dispatched_);
   w.U64(total_passes_);
@@ -266,9 +232,13 @@ void Switch::Save(SnapshotWriter& w) const {
 
 void Switch::Load(SnapshotReader& r) {
   r.Section(snap::kSwitch);
-  const auto load_event = [&r](Event& ev) {
+  std::uint64_t max_seq = 0;
+  bool any_event = false;
+  const auto load_event = [&](Event& ev) {
     ev.time = r.I64();
     ev.seq = r.U64();
+    max_seq = std::max(max_seq, ev.seq);
+    any_event = true;
     const std::uint8_t source = r.U8();
     if (source > std::uint8_t(PacketSource::kRecirculation)) {
       throw SnapshotError("Switch [section 0x14]: event source byte " +
@@ -278,8 +248,7 @@ void Switch::Load(SnapshotReader& r) {
     LoadPacket(r, ev.packet);
   };
   // Counts are bounded by the bytes left (an event is at least its
-  // time + seq + source, a staged arrival its time + ingress + tx) before
-  // any lane is sized.
+  // time + seq + source) before either lane is sized.
   const std::size_t nfifo = r.Count(17);
   std::size_t cap = 64;
   while (cap < nfifo) cap *= 2;
@@ -308,28 +277,16 @@ void Switch::Load(SnapshotReader& r) {
                         std::to_string(heap_.size()) +
                         "-event heap lane is not a (time, seq) min-heap");
   }
-  staged_.clear();
-  staged_.resize(r.Count(20));
-  for (StagedArrival& a : staged_) {
-    a.time = r.I64();
-    a.ingress = r.U32();
-    a.tx = r.U64();
-    LoadPacket(r, a.packet);
-  }
-  // Snapshots may list staged arrivals in any order (older writers left
-  // them partitioned, not heap-ordered); the canonical key alone decides
-  // commit order.
-  std::make_heap(staged_.begin(), staged_.end(), StagedAfter{});
-  const Nanos staged_min = r.I64();
-  if (staged_min != StagedMinTime()) {
-    throw SnapshotError(
-        "Switch [section 0x14]: saved staged minimum " +
-        std::to_string(staged_min) + " disagrees with the earliest of the " +
-        std::to_string(staged_.size()) + " staged arrivals (" +
-        std::to_string(StagedMinTime()) + ")");
-  }
-  staged_seq_ = r.U64();
+  // New events take seqs from next_seq_ on; one at or below a restored
+  // event's seq would win a time tie against it, and the FIFO's time-only
+  // admission would no longer keep the ring sorted.
   next_seq_ = r.U64();
+  if (any_event && next_seq_ <= max_seq) {
+    throw SnapshotError("Switch [section 0x14]: saved next seq " +
+                        std::to_string(next_seq_) +
+                        " does not exceed the restored events' highest seq " +
+                        std::to_string(max_seq));
+  }
   last_dispatched_ = r.I64();
   total_passes_ = r.U64();
   recirc_passes_ = r.U64();

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -50,17 +49,6 @@ enum class PacketSource : std::uint8_t {
 /// "No egress chosen": the switch falls back to its forwarding policy, then
 /// to port 0 (the historical single-downstream behavior).
 inline constexpr int kNoEgressPort = -1;
-/// Seq-space split between the two ingress paths. Directly enqueued events
-/// (EnqueueFromWire / EnqueueFromController / recirculations) draw their
-/// (time, seq) tiebreak from one shared counter starting here; staged
-/// fabric-wire arrivals (StageFromWire / CommitStagedThrough) draw from a
-/// second counter starting at 0. Staged arrivals therefore deterministically
-/// win exact-time ties against internally generated events, no matter which
-/// engine (sequential or parallel, any thread count) committed them — the
-/// keystone of the parallel engine's bit-identical guarantee. Relative order
-/// WITHIN each space is unchanged, so runs that never stage (direct
-/// attachment, single switch) reproduce the historical engine exactly.
-inline constexpr std::uint64_t kSharedSeqBase = std::uint64_t(1) << 62;
 /// Replicate the packet on every connected egress port (protocol floods,
 /// e.g. the end-of-trace sentinel that must terminate every path).
 inline constexpr int kFloodEgress = -2;
@@ -161,63 +149,20 @@ class Switch {
   void EnqueueFromWire(Packet p, Nanos arrival);
   void EnqueueFromController(Packet p, Nanos arrival);
 
-  /// Buffer a fabric-wire arrival WITHOUT assigning its dispatch seq yet.
-  /// `ingress_link` is the arrival link's ordinal among this switch's
-  /// ingress links and `tx_index` the per-link transmission counter, both
-  /// assigned at send time by the upstream switch's (deterministic)
-  /// dispatch order — together with the arrival time they define one
-  /// canonical total order over wire arrivals that no engine or thread
-  /// schedule can perturb. The staged buffer is a binary min-heap on that
-  /// key, so staging costs O(log staged), however much of a trace a
-  /// one-shot replay has staged ahead of the commit bound.
-  void StageFromWire(Packet p, Nanos arrival, std::uint32_t ingress_link,
-                     std::uint64_t tx_index);
-
-  /// Move every staged arrival with time <= `bound` into the event lanes,
-  /// in canonical (time, ingress_link, tx_index) order, assigning staged
-  /// seqs: pops the staged heap while its top is within `bound`, O(log
-  /// staged) per committed arrival and O(1) when nothing is ready. The
-  /// caller (src/net) guarantees that no arrival at or before `bound` can
-  /// be staged after this call — under that wave-partition contract,
-  /// concatenating the per-call commit sequences yields the global
-  /// canonical sort regardless of where the wave boundaries fall, which is
-  /// why sequential and parallel execution dispatch bit-identical
-  /// per-switch event orders. Returns the number of events committed.
-  std::size_t CommitStagedThrough(Nanos bound);
-
-  /// Earliest staged (uncommitted) arrival time — the staged heap's top —
-  /// or -1 when none.
-  Nanos StagedMinTime() const noexcept {
-    return staged_.empty() ? -1 : staged_.front().time;
-  }
-
-  /// Earliest pending work over lanes AND the staged buffer (-1 if idle).
-  Nanos EarliestPendingTime() const noexcept {
-    const Nanos lanes = NextEventTime();
-    const Nanos staged = StagedMinTime();
-    if (lanes < 0) return staged;
-    if (staged < 0) return lanes;
-    return lanes < staged ? lanes : staged;
-  }
-
-  /// Hook invoked on every enqueue/stage (when set). The owning Network
-  /// uses it to maintain the idle-switch skip list: quiescence detection
-  /// only scans switches that have signalled activity. Kept as a bare
-  /// branch + indirect call so the historical direct-enqueue path stays on
-  /// its fast admission check.
+  /// Hook invoked on every enqueue (when set). The owning Network uses it to
+  /// maintain the idle-switch skip list: quiescence detection only scans
+  /// switches that have signalled activity. Kept as a bare branch +
+  /// indirect call so the enqueue path stays on its fast admission check.
   void SetActivityListener(std::function<void()> listener) {
     on_activity_ = std::move(listener);
   }
 
-  /// Batched drain: process up to `max_events` events with time <=
-  /// `max_time`, in (time, seq) order — recirculations and injections
-  /// scheduled within the horizon included — favoring tight runs of
-  /// same-lane events (no per-event lane comparison while the heap is
-  /// empty). Returns the number of events processed; last_event_time()
-  /// reports how far the drain got.
-  std::size_t RunBatch(
-      Nanos max_time,
-      std::size_t max_events = std::numeric_limits<std::size_t>::max());
+  /// Batched drain: process every event with time <= `max_time`, in
+  /// (time, seq) order — recirculations and injections scheduled within
+  /// the horizon included — favoring tight runs of same-lane events (no
+  /// per-event lane comparison while the heap is empty). Returns the number
+  /// of events processed; last_event_time() reports how far the drain got.
+  std::size_t RunBatch(Nanos max_time);
 
   /// Earliest pending event time, or -1 when idle.
   Nanos NextEventTime() const;
@@ -230,16 +175,15 @@ class Switch {
   std::uint64_t total_passes() const noexcept { return total_passes_; }
   std::uint64_t recirc_passes() const noexcept { return recirc_passes_; }
 
-  /// Checkpoint the event lanes (FIFO, heap, staged buffer) and the seq /
-  /// pass counters. Program state, port handlers and the forwarding policy
-  /// are configuration the restoring side rebuilds before calling Load.
-  /// The FIFO ring is renormalized to head 0 and the heap restored in
-  /// layout order, so dispatch order is preserved exactly; Load throws
+  /// Checkpoint the event lanes (FIFO, heap) and the seq / pass counters.
+  /// Program state, port handlers and the forwarding policy are
+  /// configuration the restoring side rebuilds before calling Load. The
+  /// FIFO ring is renormalized to head 0 and the heap restored in layout
+  /// order, so dispatch order is preserved exactly; Load throws
   /// SnapshotError unless the FIFO strictly increases in (time, seq), the
-  /// heap array is a heap and every source byte names a PacketSource. The
-  /// staged buffer is re-heapified on load (its saved order is arbitrary;
-  /// the canonical key alone decides commit order) and the saved staged
-  /// minimum must equal the restored heap's top, else Load throws.
+  /// heap array is a heap, every source byte names a PacketSource and the
+  /// saved next seq is above every restored event's seq (a lower one would
+  /// let the next enqueue dispatch ahead of a restored event at its time).
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
@@ -267,23 +211,6 @@ class Switch {
     std::uint64_t dropped = 0;
   };
 
-  /// One buffered wire arrival awaiting its canonical commit.
-  struct StagedArrival {
-    Nanos time;
-    std::uint32_t ingress;
-    std::uint64_t tx;
-    Packet packet;
-  };
-  /// min-heap comparator on the canonical (time, ingress, tx) key, unique
-  /// per arrival: `a` commits after `b`.
-  struct StagedAfter {
-    bool operator()(const StagedArrival& a, const StagedArrival& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.ingress != b.ingress) return a.ingress > b.ingress;
-      return a.tx > b.tx;
-    }
-  };
-
   void DispatchEvent(Event& ev, PassCounts& counts);
   void FlushCounts(const PassCounts& counts) noexcept;
   void NotifyActivity() {
@@ -296,15 +223,11 @@ class Switch {
   const Event& FifoTail() const noexcept {
     return fifo_[(fifo_head_ + fifo_size_ - 1) & (fifo_.size() - 1)];
   }
-  /// (time, seq)-aware admission: the ring only accepts events that extend
-  /// the tail in total order. For the monotone shared-seq direct path this
-  /// degenerates to the historical time-only check; staged commits need the
-  /// seq arm because their small seqs can tie the tail's time yet sort
-  /// before a shared-seq tail event.
-  bool FifoAdmissible(Nanos time, std::uint64_t seq) const noexcept {
-    if (FifoEmpty()) return true;
-    const Event& tail = FifoTail();
-    return time != tail.time ? time > tail.time : seq > tail.seq;
+  /// The ring only accepts events that extend its tail in (time, seq)
+  /// order. Seqs are drawn from one increasing counter, so a new event
+  /// extends the tail exactly when it is not earlier.
+  bool FifoAdmissible(Nanos time) const noexcept {
+    return FifoEmpty() || time >= FifoTail().time;
   }
   void FifoPush(Event ev);
   Event FifoPop() noexcept;
@@ -326,11 +249,9 @@ class Switch {
   std::size_t fifo_size_ = 0;
   PooledVector<Event> heap_;
 
-  PooledVector<StagedArrival> staged_;  ///< binary min-heap (StagedAfter)
-  std::uint64_t staged_seq_ = 0;
   std::function<void()> on_activity_;
 
-  std::uint64_t next_seq_ = kSharedSeqBase;
+  std::uint64_t next_seq_ = 0;
   Nanos last_dispatched_ = -1;
   std::uint64_t total_passes_ = 0;
   std::uint64_t recirc_passes_ = 0;

@@ -1,0 +1,272 @@
+// Golden fingerprints of full fabric replays through the one event engine
+// (Network::RunUntilQuiescent, docs/network_topologies.md). Each run folds
+// everything observable into one 64-bit value: per switch its windows
+// (span, completed_at, partial flag), its per-window count tables in sorted
+// key order and every data-plane and controller Stats field; per link its
+// ground-truth counters; the delivery and drop totals; and every non-zero
+// scalar obs line (counters and gauges). Only integers are hashed, so every
+// compiler and build type computes the same values.
+//
+// Re-record a constant (the failure message prints the new value) only for
+// a deliberate change of observable behaviour, and say why in the change.
+// A cyclic fabric pins the engine's cycle cap: no switch may run past its
+// own traffic coming back around the cycle.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/hash.h"
+#include "src/core/network_runner.h"
+#include "src/fault/fault.h"
+#include "src/net/network.h"
+#include "src/obs/obs.h"
+#include "src/telemetry/exact_count.h"
+#include "src/trace/generator.h"
+
+namespace ow {
+namespace {
+
+Trace FabricTrace(std::uint64_t seed) {
+  TraceConfig tc;
+  tc.seed = seed;
+  tc.duration = 400 * kMilli;
+  tc.packets_per_sec = 12'000;
+  tc.num_flows = 1'200;
+  TraceGenerator gen(tc);
+  return gen.GenerateBackground();
+}
+
+NetworkRunConfig LeafSpineConfig(std::size_t leaves, std::size_t spines) {
+  WindowSpec spec;
+  spec.type = WindowType::kTumbling;
+  spec.window_size = 100 * kMilli;
+  spec.subwindow_size = 50 * kMilli;
+  spec.slide = spec.window_size;
+  NetworkRunConfig cfg;
+  cfg.base = RunConfig::Make(spec);
+  cfg.base.controller.kv_capacity = 1 << 16;
+  cfg.topology.kind = TopologyKind::kLeafSpine;
+  cfg.topology.leaves = leaves;
+  cfg.topology.spines = spines;
+  cfg.capture_counts = true;
+  cfg.link.latency = 20 * kMicro;
+  cfg.link.jitter = 2 * kMicro;
+  return cfg;
+}
+
+class Hasher {
+ public:
+  void Add(std::uint64_t v) { h_ = Mix64(h_ ^ v); }
+  void AddKey(const FlowKey& k) {
+    Add(std::uint64_t(k.kind()));
+    Add(k.bytes().size());
+    for (const std::uint8_t b : k.bytes()) Add(b);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0;
+};
+
+/// Non-zero counters and gauges of the global registry, by name. Zero
+/// entries are skipped: Registry::Reset keeps every name an earlier run
+/// registered, so only the values say what this run did.
+void AddScalarObs(Hasher& h) {
+  std::ostringstream os;
+  obs::Global().WriteStatsJson(os);
+  std::istringstream in(os.str());
+  std::string line;
+  while (std::getline(in, line)) {
+    // Counter and gauge entries read `    "name": value`; histogram
+    // entries carry an object and wall-clock quantiles.
+    if (line.rfind("    \"", 0) != 0 || line.find('{') != std::string::npos) {
+      continue;
+    }
+    const std::size_t close = line.find("\": ", 5);
+    const std::int64_t value = std::stoll(line.substr(close + 3));
+    if (value == 0) continue;
+    for (std::size_t i = 5; i < close; ++i) h.Add(std::uint8_t(line[i]));
+    h.Add(std::uint64_t(value));
+  }
+}
+
+std::uint64_t FingerprintOf(const NetworkRunResult& net) {
+  Hasher h;
+  h.Add(net.per_switch.size());
+  for (const SwitchRun& sw : net.per_switch) {
+    h.Add(sw.windows.size());
+    for (const EmittedWindow& w : sw.windows) {
+      h.Add(w.span.first);
+      h.Add(w.span.last);
+      h.Add(std::uint64_t(w.completed_at));
+      h.Add(w.partial);
+    }
+    h.Add(sw.counts.size());
+    for (const auto& [first, table] : sw.counts) {
+      h.Add(first);
+      std::vector<std::pair<FlowKey, std::uint64_t>> sorted(table.begin(),
+                                                            table.end());
+      std::sort(sorted.begin(), sorted.end());
+      h.Add(sorted.size());
+      for (const auto& [key, count] : sorted) {
+        h.AddKey(key);
+        h.Add(count);
+      }
+    }
+    const OmniWindowProgram::Stats& dp = sw.data_plane;
+    for (const std::uint64_t v :
+         {dp.packets_measured, dp.terminations, dp.afr_generated,
+          dp.reset_passes, dp.spilled_keys, dp.stale_packets,
+          dp.collect_overruns, dp.rdma_writes, dp.rdma_fetch_adds}) {
+      h.Add(v);
+    }
+    const OmniWindowController::Stats& c = sw.controller;
+    for (const std::uint64_t v :
+         {c.afrs_received, c.subwindows_finalized,
+          c.subwindows_force_finalized, c.windows_emitted,
+          c.spilled_keys_stored, c.retransmissions_requested, c.spike_packets,
+          c.duplicate_afrs, c.inserts_rejected, c.windows_partial,
+          c.merge_stalls, c.rdma_holes_detected,
+          c.subwindows_degraded_by_switch}) {
+      h.Add(v);
+    }
+    h.Add(c.degraded_subwindows.size());
+    for (const SubWindowNum s : c.degraded_subwindows) h.Add(s);
+  }
+  h.Add(net.links.size());
+  for (const FabricLinkStats& l : net.links) {
+    h.Add(std::uint64_t(l.from));
+    h.Add(std::uint64_t(l.to));
+    h.Add(std::uint64_t(l.port));
+    h.Add(l.transmitted);
+    h.Add(l.dropped);
+    h.Add(l.duplicates);
+  }
+  h.Add(net.link_dropped);
+  h.Add(net.report_dropped);
+  h.Add(net.delivered);
+  AddScalarObs(h);
+  return h.value();
+}
+
+NetworkRunResult RunFabric(const Trace& trace, const NetworkRunConfig& cfg) {
+  obs::Global().Reset();
+  return RunOmniWindowFabric(
+      trace, [](std::size_t) { return std::make_shared<ExactCountApp>(); },
+      cfg);
+}
+
+void ExpectGolden(const NetworkRunResult& net, std::uint64_t golden) {
+  const std::uint64_t fingerprint = FingerprintOf(net);
+  EXPECT_EQ(fingerprint, golden) << "fingerprint 0x" << std::hex
+                                 << fingerprint;
+}
+
+TEST(FabricEngine, LeafSpineFaultFreeMatchesGolden) {
+  const Trace trace = FabricTrace(1201);
+  const NetworkRunResult net =
+      RunFabric(trace, LeafSpineConfig(/*leaves=*/4, /*spines=*/3));
+  ASSERT_FALSE(net.per_switch.empty());
+  ASSERT_GT(net.per_switch[0].controller.windows_emitted, 0u);
+  EXPECT_GE(net.delivered, trace.packets.size());
+  ExpectGolden(net, 0xbce1ad171ec73ea8);
+}
+
+TEST(FabricEngine, LeafSpineWithFaultsArmedMatchesGolden) {
+  const Trace trace = FabricTrace(1202);
+  NetworkRunConfig cfg = LeafSpineConfig(/*leaves=*/3, /*spines=*/2);
+  // Loss + reorder inside the fabric, loss on the report path, RPC
+  // timeouts + merge stalls in the collection plane: every recovery
+  // mechanism runs.
+  cfg.base.fault.seed = 0xF417A;
+  cfg.base.fault.inner_link.drop_rate = 0.05;
+  cfg.base.fault.inner_link.reorder_rate = 0.05;
+  cfg.base.fault.inner_link.dup_rate = 0.02;
+  cfg.base.fault.report_link.drop_rate = 0.10;
+  cfg.base.fault.switch_os.timeout_rate = 0.20;
+  cfg.base.fault.switch_os.slow_rate = 0.20;
+  cfg.base.fault.controller.merge_stall_rate = 0.20;
+
+  const NetworkRunResult net = RunFabric(trace, cfg);
+  EXPECT_GT(net.link_dropped, 0u) << "fabric loss never fired";
+  EXPECT_GT(net.report_dropped, 0u) << "report loss never fired";
+  ExpectGolden(net, 0xdd851df7aa7a628b);
+}
+
+TEST(FabricEngine, LineTopologyMatchesGolden) {
+  // Chains have no ECMP and the historical "forward into the void" egress.
+  const Trace trace = FabricTrace(1203);
+  NetworkRunConfig cfg = LeafSpineConfig(2, 2);
+  cfg.topology = TopologyConfig{};  // line
+  cfg.topology.kind = TopologyKind::kLine;
+  cfg.topology.line_switches = 4;
+
+  const NetworkRunResult net = RunFabric(trace, cfg);
+  ASSERT_EQ(net.per_switch.size(), 4u);
+  ExpectGolden(net, 0x60bde9e245e83edd);
+}
+
+/// Logs every pass and bounces each packet until it has crossed
+/// `kBounceHops` links (the hop count rides in `ow.payload`).
+class BounceProgram : public SwitchProgram {
+ public:
+  static constexpr std::uint32_t kBounceHops = 3;
+  struct Pass {
+    Nanos time;
+    std::uint32_t id;
+    std::uint32_t hops;
+  };
+
+  void Process(Packet& p, Nanos now, PacketSource,
+               PipelineActions& act) override {
+    log.push_back({now, p.seq, p.ow.payload});
+    if (p.ow.payload == kBounceHops) {
+      act.drop = true;
+    } else {
+      ++p.ow.payload;
+    }
+  }
+  std::vector<Pass> log;
+};
+
+TEST(FabricEngine, CyclicFabricKeepsCausality) {
+  // A <-> B with 1 us links: every packet A dispatches comes back to A
+  // 3.2 us later, behind packets A injected after it. The engine must not
+  // batch A past its own returning traffic, so each switch sees its passes
+  // in time order.
+  Network net;
+  Switch* a = net.AddSwitch();
+  Switch* b = net.AddSwitch();
+  const LinkParams wire{.latency = kMicro, .jitter = 0};
+  net.Connect(a, b, wire);
+  net.Connect(b, a, wire);
+  std::vector<std::shared_ptr<BounceProgram>> programs;
+  for (Switch* sw : {a, b}) {
+    programs.push_back(std::make_shared<BounceProgram>());
+    sw->SetProgram(programs.back());
+  }
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    Packet p;
+    p.seq = i;
+    a->EnqueueFromWire(p, Nanos(i) * 100);
+  }
+  net.RunUntilQuiescent(kSecond);
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    SCOPED_TRACE("switch " + std::to_string(i));
+    const std::vector<BounceProgram::Pass>& log = programs[i]->log;
+    ASSERT_EQ(log.size(), 200u);
+    for (std::size_t k = 1; k < log.size(); ++k) {
+      ASSERT_LE(log[k - 1].time, log[k].time)
+          << "pass " << k << " ran out of time order";
+    }
+  }
+}
+
+}  // namespace
+}  // namespace ow

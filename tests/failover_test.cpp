@@ -266,36 +266,29 @@ TEST(Failover, DeltaCheckpointsTakeOverIdenticallyToFullOnes) {
 
 // --- standby takeover against the live fabric ------------------------------
 
-TEST(Failover, ZeroLossAtCadenceOneAcrossEngineMatrix) {
+TEST(Failover, ZeroLossAtCadenceOne) {
   const Trace trace = MakeTrace(9303, 1'200 * kMilli);
-  for (const std::size_t threads : {0u, 4u}) {
-    SCOPED_TRACE("fabric_threads=" + std::to_string(threads));
-    NetworkRunConfig cfg = SlidingFabricConfig();
-    cfg.parallel.threads = threads;
+  const NetworkRunConfig cfg = SlidingFabricConfig();
+  const NetworkRunResult ref = RunOmniWindowFabric(trace, MakeCountApp, cfg);
 
-    const NetworkRunResult ref =
-        RunOmniWindowFabric(trace, MakeCountApp, cfg);
+  FailoverConfig fcfg;
+  fcfg.snapshot_cadence = 1;
+  fcfg.kill_boundary = 14;
+  const FailoverRunResult run = RunWithFailover(trace, MakeCountApp, cfg, fcfg);
 
-    FailoverConfig fcfg;
-    fcfg.snapshot_cadence = 1;
-    fcfg.kill_boundary = 14;
-    const FailoverRunResult run =
-        RunWithFailover(trace, MakeCountApp, cfg, fcfg);
+  EXPECT_EQ(run.report.kill_boundary, 14u);
+  EXPECT_EQ(run.report.staleness_boundaries, 1u);
+  EXPECT_TRUE(run.report.caught_up);
+  EXPECT_EQ(run.report.subwindows_lost, 0u);
+  EXPECT_GT(run.report.subwindows_requeried, 0u);
 
-    EXPECT_EQ(run.report.kill_boundary, 14u);
-    EXPECT_EQ(run.report.staleness_boundaries, 1u);
-    EXPECT_TRUE(run.report.caught_up);
-    EXPECT_EQ(run.report.subwindows_lost, 0u);
-    EXPECT_GT(run.report.subwindows_requeried, 0u);
-
-    const WindowComparison cmp = CompareWindows(ref, run.spliced);
-    ASSERT_GT(cmp.windows_total, 0u);
-    EXPECT_EQ(cmp.lost, 0u);
-    EXPECT_EQ(cmp.divergent_unflagged, 0u);
-    EXPECT_EQ(cmp.flagged, 0u)
-        << "cadence 1 is always within the retransmission cache";
-    EXPECT_EQ(cmp.exact, cmp.windows_total);
-  }
+  const WindowComparison cmp = CompareWindows(ref, run.spliced);
+  ASSERT_GT(cmp.windows_total, 0u);
+  EXPECT_EQ(cmp.lost, 0u);
+  EXPECT_EQ(cmp.divergent_unflagged, 0u);
+  EXPECT_EQ(cmp.flagged, 0u)
+      << "cadence 1 is always within the retransmission cache";
+  EXPECT_EQ(cmp.exact, cmp.windows_total);
 }
 
 TEST(Failover, SeededKillBoundaryIsDeterministic) {

@@ -1,6 +1,5 @@
 // Retry/backoff determinism (the reproducibility contract of the fault
-// subsystem): for a fixed FaultPlan seed, two runs — and runs differing
-// only in the fabric engine's thread count — produce identical retry
+// subsystem): for a fixed FaultPlan seed, two runs produce identical retry
 // counts, identical flagged-window sets, identical detections and
 // identical obs deltas.
 #include <gtest/gtest.h>
@@ -67,8 +66,7 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
-Fingerprint RunOnce(const Trace& trace, const fault::FaultPlan& plan,
-                    std::size_t engine_threads) {
+Fingerprint RunOnce(const Trace& trace, const fault::FaultPlan& plan) {
   obs::Global().Reset();
   WindowSpec spec;
   spec.type = WindowType::kTumbling;
@@ -81,7 +79,6 @@ Fingerprint RunOnce(const Trace& trace, const fault::FaultPlan& plan,
   cfg.base.fault = plan;
   cfg.topology.line_switches = 2;
   cfg.report_link_seed = 777;
-  cfg.parallel.threads = engine_threads;
 
   std::vector<std::shared_ptr<QueryAdapter>> apps;
   const NetworkRunResult net = RunOmniWindowFabric(
@@ -119,22 +116,19 @@ Fingerprint RunOnce(const Trace& trace, const fault::FaultPlan& plan,
   return fp;
 }
 
-TEST(RetryDeterminism, SameSeedSameOutcomeAcrossRunsAndEngineThreads) {
+TEST(RetryDeterminism, SameSeedSameOutcomeAcrossRuns) {
   const Trace trace = MakeTrace();
   fault::FaultPlan plan =
       fault::MakeChaosPlan(fault::ChaosKind::kLoss, 0.25, 0xD57E12);
   // Exercise the full backoff machinery, not just immediate reissue.
   // (Delays are simulated time, so this costs no wall clock.)
 
-  const Fingerprint a = RunOnce(trace, plan, /*engine_threads=*/0);
-  const Fingerprint b = RunOnce(trace, plan, /*engine_threads=*/0);
+  const Fingerprint a = RunOnce(trace, plan);
+  const Fingerprint b = RunOnce(trace, plan);
   EXPECT_EQ(a, b) << "identical runs diverged";
   // Faults really fired and recovery really ran.
   EXPECT_GT(a.retransmissions, 0u);
   EXPECT_GT(a.retry_hist_count, 0u);
-
-  const Fingerprint c = RunOnce(trace, plan, /*engine_threads=*/4);
-  EXPECT_EQ(a, c) << "the parallel engine changed fault-path results";
 }
 
 TEST(RetryDeterminism, BackoffWithJitterIsStillReproducible) {
@@ -142,7 +136,7 @@ TEST(RetryDeterminism, BackoffWithJitterIsStillReproducible) {
   fault::FaultPlan plan =
       fault::MakeChaosPlan(fault::ChaosKind::kLoss, 0.35, 0xA11CE);
 
-  auto with_backoff = [&](std::size_t threads) {
+  auto with_backoff = [&] {
     obs::Global().Reset();
     WindowSpec spec;
     spec.type = WindowType::kTumbling;
@@ -152,7 +146,6 @@ TEST(RetryDeterminism, BackoffWithJitterIsStillReproducible) {
     NetworkRunConfig cfg;
     cfg.base = RunConfig::Make(spec);
     cfg.base.fault = plan;
-    cfg.parallel.threads = threads;
     cfg.base.controller.retry.base_delay = 200 * kMicro;
     cfg.base.controller.retry.jitter_frac = 0.5;
     cfg.topology.line_switches = 2;
@@ -176,11 +169,9 @@ TEST(RetryDeterminism, BackoffWithJitterIsStillReproducible) {
     return std::make_pair(sig, retx);
   };
 
-  const auto r1 = with_backoff(0);
-  const auto r2 = with_backoff(0);
-  const auto r4 = with_backoff(4);
+  const auto r1 = with_backoff();
+  const auto r2 = with_backoff();
   EXPECT_EQ(r1, r2);
-  EXPECT_EQ(r1, r4);
   EXPECT_GT(r1.second, 0u);
 }
 

@@ -10,17 +10,19 @@
 // occupancy range, the durable-file framing (every bit flip and truncation
 // of a WriteFile checkpoint is caught, with the error naming the section and
 // absolute file offsets), the delta-checkpoint encode/apply pair, the
-// stream's version check, and Switch::Load's event lanes (any saved staged
-// order commits canonically; a forged staged minimum or count, an unsorted
-// FIFO, a heap array that is not a heap or an unknown packet source
-// throws).
+// stream's version check (a v5 stream is refused), and Switch::Load's event
+// lanes (a forged lane count, an unsorted FIFO, a heap array that is not a
+// heap, an unknown packet source or a saved next seq not above every
+// restored event's seq throws).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -596,6 +598,8 @@ TEST(SnapshotVersion, OtherVersionIsRejectedNamingBoth) {
   w.Section(snap::kSwitch);
   const std::vector<std::uint8_t> good = w.Take();
   ASSERT_NO_THROW(SnapshotReader{good});
+  // The previous version (v5 still carried the staged wire lane) and the
+  // next one are both refused.
   for (const std::uint32_t other :
        {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
     std::vector<std::uint8_t> bytes = good;
@@ -617,13 +621,6 @@ TEST(SnapshotVersion, OtherVersionIsRejectedNamingBoth) {
 
 // --- Switch::Load: the event lanes ------------------------------------------
 
-struct StagedEntry {
-  Nanos time;
-  std::uint32_t ingress;
-  std::uint64_t tx;
-  std::uint32_t id;  ///< carried in Packet::seq
-};
-
 /// A FIFO or heap lane event as Switch::Save writes it.
 struct EventEntry {
   Nanos time;
@@ -632,15 +629,16 @@ struct EventEntry {
   std::uint32_t id;     ///< carried in Packet::seq
 };
 
-/// A hand-written kSwitch section: `fifo` and `heap` lanes and `staged`
-/// arrivals in the listed order, and `staged_min` as the saved staged
-/// minimum.
+/// A hand-written kSwitch section: `fifo` and `heap` lanes in the listed
+/// order and `next_seq` as the saved next seq (default: one above every
+/// listed seq).
 std::vector<std::uint8_t> SwitchSection(
-    const std::vector<StagedEntry>& staged, Nanos staged_min,
     const std::vector<EventEntry>& fifo = {},
-    const std::vector<EventEntry>& heap = {}) {
+    const std::vector<EventEntry>& heap = {},
+    std::optional<std::uint64_t> next_seq = std::nullopt) {
   SnapshotWriter w;
   w.Section(snap::kSwitch);
+  std::uint64_t above = 0;
   for (const auto* lane : {&fifo, &heap}) {
     w.Size(lane->size());
     for (const EventEntry& ev : *lane) {
@@ -650,30 +648,21 @@ std::vector<std::uint8_t> SwitchSection(
       Packet p;
       p.seq = ev.id;
       SavePacket(w, p);
+      above = std::max(above, ev.seq + 1);
     }
   }
-  w.Size(staged.size());
-  for (const StagedEntry& a : staged) {
-    w.I64(a.time);
-    w.U32(a.ingress);
-    w.U64(a.tx);
-    Packet p;
-    p.seq = a.id;
-    SavePacket(w, p);
-  }
-  w.I64(staged_min);
-  w.U64(0);               // staged seq
-  w.U64(kSharedSeqBase);  // shared seq
-  w.I64(-1);              // last dispatched
-  w.U64(0);               // total passes
-  w.U64(0);               // recirculation passes
-  w.U64(0);               // pass epoch
+  w.U64(next_seq.value_or(above));
+  w.I64(-1);  // last dispatched
+  w.U64(0);   // total passes
+  w.U64(0);   // recirculation passes
+  w.U64(0);   // pass epoch
   return w.Take();
 }
 
-/// Offset of the staged count with empty FIFO and heap lanes: header (8),
-/// section tag (4), FIFO and heap counts (8 each).
-constexpr std::size_t kStagedCountOffset = 8 + 4 + 8 + 8;
+/// Offsets of the lane counts: header (8) and section tag (4), then the
+/// FIFO count (8) and, with an empty FIFO, the heap count.
+constexpr std::size_t kFifoCountOffset = 8 + 4;
+constexpr std::size_t kHeapCountOffset = kFifoCountOffset + 8;
 
 struct OrderProgram : SwitchProgram {
   void Process(Packet& p, Nanos, PacketSource src,
@@ -703,52 +692,43 @@ void ExpectLoadThrows(const std::vector<std::uint8_t>& bytes,
 
 TEST(SwitchLoadHardening, UnsortedFifoLaneThrows) {
   // Dispatched as restored, a FIFO of [t=300, t=100] would run 300 first.
-  ExpectLoadThrows(SwitchSection({}, -1,
-                                 {{300, kSharedSeqBase, kWireByte, 0},
-                                  {100, kSharedSeqBase + 1, kWireByte, 1}}),
-                   "FIFO entry 1");
+  ExpectLoadThrows(
+      SwitchSection({{300, 0, kWireByte, 0}, {100, 1, kWireByte, 1}}),
+      "FIFO entry 1");
   // Equal times must still increase in seq, and no entry may repeat.
-  ExpectLoadThrows(SwitchSection({}, -1,
-                                 {{100, kSharedSeqBase + 5, kWireByte, 0},
-                                  {100, kSharedSeqBase + 2, kWireByte, 1}}),
-                   "FIFO entry 1");
-  ExpectLoadThrows(SwitchSection({}, -1,
-                                 {{100, kSharedSeqBase, kWireByte, 0},
-                                  {200, kSharedSeqBase + 1, kWireByte, 1},
-                                  {200, kSharedSeqBase + 1, kWireByte, 2}}),
+  ExpectLoadThrows(
+      SwitchSection({{100, 5, kWireByte, 0}, {100, 2, kWireByte, 1}}),
+      "FIFO entry 1");
+  ExpectLoadThrows(SwitchSection({{100, 0, kWireByte, 0},
+                                  {200, 1, kWireByte, 1},
+                                  {200, 1, kWireByte, 2}}),
                    "FIFO entry 2");
 }
 
 TEST(SwitchLoadHardening, NonHeapEventLaneThrows) {
   // [300, 100, 200] is not a min-heap: restored verbatim, it would pop 300
   // first.
-  ExpectLoadThrows(SwitchSection({}, -1, {},
-                                 {{300, kSharedSeqBase, kWireByte, 0},
-                                  {100, kSharedSeqBase + 1, kWireByte, 1},
-                                  {200, kSharedSeqBase + 2, kWireByte, 2}}),
+  ExpectLoadThrows(SwitchSection({},
+                                 {{300, 0, kWireByte, 0},
+                                  {100, 1, kWireByte, 1},
+                                  {200, 2, kWireByte, 2}}),
                    "heap");
 }
 
 TEST(SwitchLoadHardening, UnknownPacketSourceThrows) {
-  const EventEntry forged{100, kSharedSeqBase, 7, 0};
-  ExpectLoadThrows(SwitchSection({}, -1, {forged}), "source byte 7");
-  ExpectLoadThrows(SwitchSection({}, -1, {}, {forged}), "source byte 7");
+  const EventEntry forged{100, 0, 7, 0};
+  ExpectLoadThrows(SwitchSection({forged}), "source byte 7");
+  ExpectLoadThrows(SwitchSection({}, {forged}), "source byte 7");
 }
 
 TEST(SwitchLoadHardening, ValidLanesDispatchInTimeSeqOrder) {
-  constexpr std::uint64_t b = kSharedSeqBase;
   const auto ctl = std::uint8_t(PacketSource::kController);
   const auto recirc = std::uint8_t(PacketSource::kRecirculation);
   // Ids follow the (time, seq) dispatch order across both lanes. The FIFO
   // is sorted; the heap array [50, 200, 150] is a min-heap but not sorted.
-  const std::vector<std::uint8_t> bytes =
-      SwitchSection({}, -1,
-                    {{100, b + 1, kWireByte, 1},
-                     {100, b + 4, kWireByte, 2},
-                     {300, b + 6, kWireByte, 5}},
-                    {{50, b + 3, recirc, 0},
-                     {200, b + 7, ctl, 4},
-                     {150, b + 2, ctl, 3}});
+  const std::vector<std::uint8_t> bytes = SwitchSection(
+      {{100, 1, kWireByte, 1}, {100, 4, kWireByte, 2}, {300, 6, kWireByte, 5}},
+      {{50, 3, recirc, 0}, {200, 7, ctl, 4}, {150, 2, ctl, 3}});
   Switch sw(0);
   auto prog = std::make_shared<OrderProgram>();
   sw.SetProgram(prog);
@@ -764,70 +744,49 @@ TEST(SwitchLoadHardening, ValidLanesDispatchInTimeSeqOrder) {
                 PacketSource::kController, PacketSource::kWire}));
 }
 
-TEST(SwitchLoadHardening, StagedArrivalsInAnyOrderCommitCanonically) {
-  // Ids follow the canonical (time, ingress, tx) order; the section lists
-  // them in reverse, an order a snapshot from before the staged lane was
-  // kept as a heap can hold.
-  const std::vector<StagedEntry> canonical = {
-      {100, 0, 0, 0}, {100, 0, 1, 1}, {100, 2, 0, 2},
-      {250, 1, 0, 3}, {250, 1, 4, 4}, {400, 0, 2, 5}};
-  const std::vector<StagedEntry> reversed(canonical.rbegin(),
-                                          canonical.rend());
-  const std::vector<std::uint8_t> bytes = SwitchSection(reversed, 100);
-
+TEST(SwitchLoadHardening, NextSeqNotAboveRestoredEventsThrows) {
+  // Restored events at t=100 with seq 5. A saved next seq of 2 would hand
+  // the next enqueue at t=100 seq 2, and it would dispatch ahead of them.
+  const EventEntry wire{100, 5, kWireByte, 0};
+  const EventEntry injected{100, 5, std::uint8_t(PacketSource::kController),
+                            0};
+  for (const std::uint64_t forged : {2u, 5u}) {
+    SCOPED_TRACE("next_seq=" + std::to_string(forged));
+    ExpectLoadThrows(SwitchSection({wire}, {}, forged), "next seq");
+    ExpectLoadThrows(SwitchSection({}, {injected}, forged), "next seq");
+  }
+  // One above the restored seq loads, and a new arrival at the same time
+  // queues behind the restored one.
+  const std::vector<std::uint8_t> bytes = SwitchSection({wire}, {}, 6);
   Switch sw(0);
   auto prog = std::make_shared<OrderProgram>();
   sw.SetProgram(prog);
   SnapshotReader r(bytes);
   sw.Load(r);
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(sw.StagedMinTime(), 100);
-  // Two commit waves, as the fabric engines issue them.
-  EXPECT_EQ(sw.CommitStagedThrough(250), 5u);
-  sw.RunBatch(250);
-  EXPECT_EQ(sw.StagedMinTime(), 400);
-  EXPECT_EQ(sw.CommitStagedThrough(kSecond), 1u);
+  Packet p;
+  p.seq = 1;
+  sw.EnqueueFromWire(p, 100);
   sw.RunBatch(kSecond);
-  EXPECT_EQ(prog->order, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
-}
-
-TEST(SwitchLoadHardening, ForgedStagedMinimumThrows) {
-  const std::vector<StagedEntry> staged = {{300, 0, 0, 0}, {200, 1, 0, 1}};
-  // Later than the true minimum (commits would be held back and packets
-  // run out of order), earlier (a phantom arrival), or "none" over a
-  // non-empty buffer (both arrivals stranded for good).
-  for (const Nanos forged : {Nanos(300), Nanos(199), Nanos(-1)}) {
-    SCOPED_TRACE("staged_min=" + std::to_string(forged));
-    const std::vector<std::uint8_t> bytes = SwitchSection(staged, forged);
-    Switch sw(0);
-    SnapshotReader r(bytes);
-    EXPECT_THROW(sw.Load(r), SnapshotError);
-  }
-  {
-    const std::vector<std::uint8_t> bytes = SwitchSection({}, 200);
-    Switch sw(0);
-    SnapshotReader r(bytes);
-    EXPECT_THROW(sw.Load(r), SnapshotError) << "minimum over an empty lane";
-  }
-  const std::vector<std::uint8_t> bytes = SwitchSection(staged, 200);
-  Switch sw(0);
-  SnapshotReader r(bytes);
-  sw.Load(r);
-  EXPECT_EQ(sw.StagedMinTime(), 200);
+  EXPECT_EQ(prog->order, (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(SwitchLoadHardening, ForgedStagedCountFailsBeforeAllocation) {
-  std::vector<std::uint8_t> bytes = SwitchSection({{300, 0, 0, 0}}, 300);
+  // Both event-lane counts are checked against the bytes left before the
+  // lane is sized.
   const std::uint64_t huge = std::uint64_t{1} << 60;
-  std::memcpy(bytes.data() + kStagedCountOffset, &huge, 8);
-  Switch sw(0);
-  SnapshotReader r(bytes);
-  try {
-    sw.Load(r);
-    FAIL() << "forged 2^60-arrival staged count must throw";
-  } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
-        << e.what();
+  for (const std::size_t offset : {kFifoCountOffset, kHeapCountOffset}) {
+    SCOPED_TRACE("count at offset " + std::to_string(offset));
+    std::vector<std::uint8_t> bytes = SwitchSection();
+    std::memcpy(bytes.data() + offset, &huge, 8);
+    Switch sw(0);
+    SnapshotReader r(bytes);
+    try {
+      sw.Load(r);
+      FAIL() << "forged 2^60-event lane count must throw";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -3,8 +3,8 @@
 // configured session, Restore(), and the resumed run must reproduce the
 // uninterrupted run exactly — same windows, per-window count tables,
 // data-plane/controller stats, link ground truth, sink deliveries and
-// detector alert streams — across fabric engine thread counts and with
-// the fault machinery armed.
+// detector alert streams — on line and leaf-spine fabrics and with the
+// fault machinery armed.
 //
 // Stream-vs-counter contract (see FabricSession): cumulative counters come
 // out of the restored session's Finish() directly; the WINDOW stream is
@@ -73,7 +73,7 @@ NetworkRunConfig LeafSpineConfig(std::size_t leaves, std::size_t spines) {
 
 /// Everything a kill/restore is NOT allowed to vary. Obs counters are
 /// process-local diagnostics, excluded from the checkpoint contract, so —
-/// unlike parallel_fabric_test — they are not part of this fingerprint.
+/// unlike fabric_engine_test — they are not part of this fingerprint.
 struct Fingerprint {
   struct Win {
     SubWindowNum first = 0, last = 0;
@@ -245,19 +245,15 @@ TEST(SnapshotRestore, LineTopologyBitIdentical) {
   }
 }
 
-TEST(SnapshotRestore, LeafSpineBitIdenticalAcrossThreadMatrix) {
+TEST(SnapshotRestore, LeafSpineBitIdentical) {
   const Trace trace = FabricTrace(8102);
-  const Nanos snap_t = 175 * kMilli;
-  for (const std::size_t threads : {0u, 4u}) {
-    SCOPED_TRACE("fabric_threads=" + std::to_string(threads));
-    NetworkRunConfig cfg = LeafSpineConfig(3, 2);
-    cfg.parallel.threads = threads;
-    const Fingerprint ref =
-        FingerprintOf(RunOmniWindowFabric(trace, MakeCountApp, cfg));
-    ASSERT_GT(ref.delivered, 0u);
-    const Fingerprint got = FingerprintOf(KillRestoreRun(trace, cfg, snap_t));
-    EXPECT_EQ(ref, got) << "kill/restore diverged from uninterrupted run";
-  }
+  const NetworkRunConfig cfg = LeafSpineConfig(3, 2);
+  const Fingerprint ref =
+      FingerprintOf(RunOmniWindowFabric(trace, MakeCountApp, cfg));
+  ASSERT_GT(ref.delivered, 0u);
+  const Fingerprint got =
+      FingerprintOf(KillRestoreRun(trace, cfg, 175 * kMilli));
+  EXPECT_EQ(ref, got) << "kill/restore diverged from uninterrupted run";
 }
 
 TEST(SnapshotRestore, BitIdenticalWithFaultsArmed) {
@@ -280,18 +276,10 @@ TEST(SnapshotRestore, BitIdenticalWithFaultsArmed) {
   EXPECT_GT(ref.link_dropped, 0u) << "fabric loss never fired";
   EXPECT_GT(ref.report_dropped, 0u) << "report loss never fired";
 
-  for (const std::size_t threads : {0u, 4u}) {
-    SCOPED_TRACE("fabric_threads=" + std::to_string(threads));
-    NetworkRunConfig cell = cfg;
-    cell.parallel.threads = threads;
-    const Fingerprint cell_ref =
-        FingerprintOf(RunOmniWindowFabric(trace, MakeCountApp, cell));
-    const Fingerprint got =
-        FingerprintOf(KillRestoreRun(trace, cell, 225 * kMilli));
-    EXPECT_EQ(cell_ref, got)
-        << "fault-path kill/restore diverged from uninterrupted run";
-  }
-  // Threads must not change the answer either side of the kill.
+  const Fingerprint got =
+      FingerprintOf(KillRestoreRun(trace, cfg, 225 * kMilli));
+  EXPECT_EQ(ref, got)
+      << "fault-path kill/restore diverged from uninterrupted run";
 }
 
 TEST(SnapshotRestore, RestoreIsRepeatable) {

@@ -19,11 +19,7 @@
 // SUPPOSED to shrink. There the bar is structural (same window cadence and
 // spans as the fault-free baseline, or flagged) plus localization: hop-by-hop
 // flow conservation over the captured count tables must charge loss to the
-// armed link and to no other. Every fabric cell additionally re-runs under
-// the conservative-lookahead parallel engine (threads=4,
-// docs/parallel_execution.md) and demands BIT-IDENTICAL windows, count
-// tables and link ground truth against the sequential run — loss
-// localization must not depend on how many workers drove the fabric.
+// armed link and to no other.
 //
 // The kill-restore cell exercises the checkpoint machinery as a fault:
 // drive the faulted leaf-spine fabric to a pseudo-random sub-window
@@ -33,8 +29,7 @@
 // must be bit-identical to the uninterrupted run of the same cell —
 // windows, detections, partial flags, count tables, link ground truth and
 // delivery totals — at every intensity, including with fabric loss armed
-// across the kill point, and again when the restored session is driven by
-// the parallel engine. A kill/restore is not allowed to perturb anything,
+// across the kill point. A kill/restore is not allowed to perturb anything,
 // ever (snapshot_restore_test proves the unit version; this sweeps seeds
 // x intensities end to end). It is a harness-level cell, not a
 // fault::ChaosKind — the injected "fault" is the process death itself.
@@ -43,8 +38,8 @@
 // ingested controller-plane checkpoints every boundary (cadence 1) takes
 // over against the live switches (FabricSession::FailOver) at a
 // pseudo-random sub-window boundary and re-requests what its checkpoint
-// predates. Swept across fabric threads {0,4} and every intensity of the
-// fabric-loss plan, the bar is the takeover
+// predates. Swept across every intensity of the fabric-loss plan, the bar
+// is the takeover
 // contract: no reference window may go absent or silently divergent, and
 // at intensity 0 the spliced stream must be fully exact (cadence 1 keeps
 // the staleness inside the switch retransmission cache — zero windows
@@ -356,7 +351,7 @@ struct FabricSnap {
 };
 
 NetworkRunConfig FabricCfg(const fault::FaultPlan& plan, std::uint64_t seed,
-                           int armed_link, std::size_t threads) {
+                           int armed_link) {
   NetworkRunConfig cfg;
   cfg.base = RunConfig::Make(Spec());
   cfg.base.fault = plan;
@@ -366,7 +361,6 @@ NetworkRunConfig FabricCfg(const fault::FaultPlan& plan, std::uint64_t seed,
   cfg.fault_link_index = armed_link;
   cfg.report_link_seed = 777 + seed;
   cfg.link_seed = 555 + seed;
-  cfg.parallel.threads = threads;
   return cfg;
 }
 
@@ -379,14 +373,13 @@ void Flatten(FabricSnap& out) {
 }
 
 FabricSnap SnapFabric(const Trace& trace, const fault::FaultPlan& plan,
-                      std::uint64_t seed, int armed_link,
-                      std::size_t threads = 0) {
+                      std::uint64_t seed, int armed_link) {
   obs::Global().Reset();
   FabricSnap out;
   out.net = RunOmniWindowFabric(
       trace,
       [](std::size_t) { return std::make_shared<ExactCountApp>(); },
-      FabricCfg(plan, seed, armed_link, threads),
+      FabricCfg(plan, seed, armed_link),
       [](TableView table) { return FabricDetect(table); });
   Flatten(out);
   return out;
@@ -397,14 +390,14 @@ FabricSnap SnapFabric(const Trace& trace, const fault::FaultPlan& plan,
 /// configured session, Restore(), finish it, and splice the killed
 /// session's pre-kill window stream back in front (FabricSession's
 /// stream-vs-counter contract). The caller compares the splice against the
-/// uninterrupted run with CompareEngines — full bit-identity, the
-/// strongest bar in this harness.
+/// uninterrupted run with CompareRuns — full bit-identity, the strongest
+/// bar in this harness.
 FabricSnap SnapFabricKillRestore(const Trace& trace,
                                  const fault::FaultPlan& plan,
                                  std::uint64_t seed, int armed_link,
-                                 Nanos kill_t, std::size_t threads = 0) {
+                                 Nanos kill_t) {
   obs::Global().Reset();
-  const NetworkRunConfig cfg = FabricCfg(plan, seed, armed_link, threads);
+  const NetworkRunConfig cfg = FabricCfg(plan, seed, armed_link);
   const auto make_app = [](std::size_t) {
     return std::make_shared<ExactCountApp>();
   };
@@ -445,43 +438,40 @@ struct CellResult {
   std::size_t windows_exact = 0;
   std::size_t windows_flagged = 0;
   std::size_t divergent_unflagged = 0;
-  /// Fabric cells only: mismatches between the sequential and the
-  /// threads=4 parallel run of the SAME faulted cell (must be 0).
-  std::size_t parallel_mismatch = 0;
   std::uint64_t injected_faults = 0;
   bool zero_must_match = false;
 };
 
-/// Bit-identity between the sequential and parallel engines on the SAME
-/// faulted fabric cell: windows (spans, detections, partial flags),
-/// captured count tables, per-link ground truth and the delivery/drop
-/// totals must all match exactly. Returns the number of mismatches.
-std::size_t CompareEngines(const FabricSnap& seq, const FabricSnap& par) {
+/// Bit-identity between two runs of the SAME faulted fabric cell: windows
+/// (spans, detections, partial flags), captured count tables, per-link
+/// ground truth and the delivery/drop totals must all match exactly.
+/// Returns the number of mismatches.
+std::size_t CompareRuns(const FabricSnap& ref, const FabricSnap& got) {
   std::size_t bad = 0;
-  if (seq.snap.windows.size() != par.snap.windows.size()) ++bad;
+  if (ref.snap.windows.size() != got.snap.windows.size()) ++bad;
   const std::size_t nw =
-      std::min(seq.snap.windows.size(), par.snap.windows.size());
+      std::min(ref.snap.windows.size(), got.snap.windows.size());
   for (std::size_t i = 0; i < nw; ++i) {
-    const auto& a = seq.snap.windows[i];
-    const auto& b = par.snap.windows[i];
+    const auto& a = ref.snap.windows[i];
+    const auto& b = got.snap.windows[i];
     if (a.span.first != b.span.first || a.span.last != b.span.last ||
         a.partial != b.partial || a.detected != b.detected) {
       ++bad;
     }
   }
-  if (seq.net.per_switch.size() != par.net.per_switch.size()) {
+  if (ref.net.per_switch.size() != got.net.per_switch.size()) {
     ++bad;
   } else {
-    for (std::size_t i = 0; i < seq.net.per_switch.size(); ++i) {
-      if (seq.net.per_switch[i].counts != par.net.per_switch[i].counts) ++bad;
+    for (std::size_t i = 0; i < ref.net.per_switch.size(); ++i) {
+      if (ref.net.per_switch[i].counts != got.net.per_switch[i].counts) ++bad;
     }
   }
-  if (seq.net.links.size() != par.net.links.size()) {
+  if (ref.net.links.size() != got.net.links.size()) {
     ++bad;
   } else {
-    for (std::size_t i = 0; i < seq.net.links.size(); ++i) {
-      const FabricLinkStats& a = seq.net.links[i];
-      const FabricLinkStats& b = par.net.links[i];
+    for (std::size_t i = 0; i < ref.net.links.size(); ++i) {
+      const FabricLinkStats& a = ref.net.links[i];
+      const FabricLinkStats& b = got.net.links[i];
       if (a.from != b.from || a.to != b.to || a.port != b.port ||
           a.transmitted != b.transmitted || a.dropped != b.dropped ||
           a.duplicates != b.duplicates) {
@@ -489,9 +479,9 @@ std::size_t CompareEngines(const FabricSnap& seq, const FabricSnap& par) {
       }
     }
   }
-  if (seq.net.delivered != par.net.delivered ||
-      seq.net.link_dropped != par.net.link_dropped ||
-      seq.net.report_dropped != par.net.report_dropped) {
+  if (ref.net.delivered != got.net.delivered ||
+      ref.net.link_dropped != got.net.link_dropped ||
+      ref.net.report_dropped != got.net.report_dropped) {
     ++bad;
   }
   return bad;
@@ -726,13 +716,6 @@ int main(int argc, char** argv) {
         if (fabric) {
           const FabricSnap got = SnapFabric(line_trace, plan, s, armed);
           cell.injected_faults = SumFaultCounters();
-          // The same faulted cell under the parallel engine: the fault
-          // injectors hash (stream, seq) so identical wire ordering must
-          // reproduce identical drops, and the windows downstream of them.
-          const FabricSnap par =
-              SnapFabric(line_trace, plan, s, armed, /*threads=*/4);
-          cell.parallel_mismatch = CompareEngines(got, par);
-          cell.divergent_unflagged += cell.parallel_mismatch;
           if (cell.zero_must_match) {
             // Armed-but-idle targeted fault plumbing and count capture must
             // be bit-identical to the baseline, detections included.
@@ -745,11 +728,10 @@ int main(int argc, char** argv) {
           if (cell.divergent_unflagged > 0) ok = false;
           std::printf(
               "%-11s seed=%llu intensity=%.2f windows=%zu exact=%zu "
-              "flagged=%zu divergent=%zu par-mismatch=%zu faults=%llu\n",
+              "flagged=%zu divergent=%zu faults=%llu\n",
               cell.kind.c_str(), static_cast<unsigned long long>(cell.seed),
               cell.intensity, cell.windows_total, cell.windows_exact,
               cell.windows_flagged, cell.divergent_unflagged,
-              cell.parallel_mismatch,
               static_cast<unsigned long long>(cell.injected_faults));
           cells.push_back(std::move(cell));
           continue;
@@ -808,14 +790,7 @@ int main(int argc, char** argv) {
         const FabricSnap got =
             SnapFabricKillRestore(line_trace, plan, s, armed, kill_t);
         cell.injected_faults = SumFaultCounters();
-        cell.divergent_unflagged += CompareEngines(ref, got);
-        // The restored session must also resume bit-identically under the
-        // parallel engine: a snapshot is engine-neutral state.
-        const FabricSnap par = SnapFabricKillRestore(line_trace, plan, s,
-                                                     armed, kill_t,
-                                                     /*threads=*/4);
-        cell.parallel_mismatch = CompareEngines(ref, par);
-        cell.divergent_unflagged += cell.parallel_mismatch;
+        cell.divergent_unflagged += CompareRuns(ref, got);
 
         cell.windows_total = got.snap.windows.size();
         for (const auto& w : got.snap.windows) {
@@ -828,12 +803,11 @@ int main(int argc, char** argv) {
         if (cell.divergent_unflagged > 0) ok = false;
         std::printf(
             "%-11s seed=%llu intensity=%.2f kill=%lldms windows=%zu "
-            "exact=%zu flagged=%zu divergent=%zu par-mismatch=%zu "
-            "faults=%llu\n",
+            "exact=%zu flagged=%zu divergent=%zu faults=%llu\n",
             cell.kind.c_str(), static_cast<unsigned long long>(cell.seed),
             cell.intensity, static_cast<long long>(kill_t / kMilli),
             cell.windows_total, cell.windows_exact, cell.windows_flagged,
-            cell.divergent_unflagged, cell.parallel_mismatch,
+            cell.divergent_unflagged,
             static_cast<unsigned long long>(cell.injected_faults));
         cells.push_back(std::move(cell));
       }
@@ -847,7 +821,7 @@ int main(int argc, char** argv) {
   // switch retransmission cache the spliced stream must be fully EXACT
   // against the uninterrupted run — at every intensity of the fabric-loss
   // plan (inner-link drops hit reference and takeover runs identically;
-  // the report path is clean), and under both engines.
+  // the report path is clean).
   if (opt.failover) {
     const auto make_app = [](std::size_t) {
       return std::make_shared<ExactCountApp>();
@@ -871,38 +845,35 @@ int main(int argc, char** argv) {
         // trace remains for the takeover to catch up in-band.
         const std::size_t kill = 6 + std::size_t(kill_rng.Uniform(12));
 
-        for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-          NetworkRunConfig cfg;
-          cfg.base = RunConfig::Make(FailoverSpec());
-          cfg.base.fault = plan;
-          cfg.base.controller.kv_capacity = 1 << 14;
-          cfg.topology = FabricTopology();
-          cfg.capture_counts = true;
-          cfg.fault_link_index = armed;
-          cfg.report_link_seed = 777 + std::uint64_t(s);
-          cfg.link_seed = 555 + std::uint64_t(s);
-          cfg.parallel.threads = threads;
+        NetworkRunConfig cfg;
+        cfg.base = RunConfig::Make(FailoverSpec());
+        cfg.base.fault = plan;
+        cfg.base.controller.kv_capacity = 1 << 14;
+        cfg.topology = FabricTopology();
+        cfg.capture_counts = true;
+        cfg.fault_link_index = armed;
+        cfg.report_link_seed = 777 + std::uint64_t(s);
+        cfg.link_seed = 555 + std::uint64_t(s);
 
-          const NetworkRunResult ref =
-              RunOmniWindowFabric(line_trace, make_app, cfg, detect);
-          failover::FailoverConfig fcfg;
-          fcfg.snapshot_cadence = 1;
-          fcfg.kill_boundary = std::int64_t(kill);
-          const failover::FailoverRunResult run = failover::RunWithFailover(
-              line_trace, make_app, cfg, fcfg, detect);
+        const NetworkRunResult ref =
+            RunOmniWindowFabric(line_trace, make_app, cfg, detect);
+        failover::FailoverConfig fcfg;
+        fcfg.snapshot_cadence = 1;
+        fcfg.kill_boundary = std::int64_t(kill);
+        const failover::FailoverRunResult run = failover::RunWithFailover(
+            line_trace, make_app, cfg, fcfg, detect);
 
-          const failover::WindowComparison cmp =
-              failover::CompareWindows(ref, run.spliced);
-          cell.windows_total += cmp.windows_total;
-          cell.windows_exact += cmp.exact;
-          cell.windows_flagged += cmp.flagged;
-          // The takeover contract: nothing absent, nothing silently
-          // divergent — and at cadence 1 nothing even flagged.
-          cell.divergent_unflagged += cmp.lost + cmp.divergent_unflagged +
-                                      cmp.flagged +
-                                      run.report.subwindows_lost;
-          if (!run.report.caught_up) ++cell.divergent_unflagged;
-        }
+        const failover::WindowComparison cmp =
+            failover::CompareWindows(ref, run.spliced);
+        cell.windows_total = cmp.windows_total;
+        cell.windows_exact = cmp.exact;
+        cell.windows_flagged = cmp.flagged;
+        // The takeover contract: nothing absent, nothing silently
+        // divergent — and at cadence 1 nothing even flagged.
+        cell.divergent_unflagged += cmp.lost + cmp.divergent_unflagged +
+                                    cmp.flagged +
+                                    run.report.subwindows_lost;
+        if (!run.report.caught_up) ++cell.divergent_unflagged;
         cell.injected_faults = SumFaultCounters();
         if (cell.divergent_unflagged > 0) ok = false;
         std::printf(
@@ -928,7 +899,6 @@ int main(int argc, char** argv) {
         << ", \"windows_exact\": " << c.windows_exact
         << ", \"windows_flagged\": " << c.windows_flagged
         << ", \"divergent_unflagged\": " << c.divergent_unflagged
-        << ", \"parallel_mismatch\": " << c.parallel_mismatch
         << ", \"injected_faults\": " << c.injected_faults << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }

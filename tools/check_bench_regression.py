@@ -42,12 +42,8 @@ import sys
 
 
 def row_key(row):
-    """Identity of a result row: workload name and/or thread count."""
-    key = []
-    for field in ("workload", "threads"):
-        if field in row:
-            key.append((field, row[field]))
-    return tuple(key)
+    """Identity of a result row: its workload name."""
+    return (("workload", row["workload"]),) if "workload" in row else ()
 
 
 def load_rows(path):
@@ -63,8 +59,7 @@ def load_rows(path):
     for row in rows:
         key = row_key(row)
         if not key:
-            sys.exit(f"error: {path}: row without workload/threads identity: "
-                     f"{row}")
+            sys.exit(f"error: {path}: row without a workload: {row}")
         if key in indexed:
             sys.exit(f"error: {path}: duplicate row identity {key}")
         indexed[key] = row
