@@ -9,16 +9,32 @@
 namespace ow {
 namespace {
 
-std::array<std::uint32_t, 256> MakeCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables for the IEEE reflected polynomial: t[0] is the
+/// classic bytewise table, and t[k][b] is the CRC of byte b followed by k
+/// zero bytes, so eight table lookups fold one 8-byte word.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+/// Little-endian u32 at p, whatever the host order.
+std::uint32_t LoadLe32(const std::uint8_t* p) {
+  return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+         std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
 }
 
 std::string HexTag(std::uint32_t tag) {
@@ -48,12 +64,17 @@ std::uint32_t ReadU32(const std::uint8_t* p) {
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables t = MakeCrcTables();
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = LoadLe32(p) ^ c;
+    const std::uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

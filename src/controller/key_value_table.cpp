@@ -1,5 +1,6 @@
 #include "src/controller/key_value_table.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -11,6 +12,7 @@ KeyValueTable::KeyValueTable(std::size_t capacity) {
   if (capacity < 8) capacity = 8;
   capacity = std::bit_ceil(capacity);
   slots_.resize(capacity);
+  occupied_.resize((capacity + 63) / 64);
   mask_ = capacity - 1;
 }
 
@@ -48,6 +50,7 @@ KvSlot* KeyValueTable::TryFindOrInsert(const FlowKey& key, bool& created) {
     if (s.state == KvSlot::State::kEmpty) {
       if (live_ + 1 > slots_.size() - slots_.size() / 8) break;
       s = KvSlot{.key = key, .hash_tag = tag, .state = KvSlot::State::kLive};
+      occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
       ++live_;
       created = true;
       return &s;
@@ -76,27 +79,17 @@ bool KeyValueTable::Erase(const FlowKey& key) {
       hole = j;
     }
   }
+  // Only the final hole changes from live to empty.
   slots_[hole] = KvSlot{};
+  occupied_[hole / 64] &= ~(std::uint64_t{1} << (hole % 64));
   --live_;
   return true;
 }
 
 void KeyValueTable::Clear() {
-  for (auto& s : slots_) s = KvSlot{};
+  ForEachLiveIndex([this](std::size_t i) { slots_[i] = KvSlot{}; });
+  std::fill(occupied_.begin(), occupied_.end(), 0);
   live_ = 0;
-}
-
-void KeyValueTable::ForEach(const std::function<void(KvSlot&)>& fn) {
-  for (auto& s : slots_) {
-    if (s.state == KvSlot::State::kLive) fn(s);
-  }
-}
-
-void KeyValueTable::ForEach(
-    const std::function<void(const KvSlot&)>& fn) const {
-  for (const auto& s : slots_) {
-    if (s.state == KvSlot::State::kLive) fn(s);
-  }
 }
 
 void KeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
@@ -109,11 +102,10 @@ void KeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   w.Size(slots_.size());
   if (mode == KvSnapshotMode::kSparse) {
     w.Size(live_);
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].state == KvSlot::State::kEmpty) continue;
+    ForEachLiveIndex([&](std::size_t i) {
       w.U64(i);
       w.Pod(slots_[i]);
-    }
+    });
   } else {
     w.Bytes(slots_.data(), slots_.size() * sizeof(KvSlot));
   }
@@ -159,13 +151,16 @@ void KeyValueTable::Load(SnapshotReader& r) {
   const std::uint64_t rejected = r.U64();
   // Verify the stream's tally against the array it described: a corrupt
   // state byte or dropped sparse entry surfaces here, not as a probe-chain
-  // heisenbug three windows later.
+  // heisenbug three windows later. The same pass rebuilds the occupancy
+  // bitmap, committed with the slots.
+  std::vector<std::uint64_t> live_bits(occupied_.size());
   std::size_t rebuilt_live = 0;
-  for (const KvSlot& s : scratch) {
+  for (std::size_t p = 0; p < cap; ++p) {
     // Compare as raw bytes: the state came off an untrusted stream and may
     // hold a value no enumerator names.
-    const std::uint8_t st = static_cast<std::uint8_t>(s.state);
+    const std::uint8_t st = static_cast<std::uint8_t>(scratch[p].state);
     if (st == static_cast<std::uint8_t>(KvSlot::State::kLive)) {
+      live_bits[p / 64] |= std::uint64_t{1} << (p % 64);
       ++rebuilt_live;
     } else if (st != static_cast<std::uint8_t>(KvSlot::State::kEmpty)) {
       throw SnapshotError("KeyValueTable: invalid slot state " +
@@ -201,6 +196,7 @@ void KeyValueTable::Load(SnapshotReader& r) {
     }
   }
   std::memcpy(slots_.data(), scratch.data(), cap * sizeof(KvSlot));
+  std::copy(live_bits.begin(), live_bits.end(), occupied_.begin());
   live_ = live;
   rejected_ = rejected;
 }

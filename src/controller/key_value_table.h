@@ -6,11 +6,16 @@
 // cluster into the freed slot, so no tombstones are left behind: occupancy
 // is the live-key count, and insert/erase churn never fills the table. An
 // Erase may move live slots (invalidating slot pointers); inserts never do.
+//
+// A one-bit-per-slot occupancy bitmap mirrors which slots are live. It is
+// derived state (never serialized): walks over the live slots (ForEach,
+// sparse Save, Clear) read it instead of every slot, so they cost
+// O(live + capacity/64) rather than O(capacity).
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -81,9 +86,16 @@ class KeyValueTable {
   /// Clear() does not reset it).
   std::uint64_t rejected_inserts() const noexcept { return rejected_; }
 
-  /// Visit every live slot.
-  void ForEach(const std::function<void(KvSlot&)>& fn);
-  void ForEach(const std::function<void(const KvSlot&)>& fn) const;
+  /// Visit every live slot, in ascending slot index order. `fn` must not
+  /// insert into or erase from the table.
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    ForEachLiveIndex([&](std::size_t i) { fn(slots_[i]); });
+  }
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    ForEachLiveIndex([&](std::size_t i) { fn(slots_[i]); });
+  }
 
   /// Checkpoint the slot array verbatim (slots are trivially copyable), so
   /// a restored table probes exactly like the saved one. Sparse tables emit
@@ -107,9 +119,21 @@ class KeyValueTable {
  private:
   static std::uint64_t HashOf(const FlowKey& key);
 
+  /// Call `fn(index)` for every set bit of occupied_, ascending.
+  template <typename Fn>
+  void ForEachLiveIndex(Fn&& fn) const {
+    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+      for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+        fn(w * 64 + std::size_t(std::countr_zero(bits)));
+      }
+    }
+  }
+
   // Pool-backed: QueryRange scratch tables recycle slot arrays instead of
   // reallocating.
   PooledVector<KvSlot> slots_;
+  /// Bit i set <=> slots_[i] is live.
+  PooledVector<std::uint64_t> occupied_;
   std::size_t mask_;
   std::size_t live_ = 0;
   std::uint64_t rejected_ = 0;

@@ -176,6 +176,22 @@ std::vector<std::optional<FlowKey>> Layout(const KeyValueTable& table) {
   return out;
 }
 
+/// The keys ForEach visits, in visit order.
+std::vector<FlowKey> Visited(const KeyValueTable& table) {
+  std::vector<FlowKey> keys;
+  table.ForEach([&](const KvSlot& s) { keys.push_back(s.key); });
+  return keys;
+}
+
+/// The live keys of the slot array, in ascending slot order.
+std::vector<FlowKey> LiveInSlotOrder(const KeyValueTable& table) {
+  std::vector<FlowKey> keys;
+  for (const std::optional<FlowKey>& k : Layout(table)) {
+    if (k) keys.push_back(*k);
+  }
+  return keys;
+}
+
 /// The home slot of key `id` in a table of `capacity`: where it lands alone.
 std::size_t HomeOf(std::uint32_t id, std::size_t capacity) {
   KeyValueTable table(capacity);
@@ -243,11 +259,22 @@ TEST(KeyValueTable, EraseMatchesMapModelIncludingWrappedClusters) {
               << "step " << step;
         }
         ASSERT_EQ(table.size(), model.size());
+        std::vector<FlowKey> expected;
         for (const auto& [k, v] : model) {
           const KvSlot* s = table.Find(Key(k));
           ASSERT_NE(s, nullptr) << "key " << k << " lost at step " << step;
           EXPECT_EQ(s->attrs[0], v);
+          expected.push_back(Key(k));
         }
+        // ForEach visits exactly the live slots, in ascending slot order,
+        // and they hold exactly the model's keys.
+        const std::vector<FlowKey> visited = Visited(table);
+        ASSERT_EQ(visited.size(), table.size()) << "step " << step;
+        ASSERT_EQ(visited, LiveInSlotOrder(table)) << "step " << step;
+        std::vector<FlowKey> sorted = visited;
+        std::sort(sorted.begin(), sorted.end());
+        std::sort(expected.begin(), expected.end());
+        ASSERT_EQ(sorted, expected) << "step " << step;
       }
       // The final layout passes Load's probe-reachability check.
       SnapshotWriter w;
@@ -257,6 +284,7 @@ TEST(KeyValueTable, EraseMatchesMapModelIncludingWrappedClusters) {
       KeyValueTable copy(cap);
       EXPECT_NO_THROW(copy.Load(r));
       EXPECT_EQ(copy.size(), model.size());
+      EXPECT_EQ(Visited(copy), Visited(table));
     }
   }
 }
@@ -299,6 +327,48 @@ TEST(KeyValueTable, ForEachVisitsOnlyLive) {
     EXPECT_EQ(s.key, Key(2));
   });
   EXPECT_EQ(visited, 1u);
+
+  // Clear empties every slot; the table then fills from scratch.
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(Visited(table).empty());
+  EXPECT_EQ(table.Find(Key(2)), nullptr);
+  table.FindOrInsert(Key(3), created).attrs[0] = 30;
+  EXPECT_TRUE(created);
+  table.ForEach([](KvSlot& s) { ++s.attrs[0]; });
+  EXPECT_EQ(Visited(table), std::vector<FlowKey>{Key(3)});
+  EXPECT_EQ(table.Find(Key(3))->attrs[0], 31u);
+}
+
+TEST(KeyValueTable, LiveWalksCostWhatTheTableHolds) {
+  // 16 live keys in 2^18 slots (16 MB). Sparse Save, ForEach and Clear walk
+  // the occupancy bitmap (32 KB), not the slots: 50,000 rounds of each read
+  // ~5 GB of bitmap. Scanning every slot instead would read ~2.4 TB and blow
+  // the suite's TIMEOUT (tests/CMakeLists.txt).
+  KeyValueTable table(1 << 18);
+  const auto fill = [&table] {
+    bool created = false;
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      table.FindOrInsert(Key(i * 2654435761u), created).attrs[0] = i;
+    }
+  };
+  fill();
+  SnapshotWriter first;
+  table.Save(first);
+  const std::vector<std::uint8_t> expected = first.Take();
+  ASSERT_EQ(expected[8 + 4], 1) << "kAuto must save a 16/2^18 table sparse";
+  std::uint64_t sum = 0;
+  for (int round = 0; round < 50'000; ++round) {
+    SnapshotWriter w;
+    table.Save(w);
+    ASSERT_EQ(w.Take(), expected) << "round " << round;
+    table.ForEach([&sum](const KvSlot& s) { sum += s.attrs[0]; });
+    table.Clear();
+    ASSERT_EQ(table.size(), 0u);
+    fill();
+  }
+  EXPECT_EQ(sum, 50'000u * (15 * 16 / 2));
+  EXPECT_EQ(table.size(), 16u);
 }
 
 // ----------------------------------------------------------------- merge

@@ -9,8 +9,10 @@
 //
 // Re-record a constant (the failure message prints the new value) only for
 // a deliberate change of observable behaviour, and say why in the change.
-// A cyclic fabric pins the engine's cycle cap: no switch may run past its
-// own traffic coming back around the cycle.
+// The fault-free leaf-spine run also pins its controllers' flow-table
+// checkpoint sections at every sub-window boundary. A cyclic fabric pins
+// the engine's cycle cap: no switch may run past its own traffic coming
+// back around the cycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/snapshot.h"
 #include "src/core/network_runner.h"
 #include "src/fault/fault.h"
 #include "src/net/network.h"
@@ -162,10 +165,13 @@ NetworkRunResult RunFabric(const Trace& trace, const NetworkRunConfig& cfg) {
       cfg);
 }
 
-void ExpectGolden(const NetworkRunResult& net, std::uint64_t golden) {
-  const std::uint64_t fingerprint = FingerprintOf(net);
+void ExpectGolden(std::uint64_t fingerprint, std::uint64_t golden) {
   EXPECT_EQ(fingerprint, golden) << "fingerprint 0x" << std::hex
                                  << fingerprint;
+}
+
+void ExpectGolden(const NetworkRunResult& net, std::uint64_t golden) {
+  ExpectGolden(FingerprintOf(net), golden);
 }
 
 TEST(FabricEngine, LeafSpineFaultFreeMatchesGolden) {
@@ -176,6 +182,39 @@ TEST(FabricEngine, LeafSpineFaultFreeMatchesGolden) {
   ASSERT_GT(net.per_switch[0].controller.windows_emitted, 0u);
   EXPECT_GE(net.delivered, trace.packets.size());
   ExpectGolden(net, 0xbce1ad171ec73ea8);
+}
+
+TEST(FabricEngine, LeafSpineTableSectionsMatchGolden) {
+  // The run above, driven boundary by boundary. At every sub-window
+  // boundary each controller's flow-table section (KeyValueTable::Save,
+  // the bytes a standby checkpoint carries for it) folds into the value.
+  // Only the tables are pinned: the rest of a controller-plane checkpoint
+  // carries wall-clock phase timings and differs from run to run.
+  const Trace trace = FabricTrace(1201);
+  const NetworkRunConfig cfg = LeafSpineConfig(/*leaves=*/4, /*spines=*/3);
+  const Nanos sub = cfg.base.window.subwindow_size;
+  obs::Global().Reset();
+  FabricSession session(
+      trace, [](std::size_t) { return std::make_shared<ExactCountApp>(); },
+      cfg);
+  const std::size_t boundaries =
+      std::size_t((session.trace_duration() + 2 * sub) / sub);
+  Hasher h;
+  std::size_t live_seen = 0;
+  for (std::size_t k = 1; k <= boundaries; ++k) {
+    session.DriveUntil(Nanos(k) * sub);
+    for (std::size_t i = 0; i < session.num_switches(); ++i) {
+      const KeyValueTable& table = session.controller(i).table();
+      live_seen += table.size();
+      SnapshotWriter w;
+      table.Save(w);
+      const std::vector<std::uint8_t> bytes = w.Take();
+      h.Add(bytes.size());
+      for (const std::uint8_t b : bytes) h.Add(b);
+    }
+  }
+  ASSERT_GT(live_seen, 0u) << "every table was empty at every boundary";
+  ExpectGolden(h.value(), 0x3c95c7ce6d183d9c);
 }
 
 TEST(FabricEngine, LeafSpineWithFaultsArmedMatchesGolden) {

@@ -9,7 +9,9 @@
 // or that is stored twice, dense<->sparse encoding equivalence across the
 // occupancy range, the durable-file framing (every bit flip and truncation
 // of a WriteFile checkpoint is caught, with the error naming the section and
-// absolute file offsets), the delta-checkpoint encode/apply pair, the
+// absolute file offsets), the CRC-32 every checksum above rests on (known
+// answers, a bytewise reference at every length and alignment, seed
+// chaining), the delta-checkpoint encode/apply pair, the
 // stream's version check (a v5 stream is refused), and Switch::Load's event
 // lanes (a forged lane count, an unsorted FIFO, a heap array that is not a
 // heap, an unknown packet source or a saved next seq not above every
@@ -502,6 +504,64 @@ TEST(SnapshotFile, CorruptionIsLocalizedToSectionAndOffsets) {
 TEST(SnapshotFile, MissingFileThrows) {
   EXPECT_THROW((void)ReadSnapshotFile("snapshot_hardening_nonexistent.owsnap"),
                SnapshotError);
+}
+
+// --- CRC-32 ----------------------------------------------------------------
+
+/// Bit-at-a-time CRC-32 (IEEE 802.3, reflected), the definition the
+/// table-driven Crc32 must reproduce for every input and seed.
+std::uint32_t ReferenceCrc32(const std::uint8_t* p, std::size_t n,
+                             std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> SeededBytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> v(n);
+  std::uint64_t x = seed;
+  for (std::uint8_t& b : v) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = std::uint8_t(x >> 56);
+  }
+  return v;
+}
+
+TEST(Crc32, KnownAnswers) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(check, 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-67 cover the empty input, the bytewise tail alone, one to
+  // eight whole 8-byte words and every tail length after them.
+  const std::vector<std::uint8_t> buf = SeededBytes(8 + 67, 0xC3C32);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 67; ++len) {
+      const std::uint8_t* p = buf.data() + start;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "start " << start << " length " << len;
+      ASSERT_EQ(Crc32(p, len, 0x12345678u),
+                ReferenceCrc32(p, len, 0x12345678u))
+          << "seeded, start " << start << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, SeedChainingMatchesOnePassAtEverySplit) {
+  const std::vector<std::uint8_t> buf = SeededBytes(1024, 0x5EED);
+  const std::uint32_t whole = Crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, ReferenceCrc32(buf.data(), buf.size()));
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = Crc32(buf.data(), split);
+    ASSERT_EQ(Crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split at " << split;
+  }
 }
 
 // --- delta checkpoints ------------------------------------------------------
