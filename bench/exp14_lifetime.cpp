@@ -13,12 +13,15 @@
 //
 // Measured into BENCH_lifetime.json (committed baseline, gated by
 // tools/check_bench_regression.py --metrics=bytes):
-//   snapshot_bytes        occupancy-aware (auto) checkpoint payload bytes —
-//                         the headline; scales with live state, not the
-//                         provisioned KV capacity (shrink is good)
-//   dense_snapshot_bytes  the same state force-encoded dense (the v2 cost)
-//   sparse_reduction      dense/auto — must stay >= 10x on this workload
-//   checkpoint_file_bytes durable file size (payload + CRC index + footer)
+//   snapshot_bytes          checkpoint payload bytes — the headline; scales
+//                           with live state, not the provisioned KV
+//                           capacity (shrink is good)
+//   provisioned_table_bytes sum over the flow tables of capacity x
+//                           sizeof(KvSlot): what a capacity-proportional
+//                           table encoding would write per checkpoint
+//   capacity_reduction      provisioned_table_bytes / snapshot_bytes — must
+//                           stay >= 10x on this workload
+//   checkpoint_file_bytes   durable file size (payload + CRC index + footer)
 // plus informational wall metrics: write bandwidth, per-segment restart
 // cost, and restart amortization (spliced wall / reference wall).
 //
@@ -26,7 +29,7 @@
 // file: bit flips and truncations at spread offsets must ALL fail with
 // SnapshotError (the CRC framing + untrusted-size decoding), never load.
 //
-// Exits non-zero on any splice divergence, a sparse reduction below 10x,
+// Exits non-zero on any splice divergence, a capacity reduction below 10x,
 // or a corruption that loads silently. CI's lifetime-smoke job runs this
 // binary at the default --pps (the committed baseline uses the same).
 #include <algorithm>
@@ -102,8 +105,8 @@ NetworkRunConfig BaseConfig() {
   spec.slide = kSub;
   NetworkRunConfig cfg;
   cfg.base = RunConfig::Make(spec);
-  // Provisioned far above the ~2k live flows: the sparse-vs-dense gap this
-  // bench exists to measure (dense serializes all 1<<17 slots per switch).
+  // Provisioned far above the ~2k live flows: checkpoints must cost what
+  // the tables hold, not the 1<<17 slots each one provisions.
   cfg.base.controller.kv_capacity = 1 << 17;
   cfg.topology.kind = TopologyKind::kLeafSpine;
   cfg.topology.leaves = 2;
@@ -325,7 +328,7 @@ int RunChild(int argc, char** argv) {
   if (final) {
     DumpRun(FlattenResult(session.Finish(), true), dump);
   } else {
-    session.SnapshotToFile(ckpt, KvSnapshotMode::kAuto);
+    session.SnapshotToFile(ckpt);
     DumpRun(FlattenResult(session.partial_result(), false), dump);
   }
   return 0;
@@ -334,9 +337,9 @@ int RunChild(int argc, char** argv) {
 struct ResultRow {
   std::size_t segments = 0;
   std::size_t checkpoints = 0;
-  double snapshot_bytes = 0;        ///< avg auto-encoded payload bytes
-  double dense_snapshot_bytes = 0;  ///< avg force-dense payload bytes
-  double sparse_reduction = 0;      ///< dense / auto
+  double snapshot_bytes = 0;  ///< avg checkpoint payload bytes
+  std::size_t provisioned_table_bytes = 0;  ///< sum of capacity x slot size
+  double capacity_reduction = 0;  ///< provisioned_table_bytes / snapshot_bytes
   std::size_t checkpoint_file_bytes = 0;  ///< first durable file, framed
   double write_mbps = 0;
   double ref_wall_ms = 0;
@@ -364,11 +367,11 @@ bool WriteJson(const std::string& path, const Trace& trace,
       << ", \"checkpoints\": " << r.checkpoints;
   std::snprintf(buf, sizeof(buf),
                 ", \"snapshot_bytes\": %.0f"
-                ", \"dense_snapshot_bytes\": %.0f"
-                ", \"sparse_reduction\": %.2f"
+                ", \"provisioned_table_bytes\": %zu"
+                ", \"capacity_reduction\": %.2f"
                 ", \"checkpoint_file_bytes\": %zu",
-                r.snapshot_bytes, r.dense_snapshot_bytes, r.sparse_reduction,
-                r.checkpoint_file_bytes);
+                r.snapshot_bytes, r.provisioned_table_bytes,
+                r.capacity_reduction, r.checkpoint_file_bytes);
   out << buf;
   std::snprintf(buf, sizeof(buf),
                 ", \"write_MBps\": %.1f, \"ref_wall_ms\": %.1f"
@@ -442,27 +445,29 @@ int main(int argc, char** argv) {
   ResultRow row;
   row.segments = cuts.size() + 1;
 
-  // Uninterrupted reference, sampling auto-vs-dense checkpoint bytes at
-  // every would-be checkpoint boundary.
+  // Uninterrupted reference, sampling checkpoint bytes at every would-be
+  // checkpoint boundary.
   const std::uint64_t ref_start = WallNs();
   FabricSession ref_session(trace, MakeApp, BaseConfig(), Detect);
-  double auto_bytes = 0, dense_bytes = 0;
+  for (std::size_t i = 0; i < ref_session.num_switches(); ++i) {
+    row.provisioned_table_bytes +=
+        ref_session.controller(i).table().capacity() * sizeof(KvSlot);
+  }
+  double total_bytes = 0;
   std::size_t next_cut = 0;
   for (std::size_t k = 1; k < kTotal; ++k) {
     ref_session.DriveUntil(Nanos(k) * kSub);
     if (next_cut < cuts.size() && k == cuts[next_cut]) {
-      auto_bytes += double(ref_session.Snapshot(KvSnapshotMode::kAuto).size());
-      dense_bytes +=
-          double(ref_session.Snapshot(KvSnapshotMode::kDense).size());
+      total_bytes += double(ref_session.Snapshot().size());
       ++next_cut;
       ++row.checkpoints;
     }
   }
   const FlatRun ref = FlattenResult(ref_session.Finish(), true);
   row.ref_wall_ms = double(WallNs() - ref_start) / 1e6;
-  row.snapshot_bytes = auto_bytes / double(row.checkpoints);
-  row.dense_snapshot_bytes = dense_bytes / double(row.checkpoints);
-  row.sparse_reduction = dense_bytes / auto_bytes;
+  row.snapshot_bytes = total_bytes / double(row.checkpoints);
+  row.capacity_reduction =
+      double(row.provisioned_table_bytes) / row.snapshot_bytes;
 
   // Segmented run: each lifetime is a real child process.
   const std::string tag = "exp14";
@@ -515,7 +520,7 @@ int main(int argc, char** argv) {
     FabricSession probe(trace, MakeApp, BaseConfig(), Detect);
     probe.RestoreFromFile(first_ck);
     const std::string wtmp = tag + "_wprobe.owsnap";
-    probe.SnapshotToFile(wtmp, KvSnapshotMode::kAuto);
+    probe.SnapshotToFile(wtmp);
     const std::uint64_t w1 = WallNs();
     row.write_mbps = double(FileBytes(wtmp)) / 1e6 / (double(w1 - w0) / 1e9);
     std::remove(wtmp.c_str());
@@ -526,9 +531,9 @@ int main(int argc, char** argv) {
                 row.corrupt_trials - row.corrupt_caught, row.corrupt_trials);
     ok = false;
   }
-  if (row.sparse_reduction < 10.0) {
-    std::printf("FAIL: sparse reduction %.2fx below the 10x bar\n",
-                row.sparse_reduction);
+  if (row.capacity_reduction < 10.0) {
+    std::printf("FAIL: capacity reduction %.2fx below the 10x bar\n",
+                row.capacity_reduction);
     ok = false;
   }
 
@@ -538,11 +543,12 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "segments=%zu ckpt=%6.0fKB dense=%7.0fKB (%.1fx)  file=%zuB "
+      "segments=%zu ckpt=%6.0fKB provisioned=%7.0fKB (%.1fx)  file=%zuB "
       "write=%.0fMB/s  ref=%.0fms splice=%.0fms (%.2fx)  corrupt=%zu/%zu  "
       "%s\n",
-      row.segments, row.snapshot_bytes / 1e3, row.dense_snapshot_bytes / 1e3,
-      row.sparse_reduction, row.checkpoint_file_bytes, row.write_mbps,
+      row.segments, row.snapshot_bytes / 1e3,
+      double(row.provisioned_table_bytes) / 1e3, row.capacity_reduction,
+      row.checkpoint_file_bytes, row.write_mbps,
       row.ref_wall_ms, row.splice_wall_ms, row.restart_overhead,
       row.corrupt_caught, row.corrupt_trials,
       row.splice_identical ? "splice-identical" : "SPLICE DIVERGED");

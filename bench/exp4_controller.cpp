@@ -1,13 +1,18 @@
 // Exp#4 (Figure 10): controller time usage breakdown.
 //
 // Runs Q1 through the full pipeline under tumbling and sliding windows and
-// prints, per sub-window of one complete window, the controller's five
-// operations: O1 collect AFRs (simulated I/O model), O2 insert into the
-// key-value table, O3 merge, O4 process the completed window, O5 evict the
-// oldest sub-window (sliding only; O2–O5 are measured wall time of the real
-// data-structure work). Expected shape: totals of a few ms, insertion (O2)
-// dominant, sliding adds O4/O5 overhead but stays orders of magnitude below
-// the 100 ms sub-window.
+// prints, per window type, the controller's five operations as its phase
+// histograms recorded them (docs/observability.md): O1 collect AFRs
+// (simulated DPDK I/O model), O2 insert into the key-value table, O3 merge,
+// O4 process each completed window, O5 evict retired sub-windows (O2–O5 are
+// measured wall time of the real data-structure work). Per phase: samples,
+// total, mean and max per sample, and the mean per sub-window of the run.
+// Expected shape: a few ms per sub-window at most, orders of magnitude below
+// the 100 ms sub-window; sliding adds O4/O5 work, since every emission
+// processes a window and retires a sub-window from the merged table.
+//
+// Exits non-zero when the obs layer is compiled out (-DOW_OBS=OFF) or any
+// phase histogram recorded nothing.
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -17,29 +22,56 @@ namespace {
 using namespace ow;
 using namespace ow::bench;
 
-void Report(const char* title, const std::vector<SubWindowTiming>& timings,
-            std::size_t first, std::size_t count) {
-  std::printf("%s\n", title);
-  std::printf("%6s %12s %12s %12s %12s %12s %12s\n", "sub", "O1-collect",
-              "O2-insert", "O3-merge", "O4-process", "O5-evict", "total");
-  double avg_total = 0;
-  std::size_t n = 0;
-  for (const auto& t : timings) {
-    if (t.subwindow < first || t.subwindow >= first + count) continue;
-    std::printf("%6u %9.3f ms %9.3f ms %9.3f ms %9.3f ms %9.3f ms %9.3f ms\n",
-                t.subwindow, double(t.o1_collect) / 1e6,
-                double(t.o2_insert) / 1e6, double(t.o3_merge) / 1e6,
-                double(t.o4_process) / 1e6, double(t.o5_evict) / 1e6,
-                double(t.Total()) / 1e6);
-    avg_total += double(t.Total()) / 1e6;
-    ++n;
+struct Phase {
+  const char* label;
+  const char* histogram;
+};
+
+constexpr Phase kPhases[] = {
+    {"O1-collect", "controller.o1_collect_ns"},
+    {"O2-insert", "controller.o2_insert_ns"},
+    {"O3-merge", "controller.o3_merge_ns"},
+    {"O4-process", "controller.o4_process_ns"},
+    {"O5-evict", "controller.o5_evict_ns"},
+};
+
+/// Print the phase histograms of one run over `subwindows` sub-windows.
+/// Returns false if any phase recorded no sample.
+bool Report(const char* title, std::uint64_t subwindows) {
+  std::printf("%s: %llu sub-windows\n", title,
+              static_cast<unsigned long long>(subwindows));
+  std::printf("%-11s %8s %14s %11s %11s %15s\n", "phase", "samples",
+              "total-ns", "mean-us", "max-us", "us/sub-window");
+  bool ok = true;
+  double per_subwindow_us = 0;
+  for (const Phase& phase : kPhases) {
+    const obs::Histogram& h = obs::Global().GetHistogram(phase.histogram);
+    const double sum_us = double(h.sum()) / 1e3;
+    const double mean_us = h.count() ? sum_us / double(h.count()) : 0.0;
+    const double per_sub_us = subwindows ? sum_us / double(subwindows) : 0.0;
+    per_subwindow_us += per_sub_us;
+    std::printf("%-11s %8llu %14llu %11.3f %11.3f %15.3f\n", phase.label,
+                static_cast<unsigned long long>(h.count()),
+                static_cast<unsigned long long>(h.sum()), mean_us,
+                double(h.max()) / 1e3, per_sub_us);
+    if (h.count() == 0) {
+      std::printf("FAIL: %s recorded no sample\n", phase.histogram);
+      ok = false;
+    }
   }
-  if (n) std::printf("average per sub-window: %.3f ms\n\n", avg_total / n);
+  std::printf("total per sub-window: %.3f ms\n\n", per_subwindow_us / 1e3);
+  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (!obs::kEnabled) {
+    std::fprintf(stderr,
+                 "exp4 reads the controller phase histograms: rebuild with "
+                 "-DOW_OBS=ON\n");
+    return 1;
+  }
   // --obs-out=<prefix>: arm span tracing and dump <prefix>.stats.json +
   // <prefix>.trace.json at exit (docs/observability.md).
   const std::optional<std::string> obs_out = ObsOutFromArgs(argc, argv);
@@ -49,17 +81,21 @@ int main(int argc, char** argv) {
   EvalParams params;
   const QueryDef def = StandardQuery(1);
 
+  bool ok = true;
   for (const bool sliding : {false, true}) {
+    // Each run reads its own samples; the dump keeps the last run's.
+    for (const Phase& phase : kPhases) {
+      obs::Global().GetHistogram(phase.histogram).Reset();
+    }
     auto app = std::make_shared<QueryAdapter>(def, params.window_cells / 4);
     const WindowSpec spec =
         sliding ? SlidingSpec(params) : TumblingSpec(params);
     const RunResult result = RunOmniWindow(
         trace, app, RunConfig::Make(spec),
         [&](TableView table) { return app->Detect(table); });
-    // Report the second complete window's five sub-windows (the first is
-    // warm-up).
-    Report(sliding ? "(b) sliding window" : "(a) tumbling window",
-           result.timings, 5, 5);
+    const OmniWindowController::Stats& c = result.controller;
+    ok &= Report(sliding ? "(b) sliding window" : "(a) tumbling window",
+                 c.subwindows_finalized + c.subwindows_force_finalized);
   }
 
   if (obs_out && !DumpObs(*obs_out)) {
@@ -67,5 +103,5 @@ int main(int argc, char** argv) {
                  obs_out->c_str());
     return 1;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

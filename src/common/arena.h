@@ -1,7 +1,7 @@
 // Arena-backed memory for allocation-free steady state.
 //
 // Continuous (24/7) operation needs bounded, pre-sized memory: the windowed
-// hot paths — switch event lanes, AFR report batches, controller pending
+// hot paths — switch event lanes, AFR report payloads, controller pending
 // state, merge scratch, detect entity maps — must stop touching the global
 // heap once the working set has been learned. Three layers provide that:
 //
@@ -23,7 +23,7 @@
 //     destroyed), so state torn down late in process exit stays safe.
 //
 // The pool's lock is uncontended in practice: pooled paths allocate per
-// sub-window / per report batch / on container growth, never per packet
+// sub-window / per AFR report / on container growth, never per data packet
 // (the per-packet structures reached zero-allocation in PR 3 via capacity
 // retention; the pool extends that to the structures that are *recreated*
 // each round).

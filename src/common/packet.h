@@ -61,8 +61,9 @@ struct OwHeader {
                                ///< this sub-window's state was damaged by an
                                ///< overrun force-finish, so the announced
                                ///< count undercounts reality
-  /// Records appended during collection. Pool-backed so report batches
-  /// recycle their buffers across sub-windows (zero-alloc steady state).
+  /// The report's records: one AFR per report packet, none on a completion
+  /// notification. Pool-backed so reports recycle their buffers across
+  /// sub-windows (zero-alloc steady state).
   PooledVector<FlowRecord> afrs;
 };
 

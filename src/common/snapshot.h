@@ -58,7 +58,13 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// v6: links deliver straight into the switch event lanes: the Switch
 /// section loses the staged-arrival lane, its saved minimum and its seq
 /// counter, and the Network section its per-endpoint tx counters.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+/// v7: checkpoints carry only restorable state in one encoding: the
+/// KeyValueTable section loses its mode byte and dense form (live slots
+/// only, as (index, slot) pairs), the Controller section its per-sub-window
+/// timing log, merge-stall RNG state and stall tally, and the Program
+/// section its AFR report batch; a pending sub-window carries its simulated
+/// O1 collection cost.
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;

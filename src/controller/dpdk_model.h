@@ -10,19 +10,17 @@
 
 #include "src/common/types.h"
 
-namespace ow {
+namespace ow::dpdk {
 
-struct DpdkCosts {
-  /// Controller -> switch injection of one packet (craft + TX descriptor).
-  Nanos per_tx_packet = 125;
-  /// Additional cost when the injected packet needs a key-value table
-  /// address lookup first (the CPC* path of Exp#6).
-  Nanos per_tx_addr_lookup = 110;
-  /// Controller RX + parse of one AFR report packet.
-  Nanos per_rx_packet = 60;
-  /// With the RDMA context warmed up, injection descriptors are posted in
-  /// batches without per-packet DPDK overhead.
-  Nanos per_tx_packet_rdma = 40;
-};
+/// Controller -> switch injection of one packet (craft + TX descriptor).
+inline constexpr Nanos kPerTxPacket = 125;
+/// Additional cost when the injected packet needs a key-value table address
+/// lookup first (the CPC* path of Exp#6).
+inline constexpr Nanos kPerTxAddrLookup = 110;
+/// Controller RX + parse of one AFR report packet.
+inline constexpr Nanos kPerRxPacket = 60;
+/// With the RDMA context warmed up, injection descriptors are posted in
+/// batches without per-packet DPDK overhead.
+inline constexpr Nanos kPerTxPacketRdma = 40;
 
-}  // namespace ow
+}  // namespace ow::dpdk

@@ -92,23 +92,14 @@ void KeyValueTable::Clear() {
   live_ = 0;
 }
 
-void KeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
-  if (mode == KvSnapshotMode::kAuto) {
-    mode = live_ < SparseSaveThreshold(slots_.size()) ? KvSnapshotMode::kSparse
-                                                      : KvSnapshotMode::kDense;
-  }
+void KeyValueTable::Save(SnapshotWriter& w) const {
   w.Section(snap::kKvTable);
-  w.U8(mode == KvSnapshotMode::kSparse ? 1 : 0);
   w.Size(slots_.size());
-  if (mode == KvSnapshotMode::kSparse) {
-    w.Size(live_);
-    ForEachLiveIndex([&](std::size_t i) {
-      w.U64(i);
-      w.Pod(slots_[i]);
-    });
-  } else {
-    w.Bytes(slots_.data(), slots_.size() * sizeof(KvSlot));
-  }
+  w.Size(live_);
+  ForEachLiveIndex([&](std::size_t i) {
+    w.U64(i);
+    w.Pod(slots_[i]);
+  });
   w.Size(live_);
   w.U64(rejected_);
 }
@@ -116,41 +107,32 @@ void KeyValueTable::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
 void KeyValueTable::Load(SnapshotReader& r) {
   r.Section(snap::kKvTable);
   const std::size_t cap = slots_.size();
-  const std::uint8_t mode = r.U8();
-  if (mode > 1) {
-    throw SnapshotError("KeyValueTable: unknown encoding mode " +
-                        std::to_string(mode));
-  }
   // Everything below validates against scratch state; this table is only
   // touched once the whole section (counts included) has checked out, so a
   // caller that catches the throw keeps a usable, unchanged table.
   CheckShape(snap::kKvTable, "KeyValueTable", "capacity", cap, r.Size());
   std::vector<KvSlot> scratch(cap);
-  if (mode == 1) {
-    const std::size_t occupied = r.Count(8 + sizeof(KvSlot));
-    if (occupied > cap) {
-      throw SnapshotError("KeyValueTable: " + std::to_string(occupied) +
-                          " sparse slots exceed capacity " +
+  const std::size_t listed = r.Count(8 + sizeof(KvSlot));
+  if (listed > cap) {
+    throw SnapshotError("KeyValueTable: " + std::to_string(listed) +
+                        " listed slots exceed capacity " +
+                        std::to_string(cap));
+  }
+  std::uint64_t prev = 0;
+  for (std::size_t n = 0; n < listed; ++n) {
+    const std::uint64_t idx = r.U64();
+    if (idx >= cap || (n > 0 && idx <= prev)) {
+      throw SnapshotError("KeyValueTable: slot index " + std::to_string(idx) +
+                          " out of order or beyond capacity " +
                           std::to_string(cap));
     }
-    std::uint64_t prev = 0;
-    for (std::size_t n = 0; n < occupied; ++n) {
-      const std::uint64_t idx = r.U64();
-      if (idx >= cap || (n > 0 && idx <= prev)) {
-        throw SnapshotError("KeyValueTable: sparse slot index " +
-                            std::to_string(idx) + " out of order or beyond "
-                            "capacity " + std::to_string(cap));
-      }
-      r.Pod(scratch[idx]);
-      prev = idx;
-    }
-  } else {
-    r.Bytes(scratch.data(), cap * sizeof(KvSlot));
+    r.Pod(scratch[idx]);
+    prev = idx;
   }
   const std::size_t live = r.Size();
   const std::uint64_t rejected = r.U64();
   // Verify the stream's tally against the array it described: a corrupt
-  // state byte or dropped sparse entry surfaces here, not as a probe-chain
+  // state byte or dropped entry surfaces here, not as a probe-chain
   // heisenbug three windows later. The same pass rebuilds the occupancy
   // bitmap, committed with the slots.
   std::vector<std::uint64_t> live_bits(occupied_.size());

@@ -9,7 +9,7 @@
 //
 // A one-bit-per-slot occupancy bitmap mirrors which slots are live. It is
 // derived state (never serialized): walks over the live slots (ForEach,
-// sparse Save, Clear) read it instead of every slot, so they cost
+// Save, Clear) read it instead of every slot, so they cost
 // O(live + capacity/64) rather than O(capacity).
 #pragma once
 
@@ -26,13 +26,6 @@ namespace ow {
 
 class SnapshotWriter;
 class SnapshotReader;
-
-/// Encoding of a KeyValueTable checkpoint. kAuto picks sparse (index, slot)
-/// pairs when fewer than half the slots are in use and the verbatim dense
-/// array otherwise; the forced modes exist for byte-cost measurement
-/// (bench/exp14_lifetime's sparse-vs-dense headline) and round-trip tests.
-/// Both encodings reload to the identical slot array.
-enum class KvSnapshotMode : std::uint8_t { kAuto, kDense, kSparse };
 
 struct KvSlot {
   FlowKey key;
@@ -97,24 +90,18 @@ class KeyValueTable {
     ForEachLiveIndex([&](std::size_t i) { fn(slots_[i]); });
   }
 
-  /// Checkpoint the slot array verbatim (slots are trivially copyable), so
-  /// a restored table probes exactly like the saved one. Sparse tables emit
-  /// only their live slots as (index, slot) pairs — checkpoint cost scales
-  /// with state, not provisioned capacity. Load validates the claimed
-  /// capacity and every untrusted count BEFORE touching this table,
-  /// reconstructs the full array, verifies the rebuilt live tally against
-  /// the stream's and that every live key sits where its own probe finds
-  /// it exactly once, and leaves the table UNCHANGED if it throws.
-  void Save(SnapshotWriter& w,
-            KvSnapshotMode mode = KvSnapshotMode::kAuto) const;
+  /// Checkpoint the live slots as (index, slot) pairs in ascending index
+  /// order (slots are trivially copyable), so a restored table probes
+  /// exactly like the saved one and checkpoint cost scales with state, not
+  /// provisioned capacity: a pair costs 8 bytes more than the slot, and the
+  /// 7/8 load limit keeps the pairs below the whole slot array. Load
+  /// validates the claimed capacity and every untrusted count BEFORE
+  /// touching this table, reconstructs the full array, verifies the rebuilt
+  /// live tally against the stream's and that every live key sits where its
+  /// own probe finds it exactly once, and leaves the table UNCHANGED if it
+  /// throws.
+  void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
-
-  /// Live-slot count below which kAuto saves sparse. With ~64-byte
-  /// slots an (index, slot) pair costs ~1.12 slots, so sparse stays
-  /// smaller well past half occupancy; half keeps a comfortable margin.
-  static std::size_t SparseSaveThreshold(std::size_t capacity) {
-    return capacity / 2;
-  }
 
  private:
   static std::uint64_t HashOf(const FlowKey& key);

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/common/snapshot.h"
+#include "src/controller/dpdk_model.h"
 #include "src/core/afr_wire.h"
 
 namespace ow {
@@ -13,6 +14,11 @@ namespace {
 
 constexpr std::uint32_t kNoExplicitIndex = 0xFFFFFFFFu;
 constexpr Nanos kWireLatency = 2 * kMicro;  // controller NIC -> switch port
+/// RDMA cold-key append buffer registered by InitRdma.
+constexpr std::size_t kRdmaBufferBytes = 8u << 20;
+/// A key becomes "hot" (address-MAT resident) after appearing in this many
+/// distinct sub-windows (§7).
+constexpr std::uint32_t kHotKeyThreshold = 2;
 
 /// Wall-clock measurement of one controller CPU operation.
 class WallTimer {
@@ -35,10 +41,9 @@ OmniWindowController::OmniWindowController(ControllerConfig cfg,
     : cfg_(cfg),
       merge_kind_(merge_kind),
       table_(cfg.kv_capacity),
-      // Distinct per-feature recovery streams, decorrelated via tag XOR
-      // (the net::Link seeding discipline).
-      retry_rng_(cfg.fault_seed ^ 0x52455452'59524E47ull),
-      stall_rng_(cfg.fault_seed ^ 0x5354414C'4C524E47ull) {
+      // Decorrelated via tag XOR from the fault injectors that share the
+      // seed (the net::Link seeding discipline).
+      retry_rng_(cfg.fault_seed ^ 0x52455452'59524E47ull) {
   cfg_.window.Validate();
   obs::Registry& reg = obs::Global();
   obs_.afrs_received = &reg.GetCounter("controller.afrs_received");
@@ -54,13 +59,13 @@ OmniWindowController::OmniWindowController(ControllerConfig cfg,
   obs_.spike_packets = &reg.GetCounter("controller.spike_packets");
   obs_.duplicate_afrs = &reg.GetCounter("controller.duplicate_afrs");
   obs_.windows_partial = &reg.GetCounter("controller.windows_partial");
-  obs_.merge_stalls = &reg.GetCounter("fault.controller.merge_stalls");
   obs_.rdma_holes = &reg.GetCounter("fault.rdma.holes_detected");
   obs_.switch_degraded =
       &reg.GetCounter("controller.subwindows_degraded_by_switch");
   obs_.merge_records = &reg.GetCounter("merge.records");
   obs_.inserts_rejected = &reg.GetGauge("controller.inserts_rejected");
   obs_.retry_attempts = &reg.GetHistogram("controller.retry_attempts");
+  obs_.o1_collect_ns = &reg.GetHistogram("controller.o1_collect_ns");
   obs_.o2_insert_ns = &reg.GetHistogram("controller.o2_insert_ns");
   obs_.o3_merge_ns = &reg.GetHistogram("controller.o3_merge_ns");
   obs_.o4_process_ns = &reg.GetHistogram("controller.o4_process_ns");
@@ -79,19 +84,11 @@ std::shared_ptr<RdmaContext> OmniWindowController::InitRdma(RdmaNic& nic) {
   // Hot-key attr mirror: one 32-byte attr block per hot slot.
   table_mr_ = &nic.RegisterMemory(std::max<std::size_t>(
       32 * 1024, cfg_.kv_capacity * 4));  // capacity/8 hot slots
-  buffer_mr_ = &nic.RegisterMemory(cfg_.rdma_buffer_bytes);
+  buffer_mr_ = &nic.RegisterMemory(kRdmaBufferBytes);
   rdma_ctx_->table_rkey = table_mr_->rkey();
   rdma_ctx_->buffer_rkey = buffer_mr_->rkey();
   rdma_ctx_->buffer_bytes = buffer_mr_->size();
   return rdma_ctx_;
-}
-
-SubWindowTiming& OmniWindowController::TimingFor(SubWindowNum sw) {
-  for (auto& t : timings_) {
-    if (t.subwindow == sw) return t;
-  }
-  timings_.push_back(SubWindowTiming{.subwindow = sw});
-  return timings_.back();
 }
 
 void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
@@ -141,7 +138,6 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
       auto it = pending_.find(sw);
       if (it == pending_.end()) return;  // already finalized (stale dup)
       PendingSubWindow& pending = it->second;
-      SubWindowTiming& t = TimingFor(sw);
       if (p.ow.afrs.empty()) {
         // Completion notification. payload = the final enumerated count
         // (both modes; in RDMA mode it also marks the memory regions
@@ -166,7 +162,7 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
         }
       }
       for (const FlowRecord& rec : p.ow.afrs) {
-        t.o1_collect += cfg_.costs.per_rx_packet;
+        pending.o1_collect += dpdk::kPerRxPacket;
         if (rec.seq_id != kNoExplicitIndex) {
           if (cfg_.rdma && pending.mirror_keys.contains(rec.key)) {
             // Chased hot-key seq: the value already merged via the mirror
@@ -248,7 +244,6 @@ void OmniWindowController::StartCollection(PendingSubWindow& pending,
   const SubWindowNum sw = pending.subwindow;
   const auto& spilled = spilled_[sw];
   pending.expected_injected = std::uint32_t(spilled.size());
-  SubWindowTiming& t = TimingFor(sw);
 
   if (!switch_) return;
 
@@ -266,15 +261,15 @@ void OmniWindowController::StartCollection(PendingSubWindow& pending,
   // controller's TX cost (CPC-style path). With RDMA the cost depends on
   // who resolves write addresses: the switch's address MAT (cheap batched
   // TX) or the controller itself (per-key table lookup, the CPC* case).
-  Nanos per_tx = cfg_.costs.per_tx_packet;
+  Nanos per_tx = dpdk::kPerTxPacket;
   if (cfg_.rdma) {
     per_tx = cfg_.rdma_controller_resolves_addresses
-                 ? cfg_.costs.per_tx_packet + cfg_.costs.per_tx_addr_lookup
-                 : cfg_.costs.per_tx_packet_rdma;
+                 ? dpdk::kPerTxPacket + dpdk::kPerTxAddrLookup
+                 : dpdk::kPerTxPacketRdma;
   }
   for (const FlowKey& key : spilled) {
     tx_time += per_tx;
-    t.o1_collect += per_tx;
+    pending.o1_collect += per_tx;
     Packet inj;
     inj.ow.present = true;
     inj.ow.app_id = cfg_.app_id;
@@ -287,7 +282,7 @@ void OmniWindowController::StartCollection(PendingSubWindow& pending,
   // Inject the collection packets that enumerate the data-plane key array.
   for (std::size_t i = 0; i < cfg_.collection_packets; ++i) {
     tx_time += per_tx;
-    t.o1_collect += per_tx;
+    pending.o1_collect += per_tx;
     Packet col;
     col.ow.present = true;
     col.ow.app_id = cfg_.app_id;
@@ -348,12 +343,14 @@ void OmniWindowController::FinalizeSubWindow(PendingSubWindow& pending,
   if (cfg_.rdma) DrainRdma(pending);
   obs_.retry_attempts->Record(pending.retransmit_attempts);
   if (!complete) MarkDegraded(pending.subwindow);
-  SubWindowTiming& t = TimingFor(pending.subwindow);
+  obs_.o1_collect_ns->Record(std::uint64_t(pending.o1_collect));
+  // §8: construct AFRs from migrated state (e.g. FlowRadar decode); its
+  // wall time is part of this sub-window's O3 sample.
+  Nanos transform_ns = 0;
   if (transform_) {
-    // §8: construct AFRs from migrated state (e.g. FlowRadar decode).
     WallTimer timer;
     pending.records = transform_(std::move(pending.records));
-    t.o3_merge += timer.Elapsed();
+    transform_ns = timer.Elapsed();
   }
 
   // O2 + O3: table inserts, then attribute merges.
@@ -373,19 +370,9 @@ void OmniWindowController::FinalizeSubWindow(PendingSubWindow& pending,
       }
       pending.records.resize(kept);
     }
-    t.o2_insert += mt.insert;
-    t.o3_merge += mt.merge;
     obs_.merge_records->Add(pending.records.size());
-    if (cfg_.fault_profile.merge_stall_rate > 0 &&
-        stall_rng_.Bernoulli(cfg_.fault_profile.merge_stall_rate)) {
-      // Injected stall: inflates the simulated O3 budget only — results
-      // are never touched, so stalled runs stay bit-identical in content.
-      t.o3_merge += cfg_.fault_profile.merge_stall;
-      ++stats_.merge_stalls;
-      obs_.merge_stalls->Add();
-    }
     obs_.o2_insert_ns->Record(std::uint64_t(mt.insert));
-    obs_.o3_merge_ns->Record(std::uint64_t(mt.merge));
+    obs_.o3_merge_ns->Record(std::uint64_t(transform_ns + mt.merge));
   }
   if (cfg_.rdma) UpdateHotKeys(pending);
   history_.emplace_back(pending.subwindow, std::move(pending.records));
@@ -416,7 +403,6 @@ void OmniWindowController::EmitWindowsAfter(SubWindowNum sw, Nanos now) {
   const std::size_t S = cfg_.window.SubWindowsPerSlide();
   if (sw + 1 < W || (sw + 1 - W) % S != 0) return;
 
-  SubWindowTiming& t = TimingFor(sw);
   const SubWindowSpan span{SubWindowNum(sw + 1 - W), sw};
   bool partial = false;
   for (SubWindowNum d : degraded_) {
@@ -432,9 +418,7 @@ void OmniWindowController::EmitWindowsAfter(SubWindowNum sw, Nanos now) {
     if (handler_) {
       handler_(WindowResult{span, &table_, now, partial});
     }
-    const Nanos elapsed = timer.Elapsed();
-    t.o4_process += elapsed;
-    obs_.o4_process_ns->Record(std::uint64_t(elapsed));
+    obs_.o4_process_ns->Record(std::uint64_t(timer.Elapsed()));
   }
   ++stats_.windows_emitted;
   obs_.windows_emitted->Add();
@@ -453,9 +437,7 @@ void OmniWindowController::EmitWindowsAfter(SubWindowNum sw, Nanos now) {
     WallTimer timer;
     EvictFromTable(next_first);
     TrimHistory();
-    const Nanos elapsed = timer.Elapsed();
-    t.o5_evict += elapsed;
-    obs_.o5_evict_ns->Record(std::uint64_t(elapsed));
+    obs_.o5_evict_ns->Record(std::uint64_t(timer.Elapsed()));
   }
 }
 
@@ -569,7 +551,7 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
   if (cfg_.rdma && !pending.rdma_done) {
     // Only the completion notification can be outstanding before the drain;
     // probe for it (the switch re-notifies a finished collection).
-    tx_time += cfg_.costs.per_tx_packet;
+    tx_time += dpdk::kPerTxPacket;
     Packet col;
     col.ow.present = true;
     col.ow.app_id = cfg_.app_id;
@@ -584,7 +566,7 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
   // Missing data-plane sequence numbers.
   for (std::uint32_t s = 0; s < pending.expected_dataplane; ++s) {
     if (pending.seqs_seen.contains(s)) continue;
-    tx_time += cfg_.costs.per_tx_packet;
+    tx_time += dpdk::kPerTxPacket;
     Packet col;
     col.ow.present = true;
     col.ow.app_id = cfg_.app_id;
@@ -601,7 +583,7 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
   // finished collection from its retransmission cache with a fresh
   // notification.
   if (!cfg_.rdma && !pending.count_final) {
-    tx_time += cfg_.costs.per_tx_packet;
+    tx_time += dpdk::kPerTxPacket;
     Packet col;
     col.ow.present = true;
     col.ow.app_id = cfg_.app_id;
@@ -615,7 +597,7 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
   // Missing injected keys.
   for (const FlowKey& key : spilled_[pending.subwindow]) {
     if (pending.injected_keys_seen.contains(key)) continue;
-    tx_time += cfg_.costs.per_tx_packet;
+    tx_time += dpdk::kPerTxPacket;
     Packet inj;
     inj.ow.present = true;
     inj.ow.app_id = cfg_.app_id;
@@ -701,7 +683,7 @@ void OmniWindowController::UpdateHotKeys(const PendingSubWindow& pending) {
   const std::size_t max_hot = table_mr_->size() / 32;
   for (const FlowRecord& rec : pending.records) {
     const std::uint32_t count = ++hot_counts_[rec.key];
-    if (count >= cfg_.hot_key_threshold && !hot_slots_.contains(rec.key) &&
+    if (count >= kHotKeyThreshold && !hot_slots_.contains(rec.key) &&
         next_hot_slot_ < max_hot) {
       const std::size_t slot = next_hot_slot_++;
       hot_slots_[rec.key] = slot;
@@ -837,6 +819,7 @@ void OmniWindowController::SavePending(SnapshotWriter& w,
   w.U32(p.rdma_holes);
   SaveSet(w, p.mirror_keys);
   w.Bool(p.lost);
+  w.Pod(p.o1_collect);
 }
 
 void OmniWindowController::LoadPending(SnapshotReader& r,
@@ -855,16 +838,17 @@ void OmniWindowController::LoadPending(SnapshotReader& r,
   p.rdma_holes = r.U32();
   LoadSet(r, p.mirror_keys);
   p.lost = r.Bool();
+  r.Pod(p.o1_collect);
 }
 
-void OmniWindowController::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
+void OmniWindowController::Save(SnapshotWriter& w) const {
   if (cfg_.rdma) {
     throw SnapshotError(
         "OmniWindowController: the RDMA collection path shares externally "
         "owned NIC/MR state and is not checkpointable");
   }
   w.Section(snap::kController);
-  table_.Save(w, mode);
+  table_.Save(w);
   w.Size(history_.size());
   for (const auto& [sub, recs] : history_) {
     w.Pod(sub);
@@ -887,10 +871,8 @@ void OmniWindowController::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   }
   SaveSet(w, degraded_);
   w.Pod(retry_rng_.state());
-  w.Pod(stall_rng_.state());
   w.Pod(next_to_finalize_);
   w.Pod(table_floor_);
-  w.PodVec(timings_);
   w.U64(stats_.afrs_received);
   w.U64(stats_.subwindows_finalized);
   w.U64(stats_.subwindows_force_finalized);
@@ -901,7 +883,6 @@ void OmniWindowController::Save(SnapshotWriter& w, KvSnapshotMode mode) const {
   w.U64(stats_.duplicate_afrs);
   w.U64(stats_.inserts_rejected);
   w.U64(stats_.windows_partial);
-  w.U64(stats_.merge_stalls);
   w.U64(stats_.rdma_holes_detected);
   w.U64(stats_.subwindows_degraded_by_switch);
   w.PodVec(stats_.degraded_subwindows);
@@ -946,10 +927,8 @@ void OmniWindowController::Load(SnapshotReader& r) {
   }
   LoadSet(r, degraded_);
   retry_rng_.set_state(r.Get<Rng::State>());
-  stall_rng_.set_state(r.Get<Rng::State>());
   r.Pod(next_to_finalize_);
   r.Pod(table_floor_);
-  r.PodVec(timings_);
   stats_.afrs_received = r.U64();
   stats_.subwindows_finalized = r.U64();
   stats_.subwindows_force_finalized = r.U64();
@@ -960,7 +939,6 @@ void OmniWindowController::Load(SnapshotReader& r) {
   stats_.duplicate_afrs = r.U64();
   stats_.inserts_rejected = r.U64();
   stats_.windows_partial = r.U64();
-  stats_.merge_stalls = r.U64();
   stats_.rdma_holes_detected = r.U64();
   stats_.subwindows_degraded_by_switch = r.U64();
   r.PodVec(stats_.degraded_subwindows);

@@ -13,7 +13,8 @@
 //
 // Controller CPU work (table insert, merge, window processing, eviction) is
 // real computation measured with a wall clock; network/IO costs come from
-// the DPDK cost model in simulated time. Both feed Exp#4.
+// the DPDK cost model in simulated time. Both feed Exp#4 through the
+// controller.o1_collect_ns … o5_evict_ns histograms (docs/observability.md).
 #pragma once
 
 #include <deque>
@@ -26,12 +27,11 @@
 
 #include "src/common/packet.h"
 #include "src/common/rng.h"
-#include "src/controller/dpdk_model.h"
-#include "src/fault/fault.h"
 #include "src/controller/key_value_table.h"
 #include "src/controller/merge.h"
 #include "src/core/data_plane.h"
 #include "src/core/window.h"
+#include "src/fault/retry.h"
 #include "src/obs/obs.h"
 #include "src/switchsim/pipeline.h"
 
@@ -46,17 +46,12 @@ struct ControllerConfig {
   /// Exp#6/#8 sweep 3/4/8/16).
   std::size_t collection_packets = 16;
   std::size_t kv_capacity = 1 << 17;
-  DpdkCosts costs;
   bool rdma = false;
-  std::size_t rdma_buffer_bytes = 8u << 20;
   /// RDMA variant where the CONTROLLER resolves each injected key's
   /// key-value-table address before injection (the CPC* path of Exp#6)
   /// instead of letting the switch's address MAT do it. Adds the lookup
   /// cost to every injected packet.
   bool rdma_controller_resolves_addresses = false;
-  /// A key becomes "hot" (address-MAT resident) after appearing in this
-  /// many distinct sub-windows (§7).
-  std::uint32_t hot_key_threshold = 2;
   /// Sub-windows of AFR history to retain beyond what the window type
   /// needs (G1: administrators can re-merge arbitrary spans — e.g. the
   /// whole lifetime of a suspicious flow — via QueryRange). 0 keeps only
@@ -69,10 +64,7 @@ struct ControllerConfig {
   /// RDMA-path re-collection. The default (8 attempts, no backoff delay)
   /// reproduces the historical immediate-reissue behavior exactly.
   fault::RetryPolicy retry;
-  /// Controller-side fault injection (merge stalls). Inert by default.
-  fault::ControllerFaultProfile fault_profile;
-  /// Seed for the controller's recovery-side RNG streams (retry jitter,
-  /// merge-stall schedule).
+  /// Seed for the controller's recovery-side RNG stream (retry jitter).
   std::uint64_t fault_seed = 0xFA017BA5Eull;
 };
 
@@ -88,20 +80,6 @@ struct WindowResult {
   /// missing. A partial window is explicitly degraded, never silently
   /// wrong: consumers must not treat its contents as exact.
   bool partial = false;
-};
-
-/// Exp#4 per-sub-window controller time breakdown. O1 is simulated
-/// (network/IO model); O2–O5 are measured wall time of the real work.
-struct SubWindowTiming {
-  SubWindowNum subwindow = 0;
-  Nanos o1_collect = 0;
-  Nanos o2_insert = 0;
-  Nanos o3_merge = 0;
-  Nanos o4_process = 0;
-  Nanos o5_evict = 0;
-  Nanos Total() const {
-    return o1_collect + o2_insert + o3_merge + o4_process + o5_evict;
-  }
 };
 
 class OmniWindowController {
@@ -175,7 +153,6 @@ class OmniWindowController {
   /// marker: a takeover has caught up once this passes the kill point).
   SubWindowNum next_to_finalize() const noexcept { return next_to_finalize_; }
 
-  const std::vector<SubWindowTiming>& timings() const { return timings_; }
   const KeyValueTable& table() const { return table_; }
 
   /// Merge an arbitrary retained span of sub-windows into a fresh table
@@ -206,8 +183,6 @@ class OmniWindowController {
     std::uint64_t inserts_rejected = 0;
     /// Windows emitted with the partial flag set (degraded, not wrong).
     std::uint64_t windows_partial = 0;
-    /// Injected merge stalls (fault_profile.merge_stall_rate).
-    std::uint64_t merge_stalls = 0;
     /// Invalid (fault-truncated or dropped) RDMA buffer slots detected by
     /// the drain's checksum scan.
     std::uint64_t rdma_holes_detected = 0;
@@ -225,15 +200,14 @@ class OmniWindowController {
   const Stats& stats() const noexcept { return stats_; }
 
   /// Checkpoint the controller's complete merge/collection state: flow
-  /// table, retained history, pending sub-windows, spilled keys, degraded
-  /// marks, recovery RNG streams, timings and stats. Handlers, window spec
-  /// and the switch attachment are configuration the restoring side
-  /// rebuilds. The RDMA path is not checkpointable (throws SnapshotError
-  /// when enabled). `mode` selects the flow-table encoding (KvSnapshotMode):
-  /// kAuto emits sparse (index, slot) pairs when the table is mostly empty,
-  /// so checkpoint bytes scale with live state rather than capacity.
-  void Save(SnapshotWriter& w,
-            KvSnapshotMode mode = KvSnapshotMode::kAuto) const;
+  /// table (live slots only, so checkpoint bytes scale with live state
+  /// rather than capacity), retained history, pending sub-windows, spilled
+  /// keys, degraded marks, the retry RNG stream and stats. Only restorable
+  /// state is written, so one seed writes the same bytes on every run.
+  /// Handlers, window spec and the switch attachment are configuration the
+  /// restoring side rebuilds. The RDMA path is not checkpointable (throws
+  /// SnapshotError when enabled).
+  void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
  private:
@@ -266,6 +240,9 @@ class OmniWindowController {
     /// Never complete; MaybeFinalize retires it immediately as degraded
     /// (flagged) so later sub-windows are not blocked behind it.
     bool lost = false;
+    /// O1: simulated DPDK cost of this sub-window's injections and report
+    /// RX so far, recorded into controller.o1_collect_ns at finalize.
+    Nanos o1_collect = 0;
   };
 
   void StartCollection(PendingSubWindow& pending, Nanos now);
@@ -280,7 +257,6 @@ class OmniWindowController {
   void RequestRetransmissions(PendingSubWindow& pending, Nanos now);
   void DrainRdma(PendingSubWindow& pending);
   void UpdateHotKeys(const PendingSubWindow& pending);
-  SubWindowTiming& TimingFor(SubWindowNum sw);
   void SavePending(SnapshotWriter& w, const PendingSubWindow& p) const;
   void LoadPending(SnapshotReader& r, PendingSubWindow& p) const;
 
@@ -304,9 +280,8 @@ class OmniWindowController {
   /// unfoldable spike copies). Windows covering any of them emit with the
   /// partial flag; entries are pruned once no future window can cover them.
   PooledSet<SubWindowNum> degraded_;
-  /// Recovery-side per-feature RNG streams (same discipline as net::Link).
+  /// Recovery-side RNG stream (same discipline as net::Link).
   Rng retry_rng_;
-  Rng stall_rng_;
   SubWindowNum next_to_finalize_ = 0;
   /// Sub-windows below this are no longer reflected in table_.
   SubWindowNum table_floor_ = 0;
@@ -319,7 +294,6 @@ class OmniWindowController {
   std::map<FlowKey, std::size_t> hot_slots_;  ///< key -> mirror slot index
   std::size_t next_hot_slot_ = 0;
 
-  std::vector<SubWindowTiming> timings_;
   Stats stats_;
 
   /// Registry-backed mirrors of Stats plus phase latency histograms
@@ -336,12 +310,12 @@ class OmniWindowController {
     obs::Counter* spike_packets;
     obs::Counter* duplicate_afrs;
     obs::Counter* windows_partial;
-    obs::Counter* merge_stalls;
     obs::Counter* rdma_holes;
     obs::Counter* switch_degraded;
     obs::Counter* merge_records;
     obs::Gauge* inserts_rejected;
     obs::Histogram* retry_attempts;
+    obs::Histogram* o1_collect_ns;
     obs::Histogram* o2_insert_ns;
     obs::Histogram* o3_merge_ns;
     obs::Histogram* o4_process_ns;

@@ -258,20 +258,12 @@ void OmniWindowProgram::EmitRecord(FlowRecord rec, PipelineActions& act) {
     return;
   }
 
-  report_batch_.push_back(std::move(rec));
-  if (report_batch_.size() >= std::max<std::size_t>(1, cfg_.afr_batch)) {
-    FlushReportBatch(act);
-  }
-}
-
-void OmniWindowProgram::FlushReportBatch(PipelineActions& act) {
-  if (report_batch_.empty()) return;
+  // One report packet per AFR (a clone to the controller).
   Packet report;
   report.ow.present = true;
   report.ow.flag = OwFlag::kAfrReport;
   report.ow.subwindow_num = collect_.subwindow;
-  report.ow.afrs = std::move(report_batch_);
-  report_batch_.clear();
+  report.ow.afrs.push_back(std::move(rec));
   act.to_controller.push_back(std::move(report));
 }
 
@@ -332,7 +324,6 @@ void OmniWindowProgram::HandleCollection(Packet& p, PipelineActions& act) {
     // Enumeration done: convert to a clear packet (Algorithm 2, lines 5-6).
     if (!collect_.resetting) {
       collect_.resetting = true;
-      FlushReportBatch(act);  // ship any partially-filled batch
       tracker_.Reset(collect_.region);
       // Completion notification: announces the FINAL enumerated count
       // (keys may have been added between termination and collection
@@ -429,7 +420,6 @@ void OmniWindowProgram::ForceFinishCollection() {
     app_->ResetSlice(collect_.region, i);
   }
   collect_ = CollectState{};
-  report_batch_.clear();  // error path: unsent records are abandoned
   if (!pending_starts_.empty()) {
     const Packet next = pending_starts_.front();
     pending_starts_.pop_front();
@@ -518,7 +508,6 @@ void OmniWindowProgram::Save(SnapshotWriter& w) {
   w.Pod(last_writer_[0]);
   w.Pod(last_writer_[1]);
   w.Pod(collect_started_through_);
-  w.PodVec(report_batch_);
   w.U32(rdma_psn_);
   w.U32(user_base_);
   w.Pod(stats_);
@@ -559,7 +548,6 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
   r.Pod(last_writer_[0]);
   r.Pod(last_writer_[1]);
   r.Pod(collect_started_through_);
-  r.PodVec(report_batch_);
   rdma_psn_ = r.U32();
   user_base_ = r.U32();
   r.Pod(stats_);

@@ -35,10 +35,6 @@ struct OmniWindowConfig {
   FlowkeyTrackerConfig tracker;
   /// Sub-windows preserved after termination for out-of-order packets.
   std::uint32_t preserve_subwindows = 1;
-  /// AFRs packed into one report packet (the custom header carries a list;
-  /// batching cuts per-packet controller RX overhead at the cost of larger
-  /// loss units). 1 = one record per clone.
-  std::size_t afr_batch = 1;
   /// Enable the RDMA collection path (§7).
   bool rdma = false;
 };
@@ -118,7 +114,6 @@ class OmniWindowProgram final : public SwitchProgram {
   void TerminateSubWindow(Nanos now, PipelineActions& act);
   void EmitAfr(const FlowKey& key, std::uint32_t seq, PipelineActions& act);
   void EmitRecord(FlowRecord rec, PipelineActions& act);
-  void FlushReportBatch(PipelineActions& act);
   void ForceFinishCollection();
 
   OmniWindowConfig cfg_;
@@ -172,8 +167,6 @@ class OmniWindowProgram final : public SwitchProgram {
   /// in-region state is gone: it is recoverable only through the
   /// retransmission cache. QueryRecoverability keys off this.
   SubWindowNum collect_started_through_ = 0;
-  /// Records awaiting a (batched) report clone.
-  RecordVec report_batch_;
   /// RoCEv2 packet sequence number register (§8).
   std::uint32_t rdma_psn_ = 0;
   /// First user-defined iteration number observed (maps iterations to

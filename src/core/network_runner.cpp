@@ -102,7 +102,6 @@ FabricSession::FabricSession(
       trace_duration_(trace.Duration()) {
   cfg_.base.controller.window = cfg_.base.window;
   cfg_.base.data_plane.signal.subwindow_size = cfg_.base.window.subwindow_size;
-  cfg_.base.controller.fault_profile = cfg_.base.fault.controller;
   cfg_.base.controller.fault_seed = cfg_.base.fault.seed;
 
   // RDMA completion trusts each sub-window's completion notification. One
@@ -236,28 +235,26 @@ FabricSession::FabricSession(
 
 Nanos FabricSession::DriveUntil(Nanos t) { return net_.RunUntilQuiescent(t); }
 
-void FabricSession::BuildSnapshot(SnapshotWriter& w,
-                                  KvSnapshotMode mode) const {
+void FabricSession::BuildSnapshot(SnapshotWriter& w) const {
   w.Section(snap::kSession);
   net_.Save(w);
   w.Size(report_links_.size());
   for (const auto& link : report_links_) link->Save(w);
   for (const auto& program : programs_) program->Save(w);
-  for (const auto& controller : controllers_) controller->Save(w, mode);
+  for (const auto& controller : controllers_) controller->Save(w);
   w.Size(sink_delivered_.size());
   for (const std::uint64_t v : sink_delivered_) w.U64(v);
 }
 
-std::vector<std::uint8_t> FabricSession::Snapshot(KvSnapshotMode mode) {
+std::vector<std::uint8_t> FabricSession::Snapshot() {
   SnapshotWriter w;
-  BuildSnapshot(w, mode);
+  BuildSnapshot(w);
   return w.Take();
 }
 
-void FabricSession::SnapshotToFile(const std::string& path,
-                                   KvSnapshotMode mode) {
+void FabricSession::SnapshotToFile(const std::string& path) {
   SnapshotWriter w;
-  BuildSnapshot(w, mode);
+  BuildSnapshot(w);
   w.WriteFile(path);
 }
 
@@ -294,12 +291,11 @@ void FabricSession::RestoreFromFile(const std::string& path) {
   Restore(bytes);
 }
 
-std::vector<std::uint8_t> FabricSession::SnapshotControllers(
-    KvSnapshotMode mode) const {
+std::vector<std::uint8_t> FabricSession::SnapshotControllers() const {
   SnapshotWriter w;
   w.Section(snap::kControllerPlane);
   w.Size(controllers_.size());
-  for (const auto& controller : controllers_) controller->Save(w, mode);
+  for (const auto& controller : controllers_) controller->Save(w);
   return w.Take();
 }
 

@@ -152,17 +152,12 @@ class FabricSession {
   /// Serialize the complete mutable state. Only valid at a quiescent point
   /// (after DriveUntil returned, before Finish); throws SnapshotError when
   /// the configuration has non-checkpointable features armed (RDMA).
-  /// `mode` selects the flow-table encoding (KvSnapshotMode::kAuto emits
-  /// sparse tables as (index, slot) pairs; kDense forces the verbatim
-  /// array, the byte-cost baseline exp14 measures against).
-  std::vector<std::uint8_t> Snapshot(
-      KvSnapshotMode mode = KvSnapshotMode::kAuto);
+  std::vector<std::uint8_t> Snapshot();
 
   /// Snapshot() straight into a durable checkpoint file (per-section CRC
   /// index + CRC32 footer; docs/snapshot_format.md). Throws SnapshotError
   /// on I/O failure.
-  void SnapshotToFile(const std::string& path,
-                      KvSnapshotMode mode = KvSnapshotMode::kAuto);
+  void SnapshotToFile(const std::string& path);
 
   /// Restore state captured by Snapshot() into a freshly constructed,
   /// identically configured session. Discards this session's pre-restore
@@ -178,10 +173,10 @@ class FabricSession {
 
   /// Serialize ONLY the controller plane (flow tables, pending sub-windows,
   /// recovery RNGs) — the standby failover checkpoint. Orders of magnitude
-  /// smaller than Snapshot() and ingestible by a StandbyController every
-  /// few boundaries; see docs/failover.md.
-  std::vector<std::uint8_t> SnapshotControllers(
-      KvSnapshotMode mode = KvSnapshotMode::kAuto) const;
+  /// smaller than Snapshot(), byte-identical for one seed from run to run,
+  /// and ingestible by a StandbyController every few boundaries; see
+  /// docs/failover.md.
+  std::vector<std::uint8_t> SnapshotControllers() const;
 
   /// Standby takeover against the LIVE fabric: replace the controllers'
   /// state with a (stale) SnapshotControllers() checkpoint taken `staleness`
@@ -218,7 +213,7 @@ class FabricSession {
 
  private:
   /// Shared body of Snapshot/SnapshotToFile: serialize into `w`.
-  void BuildSnapshot(SnapshotWriter& w, KvSnapshotMode mode) const;
+  void BuildSnapshot(SnapshotWriter& w) const;
 
  public:
   std::size_t num_switches() const noexcept { return switches_.size(); }

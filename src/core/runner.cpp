@@ -28,8 +28,7 @@ RunResult RunOmniWindow(const Trace& trace, AdapterPtr app, RunConfig cfg,
       {.base = std::move(cfg), .topology = {.line_switches = 1}},
       std::move(detect));
   SwitchRun run = std::move(session.Finish().per_switch[0]);
-  return RunResult{std::move(run.windows), run.data_plane, run.controller,
-                   session.controller(0).timings()};
+  return RunResult{std::move(run.windows), run.data_plane, run.controller};
 }
 
 }  // namespace ow

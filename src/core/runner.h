@@ -52,7 +52,6 @@ struct RunResult {
   std::vector<EmittedWindow> windows;
   OmniWindowProgram::Stats data_plane;
   OmniWindowController::Stats controller;
-  std::vector<SubWindowTiming> timings;
 
   /// Union of detections across all windows.
   FlowSet AllDetected() const;
@@ -60,7 +59,7 @@ struct RunResult {
 
 /// Replay `trace` through OmniWindow with `app` plugged in. `detect` maps
 /// each completed window's merged table to the detection set (pass {} to
-/// record empty sets and rely on timings/stats only). Throws
+/// record empty sets and rely on stats only). Throws
 /// std::invalid_argument where FabricSession does (RDMA collection over a
 /// report link that can drop packets).
 RunResult RunOmniWindow(

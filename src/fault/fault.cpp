@@ -56,7 +56,6 @@ FaultPlan MakeChaosPlan(ChaosKind kind, double intensity, std::uint64_t seed) {
     case ChaosKind::kRpcTimeout:
       plan.switch_os.timeout_rate = intensity;
       plan.switch_os.slow_rate = intensity;
-      plan.controller.merge_stall_rate = intensity;
       break;
     case ChaosKind::kRdmaFail:
       plan.rdma.write_drop_rate = intensity;

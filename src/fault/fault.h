@@ -2,8 +2,8 @@
 //
 // Chaos engineering for the simulated telemetry substrate: per-link fault
 // schedules (drop / duplicate / reorder beyond the Link's own loss toggle),
-// switch-OS RPC timeouts and slow-read bursts, RDMA write failures and
-// partial completions, and controller merge stalls. Every injector follows
+// switch-OS RPC timeouts and slow-read bursts, and RDMA write failures and
+// partial completions. Every injector follows
 // the per-feature RNG-stream discipline of src/net/link.h: each fault kind
 // draws exactly once per decision point from its own SplitMix-decorrelated
 // stream, so a run is bit-reproducible for a fixed seed and sweeping one
@@ -80,15 +80,6 @@ struct RdmaFaultProfile {
   bool Any() const noexcept { return write_drop_rate > 0 || partial_rate > 0; }
 };
 
-/// Controller-side faults: merge stalls charged to the sub-window's O3
-/// budget (they must never change window contents, only timings).
-struct ControllerFaultProfile {
-  double merge_stall_rate = 0.0;
-  Nanos merge_stall = 20 * kMilli;
-
-  bool Any() const noexcept { return merge_stall_rate > 0; }
-};
-
 /// Umbrella plan the runners thread through every substrate.
 struct FaultPlan {
   std::uint64_t seed = 0xFA017BA5Eull;
@@ -96,11 +87,10 @@ struct FaultPlan {
   LinkFaultProfile report_link;  ///< switch-to-controller report path
   SwitchOsFaultProfile switch_os;
   RdmaFaultProfile rdma;
-  ControllerFaultProfile controller;
 
   bool Any() const noexcept {
     return inner_link.Any() || report_link.Any() || switch_os.Any() ||
-           rdma.Any() || controller.Any();
+           rdma.Any();
   }
 };
 

@@ -1,5 +1,6 @@
 // Tests for BeauCoup: the one-update-per-packet guarantee, distinct-count
-// alerting, multi-query coexistence, and AFR batching in the data plane.
+// alerting, multi-query coexistence, and one report packet per AFR from the
+// data plane.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -101,9 +102,9 @@ TEST(BeauCoupTest, RejectsBadConfigs) {
   EXPECT_THROW(BeauCoup({q}), std::invalid_argument);
 }
 
-// ------------------------------------------------------------ AFR batching
+// ------------------------------------------------------------ AFR reports
 
-TEST(AfrBatching, BatchedRunMatchesUnbatchedDetections) {
+TEST(AfrReports, EveryGeneratedAfrReachesTheController) {
   // Inline small trace: one syn-flood victim.
   Trace trace;
   for (int i = 0; i < 400; ++i) {
@@ -120,25 +121,22 @@ TEST(AfrBatching, BatchedRunMatchesUnbatchedDetections) {
                            .Count()
                            .Threshold(50)
                            .Build();
-  auto run = [&](std::size_t batch) {
-    auto app = std::make_shared<QueryAdapter>(def, 2048);
-    WindowSpec spec;
-    spec.type = WindowType::kTumbling;
-    spec.window_size = 100 * kMilli;
-    spec.subwindow_size = 50 * kMilli;
-    RunConfig cfg = RunConfig::Make(spec);
-    cfg.data_plane.afr_batch = batch;
-    return RunOmniWindow(trace, app, cfg, [&](TableView t) {
-      return app->Detect(t);
-    });
-  };
-  const RunResult one = run(1);
-  const RunResult eight = run(8);
-  ASSERT_EQ(one.windows.size(), eight.windows.size());
-  for (std::size_t i = 0; i < one.windows.size(); ++i) {
-    EXPECT_EQ(one.windows[i].detected, eight.windows[i].detected);
-  }
-  EXPECT_EQ(one.data_plane.afr_generated, eight.data_plane.afr_generated);
+  auto app = std::make_shared<QueryAdapter>(def, 2048);
+  WindowSpec spec;
+  spec.type = WindowType::kTumbling;
+  spec.window_size = 100 * kMilli;
+  spec.subwindow_size = 50 * kMilli;
+  const RunResult run = RunOmniWindow(
+      trace, app, RunConfig::Make(spec),
+      [&](TableView t) { return app->Detect(t); });
+  ASSERT_FALSE(run.windows.empty());
+  EXPECT_TRUE(run.AllDetected().contains(
+      FlowKey(FlowKeyKind::kDstIp, FiveTuple{.dst_ip = 7})));
+  // Each AFR travels in its own report packet over a lossless path: the
+  // controller receives every record the data plane generated, once.
+  EXPECT_GT(run.data_plane.afr_generated, 0u);
+  EXPECT_EQ(run.controller.afrs_received, run.data_plane.afr_generated);
+  EXPECT_EQ(run.controller.duplicate_afrs, 0u);
 }
 
 }  // namespace

@@ -158,20 +158,26 @@ TEST(KeyValueTable, InsertEraseChurnNeverFillsTheTable) {
   EXPECT_EQ(table.load_factor(), 0.0);
 }
 
-/// The slot array as a dense checkpoint records it: the key of the live
-/// slot at each index, or nullopt for an empty one.
+/// The slot array as a checkpoint records it: the key of the live slot at
+/// each listed index, nullopt for every slot the checkpoint does not list.
 std::vector<std::optional<FlowKey>> Layout(const KeyValueTable& table) {
   SnapshotWriter w;
-  table.Save(w, KvSnapshotMode::kDense);
+  table.Save(w);
   const std::vector<std::uint8_t> bytes = w.Take();
-  // Header (8), section tag (4), mode byte (1), capacity (8), then slots.
-  constexpr std::size_t kSlotsAt = 8 + 4 + 1 + 8;
+  // Header (8), section tag (4), capacity (8), listed count (8), then one
+  // (index, slot) pair per live slot.
+  constexpr std::size_t kCountAt = 8 + 4 + 8;
+  constexpr std::size_t kPairBytes = 8 + sizeof(KvSlot);
+  std::uint64_t listed = 0;
+  std::memcpy(&listed, bytes.data() + kCountAt, 8);
   std::vector<std::optional<FlowKey>> out(table.capacity());
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  for (std::size_t n = 0; n < listed; ++n) {
+    const std::uint8_t* pair = bytes.data() + kCountAt + 8 + n * kPairBytes;
+    std::uint64_t index = 0;
     KvSlot s;
-    std::memcpy(&s, bytes.data() + kSlotsAt + i * sizeof(KvSlot),
-                sizeof(KvSlot));
-    if (s.state == KvSlot::State::kLive) out[i] = s.key;
+    std::memcpy(&index, pair, 8);
+    std::memcpy(&s, pair + 8, sizeof(KvSlot));
+    if (s.state == KvSlot::State::kLive) out[index] = s.key;
   }
   return out;
 }
@@ -309,8 +315,8 @@ TEST(KeyValueTable, HighLoadRandomizedFindAll) {
 }
 
 TEST(KeyValueTable, SlotLayoutKeepsRdmaOffsets) {
-  // Checkpoints write KvSlot raw (dense arrays and sparse entries alike),
-  // so its field offsets and stride are part of the snapshot format.
+  // Checkpoints write each live KvSlot raw, so its field offsets and stride
+  // are part of the snapshot format.
   EXPECT_EQ(offsetof(KvSlot, attrs), 16u);
   EXPECT_EQ(sizeof(KvSlot), 64u);
 }
@@ -341,7 +347,7 @@ TEST(KeyValueTable, ForEachVisitsOnlyLive) {
 }
 
 TEST(KeyValueTable, LiveWalksCostWhatTheTableHolds) {
-  // 16 live keys in 2^18 slots (16 MB). Sparse Save, ForEach and Clear walk
+  // 16 live keys in 2^18 slots (16 MB). Save, ForEach and Clear walk
   // the occupancy bitmap (32 KB), not the slots: 50,000 rounds of each read
   // ~5 GB of bitmap. Scanning every slot instead would read ~2.4 TB and blow
   // the suite's TIMEOUT (tests/CMakeLists.txt).
@@ -356,7 +362,9 @@ TEST(KeyValueTable, LiveWalksCostWhatTheTableHolds) {
   SnapshotWriter first;
   table.Save(first);
   const std::vector<std::uint8_t> expected = first.Take();
-  ASSERT_EQ(expected[8 + 4], 1) << "kAuto must save a 16/2^18 table sparse";
+  // Header (8), tag (4), capacity (8), listed count (8), 16 (index, slot)
+  // pairs, tallies (16): nothing proportional to the 2^18 slots.
+  ASSERT_EQ(expected.size(), 8 + 4 + 8 + 8 + 16 * (8 + sizeof(KvSlot)) + 16);
   std::uint64_t sum = 0;
   for (int round = 0; round < 50'000; ++round) {
     SnapshotWriter w;

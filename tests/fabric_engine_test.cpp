@@ -10,7 +10,9 @@
 // Re-record a constant (the failure message prints the new value) only for
 // a deliberate change of observable behaviour, and say why in the change.
 // The fault-free leaf-spine run also pins its controllers' flow-table
-// checkpoint sections at every sub-window boundary. A cyclic fabric pins
+// checkpoint sections at every sub-window boundary, and its whole
+// controller-plane checkpoint, which must repeat byte for byte from run to
+// run at every boundary. A cyclic fabric pins
 // the engine's cycle cap: no switch may run past its own traffic coming
 // back around the cycle.
 #include <gtest/gtest.h>
@@ -135,8 +137,7 @@ std::uint64_t FingerprintOf(const NetworkRunResult& net) {
           c.subwindows_force_finalized, c.windows_emitted,
           c.spilled_keys_stored, c.retransmissions_requested, c.spike_packets,
           c.duplicate_afrs, c.inserts_rejected, c.windows_partial,
-          c.merge_stalls, c.rdma_holes_detected,
-          c.subwindows_degraded_by_switch}) {
+          c.rdma_holes_detected, c.subwindows_degraded_by_switch}) {
       h.Add(v);
     }
     h.Add(c.degraded_subwindows.size());
@@ -181,15 +182,13 @@ TEST(FabricEngine, LeafSpineFaultFreeMatchesGolden) {
   ASSERT_FALSE(net.per_switch.empty());
   ASSERT_GT(net.per_switch[0].controller.windows_emitted, 0u);
   EXPECT_GE(net.delivered, trace.packets.size());
-  ExpectGolden(net, 0xbce1ad171ec73ea8);
+  ExpectGolden(net, 0xea248037b7952339);
 }
 
 TEST(FabricEngine, LeafSpineTableSectionsMatchGolden) {
   // The run above, driven boundary by boundary. At every sub-window
   // boundary each controller's flow-table section (KeyValueTable::Save,
   // the bytes a standby checkpoint carries for it) folds into the value.
-  // Only the tables are pinned: the rest of a controller-plane checkpoint
-  // carries wall-clock phase timings and differs from run to run.
   const Trace trace = FabricTrace(1201);
   const NetworkRunConfig cfg = LeafSpineConfig(/*leaves=*/4, /*spines=*/3);
   const Nanos sub = cfg.base.window.subwindow_size;
@@ -214,15 +213,44 @@ TEST(FabricEngine, LeafSpineTableSectionsMatchGolden) {
     }
   }
   ASSERT_GT(live_seen, 0u) << "every table was empty at every boundary";
-  ExpectGolden(h.value(), 0x3c95c7ce6d183d9c);
+  ExpectGolden(h.value(), 0x5548d85deec532f9);
+}
+
+TEST(FabricEngine, LeafSpineControllerPlaneIsReproducible) {
+  // The same run driven twice in lockstep: at every sub-window boundary
+  // both sessions' controller-plane checkpoints (SnapshotControllers, the
+  // standby failover stream) must be byte-identical — a checkpoint carries
+  // only restorable, simulated-time state, never a wall-clock reading. The
+  // stream of one of them folds into the value.
+  const Trace trace = FabricTrace(1201);
+  const NetworkRunConfig cfg = LeafSpineConfig(/*leaves=*/4, /*spines=*/3);
+  const Nanos sub = cfg.base.window.subwindow_size;
+  const auto make_app = [](std::size_t) {
+    return std::make_shared<ExactCountApp>();
+  };
+  obs::Global().Reset();
+  FabricSession first(trace, make_app, cfg);
+  FabricSession second(trace, make_app, cfg);
+  const std::size_t boundaries =
+      std::size_t((first.trace_duration() + 2 * sub) / sub);
+  Hasher h;
+  for (std::size_t k = 1; k <= boundaries; ++k) {
+    first.DriveUntil(Nanos(k) * sub);
+    second.DriveUntil(Nanos(k) * sub);
+    const std::vector<std::uint8_t> bytes = first.SnapshotControllers();
+    ASSERT_EQ(bytes, second.SnapshotControllers())
+        << "controller-plane checkpoints differ at boundary " << k;
+    h.Add(bytes.size());
+    for (const std::uint8_t b : bytes) h.Add(b);
+  }
+  ExpectGolden(h.value(), 0xfcebc8ba68b136ef);
 }
 
 TEST(FabricEngine, LeafSpineWithFaultsArmedMatchesGolden) {
   const Trace trace = FabricTrace(1202);
   NetworkRunConfig cfg = LeafSpineConfig(/*leaves=*/3, /*spines=*/2);
   // Loss + reorder inside the fabric, loss on the report path, RPC
-  // timeouts + merge stalls in the collection plane: every recovery
-  // mechanism runs.
+  // timeouts in the collection plane: every recovery mechanism runs.
   cfg.base.fault.seed = 0xF417A;
   cfg.base.fault.inner_link.drop_rate = 0.05;
   cfg.base.fault.inner_link.reorder_rate = 0.05;
@@ -230,12 +258,11 @@ TEST(FabricEngine, LeafSpineWithFaultsArmedMatchesGolden) {
   cfg.base.fault.report_link.drop_rate = 0.10;
   cfg.base.fault.switch_os.timeout_rate = 0.20;
   cfg.base.fault.switch_os.slow_rate = 0.20;
-  cfg.base.fault.controller.merge_stall_rate = 0.20;
 
   const NetworkRunResult net = RunFabric(trace, cfg);
   EXPECT_GT(net.link_dropped, 0u) << "fabric loss never fired";
   EXPECT_GT(net.report_dropped, 0u) << "report loss never fired";
-  ExpectGolden(net, 0xdd851df7aa7a628b);
+  ExpectGolden(net, 0x8c0589f2a1341a17);
 }
 
 TEST(FabricEngine, LineTopologyMatchesGolden) {
@@ -248,7 +275,7 @@ TEST(FabricEngine, LineTopologyMatchesGolden) {
 
   const NetworkRunResult net = RunFabric(trace, cfg);
   ASSERT_EQ(net.per_switch.size(), 4u);
-  ExpectGolden(net, 0x60bde9e245e83edd);
+  ExpectGolden(net, 0x38e8fa74feca044f);
 }
 
 /// Logs every pass and bounces each packet until it has crossed

@@ -6,13 +6,13 @@
 // here: forged length prefixes bounded by the remaining stream,
 // KeyValueTable::Load's strong exception guarantee (throw => table unchanged
 // and still usable), its rejection of a live key its own probe cannot reach
-// or that is stored twice, dense<->sparse encoding equivalence across the
-// occupancy range, the durable-file framing (every bit flip and truncation
-// of a WriteFile checkpoint is caught, with the error naming the section and
-// absolute file offsets), the CRC-32 every checksum above rests on (known
-// answers, a bytewise reference at every length and alignment, seed
-// chaining), the delta-checkpoint encode/apply pair, the
-// stream's version check (a v5 stream is refused), and Switch::Load's event
+// or that is stored twice, the live-slot encoding's round trip and exact
+// size across the occupancy range, the durable-file framing (every bit flip
+// and truncation of a WriteFile checkpoint is caught, with the error naming
+// the section and absolute file offsets), the CRC-32 every checksum above
+// rests on (known answers, a bytewise reference at every length and
+// alignment, seed chaining), the delta-checkpoint encode/apply pair, the
+// stream's version check (a v6 stream is refused), and Switch::Load's event
 // lanes (a forged lane count, an unsorted FIFO, a heap array that is not a
 // heap, an unknown packet source or a saved next seq not above every
 // restored event's seq throws).
@@ -56,17 +56,16 @@ void Fill(KeyValueTable& table, std::uint32_t n, bool with_erasures) {
   }
 }
 
-std::vector<std::uint8_t> SaveBytes(const KeyValueTable& table,
-                                    KvSnapshotMode mode) {
+std::vector<std::uint8_t> SaveBytes(const KeyValueTable& table) {
   SnapshotWriter w;
-  table.Save(w, mode);
+  table.Save(w);
   return w.Take();
 }
 
-/// The dense encoding is the raw slot array.
+/// A checkpoint lists every live slot, raw, with its index (and every other
+/// slot is empty), so equal streams mean equal slot arrays.
 bool BackingEqual(const KeyValueTable& a, const KeyValueTable& b) {
-  return SaveBytes(a, KvSnapshotMode::kDense) ==
-         SaveBytes(b, KvSnapshotMode::kDense);
+  return SaveBytes(a) == SaveBytes(b);
 }
 
 void LoadInto(KeyValueTable& table, const std::vector<std::uint8_t>& bytes) {
@@ -74,11 +73,14 @@ void LoadInto(KeyValueTable& table, const std::vector<std::uint8_t>& bytes) {
   table.Load(r);
 }
 
-/// The stream offset of the first KV payload byte after the writer header
-/// (magic+version = 8), section tag (4), mode byte (1) and capacity (8).
-constexpr std::size_t kKvHeaderBytes = 8 + 4 + 1 + 8;
-/// Offset of the encoding-mode byte itself.
-constexpr std::size_t kKvModeByteOffset = 8 + 4;
+/// The stream offset of the first (index, slot) pair: after the writer
+/// header (magic+version = 8), section tag (4), capacity (8) and the
+/// listed-slot count (8).
+constexpr std::size_t kKvPairsAt = 8 + 4 + 8 + 8;
+/// The bytes of one (index, slot) pair.
+constexpr std::size_t kKvPairBytes = 8 + sizeof(KvSlot);
+/// The trailing tallies: live slots (8) and rejected inserts (8).
+constexpr std::size_t kKvTallyBytes = 8 + 8;
 
 // --- forged length prefixes -------------------------------------------------
 
@@ -159,7 +161,7 @@ TEST(SnapshotHardening, TruncationErrorNamesSectionAndOffset) {
 TEST(KvTableHardening, CapacityMismatchLeavesTableUntouchedAndUsable) {
   KeyValueTable src(64);
   Fill(src, 10, /*with_erasures=*/false);
-  const std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kAuto);
+  const std::vector<std::uint8_t> bytes = SaveBytes(src);
 
   KeyValueTable dst(128);
   Fill(dst, 5, /*with_erasures=*/false);
@@ -181,7 +183,7 @@ TEST(KvTableHardening, CapacityMismatchLeavesTableUntouchedAndUsable) {
 TEST(KvTableHardening, TruncatedStreamLeavesTableUntouchedAndUsable) {
   KeyValueTable src(64);
   Fill(src, 12, /*with_erasures=*/true);
-  std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kSparse);
+  std::vector<std::uint8_t> bytes = SaveBytes(src);
   bytes.resize(bytes.size() - 40);  // cut into the trailing tallies/entries
 
   KeyValueTable dst(64);
@@ -199,7 +201,7 @@ TEST(KvTableHardening, TruncatedStreamLeavesTableUntouchedAndUsable) {
 TEST(KvTableHardening, TamperedTallyIsCaughtBeforeCommit) {
   KeyValueTable src(64);
   Fill(src, 9, /*with_erasures=*/false);
-  std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kSparse);
+  std::vector<std::uint8_t> bytes = SaveBytes(src);
   // Trailing fields are live(8) | rejected(8); bump `live` so the stream's
   // tally disagrees with the slots it describes.
   bytes[bytes.size() - 16] ^= 0x01;
@@ -224,9 +226,9 @@ TEST(KvTableHardening, InvalidSlotStateByteIsRejected) {
   // 0x77 is a value no enumerator names; 2 was a tombstone up to format v4,
   // and no table writes it any more.
   for (const std::uint8_t state : {std::uint8_t{0x77}, std::uint8_t{2}}) {
-    std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kDense);
-    // Overwrite slot 0's state byte.
-    bytes[kKvHeaderBytes + offsetof(KvSlot, state)] = state;
+    std::vector<std::uint8_t> bytes = SaveBytes(src);
+    // Overwrite the state byte of the first listed (live) slot.
+    bytes[kKvPairsAt + 8 + offsetof(KvSlot, state)] = state;
 
     KeyValueTable dst(64);
     try {
@@ -241,7 +243,7 @@ TEST(KvTableHardening, InvalidSlotStateByteIsRejected) {
   }
 }
 
-/// A one-key 64-slot table saved sparse, and the slot index it was saved at
+/// A one-key 64-slot table's checkpoint, and the slot index it was saved at
 /// (the key's home: it is alone).
 struct LoneKey {
   std::vector<std::uint8_t> bytes;
@@ -254,11 +256,10 @@ LoneKey SaveLoneKey(std::uint32_t id) {
   bool created = false;
   table.FindOrInsert(Key(id), created).attrs[0] = 7;
   LoneKey lone;
-  lone.bytes = SaveBytes(table, KvSnapshotMode::kSparse);
-  // Sparse payload: occupied count (8), then the (index, slot) pair.
-  std::memcpy(&lone.home, lone.bytes.data() + kKvHeaderBytes + 8, 8);
-  std::memcpy(&lone.slot, lone.bytes.data() + kKvHeaderBytes + 16,
-              sizeof(KvSlot));
+  lone.bytes = SaveBytes(table);
+  // Payload: listed count (8), then the one (index, slot) pair.
+  std::memcpy(&lone.home, lone.bytes.data() + kKvPairsAt, 8);
+  std::memcpy(&lone.slot, lone.bytes.data() + kKvPairsAt + 8, sizeof(KvSlot));
   return lone;
 }
 
@@ -282,7 +283,7 @@ TEST(KvTableHardening, KeyPastAnEmptySlotOnItsProbeIsRejected) {
   // would store the key a second time.
   LoneKey lone = SaveLoneKey(5);
   const std::uint64_t moved = (lone.home + 3) % 64;
-  std::memcpy(lone.bytes.data() + kKvHeaderBytes + 8, &moved, 8);
+  std::memcpy(lone.bytes.data() + kKvPairsAt, &moved, 8);
   ExpectKvCorrupt(lone.bytes, "unreachable");
 }
 
@@ -294,9 +295,8 @@ TEST(KvTableHardening, KeyStoredTwiceIsRejected) {
   const LoneKey lone = SaveLoneKey(id);
   SnapshotWriter w;
   w.Section(snap::kKvTable);
-  w.U8(1);    // sparse
   w.Size(64); // capacity
-  w.Size(2);  // occupied
+  w.Size(2);  // listed
   for (const std::uint64_t idx : {lone.home, lone.home + 1}) {
     w.U64(idx);
     w.Pod(lone.slot);
@@ -309,57 +309,59 @@ TEST(KvTableHardening, KeyStoredTwiceIsRejected) {
 TEST(KvTableHardening, SparseIndexOutOfOrderOrBeyondCapacityRejected) {
   KeyValueTable src(64);
   Fill(src, 2, /*with_erasures=*/false);
-  std::vector<std::uint8_t> bytes = SaveBytes(src, KvSnapshotMode::kSparse);
-  // First sparse entry starts right after the occupied count: forge its
-  // slot index beyond the capacity.
+  std::vector<std::uint8_t> bytes = SaveBytes(src);
+  // Forge the first pair's slot index beyond the capacity.
   const std::uint64_t beyond = 64;
-  std::memcpy(bytes.data() + kKvHeaderBytes + 8, &beyond, 8);
+  std::memcpy(bytes.data() + kKvPairsAt, &beyond, 8);
 
   KeyValueTable dst(64);
   EXPECT_THROW(LoadInto(dst, bytes), SnapshotError);
 }
 
-// --- dense <-> sparse equivalence -------------------------------------------
+// --- the live-slot encoding ------------------------------------------------
 
-TEST(KvTableHardening, DenseSparseRoundTripAcrossOccupancies) {
-  // Capacity 64 => sparse threshold 32, insert ceiling 56 (7/8 load).
-  const std::size_t threshold = KeyValueTable::SparseSaveThreshold(64);
-  ASSERT_EQ(threshold, 32u);
+TEST(KvTableHardening, RoundTripAcrossOccupancies) {
+  // Capacity 64 => insert ceiling 56 (7/8 load).
   for (const std::uint32_t occupancy : {0u, 1u, 31u, 32u, 40u, 56u}) {
     SCOPED_TRACE("occupancy=" + std::to_string(occupancy));
     KeyValueTable src(64);
     Fill(src, occupancy, /*with_erasures=*/occupancy >= 8);
 
-    for (const KvSnapshotMode mode :
-         {KvSnapshotMode::kDense, KvSnapshotMode::kSparse}) {
-      const std::vector<std::uint8_t> bytes = SaveBytes(src, mode);
-      KeyValueTable dst(64);
-      LoadInto(dst, bytes);
-      EXPECT_TRUE(BackingEqual(src, dst))
-          << "slot array diverged after round-trip";
-      EXPECT_EQ(src.size(), dst.size());
-      EXPECT_EQ(src.load_factor(), dst.load_factor());
-      EXPECT_EQ(src.rejected_inserts(), dst.rejected_inserts());
-      // Both encodings must re-save to byte-identical streams.
-      EXPECT_EQ(SaveBytes(dst, mode), bytes);
-    }
-
-    // kAuto picks sparse while the live slots stay strictly below the
-    // threshold, dense at and above (erased keys leave nothing behind).
-    const std::vector<std::uint8_t> bytes =
-        SaveBytes(src, KvSnapshotMode::kAuto);
-    EXPECT_EQ(bytes[kKvModeByteOffset], src.size() < threshold ? 1 : 0);
+    const std::vector<std::uint8_t> bytes = SaveBytes(src);
+    KeyValueTable dst(64);
+    LoadInto(dst, bytes);
+    EXPECT_TRUE(BackingEqual(src, dst))
+        << "slot array diverged after round-trip";
+    EXPECT_EQ(src.size(), dst.size());
+    EXPECT_EQ(src.load_factor(), dst.load_factor());
+    EXPECT_EQ(src.rejected_inserts(), dst.rejected_inserts());
+    // The restored table re-saves to the byte-identical stream.
+    EXPECT_EQ(SaveBytes(dst), bytes);
   }
 }
 
-TEST(KvTableHardening, SparseEncodingShrinksLowOccupancyCheckpoints) {
-  KeyValueTable table(1 << 12);
-  Fill(table, 64, /*with_erasures=*/false);
-  const std::size_t sparse = SaveBytes(table, KvSnapshotMode::kSparse).size();
-  const std::size_t dense = SaveBytes(table, KvSnapshotMode::kDense).size();
-  EXPECT_GE(dense / sparse, 10u)
-      << "sparse=" << sparse << " dense=" << dense
-      << ": the sparse encoding must shrink a 64/4096 table >= 10x";
+TEST(KvTableHardening, CheckpointBytesAreExactlyTheLiveSlots) {
+  // Header, one (index, slot) pair per live slot, tallies: nothing scales
+  // with the provisioned capacity.
+  for (const std::size_t capacity : {std::size_t{8}, std::size_t{64},
+                                     std::size_t{1} << 12}) {
+    const std::size_t ceiling = capacity - capacity / 8;
+    for (const std::size_t occupancy :
+         {std::size_t{0}, std::size_t{1}, ceiling / 2, ceiling}) {
+      SCOPED_TRACE("capacity=" + std::to_string(capacity) +
+                   " occupancy=" + std::to_string(occupancy));
+      KeyValueTable table(capacity);
+      Fill(table, std::uint32_t(occupancy), /*with_erasures=*/false);
+      ASSERT_EQ(table.size(), occupancy);
+      EXPECT_EQ(SaveBytes(table).size(),
+                kKvPairsAt + occupancy * kKvPairBytes + kKvTallyBytes);
+    }
+    // At the load ceiling the pairs plus their count still fit in the
+    // bytes of the whole slot array, with equality only at 8 slots.
+    const std::size_t pairs = 8 + ceiling * kKvPairBytes;
+    EXPECT_LE(pairs, capacity * sizeof(KvSlot));
+    EXPECT_EQ(pairs == capacity * sizeof(KvSlot), capacity == 8);
+  }
 }
 
 // --- durable file framing ---------------------------------------------------
@@ -394,7 +396,7 @@ SnapshotWriter TwoSectionWriter(std::size_t* second_section_offset) {
   SnapshotWriter w;
   KeyValueTable table(64);
   Fill(table, 10, /*with_erasures=*/true);
-  table.Save(w, KvSnapshotMode::kSparse);
+  table.Save(w);
   *second_section_offset = w.buffer().size();
   w.Section(snap::kController);
   for (std::uint64_t i = 0; i < 32; ++i) w.U64(i * 3);
@@ -658,8 +660,8 @@ TEST(SnapshotVersion, OtherVersionIsRejectedNamingBoth) {
   w.Section(snap::kSwitch);
   const std::vector<std::uint8_t> good = w.Take();
   ASSERT_NO_THROW(SnapshotReader{good});
-  // The previous version (v5 still carried the staged wire lane) and the
-  // next one are both refused.
+  // The previous version (v6 still carried the dense table encoding and the
+  // controller's timing log) and the next one are both refused.
   for (const std::uint32_t other :
        {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
     std::vector<std::uint8_t> bytes = good;

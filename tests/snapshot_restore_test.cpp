@@ -260,8 +260,8 @@ TEST(SnapshotRestore, BitIdenticalWithFaultsArmed) {
   const Trace trace = FabricTrace(8103);
   NetworkRunConfig cfg = LeafSpineConfig(3, 2);
   // Every recovery mechanism runs across the kill point: fabric loss /
-  // reorder / dup, report-path loss, RPC timeouts, merge stalls. All of
-  // their RNG streams and pending retransmit state ride the snapshot.
+  // reorder / dup, report-path loss, RPC timeouts. All of their RNG
+  // streams and pending retransmit state ride the snapshot.
   cfg.base.fault.seed = 0xF417A;
   cfg.base.fault.inner_link.drop_rate = 0.05;
   cfg.base.fault.inner_link.reorder_rate = 0.05;
@@ -269,7 +269,6 @@ TEST(SnapshotRestore, BitIdenticalWithFaultsArmed) {
   cfg.base.fault.report_link.drop_rate = 0.10;
   cfg.base.fault.switch_os.timeout_rate = 0.20;
   cfg.base.fault.switch_os.slow_rate = 0.20;
-  cfg.base.fault.controller.merge_stall_rate = 0.20;
 
   const Fingerprint ref =
       FingerprintOf(RunOmniWindowFabric(trace, MakeCountApp, cfg));

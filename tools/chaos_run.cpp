@@ -410,7 +410,7 @@ FabricSnap SnapFabricKillRestore(const Trace& trace,
   // untrusted-size decode paths under the sanitizer.
   const std::string ckpt = "chaos_kill_restore_" + std::to_string(seed) + "_" +
                            std::to_string(armed_link) + ".owsnap";
-  killed.SnapshotToFile(ckpt, KvSnapshotMode::kAuto);
+  killed.SnapshotToFile(ckpt);
   const NetworkRunResult pre = killed.partial_result();
 
   FabricSession restored(trace, make_app, cfg, detect);
@@ -629,8 +629,7 @@ std::uint64_t SumFaultCounters() {
          reg.GetCounter("fault.switch_os.rpc_timeouts").value() +
          reg.GetCounter("fault.switch_os.slow_ops").value() +
          reg.GetCounter("fault.rdma.dropped_writes").value() +
-         reg.GetCounter("fault.rdma.partial_writes").value() +
-         reg.GetCounter("fault.controller.merge_stalls").value();
+         reg.GetCounter("fault.rdma.partial_writes").value();
 }
 
 /// Switch-OS micro-scenario: under injected RPC timeouts and slow bursts
