@@ -75,6 +75,12 @@ using RecordVec = PooledVector<FlowRecord>;
 /// No user-defined window signal present.
 inline constexpr std::uint32_t kNoIteration = 0xFFFFFFFFu;
 
+/// No explicit index: as an AFR's seq_id, a record outside the enumerated
+/// sequence (an injected key, a mirror drain, a folded latency spike); as a
+/// collection packet's payload, "enumerate normally" instead of "retransmit
+/// this sequence number".
+inline constexpr std::uint32_t kNoExplicitIndex = 0xFFFFFFFFu;
+
 /// A network packet as seen by the simulator.
 struct Packet {
   FiveTuple ft;

@@ -64,7 +64,10 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// timing log, merge-stall RNG state and stall tally, and the Program
 /// section its AFR report batch; a pending sub-window carries its simulated
 /// O1 collection cost.
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+/// v8: the Controller section loses its retry RNG state (the retry budget
+/// is a constant and every round reissues at once), and the Program section
+/// writes its collect state field by field (34 bytes, no padding).
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;

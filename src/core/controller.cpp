@@ -12,7 +12,6 @@
 namespace ow {
 namespace {
 
-constexpr std::uint32_t kNoExplicitIndex = 0xFFFFFFFFu;
 constexpr Nanos kWireLatency = 2 * kMicro;  // controller NIC -> switch port
 /// RDMA cold-key append buffer registered by InitRdma.
 constexpr std::size_t kRdmaBufferBytes = 8u << 20;
@@ -40,10 +39,7 @@ OmniWindowController::OmniWindowController(ControllerConfig cfg,
                                            MergeKind merge_kind)
     : cfg_(cfg),
       merge_kind_(merge_kind),
-      table_(cfg.kv_capacity),
-      // Decorrelated via tag XOR from the fault injectors that share the
-      // seed (the net::Link seeding discipline).
-      retry_rng_(cfg.fault_seed ^ 0x52455452'59524E47ull) {
+      table_(cfg.kv_capacity) {
   cfg_.window.Validate();
   obs::Registry& reg = obs::Global();
   obs_.afrs_received = &reg.GetCounter("controller.afrs_received");
@@ -116,7 +112,7 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
       for (auto& [old_sw, old_pending] : pending_) {
         if (old_sw + 1 < sw && old_pending.collection_started &&
             !old_pending.lost &&
-            old_pending.retransmit_attempts < cfg_.retry.max_attempts &&
+            old_pending.retransmit_attempts < kMaxRetransmitAttempts &&
             !IsComplete(old_pending)) {
           RequestRetransmissions(old_pending, arrival);
         }
@@ -204,7 +200,7 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
         rec.attrs[0] = 1;  // one packet's worth of frequency
         rec.num_attrs = 1;
         rec.subwindow = sw;
-        rec.seq_id = 0xFFFFFFFFu;
+        rec.seq_id = kNoExplicitIndex;
         it->second.records.push_back(rec);
       } else {
         // The copy cannot be folded back (sub-window already finalized, or
@@ -543,11 +539,8 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
     return;
   }
   ++pending.retransmit_attempts;
-  // Capped exponential backoff (default policy: 0, the historical
-  // immediate reissue). One jitter draw per round keeps the stream aligned
-  // to the attempt index.
-  Nanos tx_time =
-      now + cfg_.retry.DelayFor(pending.retransmit_attempts - 1, retry_rng_);
+  // Every round reissues at once; only the per-packet TX cost spaces it.
+  Nanos tx_time = now;
   if (cfg_.rdma && !pending.rdma_done) {
     // Only the completion notification can be outstanding before the drain;
     // probe for it (the switch re-notifies a finished collection).
@@ -696,7 +689,7 @@ bool OmniWindowController::ChaseIncomplete(Nanos now) {
   bool asked = false;
   for (auto& [sw, pending] : pending_) {
     if (pending.collection_started && !pending.lost &&
-        pending.retransmit_attempts < cfg_.retry.max_attempts &&
+        pending.retransmit_attempts < kMaxRetransmitAttempts &&
         !IsComplete(pending)) {
       RequestRetransmissions(pending, now);
       asked = true;
@@ -870,7 +863,6 @@ void OmniWindowController::Save(SnapshotWriter& w) const {
     SaveSet(w, seen);
   }
   SaveSet(w, degraded_);
-  w.Pod(retry_rng_.state());
   w.Pod(next_to_finalize_);
   w.Pod(table_floor_);
   w.U64(stats_.afrs_received);
@@ -926,7 +918,6 @@ void OmniWindowController::Load(SnapshotReader& r) {
     LoadSet(r, spilled_seen_[sub]);
   }
   LoadSet(r, degraded_);
-  retry_rng_.set_state(r.Get<Rng::State>());
   r.Pod(next_to_finalize_);
   r.Pod(table_floor_);
   stats_.afrs_received = r.U64();

@@ -26,12 +26,10 @@
 #include <vector>
 
 #include "src/common/packet.h"
-#include "src/common/rng.h"
 #include "src/controller/key_value_table.h"
 #include "src/controller/merge.h"
 #include "src/core/data_plane.h"
 #include "src/core/window.h"
-#include "src/fault/retry.h"
 #include "src/obs/obs.h"
 #include "src/switchsim/pipeline.h"
 
@@ -60,13 +58,12 @@ struct ControllerConfig {
   /// App identity stamped on every injected packet, so a MultiAppProgram
   /// pipeline can route it to the right sub-program.
   std::uint8_t app_id = 0;
-  /// Recovery policy for collection-packet reissue / notification probes /
-  /// RDMA-path re-collection. The default (8 attempts, no backoff delay)
-  /// reproduces the historical immediate-reissue behavior exactly.
-  fault::RetryPolicy retry;
-  /// Seed for the controller's recovery-side RNG stream (retry jitter).
-  std::uint64_t fault_seed = 0xFA017BA5Eull;
 };
+
+/// Retransmission rounds a sub-window gets (collection-packet reissue,
+/// completion probes, RDMA-path re-collection, each sent at once) before
+/// Flush gives up and force-finalizes it as partial (§8).
+inline constexpr std::uint32_t kMaxRetransmitAttempts = 8;
 
 /// One completed window handed to the application. `table` is the
 /// controller's merged flow table; it is valid only for the duration of the
@@ -202,8 +199,8 @@ class OmniWindowController {
   /// Checkpoint the controller's complete merge/collection state: flow
   /// table (live slots only, so checkpoint bytes scale with live state
   /// rather than capacity), retained history, pending sub-windows, spilled
-  /// keys, degraded marks, the retry RNG stream and stats. Only restorable
-  /// state is written, so one seed writes the same bytes on every run.
+  /// keys, degraded marks and stats. Only restorable state is written, so
+  /// one seed writes the same bytes on every run.
   /// Handlers, window spec and the switch attachment are configuration the
   /// restoring side rebuilds. The RDMA path is not checkpointable (throws
   /// SnapshotError when enabled).
@@ -280,8 +277,6 @@ class OmniWindowController {
   /// unfoldable spike copies). Windows covering any of them emit with the
   /// partial flag; entries are pruned once no future window can cover them.
   PooledSet<SubWindowNum> degraded_;
-  /// Recovery-side RNG stream (same discipline as net::Link).
-  Rng retry_rng_;
   SubWindowNum next_to_finalize_ = 0;
   /// Sub-windows below this are no longer reflected in table_.
   SubWindowNum table_floor_ = 0;

@@ -4,18 +4,12 @@
 #include <array>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/snapshot.h"
 #include "src/core/afr_wire.h"
 
 namespace ow {
-namespace {
-
-/// Sentinel in a collection packet's payload meaning "enumerate normally";
-/// any other value is an explicit retransmission index.
-constexpr std::uint32_t kNoExplicitIndex = 0xFFFFFFFFu;
-
-}  // namespace
 
 OmniWindowProgram::OmniWindowProgram(OmniWindowConfig cfg, AdapterPtr app)
     : cfg_(cfg),
@@ -494,7 +488,17 @@ void OmniWindowProgram::Save(SnapshotWriter& w) {
   tracker_.Save(w);
   app_->SaveState(w);
   w.Pod(current_);
-  w.Pod(collect_);
+  // Field by field: a Pod copy of the struct would also write its padding,
+  // whose bytes are indeterminate.
+  w.Bool(collect_.active);
+  w.Bool(collect_.resetting);
+  w.U32(collect_.subwindow);
+  w.U32(std::uint32_t(collect_.region));
+  w.U32(collect_.num_keys);
+  w.U32(collect_.collect_counter);
+  w.U32(collect_.reset_counter);
+  w.U32(collect_.injected_remaining);
+  w.U64(collect_.buffer_cursor);
   w.Size(pending_starts_.size());
   for (const Packet& p : pending_starts_) SavePacket(w, p);
   w.PodVec(collect_keys_);
@@ -523,17 +527,43 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
   tracker_.Load(r);
   app_->LoadState(r);
   r.Pod(current_);
-  r.Pod(collect_);
+  collect_.active = r.Bool();
+  collect_.resetting = r.Bool();
+  collect_.subwindow = r.U32();
+  const std::uint32_t region = r.U32();
+  if (region > 1) {
+    throw SnapshotError("OmniWindowProgram [section 0x1A]: collect region " +
+                        std::to_string(region) + " is not 0 or 1");
+  }
+  collect_.region = int(region);
+  collect_.num_keys = r.U32();
+  collect_.collect_counter = r.U32();
+  collect_.reset_counter = r.U32();
+  collect_.injected_remaining = r.U32();
+  collect_.buffer_cursor = r.U64();
+  // Counts come off the untrusted stream: bound each by its smallest
+  // serialized entry (a packet's section tag and AFR length prefix; a
+  // sub-window number and a length prefix; a sub-window number).
   pending_starts_.clear();
-  const std::size_t num_starts = r.Size();
+  const std::size_t num_starts = r.Count(4 + 8);
   for (std::size_t i = 0; i < num_starts; ++i) {
     Packet p;
     LoadPacket(r, p);
     pending_starts_.push_back(std::move(p));
   }
   r.PodVec(collect_keys_);
+  // HandleCollection reads collect_keys_[idx] (AFR apps) or migrates slice
+  // idx (state-migration apps) for every idx below num_keys.
+  const std::size_t enumerable =
+      app_->SupportsAfr() ? collect_keys_.size() : app_->NumResetSlices();
+  if (collect_.num_keys > enumerable) {
+    throw SnapshotError("OmniWindowProgram [section 0x1A]: collect num_keys " +
+                        std::to_string(collect_.num_keys) + " exceeds the " +
+                        std::to_string(enumerable) +
+                        " entries the sub-window can enumerate");
+  }
   afr_cache_.clear();
-  const std::size_t num_cached = r.Size();
+  const std::size_t num_cached = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_cached; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
     RecordVec recs;
@@ -541,7 +571,7 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
     afr_cache_.emplace(sub, std::move(recs));
   }
   compromised_.clear();
-  const std::size_t num_compromised = r.Size();
+  const std::size_t num_compromised = r.Count(sizeof(SubWindowNum));
   for (std::size_t i = 0; i < num_compromised; ++i) {
     compromised_.insert(r.Get<SubWindowNum>());
   }

@@ -101,7 +101,9 @@ class OmniWindowProgram final : public SwitchProgram {
   /// flowkey tracker, app measurement state, the C&R state machine,
   /// retransmission cache and stats. The RDMA collection path shares
   /// externally owned NIC/MR state and is not checkpointable — Save and
-  /// Load throw SnapshotError when it is enabled.
+  /// Load throw SnapshotError when it is enabled. Load also throws on a
+  /// collect region other than 0 or 1, or a key count beyond what the
+  /// sub-window under C&R can enumerate.
   void Save(SnapshotWriter& w);
   void Load(SnapshotReader& r);
 

@@ -102,7 +102,6 @@ FabricSession::FabricSession(
       trace_duration_(trace.Duration()) {
   cfg_.base.controller.window = cfg_.base.window;
   cfg_.base.data_plane.signal.subwindow_size = cfg_.base.window.subwindow_size;
-  cfg_.base.controller.fault_seed = cfg_.base.fault.seed;
 
   // RDMA completion trusts each sub-window's completion notification. One
   // that arrives late after a report-path loss drains buffer and mirror

@@ -25,10 +25,10 @@
 //
 // Determinism: per-window totals are aggregated into an ordered map before
 // any scoring, so results never depend on the flow table's slot order. Each
-// switch has its own detector and the fabric engine serializes handler
-// calls per switch, so alert streams are bit-identical across parallel
-// fabric thread counts; DetectionService::Alerts() returns a canonically
-// sorted stream.
+// switch has its own detector, and windows arrive one at a time on the
+// thread that drives the session (NetworkRunConfig::window_observer), so
+// alert streams are bit-identical from run to run;
+// DetectionService::Alerts() returns a canonically sorted stream.
 //
 // The detector reads KvSlot::attrs[0] as a packet count — pair it with a
 // frequency-merged instrument (e.g. ExactCountApp or the count query), not
@@ -239,9 +239,9 @@ class EntityDetector {
 };
 
 /// Detector bank for a fabric: one EntityDetector per switch. OnWindow is
-/// safe for concurrent calls on DIFFERENT switch ids (the parallel fabric
-/// engine serializes each switch's handler calls); there is no shared
-/// mutable state across switches.
+/// called one window at a time, on the thread that drives the session
+/// (NetworkRunConfig::window_observer); there is no shared mutable state
+/// across switches.
 class DetectionService {
  public:
   DetectionService(const DetectorConfig& cfg, std::size_t num_switches);
@@ -253,7 +253,7 @@ class DetectionService {
   std::function<void(std::size_t, const WindowResult&)> Observer();
 
   /// All alerts from all switches in canonical (window end, switch, entity,
-  /// target state) order — identical for every merge/fabric thread count.
+  /// target state) order — identical from run to run.
   std::vector<Alert> Alerts() const;
 
   const EntityDetector& detector(std::size_t switch_id) const {

@@ -12,6 +12,9 @@
 namespace ow::failover {
 namespace {
 
+/// Seeds the kill-boundary draw when FailoverConfig::kill_boundary is -1.
+constexpr std::uint64_t kKillDrawSeed = 0xFA110FEEull;
+
 std::uint64_t WallNow() {
   return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now().time_since_epoch())
@@ -85,7 +88,7 @@ FailoverRunResult RunWithFailover(
   if (fcfg.kill_boundary >= 0) {
     kill = std::size_t(fcfg.kill_boundary);
   } else {
-    Rng rng(fcfg.kill_seed);
+    Rng rng(kKillDrawSeed);
     const std::size_t lo = 2;
     const std::size_t hi = total > 4 ? total - 2 : lo + 1;
     kill = lo + std::size_t(rng.Uniform(hi - lo));
@@ -121,10 +124,10 @@ FailoverRunResult RunWithFailover(
   rep.subwindows_requeried = ts.subwindows_requeried;
   rep.subwindows_lost = ts.subwindows_lost;
 
-  // Catch-up: fine-grained drive for latency resolution, then the normal
-  // boundary cadence to the end of the trace.
-  const Nanos step = fcfg.catchup_step > 0 ? fcfg.catchup_step
-                                           : std::max<Nanos>(1, sub / 8);
+  // Catch-up: fine-grained drive (an eighth of a sub-window) for
+  // takeover-latency resolution, then the normal boundary cadence to the
+  // end of the trace.
+  const Nanos step = std::max<Nanos>(1, sub / 8);
   const Nanos end_time = Nanos(total) * sub;
   Nanos t = rep.kill_time;
   Nanos caught_at = -1;

@@ -34,12 +34,8 @@ struct FailoverConfig {
   /// exceeds the cache depth (OmniWindowProgram::kRetransmitCacheDepth).
   std::size_t snapshot_cadence = 1;
   /// Boundary index (1-based drive order) at which the primary is killed;
-  /// -1 draws one from kill_seed in [2, last boundary - 2].
+  /// -1 draws one in [2, last boundary - 2] from a fixed seed.
   std::int64_t kill_boundary = -1;
-  std::uint64_t kill_seed = 0xFA110FEEull;
-  /// Post-kill drive granularity for takeover-latency resolution; 0 =
-  /// subwindow_size / 8.
-  Nanos catchup_step = 0;
   /// Ship checkpoints as byte-range deltas against the previous cadence
   /// point instead of full snapshots. The standby reconstructs each full
   /// checkpoint by applying the delta to its previous one (CRC-verified at

@@ -12,7 +12,6 @@ constexpr std::uint64_t kLinkDupTag = 0x22BE2810D0FFEE02ull;
 constexpr std::uint64_t kLinkReorderTag = 0x33CF3921E0FFEE03ull;
 constexpr std::uint64_t kOsTimeoutTag = 0x44D04A32F0FFEE04ull;
 constexpr std::uint64_t kOsSlowTag = 0x55E15B4300FFEE05ull;
-constexpr std::uint64_t kOsBackoffTag = 0x66F26C5410FFEE06ull;
 constexpr std::uint64_t kRdmaDropTag = 0x77037D6520FFEE07ull;
 constexpr std::uint64_t kRdmaPartialTag = 0x88148E7630FFEE08ull;
 
@@ -32,8 +31,6 @@ const char* ChaosKindName(ChaosKind kind) {
       return "loss";
     case ChaosKind::kReorder:
       return "reorder";
-    case ChaosKind::kRpcTimeout:
-      return "rpc-timeout";
     case ChaosKind::kRdmaFail:
       return "rdma-fail";
     case ChaosKind::kFabricLoss:
@@ -52,10 +49,6 @@ FaultPlan MakeChaosPlan(ChaosKind kind, double intensity, std::uint64_t seed) {
     case ChaosKind::kReorder:
       plan.report_link.reorder_rate = intensity;
       plan.report_link.dup_rate = intensity / 2.0;
-      break;
-    case ChaosKind::kRpcTimeout:
-      plan.switch_os.timeout_rate = intensity;
-      plan.switch_os.slow_rate = intensity;
       break;
     case ChaosKind::kRdmaFail:
       plan.rdma.write_drop_rate = intensity;
@@ -98,13 +91,12 @@ LinkFaultInjector::Decision LinkFaultInjector::Decide(Nanos now) {
     return d;
   }
   if (reorder) {
-    d.extra_delay = profile_.reorder_delay;
+    d.extra_delay = kReorderDelay;
     ++reorders_;
     obs_reorders_->Add(1);
   }
   if (dup) {
     d.duplicate = true;
-    d.dup_gap = profile_.dup_gap;
     ++duplicates_;
     obs_duplicates_->Add(1);
   }
@@ -132,44 +124,38 @@ void LinkFaultInjector::Load(SnapshotReader& r) {
 }
 
 SwitchOsFaultInjector::SwitchOsFaultInjector(SwitchOsFaultProfile profile,
-                                             RetryPolicy retry,
                                              std::uint64_t seed)
     : profile_(profile),
-      retry_(retry),
       timeout_rng_(seed ^ kOsTimeoutTag),
       slow_rng_(seed ^ kOsSlowTag),
-      backoff_rng_(seed ^ kOsBackoffTag),
       obs_timeouts_(&obs::Global().GetCounter("fault.switch_os.rpc_timeouts")),
       obs_slow_ops_(&obs::Global().GetCounter("fault.switch_os.slow_ops")),
       obs_degraded_(&obs::Global().GetCounter("fault.switch_os.degraded_ops")),
       obs_attempts_(
           &obs::Global().GetHistogram("fault.switch_os.rpc_attempts")) {}
 
-SwitchOsFaultInjector::OpOutcome SwitchOsFaultInjector::OnOp(Nanos now) {
-  const double scale = PhaseScale(profile_.phases, now);
+SwitchOsFaultInjector::OpOutcome SwitchOsFaultInjector::OnOp() {
   OpOutcome out;
 
-  // Timeout/retry loop under the policy. A timed-out attempt costs the full
-  // penalty plus the backoff delay before the next try. Exhausting the
-  // budget degrades the op: the driver still returns correct contents (the
-  // simulated switch state is local), it just arrives late and is counted.
-  const double timeout_rate = profile_.timeout_rate * scale;
-  while (timeout_rng_.Bernoulli(timeout_rate)) {
+  // Timeout/retry loop. A timed-out attempt costs the full penalty and is
+  // reissued at once. Timing out kMaxRpcAttempts times degrades the op: the
+  // driver still returns correct contents (the simulated switch state is
+  // local), it just arrives late and is counted.
+  while (timeout_rng_.Bernoulli(profile_.timeout_rate)) {
     ++timeouts_;
     obs_timeouts_->Add(1);
-    out.extra += profile_.timeout_penalty;
-    if (out.attempts >= retry_.max_attempts) {
+    out.extra += kRpcTimeoutPenalty;
+    if (out.attempts >= kMaxRpcAttempts) {
       out.degraded = true;
       ++degraded_ops_;
       obs_degraded_->Add(1);
       break;
     }
-    out.extra += retry_.DelayFor(out.attempts - 1, backoff_rng_);
     ++out.attempts;
   }
 
-  if (slow_rng_.Bernoulli(profile_.slow_rate * scale)) {
-    out.entry_scale = profile_.slow_factor;
+  if (slow_rng_.Bernoulli(profile_.slow_rate)) {
+    out.entry_scale = kSlowBurstFactor;
     ++slow_ops_;
     obs_slow_ops_->Add(1);
   }
@@ -186,10 +172,9 @@ RdmaFaultInjector::RdmaFaultInjector(RdmaFaultProfile profile,
       obs_dropped_(&obs::Global().GetCounter("fault.rdma.dropped_writes")),
       obs_partial_(&obs::Global().GetCounter("fault.rdma.partial_writes")) {}
 
-RdmaFaultInjector::Decision RdmaFaultInjector::Decide(Nanos now) {
-  const double scale = PhaseScale(profile_.phases, now);
-  const bool drop = drop_rng_.Bernoulli(profile_.write_drop_rate * scale);
-  const bool partial = partial_rng_.Bernoulli(profile_.partial_rate * scale);
+RdmaFaultInjector::Decision RdmaFaultInjector::Decide() {
+  const bool drop = drop_rng_.Bernoulli(profile_.write_drop_rate);
+  const bool partial = partial_rng_.Bernoulli(profile_.partial_rate);
 
   Decision d;
   if (drop) {

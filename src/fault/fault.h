@@ -23,7 +23,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/fault/retry.h"
 #include "src/obs/obs.h"
 
 namespace ow {
@@ -33,9 +32,10 @@ class SnapshotReader;
 
 namespace ow::fault {
 
-/// Optional time window scaling a profile's rates: while `now` is inside
-/// [start, end) the base rates are multiplied by `scale`; outside every
-/// phase the rates are 0. An empty phase list means "always on, scale 1".
+/// Optional time window scaling a link profile's rates: while `now` is
+/// inside [start, end) the base rates are multiplied by `scale`; outside
+/// every phase the rates are 0. An empty phase list means "always on,
+/// scale 1".
 struct FaultPhase {
   Nanos start = 0;
   Nanos end = 0;
@@ -48,26 +48,33 @@ struct LinkFaultProfile {
   double drop_rate = 0.0;     ///< injected independent per-packet drop
   double dup_rate = 0.0;      ///< deliver a second copy of the packet
   double reorder_rate = 0.0;  ///< delay the packet past later traffic
-  Nanos reorder_delay = 150 * kMicro;  ///< extra delay on a reordered packet
-  Nanos dup_gap = 5 * kMicro;          ///< the duplicate lands this much later
-  std::vector<FaultPhase> phases;      ///< empty = always active
+  std::vector<FaultPhase> phases;  ///< empty = always active
 
   bool Any() const noexcept {
     return drop_rate > 0 || dup_rate > 0 || reorder_rate > 0;
   }
 };
 
-/// Switch-OS driver faults: RPC timeouts retried under a RetryPolicy, and
-/// slow-read bursts scaling the per-entry driver cost.
-struct SwitchOsFaultProfile {
-  double timeout_rate = 0.0;            ///< per-attempt RPC timeout
-  Nanos timeout_penalty = 100 * kMilli; ///< cost of one timed-out attempt
-  double slow_rate = 0.0;               ///< per-op slow-burst probability
-  double slow_factor = 4.0;             ///< per-entry cost multiplier
-  std::vector<FaultPhase> phases;
+/// Extra delay on a reordered packet.
+inline constexpr Nanos kReorderDelay = 150 * kMicro;
+/// A duplicate lands this much after the original.
+inline constexpr Nanos kDuplicateGap = 5 * kMicro;
 
-  bool Any() const noexcept { return timeout_rate > 0 || slow_rate > 0; }
+/// Switch-OS driver faults: RPC timeouts (a timed-out attempt is reissued
+/// at once, up to kMaxRpcAttempts attempts per op) and slow-read bursts
+/// scaling the per-entry driver cost. Armed directly on a SwitchOsDriver
+/// (no FaultPlan carries it).
+struct SwitchOsFaultProfile {
+  double timeout_rate = 0.0;  ///< per-attempt RPC timeout
+  double slow_rate = 0.0;     ///< per-op slow-burst probability
 };
+
+/// Attempts one switch-OS RPC gets before the op is degraded.
+inline constexpr std::uint32_t kMaxRpcAttempts = 8;
+/// Cost of one timed-out RPC attempt.
+inline constexpr Nanos kRpcTimeoutPenalty = 100 * kMilli;
+/// Per-entry cost multiplier of a slow-read burst.
+inline constexpr double kSlowBurstFactor = 4.0;
 
 /// RDMA faults, applied to WRITEs against one target MR (the cold-key
 /// append buffer): the request is dropped at the commit step, or only a
@@ -75,7 +82,6 @@ struct SwitchOsFaultProfile {
 struct RdmaFaultProfile {
   double write_drop_rate = 0.0;
   double partial_rate = 0.0;
-  std::vector<FaultPhase> phases;
 
   bool Any() const noexcept { return write_drop_rate > 0 || partial_rate > 0; }
 };
@@ -85,20 +91,14 @@ struct FaultPlan {
   std::uint64_t seed = 0xFA017BA5Eull;
   LinkFaultProfile inner_link;   ///< switch-to-switch links
   LinkFaultProfile report_link;  ///< switch-to-controller report path
-  SwitchOsFaultProfile switch_os;
   RdmaFaultProfile rdma;
-
-  bool Any() const noexcept {
-    return inner_link.Any() || report_link.Any() || switch_os.Any() ||
-           rdma.Any();
-  }
 };
 
 /// The fault-matrix axes tools/chaos_run and CI sweep. kFabricLoss drops
 /// packets on one switch-to-switch fabric link of a leaf-spine deployment
 /// (chaos_run pins the link via NetworkRunConfig::fault_link_index) —
 /// the cell additionally asserts hop-by-hop localization names that link.
-enum class ChaosKind { kLoss, kReorder, kRpcTimeout, kRdmaFail, kFabricLoss };
+enum class ChaosKind { kLoss, kReorder, kRdmaFail, kFabricLoss };
 
 const char* ChaosKindName(ChaosKind kind);
 
@@ -115,9 +115,8 @@ class LinkFaultInjector {
 
   struct Decision {
     bool drop = false;
-    bool duplicate = false;
-    Nanos extra_delay = 0;  ///< reorder displacement (0 when not reordered)
-    Nanos dup_gap = 0;      ///< valid when duplicate is set
+    bool duplicate = false;  ///< a copy follows kDuplicateGap later
+    Nanos extra_delay = 0;   ///< reorder displacement (0 when not reordered)
   };
 
   /// One decision per transmitted packet. Each feature draws exactly once
@@ -150,18 +149,17 @@ class LinkFaultInjector {
 /// slow-burst scaling, deterministic in the seed.
 class SwitchOsFaultInjector {
  public:
-  SwitchOsFaultInjector(SwitchOsFaultProfile profile, RetryPolicy retry,
-                        std::uint64_t seed);
+  SwitchOsFaultInjector(SwitchOsFaultProfile profile, std::uint64_t seed);
 
   struct OpOutcome {
     std::uint32_t attempts = 1;    ///< 1 = first attempt succeeded
-    Nanos extra = 0;               ///< timeout penalties + backoff delays
+    Nanos extra = 0;               ///< timeout penalties
     double entry_scale = 1.0;      ///< per-entry cost multiplier
-    bool degraded = false;         ///< retry budget exhausted
+    bool degraded = false;         ///< kMaxRpcAttempts all timed out
   };
 
-  /// Decide the fate of one driver RPC starting at `now`.
-  OpOutcome OnOp(Nanos now);
+  /// Decide the fate of one driver RPC.
+  OpOutcome OnOp();
 
   std::uint64_t timeouts() const noexcept { return timeouts_; }
   std::uint64_t slow_ops() const noexcept { return slow_ops_; }
@@ -169,10 +167,8 @@ class SwitchOsFaultInjector {
 
  private:
   SwitchOsFaultProfile profile_;
-  RetryPolicy retry_;
   Rng timeout_rng_;
   Rng slow_rng_;
-  Rng backoff_rng_;
   obs::Counter* obs_timeouts_;
   obs::Counter* obs_slow_ops_;
   obs::Counter* obs_degraded_;
@@ -193,7 +189,7 @@ class RdmaFaultInjector {
   };
 
   /// One decision per matching WRITE request.
-  Decision Decide(Nanos now);
+  Decision Decide();
 
   std::uint64_t dropped_writes() const noexcept { return dropped_writes_; }
   std::uint64_t partial_writes() const noexcept { return partial_writes_; }

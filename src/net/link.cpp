@@ -41,7 +41,7 @@ void Link::Transmit(Packet p, Nanos now) {
   obs_delay_->Record(std::uint64_t(delay));
   if (fd.duplicate) {
     Packet copy = p;
-    deliver_(std::move(copy), now + delay + fd.dup_gap);
+    deliver_(std::move(copy), now + delay + fault::kDuplicateGap);
   }
   deliver_(std::move(p), now + delay);
 }

@@ -56,7 +56,7 @@ std::uint64_t RdmaNic::Execute(const RdmaRequest& req) {
       mr->NoteWriteAttempt(req.remote_offset + req.payload.size());
       std::size_t commit = req.payload.size();
       if (faults_ && req.rkey == fault_rkey_) {
-        const auto fd = faults_->Decide(nic_time_);
+        const auto fd = faults_->Decide();
         if (fd.drop) return 0;
         if (fd.partial) commit /= 2;
       }

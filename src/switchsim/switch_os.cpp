@@ -29,7 +29,7 @@ Nanos SwitchOsDriver::FaultedCost(Nanos base, std::size_t entries,
                                   Nanos per_entry, Nanos start) const {
   const Nanos entry_cost = Nanos(entries) * per_entry;
   if (!faults_) return start + base + entry_cost;
-  const auto op = faults_->OnOp(start);
+  const auto op = faults_->OnOp();
   Nanos scaled = entry_cost;
   if (op.entry_scale != 1.0) {
     scaled = Nanos(double(entry_cost) * op.entry_scale);

@@ -52,14 +52,14 @@ class SwitchOsDriver {
     return timings_.rpc_setup + Nanos(entries) * timings_.per_entry_write;
   }
 
-  /// Inject RPC timeouts (retried under `retry`) and slow-read bursts into
-  /// every subsequent ReadAll/ResetAll. Contents stay correct — the faults
-  /// only inflate the simulated completion time; an exhausted retry budget
-  /// is surfaced through fault.switch_os.degraded_ops.
+  /// Inject RPC timeouts (reissued at once, at most fault::kMaxRpcAttempts
+  /// attempts per op) and slow-read bursts into every subsequent
+  /// ReadAll/ResetAll. Contents stay correct — the faults only inflate the
+  /// simulated completion time; an op whose every attempt timed out is
+  /// surfaced through fault.switch_os.degraded_ops.
   void ArmFaults(const fault::SwitchOsFaultProfile& profile,
-                 fault::RetryPolicy retry, std::uint64_t seed) {
-    faults_ = std::make_unique<fault::SwitchOsFaultInjector>(profile, retry,
-                                                             seed);
+                 std::uint64_t seed) {
+    faults_ = std::make_unique<fault::SwitchOsFaultInjector>(profile, seed);
   }
   const fault::SwitchOsFaultInjector* faults() const noexcept {
     return faults_.get();

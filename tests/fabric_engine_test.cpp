@@ -12,14 +12,16 @@
 // The fault-free leaf-spine run also pins its controllers' flow-table
 // checkpoint sections at every sub-window boundary, and its whole
 // controller-plane checkpoint, which must repeat byte for byte from run to
-// run at every boundary. A cyclic fabric pins
+// run at every boundary, as must its full snapshot. A cyclic fabric pins
 // the engine's cycle cap: no switch may run past its own traffic coming
 // back around the cycle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -213,15 +215,15 @@ TEST(FabricEngine, LeafSpineTableSectionsMatchGolden) {
     }
   }
   ASSERT_GT(live_seen, 0u) << "every table was empty at every boundary";
-  ExpectGolden(h.value(), 0x5548d85deec532f9);
+  ExpectGolden(h.value(), 0x2f2affdca3649628);
 }
 
-TEST(FabricEngine, LeafSpineControllerPlaneIsReproducible) {
-  // The same run driven twice in lockstep: at every sub-window boundary
-  // both sessions' controller-plane checkpoints (SnapshotControllers, the
-  // standby failover stream) must be byte-identical — a checkpoint carries
-  // only restorable, simulated-time state, never a wall-clock reading. The
-  // stream of one of them folds into the value.
+/// Drives the fault-free 4×3 run twice in lockstep and calls
+/// `at_boundary(k, first, second)` once both sessions reach sub-window
+/// boundary k; stops at the first fatal failure.
+void LockstepLeafSpine(
+    const std::function<void(std::size_t, FabricSession&, FabricSession&)>&
+        at_boundary) {
   const Trace trace = FabricTrace(1201);
   const NetworkRunConfig cfg = LeafSpineConfig(/*leaves=*/4, /*spines=*/3);
   const Nanos sub = cfg.base.window.subwindow_size;
@@ -233,31 +235,61 @@ TEST(FabricEngine, LeafSpineControllerPlaneIsReproducible) {
   FabricSession second(trace, make_app, cfg);
   const std::size_t boundaries =
       std::size_t((first.trace_duration() + 2 * sub) / sub);
-  Hasher h;
+  ASSERT_GT(boundaries, 1u);
   for (std::size_t k = 1; k <= boundaries; ++k) {
     first.DriveUntil(Nanos(k) * sub);
     second.DriveUntil(Nanos(k) * sub);
-    const std::vector<std::uint8_t> bytes = first.SnapshotControllers();
-    ASSERT_EQ(bytes, second.SnapshotControllers())
-        << "controller-plane checkpoints differ at boundary " << k;
-    h.Add(bytes.size());
-    for (const std::uint8_t b : bytes) h.Add(b);
+    at_boundary(k, first, second);
+    if (::testing::Test::HasFatalFailure()) return;
   }
-  ExpectGolden(h.value(), 0xfcebc8ba68b136ef);
+}
+
+TEST(FabricEngine, LeafSpineControllerPlaneIsReproducible) {
+  // At every sub-window boundary of the lockstep pair, both sessions'
+  // controller-plane checkpoints (SnapshotControllers, the standby failover
+  // stream) must be byte-identical — a checkpoint carries only restorable,
+  // simulated-time state, never a wall-clock reading. The stream of one of
+  // them folds into the value.
+  Hasher h;
+  LockstepLeafSpine(
+      [&](std::size_t k, FabricSession& first, FabricSession& second) {
+        const std::vector<std::uint8_t> bytes = first.SnapshotControllers();
+        ASSERT_EQ(bytes, second.SnapshotControllers())
+            << "controller-plane checkpoints differ at boundary " << k;
+        h.Add(bytes.size());
+        for (const std::uint8_t b : bytes) h.Add(b);
+      });
+  ExpectGolden(h.value(), 0xd321f1bf95c13d25);
+}
+
+TEST(FabricEngine, LeafSpineFullSnapshotIsReproducible) {
+  // The same pair, comparing full Snapshot() bytes (switch lanes, programs,
+  // links and controllers): no layer may write a byte its state does not
+  // determine, padding included.
+  LockstepLeafSpine(
+      [](std::size_t k, FabricSession& first, FabricSession& second) {
+        const std::vector<std::uint8_t> a = first.Snapshot();
+        const std::vector<std::uint8_t> b = second.Snapshot();
+        ASSERT_EQ(a.size(), b.size()) << "boundary " << k;
+        const std::size_t differing = std::inner_product(
+            a.begin(), a.end(), b.begin(), std::size_t{0}, std::plus<>(),
+            std::not_equal_to<>());
+        ASSERT_EQ(differing, 0u)
+            << "full snapshots differ at boundary " << k << " in "
+            << differing << " of " << a.size() << " bytes";
+      });
 }
 
 TEST(FabricEngine, LeafSpineWithFaultsArmedMatchesGolden) {
   const Trace trace = FabricTrace(1202);
   NetworkRunConfig cfg = LeafSpineConfig(/*leaves=*/3, /*spines=*/2);
-  // Loss + reorder inside the fabric, loss on the report path, RPC
-  // timeouts in the collection plane: every recovery mechanism runs.
+  // Loss + reorder + duplication inside the fabric and loss on the report
+  // path: every recovery mechanism runs.
   cfg.base.fault.seed = 0xF417A;
   cfg.base.fault.inner_link.drop_rate = 0.05;
   cfg.base.fault.inner_link.reorder_rate = 0.05;
   cfg.base.fault.inner_link.dup_rate = 0.02;
   cfg.base.fault.report_link.drop_rate = 0.10;
-  cfg.base.fault.switch_os.timeout_rate = 0.20;
-  cfg.base.fault.switch_os.slow_rate = 0.20;
 
   const NetworkRunResult net = RunFabric(trace, cfg);
   EXPECT_GT(net.link_dropped, 0u) << "fabric loss never fired";

@@ -295,7 +295,7 @@ TEST(Failover, SeededKillBoundaryIsDeterministic) {
   const Trace trace = MakeTrace(9304, 800 * kMilli);
   const NetworkRunConfig cfg = SlidingFabricConfig();
   FailoverConfig fcfg;
-  fcfg.snapshot_cadence = 1;  // kill_boundary stays -1: drawn from kill_seed
+  fcfg.snapshot_cadence = 1;  // kill_boundary stays -1: drawn from a fixed seed
   const FailoverRunResult a = RunWithFailover(trace, MakeCountApp, cfg, fcfg);
   const FailoverRunResult b = RunWithFailover(trace, MakeCountApp, cfg, fcfg);
   EXPECT_EQ(a.report.kill_boundary, b.report.kill_boundary);

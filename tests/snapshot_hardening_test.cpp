@@ -12,10 +12,12 @@
 // the section and absolute file offsets), the CRC-32 every checksum above
 // rests on (known answers, a bytewise reference at every length and
 // alignment, seed chaining), the delta-checkpoint encode/apply pair, the
-// stream's version check (a v6 stream is refused), and Switch::Load's event
-// lanes (a forged lane count, an unsorted FIFO, a heap array that is not a
-// heap, an unknown packet source or a saved next seq not above every
-// restored event's seq throws).
+// stream's version check (the previous version is refused), Switch::Load's
+// event lanes (a forged lane count, an unsorted FIFO, a heap array that is
+// not a heap, an unknown packet source or a saved next seq not above every
+// restored event's seq throws), and OmniWindowProgram::Load's collect state
+// (a region other than 0 or 1, or more keys than the sub-window can
+// enumerate, throws).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,12 +28,16 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/packet.h"
 #include "src/common/snapshot.h"
 #include "src/controller/key_value_table.h"
+#include "src/core/data_plane.h"
 #include "src/switchsim/pipeline.h"
+#include "src/telemetry/cardinality_apps.h"
+#include "src/telemetry/exact_count.h"
 
 namespace ow {
 namespace {
@@ -660,8 +666,8 @@ TEST(SnapshotVersion, OtherVersionIsRejectedNamingBoth) {
   w.Section(snap::kSwitch);
   const std::vector<std::uint8_t> good = w.Take();
   ASSERT_NO_THROW(SnapshotReader{good});
-  // The previous version (v6 still carried the dense table encoding and the
-  // controller's timing log) and the next one are both refused.
+  // The previous version (v7 still carried the controller's retry RNG and
+  // the program's padded collect state) and the next one are both refused.
   for (const std::uint32_t other :
        {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
     std::vector<std::uint8_t> bytes = good;
@@ -849,6 +855,94 @@ TEST(SwitchLoadHardening, ForgedStagedCountFailsBeforeAllocation) {
       EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
           << e.what();
     }
+  }
+}
+
+// --- OmniWindowProgram::Load: the collect state -----------------------------
+
+/// Bytes of the collect state: two flags, six u32 fields, the u64 cursor.
+constexpr std::size_t kCollectStateBytes = 2 + 6 * 4 + 8;
+/// Offsets inside it: the region follows the flags and the sub-window, the
+/// key count follows the region.
+constexpr std::size_t kCollectRegionAt = 2 + 4;
+constexpr std::size_t kCollectNumKeysAt = kCollectRegionAt + 4;
+
+/// A fresh program's stream, and where its collect state starts. What
+/// follows the collect state is fixed for a fresh program: four empty
+/// counts (pending starts, collect keys, AFR cache, compromised set), five
+/// u32 fields (two last writers, the started-through bound, the RoCE PSN,
+/// the iteration base) and the stats.
+std::pair<std::vector<std::uint8_t>, std::size_t> SaveFreshProgram(
+    OmniWindowProgram& program) {
+  SnapshotWriter w;
+  program.Save(w);
+  std::vector<std::uint8_t> bytes = w.Take();
+  const std::size_t tail = 4 * 8 + 5 * 4 + sizeof(OmniWindowProgram::Stats);
+  const std::size_t collect_at = bytes.size() - tail - kCollectStateBytes;
+  return {std::move(bytes), collect_at};
+}
+
+void LoadProgram(OmniWindowProgram& program,
+                 const std::vector<std::uint8_t>& bytes) {
+  SnapshotReader r(bytes);
+  program.Load(r);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+void ExpectProgramLoadThrows(OmniWindowProgram& program,
+                             const std::vector<std::uint8_t>& bytes,
+                             const std::string& needle) {
+  try {
+    LoadProgram(program, bytes);
+    FAIL() << "forged program section loaded (expected \"" << needle
+           << "\")";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("section 0x1A"), std::string::npos) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
+TEST(ProgramLoadHardening, ForgedRegionThrows) {
+  // ForceFinishCollection indexes last_writer_[region] with the restored
+  // value, so only 0 and 1 may load.
+  OmniWindowProgram program({}, std::make_shared<ExactCountApp>());
+  auto [bytes, collect_at] = SaveFreshProgram(program);
+  for (const std::uint32_t region : {0u, 1u}) {
+    std::memcpy(bytes.data() + collect_at + kCollectRegionAt, &region, 4);
+    ASSERT_NO_THROW(LoadProgram(program, bytes)) << "region " << region;
+  }
+  for (const std::uint32_t region : {2u, 0xFFFFFFFFu}) {
+    std::memcpy(bytes.data() + collect_at + kCollectRegionAt, &region, 4);
+    ExpectProgramLoadThrows(program, bytes,
+                            "region " + std::to_string(region));
+  }
+}
+
+TEST(ProgramLoadHardening, ForgedNumKeysThrows) {
+  // AFR apps: HandleCollection reads collect_keys_[idx] for every idx below
+  // num_keys, so the count may not exceed the restored key list (empty for
+  // a fresh program).
+  {
+    OmniWindowProgram program({}, std::make_shared<ExactCountApp>());
+    auto [bytes, collect_at] = SaveFreshProgram(program);
+    const std::uint32_t forged = 1;
+    std::memcpy(bytes.data() + collect_at + kCollectNumKeysAt, &forged, 4);
+    ExpectProgramLoadThrows(program, bytes, "num_keys 1");
+  }
+  // State-migration apps enumerate reset slices instead: up to
+  // NumResetSlices() loads, one more throws.
+  {
+    auto app = std::make_shared<LinearCountingApp>(1024);
+    OmniWindowProgram program({}, app);
+    auto [bytes, collect_at] = SaveFreshProgram(program);
+    const auto slices = std::uint32_t(app->NumResetSlices());
+    std::memcpy(bytes.data() + collect_at + kCollectNumKeysAt, &slices, 4);
+    ASSERT_NO_THROW(LoadProgram(program, bytes));
+    const std::uint32_t forged = slices + 1;
+    std::memcpy(bytes.data() + collect_at + kCollectNumKeysAt, &forged, 4);
+    ExpectProgramLoadThrows(program, bytes,
+                            "num_keys " + std::to_string(forged));
   }
 }
 

@@ -260,15 +260,13 @@ TEST(SnapshotRestore, BitIdenticalWithFaultsArmed) {
   const Trace trace = FabricTrace(8103);
   NetworkRunConfig cfg = LeafSpineConfig(3, 2);
   // Every recovery mechanism runs across the kill point: fabric loss /
-  // reorder / dup, report-path loss, RPC timeouts. All of their RNG
-  // streams and pending retransmit state ride the snapshot.
+  // reorder / dup and report-path loss. All of their RNG streams and
+  // pending retransmit state ride the snapshot.
   cfg.base.fault.seed = 0xF417A;
   cfg.base.fault.inner_link.drop_rate = 0.05;
   cfg.base.fault.inner_link.reorder_rate = 0.05;
   cfg.base.fault.inner_link.dup_rate = 0.02;
   cfg.base.fault.report_link.drop_rate = 0.10;
-  cfg.base.fault.switch_os.timeout_rate = 0.20;
-  cfg.base.fault.switch_os.slow_rate = 0.20;
 
   const Fingerprint ref =
       FingerprintOf(RunOmniWindowFabric(trace, MakeCountApp, cfg));

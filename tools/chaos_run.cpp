@@ -10,8 +10,8 @@
 // baseline, proving armed-but-idle fault plumbing perturbs nothing.
 //
 //   chaos_run [--seeds=3] [--intensities=0,0.05,0.15,0.3]
-//             [--kinds=loss,reorder,rpc-timeout,rdma-fail,fabric-loss,
-//                      kill-restore,failover]
+//             [--kinds=loss,reorder,rdma-fail,fabric-loss,kill-restore,
+//                      failover]
 //             [--out=chaos_report.json]
 //
 // The fabric-loss cell is special: it drops packets INSIDE a 2x2 leaf-spine
@@ -63,7 +63,6 @@
 #include "src/failover/failover.h"
 #include "src/fault/fault.h"
 #include "src/obs/obs.h"
-#include "src/switchsim/switch_os.h"
 #include "src/telemetry/exact_count.h"
 #include "src/telemetry/network_queries.h"
 #include "src/telemetry/query.h"
@@ -76,8 +75,7 @@ struct Options {
   std::vector<double> intensities{0.0, 0.05, 0.15, 0.30};
   std::vector<fault::ChaosKind> kinds{
       fault::ChaosKind::kLoss, fault::ChaosKind::kReorder,
-      fault::ChaosKind::kRpcTimeout, fault::ChaosKind::kRdmaFail,
-      fault::ChaosKind::kFabricLoss};
+      fault::ChaosKind::kRdmaFail, fault::ChaosKind::kFabricLoss};
   /// Harness-level cell (not a fault::ChaosKind): kill the run at a
   /// sub-window boundary, restore from the snapshot, demand bit-identity.
   bool kill_restore = true;
@@ -130,8 +128,6 @@ bool ParseArgs(int argc, char** argv, Options& opt) {
           opt.kinds.push_back(fault::ChaosKind::kLoss);
         } else if (p == "reorder") {
           opt.kinds.push_back(fault::ChaosKind::kReorder);
-        } else if (p == "rpc-timeout") {
-          opt.kinds.push_back(fault::ChaosKind::kRpcTimeout);
         } else if (p == "rdma-fail") {
           opt.kinds.push_back(fault::ChaosKind::kRdmaFail);
         } else if (p == "fabric-loss") {
@@ -626,49 +622,8 @@ std::uint64_t SumFaultCounters() {
   return reg.GetCounter("fault.link.injected_drops").value() +
          reg.GetCounter("fault.link.duplicates").value() +
          reg.GetCounter("fault.link.reorders").value() +
-         reg.GetCounter("fault.switch_os.rpc_timeouts").value() +
-         reg.GetCounter("fault.switch_os.slow_ops").value() +
          reg.GetCounter("fault.rdma.dropped_writes").value() +
          reg.GetCounter("fault.rdma.partial_writes").value();
-}
-
-/// Switch-OS micro-scenario: under injected RPC timeouts and slow bursts
-/// the driver must return the same register contents, never finish early,
-/// and be deterministic in the seed. Returns false on violation.
-bool CheckSwitchOsFaults(double intensity, std::uint64_t seed,
-                         std::uint64_t& injected) {
-  RegisterArray clean("chaos", 4096, 8);
-  RegisterArray faulted("chaos", 4096, 8);
-  for (std::size_t i = 0; i < clean.size(); ++i) {
-    clean.ControlWrite(i, i * 2654435761u);
-    faulted.ControlWrite(i, i * 2654435761u);
-  }
-  fault::SwitchOsFaultProfile profile;
-  profile.timeout_rate = intensity;
-  profile.slow_rate = intensity;
-
-  SwitchOsDriver plain;
-  std::vector<std::uint64_t> want;
-  const Nanos t_plain = plain.ReadAll(clean, want, 0);
-
-  auto run = [&](std::vector<std::uint64_t>& out) {
-    SwitchOsDriver os;
-    os.ArmFaults(profile, fault::RetryPolicy{}, seed);
-    Nanos t = 0;
-    for (int op = 0; op < 16; ++op) {
-      out.clear();
-      t = os.ReadAll(faulted, out, t);
-    }
-    injected = os.faults()->timeouts() + os.faults()->slow_ops();
-    return t;
-  };
-  std::vector<std::uint64_t> got1, got2;
-  const Nanos t1 = run(got1);
-  const Nanos t2 = run(got2);
-  if (got1 != want || got2 != want) return false;  // contents corrupted
-  if (t1 != t2) return false;                      // nondeterministic
-  if (intensity == 0.0 && t1 != 16 * t_plain) return false;
-  return true;
 }
 
 }  // namespace
@@ -680,8 +635,8 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, opt)) {
     std::fprintf(stderr,
                  "usage: chaos_run [--seeds=N] [--intensities=a,b,...]\n"
-                 "                 [--kinds=loss,reorder,rpc-timeout,"
-                 "rdma-fail,fabric-loss,kill-restore] [--out=FILE]\n");
+                 "                 [--kinds=loss,reorder,rdma-fail,"
+                 "fabric-loss,kill-restore,failover] [--out=FILE]\n");
     return 2;
   }
 
@@ -739,15 +694,6 @@ int main(int argc, char** argv) {
                                   : SnapLine(line_trace, plan, s);
         cell.injected_faults = SumFaultCounters();
         Compare(base, got, cell);
-
-        if (kind == fault::ChaosKind::kRpcTimeout) {
-          std::uint64_t os_injected = 0;
-          if (!CheckSwitchOsFaults(intensity, seed, os_injected)) {
-            ++cell.divergent_unflagged;
-          }
-          cell.injected_faults += os_injected;
-        }
-
         if (cell.divergent_unflagged > 0) ok = false;
         std::printf(
             "%-11s seed=%llu intensity=%.2f windows=%zu exact=%zu "
