@@ -1,7 +1,7 @@
 // Exp#11: OmniWindow on arbitrary fabrics — scale sweep and hop-by-hop
 // loss localization fidelity.
 //
-// Part A replays one trace through fabrics of growing size (line, tree,
+// Part A replays one trace through fabrics of growing size (line,
 // leaf-spine) with a per-switch app + controller each, and reports the
 // simulation cost and the per-link load the deterministic ECMP produced.
 //
@@ -89,13 +89,6 @@ void ScaleSweep(const Trace& trace) {
     t.kind = TopologyKind::kLine;
     t.line_switches = 4;
     rows.push_back({"line-4", t});
-  }
-  {
-    TopologyConfig t;
-    t.kind = TopologyKind::kTree;
-    t.tree_fanout = 2;
-    t.tree_depth = 2;
-    rows.push_back({"tree-2x2", t});
   }
   {
     TopologyConfig t;

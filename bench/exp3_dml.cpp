@@ -36,7 +36,7 @@ int main() {
   rc.data_plane.signal.kind = SignalKind::kUserDefined;
   rc.controller.grace_period = 100 * kMicro;
 
-  Switch sw(0, rc.switch_timings);
+  Switch sw(0);
   auto program = std::make_shared<OmniWindowProgram>(rc.data_plane, app);
   sw.SetProgram(program);
   OmniWindowController controller(rc.controller, app->merge_kind());

@@ -49,13 +49,12 @@ Nanos MeasureCollection(std::size_t cached_keys, std::size_t rows,
   RunConfig cfg = RunConfig::Make(spec);
   cfg.data_plane.tracker.capacity = std::max<std::size_t>(1, cached_keys);
   cfg.data_plane.tracker.bloom_bits = 1 << 21;
-  cfg.data_plane.rdma = rdma;
   cfg.controller.rdma = rdma;
   cfg.controller.rdma_controller_resolves_addresses = controller_resolves;
   cfg.controller.collection_packets = collection_packets;
   cfg.controller.kv_capacity = 1 << 18;
 
-  Switch sw(0, cfg.switch_timings);
+  Switch sw(0);
   auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
   sw.SetProgram(program);
   OmniWindowController controller(cfg.controller, MergeKind::kFrequency);

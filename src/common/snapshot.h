@@ -67,7 +67,8 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// v8: the Controller section loses its retry RNG state (the retry budget
 /// is a constant and every round reissues at once), and the Program section
 /// writes its collect state field by field (34 bytes, no padding).
-inline constexpr std::uint32_t kSnapshotVersion = 8;
+/// v9: the Network section loses its global clock word (no code read it).
+inline constexpr std::uint32_t kSnapshotVersion = 9;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;

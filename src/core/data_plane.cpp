@@ -215,7 +215,7 @@ void OmniWindowProgram::EmitRecord(FlowRecord rec, PipelineActions& act) {
   }
   const FlowKey& key = rec.key;
 
-  if (cfg_.rdma && rdma_ && rdma_->nic) {
+  if (rdma_ && rdma_->nic) {
     // §7: craft an RDMA request instead of a report packet.
     auto offset = rdma_->address_mat.TryLookup(key);
     if (offset && *offset != UINT64_MAX) {
@@ -456,7 +456,7 @@ void OmniWindowProgram::ChargeResources(ResourceLedger& ledger) const {
     u.gateways = 3;
     ledger.Charge("AFR generation", u);
   }
-  if (cfg_.rdma) {
+  if (rdma_) {
     ResourceUsage u;
     u.stages = {5, 6, 7, 8, 9};
     u.sram_bytes = 928 * 1024;  // address MAT + RoCE state
@@ -478,7 +478,7 @@ void OmniWindowProgram::ChargeResources(ResourceLedger& ledger) const {
 }
 
 void OmniWindowProgram::Save(SnapshotWriter& w) {
-  if (cfg_.rdma || rdma_) {
+  if (rdma_) {
     throw SnapshotError(
         "OmniWindowProgram: the RDMA collection path shares externally "
         "owned NIC/MR state and is not checkpointable");
@@ -518,7 +518,7 @@ void OmniWindowProgram::Save(SnapshotWriter& w) {
 }
 
 void OmniWindowProgram::Load(SnapshotReader& r) {
-  if (cfg_.rdma || rdma_) {
+  if (rdma_) {
     throw SnapshotError(
         "OmniWindowProgram: the RDMA collection path is not checkpointable");
   }

@@ -35,8 +35,6 @@ struct OmniWindowConfig {
   FlowkeyTrackerConfig tracker;
   /// Sub-windows preserved after termination for out-of-order packets.
   std::uint32_t preserve_subwindows = 1;
-  /// Enable the RDMA collection path (§7).
-  bool rdma = false;
 };
 
 /// Shared state of the RDMA optimization: the controller registers MRs and
@@ -63,7 +61,9 @@ class OmniWindowProgram final : public SwitchProgram {
     return app_->Registers();
   }
 
-  /// Attach the RDMA context (owned by the controller side).
+  /// Attach the RDMA context (owned by the controller side). A program
+  /// holding one collects over RDMA (§7) and charges the "RDMA opt."
+  /// resources; without one it reports AFRs in packets.
   void SetRdmaContext(std::shared_ptr<RdmaContext> ctx) {
     rdma_ = std::move(ctx);
   }

@@ -32,25 +32,6 @@ std::vector<std::vector<int>> TopologyAdjacency(const TopologyConfig& topo) {
       }
       break;
     }
-    case TopologyKind::kTree: {
-      if (topo.tree_fanout < 1 || topo.tree_depth < 1) {
-        throw std::invalid_argument("TopologyConfig: degenerate tree");
-      }
-      // BFS ids: level 0 is the root, level l holds fanout^l nodes.
-      std::size_t total = 1, level = 1;
-      for (std::size_t d = 0; d < topo.tree_depth; ++d) {
-        level *= topo.tree_fanout;
-        total += level;
-      }
-      adj.resize(total);
-      std::size_t next = 1;
-      for (std::size_t u = 0; next < total; ++u) {
-        for (std::size_t c = 0; c < topo.tree_fanout && next < total; ++c) {
-          adj[u].push_back(int(next++));
-        }
-      }
-      break;
-    }
     case TopologyKind::kLeafSpine: {
       if (topo.leaves < 2 || topo.spines < 1) {
         throw std::invalid_argument(
@@ -108,7 +89,7 @@ FabricSession::FabricSession(
   // slots a later sub-window already wrote: wrong windows, no flag. Only
   // lossy report paths are refused; with jitter alone every window stays
   // exact (FabricRdma.LossyReportPathIsRefused).
-  const bool rdma = cfg_.base.controller.rdma || cfg_.base.data_plane.rdma;
+  const bool rdma = cfg_.base.controller.rdma;
   if (rdma && (cfg_.report_link.loss_rate > 0 ||
                cfg_.base.fault.report_link.drop_rate > 0)) {
     throw std::invalid_argument(
@@ -120,7 +101,7 @@ FabricSession::FabricSession(
   result_.per_switch.resize(num_switches);
 
   for (std::size_t i = 0; i < num_switches; ++i) {
-    Switch* sw = net_.AddSwitch(cfg_.base.switch_timings);
+    Switch* sw = net_.AddSwitch();
     OmniWindowConfig dp = cfg_.base.data_plane;
     dp.first_hop = (i == 0);
     auto program = std::make_shared<OmniWindowProgram>(dp, make_app(i));

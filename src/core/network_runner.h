@@ -1,6 +1,6 @@
 // Multi-switch fabric harness.
 //
-// Deploys OmniWindow on an arbitrary-topology switch fabric: the ingress
+// Deploys OmniWindow on a switch fabric (a line or a leaf-spine): the ingress
 // hop runs signals and stamps sub-window numbers, every later hop follows
 // the embedded numbers (§5). Each switch gets its own telemetry app
 // instance and controller, as in a network-wide deployment; the result
@@ -9,12 +9,12 @@
 // loss localization (Exp#9-style setups, bench/exp11_topology, the
 // ConsistencyAcrossTwoSwitches test, the out-of-order ablation).
 //
-// Topology generators: line (the historical chain), tree (root ingress,
-// hash-ECMP over children, leaves egress) and leaf-spine (leaf 0 ingress,
-// ECMP up to the spines, every spine down to the flow's egress leaf).
-// Routing is deterministic in the five-tuple and the ECMP seed, so
-// MakeTopologyNextHop reconstructs every flow's path exactly — the oracle
-// LocalizeFlowLoss uses to name a lossy link.
+// Topology generators: line (the historical chain) and leaf-spine (leaf 0
+// ingress, ECMP up to the spines, every spine down to the flow's egress
+// leaf). Both are DAGs, as Network::Connect requires. Routing is
+// deterministic in the five-tuple and the ECMP seed, so MakeTopologyNextHop
+// reconstructs every flow's path exactly — the oracle LocalizeFlowLoss uses
+// to name a lossy link.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +31,11 @@
 
 namespace ow {
 
-enum class TopologyKind { kLine, kTree, kLeafSpine };
+enum class TopologyKind { kLine, kLeafSpine };
 
 struct TopologyConfig {
   TopologyKind kind = TopologyKind::kLine;
   std::size_t line_switches = 2;  ///< kLine: chain length
-  std::size_t tree_fanout = 2;    ///< kTree: children per internal node
-  std::size_t tree_depth = 2;     ///< kTree: edge levels below the root
   std::size_t spines = 2;         ///< kLeafSpine
   std::size_t leaves = 2;         ///< kLeafSpine (leaf 0 is the ingress)
   /// Seed of the hash-based ECMP routing (per-switch salted). Reseeding
@@ -47,7 +45,7 @@ struct TopologyConfig {
 
 /// Downstream switch ids per switch, in egress-port order (adj[u][p] is the
 /// switch behind port p of u). Empty list = egress switch. Line: 0->1->...;
-/// tree: BFS ids, root 0; leaf-spine: leaves 0..L-1 then spines L..L+S-1.
+/// leaf-spine: leaves 0..L-1 then spines L..L+S-1.
 std::vector<std::vector<int>> TopologyAdjacency(const TopologyConfig& topo);
 
 std::size_t TopologySwitchCount(const TopologyConfig& topo);
@@ -130,8 +128,8 @@ class FabricSession {
  public:
   /// Builds the fabric and enqueues the trace plus the end-of-trace
   /// sentinel; nothing runs until DriveUntil/Finish. RDMA collection
-  /// (`base.controller.rdma` or `base.data_plane.rdma`) gets one RdmaNic
-  /// per switch, with `base.fault.rdma` armed at seed `base.fault.seed + i`.
+  /// (`base.controller.rdma`) gets one RdmaNic per switch, with
+  /// `base.fault.rdma` armed at seed `base.fault.seed + i`.
   /// Throws std::invalid_argument when RDMA meets a report path that can
   /// drop packets (`report_link.loss_rate` or
   /// `base.fault.report_link.drop_rate` above 0): a late completion

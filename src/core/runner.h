@@ -26,14 +26,12 @@ struct RunConfig {
   WindowSpec window;
   OmniWindowConfig data_plane;
   ControllerConfig controller;
-  SwitchTimings switch_timings;
   /// Fault-injection plan threaded through the substrates the run builds
-  /// (RDMA NIC, controller, links). Inert by default; the runner arms
-  /// nothing when no rate is set, so the unarmed path stays hook-free. The
-  /// report-link profile applies to every switch's report link, the single
-  /// switch of RunOmniWindow included; the inner-link profile applies to
-  /// fabric links only. The switch-OS profile applies where a
-  /// SwitchOsDriver is driven (OS-baseline benches, the chaos harness).
+  /// (RDMA NICs, links). Inert by default; the runner arms nothing when no
+  /// rate is set, so the unarmed path stays hook-free. The report-link
+  /// profile applies to every switch's report link, the single switch of
+  /// RunOmniWindow included; the inner-link profile applies to fabric
+  /// links only.
   fault::FaultPlan fault;
 
   /// Convenience constructor keeping the window spec and signal period in

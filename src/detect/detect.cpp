@@ -103,18 +103,16 @@ void EntityDetector::OnWindow(const WindowResult& w) {
     switch (slot.key.kind()) {
       case FlowKeyKind::kFiveTuple:
       case FlowKeyKind::kIpPair:
-        if (cfg_.track_src) totals[SrcEntity(slot.key.src_ip())] += v;
-        if (cfg_.track_dst) totals[DstEntity(slot.key.dst_ip())] += v;
+        totals[SrcEntity(slot.key.src_ip())] += v;
+        totals[DstEntity(slot.key.dst_ip())] += v;
         break;
       case FlowKeyKind::kSrcIp:
-        if (cfg_.track_src) totals[slot.key] += v;
-        break;
       case FlowKeyKind::kDstIp:
-        if (cfg_.track_dst) totals[slot.key] += v;
+        totals[slot.key] += v;
         break;
       case FlowKeyKind::kSrcIpDstPort:
         // Only the source address survives this projection.
-        if (cfg_.track_src) totals[SrcEntity(slot.key.src_ip())] += v;
+        totals[SrcEntity(slot.key.src_ip())] += v;
         break;
     }
   });

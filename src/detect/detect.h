@@ -164,8 +164,6 @@ struct DetectorConfig {
   std::size_t max_entities = 1024;
   /// Evict a quiet entity absent for this many consecutive windows.
   std::size_t idle_evict_windows = 30;
-  bool track_src = true;  ///< aggregate per source ip
-  bool track_dst = true;  ///< aggregate per destination ip
 };
 
 /// Per-window entity totals, pool-backed so every window's aggregation

@@ -8,9 +8,8 @@
 
 namespace ow {
 
-Switch::Switch(int id, SwitchTimings timings)
+Switch::Switch(int id)
     : id_(id),
-      timings_(timings),
       obs_passes_(&obs::Global().GetCounter("switch.passes")),
       obs_recirc_passes_(&obs::Global().GetCounter("switch.recirc_passes")),
       obs_to_controller_(
@@ -112,34 +111,28 @@ void Switch::DispatchEvent(Event& ev, PassCounts& counts) {
   program_->Process(ev.packet, ev.time, ev.source, scratch_);
 
   for (Packet& p : scratch_.recirculate) {
-    HeapPush({ev.time + timings_.recirc_latency, next_seq_++,
+    HeapPush({ev.time + kRecircLatency, next_seq_++,
               PacketSource::kRecirculation, std::move(p)});
   }
   if (to_controller_ && !scratch_.to_controller.empty()) {
     counts.to_controller += scratch_.to_controller.size();
     for (const Packet& p : scratch_.to_controller) {
-      to_controller_(p, ev.time + timings_.to_controller_latency);
+      to_controller_(p, ev.time + kToControllerLatency);
     }
   }
   if (!scratch_.drop) {
-    // Egress resolution: the program's explicit choice wins, then the
-    // forwarding policy (ECMP, app routing), then port 0 — which keeps a
-    // single-downstream switch bit-identical to the pre-port engine.
-    int port = scratch_.egress_port;
-    if (port == kNoEgressPort && policy_) port = policy_(ev.packet, ev.time);
+    // Egress: the forwarding policy (ECMP) if the switch has one, else
+    // port 0.
+    const int port = policy_ ? policy_(ev.packet, ev.time) : 0;
     if (port == kFloodEgress) {
       for (const PacketHandler& out : ports_) {
         if (!out) continue;
         ++counts.forwarded;
-        out(ev.packet, ev.time + timings_.pipeline_latency);
+        out(ev.packet, ev.time + kPipelineLatency);
       }
-    } else {
-      if (port < 0) port = 0;
-      if (std::size_t(port) < ports_.size() && ports_[std::size_t(port)]) {
-        ++counts.forwarded;
-        ports_[std::size_t(port)](ev.packet,
-                                  ev.time + timings_.pipeline_latency);
-      }
+    } else if (HasPortHandler(port)) {
+      ++counts.forwarded;
+      ports_[std::size_t(port)](ev.packet, ev.time + kPipelineLatency);
     }
   } else {
     ++counts.dropped;

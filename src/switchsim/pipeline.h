@@ -5,11 +5,12 @@
 // single-pass processing is the C4 constraint the paper designs around. The
 // program can request the three hardware primitives OmniWindow relies on:
 //
-//   * recirculate   — re-enqueue the packet at now + recirc_latency over the
+//   * recirculate   — re-enqueue the packet at now + kRecircLatency over the
 //                     dedicated recirculation port (used by AFR enumeration
 //                     and in-switch reset),
 //   * clone to CPU  — mirror a copy toward the controller port,
-//   * forward/drop  — normal egress.
+//   * forward/drop  — normal egress, on the port the switch's forwarding
+//                     policy picks (port 0 without one).
 //
 // Event engine (docs/pipeline_performance.md): pending events live in two
 // lanes that together realize one total order by (time, seq). Wire packets
@@ -30,7 +31,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/clock.h"
 #include "src/common/packet.h"
 #include "src/common/small_vector.h"
 #include "src/obs/obs.h"
@@ -46,9 +46,6 @@ enum class PacketSource : std::uint8_t {
   kRecirculation = 2,  ///< the recirculation port
 };
 
-/// "No egress chosen": the switch falls back to its forwarding policy, then
-/// to port 0 (the historical single-downstream behavior).
-inline constexpr int kNoEgressPort = -1;
 /// Replicate the packet on every connected egress port (protocol floods,
 /// e.g. the end-of-trace sentinel that must terminate every path).
 inline constexpr int kFloodEgress = -2;
@@ -57,15 +54,11 @@ inline constexpr int kFloodEgress = -2;
 /// instance across passes; programs only ever append.
 struct PipelineActions {
   bool drop = false;
-  /// Egress port the program picked for the forwarded packet; kNoEgressPort
-  /// defers to the switch's forwarding policy / default port.
-  int egress_port = kNoEgressPort;
   SmallVector<Packet, 2> recirculate;
   SmallVector<Packet, 2> to_controller;
 
   void Clear() noexcept {
     drop = false;
-    egress_port = kNoEgressPort;
     recirculate.clear();
     to_controller.clear();
   }
@@ -91,24 +84,26 @@ class SwitchProgram {
   }
 };
 
-/// Latency constants of the switch model. Defaults are loosely calibrated to
-/// Tofino-class hardware so the C&R experiments land in the paper's
-/// millisecond regime (see DESIGN.md, substitution table).
-struct SwitchTimings {
-  Nanos pipeline_latency = 600;        ///< ingress -> egress
-  Nanos recirc_latency = 250;          ///< egress -> ingress via recirc port
-  Nanos to_controller_latency = 2'000; ///< egress port -> controller NIC
-};
+// Latencies of the switch model, loosely calibrated to Tofino-class
+// hardware so the C&R experiments land in the paper's millisecond regime
+// (see DESIGN.md, substitution table).
+
+/// Ingress to egress.
+inline constexpr Nanos kPipelineLatency = 600;
+/// Egress back to ingress over the recirculation port.
+inline constexpr Nanos kRecircLatency = 250;
+/// Egress port to the controller NIC.
+inline constexpr Nanos kToControllerLatency = 2'000;
 
 class Switch {
  public:
   using PacketHandler = std::function<void(const Packet&, Nanos)>;
-  /// Picks the egress port for a forwarded packet the program left
-  /// unrouted (kNoEgressPort). May return kFloodEgress to replicate on
-  /// every connected port. Must be deterministic for reproducible runs.
+  /// Picks the egress port for a forwarded packet. May return kFloodEgress
+  /// to replicate on every connected port. Must be deterministic for
+  /// reproducible runs.
   using ForwardingPolicy = std::function<int(const Packet&, Nanos)>;
 
-  explicit Switch(int id, SwitchTimings timings = {});
+  explicit Switch(int id);
 
   // Register arrays hold a pointer to this switch's pass epoch; the switch
   // must stay put.
@@ -116,28 +111,20 @@ class Switch {
   Switch& operator=(const Switch&) = delete;
 
   int id() const noexcept { return id_; }
-  const SwitchTimings& timings() const noexcept { return timings_; }
 
   void SetProgram(std::shared_ptr<SwitchProgram> program);
   SwitchProgram* program() const noexcept { return program_.get(); }
 
-  /// Delivery of forwarded packets (next hop / end host) on egress port 0 —
-  /// the historical single-downstream API, equivalent to
-  /// SetPortHandler(0, handler).
-  void SetForwardHandler(PacketHandler handler) {
-    SetPortHandler(0, std::move(handler));
-  }
-  /// Delivery of forwarded packets on a specific egress port. Ports are
-  /// dense small integers; setting a port grows the port table.
+  /// Delivery of forwarded packets (next hop / end host) on an egress
+  /// port. Ports are dense small integers; setting a port grows the port
+  /// table.
   void SetPortHandler(int port, PacketHandler handler);
   bool HasPortHandler(int port) const noexcept {
     return port >= 0 && std::size_t(port) < ports_.size() &&
            bool(ports_[std::size_t(port)]);
   }
-  std::size_t num_ports() const noexcept { return ports_.size(); }
-  /// Forwarding-decision hook consulted when the program does not pick an
-  /// egress itself (apps can: PipelineActions::egress_port). Without a
-  /// policy, unrouted packets leave on port 0.
+  /// Picks the egress of every forwarded packet. Without a policy,
+  /// forwarded packets leave on port 0.
   void SetForwardingPolicy(ForwardingPolicy policy) {
     policy_ = std::move(policy);
   }
@@ -237,7 +224,6 @@ class Switch {
   Event HeapPop() noexcept;
 
   int id_;
-  SwitchTimings timings_;
   std::shared_ptr<SwitchProgram> program_;
   std::vector<RegisterArray*> registers_;
   std::vector<PacketHandler> ports_;  ///< per-egress-port delivery

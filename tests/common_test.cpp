@@ -1,11 +1,10 @@
-// Unit tests for src/common: hashing, flow keys, RNG, Zipf, clocks, metrics.
+// Unit tests for src/common: hashing, flow keys, RNG, Zipf, metrics.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <set>
 #include <unordered_set>
 
-#include "src/common/clock.h"
 #include "src/common/flowkey.h"
 #include "src/common/hash.h"
 #include "src/common/metrics.h"
@@ -152,24 +151,6 @@ TEST(Zipf, PmfSumsToOne) {
   double sum = 0;
   for (std::size_t i = 0; i < 500; ++i) sum += zipf.Pmf(i);
   EXPECT_NEAR(sum, 1.0, 1e-9);
-}
-
-TEST(SimClock, NeverMovesBackwards) {
-  SimClock clock;
-  clock.AdvanceTo(100);
-  clock.AdvanceTo(50);
-  EXPECT_EQ(clock.Now(), 100);
-  clock.Advance(10);
-  EXPECT_EQ(clock.Now(), 110);
-}
-
-TEST(LocalClock, AppliesDeviation) {
-  SimClock global;
-  global.AdvanceTo(1000);
-  LocalClock local(global, -30);
-  EXPECT_EQ(local.Now(), 970);
-  local.set_deviation(50);
-  EXPECT_EQ(local.Now(), 1050);
 }
 
 TEST(Metrics, PrecisionRecallBasics) {

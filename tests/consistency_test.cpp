@@ -41,7 +41,7 @@ struct Fixture {
   Packet Pass(Packet p, Nanos at) {
     Packet forwarded;
     bool got = false;
-    sw.SetForwardHandler([&](const Packet& out, Nanos) {
+    sw.SetPortHandler(0, [&](const Packet& out, Nanos) {
       forwarded = out;
       got = true;
     });

@@ -307,7 +307,6 @@ TEST(FaultInjection, RdmaWriteFaultsAreChasedBackToExactness) {
   Trace trace = MakeTrace();
   obs::Global().Reset();
   RunConfig cfg = RunConfig::Make(Spec());
-  cfg.data_plane.rdma = true;
   cfg.controller.rdma = true;
   auto app = std::make_shared<QueryAdapter>(CountDef(), 1 << 14);
   const RunResult base = RunOmniWindow(

@@ -184,7 +184,7 @@ TEST(EndToEnd, ReliabilityRecoversLostAfrs) {
   auto app = std::make_shared<QueryAdapter>(def, 4096);
   RunConfig cfg = RunConfig::Make(TumblingSpec());
 
-  Switch sw(0, cfg.switch_timings);
+  Switch sw(0);
   auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
   sw.SetProgram(program);
   OmniWindowController controller(cfg.controller, app->merge_kind());
@@ -227,7 +227,6 @@ TEST(EndToEnd, RdmaPathMatchesPacketPath) {
   auto run = [&](bool rdma) {
     auto app = std::make_shared<QueryAdapter>(def, 1 << 14);
     RunConfig cfg = RunConfig::Make(TumblingSpec());
-    cfg.data_plane.rdma = rdma;
     cfg.controller.rdma = rdma;
     return RunOmniWindow(s.trace, app, cfg, [&](TableView table) {
       return app->Detect(table);
@@ -330,7 +329,7 @@ TEST(EndToEnd, DmlIterationWindows) {
   rc.controller.grace_period = 100 * kMicro;
 
   std::vector<std::map<FlowKey, std::pair<Nanos, Nanos>>> windows;
-  Switch sw(0, rc.switch_timings);
+  Switch sw(0);
   auto program = std::make_shared<OmniWindowProgram>(rc.data_plane, app);
   sw.SetProgram(program);
   OmniWindowController controller(rc.controller, app->merge_kind());

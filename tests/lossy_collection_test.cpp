@@ -165,7 +165,7 @@ TEST(LossyCollection, UnrecoverableSubWindowIsForceFinalized) {
   spec.window_size = spec.subwindow_size = 50 * kMilli;  // W = 1
   RunConfig cfg = RunConfig::Make(spec);
 
-  Switch sw(0, cfg.switch_timings);
+  Switch sw(0);
   auto app = std::make_shared<QueryAdapter>(CountDef(), 512);
   auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
   sw.SetProgram(program);

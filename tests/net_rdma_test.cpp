@@ -139,15 +139,6 @@ TEST(Network, TwoSwitchPathPreservesOrderAndLatency) {
   EXPECT_EQ(p2->seen.size(), 5u);
 }
 
-TEST(Network, ClockDeviationPerSwitch) {
-  Network net;
-  Switch* s1 = net.AddSwitch({}, +100 * kMicro);
-  Switch* s2 = net.AddSwitch({}, -100 * kMicro);
-  net.clock().AdvanceTo(kSecond);
-  EXPECT_EQ(net.ClockOf(s1).Now(), kSecond + 100 * kMicro);
-  EXPECT_EQ(net.ClockOf(s2).Now(), kSecond - 100 * kMicro);
-}
-
 // ------------------------------------------------------------------ RDMA
 
 TEST(Rdma, WriteLandsInRegisteredMemory) {

@@ -124,7 +124,6 @@ Trace SynFloodTrace() {
 /// and land in the mirror, fresh ones take the append buffer.
 RunConfig RdmaConfig() {
   RunConfig cfg = RunConfig::Make(TumblingSpec(100 * kMilli, 50 * kMilli));
-  cfg.data_plane.rdma = true;
   cfg.controller.rdma = true;
   return cfg;
 }

@@ -666,8 +666,8 @@ TEST(SnapshotVersion, OtherVersionIsRejectedNamingBoth) {
   w.Section(snap::kSwitch);
   const std::vector<std::uint8_t> good = w.Take();
   ASSERT_NO_THROW(SnapshotReader{good});
-  // The previous version (v7 still carried the controller's retry RNG and
-  // the program's padded collect state) and the next one are both refused.
+  // The previous version (v8 still carried the Network section's clock
+  // word) and the next one are both refused.
   for (const std::uint32_t other :
        {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
     std::vector<std::uint8_t> bytes = good;

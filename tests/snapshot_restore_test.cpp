@@ -367,7 +367,6 @@ TEST(SnapshotRestore, FileRoundTripResumesBitIdentically) {
 TEST(SnapshotRestore, RdmaConfigRefusesSnapshot) {
   const Trace trace = FabricTrace(8106);
   NetworkRunConfig cfg = LeafSpineConfig(2, 2);
-  cfg.base.data_plane.rdma = true;
   cfg.base.controller.rdma = true;
   // No driving: RDMA NIC queue state is not checkpointable, so Snapshot()
   // refuses the configuration outright rather than emitting bytes that

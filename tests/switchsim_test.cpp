@@ -130,13 +130,13 @@ TEST(Switch, ForwardsNormalPackets) {
   auto prog = std::make_shared<ProbeProgram>();
   sw.SetProgram(prog);
   std::vector<Nanos> forwarded;
-  sw.SetForwardHandler(
-      [&](const Packet&, Nanos t) { forwarded.push_back(t); });
+  sw.SetPortHandler(0,
+                    [&](const Packet&, Nanos t) { forwarded.push_back(t); });
   Packet p;
   sw.EnqueueFromWire(p, 1000);
   sw.RunBatch(kSecond);
   ASSERT_EQ(forwarded.size(), 1u);
-  EXPECT_EQ(forwarded[0], 1000 + sw.timings().pipeline_latency);
+  EXPECT_EQ(forwarded[0], 1000 + kPipelineLatency);
 }
 
 TEST(Switch, RecirculationCountsAndLatency) {
@@ -153,7 +153,7 @@ TEST(Switch, RecirculationCountsAndLatency) {
   EXPECT_EQ(prog->passes, 4);          // initial + 3 recirculations
   EXPECT_EQ(prog->recirc_passes, 3);
   EXPECT_EQ(sw.recirc_passes(), 3u);
-  EXPECT_EQ(last, 3 * sw.timings().recirc_latency);
+  EXPECT_EQ(last, 3 * kRecircLatency);
 }
 
 TEST(Switch, CloneToControllerLatency) {
@@ -168,7 +168,7 @@ TEST(Switch, CloneToControllerLatency) {
   sw.EnqueueFromWire(p, 500);
   sw.RunBatch(kSecond);
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], 500 + sw.timings().to_controller_latency);
+  EXPECT_EQ(got[0], 500 + kToControllerLatency);
 }
 
 // Records the dispatch order by Packet::seq.

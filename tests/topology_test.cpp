@@ -1,21 +1,16 @@
-// Tests for the arbitrary-topology network layer: port-based wiring,
-// per-link seed derivation, hash-based ECMP, fan-out/fan-in conservation,
-// N-switch loss localization, and the line-topology A/B proving the port
-// refactor is bit-identical to the historical single-downstream engine.
+// Tests for the fabric network layer: port-based wiring, per-link seed
+// derivation, hash-based ECMP, fan-out/fan-in conservation, N-switch loss
+// localization and RDMA collection on a fabric.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "src/core/network_runner.h"
 #include "src/net/network.h"
-#include "src/obs/obs.h"
 #include "src/telemetry/exact_count.h"
 #include "src/telemetry/network_queries.h"
-#include "src/telemetry/query_builder.h"
 #include "src/trace/generator.h"
 
 namespace ow {
@@ -24,38 +19,23 @@ namespace {
 // ---------------------------------------------------------------------------
 // Port-based wiring.
 
-TEST(NetworkPorts, ConnectOnOccupiedPortThrows) {
-  Network net;
-  Switch* a = net.AddSwitch();
-  Switch* b = net.AddSwitch();
-  Switch* c = net.AddSwitch();
-  net.Connect(a, b, LinkParams{}, std::nullopt, 0);
-  EXPECT_THROW(net.Connect(a, c, LinkParams{}, std::nullopt, 0),
-               std::logic_error);
-  EXPECT_THROW(net.ConnectToSink(a, LinkParams{}, [](Packet, Nanos) {},
-                                 std::nullopt, 0),
-               std::logic_error);
-  EXPECT_THROW(net.Connect(a, c, LinkParams{}, std::nullopt, -7),
-               std::invalid_argument);
-}
-
 TEST(NetworkPorts, AutoPortPicksLowestFree) {
   Network net;
   Switch* a = net.AddSwitch();
   Switch* b = net.AddSwitch();
   Switch* c = net.AddSwitch();
-  net.Connect(a, b, LinkParams{}, std::nullopt, 1);  // explicit port 1
-  net.Connect(a, c, LinkParams{});                   // auto -> port 0
-  net.ConnectToSink(a, LinkParams{}, [](Packet, Nanos) {});  // auto -> 2
-  ASSERT_EQ(net.links().size(), 3u);
-  EXPECT_EQ(net.links()[0].port, 1);
-  EXPECT_EQ(net.links()[1].port, 0);
-  EXPECT_EQ(net.links()[2].port, 2);
-  EXPECT_EQ(net.links()[2].to, -1);  // sink
+  net.Connect(a, b, LinkParams{});
   EXPECT_TRUE(a->HasPortHandler(0));
+  EXPECT_FALSE(a->HasPortHandler(1));
+  net.Connect(a, c, LinkParams{});
   EXPECT_TRUE(a->HasPortHandler(1));
+  EXPECT_FALSE(a->HasPortHandler(2));
+  net.ConnectToSink(a, LinkParams{}, [](Packet, Nanos) {});
   EXPECT_TRUE(a->HasPortHandler(2));
   EXPECT_FALSE(a->HasPortHandler(3));
+  // The downstream switches' own ports stay free.
+  EXPECT_FALSE(b->HasPortHandler(0));
+  EXPECT_FALSE(c->HasPortHandler(0));
 }
 
 TEST(NetworkPorts, InterSwitchLinksRequirePositiveLatency) {
@@ -232,14 +212,6 @@ TEST(Fabric, FanOutFanInConservation) {
 // ---------------------------------------------------------------------------
 // Fabric runner: ECMP determinism and loss localization.
 
-QueryDef CountAllDef() {
-  return QueryBuilder("count_all")
-      .KeyBy(FlowKeyKind::kFiveTuple)
-      .Count()
-      .Threshold(1)
-      .Build();
-}
-
 Trace FabricTrace(std::uint64_t seed) {
   TraceConfig tc;
   tc.seed = seed;
@@ -414,7 +386,6 @@ TEST(Fabric, DuplicationInflationNeverWrapsLossCounts) {
 NetworkRunConfig RdmaConfig(TopologyConfig topology) {
   NetworkRunConfig cfg = LeafSpineConfig();
   cfg.topology = topology;
-  cfg.base.data_plane.rdma = true;
   cfg.base.controller.rdma = true;
   return cfg;
 }
@@ -486,197 +457,6 @@ TEST(FabricRdma, LeafSpineWindowsAreExact) {
   const NetworkRunConfig cfg = RdmaConfig(
       {.kind = TopologyKind::kLeafSpine, .spines = 2, .leaves = 3});
   ExpectExactRdmaWindows(trace, cfg, RunLeafSpine(trace, cfg));
-}
-
-// ---------------------------------------------------------------------------
-// Line A/B: the port-based wiring must be bit-identical to the historical
-// SetForwardHandler + raw-Link engine — windows, stats, and obs deltas.
-
-struct LineAbResult {
-  struct Win {
-    SubWindowSpan span;
-    Nanos completed_at = 0;
-    bool partial = false;
-    FlowCounts counts;
-  };
-  std::vector<std::vector<Win>> windows;  // per switch
-  std::vector<OmniWindowProgram::Stats> dp;
-  std::vector<OmniWindowController::Stats> ctl;
-  std::vector<std::uint64_t> link_tx, link_drop;
-  std::string obs_json;
-};
-
-LineAbResult RunLineAb(bool legacy_wiring, const Trace& trace) {
-  obs::Global().Reset();
-  WindowSpec spec;
-  spec.type = WindowType::kTumbling;
-  spec.window_size = 100 * kMilli;
-  spec.subwindow_size = 50 * kMilli;
-  spec.slide = spec.window_size;
-  RunConfig rc = RunConfig::Make(spec);
-  rc.controller.kv_capacity = 1 << 15;
-  LinkParams wire;
-  wire.latency = 20 * kMicro;
-  wire.jitter = 2 * kMicro;
-  wire.loss_rate = 0.01;
-
-  const int kSwitches = 3;
-  Network net;
-  LineAbResult out;
-  out.windows.resize(kSwitches);
-  std::vector<Switch*> sw;
-  std::vector<std::shared_ptr<OmniWindowProgram>> progs;
-  std::vector<std::unique_ptr<OmniWindowController>> ctls;
-  for (int i = 0; i < kSwitches; ++i) {
-    sw.push_back(net.AddSwitch());
-    OmniWindowConfig dp = rc.data_plane;
-    dp.first_hop = (i == 0);
-    auto app = std::make_shared<QueryAdapter>(CountAllDef(), 1 << 14);
-    progs.push_back(std::make_shared<OmniWindowProgram>(dp, app));
-    sw.back()->SetProgram(progs.back());
-    ctls.push_back(std::make_unique<OmniWindowController>(
-        rc.controller, app->merge_kind()));
-    ctls.back()->AttachSwitch(sw.back());
-    auto& wins = out.windows[std::size_t(i)];
-    ctls.back()->SetWindowHandler([&wins](const WindowResult& w) {
-      LineAbResult::Win win;
-      win.span = w.span;
-      win.completed_at = w.completed_at;
-      win.partial = w.partial;
-      w.table->ForEach(
-          [&](const KvSlot& slot) { win.counts[slot.key] = slot.attrs[0]; });
-      wins.push_back(std::move(win));
-    });
-  }
-
-  // The wiring under test. Same Link class, same seeds, same transmit call
-  // chain — the only difference is who owns the link and which API routes
-  // the forwarded packet into it.
-  std::vector<std::unique_ptr<Link>> legacy_links;
-  std::vector<Link*> links;
-  for (int i = 0; i + 1 < kSwitches; ++i) {
-    const std::uint64_t seed = 9000 + std::uint64_t(i);
-    if (legacy_wiring) {
-      Switch* down = sw[std::size_t(i) + 1];
-      legacy_links.push_back(std::make_unique<Link>(
-          wire,
-          [down](Packet p, Nanos arrival) {
-            down->EnqueueFromWire(std::move(p), arrival);
-          },
-          seed));
-      Link* link = legacy_links.back().get();
-      sw[std::size_t(i)]->SetForwardHandler(
-          [link](const Packet& p, Nanos now) { link->Transmit(p, now); });
-      links.push_back(link);
-    } else {
-      links.push_back(
-          net.Connect(sw[std::size_t(i)], sw[std::size_t(i) + 1], wire, seed));
-    }
-  }
-
-  for (const Packet& p : trace.packets) sw[0]->EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + spec.subwindow_size;
-  sw[0]->EnqueueFromWire(sentinel, sentinel.ts);
-  const Nanos horizon = trace.Duration() + 10 * kSecond;
-  net.RunUntilQuiescent(horizon);
-  for (int round = 0; round < 16; ++round) {
-    bool all_done = true;
-    for (int i = 0; i < kSwitches; ++i) {
-      ctls[std::size_t(i)]->EnsureCollectedThrough(
-          progs[std::size_t(i)]->current_subwindow(), trace.Duration());
-      if (!ctls[std::size_t(i)]->Flush(trace.Duration())) all_done = false;
-    }
-    if (all_done) break;
-    net.RunUntilQuiescent(horizon);
-  }
-
-  for (int i = 0; i < kSwitches; ++i) {
-    out.dp.push_back(progs[std::size_t(i)]->stats());
-    out.ctl.push_back(ctls[std::size_t(i)]->stats());
-  }
-  for (Link* link : links) {
-    out.link_tx.push_back(link->transmitted());
-    out.link_drop.push_back(link->dropped());
-  }
-  std::ostringstream obs;
-  obs::Global().WriteStatsJson(obs);
-  out.obs_json = obs.str();
-  return out;
-}
-
-TEST(LineAb, PortWiringBitIdenticalToLegacyEngine) {
-  TraceConfig tc;
-  tc.seed = 94;
-  tc.duration = 400 * kMilli;
-  tc.packets_per_sec = 10'000;
-  tc.num_flows = 800;
-  TraceGenerator gen(tc);
-  const Trace trace = gen.GenerateBackground();
-
-  const LineAbResult legacy = RunLineAb(true, trace);
-  const LineAbResult ports = RunLineAb(false, trace);
-
-  // Links: identical schedules (same seeds) and identical traffic.
-  ASSERT_EQ(legacy.link_tx.size(), ports.link_tx.size());
-  EXPECT_EQ(legacy.link_tx, ports.link_tx);
-  EXPECT_EQ(legacy.link_drop, ports.link_drop);
-
-  // Windows: same cadence, spans, timing, flags and full count tables.
-  ASSERT_EQ(legacy.windows.size(), ports.windows.size());
-  for (std::size_t i = 0; i < legacy.windows.size(); ++i) {
-    ASSERT_EQ(legacy.windows[i].size(), ports.windows[i].size())
-        << "switch " << i;
-    for (std::size_t w = 0; w < legacy.windows[i].size(); ++w) {
-      const auto& a = legacy.windows[i][w];
-      const auto& b = ports.windows[i][w];
-      EXPECT_EQ(a.span.first, b.span.first);
-      EXPECT_EQ(a.span.last, b.span.last);
-      EXPECT_EQ(a.completed_at, b.completed_at);
-      EXPECT_EQ(a.partial, b.partial);
-      EXPECT_EQ(a.counts, b.counts);
-    }
-  }
-
-  // Data-plane and controller stats, field by field.
-  for (std::size_t i = 0; i < legacy.dp.size(); ++i) {
-    const auto& a = legacy.dp[i];
-    const auto& b = ports.dp[i];
-    EXPECT_EQ(a.packets_measured, b.packets_measured);
-    EXPECT_EQ(a.terminations, b.terminations);
-    EXPECT_EQ(a.afr_generated, b.afr_generated);
-    EXPECT_EQ(a.reset_passes, b.reset_passes);
-    EXPECT_EQ(a.spilled_keys, b.spilled_keys);
-    EXPECT_EQ(a.stale_packets, b.stale_packets);
-    EXPECT_EQ(a.collect_overruns, b.collect_overruns);
-    const auto& ca = legacy.ctl[i];
-    const auto& cb = ports.ctl[i];
-    EXPECT_EQ(ca.afrs_received, cb.afrs_received);
-    EXPECT_EQ(ca.subwindows_finalized, cb.subwindows_finalized);
-    EXPECT_EQ(ca.subwindows_force_finalized, cb.subwindows_force_finalized);
-    EXPECT_EQ(ca.windows_emitted, cb.windows_emitted);
-    EXPECT_EQ(ca.spilled_keys_stored, cb.spilled_keys_stored);
-    EXPECT_EQ(ca.retransmissions_requested, cb.retransmissions_requested);
-    EXPECT_EQ(ca.duplicate_afrs, cb.duplicate_afrs);
-    EXPECT_EQ(ca.windows_partial, cb.windows_partial);
-  }
-
-  // Observability: every scalar instrument (counters and gauges) matches.
-  // Timing histograms measure wall-clock work and are skipped — they are
-  // nondeterministic even between two identical runs.
-  auto scalar_lines = [](const std::string& json) {
-    std::vector<std::string> out;
-    std::istringstream in(json);
-    std::string line;
-    while (std::getline(in, line)) {
-      if (line.find("\": ") != std::string::npos &&
-          line.find(": {") == std::string::npos) {
-        out.push_back(line);
-      }
-    }
-    return out;
-  };
-  EXPECT_EQ(scalar_lines(legacy.obs_json), scalar_lines(ports.obs_json));
 }
 
 }  // namespace

@@ -125,7 +125,7 @@ TEST(Retransmission, ServesCachedValuesAfterReset) {
   spec.window_size = spec.subwindow_size = 50 * kMilli;  // W = 1
   RunConfig cfg = RunConfig::Make(spec);
 
-  Switch sw(0, cfg.switch_timings);
+  Switch sw(0);
   auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
   sw.SetProgram(program);
   OmniWindowController controller(cfg.controller, app->merge_kind());

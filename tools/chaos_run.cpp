@@ -301,7 +301,6 @@ Snapshot SnapRdma(const Trace& trace, const fault::FaultPlan& plan,
                   std::uint64_t seed) {
   obs::Global().Reset();
   RunConfig cfg = RunConfig::Make(Spec());
-  cfg.data_plane.rdma = true;
   cfg.controller.rdma = true;
   cfg.fault = plan;
   cfg.fault.seed = plan.seed + seed;
