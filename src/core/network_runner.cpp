@@ -203,9 +203,7 @@ FabricSession::FabricSession(
     }
   }
 
-  for (const Packet& p : trace.packets) {
-    switches_[0]->EnqueueFromWire(p, p.ts);
-  }
+  switches_[0]->EnqueueTrace(trace.packets);
   // End-of-trace sentinel: an all-zero five-tuple the ECMP policies flood
   // down every path, so the final sub-windows terminate on every switch.
   Packet sentinel;

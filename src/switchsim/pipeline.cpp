@@ -1,6 +1,7 @@
 #include "src/switchsim/pipeline.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -50,8 +51,21 @@ void Switch::EnqueueFromController(Packet p, Nanos arrival) {
   HeapPush({arrival, next_seq_++, PacketSource::kController, std::move(p)});
 }
 
+void Switch::EnqueueTrace(std::span<const Packet> packets) {
+  // Room for every packet on the ring, so a million-packet trace allocates
+  // one ring instead of a doubling chain whose retired blocks the pool
+  // keeps (docs/memory_arena.md). Late packets still go to the heap.
+  const std::size_t need = fifo_size_ + packets.size();
+  if (need > fifo_.size()) {
+    ResizeFifo(std::bit_ceil(std::max<std::size_t>(64, need)));
+  }
+  for (const Packet& p : packets) EnqueueFromWire(p, p.ts);
+}
+
 void Switch::FifoPush(Event ev) {
-  if (fifo_size_ == fifo_.size()) GrowFifo();
+  if (fifo_size_ == fifo_.size()) {
+    ResizeFifo(std::max<std::size_t>(64, fifo_.size() * 2));
+  }
   fifo_[(fifo_head_ + fifo_size_) & (fifo_.size() - 1)] = std::move(ev);
   ++fifo_size_;
 }
@@ -63,9 +77,8 @@ Switch::Event Switch::FifoPop() noexcept {
   return ev;
 }
 
-void Switch::GrowFifo() {
+void Switch::ResizeFifo(std::size_t new_cap) {
   // Ring indexing masks with size-1, so capacity must stay a power of two.
-  const std::size_t new_cap = std::max<std::size_t>(64, fifo_.size() * 2);
   PooledVector<Event> bigger(new_cap);
   const std::size_t mask = fifo_.empty() ? 0 : fifo_.size() - 1;
   for (std::size_t i = 0; i < fifo_size_; ++i) {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/packet.h"
@@ -135,6 +136,10 @@ class Switch {
 
   void EnqueueFromWire(Packet p, Nanos arrival);
   void EnqueueFromController(Packet p, Nanos arrival);
+  /// Enqueue a whole trace from the wire, each packet arriving at its own
+  /// timestamp (EnqueueFromWire(p, p.ts) per packet, in order), with the
+  /// FIFO ring sized once for all of them instead of doubling its way up.
+  void EnqueueTrace(std::span<const Packet> packets);
 
   /// Hook invoked on every enqueue (when set). The owning Network uses it to
   /// maintain the idle-switch skip list: quiescence detection only scans
@@ -218,7 +223,9 @@ class Switch {
   }
   void FifoPush(Event ev);
   Event FifoPop() noexcept;
-  void GrowFifo();
+  /// Move the ring's events into a fresh ring of `new_cap` slots (a power
+  /// of two no smaller than fifo_size_), head at 0.
+  void ResizeFifo(std::size_t new_cap);
 
   void HeapPush(Event ev);
   Event HeapPop() noexcept;

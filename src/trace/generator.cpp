@@ -1,6 +1,7 @@
 #include "src/trace/generator.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace ow {
 namespace {
@@ -15,8 +16,16 @@ constexpr std::uint32_t kVictimBase = 0xC0A80000u;      // 192.168.0.0
 }  // namespace
 
 void Trace::SortByTime() {
-  std::stable_sort(packets.begin(), packets.end(),
-                   [](const Packet& a, const Packet& b) { return a.ts < b.ts; });
+  const auto earlier = [](const Packet& a, const Packet& b) {
+    return a.ts < b.ts;
+  };
+  // Injections append behind an in-order background: sort only that tail,
+  // then merge. inplace_merge keeps the prefix first on time ties, so the
+  // result equals a stable sort of the whole trace.
+  const auto tail =
+      std::is_sorted_until(packets.begin(), packets.end(), earlier);
+  std::stable_sort(tail, packets.end(), earlier);
+  std::inplace_merge(packets.begin(), tail, packets.end(), earlier);
 }
 
 TraceGenerator::TraceGenerator(const TraceConfig& cfg)
@@ -51,8 +60,22 @@ FiveTuple TraceGenerator::RandomBackgroundTuple(std::size_t flow_rank) {
   return flow_pool_[flow_rank % flow_pool_.size()];
 }
 
+std::size_t TraceGenerator::BackgroundCapacity() const {
+  // Arrivals are Poisson with mean `expected`; eight standard deviations
+  // above it the vector never has to grow in practice.
+  const double expected =
+      std::max(0.0, double(cfg_.duration) / 1e9 * cfg_.packets_per_sec);
+  return std::size_t(expected + 8 * std::sqrt(expected)) + 16;
+}
+
 Trace TraceGenerator::GenerateBackground() {
   Trace trace;
+  trace.packets.reserve(BackgroundCapacity());
+  AppendBackground(trace);
+  return trace;
+}
+
+void TraceGenerator::AppendBackground(Trace& trace) {
   const double mean_gap_ns = 1e9 / cfg_.packets_per_sec;
   std::vector<std::uint32_t> flow_seq(cfg_.num_flows, 0);
   double t = 0;
@@ -79,7 +102,6 @@ Trace TraceGenerator::GenerateBackground() {
     }
     trace.packets.push_back(p);
   }
-  return trace;
 }
 
 void TraceGenerator::InjectConnectionFlood(Trace& trace, Nanos start,
@@ -284,19 +306,39 @@ void TraceGenerator::InjectBoundaryBurst(Trace& trace, Nanos center,
 }
 
 Trace TraceGenerator::GenerateEvaluationTrace() {
-  Trace trace = GenerateBackground();
+  constexpr std::size_t kFloodConns = 400;
+  constexpr std::size_t kSshAttempts = 200;
+  constexpr std::size_t kScanPorts = 300;
+  constexpr std::size_t kDdosSources = 500;
+  constexpr std::size_t kSyns = 400;
+  constexpr std::size_t kCompletedFlows = 150;
+  constexpr std::size_t kSlowlorisConns = 60;
+  constexpr std::size_t kSpreaderFanout = 600;
+  constexpr std::size_t kBurstPackets = 120;
+  constexpr Nanos kBurstPeriod = 500 * kMilli;
   const Nanos d = cfg_.duration;
-  InjectConnectionFlood(trace, d / 10, d / 5, 400);
-  InjectSshBruteForce(trace, d / 8, d / 4, 200);
-  InjectPortScan(trace, d / 6, d / 5, 300);
-  InjectDdos(trace, d / 4, d / 5, 500);
-  InjectSynFlood(trace, d / 3, d / 5, 400);
-  InjectCompletedFlows(trace, d / 3, d / 4, 150);
-  InjectSlowloris(trace, d / 5, d / 2, 60);
-  InjectSuperSpreader(trace, d / 2, d / 5, 600);
+  const std::size_t bursts = d > 0 ? std::size_t((d - 1) / kBurstPeriod) : 0;
+  // Room for every injection below at its largest: an SSH attempt and a
+  // completed flow are 3 packets, a DDoS source sends at most 4 and a
+  // slowloris connection at most 8.
+  const std::size_t max_injected =
+      kFloodConns + 3 * kSshAttempts + kScanPorts + 4 * kDdosSources + kSyns +
+      3 * kCompletedFlows + 8 * kSlowlorisConns + kSpreaderFanout +
+      kBurstPackets * bursts;
+  Trace trace;
+  trace.packets.reserve(BackgroundCapacity() + max_injected);
+  AppendBackground(trace);
+  InjectConnectionFlood(trace, d / 10, d / 5, kFloodConns);
+  InjectSshBruteForce(trace, d / 8, d / 4, kSshAttempts);
+  InjectPortScan(trace, d / 6, d / 5, kScanPorts);
+  InjectDdos(trace, d / 4, d / 5, kDdosSources);
+  InjectSynFlood(trace, d / 3, d / 5, kSyns);
+  InjectCompletedFlows(trace, d / 3, d / 4, kCompletedFlows);
+  InjectSlowloris(trace, d / 5, d / 2, kSlowlorisConns);
+  InjectSuperSpreader(trace, d / 2, d / 5, kSpreaderFanout);
   // Bursts straddling 500 ms window boundaries (Figure 1 motivation).
-  for (Nanos boundary = 500 * kMilli; boundary < d; boundary += 500 * kMilli) {
-    InjectBoundaryBurst(trace, boundary, 60 * kMilli, 120);
+  for (Nanos boundary = kBurstPeriod; boundary < d; boundary += kBurstPeriod) {
+    InjectBoundaryBurst(trace, boundary, 60 * kMilli, kBurstPackets);
   }
   trace.SortByTime();
   return trace;

@@ -106,6 +106,12 @@ class TraceGenerator {
   Trace GenerateEvaluationTrace();
 
  private:
+  /// Packets to reserve for the background: enough that appending it
+  /// never reallocates, bar a Poisson count eight deviations above its mean.
+  std::size_t BackgroundCapacity() const;
+  /// Append the Poisson/Zipf background to `trace` (GenerateBackground's
+  /// body; the evaluation trace reserves room for its injections first).
+  void AppendBackground(Trace& trace);
   FiveTuple RandomBackgroundTuple(std::size_t flow_rank);
   std::uint32_t RandomHost();
   /// Next client-side source port, cycling through [1024, 65535] only: the

@@ -21,7 +21,10 @@ struct Trace {
   }
 
   /// Re-establish the time ordering after anomaly injection. Stable so that
-  /// same-timestamp packets keep their insertion order.
+  /// same-timestamp packets keep their insertion order. Costs what is out
+  /// of order: the in-order prefix stays put, the tail behind it is
+  /// stable-sorted and merged in (prefix first on ties), O(n + t log t)
+  /// for a tail of t packets. The result equals std::stable_sort's.
   void SortByTime();
 };
 

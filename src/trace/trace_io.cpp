@@ -1,11 +1,14 @@
 #include "src/trace/trace_io.h"
 
-#include <cinttypes>
+#include <algorithm>
+#include <charconv>
 #include <cstdint>
-#include <cstring>
+#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace ow {
 namespace {
@@ -81,6 +84,13 @@ Trace LoadTrace(const std::string& path) {
     WireRecord r;
     in.read(reinterpret_cast<char*>(&r), sizeof(r));
     if (!in) throw std::runtime_error("LoadTrace: truncated " + path);
+    // Replay reads a negative time as "unset" (the signal generator's
+    // epoch, the session signal's previous arrival): refuse it here.
+    if (r.ts < 0) {
+      throw std::runtime_error("LoadTrace: record " + std::to_string(i) +
+                               " has negative timestamp " +
+                               std::to_string(r.ts) + " in " + path);
+    }
     Packet p;
     p.ft = {r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.proto};
     p.tcp_flags = r.tcp_flags;
@@ -102,13 +112,28 @@ std::string IpString(std::uint32_t ip) {
   return buf;
 }
 
-std::uint32_t ParseIp(const std::string& s) {
-  unsigned a, b, c, d;
-  if (std::sscanf(s.c_str(), "%u.%u.%u.%u", &a, &b, &c, &d) != 4 || a > 255 ||
-      b > 255 || c > 255 || d > 255) {
-    throw std::runtime_error("ImportTraceCsv: bad address '" + s + "'");
+/// Parse all of `text` as a T; false unless it is a decimal that fits.
+template <typename T>
+bool ParseWhole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// Dotted-quad address: four decimal octets and nothing else.
+bool ParseIp(std::string_view text, std::uint32_t& out) {
+  out = 0;
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t dot = i < 3 ? text.find('.') : text.size();
+    std::uint8_t octet = 0;
+    if (dot == std::string_view::npos ||
+        !ParseWhole(text.substr(0, dot), octet)) {
+      return false;
+    }
+    out = (out << 8) | octet;
+    text.remove_prefix(std::min(dot + 1, text.size()));
   }
-  return (a << 24) | (b << 16) | (c << 8) | d;
+  return true;
 }
 
 constexpr char kCsvHeader[] =
@@ -143,31 +168,36 @@ Trace ImportTraceCsv(const std::string& path) {
   while (std::getline(in, line)) {
     ++lineno;
     if (line.empty()) continue;
-    std::stringstream ss(line);
-    std::string field;
-    std::vector<std::string> fields;
-    while (std::getline(ss, field, ',')) fields.push_back(field);
-    if (fields.size() != 10) {
-      throw std::runtime_error("ImportTraceCsv: line " +
-                               std::to_string(lineno) + ": expected 10 fields");
+    const auto fail = [&](const std::string& what) {
+      return std::runtime_error("ImportTraceCsv: line " +
+                                std::to_string(lineno) + ": " + what);
+    };
+    std::vector<std::string_view> fields;
+    for (std::string_view rest = line;;) {
+      const std::size_t comma = rest.find(',');
+      fields.push_back(rest.substr(0, comma));
+      if (comma == std::string_view::npos) break;
+      rest.remove_prefix(comma + 1);
     }
-    try {
-      Packet p;
-      p.ts = std::stoll(fields[0]);
-      p.ft.src_ip = ParseIp(fields[1]);
-      p.ft.dst_ip = ParseIp(fields[2]);
-      p.ft.src_port = std::uint16_t(std::stoul(fields[3]));
-      p.ft.dst_port = std::uint16_t(std::stoul(fields[4]));
-      p.ft.proto = std::uint8_t(std::stoul(fields[5]));
-      p.tcp_flags = std::uint8_t(std::stoul(fields[6]));
-      p.size_bytes = std::uint16_t(std::stoul(fields[7]));
-      p.seq = std::uint32_t(std::stoul(fields[8]));
-      p.iteration = std::uint32_t(std::stoul(fields[9]));
-      trace.packets.push_back(p);
-    } catch (const std::logic_error&) {
-      throw std::runtime_error("ImportTraceCsv: line " +
-                               std::to_string(lineno) + ": bad number");
-    }
+    if (fields.size() != 10) throw fail("expected 10 fields");
+    const auto bad = [&](std::size_t i, const char* name) {
+      return fail(std::string("bad ") + name + " '" + std::string(fields[i]) +
+                  "'");
+    };
+    // Every field parses whole and fits its type: "70000" is no port and
+    // "80x" no number. A time is never negative (see LoadTrace).
+    Packet p;
+    if (!ParseWhole(fields[0], p.ts) || p.ts < 0) throw bad(0, "ts_ns");
+    if (!ParseIp(fields[1], p.ft.src_ip)) throw bad(1, "src_ip");
+    if (!ParseIp(fields[2], p.ft.dst_ip)) throw bad(2, "dst_ip");
+    if (!ParseWhole(fields[3], p.ft.src_port)) throw bad(3, "src_port");
+    if (!ParseWhole(fields[4], p.ft.dst_port)) throw bad(4, "dst_port");
+    if (!ParseWhole(fields[5], p.ft.proto)) throw bad(5, "proto");
+    if (!ParseWhole(fields[6], p.tcp_flags)) throw bad(6, "tcp_flags");
+    if (!ParseWhole(fields[7], p.size_bytes)) throw bad(7, "size");
+    if (!ParseWhole(fields[8], p.seq)) throw bad(8, "seq");
+    if (!ParseWhole(fields[9], p.iteration)) throw bad(9, "iteration");
+    trace.packets.push_back(p);
   }
   return trace;
 }

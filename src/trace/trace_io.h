@@ -16,7 +16,8 @@ namespace ow {
 void SaveTrace(const Trace& trace, const std::string& path);
 
 /// Read a trace previously written by SaveTrace. Throws std::runtime_error
-/// on I/O failure or malformed input.
+/// on I/O failure or malformed input, including a negative timestamp
+/// (naming the record's index).
 Trace LoadTrace(const std::string& path);
 
 /// Write `trace` as CSV with header
@@ -25,7 +26,9 @@ Trace LoadTrace(const std::string& path);
 void ExportTraceCsv(const Trace& trace, const std::string& path);
 
 /// Read a CSV written by ExportTraceCsv (or hand-crafted with the same
-/// header). Throws std::runtime_error on malformed rows.
+/// header). Throws std::runtime_error, naming the line, on a malformed row:
+/// not 10 fields, a field that does not parse whole as a decimal that fits
+/// its type (a dotted quad for addresses), or a negative timestamp.
 Trace ImportTraceCsv(const std::string& path);
 
 }  // namespace ow

@@ -1,9 +1,12 @@
 // Unit tests for src/common: hashing, flow keys, RNG, Zipf, metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/flowkey.h"
 #include "src/common/hash.h"
@@ -144,6 +147,46 @@ TEST(Zipf, SkewTowardLowRanks) {
   // Top-10 ranks of Zipf(1.0, 1000) carry ~39% of the mass.
   EXPECT_GT(double(low) / n, 0.3);
   EXPECT_LT(double(low) / n, 0.5);
+}
+
+TEST(Zipf, RankOfEqualsLowerBoundOverTheCdf) {
+  // The guide table may only narrow the search, never change its answer:
+  // probe 0, every bucket edge k/n and its neighbours, every CDF value and
+  // its neighbours, and the largest double below 1.
+  for (const std::size_t n : {1, 2, 3, 1000, 20000}) {
+    for (const double alpha : {0.5, 1.0, 1.2, 2.0}) {
+      const ZipfSampler zipf(n, alpha);
+      const std::vector<double>& cdf = zipf.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0)};
+      const auto add_around = [&probes](double u) {
+        probes.push_back(std::nextafter(u, 0.0));
+        probes.push_back(u);
+        probes.push_back(std::nextafter(u, 1.0));
+      };
+      for (std::size_t k = 0; k <= n; ++k) add_around(double(k) / double(n));
+      for (const double c : cdf) add_around(c);
+      for (const double u : probes) {
+        if (u < 0.0 || u >= 1.0) continue;
+        const auto expected = std::size_t(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        ASSERT_EQ(zipf.RankOf(u), expected)
+            << "n=" << n << " alpha=" << alpha << " u=" << u;
+      }
+    }
+  }
+}
+
+TEST(Zipf, SampleIsRankOfTheNextDouble) {
+  const ZipfSampler zipf(20000, 1.0);
+  Rng draws(11), uniforms(11);
+  for (int i = 0; i < 100'000; ++i) {
+    const double u = uniforms.NextDouble();
+    const auto expected = std::size_t(
+        std::lower_bound(zipf.cdf().begin(), zipf.cdf().end(), u) -
+        zipf.cdf().begin());
+    ASSERT_EQ(zipf.Sample(draws), expected) << "draw " << i;
+  }
 }
 
 TEST(Zipf, PmfSumsToOne) {

@@ -7,6 +7,7 @@
 #include <random>
 #include <vector>
 
+#include "src/common/snapshot.h"
 #include "src/switchsim/mat.h"
 #include "src/switchsim/pipeline.h"
 #include "src/switchsim/register_array.h"
@@ -241,6 +242,64 @@ TEST(Switch, StagedArrivalsCommitInCanonicalOrderAtScale) {
   expected.reserve(kArrivals);
   for (const Arrival& a : arrivals) expected.push_back(a.id);
   EXPECT_EQ(prog->order, expected);
+}
+
+TEST(Switch, EnqueueTraceMatchesPerPacketEnqueue) {
+  // A trace with one late packet (the fourth, at 250 ns, behind one at
+  // 300 ns): the one-call enqueue must leave both lanes exactly as
+  // per-packet EnqueueFromWire does, the late packet on the heap, and
+  // dispatch the same order.
+  std::vector<Packet> trace(6);
+  const Nanos times[] = {100, 200, 300, 250, 300, 400};
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].ts = times[i];
+    trace[i].seq = std::uint32_t(i);
+  }
+  Switch batched(0), single(1);
+  batched.EnqueueTrace(trace);
+  for (const Packet& p : trace) single.EnqueueFromWire(p, p.ts);
+
+  const auto lanes = [](const Switch& sw) {
+    SnapshotWriter w;
+    sw.Save(w);
+    return w.Take();
+  };
+  const std::vector<std::uint8_t> bytes = lanes(batched);
+  EXPECT_EQ(bytes, lanes(single));
+  SnapshotReader r(bytes);
+  r.Section(snap::kSwitch);
+  EXPECT_EQ(r.Size(), trace.size() - 1) << "FIFO lane";
+
+  auto batched_order = std::make_shared<OrderProgram>();
+  auto single_order = std::make_shared<OrderProgram>();
+  batched.SetProgram(batched_order);
+  single.SetProgram(single_order);
+  batched.RunBatch(kSecond);
+  single.RunBatch(kSecond);
+  EXPECT_EQ(batched_order->order,
+            (std::vector<std::uint32_t>{0, 1, 3, 2, 4, 5}));
+  EXPECT_EQ(batched_order->order, single_order->order);
+}
+
+TEST(Switch, EnqueueTraceAllocatesTheRingOnce) {
+#ifdef OW_POOL_PASSTHROUGH
+  GTEST_SKIP() << "pool passthrough build (sanitizers)";
+#else
+  // Per-packet enqueues double the ring from 64 slots up; the one-call
+  // enqueue sizes it once, so the pool sees exactly one request.
+  constexpr std::size_t kPackets = 50'000;
+  std::vector<Packet> trace(kPackets);
+  for (std::size_t i = 0; i < kPackets; ++i) trace[i].ts = Nanos(i / 2);
+  Switch sw(0);
+  const ArenaPool::Stats before = GlobalPool().stats();
+  sw.EnqueueTrace(trace);
+  const ArenaPool::Stats after = GlobalPool().stats();
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses + 1);
+
+  auto prog = std::make_shared<OrderProgram>();
+  sw.SetProgram(prog);
+  EXPECT_EQ(sw.RunBatch(kSecond), kPackets);
+#endif
 }
 
 TEST(Switch, ThrowsWithoutProgram) {

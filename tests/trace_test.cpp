@@ -1,10 +1,15 @@
 // Unit tests for the trace generator and trace persistence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/metrics.h"
 #include "src/trace/generator.h"
 #include "src/trace/trace_io.h"
@@ -190,6 +195,130 @@ TEST(TraceGenerator, EvaluationTraceContainsAllAnomalies) {
   }
 }
 
+// Every field the generator and the loaders set, for whole-sequence
+// comparisons.
+auto Fields(const Packet& p) {
+  return std::tuple(p.ts, p.ft, p.size_bytes, p.tcp_flags, p.seq, p.iteration);
+}
+
+std::vector<decltype(Fields(Packet{}))> FieldsOf(const Trace& trace) {
+  std::vector<decltype(Fields(Packet{}))> out;
+  out.reserve(trace.packets.size());
+  for (const Packet& p : trace.packets) out.push_back(Fields(p));
+  return out;
+}
+
+// SortByTime must leave exactly what std::stable_sort leaves.
+void ExpectSortsLikeStableSort(Trace trace) {
+  Trace expected = trace;
+  std::stable_sort(
+      expected.packets.begin(), expected.packets.end(),
+      [](const Packet& a, const Packet& b) { return a.ts < b.ts; });
+  trace.SortByTime();
+  EXPECT_EQ(FieldsOf(trace), FieldsOf(expected));
+}
+
+// One packet per time; `seq` is its position, so ties show their order.
+Trace TraceAt(const std::vector<Nanos>& times) {
+  Trace trace;
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    Packet p;
+    p.ts = times[i];
+    p.seq = std::uint32_t(i);
+    p.ft.src_ip = std::uint32_t(i * 7919);
+    trace.packets.push_back(p);
+  }
+  return trace;
+}
+
+TEST(TraceSort, EqualsStableSort) {
+  ExpectSortsLikeStableSort(TraceAt({}));
+  ExpectSortsLikeStableSort(TraceAt({5}));
+  ExpectSortsLikeStableSort(TraceAt({1, 2, 2, 3, 10, 10, 11}));  // sorted
+  ExpectSortsLikeStableSort(TraceAt({9, 8, 7, 7, 3, 1, 0}));     // reversed
+  ExpectSortsLikeStableSort(TraceAt({4, 4, 4, 4, 4}));           // all equal
+}
+
+TEST(TraceSort, TailTiesLandAfterThePrefixInTheirOwnOrder) {
+  // A sorted prefix, then a tail whose times tie prefix times (and each
+  // other): tail packets of equal time follow the prefix's, in tail order.
+  ExpectSortsLikeStableSort(TraceAt({0, 10, 10, 20, 30, 30, 40,  // prefix
+                                     30, 10, 0, 30, 40, 10, 50, 20, 0}));
+  // The tail starts with a tie of the prefix's last time.
+  ExpectSortsLikeStableSort(TraceAt({1, 2, 3, 3, 3, 2, 3, 1}));
+}
+
+TEST(TraceSort, InjectedTraceEqualsStableSort) {
+  // The generator's own pattern: an in-order background, then injections
+  // appended out of order.
+  TraceGenerator gen(SmallConfig());
+  Trace trace = gen.GenerateBackground();
+  gen.InjectDdos(trace, 0, 100 * kMilli, 200);
+  gen.InjectSlowloris(trace, 50 * kMilli, 300 * kMilli, 20);
+  gen.InjectBoundaryBurst(trace, 250 * kMilli, 60 * kMilli, 120);
+  ExpectSortsLikeStableSort(std::move(trace));
+}
+
+// Folds every field of every packet, in order, into one value.
+std::uint64_t Fingerprint(const Trace& trace) {
+  std::uint64_t h = 0;
+  const auto add = [&h](std::uint64_t v) { h = Mix64(h ^ v); };
+  const auto add_key = [&add](const FlowKey& k) {
+    add(std::uint64_t(k.kind()));
+    add(k.bytes().size());
+    for (const std::uint8_t b : k.bytes()) add(b);
+  };
+  add(trace.packets.size());
+  for (const Packet& p : trace.packets) {
+    for (const std::uint64_t v :
+         {std::uint64_t(p.ft.src_ip), std::uint64_t(p.ft.dst_ip),
+          std::uint64_t(p.ft.src_port), std::uint64_t(p.ft.dst_port),
+          std::uint64_t(p.ft.proto), std::uint64_t(p.size_bytes),
+          std::uint64_t(p.ts), std::uint64_t(p.tcp_flags),
+          std::uint64_t(p.seq), std::uint64_t(p.iteration),
+          std::uint64_t(p.ow.present), std::uint64_t(p.ow.subwindow_num),
+          std::uint64_t(p.ow.flag), std::uint64_t(p.ow.app_id),
+          std::uint64_t(p.ow.payload), std::uint64_t(p.ow.degraded),
+          std::uint64_t(p.ow.afrs.size())}) {
+      add(v);
+    }
+    add_key(p.ow.injected_key);
+  }
+  return h;
+}
+
+TraceConfig GoldenConfig(Nanos duration, double pps, std::size_t flows) {
+  TraceConfig cfg;
+  cfg.seed = 1;
+  cfg.duration = duration;
+  cfg.packets_per_sec = pps;
+  cfg.num_flows = flows;
+  return cfg;
+}
+
+// The benchmark's three trace sizes, seed 1. The constants were recorded
+// from a generator that stable-sorted the whole trace and drew Zipf ranks by
+// binary search over the CDF; the generator must keep producing exactly
+// these packets.
+TEST(TraceGenerator, SwitchQueryTraceMatchesGolden) {
+  TraceGenerator gen(GoldenConfig(10 * kSecond, 100'000, 20'000));
+  const Trace trace = gen.GenerateEvaluationTrace();
+  EXPECT_EQ(trace.packets.size(), 1'005'636u);
+  EXPECT_EQ(Fingerprint(trace), 0xd0099a121c8e7374ull);
+}
+
+TEST(TraceGenerator, LeafSpineDetectTraceMatchesGolden) {
+  TraceGenerator gen(GoldenConfig(2 * kSecond, 30'000, 8'000));
+  const Trace trace = gen.GenerateEvaluationTrace();
+  EXPECT_EQ(Fingerprint(trace), 0x5de16a34313bac96ull);
+}
+
+TEST(TraceGenerator, StandbyBackgroundMatchesGolden) {
+  TraceGenerator gen(GoldenConfig(2500 * kMilli, 25'000, 2'500));
+  const Trace trace = gen.GenerateBackground();
+  EXPECT_EQ(Fingerprint(trace), 0x223f03c74b783654ull);
+}
+
 TEST(TraceIo, RoundTrip) {
   TraceGenerator gen(SmallConfig());
   Trace trace = gen.GenerateEvaluationTrace();
@@ -232,6 +361,26 @@ TEST(TraceIo, RejectsOversizedHeaderCount) {
     FAIL() << "oversized header count was not rejected";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, RefusesANegativeTimestamp) {
+  // Replay reads a negative time as "unset"; the loader must refuse it and
+  // name the record.
+  Trace trace;
+  trace.packets.resize(3);
+  trace.packets[0].ts = 0;
+  trace.packets[1].ts = 5;
+  trace.packets[2].ts = -1;
+  const std::string path = ::testing::TempDir() + "/ow_negative_ts.bin";
+  SaveTrace(trace, path);
+  try {
+    LoadTrace(path);
+    FAIL() << "negative timestamp was not rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("record 2"), std::string::npos)
+        << e.what();
   }
   std::remove(path.c_str());
 }

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -164,7 +165,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!obs_out.empty()) obs::Global().SetTracing(true);
-  const int rc = Dispatch(argc, argv);
+  int rc = 1;
+  try {
+    rc = Dispatch(argc, argv);
+  } catch (const std::exception& e) {
+    // A malformed input file (a field that does not fit its type, a
+    // truncated record) is refused with its loader's message.
+    std::fprintf(stderr, "owtrace: %s\n", e.what());
+  }
   if (!obs_out.empty() && !obs::Global().DumpToFiles(obs_out)) {
     std::fprintf(stderr, "failed to write obs dump to %s.*\n",
                  obs_out.c_str());
