@@ -8,7 +8,9 @@ namespace ow {
 
 ZipfSampler::ZipfSampler(std::size_t n, double alpha) : alpha_(alpha) {
   if (n == 0) throw std::invalid_argument("ZipfSampler: n must be > 0");
-  if (alpha <= 0) throw std::invalid_argument("ZipfSampler: alpha must be > 0");
+  if (!(alpha > 0)) {  // NaN too
+    throw std::invalid_argument("ZipfSampler: alpha must be > 0");
+  }
   cdf_.resize(n);
   double acc = 0;
   for (std::size_t i = 0; i < n; ++i) {

@@ -33,6 +33,19 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// Add `seq` to a sorted, unique sequence list; false if already there.
+/// In-order arrival appends; a retransmitted seq is inserted in place.
+bool InsertSeq(PooledVector<std::uint32_t>& seqs, std::uint32_t seq) {
+  if (seqs.empty() || seqs.back() < seq) {
+    seqs.push_back(seq);
+    return true;
+  }
+  const auto it = std::lower_bound(seqs.begin(), seqs.end(), seq);
+  if (*it == seq) return false;
+  seqs.insert(it, seq);
+  return true;
+}
+
 }  // namespace
 
 OmniWindowController::OmniWindowController(ControllerConfig cfg,
@@ -163,10 +176,10 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
           if (cfg_.rdma && pending.mirror_keys.contains(rec.key)) {
             // Chased hot-key seq: the value already merged via the mirror
             // drain; the report only proves the sequence number exists.
-            pending.seqs_seen.insert(rec.seq_id);
+            InsertSeq(pending.seqs_seen, rec.seq_id);
             continue;
           }
-          if (!pending.seqs_seen.insert(rec.seq_id).second) {
+          if (!InsertSeq(pending.seqs_seen, rec.seq_id)) {
             ++stats_.duplicate_afrs;
             obs_.duplicate_afrs->Add();
             continue;
@@ -301,18 +314,12 @@ bool OmniWindowController::IsComplete(const PendingSubWindow& p) const {
   }
   if (!p.count_final) return false;
   if (p.injected_keys_seen.size() < p.expected_injected) return false;
-  if (p.seqs_seen.size() < p.expected_dataplane) return false;
   // seqs_seen may contain indices >= expected (keys added between
   // termination and collection start); require full coverage of [0, n).
-  std::uint32_t covered = 0;
-  for (std::uint32_t s : p.seqs_seen) {
-    if (s == covered) {
-      ++covered;
-    } else if (s > covered) {
-      break;
-    }
-  }
-  return covered >= p.expected_dataplane;
+  // It is sorted and unique, so [0, n) is covered iff its n-th entry is
+  // n - 1.
+  const std::uint32_t n = p.expected_dataplane;
+  return p.seqs_seen.size() >= n && (n == 0 || p.seqs_seen[n - 1] == n - 1);
 }
 
 void OmniWindowController::MaybeFinalize(Nanos now) {
@@ -471,24 +478,38 @@ void OmniWindowController::EvictFromTable(SubWindowNum keep_from) {
     return;
   }
 
-  // Non-invertible merges: rebuild the affected keys from the sub-windows
-  // still reflected in the table.
-  std::set<FlowKey> affected;
-  for (const FlowRecord& rec : retired) affected.insert(rec.key);
-  for (const FlowKey& key : affected) table_.Erase(key);
+  // Non-invertible merges: rebuild the retired keys' slots in place from
+  // the sub-windows still reflected in the table. Mark each retired key's
+  // slot, re-merge every retained record of a marked slot (its first touch
+  // copies, as a fresh insert would), then erase the marked slots no
+  // retained record touched. Nothing moves before the erases, so the slot
+  // pointers stay valid until then.
+  evict_slots_.clear();
+  for (const FlowRecord& rec : retired) {
+    if (KvSlot* slot = table_.Find(rec.key)) evict_slots_.push_back(slot);
+  }
+  std::sort(evict_slots_.begin(), evict_slots_.end());
+  evict_slots_.erase(std::unique(evict_slots_.begin(), evict_slots_.end()),
+                     evict_slots_.end());
+  if (evict_slots_.empty()) return;
+  evict_touched_.assign(evict_slots_.size(), 0);
   for (const auto& [hsw, recs] : history_) {
     if (hsw < table_floor_) continue;
     for (const FlowRecord& rec : recs) {
-      if (!affected.contains(rec.key)) continue;
-      bool created = false;
-      KvSlot* slot = table_.TryFindOrInsert(rec.key, created);
-      if (!slot) {
-        MarkDegraded(hsw);
-        continue;
-      }
-      ApplyMerge(merge_kind_, *slot, created, rec);
+      KvSlot* slot = table_.Find(rec.key);
+      const auto it =
+          std::lower_bound(evict_slots_.begin(), evict_slots_.end(), slot);
+      if (it == evict_slots_.end() || *it != slot) continue;
+      std::uint8_t& touched = evict_touched_[it - evict_slots_.begin()];
+      ApplyMerge(merge_kind_, *slot, /*created=*/touched == 0, rec);
+      touched = 1;
     }
   }
+  evict_stale_.clear();
+  for (std::size_t i = 0; i < evict_slots_.size(); ++i) {
+    if (!evict_touched_[i]) evict_stale_.push_back(evict_slots_[i]->key);
+  }
+  for (const FlowKey& key : evict_stale_) table_.Erase(key);
 }
 
 void OmniWindowController::TrimHistory() {
@@ -503,15 +524,14 @@ void OmniWindowController::TrimHistory() {
 
 bool OmniWindowController::QueryRange(SubWindowSpan span,
                                       KeyValueTable& out) const {
-  // Verify full coverage of the span in retained history.
-  std::set<SubWindowNum> have;
-  for (const auto& [hsw, recs] : history_) {
-    (void)recs;
-    have.insert(hsw);
+  // Verify full coverage of the span in retained history. history_ ascends
+  // in sub-window order, so the span is covered iff one walk meets each of
+  // its sub-windows in turn.
+  std::uint64_t next = span.first;  // 64-bit: span.last may be the maximum
+  for (const auto& h : history_) {
+    if (h.first == next && next <= span.last) ++next;
   }
-  for (SubWindowNum sw = span.first; sw <= span.last; ++sw) {
-    if (!have.contains(sw)) return false;
-  }
+  if (next <= span.last) return false;
   out.Clear();
   for (const auto& [hsw, recs] : history_) {
     if (!span.Contains(hsw)) continue;
@@ -558,7 +578,10 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
   }
   // Missing data-plane sequence numbers.
   for (std::uint32_t s = 0; s < pending.expected_dataplane; ++s) {
-    if (pending.seqs_seen.contains(s)) continue;
+    if (std::binary_search(pending.seqs_seen.begin(), pending.seqs_seen.end(),
+                           s)) {
+      continue;
+    }
     tx_time += dpdk::kPerTxPacket;
     Packet col;
     col.ow.present = true;
@@ -623,7 +646,7 @@ void OmniWindowController::DrainRdma(PendingSubWindow& pending) {
       const FlowRecord rec = DecodeFlowRecord(slot);
       bool fresh;
       if (rec.seq_id != kNoExplicitIndex) {
-        fresh = pending.seqs_seen.insert(rec.seq_id).second;
+        fresh = InsertSeq(pending.seqs_seen, rec.seq_id);
       } else {
         fresh = pending.injected_keys_seen.insert(rec.key).second;
       }
@@ -802,7 +825,7 @@ void OmniWindowController::SavePending(SnapshotWriter& w,
   w.U32(p.expected_dataplane);
   w.U32(p.expected_injected);
   w.PodVec(p.records);
-  SaveSet(w, p.seqs_seen);
+  w.PodVec(p.seqs_seen);  // a count, then the seqs ascending
   SaveSet(w, p.injected_keys_seen);
   w.Bool(p.collection_started);
   w.U32(p.retransmit_attempts);
@@ -821,7 +844,18 @@ void OmniWindowController::LoadPending(SnapshotReader& r,
   p.expected_dataplane = r.U32();
   p.expected_injected = r.U32();
   r.PodVec(p.records);
-  LoadSet(r, p.seqs_seen);
+  r.PodVec(p.seqs_seen);
+  // IsComplete and the seq inserts rely on a sorted, unique list.
+  for (std::size_t i = 1; i < p.seqs_seen.size(); ++i) {
+    if (p.seqs_seen[i] <= p.seqs_seen[i - 1]) {
+      throw SnapshotError(
+          "OmniWindowController [section 0x1C]: pending sub-window " +
+          std::to_string(p.subwindow) + " seq entry " + std::to_string(i) +
+          " (" + std::to_string(p.seqs_seen[i]) + ") does not exceed entry " +
+          std::to_string(i - 1) + " (" + std::to_string(p.seqs_seen[i - 1]) +
+          ")");
+    }
+  }
   LoadSet(r, p.injected_keys_seen);
   p.collection_started = r.Bool();
   p.retransmit_attempts = r.U32();
@@ -895,6 +929,14 @@ void OmniWindowController::Load(SnapshotReader& r) {
   const std::size_t num_history = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_history; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
+    // O5, TrimHistory and QueryRange walk history_ in sub-window order.
+    if (i > 0 && sub <= history_.back().first) {
+      throw SnapshotError(
+          "OmniWindowController [section 0x1C]: history entry " +
+          std::to_string(i) + " (sub-window " + std::to_string(sub) +
+          ") does not follow sub-window " +
+          std::to_string(history_.back().first));
+    }
     RecordVec recs;
     r.PodVec(recs);
     history_.emplace_back(sub, std::move(recs));

@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "src/common/packet.h"
@@ -213,7 +212,9 @@ class OmniWindowController {
     std::uint32_t expected_dataplane = 0;  ///< from the trigger payload
     std::uint32_t expected_injected = 0;
     RecordVec records;
-    PooledSet<std::uint32_t> seqs_seen;
+    /// Data-plane sequence numbers received, sorted and unique. AFRs arrive
+    /// in sequence order, so a new one is normally an append.
+    PooledVector<std::uint32_t> seqs_seen;
     PooledSet<FlowKey> injected_keys_seen;
     bool collection_started = false;
     std::uint32_t retransmit_attempts = 0;
@@ -266,6 +267,12 @@ class OmniWindowController {
   KeyValueTable table_;
   /// MergeBatch's pass-1 slots, reused across sub-windows.
   MergeScratch merge_scratch_;
+  /// O5's non-invertible rebuild scratch, reused across emissions: the
+  /// retired keys' slots (sorted, unique), whether a retained record has
+  /// re-merged each yet, and the keys of the slots none did.
+  PooledVector<KvSlot*> evict_slots_;
+  PooledVector<std::uint8_t> evict_touched_;
+  PooledVector<FlowKey> evict_stale_;
   /// Finalized sub-window records retained while a window may still need
   /// them (O5 eviction reads them in place, O6 releases them).
   PooledDeque<std::pair<SubWindowNum, RecordVec>> history_;

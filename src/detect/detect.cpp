@@ -1,22 +1,22 @@
 #include "src/detect/detect.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/snapshot.h"
 #include "src/obs/obs.h"
 
 namespace ow::detect {
-namespace {
 
-FlowKey SrcEntity(std::uint32_t ip) {
-  return FlowKey(FlowKeyKind::kSrcIp, {.src_ip = ip});
+FlowKey EntityFromCode(std::uint64_t code) {
+  const std::uint8_t b[4] = {std::uint8_t(code >> 32), std::uint8_t(code >> 24),
+                             std::uint8_t(code >> 16), std::uint8_t(code >> 8)};
+  std::uint32_t address;
+  std::memcpy(&address, b, 4);
+  const auto kind = FlowKeyKind(code & 0xFF);
+  return FlowKey(kind, {.src_ip = address, .dst_ip = address});
 }
-
-FlowKey DstEntity(std::uint32_t ip) {
-  return FlowKey(FlowKeyKind::kDstIp, {.dst_ip = ip});
-}
-
-}  // namespace
 
 const char* HealthStateName(HealthState s) {
   switch (s) {
@@ -94,29 +94,48 @@ EntityDetector::EntityDetector(const DetectorConfig& cfg, int switch_id)
 }
 
 void EntityDetector::OnWindow(const WindowResult& w) {
-  // Aggregate the (arbitrary-kind, arbitrary-order) flow table into ordered
+  // Aggregate the (arbitrary-kind, arbitrary-order) flow table into sorted
   // per-entity totals first: scoring must not observe table slot order.
-  TotalsMap totals;
+  codes_.clear();
+  codes_.reserve(2 * w.table->size());  // at most two entities per slot
   w.table->ForEach([&](const KvSlot& slot) {
     const std::uint64_t v = slot.attrs[0];
     if (v == 0) return;
-    switch (slot.key.kind()) {
+    const FlowKey& key = slot.key;
+    switch (key.kind()) {
       case FlowKeyKind::kFiveTuple:
       case FlowKeyKind::kIpPair:
-        totals[SrcEntity(slot.key.src_ip())] += v;
-        totals[DstEntity(slot.key.dst_ip())] += v;
+        codes_.emplace_back(EntityCode(FlowKeyKind::kSrcIp, key.src_ip()), v);
+        codes_.emplace_back(EntityCode(FlowKeyKind::kDstIp, key.dst_ip()), v);
         break;
       case FlowKeyKind::kSrcIp:
       case FlowKeyKind::kDstIp:
-        totals[slot.key] += v;
+        // Both store their one address first, where src_ip() reads.
+        codes_.emplace_back(EntityCode(key.kind(), key.src_ip()), v);
         break;
       case FlowKeyKind::kSrcIpDstPort:
         // Only the source address survives this projection.
-        totals[SrcEntity(slot.key.src_ip())] += v;
+        codes_.emplace_back(EntityCode(FlowKeyKind::kSrcIp, key.src_ip()), v);
         break;
     }
   });
-  OnTotals(totals, w.span, w.completed_at, w.partial);
+  std::sort(codes_.begin(), codes_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Reduce each run of equal codes in place, then decode the survivors.
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < codes_.size(); ++i) {
+    if (n > 0 && codes_[n - 1].first == codes_[i].first) {
+      codes_[n - 1].second += codes_[i].second;
+    } else {
+      codes_[n++] = codes_[i];
+    }
+  }
+  totals_.clear();
+  totals_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    totals_.emplace_back(EntityFromCode(codes_[i].first), codes_[i].second);
+  }
+  ScoreTotals(totals_, w.span, w.completed_at, w.partial);
 }
 
 bool EntityDetector::Admit(const FlowKey& key, double value,
@@ -206,8 +225,24 @@ void EntityDetector::StepEntity(const FlowKey& key, EntityState& st,
   }
 }
 
-void EntityDetector::OnTotals(const TotalsMap& totals, SubWindowSpan span,
-                              Nanos completed_at, bool partial) {
+void EntityDetector::OnTotals(std::span<const EntityTotal> totals,
+                              SubWindowSpan span, Nanos completed_at,
+                              bool partial) {
+  for (std::size_t i = 1; i < totals.size(); ++i) {
+    if (!(totals[i - 1].first < totals[i].first)) {
+      throw std::invalid_argument(
+          "EntityDetector::OnTotals: entry " + std::to_string(i) + " (" +
+          totals[i].first.ToString() + ") does not follow entry " +
+          std::to_string(i - 1) + " (" + totals[i - 1].first.ToString() +
+          "): totals must be sorted strictly ascending");
+    }
+  }
+  ScoreTotals(totals, span, completed_at, partial);
+}
+
+void EntityDetector::ScoreTotals(std::span<const EntityTotal> totals,
+                                 SubWindowSpan span, Nanos completed_at,
+                                 bool partial) {
   ++stats_.windows;
   c_windows_->Add();
   if (partial) {
@@ -236,7 +271,7 @@ void EntityDetector::OnTotals(const TotalsMap& totals, SubWindowSpan span,
   // the merge: Admit() at the capacity cap evicts an arbitrary quiet entity
   // from entities_, which could be the very element the merge cursor points
   // at — erasing it mid-pass would leave `te` dangling.
-  std::vector<std::pair<FlowKey, std::uint64_t>> fresh;
+  fresh_.clear();
   auto te = entities_.begin();
   auto tv = totals.begin();
   while (te != entities_.end() || tv != totals.end()) {
@@ -255,7 +290,7 @@ void EntityDetector::OnTotals(const TotalsMap& totals, SubWindowSpan span,
     } else if (te == entities_.end() || tv->first < te->first) {
       // Present, untracked: admission-gate on the scoring floor.
       if (double(tv->second) >= cfg_.score.min_baseline) {
-        fresh.emplace_back(tv->first, tv->second);
+        fresh_.push_back(*tv);
       }
       ++tv;
     } else {
@@ -265,9 +300,9 @@ void EntityDetector::OnTotals(const TotalsMap& totals, SubWindowSpan span,
       ++tv;
     }
   }
-  // `fresh` is in key order (totals is an ordered map), so admissions and
-  // any capacity evictions they trigger remain deterministic.
-  for (const auto& [key, value] : fresh) {
+  // `fresh_` is in key order (so is `totals`), so admissions and any
+  // capacity evictions they trigger remain deterministic.
+  for (const auto& [key, value] : fresh_) {
     EntityState* st = nullptr;
     if (Admit(key, double(value), &st)) {
       StepEntity(key, *st, value, span, completed_at, partial);

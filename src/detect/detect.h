@@ -23,12 +23,13 @@
 // quiet entity evicted first), so steady-state memory is fixed regardless
 // of trace length.
 //
-// Determinism: per-window totals are aggregated into an ordered map before
-// any scoring, so results never depend on the flow table's slot order. Each
-// switch has its own detector, and windows arrive one at a time on the
-// thread that drives the session (NetworkRunConfig::window_observer), so
-// alert streams are bit-identical from run to run;
-// DetectionService::Alerts() returns a canonically sorted stream.
+// Determinism: per-window totals are aggregated as sorted packed codes
+// (EntityCode) before any scoring, so results never depend on the flow
+// table's slot order. Each switch has its own detector, and windows arrive
+// one at a time on the thread that drives the session
+// (NetworkRunConfig::window_observer), so alert streams are bit-identical
+// from run to run; DetectionService::Alerts() returns a canonically sorted
+// stream.
 //
 // The detector reads KvSlot::attrs[0] as a packet count — pair it with a
 // frequency-merged instrument (e.g. ExactCountApp or the count query), not
@@ -36,9 +37,11 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
-#include <map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/common/arena.h"
@@ -166,9 +169,24 @@ struct DetectorConfig {
   std::size_t idle_evict_windows = 30;
 };
 
-/// Per-window entity totals, pool-backed so every window's aggregation
-/// recycles the previous window's nodes (zero-alloc steady state).
-using TotalsMap = PooledMap<FlowKey, std::uint64_t>;
+/// One entity's total in one window.
+using EntityTotal = std::pair<FlowKey, std::uint64_t>;
+
+/// Packed 64-bit code of the entity key FlowKey(kind, address): the four
+/// address bytes in the order FlowKey stores them, most significant first,
+/// then the kind byte. For kSrcIp/kDstIp keys (four bytes each) numeric
+/// code order is FlowKey order — bytes first, then kind — so sorting codes
+/// sorts entities without a byte-wise key compare.
+inline std::uint64_t EntityCode(FlowKeyKind kind, std::uint32_t address) {
+  std::uint8_t b[4];  // FlowKey stores the address with a host-order memcpy
+  std::memcpy(b, &address, 4);
+  return std::uint64_t(b[0]) << 32 | std::uint64_t(b[1]) << 24 |
+         std::uint64_t(b[2]) << 16 | std::uint64_t(b[3]) << 8 |
+         std::uint64_t(kind);
+}
+
+/// The kSrcIp/kDstIp entity key an EntityCode packs.
+FlowKey EntityFromCode(std::uint64_t code);
 
 /// Streaming detector for ONE switch's window stream.
 class EntityDetector {
@@ -176,12 +194,16 @@ class EntityDetector {
   EntityDetector(const DetectorConfig& cfg, int switch_id);
 
   /// Consume one completed window (extracts per-entity totals, then scores).
+  /// Reuses its scratch vectors: once they have grown to the table's shape,
+  /// a window allocates only for newly tracked entities (map node, baseline
+  /// lag ring) and alerts.
   void OnWindow(const WindowResult& w);
 
   /// Core step on pre-aggregated totals; exposed so unit tests can drive
   /// the model without building controller tables. `totals` must be keyed
-  /// by kSrcIp/kDstIp entity keys.
-  void OnTotals(const TotalsMap& totals, SubWindowSpan span,
+  /// by kSrcIp/kDstIp entity keys, sorted strictly ascending (throws
+  /// std::invalid_argument otherwise).
+  void OnTotals(std::span<const EntityTotal> totals, SubWindowSpan span,
                 Nanos completed_at, bool partial);
 
   const std::vector<Alert>& alerts() const { return alerts_; }
@@ -213,6 +235,10 @@ class EntityDetector {
     std::uint32_t idle_windows = 0;
   };
 
+  /// OnTotals without the order check (OnWindow's totals are sorted by
+  /// construction).
+  void ScoreTotals(std::span<const EntityTotal> totals, SubWindowSpan span,
+                   Nanos completed_at, bool partial);
   bool Admit(const FlowKey& key, double value, EntityState** out);
   void StepEntity(const FlowKey& key, EntityState& st, std::uint64_t value,
                   SubWindowSpan span, Nanos completed_at, bool partial);
@@ -226,6 +252,11 @@ class EntityDetector {
   PooledMap<FlowKey, EntityState> entities_;
   std::vector<Alert> alerts_;
   Stats stats_;
+  // Per-window scratch, reused: OnWindow's (code, value) pairs, the reduced
+  // totals they decode to, and ScoreTotals' deferred admissions.
+  PooledVector<std::pair<std::uint64_t, std::uint64_t>> codes_;
+  PooledVector<EntityTotal> totals_;
+  PooledVector<EntityTotal> fresh_;
 
   obs::Counter* c_windows_ = nullptr;
   obs::Counter* c_partial_ = nullptr;

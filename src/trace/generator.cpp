@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace ow {
 namespace {
@@ -12,6 +14,17 @@ namespace {
 constexpr std::uint32_t kBackgroundBase = 0x0A000000u;  // 10.0.0.0
 constexpr std::uint32_t kActorBase = 0xAC100000u;       // 172.16.0.0
 constexpr std::uint32_t kVictimBase = 0xC0A80000u;      // 192.168.0.0
+
+/// `cfg`, refused before anything is built from it when its rate is not
+/// finite and positive (the background would never reach its duration).
+const TraceConfig& Checked(const TraceConfig& cfg) {
+  if (!(std::isfinite(cfg.packets_per_sec) && cfg.packets_per_sec > 0)) {
+    throw std::invalid_argument(
+        "TraceGenerator: packets_per_sec must be finite and positive, got " +
+        std::to_string(cfg.packets_per_sec));
+  }
+  return cfg;
+}
 
 }  // namespace
 
@@ -29,7 +42,7 @@ void Trace::SortByTime() {
 }
 
 TraceGenerator::TraceGenerator(const TraceConfig& cfg)
-    : cfg_(cfg), rng_(cfg.seed), zipf_(cfg.num_flows, cfg.zipf_alpha) {
+    : cfg_(Checked(cfg)), rng_(cfg.seed), zipf_(cfg.num_flows, cfg.zipf_alpha) {
   flow_pool_.reserve(cfg_.num_flows);
   for (std::size_t i = 0; i < cfg_.num_flows; ++i) {
     FiveTuple t;
@@ -81,8 +94,10 @@ void TraceGenerator::AppendBackground(Trace& trace) {
   double t = 0;
   while (true) {
     t += rng_.Exponential(mean_gap_ns);
+    // Compared as a double: a gap past the Nanos range (a rate near zero)
+    // ends the background instead of overflowing the conversion.
+    if (!(t < double(cfg_.duration))) break;
     const Nanos ts = Nanos(t);
-    if (ts >= cfg_.duration) break;
     const std::size_t rank = zipf_.Sample(rng_);
     Packet p;
     p.ft = RandomBackgroundTuple(rank);

@@ -16,8 +16,11 @@
 #include <vector>
 
 #include "src/common/alloc_trace.h"
+#include "src/common/rng.h"
 #include "src/controller/merge.h"
+#include "src/core/controller.h"
 #include "src/core/data_plane.h"
+#include "src/detect/detect.h"
 #include "src/sketch/mv_sketch.h"
 #include "src/telemetry/query_builder.h"
 #include "src/telemetry/sketch_apps.h"
@@ -134,6 +137,102 @@ TEST(AllocSteadyState, MvSketchDrainHeapSilent) {
         "mv", FlowKeyKind::kFiveTuple, FrequencyValue::kPackets,
         [] { return std::make_unique<MvSketch>(4, 2048); });
   });
+}
+
+/// Detector region: a window table of 3,000 five-tuple slots over 256
+/// sources and 256 destinations. Warm-up windows grow the aggregation
+/// scratch, admit every entity and fill each one's baseline lag ring; a
+/// further window of the same shape must not touch the heap.
+TEST(AllocSteadyState, DetectorOnWindowHeapSilent) {
+  if (!alloc_trace::Enabled()) {
+    GTEST_SKIP() << "OW_ALLOC_TRACE not compiled in";
+  }
+  KeyValueTable table(1 << 13);
+  for (std::uint32_t i = 0; i < 3'000; ++i) {
+    const FiveTuple t{0x0A000000u + i % 256, 0x0B000000u + i * 7 % 256,
+                      std::uint16_t(i), 80, 6};
+    bool created = false;
+    KvSlot& slot =
+        table.FindOrInsert(FlowKey(FlowKeyKind::kFiveTuple, t), created);
+    slot.attrs[0] = 100 + i % 7;
+    slot.num_attrs = 1;
+  }
+  detect::DetectorConfig cfg;
+  detect::EntityDetector detector(cfg, 0);
+  const auto window = [&](SubWindowNum w) {
+    detector.OnWindow(WindowResult{{w, SubWindowNum(w + 4)}, &table,
+                                   Nanos(w + 5) * 100 * kMilli, false});
+  };
+  SubWindowNum w = 0;
+  for (; w <= cfg.score.baseline_lag + 2; ++w) window(w);
+  ASSERT_EQ(detector.tracked(), 512u);
+  const alloc_trace::Scope scope;
+  window(w);
+  EXPECT_EQ(scope.news(), 0u)
+      << "EntityDetector::OnWindow allocated on the heap after warm-up";
+  EXPECT_TRUE(detector.alerts().empty());
+}
+
+/// A report-path packet for sub-window `sw`.
+Packet ToController(OwFlag flag, SubWindowNum sw, std::uint32_t payload) {
+  Packet p;
+  p.ow.present = true;
+  p.ow.flag = flag;
+  p.ow.subwindow_num = sw;
+  p.ow.payload = payload;
+  return p;
+}
+
+/// Controller region, non-invertible merge: sliding windows of 5
+/// sub-windows (slide 1) over keys that churn in and out, fed as report
+/// packets, so every emission rebuilds retired keys' slots in O5. After a
+/// warm-up pass over the same sub-window shapes, collecting, merging,
+/// emitting and evicting must be served from recycled pool blocks.
+TEST(AllocSteadyState, NonInvertibleEvictHeapSilent) {
+  if (!alloc_trace::Enabled()) {
+    GTEST_SKIP() << "OW_ALLOC_TRACE not compiled in";
+  }
+  constexpr SubWindowNum kSubWindows = 40;
+  std::vector<std::vector<FlowRecord>> batches(kSubWindows);
+  Rng rng(5);
+  for (SubWindowNum sw = 0; sw < kSubWindows; ++sw) {
+    for (std::uint32_t k = 0; k < 3'000; ++k) {
+      if (rng.Uniform(2) != 0) continue;
+      FlowRecord rec;
+      rec.key = Key(k);
+      rec.attrs = {rng.NextU64(), rng.NextU64(), rng.NextU64(), rng.NextU64()};
+      rec.num_attrs = 4;
+      rec.seq_id = std::uint32_t(batches[sw].size());
+      rec.subwindow = sw;
+      batches[sw].push_back(rec);
+    }
+  }
+  ControllerConfig cc;
+  cc.window.type = WindowType::kSliding;
+  cc.window.subwindow_size = cc.window.slide = 100 * kMilli;
+  cc.window.window_size = 500 * kMilli;
+  cc.kv_capacity = 1 << 13;
+  std::uint64_t news = 0;
+  for (int round = 0; round < 2; ++round) {  // round 0 warms up
+    OmniWindowController ctl(cc, MergeKind::kDistinction);
+    std::size_t windows = 0;
+    ctl.SetWindowHandler([&windows](const WindowResult&) { ++windows; });
+    const alloc_trace::Scope scope;
+    for (SubWindowNum sw = 0; sw < kSubWindows; ++sw) {
+      const auto n = std::uint32_t(batches[sw].size());
+      ctl.OnPacket(ToController(OwFlag::kTrigger, sw, n), 0);
+      for (const FlowRecord& rec : batches[sw]) {
+        Packet report = ToController(OwFlag::kAfrReport, sw, 0);
+        report.ow.afrs.push_back(rec);
+        ctl.OnPacket(report, 0);
+      }
+      ctl.OnPacket(ToController(OwFlag::kAfrReport, sw, n), 0);
+    }
+    if (round == 1) news = scope.news();
+    ASSERT_EQ(windows, kSubWindows - 4);
+  }
+  EXPECT_EQ(news, 0u)
+      << "collect, merge and O5 eviction allocated on the heap after warm-up";
 }
 
 }  // namespace

@@ -134,6 +134,8 @@ TEST(Rng, BernoulliRate) {
 TEST(Zipf, RejectsBadArguments) {
   EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
   EXPECT_THROW(ZipfSampler(10, 0.0), std::invalid_argument);
+  EXPECT_THROW(ZipfSampler(10, -1.0), std::invalid_argument);
+  EXPECT_THROW(ZipfSampler(10, std::nan("")), std::invalid_argument);
 }
 
 TEST(Zipf, SkewTowardLowRanks) {

@@ -2,17 +2,22 @@
 //
 // Units: ScoreModel (floor, cold seed, lagged absorption, freeze),
 // HysteresisFsm (dwell, hysteresis band, two-stage recovery), EntityDetector
-// (cold-window seeding, top-K bound, idle eviction) and alert/ground-truth
-// matching. End to end: a fabric run over injected anomalies must detect
-// them streaming with bounded memory, and a leaf-spine run's alert stream
-// is pinned by a golden fingerprint.
+// (cold-window seeding, top-K bound, idle eviction; packed entity codes
+// sort like their keys, and the table path equals a map fold of the table)
+// and alert/ground-truth matching. End to end: a fabric run over injected
+// anomalies must detect them streaming with bounded memory, and a
+// leaf-spine run's alert stream is pinned by a golden fingerprint.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
+#include "src/common/arena.h"
 #include "src/common/hash.h"
+#include "src/common/rng.h"
+#include "src/common/snapshot.h"
 #include "src/core/network_runner.h"
 #include "src/detect/detect.h"
 #include "src/detect/score.h"
@@ -163,16 +168,20 @@ DetectorConfig SmallCfg() {
   return cfg;
 }
 
-void Feed(EntityDetector& d, const detect::TotalsMap& totals,
-          SubWindowNum window_index) {
+/// Per-window entity totals as the tests write them; Feed hands the
+/// detector the map's (sorted) entries.
+using Totals = std::map<FlowKey, std::uint64_t>;
+
+void Feed(EntityDetector& d, const Totals& totals, SubWindowNum window_index) {
   const SubWindowSpan span{window_index, SubWindowNum(window_index + 4)};
-  d.OnTotals(totals, span, Nanos(window_index + 5) * 100 * kMilli, false);
+  const std::vector<detect::EntityTotal> sorted(totals.begin(), totals.end());
+  d.OnTotals(sorted, span, Nanos(window_index + 5) * 100 * kMilli, false);
 }
 
 TEST(EntityDetector, ColdWindowSeedsWithoutAlerting) {
   EntityDetector d(SmallCfg(), 0);
   // A huge steady entity present from the start must never alert.
-  const detect::TotalsMap steady{{Src(1), 5000}, {Dst(2), 900}};
+  const Totals steady{{Src(1), 5000}, {Dst(2), 900}};
   for (SubWindowNum w = 0; w < 20; ++w) Feed(d, steady, w);
   EXPECT_TRUE(d.alerts().empty());
   EXPECT_EQ(d.tracked(), 2u);
@@ -180,7 +189,7 @@ TEST(EntityDetector, ColdWindowSeedsWithoutAlerting) {
 
 TEST(EntityDetector, DetectsSpikeAboveSeededBaselineAfterDwell) {
   EntityDetector d(SmallCfg(), 7);
-  detect::TotalsMap totals{{Src(1), 100}, {Dst(2), 50}};
+  Totals totals{{Src(1), 100}, {Dst(2), 50}};
   Feed(d, totals, 0);  // cold: seeds 100 / 50
   Feed(d, totals, 1);
   Feed(d, totals, 2);
@@ -216,7 +225,7 @@ TEST(EntityDetector, DetectsSpikeAboveSeededBaselineAfterDwell) {
 
 TEST(EntityDetector, FreshEntityAboveFloorTimesEnterAlertsQuickly) {
   EntityDetector d(SmallCfg(), 0);
-  detect::TotalsMap totals{{Src(1), 100}};
+  Totals totals{{Src(1), 100}};
   Feed(d, totals, 0);  // cold
   totals[Dst(9)] = 90;  // fresh entity, score 90/20 = 4.5
   Feed(d, totals, 1);
@@ -229,7 +238,7 @@ TEST(EntityDetector, TopKBoundHoldsAndKeepsTheLargest) {
   DetectorConfig cfg = SmallCfg();
   cfg.max_entities = 4;
   EntityDetector d(cfg, 0);
-  detect::TotalsMap totals;
+  Totals totals;
   for (std::uint32_t i = 1; i <= 6; ++i) totals[Src(i)] = 100 * i;
   Feed(d, totals, 0);
   EXPECT_EQ(d.tracked(), 4u);
@@ -274,13 +283,176 @@ TEST(EntityDetector, IdleQuietEntitiesAreEvicted) {
   DetectorConfig cfg = SmallCfg();
   cfg.idle_evict_windows = 3;
   EntityDetector d(cfg, 0);
-  detect::TotalsMap totals{{Src(1), 100}, {Src(2), 100}};
+  Totals totals{{Src(1), 100}, {Src(2), 100}};
   Feed(d, totals, 0);
   EXPECT_EQ(d.tracked(), 2u);
   totals.erase(Src(2));
   for (SubWindowNum w = 1; w <= 3; ++w) Feed(d, totals, w);
   EXPECT_EQ(d.tracked(), 1u);
   EXPECT_GT(d.stats().evictions, 0u);
+}
+
+TEST(EntityDetector, OnTotalsRefusesTotalsNotStrictlyAscending) {
+  EntityDetector d(SmallCfg(), 0);
+  const SubWindowSpan span{0, 4};
+  const std::vector<detect::EntityTotal> descending = {{Src(2), 50},
+                                                       {Src(1), 50}};
+  EXPECT_THROW(d.OnTotals(descending, span, 0, false), std::invalid_argument);
+  const std::vector<detect::EntityTotal> repeated = {{Src(1), 50},
+                                                     {Src(1), 50}};
+  EXPECT_THROW(d.OnTotals(repeated, span, 0, false), std::invalid_argument);
+  EXPECT_EQ(d.stats().windows, 0u);
+}
+
+// --- packed entity codes ---------------------------------------------------
+
+TEST(EntityCode, OrderIsFlowKeyOrderAndDecodesToTheKey) {
+  // Random addresses plus neighbours that differ only in their highest or
+  // their lowest byte, both kinds: every pair of codes compares like its
+  // pair of keys.
+  Rng rng(7);
+  std::vector<std::uint32_t> addresses = {0, 1, 0xFF, 0x100, 0x7FFFFFFF,
+                                          0x80000000, 0xFFFFFFFF};
+  for (int i = 0; i < 100; ++i) {
+    const auto a = std::uint32_t(rng.NextU64());
+    addresses.insert(addresses.end(), {a, a ^ 0x01u, a ^ 0xFFu,
+                                       a ^ 0x01000000u, a ^ 0xFF000000u});
+  }
+  std::vector<std::pair<std::uint64_t, FlowKey>> coded;
+  for (const std::uint32_t a : addresses) {
+    coded.emplace_back(detect::EntityCode(FlowKeyKind::kSrcIp, a), Src(a));
+    coded.emplace_back(detect::EntityCode(FlowKeyKind::kDstIp, a), Dst(a));
+  }
+  for (const auto& [code, key] : coded) {
+    ASSERT_EQ(detect::EntityFromCode(code), key) << key.ToString();
+  }
+  for (const auto& [ca, ka] : coded) {
+    for (const auto& [cb, kb] : coded) {
+      ASSERT_EQ(ca < cb, ka < kb) << ka.ToString() << " vs " << kb.ToString();
+      ASSERT_EQ(ca == cb, ka == kb) << ka.ToString() << " vs " << kb.ToString();
+    }
+  }
+}
+
+// --- EntityDetector over flow tables ---------------------------------------
+
+/// What OnWindow must aggregate, folded with a std::map: five-tuple and
+/// address-pair keys count for both addresses, (source, port) keys for the
+/// source, address keys for themselves; zero-valued slots not at all.
+Totals MapFold(const KeyValueTable& table) {
+  Totals totals;
+  table.ForEach([&](const KvSlot& slot) {
+    const std::uint64_t v = slot.attrs[0];
+    if (v == 0) return;
+    switch (slot.key.kind()) {
+      case FlowKeyKind::kFiveTuple:
+      case FlowKeyKind::kIpPair:
+        totals[Src(slot.key.src_ip())] += v;
+        totals[Dst(slot.key.dst_ip())] += v;
+        break;
+      case FlowKeyKind::kSrcIp:
+      case FlowKeyKind::kDstIp:
+        totals[slot.key] += v;
+        break;
+      case FlowKeyKind::kSrcIpDstPort:
+        totals[Src(slot.key.src_ip())] += v;
+        break;
+    }
+  });
+  return totals;
+}
+
+std::vector<std::uint8_t> SaveBytes(const EntityDetector& d) {
+  SnapshotWriter w;
+  d.Save(w);
+  return w.Take();
+}
+
+/// A window table of 150 slots of every key kind over 36 addresses that
+/// differ in their highest and their lowest byte (so one entity sums many
+/// slots, and a source and a destination share each address); one slot in
+/// six holds 0. From window 8 on, sources with a low byte below 2 spike.
+KeyValueTable RandomWindowTable(Rng& rng, SubWindowNum window) {
+  const auto address = [&rng] {
+    constexpr std::uint32_t kHigh[] = {0x0A, 0x8A, 0xFF};
+    return kHigh[rng.Uniform(3)] << 24 | std::uint32_t(rng.Uniform(12));
+  };
+  KeyValueTable table(512);
+  for (int i = 0; i < 150; ++i) {
+    const FiveTuple t{address(), address(), std::uint16_t(rng.Uniform(3)),
+                      std::uint16_t(rng.Uniform(3)), 6};
+    bool created = false;
+    KvSlot& slot =
+        table.FindOrInsert(FlowKey(FlowKeyKind(rng.Uniform(5)), t), created);
+    std::uint64_t v = rng.Uniform(6) == 0 ? 0 : 1 + rng.Uniform(30);
+    if (window >= 8 && (t.src_ip & 0xFF) < 2) v *= 40;
+    slot.attrs[0] = v;
+    slot.num_attrs = 1;
+  }
+  return table;
+}
+
+TEST(EntityDetector, OnWindowMatchesAMapFoldOfTheTable) {
+  // The table path (packed codes) and the map path see the same windows;
+  // they must emit the same alerts and checkpoint the same bytes after
+  // every window. The cap sits below the entity count, so admissions
+  // evict.
+  DetectorConfig cfg = SmallCfg();
+  cfg.max_entities = 40;
+  EntityDetector by_table(cfg, 3);
+  EntityDetector by_map(cfg, 3);
+  Rng rng(11);
+  for (SubWindowNum w = 0; w < 24; ++w) {
+    const KeyValueTable table = RandomWindowTable(rng, w);
+    const SubWindowSpan span{w, SubWindowNum(w + 4)};
+    const Nanos completed_at = Nanos(w + 5) * 100 * kMilli;
+    const bool partial = w % 7 == 3;
+    by_table.OnWindow(WindowResult{span, &table, completed_at, partial});
+    const Totals totals = MapFold(table);
+    const std::vector<detect::EntityTotal> sorted(totals.begin(),
+                                                  totals.end());
+    by_map.OnTotals(sorted, span, completed_at, partial);
+    ASSERT_EQ(by_table.alerts(), by_map.alerts()) << "window " << w;
+    ASSERT_EQ(SaveBytes(by_table), SaveBytes(by_map)) << "window " << w;
+  }
+  EXPECT_FALSE(by_table.alerts().empty());
+  EXPECT_GT(by_table.stats().evictions, 0u);
+}
+
+/// `slots` five-tuple slots over 64 sources and 64 destinations, each
+/// counting `value` packets: 128 entities, every one above the floor.
+KeyValueTable SteadyWindowTable(std::uint32_t slots, std::uint64_t value) {
+  KeyValueTable table(1 << 12);
+  for (std::uint32_t i = 0; i < slots; ++i) {
+    bool created = false;
+    KvSlot& slot = table.FindOrInsert(
+        FlowKey(FlowKeyKind::kFiveTuple,
+                FiveTuple{0x0A000000u + i % 64, 0x0B000000u + i * 5 % 64,
+                          std::uint16_t(i), 80, 6}),
+        created);
+    slot.attrs[0] = value;
+    slot.num_attrs = 1;
+  }
+  return table;
+}
+
+TEST(EntityDetector, OnWindowAfterWarmUpMakesNoPoolRequest) {
+#ifdef OW_POOL_PASSTHROUGH
+  GTEST_SKIP() << "pool passthrough build (sanitizers)";
+#endif
+  // The warm-up window grows the scratch and admits every entity; a window
+  // of the same shape then reuses all of it.
+  EntityDetector d(SmallCfg(), 0);
+  const KeyValueTable warm = SteadyWindowTable(2'000, 100);
+  d.OnWindow(WindowResult{{0, 4}, &warm, 500 * kMilli, false});
+  ASSERT_EQ(d.tracked(), 128u);
+  const KeyValueTable next = SteadyWindowTable(2'000, 101);
+  const ArenaPool::Stats before = GlobalPool().stats();
+  d.OnWindow(WindowResult{{1, 5}, &next, 600 * kMilli, false});
+  const ArenaPool::Stats after = GlobalPool().stats();
+  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses);
+  EXPECT_EQ(d.stats().windows, 2u);
+  EXPECT_TRUE(d.alerts().empty());
 }
 
 // --- ground-truth matching -------------------------------------------------
@@ -458,7 +630,7 @@ TEST(DetectEndToEnd, LeafSpineAlertStreamMatchesGolden) {
 TEST(DetectObs, CountersTrackWindowsAndTransitions) {
   obs::Global().Reset();
   EntityDetector d(SmallCfg(), 0);
-  detect::TotalsMap totals{{Src(1), 100}};
+  Totals totals{{Src(1), 100}};
   Feed(d, totals, 0);
   totals[Src(1)] = 600;
   for (SubWindowNum w = 1; w < 4; ++w) Feed(d, totals, w);

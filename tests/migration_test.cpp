@@ -167,9 +167,11 @@ TEST(RangeQuery, MergesArbitrarySpans) {
     EXPECT_EQ(slot->attrs[0], 10u * q.count());
   }
 
-  // Spans outside the retained history are refused.
+  // Spans outside the retained history, or only partly inside it, are
+  // refused.
   KeyValueTable out(256);
   EXPECT_FALSE(controller.QueryRange({40, 41}, out));
+  EXPECT_FALSE(controller.QueryRange({span->last, span->last + 1}, out));
 }
 
 TEST(RangeQuery, WithoutRetentionOldSpansExpire) {

@@ -15,9 +15,11 @@
 // stream's version check (the previous version is refused), Switch::Load's
 // event lanes (a forged lane count, an unsorted FIFO, a heap array that is
 // not a heap, an unknown packet source or a saved next seq not above every
-// restored event's seq throws), and OmniWindowProgram::Load's collect state
+// restored event's seq throws), OmniWindowProgram::Load's collect state
 // (a region other than 0 or 1, or more keys than the sub-window can
-// enumerate, throws).
+// enumerate, throws), and OmniWindowController::Load's ordered lists (a
+// history out of sub-window order, or a pending sub-window's sequence list
+// with a descending or repeated entry, throws).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +36,7 @@
 #include "src/common/packet.h"
 #include "src/common/snapshot.h"
 #include "src/controller/key_value_table.h"
+#include "src/core/controller.h"
 #include "src/core/data_plane.h"
 #include "src/switchsim/pipeline.h"
 #include "src/telemetry/cardinality_apps.h"
@@ -944,6 +947,103 @@ TEST(ProgramLoadHardening, ForgedNumKeysThrows) {
     ExpectProgramLoadThrows(program, bytes,
                             "num_keys " + std::to_string(forged));
   }
+}
+
+// --- OmniWindowController::Load: ordered lists -------------------------------
+
+/// A hand-written kController section for a controller with `cc`: an empty
+/// flow table, one record-less history entry per `history` sub-window, and
+/// one collecting pending sub-window (10) whose sequence list is `seqs`, in
+/// the listed orders. Everything after them is empty or zero.
+std::vector<std::uint8_t> ControllerSection(
+    const ControllerConfig& cc, const std::vector<SubWindowNum>& history,
+    const std::vector<std::uint32_t>& seqs) {
+  SnapshotWriter w;
+  w.Section(snap::kController);
+  KeyValueTable(cc.kv_capacity).Save(w);
+  w.Size(history.size());
+  for (const SubWindowNum sub : history) {
+    w.U32(sub);
+    w.Size(0);  // records
+  }
+  // One pending sub-window: map key and sub-window 10, `seqs.size()`
+  // expected data-plane records, no injected keys, no records, `seqs`.
+  w.Size(1);
+  w.U32(10);
+  w.U32(10);
+  w.U32(std::uint32_t(seqs.size()));
+  w.U32(0);
+  w.Size(0);
+  w.Size(seqs.size());
+  for (const std::uint32_t seq : seqs) w.U32(seq);
+  // No injected key seen; collection started; no retransmit attempt; RDMA
+  // not done; count not final; not drained; no holes; no mirror key; not
+  // lost; no O1 cost.
+  w.Size(0);
+  w.Bool(true);
+  w.U32(0);
+  w.Bool(false);
+  w.Bool(false);
+  w.Bool(false);
+  w.U32(0);
+  w.Size(0);
+  w.Bool(false);
+  w.I64(0);
+  // No spilled keys, spill sets or degraded marks; next to finalize and
+  // table floor 10; twelve zero stats; no degraded sub-window list.
+  w.Size(0);
+  w.Size(0);
+  w.Size(0);
+  w.U32(10);
+  w.U32(10);
+  for (int i = 0; i < 12; ++i) w.U64(0);
+  w.Size(0);
+  return w.Take();
+}
+
+void LoadController(const ControllerConfig& cc,
+                    const std::vector<std::uint8_t>& bytes) {
+  OmniWindowController ctl(cc, MergeKind::kFrequency);
+  SnapshotReader r(bytes);
+  ctl.Load(r);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+void ExpectControllerLoadThrows(const ControllerConfig& cc,
+                                const std::vector<std::uint8_t>& bytes,
+                                const std::string& needle) {
+  try {
+    LoadController(cc, bytes);
+    FAIL() << "forged controller section loaded (expected \"" << needle
+           << "\")";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("section 0x1C"), std::string::npos) << what;
+    EXPECT_NE(what.find(needle), std::string::npos) << what;
+  }
+}
+
+TEST(ControllerLoadHardening, PendingSeqListNotStrictlyAscendingThrows) {
+  // Completeness reads the list's n-th entry and inserts search it, so it
+  // must load sorted and unique or not at all.
+  ControllerConfig cc;
+  cc.kv_capacity = 64;
+  ASSERT_NO_THROW(LoadController(cc, ControllerSection(cc, {}, {2, 5, 9})));
+  ExpectControllerLoadThrows(cc, ControllerSection(cc, {}, {9, 5, 2}),
+                             "seq entry 1 (5) does not exceed entry 0 (9)");
+  ExpectControllerLoadThrows(cc, ControllerSection(cc, {}, {2, 5, 5}),
+                             "seq entry 2 (5) does not exceed entry 1 (5)");
+}
+
+TEST(ControllerLoadHardening, HistoryOutOfSubWindowOrderThrows) {
+  // O5, TrimHistory and QueryRange walk the history in sub-window order.
+  ControllerConfig cc;
+  cc.kv_capacity = 64;
+  ASSERT_NO_THROW(LoadController(cc, ControllerSection(cc, {3, 4}, {})));
+  ExpectControllerLoadThrows(cc, ControllerSection(cc, {4, 3}, {}),
+                             "history entry 1 (sub-window 3)");
+  ExpectControllerLoadThrows(cc, ControllerSection(cc, {4, 4}, {}),
+                             "history entry 1 (sub-window 4)");
 }
 
 }  // namespace

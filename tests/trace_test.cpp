@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -46,6 +49,17 @@ TEST(TraceGenerator, BackgroundIsTimeSortedAndBounded) {
     EXPECT_GE(p.ts, prev);
     EXPECT_LT(p.ts, SmallConfig().duration);
     prev = p.ts;
+  }
+}
+
+TEST(TraceGenerator, RefusesARateThatIsNotFiniteAndPositive) {
+  // At these rates the background would never reach its duration. The
+  // constructor refuses them, so no generation call is made here at all.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double rate : {0.0, -0.0, -1.0, std::nan(""), kInf, -kInf}) {
+    TraceConfig cfg = SmallConfig();
+    cfg.packets_per_sec = rate;
+    EXPECT_THROW(TraceGenerator{cfg}, std::invalid_argument) << rate;
   }
 }
 

@@ -1,12 +1,18 @@
 // End-to-end tests for the non-timeout window types: counter-driven
-// windows, session windows, and retransmission value fidelity; and for O5
+// windows, session windows, and retransmission value fidelity; for O5
 // eviction across window types: a window that loses keys to a full flow
-// table is flagged, and sliding key churn never fills the table.
+// table is flagged, sliding key churn never fills the table, and a
+// non-invertible table rebuilt in place equals a fresh merge of the
+// sub-windows it still reflects; and for sequence tracking: out-of-order
+// and repeated sequence numbers complete a sub-window exactly once.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/network_runner.h"
 #include "src/core/runner.h"
 #include "src/telemetry/exact_count.h"
@@ -234,9 +240,10 @@ TEST(FlowTableLimit, RefusedInsertsFlagTheirTumblingWindow) {
 TEST(FlowTableLimit, RefusedRemergeFlagsInsteadOfThrowing) {
   // Distinct query (non-invertible merge), sliding 200/100/100 ms, 8-slot
   // table (7 usable). Sub-window 0 holds P1-P7 then K1-K8 and sub-window 1
-  // holds K1-K8: evicting sub-window 0 rebuilds K1-K8 from sub-window 1,
-  // and the eighth re-insert is refused. The windows over sub-window 1 must
-  // be flagged, and the run must not throw.
+  // holds K1-K8: P1-P7 fill the table, so K1-K8 are refused in both
+  // sub-windows. The windows over sub-window 1 must be flagged, and
+  // evicting sub-window 0 (a non-invertible rebuild, which never inserts)
+  // must not throw.
   QueryDef def;
   def.name = "distinct_src_per_dst";
   def.key_kind = FlowKeyKind::kDstIp;
@@ -336,6 +343,145 @@ TEST(FlowTableLimit, SlidingKeyChurnNeverFillsTheTable) {
     EXPECT_EQ(w.detected, SentIn(w.span, 200)) << "window " << w.span.first;
   }
   EXPECT_EQ(result.controller.inserts_rejected, 0u);
+}
+
+// ------------------------------------- controller driven by report packets
+
+/// A report-path packet for sub-window `sw`.
+Packet ToController(OwFlag flag, SubWindowNum sw, std::uint32_t payload) {
+  Packet p;
+  p.ow.present = true;
+  p.ow.flag = flag;
+  p.ow.subwindow_num = sw;
+  p.ow.payload = payload;
+  return p;
+}
+
+/// A report packet carrying `rec` as a record of sub-window `sw`.
+Packet Report(SubWindowNum sw, const FlowRecord& rec) {
+  Packet p = ToController(OwFlag::kAfrReport, sw, 0);
+  p.ow.afrs.push_back(rec);
+  p.ow.afrs.back().subwindow = sw;
+  return p;
+}
+
+/// Feed sub-window `sw` to `ctl` as the switch reports it: the trigger, one
+/// report per record (seq i for records[i]), then the completion
+/// notification carrying the final count.
+void Collect(OmniWindowController& ctl, SubWindowNum sw,
+             const std::vector<FlowRecord>& records) {
+  const auto n = std::uint32_t(records.size());
+  const Nanos at = Nanos(sw + 1) * 100 * kMilli;
+  ctl.OnPacket(ToController(OwFlag::kTrigger, sw, n), at);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    FlowRecord rec = records[i];
+    rec.seq_id = i;
+    ctl.OnPacket(Report(sw, rec), at);
+  }
+  ctl.OnPacket(ToController(OwFlag::kAfrReport, sw, n), at);
+}
+
+/// Every live slot of `table` holds the key, attrs, num_attrs and
+/// last_subwindow of the same key in `want`, and they hold the same keys.
+void ExpectSameSlots(const KeyValueTable& table, const KeyValueTable& want,
+                     const std::string& where) {
+  EXPECT_EQ(table.size(), want.size()) << where;
+  table.ForEach([&](const KvSlot& slot) {
+    const KvSlot* w = want.Find(slot.key);
+    ASSERT_NE(w, nullptr) << where << ": stale " << slot.key.ToString();
+    EXPECT_EQ(slot.attrs, w->attrs) << where << ": " << slot.key.ToString();
+    EXPECT_EQ(slot.num_attrs, w->num_attrs) << where;
+    EXPECT_EQ(slot.last_subwindow, w->last_subwindow) << where;
+  });
+}
+
+TEST(NonInvertibleEvict, InPlaceRebuildEqualsAFreshMergeOfTheRetainedSpan) {
+  // Sliding windows of 4 sub-windows (slide 1 and 2) over a 48-key pool:
+  // each sub-window carries a random third of the keys with random attrs
+  // and attribute counts, so keys churn in and out of every window. After
+  // every sub-window, the table must hold exactly what a fresh QueryRange
+  // over [table floor, last finalized] merges, slot for slot.
+  for (const MergeKind kind :
+       {MergeKind::kExistence, MergeKind::kMax, MergeKind::kMin,
+        MergeKind::kDistinction, MergeKind::kXorSum}) {
+    for (const std::size_t slide : {1, 2}) {
+      ControllerConfig cc;
+      cc.window.type = WindowType::kSliding;
+      cc.window.subwindow_size = 100 * kMilli;
+      cc.window.window_size = 400 * kMilli;
+      cc.window.slide = Nanos(slide) * 100 * kMilli;
+      cc.kv_capacity = 256;
+      OmniWindowController ctl(cc, kind);
+      SubWindowNum floor = 0;  // first sub-window the table reflects
+      std::size_t windows = 0;
+      ctl.SetWindowHandler([&](const WindowResult& w) {
+        floor = SubWindowNum(w.span.first + slide);
+        ++windows;
+      });
+      Rng rng(std::uint64_t(kind) * 10 + slide);
+      for (SubWindowNum sw = 0; sw < 40; ++sw) {
+        std::vector<FlowRecord> records;
+        for (std::uint32_t k = 1; k <= 48; ++k) {
+          if (rng.Uniform(3) != 0) continue;
+          FlowRecord rec;
+          rec.key = FlowKey(FlowKeyKind::kSrcIp, {.src_ip = k});
+          for (auto& a : rec.attrs) a = rng.Uniform(1000);
+          rec.num_attrs = std::uint8_t(1 + rng.Uniform(4));
+          records.push_back(rec);
+        }
+        Collect(ctl, sw, records);
+        const std::string where = "kind " + std::to_string(int(kind)) +
+                                  " slide " + std::to_string(slide) +
+                                  " after sub-window " + std::to_string(sw);
+        ASSERT_EQ(ctl.next_to_finalize(), sw + 1) << where;
+        KeyValueTable want(cc.kv_capacity);
+        ASSERT_TRUE(ctl.QueryRange({floor, sw}, want)) << where;
+        ExpectSameSlots(ctl.table(), want, where);
+      }
+      EXPECT_EQ(windows, (40 - 4) / slide + 1);
+    }
+  }
+}
+
+TEST(SequenceTracking, OutOfOrderAndRepeatedSeqsCompleteASubWindowOnce) {
+  // Sub-window 0 announces five records, and a sixth (seq 5, a key added
+  // after the count) also reports. Reports arrive out of order and with
+  // repeats; seq 2 is missing until a retransmission, so the notification
+  // alone cannot complete it although six seqs are in. The window must
+  // emit once, with each record merged once.
+  ControllerConfig cc;
+  cc.window.type = WindowType::kTumbling;
+  cc.window.window_size = cc.window.subwindow_size = 100 * kMilli;
+  OmniWindowController ctl(cc, MergeKind::kFrequency);
+  std::vector<std::uint64_t> totals;
+  ctl.SetWindowHandler([&](const WindowResult& w) {
+    std::uint64_t total = 0;
+    w.table->ForEach([&](const KvSlot& slot) { total += slot.attrs[0]; });
+    totals.push_back(total);
+  });
+  const auto record = [](std::uint32_t seq) {
+    FlowRecord rec;
+    rec.key = FlowKey(FlowKeyKind::kSrcIp, {.src_ip = seq + 1});
+    rec.attrs[0] = std::uint64_t(1) << seq;  // each seq its own bit
+    rec.num_attrs = 1;
+    rec.seq_id = seq;
+    return rec;
+  };
+  ctl.OnPacket(ToController(OwFlag::kTrigger, 0, 5), kMilli);
+  for (const std::uint32_t seq : {3u, 5u, 0u, 4u, 0u, 1u, 3u}) {
+    ctl.OnPacket(Report(0, record(seq)), kMilli);
+  }
+  ctl.OnPacket(ToController(OwFlag::kAfrReport, 0, 5), kMilli);
+  EXPECT_TRUE(totals.empty()) << "completed without seq 2";
+  EXPECT_EQ(ctl.next_to_finalize(), 0u);
+  ctl.OnPacket(Report(0, record(2)), 2 * kMilli);
+  ctl.OnPacket(Report(0, record(2)), 2 * kMilli);  // late repeat: stale
+  ASSERT_EQ(totals.size(), 1u);
+  EXPECT_EQ(totals[0], 0b111111u);
+  EXPECT_EQ(ctl.next_to_finalize(), 1u);
+  EXPECT_EQ(ctl.stats().subwindows_finalized, 1u);
+  EXPECT_EQ(ctl.stats().afrs_received, 6u);
+  EXPECT_EQ(ctl.stats().duplicate_afrs, 2u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 //
 //   owtrace generate <out.owtr> [seed] [duration_ms] [pps] [flows]
 //       Build the standard evaluation trace (background + all anomalies)
-//       and save it in the binary trace format.
+//       and save it in the binary trace format. Each number must parse
+//       whole; a bad one (or a duration or rate that is not positive) is
+//       named on stderr and the command exits 1.
 //   owtrace info <trace.owtr>
 //       Print summary statistics: packets, duration, flows, top talkers,
 //       protocol mix.
@@ -16,11 +18,13 @@
 // Useful for caching a deterministic workload across bench runs and for
 // feeding identical traffic to external tools.
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -33,6 +37,19 @@ namespace {
 
 using namespace ow;
 
+/// Parse optional argument `i` whole into `out` (left as is when absent).
+/// On a value that does not parse whole or fit its type, names the
+/// argument and returns false.
+template <typename T>
+bool ParseArg(int argc, char** argv, int i, const char* name, T& out) {
+  if (argc <= i) return true;
+  const char* end = argv[i] + std::strlen(argv[i]);
+  const auto [ptr, ec] = std::from_chars(argv[i], end, out);
+  if (ec == std::errc() && ptr == end) return true;
+  std::fprintf(stderr, "owtrace generate: bad %s '%s'\n", name, argv[i]);
+  return false;
+}
+
 int Generate(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
@@ -41,12 +58,22 @@ int Generate(int argc, char** argv) {
     return 2;
   }
   TraceConfig cfg;
-  cfg.seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
-  cfg.duration =
-      (argc > 4 ? std::strtoll(argv[4], nullptr, 10) : 2'000) * kMilli;
-  cfg.packets_per_sec = argc > 5 ? std::strtod(argv[5], nullptr) : 60'000;
-  cfg.num_flows =
-      argc > 6 ? std::strtoull(argv[6], nullptr, 10) : std::size_t(8'000);
+  cfg.seed = 1;
+  long long duration_ms = 2'000;
+  cfg.packets_per_sec = 60'000;
+  cfg.num_flows = 8'000;
+  if (!ParseArg(argc, argv, 3, "seed", cfg.seed) ||
+      !ParseArg(argc, argv, 4, "duration_ms", duration_ms) ||
+      !ParseArg(argc, argv, 5, "pps", cfg.packets_per_sec) ||
+      !ParseArg(argc, argv, 6, "flows", cfg.num_flows)) {
+    return 1;
+  }
+  if (duration_ms <= 0 ||
+      duration_ms > std::numeric_limits<Nanos>::max() / kMilli) {
+    std::fprintf(stderr, "owtrace generate: bad duration_ms '%s'\n", argv[4]);
+    return 1;
+  }
+  cfg.duration = duration_ms * kMilli;
 
   TraceGenerator gen(cfg);
   const Trace trace = gen.GenerateEvaluationTrace();
