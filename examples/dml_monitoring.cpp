@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <map>
 
-#include "src/core/runner.h"
+#include "src/core/network_runner.h"
 #include "src/dml/dml.h"
 #include "src/dml/iteration_app.h"
 
@@ -25,39 +25,29 @@ int main() {
   std::printf("training trace: %zu packets over %zu iterations\n\n",
               trace.packets.size(), cfg.iterations);
 
-  auto app = std::make_shared<IterationTimeApp>(4096);
   WindowSpec spec;
   spec.type = WindowType::kUserDefined;
   spec.window_size = spec.subwindow_size = 100 * kMilli;  // W = 1
 
-  RunConfig rc = RunConfig::Make(spec);
-  rc.data_plane.signal.kind = SignalKind::kUserDefined;
-  rc.controller.grace_period = 100 * kMicro;
-
-  Switch sw(0);
-  auto program = std::make_shared<OmniWindowProgram>(rc.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(rc.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
+  NetworkRunConfig nc{.base = RunConfig::Make(spec),
+                      .topology = {.line_switches = 1}};
+  nc.base.data_plane.signal.kind = SignalKind::kUserDefined;
+  nc.base.controller.grace_period = 100 * kMicro;
 
   std::vector<std::map<std::uint32_t, Nanos>> per_iter(cfg.iterations);
   std::size_t window_index = 0;
-  controller.SetWindowHandler([&](const WindowResult& w) {
+  nc.window_observer = [&](std::size_t, const WindowResult& w) {
     if (window_index >= per_iter.size()) return;
     w.table->ForEach([&](const KvSlot& slot) {
       const Nanos dur = Nanos(slot.attrs[1]) - Nanos(slot.attrs[0]);
       per_iter[window_index][slot.key.src_ip()] = dur;
     });
     ++window_index;
-  });
-
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet fin;
-  fin.iteration = std::uint32_t(cfg.iterations);
-  fin.ts = trace.Duration() + kMilli;
-  sw.EnqueueFromWire(fin, fin.ts);
-  sw.RunBatch(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
+  };
+  RunOmniWindowFabric(
+      trace,
+      [](std::size_t) { return std::make_shared<IterationTimeApp>(4096); },
+      std::move(nc));
 
   std::printf("%5s %12s %14s %14s\n", "iter", "compression",
               "measured(ms)", "truth(ms)");

@@ -6,10 +6,8 @@
 // into windows like any other AFRs. This example runs it end to end and
 // compares the decoded window counts against ground truth.
 #include <cstdio>
-#include <map>
-#include <unordered_map>
 
-#include "src/core/runner.h"
+#include "src/core/network_runner.h"
 #include "src/telemetry/flow_radar.h"
 #include "src/trace/generator.h"
 
@@ -26,37 +24,27 @@ int main() {
   std::printf("trace: %zu packets, %zu flows\n", trace.packets.size(),
               tc.num_flows);
 
-  auto app = std::make_shared<FlowRadarApp>(/*k=*/3, /*cells=*/4'096);
   WindowSpec spec;
   spec.type = WindowType::kTumbling;
   spec.window_size = 200 * kMilli;
   spec.subwindow_size = 100 * kMilli;
-  RunConfig cfg = RunConfig::Make(spec);
-
-  Switch sw(0);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetSubWindowTransform(app->MakeTransform());
-
-  std::vector<std::pair<SubWindowSpan, FlowCounts>> windows;
-  controller.SetWindowHandler([&](const WindowResult& w) {
-    FlowCounts counts;
-    w.table->ForEach(
-        [&](const KvSlot& slot) { counts[slot.key] = slot.attrs[0]; });
-    windows.emplace_back(w.span, std::move(counts));
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + 100 * kMilli;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunBatch(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
+  // The session hands each controller the app's SubWindowDecoder(), which
+  // decodes every sub-window's cells before the merge.
+  const NetworkRunResult result = RunOmniWindowFabric(
+      trace,
+      [](std::size_t) {
+        return std::make_shared<FlowRadarApp>(/*k=*/3, /*cells=*/4'096);
+      },
+      {.base = RunConfig::Make(spec),
+       .topology = {.line_switches = 1},
+       .capture_counts = true});
+  const SwitchRun& run = result.per_switch[0];
 
   std::printf("\n%8s %10s %12s %12s\n", "window", "flows", "exact-match%",
               "pkts-total");
-  for (const auto& [span, counts] : windows) {
+  for (const EmittedWindow& w : run.windows) {
+    const SubWindowSpan span = w.span;
+    const FlowCounts& counts = run.counts.at(span.first);
     // Ground truth for the same bounds.
     FlowCounts truth;
     const Nanos start = Nanos(span.first) * spec.subwindow_size;

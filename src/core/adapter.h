@@ -10,6 +10,7 @@
 // and every call names the region it targets.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,11 @@
 #include "src/switchsim/resources.h"
 
 namespace ow {
+
+/// Controller-side rewrite of one finalized sub-window's records before
+/// they merge (§8: a state-migration app "constructs AFRs" from its raw
+/// slices, e.g. FlowRadar decodes cells into per-flow records).
+using SubWindowTransform = std::function<RecordVec(RecordVec&&)>;
 
 class TelemetryAppAdapter {
  public:
@@ -81,6 +87,12 @@ class TelemetryAppAdapter {
     rec.subwindow = subwindow;
     return rec;
   }
+
+  /// The app's §8 decode: the transform its controller applies to each
+  /// sub-window's migrated slices before merging them. Empty (the default)
+  /// merges the records as they arrive. The transform may refer to this
+  /// app, so the app must outlive the controller that runs it.
+  virtual SubWindowTransform SubWindowDecoder() const { return {}; }
 
   /// Charge the app's own data-plane footprint (Exp#5 reports framework
   /// features separately from the app, but the app must fit too).

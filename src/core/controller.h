@@ -71,10 +71,14 @@ struct WindowResult {
   SubWindowSpan span;
   const KeyValueTable* table = nullptr;
   Nanos completed_at = 0;  ///< simulated time
-  /// True when any sub-window in `span` exhausted its retry budget (or lost
-  /// unfoldable latency-spike copies) and was finalized with records
-  /// missing. A partial window is explicitly degraded, never silently
-  /// wrong: consumers must not treat its contents as exact.
+  /// True when any sub-window in `span` was finalized degraded: it
+  /// exhausted its retry budget, lost unfoldable latency-spike copies, or
+  /// the switch reported its region damaged (destroyed or truncated before
+  /// collection; Stats::subwindows_degraded_by_switch). Contents may then be
+  /// over as well as short: on a report link dropping 10% of packets, one
+  /// such tumbling window summed 816 packets where the lossless run had
+  /// 799. A partial window is explicitly degraded, never silently wrong:
+  /// consumers must not treat its contents as exact.
   bool partial = false;
 };
 
@@ -96,11 +100,9 @@ class OmniWindowController {
     handler_ = std::move(handler);
   }
 
-  /// Transform applied to a sub-window's raw records before merging (§8:
-  /// apps like FlowRadar migrate whole state and the controller
-  /// "constructs AFRs" from it — e.g. decodes cells into per-flow records
-  /// — before the normal merge). Runs once per finalized sub-window.
-  using SubWindowTransform = std::function<RecordVec(RecordVec&&)>;
+  /// Transform applied to a sub-window's raw records before merging,
+  /// once per finalized sub-window: the app's SubWindowDecoder(), which a
+  /// FabricSession installs on every controller it builds.
   void SetSubWindowTransform(SubWindowTransform transform) {
     transform_ = std::move(transform);
   }

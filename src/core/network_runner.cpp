@@ -109,6 +109,7 @@ FabricSession::FabricSession(
     auto controller = std::make_unique<OmniWindowController>(
         cfg_.base.controller, program->app().merge_kind());
     controller->AttachSwitch(sw);
+    controller->SetSubWindowTransform(program->app().SubWindowDecoder());
     if (rdma) {
       nics_.push_back(std::make_unique<RdmaNic>());
       auto ctx = controller->InitRdma(*nics_.back());
@@ -206,8 +207,19 @@ FabricSession::FabricSession(
   switches_[0]->EnqueueTrace(trace.packets);
   // End-of-trace sentinel: an all-zero five-tuple the ECMP policies flood
   // down every path, so the final sub-windows terminate on every switch.
+  // A user-defined signal ends a sub-window only when the embedded number
+  // grows, so there the sentinel carries one past the trace's largest.
   Packet sentinel;
   sentinel.ts = trace_duration_ + cfg_.base.window.subwindow_size;
+  if (cfg_.base.data_plane.signal.kind == SignalKind::kUserDefined) {
+    for (const Packet& p : trace.packets) {
+      if (p.iteration == kNoIteration) continue;
+      if (sentinel.iteration == kNoIteration ||
+          p.iteration >= sentinel.iteration) {
+        sentinel.iteration = p.iteration + 1;
+      }
+    }
+  }
   switches_[0]->EnqueueFromWire(sentinel, sentinel.ts);
 }
 

@@ -127,7 +127,10 @@ struct NetworkRunResult {
 class FabricSession {
  public:
   /// Builds the fabric and enqueues the trace plus the end-of-trace
-  /// sentinel; nothing runs until DriveUntil/Finish. RDMA collection
+  /// sentinel; nothing runs until DriveUntil/Finish. Under a user-defined
+  /// signal the sentinel carries one iteration past the trace's largest,
+  /// so the last iteration ends too. Each controller applies its app's
+  /// SubWindowDecoder() (the §8 decode, e.g. FlowRadar). RDMA collection
   /// (`base.controller.rdma`) gets one RdmaNic per switch, with
   /// `base.fault.rdma` armed at seed `base.fault.seed + i`.
   /// Throws std::invalid_argument when RDMA meets a report path that can

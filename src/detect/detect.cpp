@@ -29,6 +29,11 @@ const char* HealthStateName(HealthState s) {
 
 void ScoreModel::Absorb(double value, bool freeze,
                         const ScoreModelConfig& cfg) {
+  // The ring holds at most baseline_lag + 1 values: size it once, on the
+  // entity's first absorb, instead of growing it by doubling.
+  if (lag_ring_.capacity() <= cfg.baseline_lag) {
+    lag_ring_.reserve(cfg.baseline_lag + 1);
+  }
   lag_ring_.push_back(value);
   if (lag_ring_.size() <= cfg.baseline_lag) return;
   const double delayed = lag_ring_.front();

@@ -185,7 +185,7 @@ RecordVec FlowRadarApp::Decode(const RecordVec& cells, bool& clean) const {
   return flows;
 }
 
-std::function<RecordVec(RecordVec&&)> FlowRadarApp::MakeTransform() const {
+SubWindowTransform FlowRadarApp::SubWindowDecoder() const {
   return [this](RecordVec&& cells) {
     bool clean = false;
     RecordVec flows = Decode(cells, clean);

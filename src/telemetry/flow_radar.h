@@ -60,8 +60,9 @@ class FlowRadarApp final : public TelemetryAppAdapter {
   /// when the structure was overloaded and residue remains).
   RecordVec Decode(const RecordVec& cells, bool& clean) const;
 
-  /// Convenience: a SubWindowTransform bound to this app's geometry.
-  std::function<RecordVec(RecordVec&&)> MakeTransform() const;
+  /// Decode() bound to this app, stamping the cells' sub-window on every
+  /// decoded flow.
+  SubWindowTransform SubWindowDecoder() const override;
 
   std::size_t groups() const noexcept { return groups_; }
   std::size_t cells_per_group() const noexcept { return cells_; }

@@ -173,6 +173,44 @@ TEST(AllocSteadyState, DetectorOnWindowHeapSilent) {
   EXPECT_TRUE(detector.alerts().empty());
 }
 
+/// Admission region: entities the detector admits after its cold window
+/// size their baseline lag ring in the window that admits them. Their next
+/// windows fill the ring and start absorbing without touching the heap.
+TEST(AllocSteadyState, DetectorAdmittedEntitiesAllocateOnlyOnAdmission) {
+  if (!alloc_trace::Enabled()) {
+    GTEST_SKIP() << "OW_ALLOC_TRACE not compiled in";
+  }
+  // 256 sources and 256 destinations, one slot each, at twice the scoring
+  // floor: admitted at once, scored below enter_score, never alerting.
+  const KeyValueTable empty(16);
+  KeyValueTable table(1 << 10);
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    const FiveTuple t{0x0A000000u + i, 0x0B000000u + i, std::uint16_t(i), 80,
+                      6};
+    bool created = false;
+    KvSlot& slot =
+        table.FindOrInsert(FlowKey(FlowKeyKind::kFiveTuple, t), created);
+    slot.attrs[0] = 40;
+    slot.num_attrs = 1;
+  }
+  detect::DetectorConfig cfg;
+  detect::EntityDetector detector(cfg, 0);
+  const auto window = [&](const KeyValueTable& t, SubWindowNum w) {
+    detector.OnWindow(WindowResult{{w, w}, &t, Nanos(w + 1) * 100 * kMilli,
+                                   false});
+  };
+  window(empty, 0);  // the cold window: nothing to seed
+  window(table, 1);  // admits all 512 entities
+  ASSERT_EQ(detector.tracked(), 512u);
+  const alloc_trace::Scope scope;
+  for (SubWindowNum w = 2; w <= cfg.score.baseline_lag + 3; ++w) {
+    window(table, w);
+  }
+  EXPECT_EQ(scope.news(), 0u)
+      << "admitted entities allocated on the heap after their first window";
+  EXPECT_TRUE(detector.alerts().empty());
+}
+
 /// A report-path packet for sub-window `sw`.
 Packet ToController(OwFlag flag, SubWindowNum sw, std::uint32_t payload) {
   Packet p;

@@ -5,8 +5,7 @@
 
 #include <memory>
 
-#include "src/core/controller.h"
-#include "src/core/data_plane.h"
+#include "src/core/network_runner.h"
 #include "src/telemetry/query.h"
 
 namespace ow {
@@ -148,43 +147,43 @@ TEST(Consistency, PacketBeyondPreserveHorizonEscalates) {
 TEST(Consistency, ControllerFoldsSpikesIntoPendingSubWindow) {
   // End-to-end: a spike copy for a sub-window still pending at the
   // controller contributes to the merged frequency result.
-  OmniWindowConfig dp;
-  dp.signal.kind = SignalKind::kTimeout;
-  dp.signal.subwindow_size = 50 * kMilli;
-  auto app = std::make_shared<QueryAdapter>(CountDef(), 256);
-  auto program = std::make_shared<OmniWindowProgram>(dp, app);
-  Switch sw(0);
-  sw.SetProgram(program);
-
-  ControllerConfig cc;
-  cc.window.type = WindowType::kTumbling;
-  cc.window.window_size = cc.window.subwindow_size = 50 * kMilli;
-  OmniWindowController controller(cc, MergeKind::kFrequency);
-  controller.AttachSwitch(&sw);
-
-  std::vector<std::uint64_t> totals;
-  const FlowKey victim(FlowKeyKind::kDstIp, FiveTuple{.dst_ip = 5});
-  controller.SetWindowHandler([&](const WindowResult& w) {
-    const KvSlot* slot = w.table->Find(victim);
-    totals.push_back(slot ? slot->attrs[0] : 0);
-  });
-
+  Trace trace;
+  const auto arrive = [&](Packet p, Nanos at) {
+    p.ts = at;
+    trace.packets.push_back(std::move(p));
+  };
   // 10 packets in sub-window 0.
-  for (int i = 0; i < 10; ++i) sw.EnqueueFromWire(At(0), Nanos(i) * kMilli);
+  for (int i = 0; i < 10; ++i) arrive(At(0), Nanos(i) * kMilli);
   // Advance two sub-windows, then deliver an ancient packet embedded with
   // sub-window 0 — it escalates as a spike while sub-window 0 is pending.
-  sw.EnqueueFromWire(At(0, 6), 120 * kMilli);
+  arrive(At(0, 6), 120 * kMilli);
   Packet ancient = At(0);
   ancient.ow.present = true;
   ancient.ow.subwindow_num = 0;
-  sw.EnqueueFromWire(std::move(ancient), 121 * kMilli);
-  sw.EnqueueFromWire(At(0, 6), 200 * kMilli);  // flush boundaries
-  sw.RunBatch(10 * kSecond);
-  controller.Flush(10 * kSecond);
+  arrive(std::move(ancient), 121 * kMilli);
+  arrive(At(0, 6), 200 * kMilli);  // flush boundaries
+
+  WindowSpec spec;
+  spec.type = WindowType::kTumbling;
+  spec.window_size = spec.subwindow_size = 50 * kMilli;
+  NetworkRunConfig cfg{.base = RunConfig::Make(spec),
+                       .topology = {.line_switches = 1}};
+  std::vector<std::uint64_t> totals;
+  const FlowKey victim(FlowKeyKind::kDstIp, FiveTuple{.dst_ip = 5});
+  cfg.window_observer = [&](std::size_t, const WindowResult& w) {
+    const KvSlot* slot = w.table->Find(victim);
+    totals.push_back(slot ? slot->attrs[0] : 0);
+  };
+  const NetworkRunResult result = RunOmniWindowFabric(
+      trace,
+      [](std::size_t) {
+        return std::make_shared<QueryAdapter>(CountDef(), 256);
+      },
+      std::move(cfg));
 
   ASSERT_FALSE(totals.empty());
   EXPECT_EQ(totals[0], 11u);  // 10 measured + 1 folded-in spike
-  EXPECT_EQ(controller.stats().spike_packets, 1u);
+  EXPECT_EQ(result.per_switch[0].controller.spike_packets, 1u);
 }
 
 }  // namespace

@@ -1,12 +1,12 @@
 // Tests for FlowRadar under OmniWindow's state-migration + controller
 // decode (§8): exact flow recovery, overload detection, and the full
-// pipeline with the sub-window transform.
+// pipeline with the app's sub-window decoder.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 
-#include "src/core/runner.h"
+#include "src/core/network_runner.h"
 #include "src/telemetry/flow_radar.h"
 
 namespace ow {
@@ -90,9 +90,10 @@ TEST(FlowRadar, RegionsIndependentAndResettable) {
 }
 
 TEST(FlowRadar, EndToEndWindowCountsViaTransform) {
-  // Full pipeline: FlowRadar state migrates per sub-window, the controller
-  // transform decodes it into per-flow AFRs, frequency-merged into 100 ms
-  // windows of two 50 ms sub-windows.
+  // Full pipeline: FlowRadar state migrates per sub-window, the session
+  // hands the app's SubWindowDecoder() to the controller, which decodes it
+  // into per-flow AFRs, frequency-merged into 100 ms windows of two 50 ms
+  // sub-windows.
   Trace trace;
   // Flow 42 sends 20 packets per sub-window across 4 sub-windows; 100
   // background flows send 2 each.
@@ -110,34 +111,26 @@ TEST(FlowRadar, EndToEndWindowCountsViaTransform) {
   }
   trace.SortByTime();
 
-  auto app = std::make_shared<FlowRadarApp>(3, 1024);
   WindowSpec spec;
   spec.type = WindowType::kTumbling;
   spec.window_size = 100 * kMilli;
   spec.subwindow_size = 50 * kMilli;
-  RunConfig cfg = RunConfig::Make(spec);
-
-  Switch sw(0);
-  auto program = std::make_shared<OmniWindowProgram>(cfg.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(cfg.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetSubWindowTransform(app->MakeTransform());
+  NetworkRunConfig cfg{.base = RunConfig::Make(spec),
+                       .topology = {.line_switches = 1}};
 
   std::vector<std::map<std::uint32_t, std::uint64_t>> windows;
-  controller.SetWindowHandler([&](const WindowResult& w) {
+  cfg.window_observer = [&](std::size_t, const WindowResult& w) {
+    EXPECT_FALSE(w.partial);
     std::map<std::uint32_t, std::uint64_t> counts;
     w.table->ForEach([&](const KvSlot& slot) {
       counts[slot.key.src_ip()] = slot.attrs[0];
     });
     windows.push_back(std::move(counts));
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + 60 * kMilli;
-  sw.EnqueueFromWire(sentinel, sentinel.ts);
-  sw.RunBatch(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
+  };
+  RunOmniWindowFabric(
+      trace,
+      [](std::size_t) { return std::make_shared<FlowRadarApp>(3, 1024); },
+      std::move(cfg));
 
   ASSERT_GE(windows.size(), 2u);
   // Each 100 ms window = two sub-windows: flow 42 has 40 packets, the

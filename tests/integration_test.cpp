@@ -5,10 +5,9 @@
 #include <map>
 #include <memory>
 
-#include "src/core/runner.h"
+#include "src/core/network_runner.h"
 #include "src/dml/dml.h"
 #include "src/dml/iteration_app.h"
-#include "src/net/network.h"
 #include "src/sketch/mv_sketch.h"
 #include "src/telemetry/query.h"
 #include "src/telemetry/sketch_apps.h"
@@ -255,53 +254,19 @@ TEST(EndToEnd, ConsistencyAcrossTwoSwitches) {
   def.aggregate = QueryAggregate::kCount;
   def.threshold = 1;
 
-  Network net;
-  Switch* s1 = net.AddSwitch();
-  Switch* s2 = net.AddSwitch();
-
-  RunConfig cfg = RunConfig::Make(TumblingSpec(50 * kMilli, 50 * kMilli));
-  auto app1 = std::make_shared<QueryAdapter>(def, 1 << 14);
-  auto app2 = std::make_shared<QueryAdapter>(def, 1 << 14);
-  OmniWindowConfig dp1 = cfg.data_plane;
-  OmniWindowConfig dp2 = cfg.data_plane;
-  dp2.first_hop = false;
-  auto prog1 = std::make_shared<OmniWindowProgram>(dp1, app1);
-  auto prog2 = std::make_shared<OmniWindowProgram>(dp2, app2);
-  s1->SetProgram(prog1);
-  s2->SetProgram(prog2);
-  net.Connect(s1, s2, {.latency = 30 * kMicro, .jitter = 5 * kMicro});
-
-  OmniWindowController c1(cfg.controller, def.aggregate ==
-                                                  QueryAggregate::kDistinct
-                                              ? MergeKind::kDistinction
-                                              : MergeKind::kFrequency);
-  OmniWindowController c2(cfg.controller, MergeKind::kFrequency);
-  c1.AttachSwitch(s1);
-  c2.AttachSwitch(s2);
-
+  NetworkRunConfig cfg{
+      .base = RunConfig::Make(TumblingSpec(50 * kMilli, 50 * kMilli)),
+      .link = {.latency = 30 * kMicro, .jitter = 5 * kMicro}};
   std::map<SubWindowNum, std::uint64_t> counts1, counts2;
-  auto sum_handler = [](std::map<SubWindowNum, std::uint64_t>& into) {
-    return [&into](const WindowResult& w) {
-      std::uint64_t total = 0;
-      w.table->ForEach([&](const KvSlot& slot) { total += slot.attrs[0]; });
-      into[w.span.first] = total;
-    };
+  cfg.window_observer = [&](std::size_t i, const WindowResult& w) {
+    std::uint64_t total = 0;
+    w.table->ForEach([&](const KvSlot& slot) { total += slot.attrs[0]; });
+    (i == 0 ? counts1 : counts2)[w.span.first] = total;
   };
-  c1.SetWindowHandler(sum_handler(counts1));
-  c2.SetWindowHandler(sum_handler(counts2));
-
-  for (const Packet& p : s.trace.packets) s1->EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = s.trace.Duration() + 50 * kMilli;
-  s1->EnqueueFromWire(sentinel, sentinel.ts);
-
-  const Nanos horizon = s.trace.Duration() + 10 * kSecond;
-  net.RunUntilQuiescent(horizon);
-  c1.Flush(horizon);
-  c2.Flush(horizon);
-  net.RunUntilQuiescent(horizon);
-  c1.Flush(horizon);
-  c2.Flush(horizon);
+  const NetworkRunResult result = RunOmniWindowFabric(
+      s.trace,
+      [&](std::size_t) { return std::make_shared<QueryAdapter>(def, 1 << 14); },
+      std::move(cfg));
 
   ASSERT_GE(counts1.size(), 5u);
   for (const auto& [sw, total] : counts1) {
@@ -309,7 +274,7 @@ TEST(EndToEnd, ConsistencyAcrossTwoSwitches) {
     if (it == counts2.end()) continue;  // tail windows may differ
     EXPECT_EQ(total, it->second) << "sub-window " << sw;
   }
-  EXPECT_GT(prog2->stats().packets_measured, 0u);
+  EXPECT_GT(result.per_switch[1].data_plane.packets_measured, 0u);
 }
 
 TEST(EndToEnd, DmlIterationWindows) {
@@ -320,42 +285,36 @@ TEST(EndToEnd, DmlIterationWindows) {
   DmlWorkload workload(cfg);
   const Trace trace = workload.Generate();
 
-  auto app = std::make_shared<IterationTimeApp>(4096);
   WindowSpec spec;
   spec.type = WindowType::kUserDefined;
   spec.window_size = spec.subwindow_size = 100 * kMilli;  // W = 1
-  RunConfig rc = RunConfig::Make(spec);
-  rc.data_plane.signal.kind = SignalKind::kUserDefined;
-  rc.controller.grace_period = 100 * kMicro;
+  NetworkRunConfig nc{.base = RunConfig::Make(spec),
+                      .topology = {.line_switches = 1}};
+  nc.base.data_plane.signal.kind = SignalKind::kUserDefined;
+  nc.base.controller.grace_period = 100 * kMicro;
 
   std::vector<std::map<FlowKey, std::pair<Nanos, Nanos>>> windows;
-  Switch sw(0);
-  auto program = std::make_shared<OmniWindowProgram>(rc.data_plane, app);
-  sw.SetProgram(program);
-  OmniWindowController controller(rc.controller, app->merge_kind());
-  controller.AttachSwitch(&sw);
-  controller.SetWindowHandler([&](const WindowResult& w) {
+  nc.window_observer = [&](std::size_t, const WindowResult& w) {
     std::map<FlowKey, std::pair<Nanos, Nanos>> m;
     w.table->ForEach([&](const KvSlot& slot) {
       m[slot.key] = {Nanos(slot.attrs[0]), Nanos(slot.attrs[1])};
     });
     windows.push_back(std::move(m));
-  });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
-  // Final iteration terminator.
-  Packet fin;
-  fin.iteration = std::uint32_t(cfg.iterations);
-  fin.ts = trace.Duration() + kMilli;
-  sw.EnqueueFromWire(fin, fin.ts);
-  sw.RunBatch(trace.Duration() + 10 * kSecond);
-  controller.Flush(trace.Duration() + 10 * kSecond);
+  };
+  // The session's end-of-trace sentinel carries iteration 24, which ends
+  // the last iteration: one window per iteration, none missing.
+  RunOmniWindowFabric(
+      trace,
+      [](std::size_t) { return std::make_shared<IterationTimeApp>(4096); },
+      std::move(nc));
 
-  ASSERT_GE(windows.size(), cfg.iterations - 1);
+  ASSERT_EQ(windows.size(), cfg.iterations);
   // Measured per-iteration durations should match the ground truth within
-  // a small tolerance (the data plane records source timestamps).
+  // a small tolerance (the data plane records source timestamps), the
+  // last iteration included.
   const auto& truth = workload.truth();
   std::size_t checked = 0;
-  for (std::size_t it = 1; it + 1 < cfg.iterations; ++it) {
+  for (std::size_t it = 1; it < cfg.iterations; ++it) {
     const auto& w = windows[it];
     for (int worker = 0; worker < cfg.workers; ++worker) {
       const FlowKey key = Key(0x0AC80001u + std::uint32_t(worker));

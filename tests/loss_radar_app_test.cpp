@@ -8,9 +8,7 @@
 #include <set>
 
 #include "src/controller/merge.h"
-#include "src/core/controller.h"
-#include "src/core/data_plane.h"
-#include "src/net/network.h"
+#include "src/core/network_runner.h"
 #include "src/telemetry/loss_radar_app.h"
 #include "src/trace/generator.h"
 
@@ -60,58 +58,31 @@ TEST(LossRadarApp, TwoSwitchWindowDiffDecodesDrops) {
   TraceGenerator gen(tc);
   const Trace trace = gen.GenerateBackground();
 
-  Network net;
-  Switch* s0 = net.AddSwitch();
-  Switch* s1 = net.AddSwitch();
-  auto a0 = std::make_shared<LossRadarApp>(8192);
-  auto a1 = std::make_shared<LossRadarApp>(8192);
-
   WindowSpec spec;
   spec.type = WindowType::kTumbling;
   spec.window_size = 100 * kMilli;
   spec.subwindow_size = 50 * kMilli;
-
-  OmniWindowConfig dp0;
-  dp0.signal.subwindow_size = spec.subwindow_size;
-  OmniWindowConfig dp1 = dp0;
-  dp1.first_hop = false;
-  auto p0 = std::make_shared<OmniWindowProgram>(dp0, a0);
-  auto p1 = std::make_shared<OmniWindowProgram>(dp1, a1);
-  s0->SetProgram(p0);
-  s1->SetProgram(p1);
-  Link* link = net.Connect(
-      s0, s1, {.latency = 15 * kMicro, .jitter = 5 * kMicro,
+  NetworkRunConfig cfg{
+      .base = RunConfig::Make(spec),
+      .link = {.latency = 15 * kMicro, .jitter = 5 * kMicro,
                .loss_rate = 0.003},
-      991);
+      .link_seed = 991};
+  cfg.base.controller.kv_capacity = 1 << 16;
 
-  ControllerConfig cc;
-  cc.window = spec;
-  cc.kv_capacity = 1 << 16;
-  OmniWindowController c0(cc, a0->merge_kind());
-  OmniWindowController c1(cc, a1->merge_kind());
-  c0.AttachSwitch(s0);
-  c1.AttachSwitch(s1);
-
+  std::vector<std::shared_ptr<LossRadarApp>> apps;
   std::map<SubWindowNum, LossRadar> up_windows, down_windows;
-  c0.SetWindowHandler([&](const WindowResult& w) {
-    up_windows.emplace(w.span.first, a0->FromTable(*w.table));
-  });
-  c1.SetWindowHandler([&](const WindowResult& w) {
-    down_windows.emplace(w.span.first, a1->FromTable(*w.table));
-  });
-
-  for (const Packet& p : trace.packets) s0->EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + 60 * kMilli;
-  s0->EnqueueFromWire(sentinel, sentinel.ts);
-  const Nanos horizon = trace.Duration() + 10 * kSecond;
-  net.RunUntilQuiescent(horizon);
-  for (int round = 0; round < 8; ++round) {
-    const bool done0 = c0.Flush(trace.Duration());
-    const bool done1 = c1.Flush(trace.Duration());
-    if (done0 && done1) break;
-    net.RunUntilQuiescent(horizon);
-  }
+  cfg.window_observer = [&](std::size_t i, const WindowResult& w) {
+    (i == 0 ? up_windows : down_windows)
+        .emplace(w.span.first, apps[i]->FromTable(*w.table));
+  };
+  const NetworkRunResult result = RunOmniWindowFabric(
+      trace,
+      [&](std::size_t) {
+        apps.push_back(std::make_shared<LossRadarApp>(8192));
+        return apps.back();
+      },
+      std::move(cfg));
+  const std::uint64_t dropped = result.links[0].dropped;
 
   ASSERT_GE(up_windows.size(), 2u);
   std::size_t decoded_losses = 0;
@@ -126,11 +97,11 @@ TEST(LossRadarApp, TwoSwitchWindowDiffDecodesDrops) {
     all_clean = all_clean && clean;
   }
   EXPECT_TRUE(all_clean);
-  EXPECT_GT(link->dropped(), 5u);
+  EXPECT_GT(dropped, 5u);
   // The sentinel traverses the lossy link too; tolerate off-by-a-few from
   // the final partial window not being emitted by both controllers.
-  EXPECT_NEAR(double(decoded_losses), double(link->dropped()),
-              double(link->dropped()) * 0.15 + 3);
+  EXPECT_NEAR(double(decoded_losses), double(dropped),
+              double(dropped) * 0.15 + 3);
 }
 
 }  // namespace

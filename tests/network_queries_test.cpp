@@ -67,62 +67,25 @@ TEST(InferFlowLoss, EndToEndMatchesActualLinkDrops) {
   cfg.base.controller.kv_capacity = 1 << 16;
   cfg.link = {.latency = 20 * kMicro, .jitter = 5 * kMicro,
               .loss_rate = 0.005};
-
-  // Capture per-window count maps per switch (manual wiring: the line
-  // runner's detect hook returns sets, and we need full count tables).
-  std::vector<std::map<SubWindowNum, FlowCounts>> tables(2);
-  Network net;
-  Switch* s0 = net.AddSwitch();
-  Switch* s1 = net.AddSwitch();
-  auto a0 = std::make_shared<QueryAdapter>(def, 1 << 15);
-  auto a1 = std::make_shared<QueryAdapter>(def, 1 << 15);
-  OmniWindowConfig dp0 = cfg.base.data_plane;
-  OmniWindowConfig dp1 = cfg.base.data_plane;
-  dp1.first_hop = false;
-  auto p0 = std::make_shared<OmniWindowProgram>(dp0, a0);
-  auto p1 = std::make_shared<OmniWindowProgram>(dp1, a1);
-  s0->SetProgram(p0);
-  s1->SetProgram(p1);
-  Link* link = net.Connect(s0, s1, cfg.link, 77);
-  ControllerConfig cc = cfg.base.controller;
-  OmniWindowController c0(cc, MergeKind::kFrequency);
-  OmniWindowController c1(cc, MergeKind::kFrequency);
-  c0.AttachSwitch(s0);
-  c1.AttachSwitch(s1);
-  auto capture = [](std::map<SubWindowNum, FlowCounts>& into) {
-    return [&into](const WindowResult& w) {
-      FlowCounts counts;
-      w.table->ForEach(
-          [&](const KvSlot& slot) { counts[slot.key] = slot.attrs[0]; });
-      into[w.span.first] = std::move(counts);
-    };
-  };
-  c0.SetWindowHandler(capture(tables[0]));
-  c1.SetWindowHandler(capture(tables[1]));
-  for (const Packet& p : trace.packets) s0->EnqueueFromWire(p, p.ts);
-  Packet sentinel;
-  sentinel.ts = trace.Duration() + 50 * kMilli;
-  s0->EnqueueFromWire(sentinel, sentinel.ts);
-  const Nanos horizon = trace.Duration() + 10 * kSecond;
-  net.RunUntilQuiescent(horizon);
-  c0.Flush(horizon);
-  c1.Flush(horizon);
-  net.RunUntilQuiescent(horizon);
-  c0.Flush(horizon);
-  c1.Flush(horizon);
+  cfg.link_seed = 77;
+  cfg.capture_counts = true;
+  const NetworkRunResult result = RunOmniWindowFabric(
+      trace,
+      [&](std::size_t) { return std::make_shared<QueryAdapter>(def, 1 << 15); },
+      std::move(cfg));
+  const std::uint64_t dropped = result.links[0].dropped;
 
   // Sum per-window inferred losses over windows both switches emitted.
   std::uint64_t inferred = 0;
-  for (const auto& [span, up_counts] : tables[0]) {
-    auto it = tables[1].find(span);
-    if (it == tables[1].end()) continue;
+  for (const auto& [span, up_counts] : result.per_switch[0].counts) {
+    auto it = result.per_switch[1].counts.find(span);
+    if (it == result.per_switch[1].counts.end()) continue;
     inferred += TotalLost(InferFlowLoss(up_counts, it->second));
   }
-  EXPECT_GT(link->dropped(), 20u);
+  EXPECT_GT(dropped, 20u);
   // Consistent windows: inferred loss equals actual drops for the covered
   // windows (the final partial window may not be emitted by both).
-  EXPECT_NEAR(double(inferred), double(link->dropped()),
-              double(link->dropped()) * 0.1 + 5);
+  EXPECT_NEAR(double(inferred), double(dropped), double(dropped) * 0.1 + 5);
 }
 
 TEST(ProtocolStress, RandomReportLossStaysConsistent) {
