@@ -22,7 +22,6 @@ int main() {
   cfg.workers = 3;
   cfg.iterations = 96;
   cfg.gradient_bytes = 8 << 20;
-  cfg.compress_double_every = 16;
   DmlWorkload workload(cfg);
   const Trace trace = workload.Generate();
   std::printf("Exp#3: DML case study (%zu packets, %d workers, %zu iters)\n\n",

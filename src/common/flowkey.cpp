@@ -66,6 +66,13 @@ FlowKey::FlowKey(FlowKeyKind kind, const FiveTuple& t) : kind_(kind) {
   }
 }
 
+bool FlowKey::WellFormed() const noexcept {
+  return len_ <= bytes_.size() &&
+         kind_ <= FlowKeyKind::kSrcIpDstPort &&
+         std::all_of(bytes_.begin() + len_, bytes_.end(),
+                     [](std::uint8_t b) { return b == 0; });
+}
+
 std::uint32_t FlowKey::src_ip() const noexcept {
   // kDstIp stores the destination address at offset 0; every other kind
   // stores the source address there.

@@ -55,6 +55,12 @@ class FlowKey {
 
   FlowKeyKind kind() const noexcept { return kind_; }
 
+  /// True when the constructors could have built this key: its length fits
+  /// the 13 key bytes, its kind names a FlowKeyKind and every byte past the
+  /// length is zero. bytes() and Hash() trust the length, so a key read off
+  /// an untrusted stream must pass this before anything hashes it.
+  bool WellFormed() const noexcept;
+
   /// Raw key material (projection-dependent length, zero padded).
   std::span<const std::uint8_t> bytes() const noexcept {
     return {bytes_.data(), len_};

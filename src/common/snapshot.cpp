@@ -416,6 +416,15 @@ std::vector<std::uint8_t> ApplySnapshotDelta(
   return out;
 }
 
+void CheckKey(const FlowKey& key, std::uint32_t section_tag, const char* layer,
+              const char* what) {
+  if (key.WellFormed()) return;
+  char tag[16];
+  std::snprintf(tag, sizeof(tag), "0x%X", section_tag);
+  throw SnapshotError(std::string(layer) + " [section " + tag + "]: " + what +
+                      " is not a well-formed flow key");
+}
+
 void SavePacket(SnapshotWriter& w, const Packet& p) {
   w.Section(snap::kPacket);
   w.Pod(p.ft);
@@ -447,9 +456,13 @@ void LoadPacket(SnapshotReader& r, Packet& p) {
   r.Pod(p.ow.flag);
   r.Pod(p.ow.app_id);
   r.Pod(p.ow.injected_key);
+  CheckKey(p.ow.injected_key, snap::kPacket, "Packet", "the injected key");
   r.Pod(p.ow.payload);
   p.ow.degraded = r.Bool();
   r.PodVec(p.ow.afrs);
+  for (const FlowRecord& rec : p.ow.afrs) {
+    CheckKey(rec.key, snap::kPacket, "Packet", "a report record's key");
+  }
 }
 
 }  // namespace ow

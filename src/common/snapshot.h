@@ -287,6 +287,14 @@ inline void CheckShape(std::uint32_t section_tag, const char* layer,
                       std::to_string(found));
 }
 
+class FlowKey;
+
+/// Key guard for Load paths: throws a SnapshotError naming the section and
+/// `what` when a flow key read off the stream fails FlowKey::WellFormed.
+/// Call it before anything hashes the key.
+void CheckKey(const FlowKey& key, std::uint32_t section_tag, const char* layer,
+              const char* what);
+
 // ---- Packet serialization -------------------------------------------------
 // Packet is not trivially copyable (OwHeader carries the AFR vector), so it
 // serializes field-by-field. Declared here because packets appear in every

@@ -164,6 +164,7 @@ void KeyValueTable::Load(SnapshotReader& r) {
   for (std::size_t p = 0; p < cap; ++p) {
     const KvSlot& s = scratch[p];
     if (s.state != KvSlot::State::kLive) continue;
+    CheckKey(s.key, snap::kKvTable, "KeyValueTable", "a live slot's key");
     const std::uint64_t h = HashOf(s.key);
     const std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
     std::size_t i = static_cast<std::size_t>(h) & mask_;

@@ -258,13 +258,7 @@ void OmniWindowController::StartCollection(PendingSubWindow& pending,
 
   // Return the trigger after the grace period (Figure 3 step 2).
   Nanos tx_time = now + cfg_.grace_period;
-  Packet ret;
-  ret.ow.present = true;
-  ret.ow.app_id = cfg_.app_id;
-  ret.ow.flag = OwFlag::kTrigger;
-  ret.ow.subwindow_num = sw;
-  ret.ow.payload = pending.expected_injected;
-  switch_->EnqueueFromController(ret, tx_time + kWireLatency);
+  SendToSwitch(OwFlag::kTrigger, sw, pending.expected_injected, {}, tx_time);
 
   // Inject controller-resident flowkeys, one packet each, paced at the
   // controller's TX cost (CPC-style path). With RDMA the cost depends on
@@ -279,27 +273,28 @@ void OmniWindowController::StartCollection(PendingSubWindow& pending,
   for (const FlowKey& key : spilled) {
     tx_time += per_tx;
     pending.o1_collect += per_tx;
-    Packet inj;
-    inj.ow.present = true;
-    inj.ow.app_id = cfg_.app_id;
-    inj.ow.flag = OwFlag::kFlowkeyInject;
-    inj.ow.subwindow_num = sw;
-    inj.ow.injected_key = key;
-    switch_->EnqueueFromController(inj, tx_time + kWireLatency);
+    SendToSwitch(OwFlag::kFlowkeyInject, sw, 0, key, tx_time);
   }
 
   // Inject the collection packets that enumerate the data-plane key array.
   for (std::size_t i = 0; i < cfg_.collection_packets; ++i) {
     tx_time += per_tx;
     pending.o1_collect += per_tx;
-    Packet col;
-    col.ow.present = true;
-    col.ow.app_id = cfg_.app_id;
-    col.ow.flag = OwFlag::kCollection;
-    col.ow.subwindow_num = sw;
-    col.ow.payload = kNoExplicitIndex;
-    switch_->EnqueueFromController(col, tx_time + kWireLatency);
+    SendToSwitch(OwFlag::kCollection, sw, kNoExplicitIndex, {}, tx_time);
   }
+}
+
+void OmniWindowController::SendToSwitch(OwFlag flag, SubWindowNum sw,
+                                        std::uint32_t payload,
+                                        const FlowKey& key, Nanos tx_time) {
+  Packet p;
+  p.ow.present = true;
+  p.ow.app_id = cfg_.app_id;
+  p.ow.flag = flag;
+  p.ow.subwindow_num = sw;
+  p.ow.payload = payload;
+  p.ow.injected_key = key;
+  switch_->EnqueueFromController(p, tx_time + kWireLatency);
 }
 
 bool OmniWindowController::IsComplete(const PendingSubWindow& p) const {
@@ -331,11 +326,16 @@ void OmniWindowController::MaybeFinalize(Nanos now) {
     const bool complete = !it->second.lost && IsComplete(it->second);
     if (!complete && !it->second.lost) return;
     FinalizeSubWindow(it->second, now, complete);
-    spilled_.erase(next_to_finalize_);
-    spilled_seen_.erase(next_to_finalize_);
-    pending_.erase(it);
-    ++next_to_finalize_;
+    Retire(it);
   }
+}
+
+void OmniWindowController::Retire(
+    PooledMap<SubWindowNum, PendingSubWindow>::iterator it) {
+  spilled_.erase(it->first);
+  spilled_seen_.erase(it->first);
+  pending_.erase(it);
+  ++next_to_finalize_;
 }
 
 void OmniWindowController::FinalizeSubWindow(PendingSubWindow& pending,
@@ -561,37 +561,25 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
   ++pending.retransmit_attempts;
   // Every round reissues at once; only the per-packet TX cost spaces it.
   Nanos tx_time = now;
+  const auto request = [&](OwFlag flag, std::uint32_t payload,
+                           const FlowKey& key) {
+    tx_time += dpdk::kPerTxPacket;
+    SendToSwitch(flag, pending.subwindow, payload, key, tx_time);
+    ++stats_.retransmissions_requested;
+    obs_.retransmissions->Add();
+  };
   if (cfg_.rdma && !pending.rdma_done) {
     // Only the completion notification can be outstanding before the drain;
     // probe for it (the switch re-notifies a finished collection).
-    tx_time += dpdk::kPerTxPacket;
-    Packet col;
-    col.ow.present = true;
-    col.ow.app_id = cfg_.app_id;
-    col.ow.flag = OwFlag::kCollection;
-    col.ow.subwindow_num = pending.subwindow;
-    col.ow.payload = kNoExplicitIndex;
-    switch_->EnqueueFromController(col, tx_time + kWireLatency);
-    ++stats_.retransmissions_requested;
-    obs_.retransmissions->Add();
+    request(OwFlag::kCollection, kNoExplicitIndex, {});
     return;
   }
   // Missing data-plane sequence numbers.
   for (std::uint32_t s = 0; s < pending.expected_dataplane; ++s) {
-    if (std::binary_search(pending.seqs_seen.begin(), pending.seqs_seen.end(),
-                           s)) {
-      continue;
+    if (!std::binary_search(pending.seqs_seen.begin(),
+                            pending.seqs_seen.end(), s)) {
+      request(OwFlag::kCollection, s, {});
     }
-    tx_time += dpdk::kPerTxPacket;
-    Packet col;
-    col.ow.present = true;
-    col.ow.app_id = cfg_.app_id;
-    col.ow.flag = OwFlag::kCollection;
-    col.ow.subwindow_num = pending.subwindow;
-    col.ow.payload = s;
-    switch_->EnqueueFromController(col, tx_time + kWireLatency);
-    ++stats_.retransmissions_requested;
-    obs_.retransmissions->Add();
   }
   // The completion notification itself may have been lost: without it the
   // final record count is unknown, so the per-seq chase above cannot cover
@@ -599,30 +587,13 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
   // finished collection from its retransmission cache with a fresh
   // notification.
   if (!cfg_.rdma && !pending.count_final) {
-    tx_time += dpdk::kPerTxPacket;
-    Packet col;
-    col.ow.present = true;
-    col.ow.app_id = cfg_.app_id;
-    col.ow.flag = OwFlag::kCollection;
-    col.ow.subwindow_num = pending.subwindow;
-    col.ow.payload = kNoExplicitIndex;
-    switch_->EnqueueFromController(col, tx_time + kWireLatency);
-    ++stats_.retransmissions_requested;
-    obs_.retransmissions->Add();
+    request(OwFlag::kCollection, kNoExplicitIndex, {});
   }
   // Missing injected keys.
   for (const FlowKey& key : spilled_[pending.subwindow]) {
-    if (pending.injected_keys_seen.contains(key)) continue;
-    tx_time += dpdk::kPerTxPacket;
-    Packet inj;
-    inj.ow.present = true;
-    inj.ow.app_id = cfg_.app_id;
-    inj.ow.flag = OwFlag::kFlowkeyInject;
-    inj.ow.subwindow_num = pending.subwindow;
-    inj.ow.injected_key = key;
-    switch_->EnqueueFromController(inj, tx_time + kWireLatency);
-    ++stats_.retransmissions_requested;
-    obs_.retransmissions->Add();
+    if (!pending.injected_keys_seen.contains(key)) {
+      request(OwFlag::kFlowkeyInject, 0, key);
+    }
   }
 }
 
@@ -786,14 +757,9 @@ bool OmniWindowController::Flush(Nanos now) {
   // only the ones still missing records are "forced".
   while (!pending_.empty()) {
     auto it = pending_.begin();
-    if (it->first != next_to_finalize_ && it->first > next_to_finalize_) {
-      next_to_finalize_ = it->first;
-    }
+    if (it->first > next_to_finalize_) next_to_finalize_ = it->first;
     FinalizeSubWindow(it->second, now, IsComplete(it->second));
-    spilled_.erase(it->first);
-    spilled_seen_.erase(it->first);
-    pending_.erase(it);
-    ++next_to_finalize_;
+    Retire(it);
   }
   return true;
 }
@@ -844,6 +810,10 @@ void OmniWindowController::LoadPending(SnapshotReader& r,
   p.expected_dataplane = r.U32();
   p.expected_injected = r.U32();
   r.PodVec(p.records);
+  for (const FlowRecord& rec : p.records) {
+    CheckKey(rec.key, snap::kController, "OmniWindowController",
+             "a pending record's key");
+  }
   r.PodVec(p.seqs_seen);
   // IsComplete and the seq inserts rely on a sorted, unique list.
   for (std::size_t i = 1; i < p.seqs_seen.size(); ++i) {
@@ -857,6 +827,10 @@ void OmniWindowController::LoadPending(SnapshotReader& r,
     }
   }
   LoadSet(r, p.injected_keys_seen);
+  for (const FlowKey& key : p.injected_keys_seen) {
+    CheckKey(key, snap::kController, "OmniWindowController",
+             "a pending injected key");
+  }
   p.collection_started = r.Bool();
   p.retransmit_attempts = r.U32();
   p.rdma_done = r.Bool();
@@ -864,6 +838,10 @@ void OmniWindowController::LoadPending(SnapshotReader& r,
   p.rdma_drained = r.Bool();
   p.rdma_holes = r.U32();
   LoadSet(r, p.mirror_keys);
+  for (const FlowKey& key : p.mirror_keys) {
+    CheckKey(key, snap::kController, "OmniWindowController",
+             "a pending mirror key");
+  }
   p.lost = r.Bool();
   r.Pod(p.o1_collect);
 }
@@ -939,6 +917,10 @@ void OmniWindowController::Load(SnapshotReader& r) {
     }
     RecordVec recs;
     r.PodVec(recs);
+    for (const FlowRecord& rec : recs) {
+      CheckKey(rec.key, snap::kController, "OmniWindowController",
+               "a history record's key");
+    }
     history_.emplace_back(sub, std::move(recs));
   }
   pending_.clear();
@@ -952,12 +934,20 @@ void OmniWindowController::Load(SnapshotReader& r) {
   for (std::size_t i = 0; i < num_spilled; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
     r.PodVec(spilled_[sub]);
+    for (const FlowKey& key : spilled_[sub]) {
+      CheckKey(key, snap::kController, "OmniWindowController",
+               "a spilled key");
+    }
   }
   spilled_seen_.clear();
   const std::size_t num_seen = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_seen; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
     LoadSet(r, spilled_seen_[sub]);
+    for (const FlowKey& key : spilled_seen_[sub]) {
+      CheckKey(key, snap::kController, "OmniWindowController",
+               "a seen spilled key");
+    }
   }
   LoadSet(r, degraded_);
   r.Pod(next_to_finalize_);

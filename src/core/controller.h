@@ -246,9 +246,17 @@ class OmniWindowController {
   };
 
   void StartCollection(PendingSubWindow& pending, Nanos now);
+  /// Enqueue one controller packet for sub-window `sw` on the switch's
+  /// management port: it leaves at `tx_time` and arrives one wire latency
+  /// later.
+  void SendToSwitch(OwFlag flag, SubWindowNum sw, std::uint32_t payload,
+                    const FlowKey& key, Nanos tx_time);
 
   bool IsComplete(const PendingSubWindow& pending) const;
   void MaybeFinalize(Nanos now);
+  /// Drop a finalized sub-window's pending state and spilled keys, and
+  /// advance next_to_finalize_ past it.
+  void Retire(PooledMap<SubWindowNum, PendingSubWindow>::iterator it);
   void FinalizeSubWindow(PendingSubWindow& pending, Nanos now, bool complete);
   void EmitWindowsAfter(SubWindowNum sw, Nanos now);
   void MarkDegraded(SubWindowNum sw);

@@ -552,6 +552,9 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
     pending_starts_.push_back(std::move(p));
   }
   r.PodVec(collect_keys_);
+  for (const FlowKey& key : collect_keys_) {
+    CheckKey(key, snap::kProgram, "OmniWindowProgram", "a collect key");
+  }
   // HandleCollection reads collect_keys_[idx] (AFR apps) or migrates slice
   // idx (state-migration apps) for every idx below num_keys.
   const std::size_t enumerable =
@@ -568,6 +571,10 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
     RecordVec recs;
     r.PodVec(recs);
+    for (const FlowRecord& rec : recs) {
+      CheckKey(rec.key, snap::kProgram, "OmniWindowProgram",
+               "a retransmission-cache record's key");
+    }
     afr_cache_.emplace(sub, std::move(recs));
   }
   compromised_.clear();

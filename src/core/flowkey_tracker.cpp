@@ -57,6 +57,9 @@ void FlowkeyTracker::Load(SnapshotReader& r) {
       throw SnapshotError("FlowkeyTracker: snapshot key array exceeds "
                           "configured capacity");
     }
+    for (const FlowKey& key : reg.keys) {
+      CheckKey(key, snap::kTracker, "FlowkeyTracker", "a key-array entry");
+    }
     reg.bloom.Load(r);
     reg.spilled = r.U64();
   }

@@ -25,8 +25,10 @@ class SnapshotReader;
 struct FlowkeyTrackerConfig {
   std::size_t capacity = 4'096;   ///< fk_buffer entries per region
   std::size_t bloom_bits = 1 << 16;
-  std::size_t bloom_hashes = 3;
 };
+
+/// Hash functions of each region's Bloom filter.
+inline constexpr std::size_t kTrackerBloomHashes = 3;
 
 class FlowkeyTracker {
  public:
@@ -73,7 +75,7 @@ class FlowkeyTracker {
     BloomFilter bloom;
     std::uint64_t spilled = 0;
     explicit Region(const FlowkeyTrackerConfig& cfg)
-        : bloom(cfg.bloom_bits, cfg.bloom_hashes) {}
+        : bloom(cfg.bloom_bits, kTrackerBloomHashes) {}
   };
 
   FlowkeyTrackerConfig cfg_;

@@ -9,12 +9,14 @@
 namespace ow {
 namespace {
 
+/// Seed of the hash-based ECMP routing, salted per switch by EcmpSeedOf.
+constexpr std::uint64_t kEcmpSeed = 0xEC4F10B5ull;
+
 /// Salted per-switch ECMP seed: each fan-out switch hashes with its own
 /// stream so sibling stages don't make correlated choices, while staying a
-/// pure function of (ecmp_seed, switch id) that MakeTopologyNextHop can
-/// reproduce.
-std::uint64_t EcmpSeedOf(const TopologyConfig& topo, int switch_id) {
-  return topo.ecmp_seed ^ Mix64(std::uint64_t(switch_id) + 1);
+/// pure function of the switch id that MakeTopologyNextHop can reproduce.
+std::uint64_t EcmpSeedOf(int switch_id) {
+  return kEcmpSeed ^ Mix64(std::uint64_t(switch_id) + 1);
 }
 
 }  // namespace
@@ -61,13 +63,12 @@ std::size_t TopologySwitchCount(const TopologyConfig& topo) {
 NextHopFn MakeTopologyNextHop(const TopologyConfig& topo) {
   auto adj = std::make_shared<const std::vector<std::vector<int>>>(
       TopologyAdjacency(topo));
-  const TopologyConfig cfg = topo;
-  return [adj, cfg](int u, const FlowKey& flow) -> int {
+  return [adj](int u, const FlowKey& flow) -> int {
     if (u < 0 || std::size_t(u) >= adj->size()) return -1;
     const std::vector<int>& out = (*adj)[std::size_t(u)];
     if (out.empty()) return -1;
     if (out.size() == 1) return out[0];
-    return out[flow.Hash(EcmpSeedOf(cfg, u)) % out.size()];
+    return out[flow.Hash(EcmpSeedOf(u)) % out.size()];
   };
 }
 
@@ -79,7 +80,6 @@ FabricSession::FabricSession(
     : cfg_(std::move(cfg)),
       detect_(std::move(detect)),
       adj_(TopologyAdjacency(cfg_.topology)),
-      net_(cfg_.link_seed),
       trace_duration_(trace.Duration()) {
   cfg_.base.controller.window = cfg_.base.window;
   cfg_.base.data_plane.signal.subwindow_size = cfg_.base.window.subwindow_size;
@@ -184,7 +184,7 @@ FabricSession::FabricSession(
       std::vector<int> ports(adj_[u].size());
       for (std::size_t p = 0; p < ports.size(); ++p) ports[p] = int(p);
       switches_[u]->SetForwardingPolicy(
-          MakeEcmpPolicy(std::move(ports), EcmpSeedOf(cfg_.topology, int(u))));
+          MakeEcmpPolicy(std::move(ports), EcmpSeedOf(int(u))));
     }
   }
   // Egress switches of multi-path fabrics deliver to counted sinks; the

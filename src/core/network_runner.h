@@ -38,9 +38,6 @@ struct TopologyConfig {
   std::size_t line_switches = 2;  ///< kLine: chain length
   std::size_t spines = 2;         ///< kLeafSpine
   std::size_t leaves = 2;         ///< kLeafSpine (leaf 0 is the ingress)
-  /// Seed of the hash-based ECMP routing (per-switch salted). Reseeding
-  /// reshuffles which path each flow rides.
-  std::uint64_t ecmp_seed = 0xEC4F10B5ull;
 };
 
 /// Downstream switch ids per switch, in egress-port order (adj[u][p] is the
@@ -51,8 +48,8 @@ std::vector<std::vector<int>> TopologyAdjacency(const TopologyConfig& topo);
 std::size_t TopologySwitchCount(const TopologyConfig& topo);
 
 /// The routing oracle matching the fabric's ECMP policies: deterministic in
-/// (topology, ecmp_seed, five-tuple flow key). Returns -1 where the flow
-/// exits the fabric.
+/// (topology, five-tuple flow key). Returns -1 where the flow exits the
+/// fabric.
 NextHopFn MakeTopologyNextHop(const TopologyConfig& topo);
 
 struct NetworkRunConfig {

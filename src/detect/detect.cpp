@@ -285,7 +285,7 @@ void EntityDetector::ScoreTotals(std::span<const EntityTotal> totals,
       // Tracked, absent this window.
       StepEntity(te->first, te->second, 0, span, completed_at, partial);
       if (te->second.fsm.quiet() &&
-          te->second.idle_windows >= cfg_.idle_evict_windows) {
+          te->second.idle_windows >= kIdleEvictWindows) {
         te = entities_.erase(te);
         ++stats_.evictions;
         c_evictions_->Add();
@@ -414,6 +414,7 @@ void EntityDetector::Load(SnapshotReader& r) {
   const std::size_t n = r.Size();
   for (std::size_t i = 0; i < n; ++i) {
     const FlowKey key = r.Get<FlowKey>();
+    CheckKey(key, snap::kDetector, "EntityDetector", "an entity key");
     EntityState& st = entities_[key];
     st.model.Load(r);
     st.fsm.Load(r);

@@ -165,9 +165,10 @@ struct DetectorConfig {
   Nanos subwindow_size = 100 * kMilli;
   /// Top-K bound: at most this many tracked entities per switch.
   std::size_t max_entities = 1024;
-  /// Evict a quiet entity absent for this many consecutive windows.
-  std::size_t idle_evict_windows = 30;
 };
+
+/// A quiet entity absent for this many consecutive windows is evicted.
+inline constexpr std::size_t kIdleEvictWindows = 30;
 
 /// One entity's total in one window.
 using EntityTotal = std::pair<FlowKey, std::uint64_t>;

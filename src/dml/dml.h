@@ -17,18 +17,10 @@
 namespace ow {
 
 struct DmlConfig {
-  std::uint64_t seed = 7;
   int workers = 3;                     ///< plus one server host
   std::size_t iterations = 96;
   /// Uncompressed gradient volume per worker per iteration.
   std::size_t gradient_bytes = 4 << 20;
-  double compress_start = 2;           ///< initial compression ratio
-  std::size_t compress_double_every = 16;
-  double compress_max = 2048;
-  double link_gbps = 10;               ///< worker uplink
-  Nanos compute_time = 3 * kMilli;     ///< fwd/bwd pass per iteration
-  Nanos compute_jitter = 500 * kMicro;
-  std::uint16_t mtu_payload = 1400;    ///< gradient bytes per packet
 };
 
 struct DmlGroundTruth {

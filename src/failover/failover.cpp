@@ -50,9 +50,8 @@ void StandbyController::ObserveBoundary(const FabricSession& primary,
   const std::size_t cadence = std::max<std::size_t>(1, cfg_.snapshot_cadence);
   if (boundary % cadence != 0) return;
   std::vector<std::uint8_t> full = primary.SnapshotControllers();
-  const std::size_t interval = std::max<std::size_t>(1, cfg_.keyframe_interval);
-  const bool keyframe =
-      !cfg_.delta_checkpoints || bytes_.empty() || taken_ % interval == 0;
+  const bool keyframe = !cfg_.delta_checkpoints || bytes_.empty() ||
+                        taken_ % kKeyframeInterval == 0;
   if (keyframe) {
     wire_bytes_ += full.size();
     ++keyframes_;

@@ -43,11 +43,12 @@ struct FailoverConfig {
   /// rebuilding garbage), so what it holds for takeover is always a full
   /// snapshot; only the shipped bytes shrink.
   bool delta_checkpoints = false;
-  /// With delta_checkpoints: every keyframe_interval-th checkpoint is a
-  /// full keyframe, so a lost or corrupt delta strands the standby for at
-  /// most one interval instead of forever.
-  std::size_t keyframe_interval = 8;
 };
+
+/// With delta checkpoints, every kKeyframeInterval-th checkpoint is a full
+/// keyframe, so a lost or corrupt delta strands the standby for at most one
+/// interval instead of forever.
+inline constexpr std::size_t kKeyframeInterval = 8;
 
 /// Ingests controller-plane snapshots at the configured cadence and holds
 /// the latest one. Cheap enough to sit on a warm spare next to the primary.

@@ -10,8 +10,6 @@ namespace {
 constexpr std::uint64_t kLinkDropTag = 0x11AD1709C0FFEE01ull;
 constexpr std::uint64_t kLinkDupTag = 0x22BE2810D0FFEE02ull;
 constexpr std::uint64_t kLinkReorderTag = 0x33CF3921E0FFEE03ull;
-constexpr std::uint64_t kOsTimeoutTag = 0x44D04A32F0FFEE04ull;
-constexpr std::uint64_t kOsSlowTag = 0x55E15B4300FFEE05ull;
 constexpr std::uint64_t kRdmaDropTag = 0x77037D6520FFEE07ull;
 constexpr std::uint64_t kRdmaPartialTag = 0x88148E7630FFEE08ull;
 
@@ -121,47 +119,6 @@ void LinkFaultInjector::Load(SnapshotReader& r) {
   drops_ = r.U64();
   duplicates_ = r.U64();
   reorders_ = r.U64();
-}
-
-SwitchOsFaultInjector::SwitchOsFaultInjector(SwitchOsFaultProfile profile,
-                                             std::uint64_t seed)
-    : profile_(profile),
-      timeout_rng_(seed ^ kOsTimeoutTag),
-      slow_rng_(seed ^ kOsSlowTag),
-      obs_timeouts_(&obs::Global().GetCounter("fault.switch_os.rpc_timeouts")),
-      obs_slow_ops_(&obs::Global().GetCounter("fault.switch_os.slow_ops")),
-      obs_degraded_(&obs::Global().GetCounter("fault.switch_os.degraded_ops")),
-      obs_attempts_(
-          &obs::Global().GetHistogram("fault.switch_os.rpc_attempts")) {}
-
-SwitchOsFaultInjector::OpOutcome SwitchOsFaultInjector::OnOp() {
-  OpOutcome out;
-
-  // Timeout/retry loop. A timed-out attempt costs the full penalty and is
-  // reissued at once. Timing out kMaxRpcAttempts times degrades the op: the
-  // driver still returns correct contents (the simulated switch state is
-  // local), it just arrives late and is counted.
-  while (timeout_rng_.Bernoulli(profile_.timeout_rate)) {
-    ++timeouts_;
-    obs_timeouts_->Add(1);
-    out.extra += kRpcTimeoutPenalty;
-    if (out.attempts >= kMaxRpcAttempts) {
-      out.degraded = true;
-      ++degraded_ops_;
-      obs_degraded_->Add(1);
-      break;
-    }
-    ++out.attempts;
-  }
-
-  if (slow_rng_.Bernoulli(profile_.slow_rate)) {
-    out.entry_scale = kSlowBurstFactor;
-    ++slow_ops_;
-    obs_slow_ops_->Add(1);
-  }
-
-  obs_attempts_->Record(out.attempts);
-  return out;
 }
 
 RdmaFaultInjector::RdmaFaultInjector(RdmaFaultProfile profile,

@@ -1,9 +1,8 @@
 // Deterministic, seed-driven fault injection.
 //
 // Chaos engineering for the simulated telemetry substrate: per-link fault
-// schedules (drop / duplicate / reorder beyond the Link's own loss toggle),
-// switch-OS RPC timeouts and slow-read bursts, and RDMA write failures and
-// partial completions. Every injector follows
+// schedules (drop / duplicate / reorder beyond the Link's own loss toggle)
+// and RDMA write failures and partial completions. Every injector follows
 // the per-feature RNG-stream discipline of src/net/link.h: each fault kind
 // draws exactly once per decision point from its own SplitMix-decorrelated
 // stream, so a run is bit-reproducible for a fixed seed and sweeping one
@@ -59,22 +58,6 @@ struct LinkFaultProfile {
 inline constexpr Nanos kReorderDelay = 150 * kMicro;
 /// A duplicate lands this much after the original.
 inline constexpr Nanos kDuplicateGap = 5 * kMicro;
-
-/// Switch-OS driver faults: RPC timeouts (a timed-out attempt is reissued
-/// at once, up to kMaxRpcAttempts attempts per op) and slow-read bursts
-/// scaling the per-entry driver cost. Armed directly on a SwitchOsDriver
-/// (no FaultPlan carries it).
-struct SwitchOsFaultProfile {
-  double timeout_rate = 0.0;  ///< per-attempt RPC timeout
-  double slow_rate = 0.0;     ///< per-op slow-burst probability
-};
-
-/// Attempts one switch-OS RPC gets before the op is degraded.
-inline constexpr std::uint32_t kMaxRpcAttempts = 8;
-/// Cost of one timed-out RPC attempt.
-inline constexpr Nanos kRpcTimeoutPenalty = 100 * kMilli;
-/// Per-entry cost multiplier of a slow-read burst.
-inline constexpr double kSlowBurstFactor = 4.0;
 
 /// RDMA faults, applied to WRITEs against one target MR (the cold-key
 /// append buffer): the request is dropped at the commit step, or only a
@@ -143,39 +126,6 @@ class LinkFaultInjector {
   std::uint64_t drops_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t reorders_ = 0;
-};
-
-/// Switch-OS driver injector: per-operation timeout/retry loop plus
-/// slow-burst scaling, deterministic in the seed.
-class SwitchOsFaultInjector {
- public:
-  SwitchOsFaultInjector(SwitchOsFaultProfile profile, std::uint64_t seed);
-
-  struct OpOutcome {
-    std::uint32_t attempts = 1;    ///< 1 = first attempt succeeded
-    Nanos extra = 0;               ///< timeout penalties
-    double entry_scale = 1.0;      ///< per-entry cost multiplier
-    bool degraded = false;         ///< kMaxRpcAttempts all timed out
-  };
-
-  /// Decide the fate of one driver RPC.
-  OpOutcome OnOp();
-
-  std::uint64_t timeouts() const noexcept { return timeouts_; }
-  std::uint64_t slow_ops() const noexcept { return slow_ops_; }
-  std::uint64_t degraded_ops() const noexcept { return degraded_ops_; }
-
- private:
-  SwitchOsFaultProfile profile_;
-  Rng timeout_rng_;
-  Rng slow_rng_;
-  obs::Counter* obs_timeouts_;
-  obs::Counter* obs_slow_ops_;
-  obs::Counter* obs_degraded_;
-  obs::Histogram* obs_attempts_;
-  std::uint64_t timeouts_ = 0;
-  std::uint64_t slow_ops_ = 0;
-  std::uint64_t degraded_ops_ = 0;
 };
 
 /// RDMA write-path injector (owned by the RdmaNic once armed).

@@ -39,13 +39,6 @@ namespace ow {
 
 class Network {
  public:
-  /// `base_seed` feeds the per-link seed derivation: every link created
-  /// without an explicit seed gets a distinct SplitMix-derived stream, so
-  /// default-seeded links never share loss/jitter schedules. Runs are
-  /// reproducible from (base_seed, construction order).
-  explicit Network(std::uint64_t base_seed = 0x0117C011417C5ull)
-      : base_seed_(base_seed) {}
-
   /// Create a switch owned by the network.
   Switch* AddSwitch();
 
@@ -55,7 +48,7 @@ class Network {
   /// being strictly later than their cause), for a link that would close a
   /// cycle (`b` already reaches `a` over Connect links, or `a == b`), and
   /// for a switch this network does not own. Passing no seed derives a
-  /// per-link seed from the network base seed.
+  /// per-link seed from the link's creation index.
   Link* Connect(Switch* a, Switch* b, LinkParams params,
                 std::optional<std::uint64_t> seed = std::nullopt);
 
@@ -85,10 +78,15 @@ class Network {
     bool in_active = false;               ///< member of active_
   };
 
-  /// SplitMix sequence over the link-creation index, decorrelated from the
-  /// base seed (the scheme src/fault uses for its per-feature streams).
+  /// Base of the per-link seed derivation.
+  static constexpr std::uint64_t kLinkSeedBase = 0x0117C011417C5ull;
+
+  /// Seed of a link created without one: a SplitMix sequence over the
+  /// link-creation index (the scheme src/fault uses for its per-feature
+  /// streams), so default-seeded links never share loss/jitter schedules
+  /// and a run is reproducible from its construction order.
   std::uint64_t DeriveLinkSeed() const noexcept {
-    return Mix64(base_seed_ +
+    return Mix64(kLinkSeedBase +
                  0x9E3779B97F4A7C15ull * (std::uint64_t(links_.size()) + 1));
   }
   /// Node index of an owned switch (ids are dense indices); throws for
@@ -99,7 +97,6 @@ class Network {
   /// Activity hook: adds the switch to the engine's scan list.
   void MarkActive(std::size_t idx);
 
-  std::uint64_t base_seed_;
   std::vector<Node> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::size_t fabric_links_ = 0;  ///< Connect links (switch to switch)

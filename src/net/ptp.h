@@ -19,10 +19,8 @@
 namespace ow {
 
 struct PtpConfig {
-  Nanos base_delay = 5 * kMicro;   ///< symmetric propagation component
   Nanos queue_jitter = 20 * kMicro;///< exponential queueing delay mean
   double load_asymmetry = 0.5;     ///< fraction of jitter on the forward path
-  Nanos sync_interval = 125 * kMilli;  ///< exchange period (PTP default ~8/s)
 };
 
 class PtpSync {

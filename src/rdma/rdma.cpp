@@ -4,6 +4,13 @@
 #include <memory>
 
 namespace ow {
+namespace {
+
+// Simulated RNIC service times.
+constexpr Nanos kPerWrite = 900;      ///< one-sided WRITE
+constexpr Nanos kPerFetchAdd = 1'100;  ///< the atomic is slightly dearer
+
+}  // namespace
 
 std::uint64_t MemoryRegion::ReadU64(std::uint64_t offset) const {
   if (offset + 8 > bytes_.size()) {
@@ -52,7 +59,7 @@ std::uint64_t RdmaNic::Execute(const RdmaRequest& req) {
       // NIC time is charged and the attempt high-water mark advances even
       // when a fault swallows the commit: the request crossed the wire, the
       // drain logic just finds a hole where its bytes should be.
-      nic_time_ += timings_.per_write;
+      nic_time_ += kPerWrite;
       mr->NoteWriteAttempt(req.remote_offset + req.payload.size());
       std::size_t commit = req.payload.size();
       if (faults_ && req.rkey == fault_rkey_) {
@@ -67,7 +74,7 @@ std::uint64_t RdmaNic::Execute(const RdmaRequest& req) {
     case RdmaOpcode::kFetchAdd: {
       const std::uint64_t old = mr->ReadU64(req.remote_offset);
       mr->WriteU64(req.remote_offset, old + req.add_value);
-      nic_time_ += timings_.per_fetch_add;
+      nic_time_ += kPerFetchAdd;
       return old;
     }
   }

@@ -73,18 +73,10 @@ class MemoryRegion {
   std::uint64_t write_hwm_ = 0;
 };
 
-/// Cost model for the simulated RNIC.
-struct RdmaTimings {
-  Nanos per_write = 900;      ///< one-sided WRITE service time
-  Nanos per_fetch_add = 1'100;///< atomic is slightly dearer
-};
-
 /// Controller-side RNIC. Owns the MRs; executes requests without involving
 /// the controller CPU.
 class RdmaNic {
  public:
-  explicit RdmaNic(RdmaTimings timings = {}) : timings_(timings) {}
-
   /// Register `bytes` of host memory; returns the MR (stable address).
   MemoryRegion& RegisterMemory(std::size_t bytes);
 
@@ -114,7 +106,6 @@ class RdmaNic {
  private:
   MemoryRegion* FindMr(std::uint32_t rkey);
 
-  RdmaTimings timings_;
   std::vector<std::unique_ptr<MemoryRegion>> regions_;
   std::uint32_t next_rkey_ = 0x1000;
   std::uint32_t expected_psn_ = 0;

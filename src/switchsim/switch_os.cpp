@@ -11,8 +11,7 @@ Nanos SwitchOsDriver::ReadAll(const RegisterArray& reg,
     out.push_back(reg.ControlRead(i));
   }
   obs_entries_read_->Add(reg.size());
-  return FaultedCost(timings_.rpc_setup, reg.size(), timings_.per_entry_read,
-                     start);
+  return start + ReadCost(reg.size());
 }
 
 Nanos SwitchOsDriver::ResetAll(RegisterArray& reg, Nanos start) const {
@@ -21,20 +20,7 @@ Nanos SwitchOsDriver::ResetAll(RegisterArray& reg, Nanos start) const {
     reg.ControlWrite(i, 0);
   }
   obs_entries_reset_->Add(reg.size());
-  return FaultedCost(timings_.rpc_setup, reg.size(), timings_.per_entry_write,
-                     start);
-}
-
-Nanos SwitchOsDriver::FaultedCost(Nanos base, std::size_t entries,
-                                  Nanos per_entry, Nanos start) const {
-  const Nanos entry_cost = Nanos(entries) * per_entry;
-  if (!faults_) return start + base + entry_cost;
-  const auto op = faults_->OnOp();
-  Nanos scaled = entry_cost;
-  if (op.entry_scale != 1.0) {
-    scaled = Nanos(double(entry_cost) * op.entry_scale);
-  }
-  return start + base + scaled + op.extra;
+  return start + ResetCost(reg.size());
 }
 
 }  // namespace ow

@@ -10,10 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "src/common/types.h"
-#include "src/fault/fault.h"
 #include "src/obs/obs.h"
 #include "src/switchsim/register_array.h"
 
@@ -52,34 +51,13 @@ class SwitchOsDriver {
     return timings_.rpc_setup + Nanos(entries) * timings_.per_entry_write;
   }
 
-  /// Inject RPC timeouts (reissued at once, at most fault::kMaxRpcAttempts
-  /// attempts per op) and slow-read bursts into every subsequent
-  /// ReadAll/ResetAll. Contents stay correct — the faults only inflate the
-  /// simulated completion time; an op whose every attempt timed out is
-  /// surfaced through fault.switch_os.degraded_ops.
-  void ArmFaults(const fault::SwitchOsFaultProfile& profile,
-                 std::uint64_t seed) {
-    faults_ = std::make_unique<fault::SwitchOsFaultInjector>(profile, seed);
-  }
-  const fault::SwitchOsFaultInjector* faults() const noexcept {
-    return faults_.get();
-  }
-
   const SwitchOsTimings& timings() const noexcept { return timings_; }
 
  private:
-  /// Fault-adjusted operation cost: `base` is the fixed RPC part, `entries`
-  /// scale by `per_entry` (possibly inflated by a slow burst).
-  Nanos FaultedCost(Nanos base, std::size_t entries, Nanos per_entry,
-                    Nanos start) const;
-
   SwitchOsTimings timings_;
   // Registry-backed driver-path counters (docs/observability.md).
   obs::Counter* obs_entries_read_;
   obs::Counter* obs_entries_reset_;
-  // Mutable: ReadAll/ResetAll are const (the driver is logically stateless)
-  // but the injector's RNG streams advance per operation.
-  mutable std::unique_ptr<fault::SwitchOsFaultInjector> faults_;
 };
 
 }  // namespace ow

@@ -37,10 +37,13 @@ void ExactCountApp::LoadState(SnapshotReader& r) {
   r.Section(snap::kApp);
   for (FlowCounts& counts : counts_) {
     counts.clear();
-    const std::size_t n = r.Size();
+    // The count and the keys come off the untrusted stream: bound the count
+    // by the bytes left, and refuse a key before the map hashes it.
+    const std::size_t n = r.Count(sizeof(FlowKey) + 8);
     counts.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const FlowKey key = r.Get<FlowKey>();
+      CheckKey(key, snap::kApp, "ExactCountApp", "a counted key");
       counts[key] = r.U64();
     }
   }

@@ -15,6 +15,12 @@ constexpr std::uint32_t kBackgroundBase = 0x0A000000u;  // 10.0.0.0
 constexpr std::uint32_t kActorBase = 0xAC100000u;       // 172.16.0.0
 constexpr std::uint32_t kVictimBase = 0xC0A80000u;      // 192.168.0.0
 
+// Background shape: flow sizes are Zipf with this skew, addresses come from
+// a pool of this many hosts, and this share of flows is TCP (the rest UDP).
+constexpr double kZipfAlpha = 1.0;
+constexpr std::size_t kNumHosts = 4'096;
+constexpr double kTcpFraction = 0.8;
+
 /// `cfg`, refused before anything is built from it when its rate is not
 /// finite and positive (the background would never reach its duration).
 const TraceConfig& Checked(const TraceConfig& cfg) {
@@ -42,21 +48,21 @@ void Trace::SortByTime() {
 }
 
 TraceGenerator::TraceGenerator(const TraceConfig& cfg)
-    : cfg_(Checked(cfg)), rng_(cfg.seed), zipf_(cfg.num_flows, cfg.zipf_alpha) {
+    : cfg_(Checked(cfg)), rng_(cfg.seed), zipf_(cfg.num_flows, kZipfAlpha) {
   flow_pool_.reserve(cfg_.num_flows);
   for (std::size_t i = 0; i < cfg_.num_flows; ++i) {
     FiveTuple t;
-    t.src_ip = kBackgroundBase + std::uint32_t(rng_.Uniform(cfg_.num_hosts));
-    t.dst_ip = kBackgroundBase + std::uint32_t(rng_.Uniform(cfg_.num_hosts));
+    t.src_ip = kBackgroundBase + std::uint32_t(rng_.Uniform(kNumHosts));
+    t.dst_ip = kBackgroundBase + std::uint32_t(rng_.Uniform(kNumHosts));
     t.src_port = std::uint16_t(rng_.Range(1024, 65535));
     t.dst_port = std::uint16_t(rng_.Range(1, 1023));
-    t.proto = rng_.Bernoulli(cfg_.tcp_fraction) ? 6 : 17;
+    t.proto = rng_.Bernoulli(kTcpFraction) ? 6 : 17;
     flow_pool_.push_back(t);
   }
 }
 
 std::uint32_t TraceGenerator::RandomHost() {
-  return kBackgroundBase + std::uint32_t(rng_.Uniform(cfg_.num_hosts));
+  return kBackgroundBase + std::uint32_t(rng_.Uniform(kNumHosts));
 }
 
 std::uint16_t TraceGenerator::EphemeralPort() {

@@ -25,9 +25,6 @@ struct TraceConfig {
   Nanos duration = 3 * kSecond;
   double packets_per_sec = 100'000;  ///< background traffic rate
   std::size_t num_flows = 20'000;    ///< background flow population
-  double zipf_alpha = 1.0;           ///< flow-size skew
-  std::size_t num_hosts = 4'096;     ///< address pool size
-  double tcp_fraction = 0.8;         ///< remainder is UDP
 };
 
 /// Record of one injected anomaly, kept so tests can sanity-check ground

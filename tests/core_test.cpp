@@ -141,8 +141,7 @@ TEST(Signal, UserDefinedFollowsIterationNumber) {
 }
 
 TEST(FlowkeyTracker, Algorithm1Semantics) {
-  FlowkeyTracker tracker({.capacity = 2, .bloom_bits = 1 << 12,
-                          .bloom_hashes = 3});
+  FlowkeyTracker tracker({.capacity = 2, .bloom_bits = 1 << 12});
   EXPECT_EQ(tracker.Track(0, Key(1)), FlowkeyTracker::Outcome::kStored);
   EXPECT_EQ(tracker.Track(0, Key(1)), FlowkeyTracker::Outcome::kSeen);
   EXPECT_EQ(tracker.Track(0, Key(2)), FlowkeyTracker::Outcome::kStored);
@@ -153,8 +152,7 @@ TEST(FlowkeyTracker, Algorithm1Semantics) {
 }
 
 TEST(FlowkeyTracker, RegionsAreIndependent) {
-  FlowkeyTracker tracker({.capacity = 8, .bloom_bits = 1 << 12,
-                          .bloom_hashes = 3});
+  FlowkeyTracker tracker({.capacity = 8, .bloom_bits = 1 << 12});
   tracker.Track(0, Key(1));
   EXPECT_EQ(tracker.Track(1, Key(1)), FlowkeyTracker::Outcome::kStored);
   EXPECT_EQ(tracker.Keys(0).size(), 1u);
@@ -162,8 +160,7 @@ TEST(FlowkeyTracker, RegionsAreIndependent) {
 }
 
 TEST(FlowkeyTracker, ResetClearsRegion) {
-  FlowkeyTracker tracker({.capacity = 4, .bloom_bits = 1 << 12,
-                          .bloom_hashes = 3});
+  FlowkeyTracker tracker({.capacity = 4, .bloom_bits = 1 << 12});
   tracker.Track(0, Key(1));
   tracker.Reset(0);
   EXPECT_TRUE(tracker.Keys(0).empty());
@@ -171,8 +168,7 @@ TEST(FlowkeyTracker, ResetClearsRegion) {
 }
 
 TEST(FlowkeyTracker, BadRegionThrows) {
-  FlowkeyTracker tracker({.capacity = 4, .bloom_bits = 64,
-                          .bloom_hashes = 1});
+  FlowkeyTracker tracker({.capacity = 4, .bloom_bits = 64});
   EXPECT_THROW(tracker.Track(2, Key(1)), std::out_of_range);
 }
 

@@ -280,16 +280,17 @@ TEST(EntityDetector, CapacityEvictionOfMergeCursorEntityIsSafe) {
 }
 
 TEST(EntityDetector, IdleQuietEntitiesAreEvicted) {
-  DetectorConfig cfg = SmallCfg();
-  cfg.idle_evict_windows = 3;
-  EntityDetector d(cfg, 0);
+  EntityDetector d(SmallCfg(), 0);
   Totals totals{{Src(1), 100}, {Src(2), 100}};
   Feed(d, totals, 0);
   EXPECT_EQ(d.tracked(), 2u);
   totals.erase(Src(2));
-  for (SubWindowNum w = 1; w <= 3; ++w) Feed(d, totals, w);
+  const auto idle = SubWindowNum(detect::kIdleEvictWindows);
+  for (SubWindowNum w = 1; w < idle; ++w) Feed(d, totals, w);
+  EXPECT_EQ(d.tracked(), 2u) << "evicted before kIdleEvictWindows windows";
+  Feed(d, totals, idle);
   EXPECT_EQ(d.tracked(), 1u);
-  EXPECT_GT(d.stats().evictions, 0u);
+  EXPECT_EQ(d.stats().evictions, 1u);
 }
 
 TEST(EntityDetector, OnTotalsRefusesTotalsNotStrictlyAscending) {

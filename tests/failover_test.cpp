@@ -216,7 +216,6 @@ TEST(Failover, DeltaChainReconstructsKeyframeSnapshotsExactly) {
   full_cfg.snapshot_cadence = 1;
   FailoverConfig delta_cfg = full_cfg;
   delta_cfg.delta_checkpoints = true;
-  delta_cfg.keyframe_interval = 4;
   StandbyController full_standby(full_cfg);
   StandbyController delta_standby(delta_cfg);
 
@@ -228,9 +227,11 @@ TEST(Failover, DeltaChainReconstructsKeyframeSnapshotsExactly) {
         << "delta chain diverged from full snapshots at boundary " << k;
   }
   EXPECT_EQ(delta_standby.snapshots_taken(), 12u);
-  // Boundaries 0, 4, 8 are keyframes (interval 4); the rest ship deltas.
-  EXPECT_EQ(delta_standby.keyframes_sent(), 3u);
-  EXPECT_EQ(delta_standby.deltas_sent(), 9u);
+  // Boundaries 0 and 8 are keyframes (kKeyframeInterval = 8); the rest ship
+  // deltas.
+  static_assert(failover::kKeyframeInterval == 8);
+  EXPECT_EQ(delta_standby.keyframes_sent(), 2u);
+  EXPECT_EQ(delta_standby.deltas_sent(), 10u);
   EXPECT_EQ(full_standby.keyframes_sent(), 12u);
   EXPECT_EQ(full_standby.deltas_sent(), 0u);
   EXPECT_LT(delta_standby.wire_bytes_total(),
@@ -251,7 +252,6 @@ TEST(Failover, DeltaCheckpointsTakeOverIdenticallyToFullOnes) {
 
   FailoverConfig dcfg = fcfg;
   dcfg.delta_checkpoints = true;
-  dcfg.keyframe_interval = 8;
   const FailoverRunResult delta =
       RunWithFailover(trace, MakeCountApp, cfg, dcfg);
 

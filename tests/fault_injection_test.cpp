@@ -1,11 +1,10 @@
 // Deterministic fault-injection subsystem (src/fault) end to end: injector
 // stream discipline, zero-intensity-armed == unarmed bit-identity, phase
-// schedules, the fixed retry budgets (8 retransmission rounds per
-// sub-window, 8 attempts per switch-OS RPC), and the graceful-degradation
-// contract on every faulted substrate — lossy report links (windows exact
-// or flagged partial, never silently divergent), RDMA write faults (holes
-// detected and chased back to exactness), and switch-OS RPC timeouts
-// (contents intact, time inflated deterministically).
+// schedules, the fixed retry budget (8 retransmission rounds per
+// sub-window), and the graceful-degradation contract on every faulted
+// substrate — lossy report links (windows exact or flagged partial, never
+// silently divergent) and RDMA write faults (holes detected and chased
+// back to exactness).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,7 +16,6 @@
 #include "src/fault/fault.h"
 #include "src/net/link.h"
 #include "src/obs/obs.h"
-#include "src/switchsim/switch_os.h"
 #include "src/telemetry/query.h"
 
 namespace ow {
@@ -331,106 +329,6 @@ TEST(FaultInjection, RdmaWriteFaultsAreChasedBackToExactness) {
     EXPECT_EQ(got.windows[w].detected, base.windows[w].detected);
     EXPECT_FALSE(got.windows[w].partial);
   }
-}
-
-/// A 4096-entry register array with distinct control-plane contents.
-RegisterArray MakeRegs() {
-  RegisterArray reg("regs", 4096, 8);
-  // Control-plane writes: the SALU path allows one access per pass.
-  for (std::size_t i = 0; i < reg.size(); ++i) {
-    reg.ControlWrite(i, i * 2654435761u);
-  }
-  return reg;
-}
-
-/// Chain `ops` ReadAll RPCs through a driver armed with `profile`; returns
-/// the completion time of the last one, its contents in `out`.
-Nanos ChainReads(const RegisterArray& reg,
-                 const fault::SwitchOsFaultProfile& profile,
-                 std::uint64_t seed, int ops, std::vector<std::uint64_t>& out) {
-  SwitchOsDriver os;
-  os.ArmFaults(profile, seed);
-  Nanos t = 0;
-  for (int i = 0; i < ops; ++i) {
-    out.clear();
-    t = os.ReadAll(reg, out, t);
-  }
-  return t;
-}
-
-TEST(FaultInjection, SwitchOsTimeoutsPreserveContentsDeterministically) {
-  obs::Global().Reset();
-  const RegisterArray reg = MakeRegs();
-  SwitchOsDriver clean;
-  std::vector<std::uint64_t> want;
-  const Nanos t_clean = clean.ReadAll(reg, want, 0);
-  EXPECT_EQ(t_clean, clean.ReadCost(reg.size()));
-
-  // Chain 16 RPCs so the Bernoulli draws must fire: each op draws once per
-  // fault feature, so a single ReadAll could legitimately sail through.
-  constexpr int kOps = 16;
-  for (const double intensity : {0.0, 0.05, 0.15, 0.3, 0.5}) {
-    for (std::uint64_t s = 0; s < 3; ++s) {
-      const std::uint64_t seed = 0xC0A5'0000u + s * 7919;
-      SCOPED_TRACE("intensity " + std::to_string(intensity) + " seed " +
-                   std::to_string(seed));
-      fault::SwitchOsFaultProfile profile;
-      profile.timeout_rate = intensity;
-      profile.slow_rate = intensity;
-      std::vector<std::uint64_t> got1, got2;
-      const Nanos t1 = ChainReads(reg, profile, seed, kOps, got1);
-      const Nanos t2 = ChainReads(reg, profile, seed, kOps, got2);
-      EXPECT_EQ(got1, want);  // contents are never corrupted by timing faults
-      EXPECT_EQ(got2, want);
-      EXPECT_EQ(t1, t2);  // bit-reproducible in the seed
-      if (intensity == 0.0) {
-        EXPECT_EQ(t1, Nanos(kOps) * t_clean);  // armed but idle
-      } else {
-        EXPECT_GE(t1, Nanos(kOps) * t_clean);  // faults only inflate time
-      }
-    }
-  }
-
-  fault::SwitchOsFaultProfile profile;
-  profile.timeout_rate = 0.4;
-  profile.slow_rate = 0.3;
-  std::vector<std::uint64_t> got;
-  EXPECT_GT(ChainReads(reg, profile, 11, kOps, got), Nanos(kOps) * t_clean);
-  EXPECT_EQ(got, want);
-}
-
-TEST(FaultInjection, SwitchOsRpcIsDegradedAfterEightTimedOutAttempts) {
-  obs::Global().Reset();
-  const RegisterArray reg = MakeRegs();
-  SwitchOsDriver clean;
-  std::vector<std::uint64_t> want;
-  const Nanos per_op = clean.ReadAll(reg, want, 0);
-
-  fault::SwitchOsFaultProfile profile;
-  profile.timeout_rate = 1.0;  // every attempt times out
-  SwitchOsDriver os;
-  os.ArmFaults(profile, 5);
-  constexpr std::uint64_t kOps = 16;
-  Nanos t = 0;
-  std::vector<std::uint64_t> got;
-  for (std::uint64_t i = 0; i < kOps; ++i) {
-    got.clear();
-    const Nanos done = os.ReadAll(reg, got, t);
-    // kMaxRpcAttempts (8) timed-out attempts of kRpcTimeoutPenalty
-    // (100 ms), reissued with no delay in between.
-    EXPECT_EQ(done - t, per_op + 8 * (100 * kMilli)) << "op " << i;
-    EXPECT_EQ(got, want);
-    t = done;
-  }
-  EXPECT_EQ(os.faults()->timeouts(), 8 * kOps);
-  EXPECT_EQ(os.faults()->degraded_ops(), kOps);
-  EXPECT_EQ(os.faults()->slow_ops(), 0u);
-  obs::Registry& reg_obs = obs::Global();
-  EXPECT_EQ(reg_obs.GetCounter("fault.switch_os.degraded_ops").value(), kOps);
-  const obs::Histogram& attempts =
-      reg_obs.GetHistogram("fault.switch_os.rpc_attempts");
-  EXPECT_EQ(attempts.count(), kOps);
-  EXPECT_EQ(attempts.max(), 8u);
 }
 
 }  // namespace

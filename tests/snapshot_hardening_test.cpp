@@ -17,9 +17,13 @@
 // not a heap, an unknown packet source or a saved next seq not above every
 // restored event's seq throws), OmniWindowProgram::Load's collect state
 // (a region other than 0 or 1, or more keys than the sub-window can
-// enumerate, throws), and OmniWindowController::Load's ordered lists (a
+// enumerate, throws), OmniWindowController::Load's ordered lists (a
 // history out of sub-window order, or a pending sub-window's sequence list
-// with a descending or repeated entry, throws).
+// with a descending or repeated entry, throws), and the flow-key guard (a
+// live table key whose length byte is forged past its 13 bytes, or a
+// packet's injected key whose kind names no FlowKeyKind, throws before
+// anything hashes it), including ExactCountApp's counted keys and their
+// count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,6 +317,25 @@ TEST(KvTableHardening, KeyStoredTwiceIsRejected) {
   w.Size(2);  // live
   w.U64(0);   // rejected inserts
   ExpectKvCorrupt(w.Take(), "unreachable");
+}
+
+/// FlowKey's layout: 13 key bytes, then the length byte, then the kind.
+constexpr std::size_t kKeyLengthAt = 13;
+constexpr std::size_t kKeyKindAt = 14;
+
+TEST(KvTableHardening, ForgedKeyLengthIsRejectedBeforeHashing) {
+  // bytes() and every hash trust a key's length byte. Set to 200 on the
+  // last live key, it would send Load's reachability hash past the end of
+  // the slot array.
+  KeyValueTable src(64);
+  Fill(src, 56, /*with_erasures=*/false);
+  std::vector<std::uint8_t> bytes = SaveBytes(src);
+  // The last (index, slot) pair ends where the two tallies begin.
+  const std::size_t last_key =
+      bytes.size() - kKvTallyBytes - sizeof(KvSlot) + offsetof(KvSlot, key);
+  ASSERT_EQ(bytes[last_key + kKeyLengthAt], 4u);  // a kSrcIp key
+  bytes[last_key + kKeyLengthAt] = 200;
+  ExpectKvCorrupt(bytes, "live slot's key is not a well-formed flow key");
 }
 
 TEST(KvTableHardening, SparseIndexOutOfOrderOrBeyondCapacityRejected) {
@@ -946,6 +969,96 @@ TEST(ProgramLoadHardening, ForgedNumKeysThrows) {
     std::memcpy(bytes.data() + collect_at + kCollectNumKeysAt, &forged, 4);
     ExpectProgramLoadThrows(program, bytes,
                             "num_keys " + std::to_string(forged));
+  }
+}
+
+// --- LoadPacket: the injected key -------------------------------------------
+
+TEST(PacketLoadHardening, ForgedInjectedKeyKindIsRejected) {
+  // A kind byte no FlowKeyKind names (9) must not load into a packet that a
+  // restored switch would inject and hash.
+  Packet p;
+  p.ow.present = true;
+  p.ow.flag = OwFlag::kFlowkeyInject;
+  p.ow.injected_key = FlowKey(
+      FlowKeyKind::kFiveTuple,
+      FiveTuple{.src_ip = 0xA1B2C3D4, .dst_ip = 0x0A0B0C0D, .src_port = 4242,
+                .dst_port = 80, .proto = 6});
+  SnapshotWriter w;
+  SavePacket(w, p);
+  std::vector<std::uint8_t> bytes = w.Take();
+  {
+    Packet q;
+    SnapshotReader r(bytes);
+    ASSERT_NO_THROW(LoadPacket(r, q));
+    EXPECT_EQ(q.ow.injected_key, p.ow.injected_key);
+  }
+  const auto raw = p.ow.injected_key.bytes();
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), raw.begin(), raw.end());
+  ASSERT_NE(at, bytes.end());
+  const std::size_t kind_at = std::size_t(at - bytes.begin()) + kKeyKindAt;
+  ASSERT_EQ(bytes[kind_at], 0u);  // kFiveTuple
+  bytes[kind_at] = 9;
+
+  Packet q;
+  SnapshotReader r(bytes);
+  try {
+    LoadPacket(r, q);
+    FAIL() << "a packet with injected key kind 9 loaded";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("section 0x20"), std::string::npos) << what;
+    EXPECT_NE(what.find("injected key is not a well-formed flow key"),
+              std::string::npos)
+        << what;
+  }
+}
+
+// --- ExactCountApp::LoadState -----------------------------------------------
+
+TEST(AppLoadHardening, ExactCountRefusesForgedCountOrKey) {
+  // One counted five-tuple in region 0: after the writer header and the
+  // section tag come region 0's count, the key and its count, then region
+  // 1's count.
+  ExactCountApp src;
+  Packet p;
+  p.ft = FiveTuple{
+      .src_ip = 1, .dst_ip = 2, .src_port = 3, .dst_port = 4, .proto = 6};
+  src.Update(p, 0);
+  SnapshotWriter w;
+  src.SaveState(w);
+  const std::vector<std::uint8_t> good = w.Take();
+  constexpr std::size_t kCountAt = 8 + 4;
+  constexpr std::size_t kKeyAt = kCountAt + 8;
+  std::uint64_t count = 0;
+  std::memcpy(&count, good.data() + kCountAt, 8);
+  ASSERT_EQ(count, 1u);
+
+  const auto load = [](const std::vector<std::uint8_t>& bytes) {
+    ExactCountApp dst;
+    SnapshotReader r(bytes);
+    dst.LoadState(r);
+  };
+  ASSERT_NO_THROW(load(good));
+  // A count the remaining bytes cannot hold fails before the map reserves.
+  std::vector<std::uint8_t> bytes = good;
+  const std::uint64_t huge = std::uint64_t{1} << 60;
+  std::memcpy(bytes.data() + kCountAt, &huge, 8);
+  EXPECT_THROW(load(bytes), SnapshotError);
+  // A key length forged past its 13 bytes fails before the map hashes it.
+  bytes = good;
+  ASSERT_EQ(bytes[kKeyAt + kKeyLengthAt], 13u);  // a five-tuple key
+  bytes[kKeyAt + kKeyLengthAt] = 200;
+  try {
+    load(bytes);
+    FAIL() << "a counted key of length 200 loaded";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("section 0x19"), std::string::npos) << what;
+    EXPECT_NE(what.find("counted key is not a well-formed flow key"),
+              std::string::npos)
+        << what;
   }
 }
 
