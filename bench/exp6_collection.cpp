@@ -97,9 +97,7 @@ int main() {
   std::printf("%6s %12s %12s %12s %12s %12s %12s %12s\n", "hashes", "OS",
               "CPC", "DPC", "OW", "CPC*", "DPC*", "OW*");
 
-  SwitchOsTimings os_t;
-  os_t.per_entry_read = 72 * kMicro;  // calibrated to the paper's OS reads
-  SwitchOsDriver os(os_t);
+  const SwitchOsDriver os;
 
   for (std::size_t rows = 1; rows <= 4; ++rows) {
     // OS: sequential register reads of `rows` arrays of 16 K entries

@@ -1,72 +1,9 @@
 #include "src/common/arena.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace ow {
-
-ArenaExhausted::ArenaExhausted(std::size_t requested, std::size_t budget)
-    : what_("MemoryArena exhausted: request of " + std::to_string(requested) +
-            " bytes exceeds budget of " + std::to_string(budget) + " bytes"),
-      requested_(requested),
-      budget_(budget) {}
-
-MemoryArena::MemoryArena() : MemoryArena(Options()) {}
-
-MemoryArena::MemoryArena(Options opts) : opts_(opts) {
-  if (opts_.chunk_bytes == 0) opts_.chunk_bytes = std::size_t(1) << 20;
-}
-
-MemoryArena::Chunk& MemoryArena::GrowChunk(std::size_t min_bytes) {
-  const std::size_t size = std::max(opts_.chunk_bytes, min_bytes);
-  if (opts_.max_bytes != 0 && reserved_ + size > opts_.max_bytes) {
-    throw ArenaExhausted(min_bytes, opts_.max_bytes);
-  }
-  chunks_.push_back(Chunk{std::make_unique<std::byte[]>(size), size, 0});
-  reserved_ += size;
-  active_ = chunks_.size() - 1;
-  return chunks_.back();
-}
-
-// Offset within the chunk whose *absolute address* is align-aligned (the
-// chunk base itself is only max_align_t-aligned).
-std::size_t MemoryArena::AlignedOffset(const Chunk& c,
-                                       std::size_t align) noexcept {
-  const auto base = reinterpret_cast<std::uintptr_t>(c.data.get());
-  const std::uintptr_t addr = (base + c.used + align - 1) & ~(align - 1);
-  return std::size_t(addr - base);
-}
-
-void* MemoryArena::Allocate(std::size_t bytes, std::size_t align) {
-  if (bytes == 0) bytes = 1;
-  // Scan forward from the active chunk; retained chunks from earlier epochs
-  // sit rewound (used = 0) and are refilled in order before any growth.
-  for (std::size_t i = active_; i < chunks_.size(); ++i) {
-    Chunk& c = chunks_[i];
-    const std::size_t aligned = AlignedOffset(c, align);
-    if (aligned + bytes <= c.size) {
-      c.used = aligned + bytes;
-      used_ += bytes;
-      active_ = i;
-      return c.data.get() + aligned;
-    }
-  }
-  Chunk& c = GrowChunk(bytes + align);
-  const std::size_t aligned = AlignedOffset(c, align);
-  c.used = aligned + bytes;
-  used_ += bytes;
-  return c.data.get() + aligned;
-}
-
-void MemoryArena::Reset() noexcept {
-  for (Chunk& c : chunks_) c.used = 0;
-  active_ = 0;
-  used_ = 0;
-  ++epoch_;
-}
-
-ArenaPool::ArenaPool() : ArenaPool(MemoryArena::Options()) {}
-
-ArenaPool::ArenaPool(MemoryArena::Options opts) : arena_(opts) {}
 
 std::size_t ArenaPool::BinOf(std::size_t bytes) noexcept {
   const std::size_t rounded =
@@ -74,22 +11,37 @@ std::size_t ArenaPool::BinOf(std::size_t bytes) noexcept {
   return std::size_t(std::countr_zero(rounded)) - kMinShift;
 }
 
+void* ArenaPool::Bump(std::size_t block) {
+  // Padding from `p` to the next 16-byte address (a chunk base is only as
+  // aligned as operator new makes it). 16 bytes match what operator new
+  // guarantees for these sizes: every class is at least 16 bytes.
+  const auto pad = [](const std::byte* p) {
+    return std::size_t(-reinterpret_cast<std::uintptr_t>(p) & 15);
+  };
+  if (pad(cur_) + block > std::size_t(end_ - cur_)) {
+    const std::size_t size = std::max(kChunkBytes, block + 16);
+    chunks_.push_back(std::make_unique<std::byte[]>(size));  // zero-filled
+    reserved_ += size;
+    cur_ = chunks_.back().get();
+    end_ = cur_ + size;
+  }
+  std::byte* p = cur_ + pad(cur_);
+  cur_ = p + block;
+  return p;
+}
+
 void* ArenaPool::Allocate(std::size_t bytes) {
 #ifdef OW_POOL_PASSTHROUGH
   return ::operator new(bytes);
 #else
   const std::size_t bin = BinOf(bytes);
-  const std::size_t block = std::size_t(1) << (bin + kMinShift);
-  std::lock_guard<std::mutex> lock(mu_);
   if (void* head = bins_[bin]) {
     bins_[bin] = *static_cast<void**>(head);
     ++hits_;
     return head;
   }
   ++misses_;
-  // 16-byte alignment matches what operator new guarantees for these
-  // sizes (every class is >= 16 bytes).
-  return arena_.Allocate(block, 16);
+  return Bump(std::size_t(1) << (bin + kMinShift));
 #endif
 }
 
@@ -100,21 +52,9 @@ void ArenaPool::Deallocate(void* p, std::size_t bytes) noexcept {
 #else
   if (p == nullptr) return;
   const std::size_t bin = BinOf(bytes);
-  std::lock_guard<std::mutex> lock(mu_);
   *static_cast<void**>(p) = bins_[bin];
   bins_[bin] = p;
 #endif
-}
-
-void ArenaPool::Reset() noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (void*& b : bins_) b = nullptr;
-  arena_.Reset();
-}
-
-ArenaPool::Stats ArenaPool::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return Stats{hits_, misses_, arena_.reserved_bytes()};
 }
 
 ArenaPool& GlobalPool() {

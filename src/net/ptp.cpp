@@ -5,24 +5,20 @@
 namespace ow {
 namespace {
 
-constexpr Nanos kBaseDelay = 5 * kMicro;  ///< symmetric propagation component
 /// Exchange period (the PTP default of about 8 per second).
 constexpr Nanos kSyncInterval = 125 * kMilli;
 
 }  // namespace
 
 Nanos PtpSync::ExchangeEstimate(Nanos true_offset) {
-  // Forward (master -> slave) and reverse delays with load-dependent
-  // queueing. PTP computes offset = ((t2 - t1) - (t4 - t3)) / 2 =
-  // true_offset + (d_fwd - d_rev) / 2.
-  const Nanos d_fwd =
-      kBaseDelay +
-      Nanos(rng_.Exponential(double(cfg_.queue_jitter) *
-                             cfg_.load_asymmetry));
-  const Nanos d_rev =
-      kBaseDelay +
-      Nanos(rng_.Exponential(double(cfg_.queue_jitter) *
-                             (1.0 - cfg_.load_asymmetry)));
+  // Load-dependent queueing on the forward (master -> slave) and reverse
+  // paths. PTP computes offset = ((t2 - t1) - (t4 - t3)) / 2 =
+  // true_offset + (d_fwd - d_rev) / 2, so a symmetric propagation delay
+  // cancels and only the queueing is modeled.
+  const Nanos d_fwd = Nanos(
+      rng_.Exponential(double(cfg_.queue_jitter) * cfg_.load_asymmetry));
+  const Nanos d_rev = Nanos(rng_.Exponential(
+      double(cfg_.queue_jitter) * (1.0 - cfg_.load_asymmetry)));
   return true_offset + (d_fwd - d_rev) / 2;
 }
 

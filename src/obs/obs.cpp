@@ -42,13 +42,10 @@ void Histogram::Record(std::uint64_t v) noexcept {
     (void)v;
     return;
   }
-  buckets_[std::bit_width(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  std::uint64_t prev = max_.load(std::memory_order_relaxed);
-  while (prev < v &&
-         !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
-  }
+  ++buckets_[std::bit_width(v)];
+  ++count_;
+  sum_ += v;
+  max_ = std::max(max_, v);
 }
 
 std::uint64_t Histogram::Quantile(double q) const noexcept {
@@ -60,7 +57,7 @@ std::uint64_t Histogram::Quantile(double q) const noexcept {
       std::max<std::uint64_t>(1, std::uint64_t(std::ceil(q * double(total))));
   std::uint64_t cum = 0;
   for (int i = 0; i < kBuckets; ++i) {
-    cum += buckets_[i].load(std::memory_order_relaxed);
+    cum += buckets_[i];
     if (cum >= rank) {
       // Upper edge of bucket i: 0 for i==0, else 2^i - 1.
       const std::uint64_t edge =
@@ -73,15 +70,9 @@ std::uint64_t Histogram::Quantile(double q) const noexcept {
   return max();
 }
 
-void Histogram::Reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
+void Histogram::Reset() noexcept { *this = Histogram(); }
 
 Counter& Registry::GetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.try_emplace(std::string(name)).first;
@@ -90,7 +81,6 @@ Counter& Registry::GetCounter(std::string_view name) {
 }
 
 Gauge& Registry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_.try_emplace(std::string(name)).first;
@@ -99,7 +89,6 @@ Gauge& Registry::GetGauge(std::string_view name) {
 }
 
 Histogram& Registry::GetHistogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.try_emplace(std::string(name)).first;
@@ -107,39 +96,22 @@ Histogram& Registry::GetHistogram(std::string_view name) {
   return it->second;
 }
 
-void Registry::SetSpanCapacity(std::size_t cap) {
-  std::lock_guard<std::mutex> lock(mu_);
-  span_capacity_ = cap;
-}
-
 void Registry::RecordSpan(std::string_view name, std::uint64_t start_ns,
-                          std::uint64_t dur_ns, std::uint32_t tid) {
+                          std::uint64_t dur_ns) {
   if (!tracing()) return;
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.try_emplace(std::string(name)).first;
   }
   it->second.Record(dur_ns);
-  if (spans_.size() >= span_capacity_) {
+  if (spans_.size() >= kSpanCapacity) {
     ++spans_dropped_;
     return;
   }
-  spans_.push_back(SpanEvent{&it->first, tid, start_ns, dur_ns});
-}
-
-std::uint64_t Registry::spans_recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
-std::uint64_t Registry::spans_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_dropped_;
+  spans_.push_back(SpanEvent{&it->first, start_ns, dur_ns});
 }
 
 void Registry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c.Reset();
   for (auto& [name, g] : gauges_) g.Reset();
   for (auto& [name, h] : histograms_) h.Reset();
@@ -148,7 +120,6 @@ void Registry::Reset() {
 }
 
 void Registry::WriteStatsJson(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
   os << "{\n  \"schema\": \"ow.obs.stats.v1\",\n";
   os << "  \"enabled\": " << (kEnabled ? "true" : "false") << ",\n";
   os << "  \"counters\": {";
@@ -183,7 +154,6 @@ void Registry::WriteStatsJson(std::ostream& os) const {
 }
 
 void Registry::WriteChromeTrace(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
   os << "{\"otherData\": {\"schema\": \"ow.obs.trace.v1\", "
         "\"spans_dropped\": "
      << spans_dropped_ << "},\n\"displayTimeUnit\": \"ns\",\n";
@@ -192,11 +162,12 @@ void Registry::WriteChromeTrace(std::ostream& os) const {
   char buf[64];
   for (const SpanEvent& ev : spans_) {
     // Chrome trace timestamps are microseconds; keep ns precision with
-    // three decimals.
+    // three decimals. Every span comes from the one thread that drives the
+    // library, so every event carries the same tid.
     std::snprintf(buf, sizeof buf, "%.3f", double(ev.start_ns) / 1e3);
     os << (first ? "\n" : ",\n") << "{\"name\": \"" << Escaped(*ev.name)
-       << "\", \"cat\": \"ow\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
-       << ev.tid << ", \"ts\": " << buf;
+       << "\", \"cat\": \"ow\", \"ph\": \"X\", \"pid\": 1, \"tid\": 0"
+       << ", \"ts\": " << buf;
     std::snprintf(buf, sizeof buf, "%.3f", double(ev.dur_ns) / 1e3);
     os << ", \"dur\": " << buf << "}";
     first = false;
@@ -231,13 +202,6 @@ std::uint64_t NowNs() noexcept {
   return std::uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                            std::chrono::steady_clock::now() - epoch)
                            .count());
-}
-
-std::uint32_t ThreadTag() noexcept {
-  static std::atomic<std::uint32_t> next{0};
-  thread_local const std::uint32_t tag =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return tag;
 }
 
 }  // namespace ow::obs

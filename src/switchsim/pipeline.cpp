@@ -100,11 +100,11 @@ Switch::Event Switch::HeapPop() noexcept {
   return ev;
 }
 
-void Switch::DispatchEvent(Event& ev, PassCounts& counts) {
+void Switch::DispatchEvent(Event& ev) {
   // One span per pipeline pass (wire, injected and recirculated alike):
   // in the Chrome trace, collection enumeration shows up as the burst of
   // recirculation passes between the trigger and the AFR reports. Costs a
-  // relaxed load + branch unless tracing is enabled.
+  // load + branch unless tracing is enabled.
   obs::ScopedSpan span(obs::Global(),
                        ev.source == PacketSource::kRecirculation
                            ? "switch.pass.recirc"
@@ -114,10 +114,10 @@ void Switch::DispatchEvent(Event& ev, PassCounts& counts) {
   ++pass_epoch_;  // arms every bound register array for this pass
   last_dispatched_ = ev.time;
   ++total_passes_;
-  ++counts.passes;
+  obs_passes_->Add();
   if (ev.source == PacketSource::kRecirculation) {
     ++recirc_passes_;
-    ++counts.recirc;
+    obs_recirc_passes_->Add();
   }
 
   scratch_.Clear();
@@ -128,7 +128,7 @@ void Switch::DispatchEvent(Event& ev, PassCounts& counts) {
               PacketSource::kRecirculation, std::move(p)});
   }
   if (to_controller_ && !scratch_.to_controller.empty()) {
-    counts.to_controller += scratch_.to_controller.size();
+    obs_to_controller_->Add(scratch_.to_controller.size());
     for (const Packet& p : scratch_.to_controller) {
       to_controller_(p, ev.time + kToControllerLatency);
     }
@@ -140,24 +140,16 @@ void Switch::DispatchEvent(Event& ev, PassCounts& counts) {
     if (port == kFloodEgress) {
       for (const PacketHandler& out : ports_) {
         if (!out) continue;
-        ++counts.forwarded;
+        obs_forwarded_->Add();
         out(ev.packet, ev.time + kPipelineLatency);
       }
     } else if (HasPortHandler(port)) {
-      ++counts.forwarded;
+      obs_forwarded_->Add();
       ports_[std::size_t(port)](ev.packet, ev.time + kPipelineLatency);
     }
   } else {
-    ++counts.dropped;
+    obs_dropped_->Add();
   }
-}
-
-void Switch::FlushCounts(const PassCounts& counts) noexcept {
-  if (counts.passes) obs_passes_->Add(counts.passes);
-  if (counts.recirc) obs_recirc_passes_->Add(counts.recirc);
-  if (counts.to_controller) obs_to_controller_->Add(counts.to_controller);
-  if (counts.forwarded) obs_forwarded_->Add(counts.forwarded);
-  if (counts.dropped) obs_dropped_->Add(counts.dropped);
 }
 
 std::size_t Switch::RunBatch(Nanos max_time) {
@@ -165,14 +157,6 @@ std::size_t Switch::RunBatch(Nanos max_time) {
     throw std::logic_error("Switch " + std::to_string(id_) + ": no program");
   }
   std::size_t processed = 0;
-  PassCounts counts;
-  // Counter deltas survive an exception out of Process (the historical
-  // engine updated the registry before each pass).
-  struct Flusher {
-    Switch* sw;
-    PassCounts* c;
-    ~Flusher() { sw->FlushCounts(*c); }
-  } flusher{this, &counts};
 
   while (true) {
     // Fast lane: a run of in-order wire packets with nothing on the heap
@@ -181,7 +165,7 @@ std::size_t Switch::RunBatch(Nanos max_time) {
     while (!FifoEmpty() && heap_.empty()) {
       if (FifoFront().time > max_time) return processed;
       Event ev = FifoPop();
-      DispatchEvent(ev, counts);
+      DispatchEvent(ev);
       ++processed;
     }
 
@@ -197,7 +181,7 @@ std::size_t Switch::RunBatch(Nanos max_time) {
     const Nanos front_time = use_fifo ? FifoFront().time : heap_.front().time;
     if (front_time > max_time) break;
     Event ev = use_fifo ? FifoPop() : HeapPop();
-    DispatchEvent(ev, counts);
+    DispatchEvent(ev);
     ++processed;
   }
   return processed;

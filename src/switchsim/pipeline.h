@@ -193,18 +193,7 @@ class Switch {
     }
   };
 
-  /// Obs-counter deltas accumulated per drain and flushed once (registry
-  /// counters are atomics; batching keeps them off the per-event path).
-  struct PassCounts {
-    std::uint64_t passes = 0;
-    std::uint64_t recirc = 0;
-    std::uint64_t to_controller = 0;
-    std::uint64_t forwarded = 0;
-    std::uint64_t dropped = 0;
-  };
-
-  void DispatchEvent(Event& ev, PassCounts& counts);
-  void FlushCounts(const PassCounts& counts) noexcept;
+  void DispatchEvent(Event& ev);
   void NotifyActivity() {
     if (on_activity_) on_activity_();
   }

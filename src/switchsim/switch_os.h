@@ -18,19 +18,19 @@
 
 namespace ow {
 
-struct SwitchOsTimings {
-  Nanos rpc_setup = 80 * kMilli;      ///< per-register-array RPC/session cost
-  Nanos per_entry_read = 36 * kMicro; ///< driver read of one register entry
-  Nanos per_entry_write = 30 * kMicro;///< driver write (reset) of one entry
-};
+/// Per-register-array RPC/session cost.
+inline constexpr Nanos kSwitchOsRpcSetup = 80 * kMilli;
+/// Driver read of one register entry (calibrated to the paper's OS reads).
+inline constexpr Nanos kSwitchOsEntryRead = 72 * kMicro;
+/// Driver write (reset) of one register entry.
+inline constexpr Nanos kSwitchOsEntryWrite = 30 * kMicro;
 
 /// Simulated switch-OS access path. Every call returns the simulated time
 /// the operation completes, given it starts at `start`.
 class SwitchOsDriver {
  public:
-  explicit SwitchOsDriver(SwitchOsTimings timings = {})
-      : timings_(timings),
-        obs_entries_read_(
+  SwitchOsDriver()
+      : obs_entries_read_(
             &obs::Global().GetCounter("switch_os.entries_read")),
         obs_entries_reset_(
             &obs::Global().GetCounter("switch_os.entries_reset")) {}
@@ -45,16 +45,13 @@ class SwitchOsDriver {
 
   /// Cost-only variants for sizing experiments.
   Nanos ReadCost(std::size_t entries) const {
-    return timings_.rpc_setup + Nanos(entries) * timings_.per_entry_read;
+    return kSwitchOsRpcSetup + Nanos(entries) * kSwitchOsEntryRead;
   }
   Nanos ResetCost(std::size_t entries) const {
-    return timings_.rpc_setup + Nanos(entries) * timings_.per_entry_write;
+    return kSwitchOsRpcSetup + Nanos(entries) * kSwitchOsEntryWrite;
   }
 
-  const SwitchOsTimings& timings() const noexcept { return timings_; }
-
  private:
-  SwitchOsTimings timings_;
   // Registry-backed driver-path counters (docs/observability.md).
   obs::Counter* obs_entries_read_;
   obs::Counter* obs_entries_reset_;

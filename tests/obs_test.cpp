@@ -1,12 +1,10 @@
 // Unit tests for the runtime observability layer (src/obs): counter and
 // gauge semantics, log-bucket histogram quantiles, registry identity and
-// reset, span tracing gates/capacity, JSON export shapes and thread safety.
+// reset, span tracing gates/capacity and JSON export shapes.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/obs/obs.h"
 
@@ -110,9 +108,10 @@ TEST(ObsRegistry, SpanCapacityDropsNotGrows) {
   OW_OBS_REQUIRE_ENABLED();
   Registry reg;
   reg.SetTracing(true);
-  reg.SetSpanCapacity(2);
-  for (int i = 0; i < 5; ++i) reg.RecordSpan("s", 0, 1, 0);
-  EXPECT_EQ(reg.spans_recorded(), 2u);
+  for (std::size_t i = 0; i < kSpanCapacity + 3; ++i) {
+    reg.RecordSpan("s", 0, 1);
+  }
+  EXPECT_EQ(reg.spans_recorded(), kSpanCapacity);
   EXPECT_EQ(reg.spans_dropped(), 3u);
   reg.Reset();
   EXPECT_EQ(reg.spans_recorded(), 0u);
@@ -140,52 +139,18 @@ TEST(ObsRegistry, ChromeTraceShape) {
   OW_OBS_REQUIRE_ENABLED();
   Registry reg;
   reg.SetTracing(true);
-  reg.RecordSpan("controller.flush", /*start_ns=*/1500, /*dur_ns=*/2500,
-                 /*tid=*/7);
+  reg.RecordSpan("controller.flush", /*start_ns=*/1500, /*dur_ns=*/2500);
   std::ostringstream os;
   reg.WriteChromeTrace(os);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"controller.flush\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"tid\": 7"), std::string::npos);
+  // One thread drives the library: every span carries the same tid.
+  EXPECT_NE(json.find("\"tid\": 0,"), std::string::npos);
   // ts/dur are microseconds with nanosecond decimals.
   EXPECT_NE(json.find("\"ts\": 1.500"), std::string::npos);
   EXPECT_NE(json.find("\"dur\": 2.500"), std::string::npos);
-}
-
-TEST(ObsRegistry, ConcurrentUpdatesAreLossless) {
-  OW_OBS_REQUIRE_ENABLED();
-  Registry reg;
-  reg.SetTracing(true);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10'000;
-  Counter& c = reg.GetCounter("c");
-  Histogram& h = reg.GetHistogram("h");
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        c.Add();
-        h.Record(std::uint64_t(t) + 1);
-        reg.RecordSpan("span", 0, 1, ThreadTag());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(c.value(), std::uint64_t(kThreads) * kPerThread);
-  EXPECT_EQ(h.count(), std::uint64_t(kThreads) * kPerThread);
-  EXPECT_EQ(reg.spans_recorded() + reg.spans_dropped(),
-            std::uint64_t(kThreads) * kPerThread);
-}
-
-TEST(ObsThread, TagsAreSmallAndStable) {
-  OW_OBS_REQUIRE_ENABLED();
-  const std::uint32_t mine = ThreadTag();
-  EXPECT_EQ(ThreadTag(), mine);  // stable within a thread
-  std::uint32_t other = mine;
-  std::thread([&] { other = ThreadTag(); }).join();
-  EXPECT_NE(other, mine);
 }
 
 }  // namespace

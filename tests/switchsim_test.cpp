@@ -315,7 +315,7 @@ TEST(SwitchOs, ReadCostScalesLinearly) {
   const Nanos four = os.ReadCost(4'000);
   EXPECT_GT(four, one);
   // Subtracting the fixed RPC setup, reads are linear in entries.
-  const Nanos setup = os.timings().rpc_setup;
+  const Nanos setup = kSwitchOsRpcSetup;
   EXPECT_NEAR(double(four - setup), 4.0 * double(one - setup),
               double(one - setup) * 0.01);
 }

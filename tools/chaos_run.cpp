@@ -263,37 +263,6 @@ Snapshot SnapLine(const Trace& trace, const fault::FaultPlan& plan,
       snap.windows.push_back({w.span, w.detected, w.partial});
     }
   }
-  if (std::getenv("CHAOS_DEBUG")) {
-    for (std::size_t i = 0; i < net.per_switch.size(); ++i) {
-      const auto& c = net.per_switch[i].controller;
-      const auto& d = net.per_switch[i].data_plane;
-      std::fprintf(stderr,
-                   "SW%zu ctrl: fin=%llu forced=%llu afrs=%llu dup=%llu "
-                   "retx=%llu partial_w=%llu | dp: afr_gen=%llu windows=%zu\n",
-                   i, (unsigned long long)c.subwindows_finalized,
-                   (unsigned long long)c.subwindows_force_finalized,
-                   (unsigned long long)c.afrs_received,
-                   (unsigned long long)c.duplicate_afrs,
-                   (unsigned long long)c.retransmissions_requested,
-                   (unsigned long long)c.windows_partial,
-                   (unsigned long long)d.afr_generated,
-                   net.per_switch[i].windows.size());
-      std::fprintf(stderr,
-                   "     dp: term=%llu overruns=%llu | ctrl: gaps=%llu "
-                   "sw_degraded=%llu forced=%llu\n",
-                   (unsigned long long)d.terminations,
-                   (unsigned long long)d.collect_overruns,
-                   (unsigned long long)c.spilled_keys_stored,
-                   (unsigned long long)c.subwindows_degraded_by_switch,
-                   (unsigned long long)c.subwindows_force_finalized);
-      for (const auto& w : net.per_switch[i].windows) {
-        std::fprintf(stderr, "  win [%llu,%llu] det=%zu partial=%d\n",
-                     (unsigned long long)w.span.first,
-                     (unsigned long long)w.span.last, w.detected.size(),
-                     int(w.partial));
-      }
-    }
-  }
   return snap;
 }
 
@@ -507,24 +476,23 @@ void Compare(const Snapshot& base, const Snapshot& got, CellResult& cell) {
       if (cell.zero_must_match) ++cell.divergent_unflagged;
     } else {
       ++cell.divergent_unflagged;
-      if (std::getenv("CHAOS_DEBUG")) {
-        std::fprintf(stderr,
-                     "DIVERGE win=%zu base span=[%llu,%llu] |det|=%zu  "
-                     "got span=[%llu,%llu] |det|=%zu partial=%d\n",
-                     i, (unsigned long long)b.span.first,
-                     (unsigned long long)b.span.last, b.detected.size(),
-                     (unsigned long long)g.span.first,
-                     (unsigned long long)g.span.last, g.detected.size(),
-                     int(g.partial));
-        for (const auto& k : b.detected) {
-          if (!g.detected.count(k)) {
-            std::fprintf(stderr, "  base-only dst=%u\n", k.dst_ip());
-          }
+      // A silent divergence fails the run; say which window and how.
+      std::fprintf(stderr,
+                   "DIVERGE win=%zu base span=[%llu,%llu] |det|=%zu  "
+                   "got span=[%llu,%llu] |det|=%zu partial=%d\n",
+                   i, (unsigned long long)b.span.first,
+                   (unsigned long long)b.span.last, b.detected.size(),
+                   (unsigned long long)g.span.first,
+                   (unsigned long long)g.span.last, g.detected.size(),
+                   int(g.partial));
+      for (const auto& k : b.detected) {
+        if (!g.detected.count(k)) {
+          std::fprintf(stderr, "  base-only dst=%u\n", k.dst_ip());
         }
-        for (const auto& k : g.detected) {
-          if (!b.detected.count(k)) {
-            std::fprintf(stderr, "  got-only dst=%u\n", k.dst_ip());
-          }
+      }
+      for (const auto& k : g.detected) {
+        if (!b.detected.count(k)) {
+          std::fprintf(stderr, "  got-only dst=%u\n", k.dst_ip());
         }
       }
     }
