@@ -96,7 +96,7 @@ Outcome RunScenario(bool consistent, Nanos deviation, std::uint64_t seed) {
       },
       seed * 3 + 1);
 
-  for (const Packet& p : trace.packets) up->EnqueueFromWire(p, p.ts);
+  up->FeedTrace(trace.packets);
   net.RunUntilQuiescent(10 * kSecond);
 
   Outcome out;

@@ -6,9 +6,10 @@
 // app and FlowRadar. Results go to BENCH_pipeline.json (override with
 // --out=<path>) in the same schema family as BENCH_merge.json; --min-time=N
 // bounds the measured seconds per workload (CI smoke runs pass a small
-// value). Timing covers RunBatch over the preloaded trace only — switch
-// construction and enqueueing are excluded, as in the historical
-// google-benchmark version.
+// value). Timing covers RunBatch over the fed trace only — switch
+// construction and FeedTrace are excluded, as in the historical
+// google-benchmark version. The switch copies each trace packet when it
+// dispatches it, so that copy is inside the timed region.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -43,7 +44,7 @@ Trace& TestTrace() {
   return trace;
 }
 
-/// One timed round: build a fresh switch + program, preload the trace, and
+/// One timed round: build a fresh switch + program, feed it the trace, and
 /// measure draining it. Returns elapsed nanoseconds of the drain only;
 /// `allocs` (when tracing is compiled in) accumulates heap allocations
 /// performed inside the timed region — the steady-state target is 0.
@@ -57,7 +58,7 @@ double TimedRound(const std::function<AdapterPtr()>& make_app,
   auto program = std::make_shared<OmniWindowProgram>(cfg, make_app());
   sw.SetProgram(program);
   sw.SetControllerHandler([](const Packet&, Nanos) {});
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
+  sw.FeedTrace(trace.packets);
   alloc_trace::Scope trace_scope;
   const auto t0 = std::chrono::steady_clock::now();
   sw.RunBatch(trace.Duration() + kSecond);

@@ -75,7 +75,7 @@ std::size_t RunScenario(bool consistent, Nanos skew, std::size_t* truth_out) {
   Link* link = net.Connect(up, down,
                            {.latency = 20 * kMicro, .jitter = 10 * kMicro,
                             .loss_rate = 0.002});
-  for (const Packet& p : trace.packets) up->EnqueueFromWire(p, p.ts);
+  up->FeedTrace(trace.packets);
   net.RunUntilQuiescent(10 * kSecond);
   *truth_out = link->dropped();
 

@@ -78,7 +78,7 @@ int main() {
     detections[2] += heavies;
   });
 
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
+  sw.FeedTrace(trace.packets);
   Packet sentinel;
   sentinel.ts = trace.Duration() + 100 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);

@@ -1,6 +1,5 @@
 #include "src/common/alloc_trace.h"
 
-#include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
@@ -9,10 +8,11 @@ namespace ow::alloc_trace {
 namespace {
 
 // Constant-initialized: safe to bump from allocations made during static
-// initialization, before main.
-std::atomic<std::uint64_t> g_news{0};
-std::atomic<std::uint64_t> g_deletes{0};
-std::atomic<int> g_trap{0};
+// initialization, before main. Plain integers: one thread drives the
+// library (docs/API.md).
+std::uint64_t g_news = 0;
+std::uint64_t g_deletes = 0;
+int g_trap = 0;
 
 }  // namespace
 
@@ -24,19 +24,13 @@ bool Enabled() noexcept {
 #endif
 }
 
-std::uint64_t NewCount() noexcept {
-  return g_news.load(std::memory_order_relaxed);
-}
+std::uint64_t NewCount() noexcept { return g_news; }
 
-std::uint64_t DeleteCount() noexcept {
-  return g_deletes.load(std::memory_order_relaxed);
-}
+std::uint64_t DeleteCount() noexcept { return g_deletes; }
 
-TrapScope::TrapScope() noexcept {
-  g_trap.fetch_add(1, std::memory_order_relaxed);
-}
+TrapScope::TrapScope() noexcept { ++g_trap; }
 
-TrapScope::~TrapScope() { g_trap.fetch_sub(1, std::memory_order_relaxed); }
+TrapScope::~TrapScope() { --g_trap; }
 
 }  // namespace ow::alloc_trace
 
@@ -45,8 +39,8 @@ TrapScope::~TrapScope() { g_trap.fetch_sub(1, std::memory_order_relaxed); }
 namespace {
 
 void* TracedAlloc(std::size_t size, std::size_t align) {
-  ow::alloc_trace::g_news.fetch_add(1, std::memory_order_relaxed);
-  if (ow::alloc_trace::g_trap.load(std::memory_order_relaxed) > 0) {
+  ++ow::alloc_trace::g_news;
+  if (ow::alloc_trace::g_trap > 0) {
     // Deliberately no output: printing would itself allocate. Run under a
     // debugger (or inspect the core) for the call stack.
     std::abort();
@@ -63,7 +57,7 @@ void* TracedAlloc(std::size_t size, std::size_t align) {
 }
 
 void TracedFree(void* p) noexcept {
-  ow::alloc_trace::g_deletes.fetch_add(1, std::memory_order_relaxed);
+  ++ow::alloc_trace::g_deletes;
   std::free(p);
 }
 

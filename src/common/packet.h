@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "src/common/arena.h"
 #include "src/common/flowkey.h"
@@ -49,22 +50,23 @@ struct FlowRecord {
 
 /// OmniWindow custom header. `present` models whether the header has been
 /// pushed onto the packet (done by the first-hop switch or the controller).
+/// Fields are ordered by alignment, so the header packs into 56 bytes.
 struct OwHeader {
-  bool present = false;
-  SubWindowNum subwindow_num = kInvalidSubWindow;
-  OwFlag flag = OwFlag::kNormal;
-  std::uint8_t app_id = 0;     ///< telemetry app the packet belongs to when
-                               ///< several apps share a pipeline
-  FlowKey injected_key;        ///< valid for kFlowkeyInject / kSpilledKey
-  std::uint32_t payload = 0;   ///< flag-specific scalar (e.g. #keys in sw)
-  bool degraded = false;       ///< count announcements only: the switch knows
-                               ///< this sub-window's state was damaged by an
-                               ///< overrun force-finish, so the announced
-                               ///< count undercounts reality
   /// The report's records: one AFR per report packet, none on a completion
   /// notification. Pool-backed so reports recycle their buffers across
   /// sub-windows (zero-alloc steady state).
   PooledVector<FlowRecord> afrs;
+  SubWindowNum subwindow_num = kInvalidSubWindow;
+  std::uint32_t payload = 0;   ///< flag-specific scalar (e.g. #keys in sw)
+  FlowKey injected_key;        ///< valid for kFlowkeyInject / kSpilledKey
+  bool present = false;
+  OwFlag flag = OwFlag::kNormal;
+  std::uint8_t app_id = 0;     ///< telemetry app the packet belongs to when
+                               ///< several apps share a pipeline
+  bool degraded = false;       ///< count announcements only: the switch knows
+                               ///< this sub-window's state was damaged by an
+                               ///< overrun force-finish, so the announced
+                               ///< count undercounts reality
 };
 
 /// Batch of flow records on the report/merge paths. Pool-backed: batches
@@ -81,19 +83,28 @@ inline constexpr std::uint32_t kNoIteration = 0xFFFFFFFFu;
 /// this sequence number".
 inline constexpr std::uint32_t kNoExplicitIndex = 0xFFFFFFFFu;
 
-/// A network packet as seen by the simulator.
+/// A network packet as seen by the simulator. Fields are ordered by
+/// alignment, so a packet is 96 bytes.
 struct Packet {
-  FiveTuple ft;
-  std::uint16_t size_bytes = 64;
   Nanos ts = 0;                 ///< emission time at the source
-  std::uint8_t tcp_flags = 0;
+  OwHeader ow;
+  FiveTuple ft;
   std::uint32_t seq = 0;        ///< per-flow sequence (LossRadar uniqueness)
   std::uint32_t iteration = kNoIteration;  ///< user-defined signal (§5)
-  OwHeader ow;
+  std::uint16_t size_bytes = 64;
+  std::uint8_t tcp_flags = 0;
 
   /// Extract the flow key of the requested kind.
   FlowKey Key(FlowKeyKind kind) const { return FlowKey(kind, ft); }
 };
+
+static_assert(sizeof(Packet) == 96);
+
+/// Folds every field of every packet, in order, into one Mix64 chain: a
+/// trace's identity, which golden tests pin and which a checkpoint that
+/// refers to a fed trace, instead of carrying it, is checked against
+/// (Switch::FeedTrace).
+std::uint64_t FingerprintPackets(std::span<const Packet> packets);
 
 /// Serialized on-the-wire byte size of the OmniWindow custom header,
 /// mirroring the P4 header layout: subwindow(4) + flag(1) + key(13+1) +

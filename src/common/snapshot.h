@@ -68,7 +68,9 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// is a constant and every round reissues at once), and the Program section
 /// writes its collect state field by field (34 bytes, no padding).
 /// v9: the Network section loses its global clock word (no code read it).
-inline constexpr std::uint32_t kSnapshotVersion = 9;
+/// v10: the Switch section refers to its fed trace (packet count, cursor,
+/// fingerprint) instead of writing each unread packet as a FIFO event.
+inline constexpr std::uint32_t kSnapshotVersion = 10;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;

@@ -135,8 +135,9 @@ FabricSession::FabricSession(
       report->ArmFaults(cfg_.base.fault.report_link,
                         cfg_.base.fault.seed + 0x1000 + i);
     }
-    sw->SetControllerHandler(
-        [report](const Packet& p, Nanos now) { report->Transmit(p, now); });
+    sw->SetControllerHandler([report](Packet&& p, Nanos now) {
+      report->Transmit(std::move(p), now);
+    });
     controller->SetWindowHandler([this, i](const WindowResult& w) {
       // Streaming consumers see the window first, while the table view
       // is live.
@@ -204,7 +205,7 @@ FabricSession::FabricSession(
     }
   }
 
-  switches_[0]->EnqueueTrace(trace.packets);
+  switches_[0]->FeedTrace(trace.packets);
   // End-of-trace sentinel: an all-zero five-tuple the ECMP policies flood
   // down every path, so the final sub-windows terminate on every switch.
   // A user-defined signal ends a sub-window only when the embedded number

@@ -123,13 +123,18 @@ struct NetworkRunResult {
 /// concatenates the two streams.
 class FabricSession {
  public:
-  /// Builds the fabric and enqueues the trace plus the end-of-trace
-  /// sentinel; nothing runs until DriveUntil/Finish. Under a user-defined
-  /// signal the sentinel carries one iteration past the trace's largest,
-  /// so the last iteration ends too. Each controller applies its app's
-  /// SubWindowDecoder() (the §8 decode, e.g. FlowRadar). RDMA collection
-  /// (`base.controller.rdma`) gets one RdmaNic per switch, with
-  /// `base.fault.rdma` armed at seed `base.fault.seed + i`.
+  /// Builds the fabric, feeds the trace to switch 0 and enqueues the
+  /// end-of-trace sentinel; nothing runs until DriveUntil/Finish. The
+  /// session borrows `trace`: it must outlive the session unchanged, and
+  /// its timestamps must not decrease (Switch::FeedTrace), or the
+  /// constructor throws std::invalid_argument naming the first packet out
+  /// of order. Restore() refuses a snapshot of a session fed another
+  /// trace. Under a user-defined signal the sentinel carries one
+  /// iteration past the trace's largest, so the last iteration ends too.
+  /// Each controller applies its app's SubWindowDecoder() (the §8 decode,
+  /// e.g. FlowRadar). RDMA collection (`base.controller.rdma`) gets one
+  /// RdmaNic per switch, with `base.fault.rdma` armed at seed
+  /// `base.fault.seed + i`.
   /// Throws std::invalid_argument when RDMA meets a report path that can
   /// drop packets (`report_link.loss_rate` or
   /// `base.fault.report_link.drop_rate` above 0): a late completion
@@ -139,6 +144,11 @@ class FabricSession {
                     make_app,
                 NetworkRunConfig cfg,
                 std::function<FlowSet(TableView)> detect = {});
+  /// A temporary trace would be gone before the session reads it.
+  FabricSession(Trace&&,
+                const std::function<AdapterPtr(std::size_t switch_index)>&,
+                NetworkRunConfig, std::function<FlowSet(TableView)> = {}) =
+      delete;
 
   FabricSession(const FabricSession&) = delete;
   FabricSession& operator=(const FabricSession&) = delete;
@@ -159,9 +169,10 @@ class FabricSession {
 
   /// Restore state captured by Snapshot() into a freshly constructed,
   /// identically configured session. Discards this session's pre-restore
-  /// window stream; throws SnapshotError on any shape mismatch and
-  /// std::logic_error once Finish() has run (the drained session's state is
-  /// gone; restoring into it would corrupt rather than resume).
+  /// window stream; throws SnapshotError on any shape mismatch (a session
+  /// fed another trace included) and std::logic_error once Finish() has
+  /// run (the drained session's state is gone; restoring into it would
+  /// corrupt rather than resume).
   void Restore(std::span<const std::uint8_t> bytes);
 
   /// Restore from a file written by SnapshotToFile, verifying its CRC

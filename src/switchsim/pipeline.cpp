@@ -1,7 +1,6 @@
 #include "src/switchsim/pipeline.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -36,10 +35,10 @@ void Switch::SetPortHandler(int port, PacketHandler handler) {
 void Switch::EnqueueFromWire(Packet p, Nanos arrival) {
   NotifyActivity();
   Event ev{arrival, next_seq_++, PacketSource::kWire, std::move(p)};
-  // In-order arrivals ride the FIFO lane; a late arrival (links with jitter
+  // In-order arrivals ride the wire lane; a late arrival (links with jitter
   // can reorder) falls back to the heap so the (time, seq) total order is
   // preserved exactly.
-  if (FifoAdmissible(ev.time)) {
+  if (LaneAdmits(ev.time)) {
     FifoPush(std::move(ev));
   } else {
     HeapPush(std::move(ev));
@@ -51,15 +50,37 @@ void Switch::EnqueueFromController(Packet p, Nanos arrival) {
   HeapPush({arrival, next_seq_++, PacketSource::kController, std::move(p)});
 }
 
-void Switch::EnqueueTrace(std::span<const Packet> packets) {
-  // Room for every packet on the ring, so a million-packet trace allocates
-  // one ring instead of a doubling chain whose retired blocks the pool
-  // keeps (docs/memory_arena.md). Late packets still go to the heap.
-  const std::size_t need = fifo_size_ + packets.size();
-  if (need > fifo_.size()) {
-    ResizeFifo(std::bit_ceil(std::max<std::size_t>(64, need)));
+void Switch::FeedTrace(std::span<const Packet> packets) {
+  if (next_seq_ != 0) {
+    throw std::logic_error("Switch " + std::to_string(id_) +
+                           ": FeedTrace after another enqueue");
   }
-  for (const Packet& p : packets) EnqueueFromWire(p, p.ts);
+  for (std::size_t i = 1; i < packets.size(); ++i) {
+    if (packets[i].ts < packets[i - 1].ts) {
+      throw std::invalid_argument(
+          "Switch::FeedTrace: packet " + std::to_string(i) + " (t=" +
+          std::to_string(packets[i].ts) + ") is earlier than packet " +
+          std::to_string(i - 1) + " (t=" + std::to_string(packets[i - 1].ts) +
+          ")");
+    }
+  }
+  NotifyActivity();
+  trace_ = packets;
+  trace_fingerprint_.reset();  // a Save before the feed cached the empty one
+  next_seq_ = packets.size();
+}
+
+Switch::Event Switch::LanePop() {
+  if (TraceUnread()) {
+    const Packet& p = trace_[cursor_];
+    return Event{p.ts, cursor_++, PacketSource::kWire, p};
+  }
+  return FifoPop();
+}
+
+std::uint64_t Switch::TraceFingerprint() const {
+  if (!trace_fingerprint_) trace_fingerprint_ = FingerprintPackets(trace_);
+  return *trace_fingerprint_;
 }
 
 void Switch::FifoPush(Event ev) {
@@ -129,8 +150,8 @@ void Switch::DispatchEvent(Event& ev) {
   }
   if (to_controller_ && !scratch_.to_controller.empty()) {
     obs_to_controller_->Add(scratch_.to_controller.size());
-    for (const Packet& p : scratch_.to_controller) {
-      to_controller_(p, ev.time + kToControllerLatency);
+    for (Packet& p : scratch_.to_controller) {
+      to_controller_(std::move(p), ev.time + kToControllerLatency);
     }
   }
   if (!scratch_.drop) {
@@ -153,7 +174,7 @@ void Switch::DispatchEvent(Event& ev) {
 }
 
 std::size_t Switch::RunBatch(Nanos max_time) {
-  if (!program_ && (!FifoEmpty() || !heap_.empty())) {
+  if (!program_ && (!LaneEmpty() || !heap_.empty())) {
     throw std::logic_error("Switch " + std::to_string(id_) + ": no program");
   }
   std::size_t processed = 0;
@@ -162,25 +183,25 @@ std::size_t Switch::RunBatch(Nanos max_time) {
     // Fast lane: a run of in-order wire packets with nothing on the heap
     // (the steady state between collection rounds) needs no lane
     // comparison — pop, process, repeat.
-    while (!FifoEmpty() && heap_.empty()) {
-      if (FifoFront().time > max_time) return processed;
-      Event ev = FifoPop();
+    while (!LaneEmpty() && heap_.empty()) {
+      if (LaneFrontTime() > max_time) return processed;
+      Event ev = LanePop();
       DispatchEvent(ev);
       ++processed;
     }
 
-    const bool have_fifo = !FifoEmpty();
+    const bool have_lane = !LaneEmpty();
     const bool have_heap = !heap_.empty();
-    if (!have_fifo && !have_heap) break;
-    bool use_fifo = have_fifo;
-    if (have_fifo && have_heap) {
-      const Event& f = FifoFront();
+    if (!have_lane && !have_heap) break;
+    bool use_lane = have_lane;
+    if (have_lane && have_heap) {
+      const Nanos f = LaneFrontTime();
       const Event& h = heap_.front();
-      use_fifo = f.time != h.time ? f.time < h.time : f.seq < h.seq;
+      use_lane = f != h.time ? f < h.time : LaneFrontSeq() < h.seq;
     }
-    const Nanos front_time = use_fifo ? FifoFront().time : heap_.front().time;
+    const Nanos front_time = use_lane ? LaneFrontTime() : heap_.front().time;
     if (front_time > max_time) break;
-    Event ev = use_fifo ? FifoPop() : HeapPop();
+    Event ev = use_lane ? LanePop() : HeapPop();
     DispatchEvent(ev);
     ++processed;
   }
@@ -201,7 +222,12 @@ void SaveEvent(SnapshotWriter& w, Nanos time, std::uint64_t seq,
 
 void Switch::Save(SnapshotWriter& w) const {
   w.Section(snap::kSwitch);
-  // FIFO lane, serialized from the head in dispatch order.
+  // The fed trace by reference: its size, how far it was read, and its
+  // fingerprint, which Load checks against the restoring switch's trace.
+  w.Size(trace_.size());
+  w.Size(cursor_);
+  w.U64(TraceFingerprint());
+  // FIFO ring, serialized from the head in dispatch order.
   w.Size(fifo_size_);
   for (std::size_t i = 0; i < fifo_size_; ++i) {
     const Event& ev = fifo_[(fifo_head_ + i) & (fifo_.size() - 1)];
@@ -222,8 +248,29 @@ void Switch::Save(SnapshotWriter& w) const {
 
 void Switch::Load(SnapshotReader& r) {
   r.Section(snap::kSwitch);
-  std::uint64_t max_seq = 0;
-  bool any_event = false;
+  const std::uint64_t trace_size = r.U64();
+  if (trace_size != trace_.size()) {
+    throw SnapshotError("Switch [section 0x14]: the snapshot's trace holds " +
+                        std::to_string(trace_size) +
+                        " packets, the trace this switch was fed " +
+                        std::to_string(trace_.size()));
+  }
+  const std::uint64_t cursor = r.U64();
+  if (cursor > trace_size) {
+    throw SnapshotError("Switch [section 0x14]: trace cursor " +
+                        std::to_string(cursor) + " is past the " +
+                        std::to_string(trace_size) + "-packet trace");
+  }
+  if (r.U64() != TraceFingerprint()) {
+    throw SnapshotError(
+        "Switch [section 0x14]: the snapshot's trace fingerprint does not "
+        "match the trace this switch was fed");
+  }
+  cursor_ = std::size_t(cursor);
+  // The unread trace packets dispatch ahead of the ring and carry their
+  // trace indices as seqs.
+  bool any_event = TraceUnread();
+  std::uint64_t max_seq = any_event ? trace_.size() - 1 : 0;
   const auto load_event = [&](Event& ev) {
     ev.time = r.I64();
     ev.seq = r.U64();
@@ -247,7 +294,8 @@ void Switch::Load(SnapshotReader& r) {
   fifo_head_ = 0;
   fifo_size_ = nfifo;
   // Both lanes dispatch as restored, so their order is checked here: the
-  // FIFO must be sorted by (time, seq) and the heap array must be a heap.
+  // wire lane must increase by (time, seq) from the unread trace into the
+  // ring, and the heap array must be a heap.
   for (std::size_t i = 0; i < nfifo; ++i) {
     load_event(fifo_[i]);
     if (i > 0 && !EventAfter{}(fifo_[i], fifo_[i - 1])) {
@@ -259,6 +307,19 @@ void Switch::Load(SnapshotReader& r) {
           ", seq " + std::to_string(fifo_[i - 1].seq) + ")");
     }
   }
+  if (nfifo > 0 && TraceUnread()) {
+    const Event& head = fifo_[0];
+    const Nanos tail_time = trace_.back().ts;
+    const std::uint64_t tail_seq = trace_.size() - 1;
+    if (head.time != tail_time ? head.time < tail_time : head.seq <= tail_seq) {
+      throw SnapshotError(
+          "Switch [section 0x14]: FIFO head (t=" + std::to_string(head.time) +
+          ", seq " + std::to_string(head.seq) +
+          ") does not follow the trace's last packet (t=" +
+          std::to_string(tail_time) + ", seq " + std::to_string(tail_seq) +
+          ")");
+    }
+  }
   heap_.clear();
   heap_.resize(r.Count(17));
   for (Event& ev : heap_) load_event(ev);
@@ -268,8 +329,8 @@ void Switch::Load(SnapshotReader& r) {
                         "-event heap lane is not a (time, seq) min-heap");
   }
   // New events take seqs from next_seq_ on; one at or below a restored
-  // event's seq would win a time tie against it, and the FIFO's time-only
-  // admission would no longer keep the ring sorted.
+  // event's seq would win a time tie against it, and the wire lane's
+  // time-only admission would no longer keep it sorted.
   next_seq_ = r.U64();
   if (any_event && next_seq_ <= max_seq) {
     throw SnapshotError("Switch [section 0x14]: saved next seq " +
@@ -285,7 +346,7 @@ void Switch::Load(SnapshotReader& r) {
 
 Nanos Switch::NextEventTime() const {
   Nanos t = -1;
-  if (!FifoEmpty()) t = FifoFront().time;
+  if (!LaneEmpty()) t = LaneFrontTime();
   if (!heap_.empty() && (t < 0 || heap_.front().time < t)) {
     t = heap_.front().time;
   }

@@ -15,20 +15,24 @@
 // Event engine (docs/pipeline_performance.md): pending events live in two
 // lanes that together realize one total order by (time, seq). Wire packets
 // arriving in non-decreasing time order — the overwhelmingly common case,
-// traces are replayed chronologically — go to a FIFO ring with O(1)
-// push/pop; recirculations, controller injections and out-of-order wire
-// arrivals go to a binary heap. Dispatch pops whichever lane fronts the
-// smaller (time, seq), which reproduces the historical single
-// priority-queue order bit for bit. Events are moved, never copied; each
-// pass reuses a per-switch PipelineActions scratch whose action lists store
-// small bursts inline, so an ordinary forwarding pass performs zero heap
-// allocations. Register arrays are armed per pass by bumping one shared
-// epoch counter instead of touching every array (see register_array.h).
+// traces are replayed chronologically — go to the wire lane with O(1)
+// push/pop: the unread suffix of a trace the switch was fed (FeedTrace),
+// read in place through a cursor, then a FIFO ring. Recirculations,
+// controller injections and out-of-order wire arrivals go to a binary
+// heap. Dispatch pops whichever lane fronts the smaller (time, seq), which
+// reproduces the historical single priority-queue order bit for bit.
+// Events are moved, never copied, except that a trace packet is copied
+// once, when it is dispatched; each pass reuses a per-switch
+// PipelineActions scratch whose action lists store small bursts inline, so
+// an ordinary forwarding pass performs zero heap allocations. Register
+// arrays are armed per pass by bumping one shared epoch counter instead of
+// touching every array (see register_array.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -99,6 +103,8 @@ inline constexpr Nanos kToControllerLatency = 2'000;
 class Switch {
  public:
   using PacketHandler = std::function<void(const Packet&, Nanos)>;
+  /// Receives each cloned/report packet; the switch moves it in.
+  using ControllerHandler = std::function<void(Packet&&, Nanos)>;
   /// Picks the egress port for a forwarded packet. May return kFloodEgress
   /// to replicate on every connected port. Must be deterministic for
   /// reproducible runs.
@@ -130,16 +136,21 @@ class Switch {
     policy_ = std::move(policy);
   }
   /// Delivery of cloned/report packets to the controller.
-  void SetControllerHandler(PacketHandler handler) {
+  void SetControllerHandler(ControllerHandler handler) {
     to_controller_ = std::move(handler);
   }
 
   void EnqueueFromWire(Packet p, Nanos arrival);
   void EnqueueFromController(Packet p, Nanos arrival);
-  /// Enqueue a whole trace from the wire, each packet arriving at its own
-  /// timestamp (EnqueueFromWire(p, p.ts) per packet, in order), with the
-  /// FIFO ring sized once for all of them instead of doubling its way up.
-  void EnqueueTrace(std::span<const Packet> packets);
+  /// Feed a whole trace from the wire, each packet arriving at its own
+  /// timestamp: the same dispatch order as EnqueueFromWire(p, p.ts) per
+  /// packet, with packet i at seq i, but the switch reads the packets in
+  /// place through a cursor instead of copying them into its ring. The
+  /// switch borrows `packets`, which must outlive it unchanged. Throws
+  /// std::invalid_argument naming the first packet earlier than its
+  /// predecessor, and std::logic_error unless this is the switch's first
+  /// enqueue.
+  void FeedTrace(std::span<const Packet> packets);
 
   /// Hook invoked on every enqueue (when set). The owning Network uses it to
   /// maintain the idle-switch skip list: quiescence detection only scans
@@ -167,15 +178,20 @@ class Switch {
   std::uint64_t total_passes() const noexcept { return total_passes_; }
   std::uint64_t recirc_passes() const noexcept { return recirc_passes_; }
 
-  /// Checkpoint the event lanes (FIFO, heap) and the seq / pass counters.
+  /// Checkpoint the event lanes and the seq / pass counters. The fed
+  /// trace is not written, only the cursor into it, its packet count and
+  /// its FingerprintPackets value (computed on the first Save or Load,
+  /// then kept); the restoring switch must have been fed the same trace.
   /// Program state, port handlers and the forwarding policy are
   /// configuration the restoring side rebuilds before calling Load. The
   /// FIFO ring is renormalized to head 0 and the heap restored in layout
   /// order, so dispatch order is preserved exactly; Load throws
-  /// SnapshotError unless the FIFO strictly increases in (time, seq), the
-  /// heap array is a heap, every source byte names a PacketSource and the
-  /// saved next seq is above every restored event's seq (a lower one would
-  /// let the next enqueue dispatch ahead of a restored event at its time).
+  /// SnapshotError unless the trace matches and the cursor is within it,
+  /// the wire lane strictly increases in (time, seq) from the trace's
+  /// unread packets into the ring, the heap array is a heap, every source
+  /// byte names a PacketSource and the saved next seq is above every
+  /// restored event's seq (a lower one would let the next enqueue dispatch
+  /// ahead of a restored event at its time).
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
@@ -186,6 +202,7 @@ class Switch {
     PacketSource source;
     Packet packet;
   };
+  static_assert(sizeof(Event) == 120);
   /// min-heap comparator: `a` pops after `b`.
   struct EventAfter {
     bool operator()(const Event& a, const Event& b) const {
@@ -198,18 +215,36 @@ class Switch {
     if (on_activity_) on_activity_();
   }
 
-  // FIFO ring lane (power-of-two capacity).
+  // Wire lane: the fed trace's unread suffix, then the FIFO ring
+  // (power-of-two capacity). Trace packet i has seq i, and everything else
+  // draws a later seq, so the ring only ever follows the trace.
+  bool TraceUnread() const noexcept { return cursor_ < trace_.size(); }
   bool FifoEmpty() const noexcept { return fifo_size_ == 0; }
   const Event& FifoFront() const noexcept { return fifo_[fifo_head_]; }
   const Event& FifoTail() const noexcept {
     return fifo_[(fifo_head_ + fifo_size_ - 1) & (fifo_.size() - 1)];
   }
-  /// The ring only accepts events that extend its tail in (time, seq)
+  bool LaneEmpty() const noexcept { return !TraceUnread() && FifoEmpty(); }
+  Nanos LaneFrontTime() const noexcept {
+    return TraceUnread() ? trace_[cursor_].ts : FifoFront().time;
+  }
+  std::uint64_t LaneFrontSeq() const noexcept {
+    return TraceUnread() ? cursor_ : FifoFront().seq;
+  }
+  /// The lane only accepts events that extend its tail in (time, seq)
   /// order. Seqs are drawn from one increasing counter, so a new event
   /// extends the tail exactly when it is not earlier.
-  bool FifoAdmissible(Nanos time) const noexcept {
-    return FifoEmpty() || time >= FifoTail().time;
+  bool LaneAdmits(Nanos time) const noexcept {
+    if (!FifoEmpty()) return time >= FifoTail().time;
+    return !TraceUnread() || time >= trace_.back().ts;
   }
+  /// Pops the lane's front: a copy of the next trace packet, or the ring's
+  /// front event moved out.
+  Event LanePop();
+  /// FingerprintPackets(trace_), computed on first use; a snapshot names
+  /// its trace by it.
+  std::uint64_t TraceFingerprint() const;
+
   void FifoPush(Event ev);
   Event FifoPop() noexcept;
   /// Move the ring's events into a fresh ring of `new_cap` slots (a power
@@ -224,8 +259,11 @@ class Switch {
   std::vector<RegisterArray*> registers_;
   std::vector<PacketHandler> ports_;  ///< per-egress-port delivery
   ForwardingPolicy policy_;
-  PacketHandler to_controller_;
+  ControllerHandler to_controller_;
 
+  std::span<const Packet> trace_;
+  std::size_t cursor_ = 0;  ///< trace_[cursor_..] is still to dispatch
+  mutable std::optional<std::uint64_t> trace_fingerprint_;
   PooledVector<Event> fifo_;
   std::size_t fifo_head_ = 0;
   std::size_t fifo_size_ = 0;

@@ -155,11 +155,11 @@ void TraceGenerator::InjectSshBruteForce(Trace& trace, Nanos start,
     FiveTuple ft{attacker, victim, EphemeralPort(),
                  22, 6};
     // Each attempt: SYN, a couple of small auth packets, FIN.
-    Packet syn{.ft = ft, .size_bytes = 64, .ts = t0, .tcp_flags = kTcpSyn};
-    Packet auth{.ft = ft, .size_bytes = 128, .ts = t0 + 50 * kMicro,
-                .tcp_flags = kTcpAck | kTcpPsh, .seq = 1};
-    Packet fin{.ft = ft, .size_bytes = 64, .ts = t0 + 100 * kMicro,
-               .tcp_flags = kTcpFin | kTcpAck, .seq = 2};
+    Packet syn{.ts = t0, .ft = ft, .size_bytes = 64, .tcp_flags = kTcpSyn};
+    Packet auth{.ts = t0 + 50 * kMicro, .ft = ft, .seq = 1,
+                .size_bytes = 128, .tcp_flags = kTcpAck | kTcpPsh};
+    Packet fin{.ts = t0 + 100 * kMicro, .ft = ft, .seq = 2,
+               .size_bytes = 64, .tcp_flags = kTcpFin | kTcpAck};
     trace.packets.push_back(syn);
     trace.packets.push_back(auth);
     trace.packets.push_back(fin);
@@ -244,11 +244,11 @@ void TraceGenerator::InjectCompletedFlows(Trace& trace, Nanos start,
     const Nanos t0 = start + Nanos(rng_.Uniform(std::uint64_t(duration)));
     FiveTuple ft{kActorBase + 0x4000 + std::uint32_t(i % 64), host,
                  EphemeralPort(), 8080, 6};
-    Packet syn{.ft = ft, .size_bytes = 64, .ts = t0, .tcp_flags = kTcpSyn};
-    Packet dat{.ft = ft, .size_bytes = 900, .ts = t0 + 40 * kMicro,
-               .tcp_flags = kTcpAck | kTcpPsh, .seq = 1};
-    Packet fin{.ft = ft, .size_bytes = 64, .ts = t0 + 80 * kMicro,
-               .tcp_flags = kTcpFin | kTcpAck, .seq = 2};
+    Packet syn{.ts = t0, .ft = ft, .size_bytes = 64, .tcp_flags = kTcpSyn};
+    Packet dat{.ts = t0 + 40 * kMicro, .ft = ft, .seq = 1,
+               .size_bytes = 900, .tcp_flags = kTcpAck | kTcpPsh};
+    Packet fin{.ts = t0 + 80 * kMicro, .ft = ft, .seq = 2,
+               .size_bytes = 64, .tcp_flags = kTcpFin | kTcpAck};
     trace.packets.push_back(syn);
     trace.packets.push_back(dat);
     trace.packets.push_back(fin);

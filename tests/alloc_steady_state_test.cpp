@@ -111,7 +111,7 @@ void ExpectDrainHeapSilent(const std::function<AdapterPtr()>& make_app) {
     auto program = std::make_shared<OmniWindowProgram>(cfg, make_app());
     sw.SetProgram(program);
     sw.SetControllerHandler([](const Packet&, Nanos) {});
-    for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
+    sw.FeedTrace(trace.packets);
     const alloc_trace::Scope scope;
     sw.RunBatch(trace.Duration() + kSecond);
     if (round == 1) news = scope.news();

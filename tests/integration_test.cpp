@@ -203,7 +203,7 @@ TEST(EndToEnd, ReliabilityRecoversLostAfrs) {
 
   std::size_t windows = 0;
   controller.SetWindowHandler([&](const WindowResult&) { ++windows; });
-  for (const Packet& p : s.trace.packets) sw.EnqueueFromWire(p, p.ts);
+  sw.FeedTrace(s.trace.packets);
   Packet sentinel;
   sentinel.ts = s.trace.Duration() + 50 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);

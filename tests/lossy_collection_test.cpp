@@ -178,7 +178,7 @@ TEST(LossyCollection, UnrecoverableSubWindowIsForceFinalized) {
   std::size_t emitted = 0;
   controller.SetWindowHandler([&](const WindowResult&) { ++emitted; });
 
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
+  sw.FeedTrace(trace.packets);
   Packet sentinel;
   sentinel.ts = trace.Duration() + 60 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);

@@ -80,7 +80,7 @@ TEST(MultiApp, TwoAppsDetectTheirOwnAnomalies) {
     ddos_windows.push_back(ddos_app->Detect(*w.table));
   });
 
-  for (const Packet& p : s.trace.packets) sw.EnqueueFromWire(p, p.ts);
+  sw.FeedTrace(s.trace.packets);
   Packet sentinel;
   sentinel.ts = s.trace.Duration() + 60 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
@@ -123,7 +123,7 @@ TEST(MultiApp, MatchesSingleAppRuns) {
         {w.span, syn_app->Detect(*w.table), w.completed_at});
   });
   harness.controller(1).SetWindowHandler([](const WindowResult&) {});
-  for (const Packet& p : s.trace.packets) sw.EnqueueFromWire(p, p.ts);
+  sw.FeedTrace(s.trace.packets);
   Packet sentinel;
   sentinel.ts = s.trace.Duration() + 60 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);

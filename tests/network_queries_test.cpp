@@ -131,7 +131,7 @@ TEST(ProtocolStress, RandomReportLossStaysConsistent) {
       w.table->ForEach([&](const KvSlot& s) { total += s.attrs[0]; });
       totals[w.span.first] = total;
     });
-    for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
+    sw.FeedTrace(trace.packets);
     Packet sentinel;
     sentinel.ts = trace.Duration() + 60 * kMilli;
     sw.EnqueueFromWire(sentinel, sentinel.ts);

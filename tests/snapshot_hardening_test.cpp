@@ -33,6 +33,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -723,16 +724,27 @@ struct EventEntry {
   std::uint32_t id;     ///< carried in Packet::seq
 };
 
-/// A hand-written kSwitch section: `fifo` and `heap` lanes in the listed
-/// order and `next_seq` as the saved next seq (default: one above every
-/// listed seq).
+/// The fed-trace fields a kSwitch section opens with.
+struct TraceRef {
+  std::uint64_t size = 0;
+  std::uint64_t cursor = 0;
+  std::uint64_t fingerprint = FingerprintPackets({});
+};
+
+/// A hand-written kSwitch section: the fed-trace fields, `fifo` and `heap`
+/// lanes in the listed order and `next_seq` as the saved next seq
+/// (default: one above every listed seq and every trace index).
 std::vector<std::uint8_t> SwitchSection(
     const std::vector<EventEntry>& fifo = {},
     const std::vector<EventEntry>& heap = {},
-    std::optional<std::uint64_t> next_seq = std::nullopt) {
+    std::optional<std::uint64_t> next_seq = std::nullopt,
+    const TraceRef& trace = {}) {
   SnapshotWriter w;
   w.Section(snap::kSwitch);
-  std::uint64_t above = 0;
+  w.U64(trace.size);
+  w.U64(trace.cursor);
+  w.U64(trace.fingerprint);
+  std::uint64_t above = trace.size;
   for (const auto* lane : {&fifo, &heap}) {
     w.Size(lane->size());
     for (const EventEntry& ev : *lane) {
@@ -753,9 +765,10 @@ std::vector<std::uint8_t> SwitchSection(
   return w.Take();
 }
 
-/// Offsets of the lane counts: header (8) and section tag (4), then the
-/// FIFO count (8) and, with an empty FIFO, the heap count.
-constexpr std::size_t kFifoCountOffset = 8 + 4;
+/// Offsets of the lane counts: header (8), section tag (4) and the three
+/// trace words (24), then the FIFO count (8) and, with an empty FIFO, the
+/// heap count.
+constexpr std::size_t kFifoCountOffset = 8 + 4 + 24;
 constexpr std::size_t kHeapCountOffset = kFifoCountOffset + 8;
 
 struct OrderProgram : SwitchProgram {
@@ -771,8 +784,10 @@ struct OrderProgram : SwitchProgram {
 constexpr std::uint8_t kWireByte = std::uint8_t(PacketSource::kWire);
 
 void ExpectLoadThrows(const std::vector<std::uint8_t>& bytes,
-                      const std::string& needle) {
+                      const std::string& needle,
+                      std::span<const Packet> fed = {}) {
   Switch sw(0);
+  sw.FeedTrace(fed);
   SnapshotReader r(bytes);
   try {
     sw.Load(r);
@@ -862,6 +877,69 @@ TEST(SwitchLoadHardening, NextSeqNotAboveRestoredEventsThrows) {
   sw.EnqueueFromWire(p, 100);
   sw.RunBatch(kSecond);
   EXPECT_EQ(prog->order, (std::vector<std::uint32_t>{0, 1}));
+}
+
+/// Three trace packets, at 100, 200 and 300 ns.
+std::vector<Packet> FedTrace() {
+  std::vector<Packet> trace(3);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].ts = Nanos(i + 1) * 100;
+    trace[i].seq = std::uint32_t(i);
+  }
+  return trace;
+}
+
+TEST(SwitchLoadHardening, TraceCursorPastTheTraceThrows) {
+  const std::vector<Packet> trace = FedTrace();
+  const std::uint64_t fp = FingerprintPackets(trace);
+  ExpectLoadThrows(SwitchSection({}, {}, std::nullopt, {3, 4, fp}),
+                   "cursor 4 is past the 3-packet trace", trace);
+  // At the end of the trace, every packet has been dispatched: that loads.
+  Switch sw(0);
+  sw.FeedTrace(trace);
+  const std::vector<std::uint8_t> bytes =
+      SwitchSection({}, {}, std::nullopt, {3, 3, fp});
+  SnapshotReader r(bytes);
+  sw.Load(r);
+  EXPECT_EQ(sw.NextEventTime(), -1);
+}
+
+TEST(SwitchLoadHardening, RingHeadBeforeTheTraceTailThrows) {
+  // From cursor 1 the wire lane reads packets 1 and 2 of the trace, the
+  // last at (300 ns, seq 2), then the ring. A ring head earlier than that,
+  // or at its time without a later seq, would dispatch out of order.
+  const std::vector<Packet> trace = FedTrace();
+  const TraceRef ref{3, 1, FingerprintPackets(trace)};
+  for (const EventEntry& head :
+       {EventEntry{250, 5, kWireByte, 0}, EventEntry{300, 2, kWireByte, 0}}) {
+    SCOPED_TRACE("head t=" + std::to_string(head.time) + " seq " +
+                 std::to_string(head.seq));
+    ExpectLoadThrows(SwitchSection({head}, {}, std::nullopt, ref),
+                     "does not follow the trace's last packet", trace);
+  }
+  // A head after the tail loads and dispatches behind the trace.
+  Switch sw(0);
+  sw.FeedTrace(trace);
+  auto prog = std::make_shared<OrderProgram>();
+  sw.SetProgram(prog);
+  const std::vector<std::uint8_t> bytes =
+      SwitchSection({{300, 3, kWireByte, 7}}, {}, std::nullopt, ref);
+  SnapshotReader r(bytes);
+  sw.Load(r);
+  sw.RunBatch(kSecond);
+  EXPECT_EQ(prog->order, (std::vector<std::uint32_t>{1, 2, 7}));
+}
+
+TEST(SwitchLoadHardening, AnotherTraceThrows) {
+  const std::vector<Packet> trace = FedTrace();
+  std::vector<Packet> other = trace;
+  other[1].ts = 150;
+  ExpectLoadThrows(
+      SwitchSection({}, {}, std::nullopt, {3, 0, FingerprintPackets(other)}),
+      "fingerprint", trace);
+  const std::uint64_t prefix = FingerprintPackets(std::span(trace).first(2));
+  ExpectLoadThrows(SwitchSection({}, {}, std::nullopt, {2, 0, prefix}),
+                   "trace holds 2 packets", trace);
 }
 
 TEST(SwitchLoadHardening, ForgedStagedCountFailsBeforeAllocation) {

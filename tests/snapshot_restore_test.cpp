@@ -21,6 +21,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -313,6 +314,56 @@ TEST(SnapshotRestore, ShapeMismatchThrows) {
                                 bytes.begin() + bytes.size() / 2);
   EXPECT_THROW(same.Restore(cut), SnapshotError);
 }
+
+TEST(SnapshotRestore, AnotherTraceIsRefused) {
+  // A session borrows its trace, and a snapshot refers to switch 0's input
+  // by count and fingerprint instead of carrying it. Restoring into a
+  // session fed other packets must throw, not resume over the wrong input.
+  const Trace trace = FabricTrace(8106);
+  const NetworkRunConfig cfg = LeafSpineConfig(3, 2);
+  FabricSession src(trace, MakeCountApp, cfg);
+  src.DriveUntil(175 * kMilli);
+  const std::vector<std::uint8_t> bytes = src.Snapshot();
+
+  Trace changed = trace;
+  ++changed.packets[changed.packets.size() / 2].seq;
+  Trace shorter = trace;
+  shorter.packets.pop_back();
+  for (const Trace* other : {&changed, &shorter}) {
+    SCOPED_TRACE(other == &changed ? "one packet changed" : "shorter trace");
+    FabricSession restored(*other, MakeCountApp, cfg);
+    try {
+      restored.Restore(bytes);
+      FAIL() << "restored a snapshot of another trace";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("section 0x14"), std::string::npos)
+          << e.what();
+    }
+  }
+  FabricSession same(trace, MakeCountApp, cfg);
+  EXPECT_NO_THROW(same.Restore(bytes));
+}
+
+TEST(FabricSessionTrace, RefusesATraceOutOfTimeOrder) {
+  Trace trace = FabricTrace(8107);
+  ASSERT_GT(trace.packets.size(), 100u);
+  trace.packets[41].ts = trace.packets[40].ts - 1;
+  try {
+    FabricSession session(trace, MakeCountApp, LeafSpineConfig(2, 2));
+    FAIL() << "a session took a trace out of time order";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("packet 41 (t="), std::string::npos)
+        << e.what();
+  }
+}
+
+// The session keeps a reference to its trace, so a temporary must not bind.
+static_assert(std::is_constructible_v<FabricSession, const Trace&,
+                                      decltype(&MakeCountApp),
+                                      NetworkRunConfig>);
+static_assert(!std::is_constructible_v<FabricSession, Trace&&,
+                                       decltype(&MakeCountApp),
+                                       NetworkRunConfig>);
 
 TEST(SnapshotRestore, FileRoundTripResumesBitIdentically) {
   // The durable path: SnapshotToFile at the kill point, RestoreFromFile in

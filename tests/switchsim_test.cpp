@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/snapshot.h"
@@ -244,62 +246,130 @@ TEST(Switch, StagedArrivalsCommitInCanonicalOrderAtScale) {
   EXPECT_EQ(prog->order, expected);
 }
 
-TEST(Switch, EnqueueTraceMatchesPerPacketEnqueue) {
-  // A trace with one late packet (the fourth, at 250 ns, behind one at
-  // 300 ns): the one-call enqueue must leave both lanes exactly as
-  // per-packet EnqueueFromWire does, the late packet on the heap, and
-  // dispatch the same order.
+TEST(Switch, FeedTraceMatchesPerPacketEnqueue) {
+  // A trace with time ties, then four more events: a wire arrival behind
+  // the trace's tail (it must take the heap), an injection tying trace
+  // packets at 200 ns, an arrival tying the trace's last timestamp and the
+  // end-of-trace sentinel. A switch fed the trace must dispatch exactly
+  // what one fed EnqueueFromWire(p, p.ts) per packet dispatches, with or
+  // without a Save/Load in mid-trace.
   std::vector<Packet> trace(6);
-  const Nanos times[] = {100, 200, 300, 250, 300, 400};
+  const Nanos times[] = {100, 200, 200, 300, 300, 400};
   for (std::size_t i = 0; i < trace.size(); ++i) {
     trace[i].ts = times[i];
     trace[i].seq = std::uint32_t(i);
   }
-  Switch batched(0), single(1);
-  batched.EnqueueTrace(trace);
-  for (const Packet& p : trace) single.EnqueueFromWire(p, p.ts);
-
-  const auto lanes = [](const Switch& sw) {
-    SnapshotWriter w;
-    sw.Save(w);
-    return w.Take();
+  const auto more = [](Switch& sw) {
+    Packet late, injected, tie, sentinel;
+    late.seq = 10;
+    injected.seq = 11;
+    tie.seq = 12;
+    sentinel.seq = 13;
+    sw.EnqueueFromWire(late, 250);
+    sw.EnqueueFromController(injected, 200);
+    sw.EnqueueFromWire(tie, 400);
+    sw.EnqueueFromWire(sentinel, 1000);
   };
-  const std::vector<std::uint8_t> bytes = lanes(batched);
-  EXPECT_EQ(bytes, lanes(single));
-  SnapshotReader r(bytes);
-  r.Section(snap::kSwitch);
-  EXPECT_EQ(r.Size(), trace.size() - 1) << "FIFO lane";
+  const std::vector<std::uint32_t> expected = {0, 1, 2, 11, 10,
+                                               3, 4, 5, 12, 13};
 
-  auto batched_order = std::make_shared<OrderProgram>();
+  Switch single(0);
+  for (const Packet& p : trace) single.EnqueueFromWire(p, p.ts);
+  more(single);
   auto single_order = std::make_shared<OrderProgram>();
-  batched.SetProgram(batched_order);
   single.SetProgram(single_order);
-  batched.RunBatch(kSecond);
   single.RunBatch(kSecond);
-  EXPECT_EQ(batched_order->order,
-            (std::vector<std::uint32_t>{0, 1, 3, 2, 4, 5}));
-  EXPECT_EQ(batched_order->order, single_order->order);
+  EXPECT_EQ(single_order->order, expected);
+
+  Switch fed(1);
+  fed.FeedTrace(trace);
+  more(fed);
+  {
+    // The trace stays out of the lanes: only the tie and the sentinel
+    // extend the wire lane onto the ring; the late arrival is on the heap.
+    SnapshotWriter w;
+    fed.Save(w);
+    const std::vector<std::uint8_t> bytes = w.Take();
+    SnapshotReader r(bytes);
+    r.Section(snap::kSwitch);
+    EXPECT_EQ(r.Size(), trace.size()) << "trace packets";
+    EXPECT_EQ(r.Size(), 0u) << "cursor";
+    EXPECT_EQ(r.U64(), FingerprintPackets(trace));
+    EXPECT_EQ(r.Size(), 2u) << "ring events";
+  }
+  auto fed_order = std::make_shared<OrderProgram>();
+  fed.SetProgram(fed_order);
+  fed.RunBatch(kSecond);
+  EXPECT_EQ(fed_order->order, expected);
+
+  // Stop after the 200 ns events, save, and resume in a switch fed the same
+  // trace.
+  Switch first(2);
+  first.FeedTrace(trace);
+  more(first);
+  auto first_order = std::make_shared<OrderProgram>();
+  first.SetProgram(first_order);
+  first.RunBatch(200);
+  ASSERT_EQ(first_order->order.size(), 4u);
+  SnapshotWriter w;
+  first.Save(w);
+  const std::vector<std::uint8_t> bytes = w.Take();
+  Switch second(3);
+  second.FeedTrace(trace);
+  auto second_order = std::make_shared<OrderProgram>();
+  second.SetProgram(second_order);
+  SnapshotReader r(bytes);
+  second.Load(r);
+  EXPECT_TRUE(r.AtEnd());
+  second.RunBatch(kSecond);
+  std::vector<std::uint32_t> spliced = first_order->order;
+  spliced.insert(spliced.end(), second_order->order.begin(),
+                 second_order->order.end());
+  EXPECT_EQ(spliced, expected);
 }
 
-TEST(Switch, EnqueueTraceAllocatesTheRingOnce) {
+TEST(Switch, FeedTraceGrowsThePoolByAtMostOneChunk) {
 #ifdef OW_POOL_PASSTHROUGH
   GTEST_SKIP() << "pool passthrough build (sanitizers)";
 #else
-  // Per-packet enqueues double the ring from 64 slots up; the one-call
-  // enqueue sizes it once, so the pool sees exactly one request.
-  constexpr std::size_t kPackets = 50'000;
+  // 2^17 packets: a ring holding them would take a 16 MiB pool block (120
+  // bytes an event, rounded to a power of two). The switch reads the trace
+  // in place, so feeding and draining it, sentinel included, may open at
+  // most one 1 MiB chunk.
+  constexpr std::size_t kPackets = std::size_t(1) << 17;
   std::vector<Packet> trace(kPackets);
   for (std::size_t i = 0; i < kPackets; ++i) trace[i].ts = Nanos(i / 2);
   Switch sw(0);
-  const ArenaPool::Stats before = GlobalPool().stats();
-  sw.EnqueueTrace(trace);
-  const ArenaPool::Stats after = GlobalPool().stats();
-  EXPECT_EQ(after.hits + after.misses, before.hits + before.misses + 1);
-
   auto prog = std::make_shared<OrderProgram>();
+  prog->order.reserve(kPackets + 1);
   sw.SetProgram(prog);
-  EXPECT_EQ(sw.RunBatch(kSecond), kPackets);
+  const std::size_t before = GlobalPool().stats().reserved_bytes;
+  sw.FeedTrace(trace);
+  Packet sentinel;
+  sw.EnqueueFromWire(sentinel, kSecond);
+  EXPECT_EQ(sw.RunBatch(kSecond), kPackets + 1);
+  EXPECT_LE(GlobalPool().stats().reserved_bytes - before,
+            std::size_t(1) << 20);
 #endif
+}
+
+TEST(Switch, FeedTraceRefusesATraceOutOfTimeOrder) {
+  std::vector<Packet> trace(4);
+  const Nanos times[] = {100, 200, 150, 300};
+  for (std::size_t i = 0; i < trace.size(); ++i) trace[i].ts = times[i];
+  Switch sw(0);
+  try {
+    sw.FeedTrace(trace);
+    FAIL() << "a trace out of time order was fed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("packet 2 (t=150)"),
+              std::string::npos)
+        << e.what();
+  }
+  // Only a switch's first enqueue may feed a trace: packet i takes seq i.
+  Switch busy(1);
+  busy.EnqueueFromWire(Packet{}, 0);
+  EXPECT_THROW(busy.FeedTrace(std::span(trace).first(2)), std::logic_error);
 }
 
 TEST(Switch, ThrowsWithoutProgram) {

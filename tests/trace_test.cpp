@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/hash.h"
 #include "src/common/metrics.h"
 #include "src/trace/generator.h"
 #include "src/trace/trace_io.h"
@@ -273,34 +272,6 @@ TEST(TraceSort, InjectedTraceEqualsStableSort) {
   ExpectSortsLikeStableSort(std::move(trace));
 }
 
-// Folds every field of every packet, in order, into one value.
-std::uint64_t Fingerprint(const Trace& trace) {
-  std::uint64_t h = 0;
-  const auto add = [&h](std::uint64_t v) { h = Mix64(h ^ v); };
-  const auto add_key = [&add](const FlowKey& k) {
-    add(std::uint64_t(k.kind()));
-    add(k.bytes().size());
-    for (const std::uint8_t b : k.bytes()) add(b);
-  };
-  add(trace.packets.size());
-  for (const Packet& p : trace.packets) {
-    for (const std::uint64_t v :
-         {std::uint64_t(p.ft.src_ip), std::uint64_t(p.ft.dst_ip),
-          std::uint64_t(p.ft.src_port), std::uint64_t(p.ft.dst_port),
-          std::uint64_t(p.ft.proto), std::uint64_t(p.size_bytes),
-          std::uint64_t(p.ts), std::uint64_t(p.tcp_flags),
-          std::uint64_t(p.seq), std::uint64_t(p.iteration),
-          std::uint64_t(p.ow.present), std::uint64_t(p.ow.subwindow_num),
-          std::uint64_t(p.ow.flag), std::uint64_t(p.ow.app_id),
-          std::uint64_t(p.ow.payload), std::uint64_t(p.ow.degraded),
-          std::uint64_t(p.ow.afrs.size())}) {
-      add(v);
-    }
-    add_key(p.ow.injected_key);
-  }
-  return h;
-}
-
 TraceConfig GoldenConfig(Nanos duration, double pps, std::size_t flows) {
   TraceConfig cfg;
   cfg.seed = 1;
@@ -318,19 +289,19 @@ TEST(TraceGenerator, SwitchQueryTraceMatchesGolden) {
   TraceGenerator gen(GoldenConfig(10 * kSecond, 100'000, 20'000));
   const Trace trace = gen.GenerateEvaluationTrace();
   EXPECT_EQ(trace.packets.size(), 1'005'636u);
-  EXPECT_EQ(Fingerprint(trace), 0xd0099a121c8e7374ull);
+  EXPECT_EQ(FingerprintPackets(trace.packets), 0xd0099a121c8e7374ull);
 }
 
 TEST(TraceGenerator, LeafSpineDetectTraceMatchesGolden) {
   TraceGenerator gen(GoldenConfig(2 * kSecond, 30'000, 8'000));
   const Trace trace = gen.GenerateEvaluationTrace();
-  EXPECT_EQ(Fingerprint(trace), 0x5de16a34313bac96ull);
+  EXPECT_EQ(FingerprintPackets(trace.packets), 0x5de16a34313bac96ull);
 }
 
 TEST(TraceGenerator, StandbyBackgroundMatchesGolden) {
   TraceGenerator gen(GoldenConfig(2500 * kMilli, 25'000, 2'500));
   const Trace trace = gen.GenerateBackground();
-  EXPECT_EQ(Fingerprint(trace), 0x223f03c74b783654ull);
+  EXPECT_EQ(FingerprintPackets(trace.packets), 0x223f03c74b783654ull);
 }
 
 TEST(TraceIo, RoundTrip) {

@@ -154,7 +154,7 @@ TEST(Retransmission, ServesCachedValuesAfterReset) {
     const KvSlot* slot = w.table->Find(victim);
     results.emplace_back(w.span.first, slot ? slot->attrs[0] : 0);
   });
-  for (const Packet& p : trace.packets) sw.EnqueueFromWire(p, p.ts);
+  sw.FeedTrace(trace.packets);
   Packet sentinel;
   sentinel.ts = trace.Duration() + 60 * kMilli;
   sw.EnqueueFromWire(sentinel, sentinel.ts);
