@@ -516,10 +516,12 @@ int main(int argc, char** argv) {
   const std::string first_ck = tag + "_ck0.owsnap";
   row.checkpoint_file_bytes = FileBytes(first_ck);
   {
-    const std::uint64_t w0 = WallNs();
+    // Only SnapshotToFile is timed: building and restoring the probe
+    // session is not part of the write.
     FabricSession probe(trace, MakeApp, BaseConfig(), Detect);
     probe.RestoreFromFile(first_ck);
     const std::string wtmp = tag + "_wprobe.owsnap";
+    const std::uint64_t w0 = WallNs();
     probe.SnapshotToFile(wtmp);
     const std::uint64_t w1 = WallNs();
     row.write_mbps = double(FileBytes(wtmp)) / 1e6 / (double(w1 - w0) / 1e9);

@@ -55,24 +55,9 @@ OmniWindowController::OmniWindowController(ControllerConfig cfg,
       table_(cfg.kv_capacity) {
   cfg_.window.Validate();
   obs::Registry& reg = obs::Global();
-  obs_.afrs_received = &reg.GetCounter("controller.afrs_received");
-  obs_.subwindows_finalized =
-      &reg.GetCounter("controller.subwindows_finalized");
-  obs_.subwindows_force_finalized =
-      &reg.GetCounter("controller.subwindows_force_finalized");
-  obs_.windows_emitted = &reg.GetCounter("controller.windows_emitted");
-  obs_.spilled_keys = &reg.GetCounter("controller.spilled_keys_stored");
   obs_.trigger_gaps_recovered =
       &reg.GetCounter("controller.trigger_gaps_recovered");
-  obs_.retransmissions = &reg.GetCounter("controller.retransmissions");
-  obs_.spike_packets = &reg.GetCounter("controller.spike_packets");
-  obs_.duplicate_afrs = &reg.GetCounter("controller.duplicate_afrs");
-  obs_.windows_partial = &reg.GetCounter("controller.windows_partial");
-  obs_.rdma_holes = &reg.GetCounter("fault.rdma.holes_detected");
-  obs_.switch_degraded =
-      &reg.GetCounter("controller.subwindows_degraded_by_switch");
   obs_.merge_records = &reg.GetCounter("merge.records");
-  obs_.inserts_rejected = &reg.GetGauge("controller.inserts_rejected");
   obs_.retry_attempts = &reg.GetHistogram("controller.retry_attempts");
   obs_.o1_collect_ns = &reg.GetHistogram("controller.o1_collect_ns");
   obs_.o2_insert_ns = &reg.GetHistogram("controller.o2_insert_ns");
@@ -81,11 +66,7 @@ OmniWindowController::OmniWindowController(ControllerConfig cfg,
   obs_.o5_evict_ns = &reg.GetHistogram("controller.o5_evict_ns");
 }
 
-void OmniWindowController::AttachSwitch(Switch* sw) {
-  switch_ = sw;
-  sw->SetControllerHandler(
-      [this](const Packet& p, Nanos arrival) { OnPacket(p, arrival); });
-}
+void OmniWindowController::AttachSwitch(Switch* sw) { switch_ = sw; }
 
 std::shared_ptr<RdmaContext> OmniWindowController::InitRdma(RdmaNic& nic) {
   rdma_ctx_ = std::make_shared<RdmaContext>();
@@ -138,7 +119,6 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
       if (spilled_seen_[sw].insert(p.ow.injected_key).second) {
         spilled_[sw].push_back(p.ow.injected_key);
         ++stats_.spilled_keys_stored;
-        obs_.spilled_keys->Add();
       }
       return;
     }
@@ -163,7 +143,6 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
           // Degrade the covering window explicitly.
           MarkDegraded(sw);
           ++stats_.subwindows_degraded_by_switch;
-          obs_.switch_degraded->Add();
         }
         if (cfg_.rdma) {
           pending.rdma_done = true;
@@ -181,19 +160,16 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
           }
           if (!InsertSeq(pending.seqs_seen, rec.seq_id)) {
             ++stats_.duplicate_afrs;
-            obs_.duplicate_afrs->Add();
             continue;
           }
         } else {
           if (!pending.injected_keys_seen.insert(rec.key).second) {
             ++stats_.duplicate_afrs;
-            obs_.duplicate_afrs->Add();
             continue;
           }
         }
         pending.records.push_back(rec);
         ++stats_.afrs_received;
-        obs_.afrs_received->Add();
       }
       MaybeFinalize(arrival);
       return;
@@ -204,7 +180,6 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
       // statistics it folds them into the not-yet-finalized sub-window so
       // the packet is not lost to measurement.
       ++stats_.spike_packets;
-      obs_.spike_packets->Add();
       const SubWindowNum sw = p.ow.payload;
       auto it = pending_.find(sw);
       if (it != pending_.end() && merge_kind_ == MergeKind::kFrequency) {
@@ -381,17 +356,14 @@ void OmniWindowController::FinalizeSubWindow(PendingSubWindow& pending,
   history_.emplace_back(pending.subwindow, std::move(pending.records));
   if (complete) {
     ++stats_.subwindows_finalized;
-    obs_.subwindows_finalized->Add();
   } else {
     // Retransmission attempts exhausted: the merged sub-window is missing
     // records. Accounted separately so lossy runs are diagnosable instead
     // of folding silently into the clean-finalize count.
     ++stats_.subwindows_force_finalized;
-    obs_.subwindows_force_finalized->Add();
   }
   EmitWindowsAfter(pending.subwindow, now);
   stats_.inserts_rejected = table_.rejected_inserts();
-  obs_.inserts_rejected->Set(std::int64_t(stats_.inserts_rejected));
 }
 
 void OmniWindowController::MarkDegraded(SubWindowNum sw) {
@@ -424,11 +396,7 @@ void OmniWindowController::EmitWindowsAfter(SubWindowNum sw, Nanos now) {
     obs_.o4_process_ns->Record(std::uint64_t(timer.Elapsed()));
   }
   ++stats_.windows_emitted;
-  obs_.windows_emitted->Add();
-  if (partial) {
-    ++stats_.windows_partial;
-    obs_.windows_partial->Add();
-  }
+  if (partial) ++stats_.windows_partial;
   // Degraded marks below the next window's first sub-window can never be
   // covered again.
   const SubWindowNum next_first = span.first + S;
@@ -566,7 +534,6 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
     tx_time += dpdk::kPerTxPacket;
     SendToSwitch(flag, pending.subwindow, payload, key, tx_time);
     ++stats_.retransmissions_requested;
-    obs_.retransmissions->Add();
   };
   if (cfg_.rdma && !pending.rdma_done) {
     // Only the completion notification can be outstanding before the drain;
@@ -624,12 +591,10 @@ void OmniWindowController::DrainRdma(PendingSubWindow& pending) {
       if (fresh) {
         pending.records.push_back(rec);
         ++stats_.afrs_received;
-        obs_.afrs_received->Add();
       }
     } else {
       ++pending.rdma_holes;
       ++stats_.rdma_holes_detected;
-      obs_.rdma_holes->Add();
     }
     std::fill(bytes.begin() + off, bytes.begin() + off + kAfrWireBytes, 0);
   }
@@ -653,7 +618,6 @@ void OmniWindowController::DrainRdma(PendingSubWindow& pending) {
     pending.records.push_back(rec);
     pending.mirror_keys.insert(key);
     ++stats_.afrs_received;
-    obs_.afrs_received->Add();
     for (std::size_t i = 0; i < 4; ++i) table_mr_->WriteU64(off + i * 8, 0);
   }
   // A spilled key that went hot mid-stream lands in the mirror instead of

@@ -15,6 +15,8 @@
 // real computation measured with a wall clock; network/IO costs come from
 // the DPDK cost model in simulated time. Both feed Exp#4 through the
 // controller.o1_collect_ns … o5_evict_ns histograms (docs/observability.md).
+// Event counts live in Stats alone; a FabricSession publishes them to the
+// obs registry once, when it finishes.
 #pragma once
 
 #include <deque>
@@ -88,8 +90,10 @@ class OmniWindowController {
 
   OmniWindowController(ControllerConfig cfg, MergeKind merge_kind);
 
-  /// Wire this controller to `sw`: the switch's controller-bound packets
-  /// flow into OnPacket, and injections go back via EnqueueFromController.
+  /// Bind this controller to `sw`: injections go to it via
+  /// EnqueueFromController. The caller routes the switch's controller-bound
+  /// packets into OnPacket (Switch::SetControllerHandler), directly or over
+  /// a report link.
   void AttachSwitch(Switch* sw);
 
   /// Set up the RDMA context shared with `prog` (§7). Must be called before
@@ -122,12 +126,6 @@ class OmniWindowController {
   /// controller never got a trigger for starts collection immediately.
   /// Also invoked internally on every trigger (Lamport-style gap recovery).
   void EnsureCollectedThrough(SubWindowNum through, Nanos now);
-
-  /// One recovery round: re-request retransmissions for every incomplete
-  /// sub-window that still has retry budget. Returns true if anything was
-  /// asked (drive the fabric, then check again). This is the ask phase of
-  /// Flush, exposed so a takeover can chase without force-finalizing.
-  bool ChaseIncomplete(Nanos now);
 
   /// Standby takeover (docs/failover.md). Called after Load() of a STALE
   /// controller-plane checkpoint against a live switch: classifies every
@@ -245,6 +243,10 @@ class OmniWindowController {
     Nanos o1_collect = 0;
   };
 
+  /// One recovery round, the ask phase of Flush: re-request
+  /// retransmissions for every incomplete sub-window that still has retry
+  /// budget. Returns true if anything was asked.
+  bool ChaseIncomplete(Nanos now);
   void StartCollection(PendingSubWindow& pending, Nanos now);
   /// Enqueue one controller packet for sub-window `sw` on the switch's
   /// management port: it leaves at `tx_time` and arrives one wire latency
@@ -308,24 +310,11 @@ class OmniWindowController {
 
   Stats stats_;
 
-  /// Registry-backed mirrors of Stats plus phase latency histograms
-  /// (docs/observability.md). New observability goes through these rather
-  /// than growing Stats; the struct stays for the existing accessors.
+  /// Registry instruments with no Stats twin: two counters and the retry
+  /// and O1–O5 phase histograms (docs/observability.md).
   struct ObsInstruments {
-    obs::Counter* afrs_received;
-    obs::Counter* subwindows_finalized;
-    obs::Counter* subwindows_force_finalized;
-    obs::Counter* windows_emitted;
-    obs::Counter* spilled_keys;
     obs::Counter* trigger_gaps_recovered;
-    obs::Counter* retransmissions;
-    obs::Counter* spike_packets;
-    obs::Counter* duplicate_afrs;
-    obs::Counter* windows_partial;
-    obs::Counter* rdma_holes;
-    obs::Counter* switch_degraded;
     obs::Counter* merge_records;
-    obs::Gauge* inserts_rejected;
     obs::Histogram* retry_attempts;
     obs::Histogram* o1_collect_ns;
     obs::Histogram* o2_insert_ns;

@@ -93,11 +93,9 @@ MultiAppHarness::MultiAppHarness(Switch& sw, OmniWindowConfig base_config,
     cc.app_id = std::uint8_t(i);
     controllers_.push_back(std::make_unique<OmniWindowController>(
         cc, apps[i].adapter->merge_kind()));
-    // AttachSwitch would clobber the shared handler; wire manually.
     controllers_.back()->AttachSwitch(&sw);
   }
-  // Demux: one handler dispatching on app_id (installed last, replacing
-  // the per-controller handlers AttachSwitch set).
+  // Demux: one handler dispatching on app_id.
   sw.SetControllerHandler([this](const Packet& p, Nanos arrival) {
     const std::size_t app = p.ow.app_id;
     if (app < controllers_.size()) {

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/common/snapshot.h"
+#include "src/obs/obs.h"
 
 namespace ow {
 namespace {
@@ -121,9 +123,9 @@ FabricSession::FabricSession(
       }
       program->SetRdmaContext(std::move(ctx));
     }
-    // Interpose the report link on the switch->controller path (AttachSwitch
-    // wired a direct handler). Injections stay direct: the controller talks
-    // to its own switch over the management port, reports ride the fabric.
+    // The switch->controller path rides a report link. Injections stay
+    // direct: the controller talks to its own switch over the management
+    // port, reports ride the fabric.
     OmniWindowController* ctrl = controller.get();
     report_links_.push_back(std::make_unique<Link>(
         cfg_.report_link,
@@ -198,10 +200,10 @@ FabricSession::FabricSession(
       if (!adj_[u].empty() || u == 0) continue;
       sink_delivered_.push_back(0);
       std::uint64_t* cell = &sink_delivered_.back();
-      net_.ConnectToSink(
+      sink_links_.push_back(net_.ConnectToSink(
           switches_[u], LinkParams{.latency = kMicro, .jitter = 0},
           [cell](Packet, Nanos) { ++*cell; },
-          cfg_.link_seed + 0x5000 + u);
+          cfg_.link_seed + 0x5000 + u));
     }
   }
 
@@ -390,7 +392,57 @@ NetworkRunResult FabricSession::Finish() {
   for (const auto& link : report_links_) {
     result_.report_dropped += link->dropped();
   }
+  PublishTotals();
   return std::move(result_);
+}
+
+void FabricSession::PublishTotals() const {
+  obs::Registry& reg = obs::Global();
+  const auto add = [&reg](std::string_view name, std::uint64_t v) {
+    reg.GetCounter(name).Add(v);
+  };
+  for (const Switch* sw : switches_) {
+    add("switch.passes", sw->total_passes());
+    add("switch.recirc_passes", sw->recirc_passes());
+  }
+  std::uint64_t inserts_rejected = 0;
+  for (const auto& controller : controllers_) {
+    const OmniWindowController::Stats& s = controller->stats();
+    add("controller.afrs_received", s.afrs_received);
+    add("controller.subwindows_finalized", s.subwindows_finalized);
+    add("controller.subwindows_force_finalized", s.subwindows_force_finalized);
+    add("controller.windows_emitted", s.windows_emitted);
+    add("controller.spilled_keys_stored", s.spilled_keys_stored);
+    add("controller.retransmissions", s.retransmissions_requested);
+    add("controller.spike_packets", s.spike_packets);
+    add("controller.duplicate_afrs", s.duplicate_afrs);
+    add("controller.windows_partial", s.windows_partial);
+    add("controller.subwindows_degraded_by_switch",
+        s.subwindows_degraded_by_switch);
+    add("fault.rdma.holes_detected", s.rdma_holes_detected);
+    inserts_rejected += s.inserts_rejected;
+  }
+  reg.GetGauge("controller.inserts_rejected")
+      .Set(std::int64_t(inserts_rejected));
+  for (const auto& nic : nics_) {
+    if (const fault::RdmaFaultInjector* f = nic->faults()) {
+      add("fault.rdma.dropped_writes", f->dropped_writes());
+      add("fault.rdma.partial_writes", f->partial_writes());
+    }
+  }
+  const auto add_link = [&add](const Link& link) {
+    add("link.transmitted", link.transmitted());
+    add("link.dropped", link.dropped());
+    add("link.spiked", link.spiked());
+    if (const fault::LinkFaultInjector* f = link.faults()) {
+      add("fault.link.injected_drops", f->drops());
+      add("fault.link.duplicates", f->duplicates());
+      add("fault.link.reorders", f->reorders());
+    }
+  };
+  for (const Link* link : links_) add_link(*link);
+  for (const Link* link : sink_links_) add_link(*link);
+  for (const auto& link : report_links_) add_link(*link);
 }
 
 NetworkRunResult RunOmniWindowFabric(

@@ -212,6 +212,11 @@ class FabricSession {
 
   /// Drain the run to completion (flush rounds, stats harvest) and return
   /// the result. Call at most once; throws std::logic_error on reuse.
+  /// Finish is the one place a session writes event counts to the obs
+  /// registry: it adds the totals of every switch, controller, link and
+  /// fault injector it owns to obs::Global() (docs/observability.md). A
+  /// session destroyed without Finish publishes nothing; after FailOver,
+  /// the controller totals are the standby's.
   NetworkRunResult Finish();
 
   /// Windows and counters accumulated so far (the killed session's half of
@@ -223,6 +228,9 @@ class FabricSession {
  private:
   /// Shared body of Snapshot/SnapshotToFile: serialize into `w`.
   void BuildSnapshot(SnapshotWriter& w) const;
+  /// Finish's publish step: add every owned element's totals to the
+  /// registry under the names docs/observability.md lists.
+  void PublishTotals() const;
 
  public:
   std::size_t num_switches() const noexcept { return switches_.size(); }
@@ -247,6 +255,7 @@ class FabricSession {
   std::vector<std::unique_ptr<OmniWindowController>> controllers_;
   std::vector<std::unique_ptr<Link>> report_links_;
   std::vector<Link*> links_;  ///< fabric links, creation order
+  std::vector<Link*> sink_links_;  ///< egress-switch sink links
   /// Per-sink delivered counters (stable deque addresses; see Finish).
   std::deque<std::uint64_t> sink_delivered_;
   Nanos trace_duration_ = 0;

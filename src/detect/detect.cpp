@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/common/snapshot.h"
-#include "src/obs/obs.h"
 
 namespace ow::detect {
 
@@ -87,16 +86,7 @@ bool HysteresisFsm::Step(double score, const HysteresisConfig& cfg) {
 }
 
 EntityDetector::EntityDetector(const DetectorConfig& cfg, int switch_id)
-    : cfg_(cfg), switch_id_(switch_id) {
-  auto& reg = obs::Global();
-  c_windows_ = &reg.GetCounter("detect.windows");
-  c_partial_ = &reg.GetCounter("detect.windows_partial");
-  c_degraded_ = &reg.GetCounter("detect.transitions.degraded");
-  c_down_ = &reg.GetCounter("detect.transitions.down");
-  c_recovered_ = &reg.GetCounter("detect.transitions.recovered");
-  c_evictions_ = &reg.GetCounter("detect.evictions");
-  c_rejected_ = &reg.GetCounter("detect.admissions_rejected");
-}
+    : cfg_(cfg), switch_id_(switch_id) {}
 
 void EntityDetector::OnWindow(const WindowResult& w) {
   // Aggregate the (arbitrary-kind, arbitrary-order) flow table into sorted
@@ -167,12 +157,10 @@ bool EntityDetector::Admit(const FlowKey& key, double value,
     }
     if (victim == entities_.end()) {
       ++stats_.admissions_rejected;
-      c_rejected_->Add();
       return false;
     }
     entities_.erase(victim);
     ++stats_.evictions;
-    c_evictions_->Add();
   }
   *out = &entities_[key];
   stats_.tracked_peak = std::max(stats_.tracked_peak, entities_.size());
@@ -206,19 +194,15 @@ void EntityDetector::StepEntity(const FlowKey& key, EntityState& st,
       case HealthState::kDegraded:
         if (before == HealthState::kHealthy) {
           ++stats_.transitions_degraded;
-          c_degraded_->Add();
         } else {
           ++stats_.recoveries;  // down -> degraded is a partial recovery
-          c_recovered_->Add();
         }
         break;
       case HealthState::kDown:
         ++stats_.transitions_down;
-        c_down_->Add();
         break;
       case HealthState::kHealthy:
         ++stats_.recoveries;
-        c_recovered_->Add();
         break;
     }
   }
@@ -249,11 +233,7 @@ void EntityDetector::ScoreTotals(std::span<const EntityTotal> totals,
                                  SubWindowSpan span, Nanos completed_at,
                                  bool partial) {
   ++stats_.windows;
-  c_windows_->Add();
-  if (partial) {
-    ++stats_.partial_windows;
-    c_partial_->Add();
-  }
+  if (partial) ++stats_.partial_windows;
 
   if (cold_) {
     // The detector's first-ever window has no history to deviate from:
@@ -288,7 +268,6 @@ void EntityDetector::ScoreTotals(std::span<const EntityTotal> totals,
           te->second.idle_windows >= kIdleEvictWindows) {
         te = entities_.erase(te);
         ++stats_.evictions;
-        c_evictions_->Add();
       } else {
         ++te;
       }

@@ -49,10 +49,6 @@
 #include "src/common/types.h"
 #include "src/core/controller.h"
 
-namespace ow::obs {
-class Counter;
-}  // namespace ow::obs
-
 namespace ow::detect {
 
 enum class HealthState : std::uint8_t {
@@ -210,6 +206,8 @@ class EntityDetector {
   const std::vector<Alert>& alerts() const { return alerts_; }
   std::size_t tracked() const { return entities_.size(); }
 
+  /// The detector's only counts: it publishes nothing to the obs
+  /// registry. DetectionService::TotalStats sums them over switches.
   struct Stats {
     std::uint64_t windows = 0;
     std::uint64_t partial_windows = 0;
@@ -258,14 +256,6 @@ class EntityDetector {
   PooledVector<std::pair<std::uint64_t, std::uint64_t>> codes_;
   PooledVector<EntityTotal> totals_;
   PooledVector<EntityTotal> fresh_;
-
-  obs::Counter* c_windows_ = nullptr;
-  obs::Counter* c_partial_ = nullptr;
-  obs::Counter* c_degraded_ = nullptr;
-  obs::Counter* c_down_ = nullptr;
-  obs::Counter* c_recovered_ = nullptr;
-  obs::Counter* c_evictions_ = nullptr;
-  obs::Counter* c_rejected_ = nullptr;
 };
 
 /// Detector bank for a fabric: one EntityDetector per switch. OnWindow is

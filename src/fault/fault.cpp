@@ -67,10 +67,7 @@ LinkFaultInjector::LinkFaultInjector(LinkFaultProfile profile,
     : profile_(profile),
       drop_rng_(seed ^ kLinkDropTag),
       dup_rng_(seed ^ kLinkDupTag),
-      reorder_rng_(seed ^ kLinkReorderTag),
-      obs_drops_(&obs::Global().GetCounter("fault.link.injected_drops")),
-      obs_duplicates_(&obs::Global().GetCounter("fault.link.duplicates")),
-      obs_reorders_(&obs::Global().GetCounter("fault.link.reorders")) {}
+      reorder_rng_(seed ^ kLinkReorderTag) {}
 
 LinkFaultInjector::Decision LinkFaultInjector::Decide(Nanos now) {
   // Each feature draws exactly once per packet, whether or not it fires and
@@ -85,18 +82,15 @@ LinkFaultInjector::Decision LinkFaultInjector::Decide(Nanos now) {
   if (drop) {
     d.drop = true;
     ++drops_;
-    obs_drops_->Add(1);
     return d;
   }
   if (reorder) {
     d.extra_delay = kReorderDelay;
     ++reorders_;
-    obs_reorders_->Add(1);
   }
   if (dup) {
     d.duplicate = true;
     ++duplicates_;
-    obs_duplicates_->Add(1);
   }
   return d;
 }
@@ -125,9 +119,7 @@ RdmaFaultInjector::RdmaFaultInjector(RdmaFaultProfile profile,
                                      std::uint64_t seed)
     : profile_(profile),
       drop_rng_(seed ^ kRdmaDropTag),
-      partial_rng_(seed ^ kRdmaPartialTag),
-      obs_dropped_(&obs::Global().GetCounter("fault.rdma.dropped_writes")),
-      obs_partial_(&obs::Global().GetCounter("fault.rdma.partial_writes")) {}
+      partial_rng_(seed ^ kRdmaPartialTag) {}
 
 RdmaFaultInjector::Decision RdmaFaultInjector::Decide() {
   const bool drop = drop_rng_.Bernoulli(profile_.write_drop_rate);
@@ -137,13 +129,11 @@ RdmaFaultInjector::Decision RdmaFaultInjector::Decide() {
   if (drop) {
     d.drop = true;
     ++dropped_writes_;
-    obs_dropped_->Add(1);
     return d;
   }
   if (partial) {
     d.partial = true;
     ++partial_writes_;
-    obs_partial_->Add(1);
   }
   return d;
 }

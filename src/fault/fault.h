@@ -13,8 +13,9 @@
 // armed zero-intensity profile is bit-identical to an unarmed run (the
 // property the A/B tests and tools/chaos_run enforce).
 //
-// All injected-fault accounting lands in the obs registry under the
-// `fault.*` namespace (docs/fault_injection.md).
+// Each injector keeps the only count of the faults it injected; a
+// FabricSession publishes the totals of the injectors it owns to the obs
+// registry under `fault.*` when it finishes (docs/fault_injection.md).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,6 @@
 
 #include "src/common/rng.h"
 #include "src/common/types.h"
-#include "src/obs/obs.h"
 
 namespace ow {
 class SnapshotWriter;
@@ -120,9 +120,6 @@ class LinkFaultInjector {
   Rng drop_rng_;
   Rng dup_rng_;
   Rng reorder_rng_;
-  obs::Counter* obs_drops_;
-  obs::Counter* obs_duplicates_;
-  obs::Counter* obs_reorders_;
   std::uint64_t drops_ = 0;
   std::uint64_t duplicates_ = 0;
   std::uint64_t reorders_ = 0;
@@ -148,8 +145,6 @@ class RdmaFaultInjector {
   RdmaFaultProfile profile_;
   Rng drop_rng_;
   Rng partial_rng_;
-  obs::Counter* obs_dropped_;
-  obs::Counter* obs_partial_;
   std::uint64_t dropped_writes_ = 0;
   std::uint64_t partial_writes_ = 0;
 };

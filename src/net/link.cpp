@@ -8,7 +8,6 @@ namespace ow {
 
 void Link::Transmit(Packet p, Nanos now) {
   ++transmitted_;
-  obs_transmitted_->Add();
   // Every feature draws exactly once per transmitted packet from its own
   // stream, whether or not it is enabled and whether or not the packet is
   // ultimately dropped. This keeps each stream aligned to the packet index,
@@ -25,17 +24,15 @@ void Link::Transmit(Packet p, Nanos now) {
 
   if (lose || fd.drop) {
     // Injected drops fold into the same loss accounting the recovery layer
-    // and tests already observe; only the fault.link.* counters tell the
+    // and tests already observe; only the injector's own counts tell the
     // two causes apart.
     ++dropped_;
-    obs_dropped_->Add();
     return;
   }
   Nanos delay = params_.latency + jit;
   if (spike) {
     delay += params_.spike_extra;
     ++spiked_;
-    obs_spiked_->Add();
   }
   delay += fd.extra_delay;
   obs_delay_->Record(std::uint64_t(delay));

@@ -44,9 +44,6 @@ class Link {
         loss_rng_(seed ^ 0x4C4F5353'4C4F5353ull),
         jitter_rng_(seed ^ 0x4A495454'4A495454ull),
         spike_rng_(seed ^ 0x53504B45'53504B45ull),
-        obs_transmitted_(&obs::Global().GetCounter("link.transmitted")),
-        obs_dropped_(&obs::Global().GetCounter("link.dropped")),
-        obs_spiked_(&obs::Global().GetCounter("link.spiked")),
         obs_delay_(&obs::Global().GetHistogram("link.delay_ns")) {}
 
   /// Transmit `p` at time `now`; the consumer sees it after the link delay
@@ -64,6 +61,8 @@ class Link {
     return faults_.get();
   }
 
+  /// The link's only counts; FabricSession::Finish publishes them as
+  /// `link.transmitted`, `link.dropped` and `link.spiked`.
   std::uint64_t transmitted() const noexcept { return transmitted_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
   std::uint64_t spiked() const noexcept { return spiked_; }
@@ -82,9 +81,6 @@ class Link {
   Rng jitter_rng_;
   Rng spike_rng_;
   std::unique_ptr<fault::LinkFaultInjector> faults_;
-  obs::Counter* obs_transmitted_;
-  obs::Counter* obs_dropped_;
-  obs::Counter* obs_spiked_;
   obs::Histogram* obs_delay_;
   std::uint64_t transmitted_ = 0;
   std::uint64_t dropped_ = 0;

@@ -3,10 +3,14 @@
 //
 // The per-class `Stats` structs answer "how much happened"; this layer adds
 // "where did the time go" — the software equivalent of per-stage visibility
-// in a programmable data plane. Components resolve their instruments once
-// (by name, from the process-wide registry) and hit them on the hot path.
-// One thread drives the library (docs/API.md), so every instrument is a
-// plain integer and the registry takes no lock:
+// in a programmable data plane. Each event is counted once: an element that
+// keeps an integer for it (switch passes, controller Stats, link and fault
+// injector counts) is its only count, and FabricSession::Finish adds the
+// session's totals to the registry once. Instruments with no element twin
+// (histograms, spans, a few counters) are resolved once, by name, at
+// construction and hit on the hot path. One thread drives the library
+// (docs/API.md), so every instrument is a plain integer and the registry
+// takes no lock:
 //
 //   * Counter / Gauge     — one integer add or store per update, always on.
 //   * Histogram           — power-of-two buckets over uint64 samples

@@ -10,8 +10,6 @@ namespace ow {
 
 Switch::Switch(int id)
     : id_(id),
-      obs_passes_(&obs::Global().GetCounter("switch.passes")),
-      obs_recirc_passes_(&obs::Global().GetCounter("switch.recirc_passes")),
       obs_to_controller_(
           &obs::Global().GetCounter("switch.to_controller_packets")),
       obs_forwarded_(&obs::Global().GetCounter("switch.forwarded")),
@@ -122,24 +120,10 @@ Switch::Event Switch::HeapPop() noexcept {
 }
 
 void Switch::DispatchEvent(Event& ev) {
-  // One span per pipeline pass (wire, injected and recirculated alike):
-  // in the Chrome trace, collection enumeration shows up as the burst of
-  // recirculation passes between the trigger and the AFR reports. Costs a
-  // load + branch unless tracing is enabled.
-  obs::ScopedSpan span(obs::Global(),
-                       ev.source == PacketSource::kRecirculation
-                           ? "switch.pass.recirc"
-                           : (ev.source == PacketSource::kController
-                                  ? "switch.pass.injected"
-                                  : "switch.pass.wire"));
   ++pass_epoch_;  // arms every bound register array for this pass
   last_dispatched_ = ev.time;
   ++total_passes_;
-  obs_passes_->Add();
-  if (ev.source == PacketSource::kRecirculation) {
-    ++recirc_passes_;
-    obs_recirc_passes_->Add();
-  }
+  if (ev.source == PacketSource::kRecirculation) ++recirc_passes_;
 
   scratch_.Clear();
   program_->Process(ev.packet, ev.time, ev.source, scratch_);
@@ -174,6 +158,16 @@ void Switch::DispatchEvent(Event& ev) {
 }
 
 std::size_t Switch::RunBatch(Nanos max_time) {
+  // One span per drain, none per pass: the dispatch loop stays span-free
+  // (docs/observability.md, "Keep span frames off measured hot loops").
+  if (obs::Global().tracing()) {
+    obs::ScopedSpan span(obs::Global(), "switch.run_batch");
+    return Drain(max_time);
+  }
+  return Drain(max_time);
+}
+
+std::size_t Switch::Drain(Nanos max_time) {
   if (!program_ && (!LaneEmpty() || !heap_.empty())) {
     throw std::logic_error("Switch " + std::to_string(id_) + ": no program");
   }

@@ -165,6 +165,7 @@ class Switch {
   /// the horizon included — favoring tight runs of same-lane events (no
   /// per-event lane comparison while the heap is empty). Returns the number
   /// of events processed; last_event_time() reports how far the drain got.
+  /// While tracing is on, each call records one `switch.run_batch` span.
   std::size_t RunBatch(Nanos max_time);
 
   /// Earliest pending event time, or -1 when idle.
@@ -173,8 +174,9 @@ class Switch {
   /// Time of the most recently dispatched event (-1 before any dispatch).
   Nanos last_event_time() const noexcept { return last_dispatched_; }
 
-  /// Total passes executed (normal + recirculated) — used by tests and by
-  /// the recirculation-overhead accounting.
+  /// Total passes executed (normal + recirculated) — used by tests, by
+  /// the recirculation-overhead accounting and by FabricSession::Finish,
+  /// which publishes them as `switch.passes` / `switch.recirc_passes`.
   std::uint64_t total_passes() const noexcept { return total_passes_; }
   std::uint64_t recirc_passes() const noexcept { return recirc_passes_; }
 
@@ -210,6 +212,8 @@ class Switch {
     }
   };
 
+  /// RunBatch without its span.
+  std::size_t Drain(Nanos max_time);
   void DispatchEvent(Event& ev);
   void NotifyActivity() {
     if (on_activity_) on_activity_();
@@ -281,10 +285,8 @@ class Switch {
   std::uint64_t pass_epoch_ = 0;
   PipelineActions scratch_;
 
-  // Registry-backed pass/egress counters (docs/observability.md); shared
-  // across all Switch instances by name.
-  obs::Counter* obs_passes_;
-  obs::Counter* obs_recirc_passes_;
+  // Registry-backed egress counters (docs/observability.md); shared across
+  // all Switch instances by name.
   obs::Counter* obs_to_controller_;
   obs::Counter* obs_forwarded_;
   obs::Counter* obs_dropped_;

@@ -21,7 +21,6 @@
 #include "src/core/network_runner.h"
 #include "src/detect/detect.h"
 #include "src/detect/score.h"
-#include "src/obs/obs.h"
 #include "src/telemetry/exact_count.h"
 #include "src/trace/generator.h"
 
@@ -221,6 +220,10 @@ TEST(EntityDetector, DetectsSpikeAboveSeededBaselineAfterDwell) {
   ASSERT_EQ(d.alerts().size(), 2u);
   EXPECT_EQ(d.alerts()[1].to, HealthState::kHealthy);
   EXPECT_FALSE(d.alerts()[1].actionable());
+  // Stats hold the detector's only counts (nothing goes to the registry).
+  EXPECT_EQ(d.stats().windows, 16u);
+  EXPECT_EQ(d.stats().transitions_degraded, 1u);
+  EXPECT_EQ(d.stats().recoveries, 1u);
 }
 
 TEST(EntityDetector, FreshEntityAboveFloorTimesEnterAlertsQuickly) {
@@ -626,20 +629,6 @@ TEST(DetectEndToEnd, LeafSpineAlertStreamMatchesGolden) {
   const std::uint64_t fingerprint = AlertStreamFingerprint(alerts);
   EXPECT_EQ(fingerprint, 0x1f61d465e48c6050u)
       << "fingerprint 0x" << std::hex << fingerprint;
-}
-
-TEST(DetectObs, CountersTrackWindowsAndTransitions) {
-  obs::Global().Reset();
-  EntityDetector d(SmallCfg(), 0);
-  Totals totals{{Src(1), 100}};
-  Feed(d, totals, 0);
-  totals[Src(1)] = 600;
-  for (SubWindowNum w = 1; w < 4; ++w) Feed(d, totals, w);
-  EXPECT_EQ(obs::Global().GetCounter("detect.windows").value(),
-            d.stats().windows);
-  EXPECT_EQ(obs::Global().GetCounter("detect.transitions.degraded").value(),
-            d.stats().transitions_degraded);
-  EXPECT_GT(d.stats().transitions_degraded, 0u);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // line-topology runner and check that (a) the retransmission machinery —
 // including trigger-gap recovery and completion-notification re-requests —
 // recovers every record, so window results match the lossless run, and
-// (b) the obs registry counters agree with the Stats structs they mirror.
-// Also pins the force-finalize accounting: a sub-window whose reports never
+// (b) the totals FabricSession::Finish publishes to the obs registry equal
+// the Stats structs they are summed from, once per finished session. Also
+// pins the force-finalize accounting: a sub-window whose reports never
 // arrive is counted in subwindows_force_finalized, not subwindows_finalized.
 #include <gtest/gtest.h>
 
@@ -56,11 +57,8 @@ struct Outcome {
   std::uint64_t obs_merge_records = 0;
 };
 
-Outcome RunAtLoss(const Trace& trace, double loss) {
-  // Each run starts from a clean global registry so counters are
-  // attributable to this run alone (instrument addresses stay valid).
-  obs::Global().Reset();
-
+/// A two-switch line whose report links drop `loss` of their packets.
+NetworkRunConfig LineConfig(double loss) {
   WindowSpec spec;
   spec.type = WindowType::kTumbling;
   spec.window_size = 100 * kMilli;
@@ -72,6 +70,14 @@ Outcome RunAtLoss(const Trace& trace, double loss) {
   cfg.topology.line_switches = 2;
   cfg.report_link.loss_rate = loss;
   cfg.report_link_seed = 777;
+  return cfg;
+}
+
+Outcome RunAtLoss(const Trace& trace, double loss) {
+  // Each run starts from a clean global registry so counters are
+  // attributable to this run alone (instrument addresses stay valid).
+  obs::Global().Reset();
+  const NetworkRunConfig cfg = LineConfig(loss);
 
   std::vector<std::shared_ptr<QueryAdapter>> apps;
   Outcome out;
@@ -109,7 +115,7 @@ TEST(LossyCollection, SweepRecoversAndObsAgreesWithStats) {
     const Outcome lossy = RunAtLoss(trace, loss);
     EXPECT_GT(lossy.net.report_dropped, 0u);
 
-    // Obs counters mirror the Stats structs exactly.
+    // The published totals are the Stats structs' sums.
     EXPECT_EQ(lossy.obs_link_dropped,
               lossy.net.link_dropped + lossy.net.report_dropped);
     std::uint64_t afrs = 0, retrans = 0, forced = 0, spikes = 0;
@@ -146,12 +152,65 @@ TEST(LossyCollection, SweepRecoversAndObsAgreesWithStats) {
   }
 }
 
+TEST(LossyCollection, SessionPublishesItsTotalsOnceAtFinish) {
+  // FabricSession::Finish is the one place a session writes event counts
+  // to the registry: nothing before it, each element's total once at it,
+  // and nothing at all from a session destroyed unfinished.
+  const Trace trace = MakeTrace();
+  const NetworkRunConfig cfg = LineConfig(0.1);
+  const auto make_app = [](std::size_t) {
+    return std::make_shared<QueryAdapter>(CountDef(), 2048);
+  };
+  const char* const kPublished[] = {
+      "controller.afrs_received", "controller.retransmissions",
+      "controller.subwindows_force_finalized", "controller.windows_emitted",
+      "link.transmitted", "link.dropped", "switch.passes"};
+  obs::Registry& reg = obs::Global();
+  reg.Reset();
+
+  FabricSession session(trace, make_app, cfg);
+  session.DriveUntil(trace.Duration() / 2);
+  ASSERT_GT(session.partial_result().per_switch[0].windows.size(), 0u);
+  for (const char* name : kPublished) {
+    EXPECT_EQ(reg.GetCounter(name).value(), 0u) << name << " before Finish";
+  }
+
+  const NetworkRunResult net = session.Finish();
+  std::uint64_t afrs = 0, retrans = 0, forced = 0;
+  for (const SwitchRun& sw : net.per_switch) {
+    afrs += sw.controller.afrs_received;
+    retrans += sw.controller.retransmissions_requested;
+    forced += sw.controller.subwindows_force_finalized;
+  }
+  ASSERT_GT(afrs, 0u);
+  ASSERT_GT(retrans, 0u);
+  ASSERT_GT(net.report_dropped, 0u);
+  EXPECT_EQ(reg.GetCounter("controller.afrs_received").value(), afrs);
+  EXPECT_EQ(reg.GetCounter("controller.retransmissions").value(), retrans);
+  EXPECT_EQ(reg.GetCounter("controller.subwindows_force_finalized").value(),
+            forced);
+  EXPECT_EQ(reg.GetCounter("link.dropped").value(),
+            net.link_dropped + net.report_dropped);
+
+  std::vector<std::uint64_t> published;
+  for (const char* name : kPublished) {
+    published.push_back(reg.GetCounter(name).value());
+  }
+  {
+    FabricSession unfinished(trace, make_app, cfg);
+    unfinished.DriveUntil(trace.Duration());
+  }
+  for (std::size_t i = 0; i < published.size(); ++i) {
+    EXPECT_EQ(reg.GetCounter(kPublished[i]).value(), published[i])
+        << kPublished[i] << " after an unfinished session";
+  }
+}
+
 TEST(LossyCollection, UnrecoverableSubWindowIsForceFinalized) {
   // Deterministic total blackout of sub-window 0's reports (AFRs AND the
   // completion notification, retransmitted or not): the controller must
   // exhaust kMaxRetransmitAttempts, force-finalize exactly that sub-window
   // and account for it separately from the clean finalizes.
-  obs::Global().Reset();
   Trace trace;
   for (int ms = 0; ms < 200; ++ms) {
     Packet p;
@@ -194,14 +253,6 @@ TEST(LossyCollection, UnrecoverableSubWindowIsForceFinalized) {
   EXPECT_GE(stats.subwindows_finalized, 3u);  // sub-windows 1..3 are clean
   EXPECT_GT(stats.retransmissions_requested, 0u);
   EXPECT_GE(emitted, 4u);  // the blacked-out window still emits (empty)
-  // Obs mirrors.
-  obs::Registry& reg = obs::Global();
-  EXPECT_EQ(reg.GetCounter("controller.subwindows_force_finalized").value(),
-            stats.subwindows_force_finalized);
-  EXPECT_EQ(reg.GetCounter("controller.subwindows_finalized").value(),
-            stats.subwindows_finalized);
-  EXPECT_EQ(reg.GetCounter("controller.retransmissions").value(),
-            stats.retransmissions_requested);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -30,6 +31,7 @@
 #include "src/detect/detect.h"
 #include "src/fault/fault.h"
 #include "src/net/network.h"
+#include "src/obs/obs.h"
 #include "src/telemetry/exact_count.h"
 #include "src/trace/generator.h"
 
@@ -72,9 +74,9 @@ NetworkRunConfig LeafSpineConfig(std::size_t leaves, std::size_t spines) {
   return cfg;
 }
 
-/// Everything a kill/restore is NOT allowed to vary. Obs counters are
-/// process-local diagnostics, excluded from the checkpoint contract, so —
-/// unlike fabric_engine_test — they are not part of this fingerprint.
+/// Everything a kill/restore is NOT allowed to vary in the result. The
+/// registry totals a session publishes are compared on their own
+/// (RegistryTotalsMatchTheUninterruptedRun).
 struct Fingerprint {
   struct Win {
     SubWindowNum first = 0, last = 0;
@@ -278,6 +280,53 @@ TEST(SnapshotRestore, BitIdenticalWithFaultsArmed) {
       FingerprintOf(KillRestoreRun(trace, cfg, 225 * kMilli));
   EXPECT_EQ(ref, got)
       << "fault-path kill/restore diverged from uninterrupted run";
+}
+
+/// Every non-zero counter and gauge of the global registry, keyed
+/// "section/name". Zeros are skipped because Registry::Reset keeps every
+/// name an earlier run registered; histograms hold wall time and are left
+/// out.
+std::map<std::string, std::int64_t> RegistryScalars() {
+  std::ostringstream os;
+  obs::Global().WriteStatsJson(os);
+  std::istringstream in(os.str());
+  std::map<std::string, std::int64_t> out;
+  std::string section, line;
+  while (std::getline(in, line)) {
+    if (line.rfind("  \"", 0) == 0) {  // `  "counters": {` and the like
+      section = line.substr(3, line.find('"', 3) - 3);
+    } else if (line.rfind("    \"", 0) == 0 && section != "histograms") {
+      const std::size_t close = line.find("\": ", 5);
+      const std::int64_t value = std::stoll(line.substr(close + 3));
+      if (value != 0) out[section + "/" + line.substr(5, close - 5)] = value;
+    }
+  }
+  return out;
+}
+
+TEST(SnapshotRestore, RegistryTotalsMatchTheUninterruptedRun) {
+  // The killed session publishes nothing, and the restored one publishes
+  // totals that carry the checkpointed history: after Finish, every
+  // counter and gauge equals the uninterrupted run's.
+  const Trace trace = FabricTrace(8103);
+  NetworkRunConfig cfg = LeafSpineConfig(3, 2);
+  cfg.base.fault.seed = 0xF417A;
+  cfg.base.fault.inner_link.drop_rate = 0.05;
+  cfg.base.fault.inner_link.reorder_rate = 0.05;
+  cfg.base.fault.inner_link.dup_rate = 0.02;
+  cfg.base.fault.report_link.drop_rate = 0.10;
+
+  obs::Global().Reset();
+  RunOmniWindowFabric(trace, MakeCountApp, cfg);
+  const std::map<std::string, std::int64_t> ref = RegistryScalars();
+  EXPECT_TRUE(ref.contains("counters/controller.afrs_received"));
+  EXPECT_TRUE(ref.contains("counters/fault.link.injected_drops"));
+  EXPECT_TRUE(ref.contains("counters/link.dropped"));
+  EXPECT_TRUE(ref.contains("counters/switch.passes"));
+
+  obs::Global().Reset();
+  KillRestoreRun(trace, cfg, 225 * kMilli);
+  EXPECT_EQ(RegistryScalars(), ref);
 }
 
 TEST(SnapshotRestore, RestoreIsRepeatable) {

@@ -6,10 +6,12 @@
 #include <memory>
 #include <random>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/snapshot.h"
+#include "src/obs/obs.h"
 #include "src/switchsim/mat.h"
 #include "src/switchsim/pipeline.h"
 #include "src/switchsim/register_array.h"
@@ -157,6 +159,30 @@ TEST(Switch, RecirculationCountsAndLatency) {
   EXPECT_EQ(prog->recirc_passes, 3);
   EXPECT_EQ(sw.recirc_passes(), 3u);
   EXPECT_EQ(last, 3 * kRecircLatency);
+}
+
+TEST(Switch, RunBatchRecordsOneSpanAndNoPassSpan) {
+  obs::Registry& reg = obs::Global();
+  reg.Reset();
+  Switch sw(0);
+  auto prog = std::make_shared<ProbeProgram>();
+  sw.SetProgram(prog);
+  Packet p;
+  p.ow.present = true;
+  p.ow.flag = OwFlag::kCollection;
+  p.ow.payload = 3;
+  sw.EnqueueFromWire(p, 0);
+  sw.EnqueueFromWire(Packet{}, 100);
+  reg.SetTracing(true);
+  sw.RunBatch(kSecond);
+  reg.SetTracing(false);
+  EXPECT_EQ(prog->passes, 5);  // two wire passes, three recirculations
+  EXPECT_EQ(reg.spans_recorded(), 1u);
+  std::ostringstream trace;
+  reg.WriteChromeTrace(trace);
+  EXPECT_NE(trace.str().find("\"switch.run_batch\""), std::string::npos);
+  EXPECT_EQ(trace.str().find("switch.pass."), std::string::npos);
+  reg.Reset();
 }
 
 TEST(Switch, CloneToControllerLatency) {

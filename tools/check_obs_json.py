@@ -10,6 +10,9 @@ Usage:
 
 --require-spans asserts that at least one trace event name starts with each
 given prefix (e.g. controller.,merge.,switch. for a full pipeline run).
+The trace must also be whole: the stats report no dropped span, and for
+every span name in the trace, the trace holds as many events as the
+histogram of that name counts (every recorded span folds into it).
 Exits 0 when both files validate, 1 otherwise. Stdlib only.
 """
 
@@ -91,6 +94,25 @@ def check_trace(doc, require_prefixes):
                 f"(saw {sorted(seen_names)[:10]})")
 
 
+def check_whole(stats, trace):
+    require(stats.get("spans_dropped") == 0,
+            f"stats: {stats.get('spans_dropped')} spans dropped; the trace "
+            f"is cut short")
+    events = trace.get("traceEvents")
+    counts = {}
+    for ev in events if isinstance(events, list) else []:
+        if isinstance(ev, dict) and isinstance(ev.get("name"), str):
+            counts[ev["name"]] = counts.get(ev["name"], 0) + 1
+    histograms = stats.get("histograms")
+    histograms = histograms if isinstance(histograms, dict) else {}
+    for name, seen in sorted(counts.items()):
+        hist = histograms.get(name)
+        if isinstance(hist, dict):
+            require(seen == hist.get("count"),
+                    f"trace: {seen} '{name}' events, its histogram counts "
+                    f"{hist.get('count')}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("prefix", help="dump prefix (as given to --obs-out)")
@@ -100,6 +122,7 @@ def main():
     args = parser.parse_args()
 
     prefixes = [p for p in args.require_spans.split(",") if p]
+    docs = {}
     for suffix, checker in ((".stats.json", check_stats),
                             (".trace.json", None)):
         path = args.prefix + suffix
@@ -109,10 +132,13 @@ def main():
         except (OSError, json.JSONDecodeError) as e:
             fail(f"{path}: {e}")
             continue
+        docs[suffix] = doc
         if checker:
             checker(doc)
         else:
             check_trace(doc, prefixes)
+    if len(docs) == 2:
+        check_whole(docs[".stats.json"], docs[".trace.json"])
 
     if ERRORS:
         for err in ERRORS:
