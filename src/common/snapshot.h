@@ -211,9 +211,6 @@ class SnapshotReader {
   bool AtEnd() const noexcept { return pos_ == data_.size(); }
   std::size_t position() const noexcept { return pos_; }
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
-  /// Tag of the most recently verified Section (0 before the first) —
-  /// error context for truncation diagnostics.
-  std::uint32_t current_section() const noexcept { return section_; }
 
  private:
   std::string SectionSuffix() const;
@@ -250,7 +247,6 @@ std::vector<std::uint8_t> ApplySnapshotDelta(
 // Section tags, one per layer that checkpoints itself. Kept central so a
 // collision is impossible and the stream order is auditable in one place.
 namespace snap {
-inline constexpr std::uint32_t kClock = 0x10;
 inline constexpr std::uint32_t kRng = 0x11;
 inline constexpr std::uint32_t kLink = 0x12;
 inline constexpr std::uint32_t kLinkFaults = 0x13;

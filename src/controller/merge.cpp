@@ -235,12 +235,4 @@ void BatchMaxSimd(std::span<std::uint64_t> acc,
   MaxPortable(acc.data(), vals.data(), acc.size());
 }
 
-bool BatchKernelsUseAvx2() noexcept {
-#ifdef OW_HAVE_AVX2_KERNELS
-  return HasAvx2();
-#else
-  return false;
-#endif
-}
-
 }  // namespace ow

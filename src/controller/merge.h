@@ -92,7 +92,4 @@ void BatchMaxScalar(std::span<std::uint64_t> acc,
 void BatchMaxSimd(std::span<std::uint64_t> acc,
                   std::span<const std::uint64_t> vals);
 
-/// True when the Simd kernels above resolve to the AVX2 path on this host.
-bool BatchKernelsUseAvx2() noexcept;
-
 }  // namespace ow

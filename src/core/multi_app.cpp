@@ -17,45 +17,28 @@ MultiAppProgram::MultiAppProgram(
 
 void MultiAppProgram::Process(Packet& p, Nanos now, PacketSource src,
                               PipelineActions& act) {
-  const bool special = p.ow.present && p.ow.flag != OwFlag::kNormal;
-  if (special) {
+  // An app appends to the caller's lists; what it appended carries its id.
+  const auto run = [&](std::size_t app) {
+    const std::size_t to_controller = act.to_controller.size();
+    const std::size_t recirculate = act.recirculate.size();
+    programs_[app]->Process(p, now, src, act);
+    for (std::size_t i = to_controller; i < act.to_controller.size(); ++i) {
+      act.to_controller[i].ow.app_id = std::uint8_t(app);
+    }
+    for (std::size_t i = recirculate; i < act.recirculate.size(); ++i) {
+      act.recirculate[i].ow.app_id = std::uint8_t(app);
+    }
+  };
+  if (p.ow.present && p.ow.flag != OwFlag::kNormal) {
     // Protocol packets belong to exactly one app's C&R machinery.
-    const std::size_t app = p.ow.app_id;
-    if (app >= programs_.size()) {
-      act.drop = true;
-      return;
-    }
-    PipelineActions local;
-    programs_[app]->Process(p, now, src, local);
-    for (Packet& out : local.to_controller) {
-      out.ow.app_id = std::uint8_t(app);
-      act.to_controller.push_back(std::move(out));
-    }
-    for (Packet& out : local.recirculate) {
-      out.ow.app_id = std::uint8_t(app);
-      act.recirculate.push_back(std::move(out));
-    }
+    if (p.ow.app_id < programs_.size()) run(p.ow.app_id);
     act.drop = true;
     return;
   }
-
-  // Normal traffic traverses every app's tables in this single pass. The
-  // first program stamps the sub-window number; followers adopt it.
-  bool drop = false;
-  for (std::size_t app = 0; app < programs_.size(); ++app) {
-    PipelineActions local;
-    programs_[app]->Process(p, now, src, local);
-    for (Packet& out : local.to_controller) {
-      out.ow.app_id = std::uint8_t(app);
-      act.to_controller.push_back(std::move(out));
-    }
-    for (Packet& out : local.recirculate) {
-      out.ow.app_id = std::uint8_t(app);
-      act.recirculate.push_back(std::move(out));
-    }
-    drop = drop || local.drop;
-  }
-  act.drop = drop;
+  // Normal traffic traverses every app's tables in this single pass, and
+  // any app may drop it. The first program stamps the sub-window number;
+  // followers adopt it.
+  for (std::size_t app = 0; app < programs_.size(); ++app) run(app);
 }
 
 std::vector<RegisterArray*> MultiAppProgram::Registers() {

@@ -34,7 +34,6 @@ class MultiAppProgram final : public SwitchProgram {
   std::vector<RegisterArray*> Registers() override;
   void ChargeResources(ResourceLedger& ledger) const override;
 
-  std::size_t num_apps() const noexcept { return programs_.size(); }
   OmniWindowProgram& program(std::size_t i) { return *programs_.at(i); }
 
  private:
@@ -58,7 +57,6 @@ class MultiAppHarness {
     return *controllers_.at(i);
   }
   MultiAppProgram& program() { return *program_; }
-  std::size_t num_apps() const noexcept { return controllers_.size(); }
 
   /// Flush all controllers (see OmniWindowController::Flush).
   bool FlushAll(Nanos now);

@@ -69,8 +69,7 @@ NextHopFn MakeTopologyNextHop(const TopologyConfig& topo) {
     if (u < 0 || std::size_t(u) >= adj->size()) return -1;
     const std::vector<int>& out = (*adj)[std::size_t(u)];
     if (out.empty()) return -1;
-    if (out.size() == 1) return out[0];
-    return out[flow.Hash(EcmpSeedOf(u)) % out.size()];
+    return out[std::size_t(EcmpPort(flow, out.size(), EcmpSeedOf(u)))];
   };
 }
 
@@ -129,7 +128,7 @@ FabricSession::FabricSession(
     OmniWindowController* ctrl = controller.get();
     report_links_.push_back(std::make_unique<Link>(
         cfg_.report_link,
-        [ctrl](Packet p, Nanos arrival) { ctrl->OnPacket(p, arrival); },
+        [ctrl](Packet&& p, Nanos arrival) { ctrl->OnPacket(p, arrival); },
         cfg_.report_link_seed + i));
     Link* report = report_links_.back().get();
     if (cfg_.base.fault.report_link.Any()) {
@@ -183,11 +182,8 @@ FabricSession::FabricSession(
     if (adj_[u].size() > 1) {
       // Fan-out: hash-based ECMP picks the egress; ports were created in
       // adjacency order so port index == adjacency index, keeping the
-      // policy and MakeTopologyNextHop bit-aligned.
-      std::vector<int> ports(adj_[u].size());
-      for (std::size_t p = 0; p < ports.size(); ++p) ports[p] = int(p);
-      switches_[u]->SetForwardingPolicy(
-          MakeEcmpPolicy(std::move(ports), EcmpSeedOf(int(u))));
+      // switch and MakeTopologyNextHop bit-aligned.
+      switches_[u]->SetEcmpSeed(EcmpSeedOf(int(u)));
     }
   }
   // Egress switches of multi-path fabrics deliver to counted sinks; the
@@ -202,13 +198,13 @@ FabricSession::FabricSession(
       std::uint64_t* cell = &sink_delivered_.back();
       sink_links_.push_back(net_.ConnectToSink(
           switches_[u], LinkParams{.latency = kMicro, .jitter = 0},
-          [cell](Packet, Nanos) { ++*cell; },
+          [cell](Packet&&, Nanos) { ++*cell; },
           cfg_.link_seed + 0x5000 + u));
     }
   }
 
   switches_[0]->FeedTrace(trace.packets);
-  // End-of-trace sentinel: an all-zero five-tuple the ECMP policies flood
+  // End-of-trace sentinel: an all-zero five-tuple the ECMP switches flood
   // down every path, so the final sub-windows terminate on every switch.
   // A user-defined signal ends a sub-window only when the embedded number
   // grows, so there the sentinel carries one past the trace's largest.

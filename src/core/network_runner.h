@@ -47,9 +47,9 @@ std::vector<std::vector<int>> TopologyAdjacency(const TopologyConfig& topo);
 
 std::size_t TopologySwitchCount(const TopologyConfig& topo);
 
-/// The routing oracle matching the fabric's ECMP policies: deterministic in
-/// (topology, five-tuple flow key). Returns -1 where the flow exits the
-/// fabric.
+/// The routing oracle: the next hop each fan-out switch's EcmpPort picks,
+/// deterministic in (topology, five-tuple flow key). Returns -1 where the
+/// flow exits the fabric.
 NextHopFn MakeTopologyNextHop(const TopologyConfig& topo);
 
 struct NetworkRunConfig {

@@ -36,10 +36,7 @@ void Link::Transmit(Packet p, Nanos now) {
   }
   delay += fd.extra_delay;
   obs_delay_->Record(std::uint64_t(delay));
-  if (fd.duplicate) {
-    Packet copy = p;
-    deliver_(std::move(copy), now + delay + fault::kDuplicateGap);
-  }
+  if (fd.duplicate) deliver_(Packet(p), now + delay + fault::kDuplicateGap);
   deliver_(std::move(p), now + delay);
 }
 

@@ -34,7 +34,9 @@ struct LinkParams {
 
 class Link {
  public:
-  using Deliver = std::function<void(Packet, Nanos)>;
+  /// Receives each surviving packet at its arrival time; the link moves
+  /// the packet in.
+  using Deliver = std::function<void(Packet&&, Nanos)>;
 
   Link(LinkParams params, Deliver deliver, std::uint64_t seed = 0x117C)
       : params_(params),

@@ -71,7 +71,7 @@ Link* Network::Connect(Switch* a, Switch* b, LinkParams params,
   }
   Link* link = ConnectToSink(
       a, params,
-      [b](Packet p, Nanos arrival) {
+      [b](Packet&& p, Nanos arrival) {
         b->EnqueueFromWire(std::move(p), arrival);
       },
       seed);
@@ -87,8 +87,9 @@ Link* Network::ConnectToSink(Switch* a, LinkParams params, Link::Deliver sink,
   auto link = std::make_unique<Link>(params, std::move(sink),
                                      seed.value_or(DeriveLinkSeed()));
   Link* raw = link.get();
-  a->SetPortHandler(
-      port, [raw](const Packet& p, Nanos now) { raw->Transmit(p, now); });
+  a->SetPortHandler(port, [raw](Packet&& p, Nanos now) {
+    raw->Transmit(std::move(p), now);
+  });
   links_.push_back(std::move(link));
   return raw;
 }
@@ -146,22 +147,6 @@ Nanos Network::RunUntilQuiescent(Nanos max_time) {
     if (sw->last_event_time() > last) last = sw->last_event_time();
   }
   return last;
-}
-
-Switch::ForwardingPolicy MakeEcmpPolicy(std::vector<int> ports,
-                                        std::uint64_t seed) {
-  if (ports.empty()) {
-    throw std::invalid_argument("MakeEcmpPolicy: no member ports");
-  }
-  return [ports = std::move(ports), seed](const Packet& p, Nanos) -> int {
-    const FiveTuple& ft = p.ft;
-    if (ft.src_ip == 0 && ft.dst_ip == 0 && ft.src_port == 0 &&
-        ft.dst_port == 0 && ft.proto == 0) {
-      return kFloodEgress;  // sentinel / signal packet: reach every path
-    }
-    const std::uint64_t h = p.Key(FlowKeyKind::kFiveTuple).Hash(seed);
-    return ports[h % ports.size()];
-  };
 }
 
 void Network::Save(SnapshotWriter& w) const {

@@ -20,9 +20,8 @@
 // Topology model: each switch exposes dense integer egress ports. Connect
 // wires the lowest free port of `a` into `b` (ConnectToSink into a sink);
 // fan-out is multiple ports on one switch, fan-in is multiple links
-// delivering into one switch's wire ingress. The switch's forwarding
-// policy (e.g. MakeEcmpPolicy) picks the port a forwarded packet leaves
-// on; single-port switches need none.
+// delivering into one switch's wire ingress. A fan-out switch forwards by
+// ECMP (Switch::SetEcmpSeed); single-port switches forward on port 0.
 #pragma once
 
 #include <cstddef>
@@ -104,13 +103,5 @@ class Network {
   /// compacted during the scan.
   std::vector<std::size_t> active_;
 };
-
-/// Hash-based ECMP forwarding policy: a flow's five-tuple picks one member
-/// port, so every packet of a flow rides the same path (deterministic in
-/// `seed`; reseeding reshuffles the flow->port mapping). Packets without an
-/// addressable flow (all-zero five-tuple, e.g. end-of-trace sentinels) are
-/// flooded to every member so window-moving signals reach all paths.
-Switch::ForwardingPolicy MakeEcmpPolicy(std::vector<int> ports,
-                                        std::uint64_t seed);
 
 }  // namespace ow

@@ -88,7 +88,6 @@ class RdmaNic {
   /// Simulated NIC busy time accumulated executing requests.
   Nanos nic_time() const noexcept { return nic_time_; }
   std::uint64_t ops_executed() const noexcept { return ops_; }
-  void ResetStats() noexcept { nic_time_ = 0; ops_ = 0; }
 
   /// Inject write drops / partial completions into WRITEs against the MR
   /// with rkey `rkey_filter` (the unacked cold-key append path; atomics and
@@ -126,8 +125,6 @@ class RdmaRequestBuilder {
                     std::span<const std::uint8_t> payload);
   RdmaRequest WriteU64(std::uint64_t remote_offset, std::uint64_t value);
   RdmaRequest FetchAdd(std::uint64_t remote_offset, std::uint64_t value);
-
-  std::uint32_t next_psn() const noexcept { return psn_; }
 
  private:
   std::uint32_t rkey_;

@@ -39,11 +39,6 @@ class CountMinSketch final : public FrequencySketch {
   /// §4.1 that AFRs replace) and by distributed-merge scenarios.
   void MergeFrom(const CountMinSketch& other);
 
-  /// Direct counter access for the switch-model register mapping and tests.
-  std::uint64_t CounterAt(std::size_t row, std::size_t col) const {
-    return rows_[row][col];
-  }
-
  private:
   std::size_t width_;
   HashFamily hashes_;

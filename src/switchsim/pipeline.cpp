@@ -138,22 +138,29 @@ void Switch::DispatchEvent(Event& ev) {
       to_controller_(std::move(p), ev.time + kToControllerLatency);
     }
   }
-  if (!scratch_.drop) {
-    // Egress: the forwarding policy (ECMP) if the switch has one, else
-    // port 0.
-    const int port = policy_ ? policy_(ev.packet, ev.time) : 0;
-    if (port == kFloodEgress) {
-      for (const PacketHandler& out : ports_) {
-        if (!out) continue;
-        obs_forwarded_->Add();
-        out(ev.packet, ev.time + kPipelineLatency);
-      }
-    } else if (HasPortHandler(port)) {
-      obs_forwarded_->Add();
-      ports_[std::size_t(port)](ev.packet, ev.time + kPipelineLatency);
-    }
-  } else {
+  if (scratch_.drop) {
     obs_dropped_->Add();
+    return;
+  }
+  // Egress: port 0, or the flow's ECMP port. ECMP floods the all-zero
+  // sentinel down every path.
+  const Nanos out = ev.time + kPipelineLatency;
+  int port = 0;
+  if (ecmp_seed_ && !ports_.empty()) {
+    if (ev.packet.ft == FiveTuple{}) {
+      for (const PacketHandler& handler : ports_) {
+        if (!handler) continue;
+        obs_forwarded_->Add();
+        handler(Packet(ev.packet), out);
+      }
+      return;
+    }
+    port = EcmpPort(ev.packet.Key(FlowKeyKind::kFiveTuple), ports_.size(),
+                    *ecmp_seed_);
+  }
+  if (HasPortHandler(port)) {
+    obs_forwarded_->Add();
+    ports_[std::size_t(port)](std::move(ev.packet), out);
   }
 }
 

@@ -9,8 +9,8 @@
 //                     dedicated recirculation port (used by AFR enumeration
 //                     and in-switch reset),
 //   * clone to CPU  — mirror a copy toward the controller port,
-//   * forward/drop  — normal egress, on the port the switch's forwarding
-//                     policy picks (port 0 without one).
+//   * forward/drop  — normal egress: port 0, or on a switch with an ECMP
+//                     seed the flow's EcmpPort.
 //
 // Event engine (docs/pipeline_performance.md): pending events live in two
 // lanes that together realize one total order by (time, seq). Wire packets
@@ -22,11 +22,13 @@
 // heap. Dispatch pops whichever lane fronts the smaller (time, seq), which
 // reproduces the historical single priority-queue order bit for bit.
 // Events are moved, never copied, except that a trace packet is copied
-// once, when it is dispatched; each pass reuses a per-switch
-// PipelineActions scratch whose action lists store small bursts inline, so
-// an ordinary forwarding pass performs zero heap allocations. Register
-// arrays are armed per pass by bumping one shared epoch counter instead of
-// touching every array (see register_array.h).
+// once, when it is dispatched, and the end-of-trace sentinel once per port
+// it floods; egress moves the packet into its port's handler. Each pass
+// reuses a per-switch PipelineActions scratch whose pool-backed action
+// lists keep their capacity, so an ordinary forwarding pass performs zero
+// heap allocations. Register arrays are armed per pass by bumping one
+// shared epoch counter instead of touching every array (see
+// register_array.h).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +39,6 @@
 #include <vector>
 
 #include "src/common/packet.h"
-#include "src/common/small_vector.h"
 #include "src/obs/obs.h"
 #include "src/switchsim/register_array.h"
 #include "src/switchsim/resources.h"
@@ -51,16 +52,12 @@ enum class PacketSource : std::uint8_t {
   kRecirculation = 2,  ///< the recirculation port
 };
 
-/// Replicate the packet on every connected egress port (protocol floods,
-/// e.g. the end-of-trace sentinel that must terminate every path).
-inline constexpr int kFloodEgress = -2;
-
 /// Side effects one pipeline pass may request. The switch reuses one
 /// instance across passes; programs only ever append.
 struct PipelineActions {
   bool drop = false;
-  SmallVector<Packet, 2> recirculate;
-  SmallVector<Packet, 2> to_controller;
+  PooledVector<Packet> recirculate;
+  PooledVector<Packet> to_controller;
 
   void Clear() noexcept {
     drop = false;
@@ -100,15 +97,21 @@ inline constexpr Nanos kRecircLatency = 250;
 /// Egress port to the controller NIC.
 inline constexpr Nanos kToControllerLatency = 2'000;
 
+/// The ECMP hash unit: the member port in [0, ports) that every packet of
+/// `flow` leaves on, a pure function of the key and `seed` (reseeding
+/// reshuffles the flow->port map). `ports` must be positive. Switches with
+/// an ECMP seed forward by it, and MakeTopologyNextHop replays it as the
+/// routing oracle.
+inline int EcmpPort(const FlowKey& flow, std::size_t ports,
+                    std::uint64_t seed) {
+  return int(flow.Hash(seed) % ports);
+}
+
 class Switch {
  public:
-  using PacketHandler = std::function<void(const Packet&, Nanos)>;
-  /// Receives each cloned/report packet; the switch moves it in.
-  using ControllerHandler = std::function<void(Packet&&, Nanos)>;
-  /// Picks the egress port for a forwarded packet. May return kFloodEgress
-  /// to replicate on every connected port. Must be deterministic for
-  /// reproducible runs.
-  using ForwardingPolicy = std::function<int(const Packet&, Nanos)>;
+  /// Receives each forwarded or cloned packet at its delivery time; the
+  /// switch moves the packet in.
+  using PacketHandler = std::function<void(Packet&&, Nanos)>;
 
   explicit Switch(int id);
 
@@ -130,13 +133,14 @@ class Switch {
     return port >= 0 && std::size_t(port) < ports_.size() &&
            bool(ports_[std::size_t(port)]);
   }
-  /// Picks the egress of every forwarded packet. Without a policy,
+  /// Forward by hash-based ECMP over every port: a packet leaves on
+  /// EcmpPort(its five-tuple key, port count, seed), and one with an
+  /// all-zero five-tuple (the end-of-trace sentinel, which must terminate
+  /// every path) is copied onto every connected port. Without a seed,
   /// forwarded packets leave on port 0.
-  void SetForwardingPolicy(ForwardingPolicy policy) {
-    policy_ = std::move(policy);
-  }
+  void SetEcmpSeed(std::uint64_t seed) { ecmp_seed_ = seed; }
   /// Delivery of cloned/report packets to the controller.
-  void SetControllerHandler(ControllerHandler handler) {
+  void SetControllerHandler(PacketHandler handler) {
     to_controller_ = std::move(handler);
   }
 
@@ -184,7 +188,7 @@ class Switch {
   /// trace is not written, only the cursor into it, its packet count and
   /// its FingerprintPackets value (computed on the first Save or Load,
   /// then kept); the restoring switch must have been fed the same trace.
-  /// Program state, port handlers and the forwarding policy are
+  /// Program state, port handlers and the ECMP seed are
   /// configuration the restoring side rebuilds before calling Load. The
   /// FIFO ring is renormalized to head 0 and the heap restored in layout
   /// order, so dispatch order is preserved exactly; Load throws
@@ -262,8 +266,8 @@ class Switch {
   std::shared_ptr<SwitchProgram> program_;
   std::vector<RegisterArray*> registers_;
   std::vector<PacketHandler> ports_;  ///< per-egress-port delivery
-  ForwardingPolicy policy_;
-  ControllerHandler to_controller_;
+  std::optional<std::uint64_t> ecmp_seed_;
+  PacketHandler to_controller_;
 
   std::span<const Packet> trace_;
   std::size_t cursor_ = 0;  ///< trace_[cursor_..] is still to dispatch

@@ -53,7 +53,6 @@ class BeauCoup {
 
   void Reset();
 
-  std::size_t num_queries() const noexcept { return queries_.size(); }
   const BeauCoupQuery& query(std::size_t i) const { return queries_[i]; }
 
   /// Total updates performed (must be <= packets seen: the one-update

@@ -46,7 +46,6 @@ class LossRadar {
   std::size_t MemoryBytes() const noexcept {
     return cells_.size() * sizeof(Cell);
   }
-  std::size_t cell_count() const noexcept { return cells_.size(); }
 
   /// Raw cell access for state migration (§8): the cell's packet count and
   /// three XOR-folded id words.

@@ -20,6 +20,7 @@
 #include "src/controller/merge.h"
 #include "src/core/controller.h"
 #include "src/core/data_plane.h"
+#include "src/core/multi_app.h"
 #include "src/detect/detect.h"
 #include "src/sketch/mv_sketch.h"
 #include "src/telemetry/query_builder.h"
@@ -96,8 +97,11 @@ Trace& SteadyTrace() {
 
 /// Switch drain region (the perf_pipeline timed region): preload the trace,
 /// then RunBatch across multiple sub-window terminations. A prior throwaway
-/// round warms the pool; the measured round must be heap-silent.
-void ExpectDrainHeapSilent(const std::function<AdapterPtr()>& make_app) {
+/// round warms the pool; the measured round must be heap-silent. One app
+/// runs as a plain OmniWindowProgram; several share the pass under a
+/// MultiAppProgram, app 0 driving the signals.
+void ExpectDrainHeapSilent(
+    const std::vector<std::function<AdapterPtr()>>& make_apps) {
   if (!alloc_trace::Enabled()) {
     GTEST_SKIP() << "OW_ALLOC_TRACE not compiled in";
   }
@@ -107,36 +111,56 @@ void ExpectDrainHeapSilent(const std::function<AdapterPtr()>& make_app) {
     OmniWindowConfig cfg;
     cfg.signal.kind = SignalKind::kTimeout;
     cfg.signal.subwindow_size = 50 * kMilli;
+    std::vector<std::shared_ptr<OmniWindowProgram>> programs;
+    for (std::size_t i = 0; i < make_apps.size(); ++i) {
+      cfg.first_hop = i == 0;
+      programs.push_back(
+          std::make_shared<OmniWindowProgram>(cfg, make_apps[i]()));
+    }
     Switch sw(0);
-    auto program = std::make_shared<OmniWindowProgram>(cfg, make_app());
-    sw.SetProgram(program);
-    sw.SetControllerHandler([](const Packet&, Nanos) {});
+    if (programs.size() == 1) {
+      sw.SetProgram(programs[0]);
+    } else {
+      sw.SetProgram(std::make_shared<MultiAppProgram>(programs));
+    }
+    sw.SetControllerHandler([](Packet&&, Nanos) {});
     sw.FeedTrace(trace.packets);
     const alloc_trace::Scope scope;
     sw.RunBatch(trace.Duration() + kSecond);
     if (round == 1) news = scope.news();
-    ASSERT_GT(program->stats().packets_measured, 0u);
+    for (const auto& program : programs) {
+      ASSERT_GT(program->stats().packets_measured, 0u);
+    }
   }
   EXPECT_EQ(news, 0u) << "switch drain allocated on the heap after warm-up";
 }
 
+AdapterPtr CountQueryApp() {
+  const QueryDef def = QueryBuilder("count")
+                           .KeyBy(FlowKeyKind::kDstIp)
+                           .Count()
+                           .Threshold(100)
+                           .Build();
+  return std::make_shared<QueryAdapter>(def, 1 << 13);
+}
+
+AdapterPtr MvSketchApp() {
+  return std::make_shared<FrequencySketchApp>(
+      "mv", FlowKeyKind::kFiveTuple, FrequencyValue::kPackets,
+      [] { return std::make_unique<MvSketch>(4, 2048); });
+}
+
 TEST(AllocSteadyState, CountQueryDrainHeapSilent) {
-  ExpectDrainHeapSilent([] {
-    const QueryDef def = QueryBuilder("count")
-                             .KeyBy(FlowKeyKind::kDstIp)
-                             .Count()
-                             .Threshold(100)
-                             .Build();
-    return std::make_shared<QueryAdapter>(def, 1 << 13);
-  });
+  ExpectDrainHeapSilent({CountQueryApp});
 }
 
 TEST(AllocSteadyState, MvSketchDrainHeapSilent) {
-  ExpectDrainHeapSilent([] {
-    return std::make_shared<FrequencySketchApp>(
-        "mv", FlowKeyKind::kFiveTuple, FrequencyValue::kPackets,
-        [] { return std::make_unique<MvSketch>(4, 2048); });
-  });
+  ExpectDrainHeapSilent({MvSketchApp});
+}
+
+/// Two apps appending into the switch's one pass scratch.
+TEST(AllocSteadyState, MultiAppDrainHeapSilent) {
+  ExpectDrainHeapSilent({CountQueryApp, MvSketchApp});
 }
 
 /// Detector region: a window table of 3,000 five-tuple slots over 256

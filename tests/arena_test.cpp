@@ -124,7 +124,7 @@ TEST(SnapshotTest, RoundTripsPodsAndVectors) {
 
 TEST(SnapshotTest, SectionMismatchAndTruncationThrow) {
   SnapshotWriter w;
-  w.Section(snap::kClock);
+  w.Section(snap::kRng);
   w.U32(7);
   const auto bytes = w.Take();
 
@@ -132,7 +132,7 @@ TEST(SnapshotTest, SectionMismatchAndTruncationThrow) {
   EXPECT_THROW(r.Section(snap::kController), SnapshotError);
 
   SnapshotReader r2({bytes.data(), bytes.size()});
-  r2.Section(snap::kClock);
+  r2.Section(snap::kRng);
   EXPECT_EQ(r2.U32(), 7u);
   EXPECT_THROW(r2.U64(), SnapshotError);
 

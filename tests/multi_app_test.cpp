@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/core/multi_app.h"
 #include "src/core/runner.h"
@@ -136,6 +137,42 @@ TEST(MultiApp, MatchesSingleAppRuns) {
     EXPECT_EQ(multi_syn[i].span.first, solo_syn[i].span.first);
     EXPECT_EQ(multi_syn[i].detected, solo_syn[i].detected) << "window " << i;
   }
+}
+
+TEST(MultiApp, OnePassAppendsEachAppsPacketsInAppOrder) {
+  // Both apps end sub-window 0 on the same pass: app 0 by its timeout
+  // signal, app 1 by adopting the number app 0 stamped.
+  OmniWindowConfig cfg;
+  cfg.signal.kind = SignalKind::kTimeout;
+  cfg.signal.subwindow_size = 50 * kMilli;
+  std::vector<std::shared_ptr<OmniWindowProgram>> programs;
+  for (std::uint64_t seed : {0x111, 0x222}) {
+    programs.push_back(std::make_shared<OmniWindowProgram>(
+        cfg, std::make_shared<QueryAdapter>(SynDef(), 4096, seed)));
+    cfg.first_hop = false;  // app 0 drives the signals, app 1 follows
+  }
+  MultiAppProgram program(programs);
+
+  Packet held;  // already in the caller's list: keeps its id
+  held.ow.app_id = 7;
+  PipelineActions act;
+  act.to_controller.push_back(held);
+  for (const Nanos t : {10 * kMilli, 60 * kMilli}) {
+    Packet p;
+    p.ft = {1, 2, 3, 4, 6};
+    p.ts = t;
+    program.Process(p, t, PacketSource::kWire, act);
+  }
+  ASSERT_EQ(act.to_controller.size(), 3u);
+  EXPECT_EQ(act.to_controller[0].ow.app_id, 7);
+  for (std::uint8_t app = 0; app < 2; ++app) {
+    const Packet& trigger = act.to_controller[1 + app];
+    EXPECT_EQ(trigger.ow.app_id, app);
+    EXPECT_EQ(trigger.ow.flag, OwFlag::kTrigger);
+    EXPECT_EQ(trigger.ow.subwindow_num, 0u);
+  }
+  EXPECT_TRUE(act.recirculate.empty());
+  EXPECT_FALSE(act.drop);
 }
 
 TEST(MultiApp, RejectsEmptyAndValidatesPrograms) {

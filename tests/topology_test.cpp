@@ -111,34 +111,8 @@ TEST(NetworkPorts, ExplicitLinkSeedIsHonored) {
 }
 
 // ---------------------------------------------------------------------------
-// ECMP policy.
-
-TEST(EcmpPolicy, DeterministicPerSeedAndFloodsSentinel) {
-  auto p1 = MakeEcmpPolicy({0, 1, 2}, 7);
-  auto p2 = MakeEcmpPolicy({0, 1, 2}, 7);
-  auto p3 = MakeEcmpPolicy({0, 1, 2}, 8);
-  bool any_differ = false;
-  std::vector<int> used(3, 0);
-  for (std::uint32_t f = 1; f <= 200; ++f) {
-    Packet p;
-    p.ft = {f, f ^ 0xABC, 10, 80, 17};
-    const int a = p1(p, 0);
-    ASSERT_GE(a, 0);
-    ASSERT_LT(a, 3);
-    EXPECT_EQ(a, p2(p, Nanos(f)));  // same seed, time-independent
-    if (a != p3(p, 0)) any_differ = true;
-    ++used[std::size_t(a)];
-  }
-  EXPECT_TRUE(any_differ);  // reseeding reshuffles the flow->port map
-  for (int count : used) EXPECT_GT(count, 0);  // all members carry load
-
-  Packet sentinel;  // all-zero five-tuple
-  EXPECT_EQ(p1(sentinel, 0), kFloodEgress);
-  EXPECT_THROW(MakeEcmpPolicy({}, 1), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Fan-out / fan-in conservation on a diamond, with a bare counting program.
+// ECMP, and fan-out / fan-in conservation on a diamond, with a bare counting
+// program.
 
 class CountForwardProgram : public SwitchProgram {
  public:
@@ -150,6 +124,49 @@ class CountForwardProgram : public SwitchProgram {
  private:
   FlowCounts counts_;
 };
+
+TEST(EcmpPolicy, DeterministicPerSeedAndFloodsSentinel) {
+  bool any_differ = false;
+  std::vector<int> used(3, 0);
+  for (std::uint32_t f = 1; f <= 200; ++f) {
+    const FlowKey key(FlowKeyKind::kFiveTuple, {f, f ^ 0xABC, 10, 80, 17});
+    const int a = EcmpPort(key, 3, 7);
+    ASSERT_GE(a, 0);
+    ASSERT_LT(a, 3);
+    EXPECT_EQ(a, EcmpPort(key, 3, 7));  // same seed, same port
+    if (a != EcmpPort(key, 3, 8)) any_differ = true;
+    ++used[std::size_t(a)];
+  }
+  EXPECT_TRUE(any_differ);  // reseeding reshuffles the flow->port map
+  for (int count : used) EXPECT_GT(count, 0);  // all members carry load
+
+  // A switch with an ECMP seed floods the all-zero sentinel on every port
+  // and sends a flow to EcmpPort's port.
+  Switch sw(0);
+  sw.SetProgram(std::make_shared<CountForwardProgram>());
+  std::vector<std::vector<Packet>> out(3);
+  for (int port = 0; port < 3; ++port) {
+    sw.SetPortHandler(port, [&out, port](Packet&& p, Nanos) {
+      out[std::size_t(port)].push_back(std::move(p));
+    });
+  }
+  sw.SetEcmpSeed(7);
+  Packet sentinel;  // all-zero five-tuple
+  sw.EnqueueFromWire(sentinel, 1);
+  Packet flow;
+  flow.ft = {1, 1 ^ 0xABC, 10, 80, 17};
+  sw.EnqueueFromWire(flow, 2);
+  sw.RunBatch(kSecond);
+  const int port = EcmpPort(flow.Key(FlowKeyKind::kFiveTuple), 3, 7);
+  for (int q = 0; q < 3; ++q) {
+    const std::vector<Packet>& got = out[std::size_t(q)];
+    ASSERT_EQ(got.size(), q == port ? 2u : 1u) << "port " << q;
+    EXPECT_TRUE(got[0].ft == FiveTuple{});
+    if (q == port) {
+      EXPECT_TRUE(got[1].ft == flow.ft);
+    }
+  }
+}
 
 TEST(Fabric, FanOutFanInConservation) {
   // Diamond: s0 -ECMP-> {s1, s2} -> s3 -> sink. Lossless links, so every
@@ -172,7 +189,7 @@ TEST(Fabric, FanOutFanInConservation) {
   net.Connect(sw[2], sw[3], wire);
   std::uint64_t delivered = 0;
   net.ConnectToSink(sw[3], wire, [&](Packet, Nanos) { ++delivered; });
-  sw[0]->SetForwardingPolicy(MakeEcmpPolicy({0, 1}, 0xEC));
+  sw[0]->SetEcmpSeed(0xEC);
 
   const int kFlows = 300, kPackets = 5;
   for (int f = 1; f <= kFlows; ++f) {
