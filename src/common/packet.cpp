@@ -2,17 +2,6 @@
 
 namespace ow {
 
-std::size_t OwHeaderWireBytes(const OwHeader& h) {
-  if (!h.present) return 0;
-  constexpr std::size_t kFixed = 4 + 1 + 14 + 4;
-  // Each AFR: key (14) + subwindow (4) + seq (4) + attrs (8 each).
-  std::size_t afr_bytes = 0;
-  for (const auto& r : h.afrs) {
-    afr_bytes += 14 + 4 + 4 + 8ull * r.num_attrs;
-  }
-  return kFixed + afr_bytes;
-}
-
 std::uint64_t FingerprintPackets(std::span<const Packet> packets) {
   std::uint64_t h = 0;
   const auto add = [&h](std::uint64_t v) { h = Mix64(h ^ v); };

@@ -106,9 +106,4 @@ static_assert(sizeof(Packet) == 96);
 /// (Switch::FeedTrace).
 std::uint64_t FingerprintPackets(std::span<const Packet> packets);
 
-/// Serialized on-the-wire byte size of the OmniWindow custom header,
-/// mirroring the P4 header layout: subwindow(4) + flag(1) + key(13+1) +
-/// payload(4).
-std::size_t OwHeaderWireBytes(const OwHeader& h);
-
 }  // namespace ow

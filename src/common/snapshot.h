@@ -70,7 +70,15 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// v9: the Network section loses its global clock word (no code read it).
 /// v10: the Switch section refers to its fed trace (packet count, cursor,
 /// fingerprint) instead of writing each unread packet as a FIFO event.
-inline constexpr std::uint32_t kSnapshotVersion = 10;
+/// v11: each fact is written once. The Switch section loses its pass epoch
+/// (the pass count is the register epoch); the Program section its RDMA
+/// PSN, and it queues a collection start as (sub-window, injected-key
+/// count) instead of a whole trigger packet; the Controller section its
+/// spilled-key sets (Load rebuilds them from the keys), its inserts_rejected
+/// stat (the restored table holds it) and a pending sub-window's number
+/// after its map key; the Session section its sink tallies (the sink links
+/// count them).
+inline constexpr std::uint32_t kSnapshotVersion = 11;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;

@@ -44,9 +44,17 @@ class TelemetryAppAdapter {
   virtual void Update(const Packet& p, int region) = 0;
 
   /// Data-plane flow query: derive the AFR of `key` from the region's
-  /// state. `subwindow` is stamped into the record.
+  /// state. `subwindow` is stamped into the record. Only called when
+  /// SupportsAfr(); the default, for state-migration apps, returns an
+  /// empty record of the sub-window.
   virtual FlowRecord Query(const FlowKey& key, int region,
-                           SubWindowNum subwindow) const = 0;
+                           SubWindowNum subwindow) const {
+    (void)key;
+    (void)region;
+    FlowRecord rec;
+    rec.subwindow = subwindow;
+    return rec;
+  }
 
   /// In-switch reset, one clear-packet pass: zero slice `index` of the
   /// region's state. A "slice" is one position across all of the app's

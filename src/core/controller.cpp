@@ -104,10 +104,7 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
       // collection is still queued, and chasing it would only inject
       // no-op requests.
       for (auto& [old_sw, old_pending] : pending_) {
-        if (old_sw + 1 < sw && old_pending.collection_started &&
-            !old_pending.lost &&
-            old_pending.retransmit_attempts < kMaxRetransmitAttempts &&
-            !IsComplete(old_pending)) {
+        if (old_sw + 1 < sw && NeedsChase(old_pending)) {
           RequestRetransmissions(old_pending, arrival);
         }
       }
@@ -115,9 +112,9 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
       return;
     }
     case OwFlag::kSpilledKey: {
-      const SubWindowNum sw = p.ow.subwindow_num;
-      if (spilled_seen_[sw].insert(p.ow.injected_key).second) {
-        spilled_[sw].push_back(p.ow.injected_key);
+      SpilledKeys& spilled = spilled_[p.ow.subwindow_num];
+      if (spilled.seen.insert(p.ow.injected_key).second) {
+        spilled.keys.push_back(p.ow.injected_key);
         ++stats_.spilled_keys_stored;
       }
       return;
@@ -151,25 +148,14 @@ void OmniWindowController::OnPacket(const Packet& p, Nanos arrival) {
       }
       for (const FlowRecord& rec : p.ow.afrs) {
         pending.o1_collect += dpdk::kPerRxPacket;
-        if (rec.seq_id != kNoExplicitIndex) {
-          if (cfg_.rdma && pending.mirror_keys.contains(rec.key)) {
-            // Chased hot-key seq: the value already merged via the mirror
-            // drain; the report only proves the sequence number exists.
-            InsertSeq(pending.seqs_seen, rec.seq_id);
-            continue;
-          }
-          if (!InsertSeq(pending.seqs_seen, rec.seq_id)) {
-            ++stats_.duplicate_afrs;
-            continue;
-          }
-        } else {
-          if (!pending.injected_keys_seen.insert(rec.key).second) {
-            ++stats_.duplicate_afrs;
-            continue;
-          }
+        if (rec.seq_id != kNoExplicitIndex && cfg_.rdma &&
+            pending.mirror_keys.contains(rec.key)) {
+          // Chased hot-key seq: the value already merged via the mirror
+          // drain; the report only proves the sequence number exists.
+          InsertSeq(pending.seqs_seen, rec.seq_id);
+          continue;
         }
-        pending.records.push_back(rec);
-        ++stats_.afrs_received;
+        if (!AcceptRecord(pending, rec)) ++stats_.duplicate_afrs;
       }
       MaybeFinalize(arrival);
       return;
@@ -226,7 +212,7 @@ void OmniWindowController::StartCollection(PendingSubWindow& pending,
   obs::ScopedSpan span(obs::Global(), "controller.start_collection");
   pending.collection_started = true;
   const SubWindowNum sw = pending.subwindow;
-  const auto& spilled = spilled_[sw];
+  const auto& spilled = spilled_[sw].keys;
   pending.expected_injected = std::uint32_t(spilled.size());
 
   if (!switch_) return;
@@ -272,6 +258,18 @@ void OmniWindowController::SendToSwitch(OwFlag flag, SubWindowNum sw,
   switch_->EnqueueFromController(p, tx_time + kWireLatency);
 }
 
+bool OmniWindowController::AcceptRecord(PendingSubWindow& pending,
+                                        const FlowRecord& rec) {
+  const bool fresh = rec.seq_id != kNoExplicitIndex
+                         ? InsertSeq(pending.seqs_seen, rec.seq_id)
+                         : pending.injected_keys_seen.insert(rec.key).second;
+  if (fresh) {
+    pending.records.push_back(rec);
+    ++stats_.afrs_received;
+  }
+  return fresh;
+}
+
 bool OmniWindowController::IsComplete(const PendingSubWindow& p) const {
   if (p.lost) return false;
   if (!p.collection_started) return false;
@@ -308,7 +306,6 @@ void OmniWindowController::MaybeFinalize(Nanos now) {
 void OmniWindowController::Retire(
     PooledMap<SubWindowNum, PendingSubWindow>::iterator it) {
   spilled_.erase(it->first);
-  spilled_seen_.erase(it->first);
   pending_.erase(it);
   ++next_to_finalize_;
 }
@@ -557,7 +554,7 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
     request(OwFlag::kCollection, kNoExplicitIndex, {});
   }
   // Missing injected keys.
-  for (const FlowKey& key : spilled_[pending.subwindow]) {
+  for (const FlowKey& key : spilled_[pending.subwindow].keys) {
     if (!pending.injected_keys_seen.contains(key)) {
       request(OwFlag::kFlowkeyInject, 0, key);
     }
@@ -581,17 +578,7 @@ void OmniWindowController::DrainRdma(PendingSubWindow& pending) {
     std::span<const std::uint8_t, kAfrWireBytes> slot(bytes.data() + off,
                                                       kAfrWireBytes);
     if (IsIntactRecord(slot)) {
-      const FlowRecord rec = DecodeFlowRecord(slot);
-      bool fresh;
-      if (rec.seq_id != kNoExplicitIndex) {
-        fresh = InsertSeq(pending.seqs_seen, rec.seq_id);
-      } else {
-        fresh = pending.injected_keys_seen.insert(rec.key).second;
-      }
-      if (fresh) {
-        pending.records.push_back(rec);
-        ++stats_.afrs_received;
-      }
+      AcceptRecord(pending, DecodeFlowRecord(slot));
     } else {
       ++pending.rdma_holes;
       ++stats_.rdma_holes_detected;
@@ -622,7 +609,7 @@ void OmniWindowController::DrainRdma(PendingSubWindow& pending) {
   }
   // A spilled key that went hot mid-stream lands in the mirror instead of
   // producing an injected-key record; its mirror value covers it.
-  for (const FlowKey& key : spilled_[pending.subwindow]) {
+  for (const FlowKey& key : spilled_[pending.subwindow].keys) {
     if (pending.mirror_keys.contains(key)) {
       pending.injected_keys_seen.insert(key);
     }
@@ -643,12 +630,16 @@ void OmniWindowController::UpdateHotKeys(const PendingSubWindow& pending) {
   }
 }
 
+bool OmniWindowController::NeedsChase(const PendingSubWindow& pending) const {
+  return pending.collection_started && !pending.lost &&
+         pending.retransmit_attempts < kMaxRetransmitAttempts &&
+         !IsComplete(pending);
+}
+
 bool OmniWindowController::ChaseIncomplete(Nanos now) {
   bool asked = false;
   for (auto& [sw, pending] : pending_) {
-    if (pending.collection_started && !pending.lost &&
-        pending.retransmit_attempts < kMaxRetransmitAttempts &&
-        !IsComplete(pending)) {
+    if (NeedsChase(pending)) {
       RequestRetransmissions(pending, now);
       asked = true;
     }
@@ -751,7 +742,6 @@ void LoadSet(SnapshotReader& r, Set& s) {
 
 void OmniWindowController::SavePending(SnapshotWriter& w,
                                        const PendingSubWindow& p) const {
-  w.Pod(p.subwindow);
   w.U32(p.expected_dataplane);
   w.U32(p.expected_injected);
   w.PodVec(p.records);
@@ -770,7 +760,6 @@ void OmniWindowController::SavePending(SnapshotWriter& w,
 
 void OmniWindowController::LoadPending(SnapshotReader& r,
                                        PendingSubWindow& p) const {
-  r.Pod(p.subwindow);
   p.expected_dataplane = r.U32();
   p.expected_injected = r.U32();
   r.PodVec(p.records);
@@ -829,14 +818,9 @@ void OmniWindowController::Save(SnapshotWriter& w) const {
     SavePending(w, p);
   }
   w.Size(spilled_.size());
-  for (const auto& [sub, keys] : spilled_) {
+  for (const auto& [sub, spilled] : spilled_) {
     w.Pod(sub);
-    w.PodVec(keys);
-  }
-  w.Size(spilled_seen_.size());
-  for (const auto& [sub, seen] : spilled_seen_) {
-    w.Pod(sub);
-    SaveSet(w, seen);
+    w.PodVec(spilled.keys);
   }
   SaveSet(w, degraded_);
   w.Pod(next_to_finalize_);
@@ -849,7 +833,6 @@ void OmniWindowController::Save(SnapshotWriter& w) const {
   w.U64(stats_.retransmissions_requested);
   w.U64(stats_.spike_packets);
   w.U64(stats_.duplicate_afrs);
-  w.U64(stats_.inserts_rejected);
   w.U64(stats_.windows_partial);
   w.U64(stats_.rdma_holes_detected);
   w.U64(stats_.subwindows_degraded_by_switch);
@@ -864,6 +847,7 @@ void OmniWindowController::Load(SnapshotReader& r) {
   }
   r.Section(snap::kController);
   table_.Load(r);
+  stats_.inserts_rejected = table_.rejected_inserts();
   history_.clear();
   // Map/list entry counts come off the untrusted stream; bound each by the
   // smallest possible serialized entry (key + length prefix) so a forged
@@ -891,26 +875,26 @@ void OmniWindowController::Load(SnapshotReader& r) {
   const std::size_t num_pending = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_pending; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
-    LoadPending(r, pending_[sub]);
+    PendingSubWindow& p = pending_[sub];
+    p.subwindow = sub;
+    LoadPending(r, p);
   }
   spilled_.clear();
   const std::size_t num_spilled = r.Count(sizeof(SubWindowNum) + 8);
   for (std::size_t i = 0; i < num_spilled; ++i) {
     const SubWindowNum sub = r.Get<SubWindowNum>();
-    r.PodVec(spilled_[sub]);
-    for (const FlowKey& key : spilled_[sub]) {
+    SpilledKeys& spilled = spilled_[sub];
+    r.PodVec(spilled.keys);
+    spilled.seen.clear();
+    for (const FlowKey& key : spilled.keys) {
       CheckKey(key, snap::kController, "OmniWindowController",
                "a spilled key");
-    }
-  }
-  spilled_seen_.clear();
-  const std::size_t num_seen = r.Count(sizeof(SubWindowNum) + 8);
-  for (std::size_t i = 0; i < num_seen; ++i) {
-    const SubWindowNum sub = r.Get<SubWindowNum>();
-    LoadSet(r, spilled_seen_[sub]);
-    for (const FlowKey& key : spilled_seen_[sub]) {
-      CheckKey(key, snap::kController, "OmniWindowController",
-               "a seen spilled key");
+      // The list is what the dedupe let through: each key once.
+      if (!spilled.seen.insert(key).second) {
+        throw SnapshotError(
+            "OmniWindowController [section 0x1C]: sub-window " +
+            std::to_string(sub) + " lists a spilled key twice");
+      }
     }
   }
   LoadSet(r, degraded_);
@@ -924,7 +908,6 @@ void OmniWindowController::Load(SnapshotReader& r) {
   stats_.retransmissions_requested = r.U64();
   stats_.spike_packets = r.U64();
   stats_.duplicate_afrs = r.U64();
-  stats_.inserts_rejected = r.U64();
   stats_.windows_partial = r.U64();
   stats_.rdma_holes_detected = r.U64();
   stats_.subwindows_degraded_by_switch = r.U64();

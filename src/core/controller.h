@@ -174,8 +174,9 @@ class OmniWindowController {
     std::uint64_t retransmissions_requested = 0;
     std::uint64_t spike_packets = 0;
     std::uint64_t duplicate_afrs = 0;
-    /// AFRs dropped because the flow table hit its 7/8 load limit
-    /// (KeyValueTable::rejected_inserts); each flags its sub-window.
+    /// AFRs dropped because the flow table hit its 7/8 load limit: the
+    /// table's rejected_inserts(), read after each merge and on Load. Each
+    /// flags its sub-window.
     std::uint64_t inserts_rejected = 0;
     /// Windows emitted with the partial flag set (degraded, not wrong).
     std::uint64_t windows_partial = 0;
@@ -244,9 +245,16 @@ class OmniWindowController {
   };
 
   /// One recovery round, the ask phase of Flush: re-request
-  /// retransmissions for every incomplete sub-window that still has retry
-  /// budget. Returns true if anything was asked.
+  /// retransmissions for every sub-window NeedsChase names. Returns true if
+  /// anything was asked.
   bool ChaseIncomplete(Nanos now);
+  /// Collecting, not lost, still missing records and within its retry
+  /// budget: a retransmission request can still help.
+  bool NeedsChase(const PendingSubWindow& pending) const;
+  /// The one record-acceptance rule: a record is fresh unless its seq (or,
+  /// without one, its injected key) was seen before. A fresh record is
+  /// appended and counted; returns whether it was fresh.
+  bool AcceptRecord(PendingSubWindow& pending, const FlowRecord& rec);
   void StartCollection(PendingSubWindow& pending, Nanos now);
   /// Enqueue one controller packet for sub-window `sw` on the switch's
   /// management port: it leaves at `tx_time` and arrives one wire latency
@@ -267,6 +275,8 @@ class OmniWindowController {
   void RequestRetransmissions(PendingSubWindow& pending, Nanos now);
   void DrainRdma(PendingSubWindow& pending);
   void UpdateHotKeys(const PendingSubWindow& pending);
+  /// A pending sub-window's fields after its number, which the caller
+  /// writes once as the map key and sets before LoadPending.
   void SavePending(SnapshotWriter& w, const PendingSubWindow& p) const;
   void LoadPending(SnapshotReader& r, PendingSubWindow& p) const;
 
@@ -289,9 +299,14 @@ class OmniWindowController {
   /// them (O5 eviction reads them in place, O6 releases them).
   PooledDeque<std::pair<SubWindowNum, RecordVec>> history_;
   PooledMap<SubWindowNum, PendingSubWindow> pending_;
-  /// Controller-resident (spilled) keys per sub-window awaiting injection.
-  PooledMap<SubWindowNum, PooledVector<FlowKey>> spilled_;
-  PooledMap<SubWindowNum, PooledSet<FlowKey>> spilled_seen_;
+  /// Controller-resident (spilled) keys of one sub-window awaiting
+  /// injection, in arrival order, and the same keys as a set for the
+  /// dedupe. A checkpoint writes the keys; Load rebuilds the set.
+  struct SpilledKeys {
+    PooledVector<FlowKey> keys;
+    PooledSet<FlowKey> seen;
+  };
+  PooledMap<SubWindowNum, SpilledKeys> spilled_;
   /// Sub-windows finalized with missing records (retry budget exhausted or
   /// unfoldable spike copies). Windows covering any of them emit with the
   /// partial flag; entries are pruned once no future window can cover them.

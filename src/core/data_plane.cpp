@@ -8,6 +8,7 @@
 
 #include "src/common/snapshot.h"
 #include "src/core/afr_wire.h"
+#include "src/core/state_layout.h"
 
 namespace ow {
 
@@ -26,7 +27,7 @@ void OmniWindowProgram::Process(Packet& p, Nanos now, PacketSource src,
     switch (p.ow.flag) {
       case OwFlag::kTrigger:
         // Trigger returned by the controller: start collection.
-        HandleCollectionStart(p);
+        HandleCollectionStart({p.ow.subwindow_num, p.ow.payload});
         act.drop = true;
         return;
       case OwFlag::kCollection:
@@ -92,7 +93,7 @@ void OmniWindowProgram::HandleNormal(Packet& p, Nanos now,
     return;
   }
 
-  const int region = int(sw % 2);
+  const int region = RegionedArray::RegionOf(sw);
   app_->Update(p, region);
   if (sw > last_writer_[region]) last_writer_[region] = sw;
   ++stats_.packets_measured;
@@ -123,7 +124,7 @@ void OmniWindowProgram::TerminateSubWindow(Nanos now, PipelineActions& act) {
     ForceFinishCollection();
   }
   const SubWindowNum ended = current_;
-  const int region = int(ended % 2);
+  const int region = RegionedArray::RegionOf(ended);
   ++current_;
   ++stats_.terminations;
 
@@ -141,7 +142,7 @@ void OmniWindowProgram::TerminateSubWindow(Nanos now, PipelineActions& act) {
   act.to_controller.push_back(std::move(trigger));
 }
 
-void OmniWindowProgram::HandleCollectionStart(const Packet& p) {
+void OmniWindowProgram::HandleCollectionStart(CollectStart start) {
   // Idempotent triggers: a sub-window whose C&R already ran must not run a
   // second one — the region was reset at enumeration end, so a re-run would
   // enumerate nothing and (same-parity hazard below) falsely mark newer
@@ -149,20 +150,20 @@ void OmniWindowProgram::HandleCollectionStart(const Packet& p) {
   // links and from a standby controller re-triggering while the dead
   // primary's trigger return is still in flight (takeover); losses on the
   // re-announce path are already served by the retransmission cache.
-  if (p.ow.subwindow_num < collect_started_through_) return;
+  if (start.sw < collect_started_through_) return;
   if (collect_.active) {
     // A C&R is already running (multiple sub-windows terminated together);
     // queue this start until the active one completes.
-    pending_starts_.push_back(p);
+    pending_starts_.push_back(start);
     return;
   }
-  const SubWindowNum sw = p.ow.subwindow_num;
+  const SubWindowNum sw = start.sw;
   collect_ = CollectState{};
   collect_.active = true;
   collect_.subwindow = sw;
   if (sw + 1 > collect_started_through_) collect_started_through_ = sw + 1;
-  collect_.region = int(sw % 2);
-  collect_.injected_remaining = p.ow.payload;
+  collect_.region = RegionedArray::RegionOf(sw);
+  collect_.injected_remaining = start.injected;
   // Late-collection hazard: if a newer same-parity sub-window has already
   // written this region (this C&R was delayed past the region's reuse
   // point), the values enumerated now are contaminated by the newer
@@ -170,14 +171,7 @@ void OmniWindowProgram::HandleCollectionStart(const Packet& p) {
   // sub-window's state before its own C&R can read it. Neither is
   // recoverable; mark the whole same-parity span so every count
   // announcement for it carries the degraded bit.
-  if (last_writer_[collect_.region] > sw) {
-    for (SubWindowNum k = sw; k <= last_writer_[collect_.region]; k += 2) {
-      compromised_.insert(k);
-    }
-    while (compromised_.size() > 4 * kRetransmitCacheDepth) {
-      compromised_.erase(compromised_.begin());
-    }
-  }
+  if (last_writer_[collect_.region] > sw) MarkCompromised(sw, collect_.region);
   // Bound the retransmission cache to the last few sub-windows.
   while (afr_cache_.size() >= kRetransmitCacheDepth) {
     afr_cache_.erase(afr_cache_.begin());
@@ -298,10 +292,7 @@ void OmniWindowProgram::HandleCollection(Packet& p, PipelineActions& act) {
       act.to_controller.push_back(std::move(done));
       return;
     }
-    const bool future =
-        (collect_.active && p.ow.subwindow_num > collect_.subwindow) ||
-        (!collect_.active && !pending_starts_.empty());
-    if (future) act.recirculate.push_back(p);
+    WaitOrDie(p, act);
     return;
   }
   if (collect_.resetting) return;
@@ -349,12 +340,16 @@ void OmniWindowProgram::HandleCollection(Packet& p, PipelineActions& act) {
   act.recirculate.push_back(p);
 }
 
+void OmniWindowProgram::WaitOrDie(Packet& p, PipelineActions& act) {
+  const bool future =
+      (collect_.active && p.ow.subwindow_num > collect_.subwindow) ||
+      (!collect_.active && !pending_starts_.empty());
+  if (future) act.recirculate.push_back(p);
+}
+
 void OmniWindowProgram::HandleFlowkeyInject(Packet& p, PipelineActions& act) {
   if (!collect_.active || p.ow.subwindow_num != collect_.subwindow) {
-    const bool future =
-        (collect_.active && p.ow.subwindow_num > collect_.subwindow) ||
-        (!collect_.active && !pending_starts_.empty());
-    if (future) act.recirculate.push_back(p);
+    WaitOrDie(p, act);
     return;
   }
   EmitAfr(p.ow.injected_key, kNoExplicitIndex, act);
@@ -367,11 +362,7 @@ void OmniWindowProgram::HandleReset(Packet& p, PipelineActions& act) {
   if (idx >= app_->NumResetSlices()) {
     // All slices cleared; this and subsequent clear packets die here.
     collect_.active = false;
-    if (!pending_starts_.empty()) {
-      const Packet next = pending_starts_.front();
-      pending_starts_.pop_front();
-      HandleCollectionStart(next);
-    }
+    StartNextQueued();
     return;
   }
   app_->ResetSlice(collect_.region, idx);
@@ -384,8 +375,8 @@ OmniWindowProgram::QueryRecoverability(SubWindowNum sw) const {
   if (collect_.active && collect_.subwindow == sw) {
     return CollectRecoverability::kActive;
   }
-  for (const Packet& p : pending_starts_) {
-    if (p.ow.subwindow_num == sw) return CollectRecoverability::kActive;
+  for (const CollectStart& start : pending_starts_) {
+    if (start.sw == sw) return CollectRecoverability::kActive;
   }
   if (afr_cache_.contains(sw)) return CollectRecoverability::kCached;
   if (sw >= collect_started_through_) return CollectRecoverability::kIntact;
@@ -399,14 +390,7 @@ void OmniWindowProgram::ForceFinishCollection() {
     // re-announced as a final count), and the region reset below destroys
     // whatever newer same-parity sub-windows have written since. Mark the
     // span so every count announcement for it carries the degraded bit.
-    for (SubWindowNum k = collect_.subwindow;
-         k <= std::max(last_writer_[collect_.region], collect_.subwindow);
-         k += 2) {
-      compromised_.insert(k);
-    }
-    while (compromised_.size() > 4 * kRetransmitCacheDepth) {
-      compromised_.erase(compromised_.begin());
-    }
+    MarkCompromised(collect_.subwindow, collect_.region);
     tracker_.Reset(collect_.region);
   }
   for (std::uint32_t i = collect_.reset_counter; i < app_->NumResetSlices();
@@ -414,10 +398,22 @@ void OmniWindowProgram::ForceFinishCollection() {
     app_->ResetSlice(collect_.region, i);
   }
   collect_ = CollectState{};
-  if (!pending_starts_.empty()) {
-    const Packet next = pending_starts_.front();
-    pending_starts_.pop_front();
-    HandleCollectionStart(next);
+  StartNextQueued();
+}
+
+void OmniWindowProgram::StartNextQueued() {
+  if (pending_starts_.empty()) return;
+  const CollectStart next = pending_starts_.front();
+  pending_starts_.pop_front();
+  HandleCollectionStart(next);
+}
+
+void OmniWindowProgram::MarkCompromised(SubWindowNum sw, int region) {
+  for (SubWindowNum k = sw; k <= std::max(last_writer_[region], sw); k += 2) {
+    compromised_.insert(k);
+  }
+  while (compromised_.size() > 4 * kRetransmitCacheDepth) {
+    compromised_.erase(compromised_.begin());
   }
 }
 
@@ -500,7 +496,10 @@ void OmniWindowProgram::Save(SnapshotWriter& w) {
   w.U32(collect_.injected_remaining);
   w.U64(collect_.buffer_cursor);
   w.Size(pending_starts_.size());
-  for (const Packet& p : pending_starts_) SavePacket(w, p);
+  for (const CollectStart& start : pending_starts_) {
+    w.Pod(start.sw);
+    w.U32(start.injected);
+  }
   w.PodVec(collect_keys_);
   w.Size(afr_cache_.size());
   for (const auto& [sub, recs] : afr_cache_) {
@@ -512,7 +511,6 @@ void OmniWindowProgram::Save(SnapshotWriter& w) {
   w.Pod(last_writer_[0]);
   w.Pod(last_writer_[1]);
   w.Pod(collect_started_through_);
-  w.U32(rdma_psn_);
   w.U32(user_base_);
   w.Pod(stats_);
 }
@@ -542,14 +540,15 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
   collect_.injected_remaining = r.U32();
   collect_.buffer_cursor = r.U64();
   // Counts come off the untrusted stream: bound each by its smallest
-  // serialized entry (a packet's section tag and AFR length prefix; a
+  // serialized entry (a sub-window number and an injected-key count; a
   // sub-window number and a length prefix; a sub-window number).
   pending_starts_.clear();
-  const std::size_t num_starts = r.Count(4 + 8);
+  const std::size_t num_starts = r.Count(sizeof(SubWindowNum) + 4);
   for (std::size_t i = 0; i < num_starts; ++i) {
-    Packet p;
-    LoadPacket(r, p);
-    pending_starts_.push_back(std::move(p));
+    CollectStart start;
+    r.Pod(start.sw);
+    start.injected = r.U32();
+    pending_starts_.push_back(start);
   }
   r.PodVec(collect_keys_);
   for (const FlowKey& key : collect_keys_) {
@@ -585,7 +584,6 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
   r.Pod(last_writer_[0]);
   r.Pod(last_writer_[1]);
   r.Pod(collect_started_through_);
-  rdma_psn_ = r.U32();
   user_base_ = r.U32();
   r.Pod(stats_);
 }

@@ -108,15 +108,32 @@ class OmniWindowProgram final : public SwitchProgram {
   void Load(SnapshotReader& r);
 
  private:
+  /// A returned trigger: start collecting sub-window `sw`, whose
+  /// controller will inject `injected` keys (queued while another C&R is
+  /// running).
+  struct CollectStart {
+    SubWindowNum sw = 0;
+    std::uint32_t injected = 0;
+  };
+
   void HandleNormal(Packet& p, Nanos now, PipelineActions& act);
-  void HandleCollectionStart(const Packet& p);
+  void HandleCollectionStart(CollectStart start);
   void HandleCollection(Packet& p, PipelineActions& act);
   void HandleFlowkeyInject(Packet& p, PipelineActions& act);
   void HandleReset(Packet& p, PipelineActions& act);
+  /// A collection or inject packet for a sub-window other than the one
+  /// under C&R: it recirculates while its collection has yet to start and
+  /// dies otherwise (stale).
+  void WaitOrDie(Packet& p, PipelineActions& act);
   void TerminateSubWindow(Nanos now, PipelineActions& act);
   void EmitAfr(const FlowKey& key, std::uint32_t seq, PipelineActions& act);
   void EmitRecord(FlowRecord rec, PipelineActions& act);
   void ForceFinishCollection();
+  /// The C&R just ended: start the oldest queued one, if any.
+  void StartNextQueued();
+  /// Mark `sw` and every later sub-window of its parity up to the region's
+  /// newest writer as compromised, keeping the set bounded.
+  void MarkCompromised(SubWindowNum sw, int region);
 
   OmniWindowConfig cfg_;
   AdapterPtr app_;
@@ -140,10 +157,10 @@ class OmniWindowProgram final : public SwitchProgram {
     std::uint64_t buffer_cursor = 0;     ///< RDMA cold-key append offset
   };
   CollectState collect_;
-  /// Collection-start requests received while a C&R is still in progress
-  /// (several sub-windows can terminate at one packet after an idle gap);
-  /// started in order as each collection completes.
-  PooledDeque<Packet> pending_starts_;
+  /// Collection starts received while a C&R is still in progress (several
+  /// sub-windows can terminate at one packet after an idle gap); started
+  /// in order as each collection completes.
+  PooledDeque<CollectStart> pending_starts_;
   /// Snapshot of the keys being enumerated for the sub-window under C&R.
   PooledVector<FlowKey> collect_keys_;
   /// Retransmission cache: generated AFRs of the last few collections,
@@ -169,7 +186,8 @@ class OmniWindowProgram final : public SwitchProgram {
   /// in-region state is gone: it is recoverable only through the
   /// retransmission cache. QueryRecoverability keys off this.
   SubWindowNum collect_started_through_ = 0;
-  /// RoCEv2 packet sequence number register (§8).
+  /// RoCEv2 packet sequence number register (§8). Not checkpointed: a
+  /// program with an RDMA context refuses Save, so it is 0 there.
   std::uint32_t rdma_psn_ = 0;
   /// First user-defined iteration number observed (maps iterations to
   /// sub-window indices under kUserDefined signals).

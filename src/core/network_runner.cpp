@@ -1,7 +1,6 @@
 #include "src/core/network_runner.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <string_view>
 
@@ -186,20 +185,16 @@ FabricSession::FabricSession(
       switches_[u]->SetEcmpSeed(EcmpSeedOf(int(u)));
     }
   }
-  // Egress switches of multi-path fabrics deliver to counted sinks; the
-  // line keeps its historical "last hop forwards into the void" behavior so
-  // pre-change runs reproduce bit for bit. Each sink counts into its own
-  // cell (stable deque addresses), which the session snapshot saves per
-  // sink.
+  // Egress switches of multi-path fabrics deliver to sinks; the line keeps
+  // its historical "last hop forwards into the void" behavior so pre-change
+  // runs reproduce bit for bit. Sink links are lossless and never armed, so
+  // what they transmit is what the sinks received: `delivered` sums them.
   if (cfg_.topology.kind != TopologyKind::kLine) {
     for (std::size_t u = 0; u < num_switches; ++u) {
       if (!adj_[u].empty() || u == 0) continue;
-      sink_delivered_.push_back(0);
-      std::uint64_t* cell = &sink_delivered_.back();
       sink_links_.push_back(net_.ConnectToSink(
           switches_[u], LinkParams{.latency = kMicro, .jitter = 0},
-          [cell](Packet&&, Nanos) { ++*cell; },
-          cfg_.link_seed + 0x5000 + u));
+          [](Packet&&, Nanos) {}, cfg_.link_seed + 0x5000 + u));
     }
   }
 
@@ -231,8 +226,6 @@ void FabricSession::BuildSnapshot(SnapshotWriter& w) const {
   for (const auto& link : report_links_) link->Save(w);
   for (const auto& program : programs_) program->Save(w);
   for (const auto& controller : controllers_) controller->Save(w);
-  w.Size(sink_delivered_.size());
-  for (const std::uint64_t v : sink_delivered_) w.U64(v);
 }
 
 std::vector<std::uint8_t> FabricSession::Snapshot() {
@@ -261,9 +254,6 @@ void FabricSession::Restore(std::span<const std::uint8_t> bytes) {
   for (const auto& link : report_links_) link->Load(r);
   for (const auto& program : programs_) program->Load(r);
   for (const auto& controller : controllers_) controller->Load(r);
-  CheckShape(snap::kSession, "FabricSession", "sink count",
-             sink_delivered_.size(), r.Count(8));
-  for (std::uint64_t& v : sink_delivered_) v = r.U64();
   if (!r.AtEnd()) {
     throw SnapshotError("FabricSession: trailing bytes in snapshot");
   }
@@ -362,7 +352,7 @@ NetworkRunResult FabricSession::Finish() {
     net_.RunUntilQuiescent(horizon);
   }
 
-  for (const std::uint64_t v : sink_delivered_) result_.delivered += v;
+  for (const Link* link : sink_links_) result_.delivered += link->transmitted();
   const std::size_t num_switches = adj_.size();
   for (std::size_t i = 0; i < num_switches; ++i) {
     result_.per_switch[i].data_plane = programs_[i]->stats();

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -102,7 +101,9 @@ struct NetworkRunResult {
   std::vector<SwitchRun> per_switch;
   std::uint64_t link_dropped = 0;    ///< total drops across fabric links
   std::uint64_t report_dropped = 0;  ///< drops on switch->controller links
-  std::uint64_t delivered = 0;       ///< packets that reached an egress sink
+  /// Packets the egress sink links transmitted (lossless: all reached
+  /// their sink). The line topology has no sinks and reports 0.
+  std::uint64_t delivered = 0;
   std::vector<FabricLinkStats> links;
 };
 
@@ -256,8 +257,6 @@ class FabricSession {
   std::vector<std::unique_ptr<Link>> report_links_;
   std::vector<Link*> links_;  ///< fabric links, creation order
   std::vector<Link*> sink_links_;  ///< egress-switch sink links
-  /// Per-sink delivered counters (stable deque addresses; see Finish).
-  std::deque<std::uint64_t> sink_delivered_;
   Nanos trace_duration_ = 0;
   NetworkRunResult result_;
   /// Per-switch catch-up targets recorded by FailOver (empty = no takeover).

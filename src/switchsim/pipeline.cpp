@@ -19,7 +19,7 @@ void Switch::SetProgram(std::shared_ptr<SwitchProgram> program) {
   for (RegisterArray* r : registers_) r->BindPassEpoch(nullptr);
   program_ = std::move(program);
   registers_ = program_ ? program_->Registers() : std::vector<RegisterArray*>{};
-  for (RegisterArray* r : registers_) r->BindPassEpoch(&pass_epoch_);
+  for (RegisterArray* r : registers_) r->BindPassEpoch(&total_passes_);
 }
 
 void Switch::SetPortHandler(int port, PacketHandler handler) {
@@ -120,9 +120,8 @@ Switch::Event Switch::HeapPop() noexcept {
 }
 
 void Switch::DispatchEvent(Event& ev) {
-  ++pass_epoch_;  // arms every bound register array for this pass
+  ++total_passes_;  // arms every bound register array for this pass
   last_dispatched_ = ev.time;
-  ++total_passes_;
   if (ev.source == PacketSource::kRecirculation) ++recirc_passes_;
 
   scratch_.Clear();
@@ -244,7 +243,6 @@ void Switch::Save(SnapshotWriter& w) const {
   w.I64(last_dispatched_);
   w.U64(total_passes_);
   w.U64(recirc_passes_);
-  w.U64(pass_epoch_);
 }
 
 void Switch::Load(SnapshotReader& r) {
@@ -342,7 +340,9 @@ void Switch::Load(SnapshotReader& r) {
   last_dispatched_ = r.I64();
   total_passes_ = r.U64();
   recirc_passes_ = r.U64();
-  pass_epoch_ = r.U64();
+  // The arrays' access stamps may lie above the restored count (a restore
+  // into a switch that ran past the snapshot); re-arm them against it.
+  for (RegisterArray* reg : registers_) reg->BindPassEpoch(&total_passes_);
 }
 
 Nanos Switch::NextEventTime() const {

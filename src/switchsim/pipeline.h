@@ -26,9 +26,9 @@
 // it floods; egress moves the packet into its port's handler. Each pass
 // reuses a per-switch PipelineActions scratch whose pool-backed action
 // lists keep their capacity, so an ordinary forwarding pass performs zero
-// heap allocations. Register arrays are armed per pass by bumping one
-// shared epoch counter instead of touching every array (see
-// register_array.h).
+// heap allocations. Register arrays are armed per pass by bumping the
+// switch's pass count, which every array of the program is bound to,
+// instead of touching every array (see register_array.h).
 #pragma once
 
 #include <cstdint>
@@ -77,7 +77,7 @@ class SwitchProgram {
                        PipelineActions& act) = 0;
 
   /// Register arrays the program owns; the switch binds their per-pass
-  /// access check to its pass epoch when the program is installed.
+  /// access check to its pass count when the program is installed.
   virtual std::vector<RegisterArray*> Registers() { return {}; }
 
   /// Charge this program's hardware usage to `ledger` (Exp#5).
@@ -115,7 +115,7 @@ class Switch {
 
   explicit Switch(int id);
 
-  // Register arrays hold a pointer to this switch's pass epoch; the switch
+  // Register arrays hold a pointer to this switch's pass count; the switch
   // must stay put.
   Switch(const Switch&) = delete;
   Switch& operator=(const Switch&) = delete;
@@ -181,6 +181,8 @@ class Switch {
   /// Total passes executed (normal + recirculated) — used by tests, by
   /// the recirculation-overhead accounting and by FabricSession::Finish,
   /// which publishes them as `switch.passes` / `switch.recirc_passes`.
+  /// The count is also the pass epoch the program's register arrays are
+  /// bound to: it is bumped before every pass.
   std::uint64_t total_passes() const noexcept { return total_passes_; }
   std::uint64_t recirc_passes() const noexcept { return recirc_passes_; }
 
@@ -197,7 +199,8 @@ class Switch {
   /// unread packets into the ring, the heap array is a heap, every source
   /// byte names a PacketSource and the saved next seq is above every
   /// restored event's seq (a lower one would let the next enqueue dispatch
-  /// ahead of a restored event at its time).
+  /// ahead of a restored event at its time). Load re-arms the program's
+  /// register arrays against the restored pass count.
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 
@@ -281,12 +284,11 @@ class Switch {
 
   std::uint64_t next_seq_ = 0;
   Nanos last_dispatched_ = -1;
+  /// Passes so far, and the pass epoch the program's register arrays are
+  /// bound to: incremented before every Process call, so a freshly bound
+  /// array (stamp 0) is accessible on the first pass.
   std::uint64_t total_passes_ = 0;
   std::uint64_t recirc_passes_ = 0;
-  /// Pass-epoch counter the program's register arrays are bound to;
-  /// incremented before every Process call (starts >0 so a freshly bound
-  /// array is accessible on the first pass).
-  std::uint64_t pass_epoch_ = 0;
   PipelineActions scratch_;
 
   // Registry-backed egress counters (docs/observability.md); shared across

@@ -13,7 +13,7 @@
 //     BeginPass() before every pass, exactly as before.
 //   * Bound (the Switch binds every array of the installed program via
 //     BindPassEpoch): the array compares its last-access stamp against the
-//     switch's pass-epoch counter, so starting a pass is one shared counter
+//     switch's pass count, so starting a pass is one shared counter
 //     increment instead of touching every array — arrays the program does
 //     not access in a pass cost nothing.
 #pragma once
@@ -39,10 +39,12 @@ class RegisterArray {
   /// Switch). A bound array ignores it — the epoch is authoritative.
   void BeginPass() noexcept { accessed_ = false; }
 
-  /// Bind to (or, with nullptr, release from) a pass-epoch counter owned by
-  /// a Switch. While bound, an access is legal iff the array has not been
-  /// accessed at the current epoch value; the counter must outlive the
-  /// binding and start from a value > 0.
+  /// Bind to (or, with nullptr, release from) a pass counter owned by a
+  /// Switch. While bound, an access is legal iff the array has not been
+  /// accessed at the counter's current value. Binding clears the access
+  /// stamp to 0, so the counter must be bumped before each pass; a switch
+  /// that restores its count re-binds to re-arm. The counter must outlive
+  /// the binding.
   void BindPassEpoch(const std::uint64_t* epoch) noexcept {
     pass_epoch_ = epoch;
     last_access_epoch_ = 0;

@@ -30,11 +30,6 @@ class LossRadarApp final : public TelemetryAppAdapter {
   bool SupportsAfr() const override { return false; }
 
   void Update(const Packet& p, int region) override;
-  FlowRecord Query(const FlowKey&, int, SubWindowNum sw) const override {
-    FlowRecord rec;
-    rec.subwindow = sw;
-    return rec;  // unused: migration path
-  }
   FlowRecord MigrateSlice(int region, std::size_t index,
                           SubWindowNum subwindow) const override;
   void ResetSlice(int region, std::size_t index) override;

@@ -253,17 +253,5 @@ TEST(Metrics, AverageRelativeError) {
   EXPECT_NEAR(AverageRelativeError(est, truth), (0.1 + 0.1) / 2, 1e-9);
 }
 
-TEST(Packet, OwHeaderWireBytes) {
-  Packet p;
-  EXPECT_EQ(OwHeaderWireBytes(p.ow), 0u);
-  p.ow.present = true;
-  const std::size_t base = OwHeaderWireBytes(p.ow);
-  EXPECT_GT(base, 0u);
-  FlowRecord rec;
-  rec.num_attrs = 2;
-  p.ow.afrs.push_back(rec);
-  EXPECT_EQ(OwHeaderWireBytes(p.ow), base + 14 + 4 + 4 + 16);
-}
-
 }  // namespace
 }  // namespace ow

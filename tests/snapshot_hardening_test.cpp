@@ -761,7 +761,6 @@ std::vector<std::uint8_t> SwitchSection(
   w.I64(-1);  // last dispatched
   w.U64(0);   // total passes
   w.U64(0);   // recirculation passes
-  w.U64(0);   // pass epoch
   return w.Take();
 }
 
@@ -973,15 +972,15 @@ constexpr std::size_t kCollectNumKeysAt = kCollectRegionAt + 4;
 
 /// A fresh program's stream, and where its collect state starts. What
 /// follows the collect state is fixed for a fresh program: four empty
-/// counts (pending starts, collect keys, AFR cache, compromised set), five
-/// u32 fields (two last writers, the started-through bound, the RoCE PSN,
-/// the iteration base) and the stats.
+/// counts (queued starts, collect keys, AFR cache, compromised set), four
+/// u32 fields (two last writers, the started-through bound, the iteration
+/// base) and the stats.
 std::pair<std::vector<std::uint8_t>, std::size_t> SaveFreshProgram(
     OmniWindowProgram& program) {
   SnapshotWriter w;
   program.Save(w);
   std::vector<std::uint8_t> bytes = w.Take();
-  const std::size_t tail = 4 * 8 + 5 * 4 + sizeof(OmniWindowProgram::Stats);
+  const std::size_t tail = 4 * 8 + 4 * 4 + sizeof(OmniWindowProgram::Stats);
   const std::size_t collect_at = bytes.size() - tail - kCollectStateBytes;
   return {std::move(bytes), collect_at};
 }
@@ -1143,12 +1142,14 @@ TEST(AppLoadHardening, ExactCountRefusesForgedCountOrKey) {
 // --- OmniWindowController::Load: ordered lists -------------------------------
 
 /// A hand-written kController section for a controller with `cc`: an empty
-/// flow table, one record-less history entry per `history` sub-window, and
-/// one collecting pending sub-window (10) whose sequence list is `seqs`, in
-/// the listed orders. Everything after them is empty or zero.
+/// flow table, one record-less history entry per `history` sub-window, one
+/// collecting pending sub-window (10) whose sequence list is `seqs`, and,
+/// unless `spilled` is empty, sub-window 10's spilled keys, in the listed
+/// orders. Everything after them is empty or zero.
 std::vector<std::uint8_t> ControllerSection(
     const ControllerConfig& cc, const std::vector<SubWindowNum>& history,
-    const std::vector<std::uint32_t>& seqs) {
+    const std::vector<std::uint32_t>& seqs,
+    const std::vector<FlowKey>& spilled = {}) {
   SnapshotWriter w;
   w.Section(snap::kController);
   KeyValueTable(cc.kv_capacity).Save(w);
@@ -1157,10 +1158,9 @@ std::vector<std::uint8_t> ControllerSection(
     w.U32(sub);
     w.Size(0);  // records
   }
-  // One pending sub-window: map key and sub-window 10, `seqs.size()`
+  // One pending sub-window: sub-window 10 (the map key), `seqs.size()`
   // expected data-plane records, no injected keys, no records, `seqs`.
   w.Size(1);
-  w.U32(10);
   w.U32(10);
   w.U32(std::uint32_t(seqs.size()));
   w.U32(0);
@@ -1180,14 +1180,18 @@ std::vector<std::uint8_t> ControllerSection(
   w.Size(0);
   w.Bool(false);
   w.I64(0);
-  // No spilled keys, spill sets or degraded marks; next to finalize and
-  // table floor 10; twelve zero stats; no degraded sub-window list.
-  w.Size(0);
-  w.Size(0);
+  // Sub-window 10's spilled keys, if any; no degraded marks; next to
+  // finalize and table floor 10; eleven zero stats; no degraded sub-window
+  // list.
+  w.Size(spilled.empty() ? 0 : 1);
+  if (!spilled.empty()) {
+    w.U32(10);
+    w.PodVec(spilled);
+  }
   w.Size(0);
   w.U32(10);
   w.U32(10);
-  for (int i = 0; i < 12; ++i) w.U64(0);
+  for (int i = 0; i < 11; ++i) w.U64(0);
   w.Size(0);
   return w.Take();
 }
@@ -1224,6 +1228,18 @@ TEST(ControllerLoadHardening, PendingSeqListNotStrictlyAscendingThrows) {
                              "seq entry 1 (5) does not exceed entry 0 (9)");
   ExpectControllerLoadThrows(cc, ControllerSection(cc, {}, {2, 5, 5}),
                              "seq entry 2 (5) does not exceed entry 1 (5)");
+}
+
+TEST(ControllerLoadHardening, SpilledKeyListedTwiceThrows) {
+  // Load rebuilds each sub-window's spilled-key set from its list, which
+  // the dedupe only ever appended a key to once.
+  ControllerConfig cc;
+  cc.kv_capacity = 64;
+  const FlowKey a(FlowKeyKind::kFiveTuple, FiveTuple{.src_ip = 1, .proto = 6});
+  const FlowKey b(FlowKeyKind::kFiveTuple, FiveTuple{.src_ip = 2, .proto = 6});
+  ASSERT_NO_THROW(LoadController(cc, ControllerSection(cc, {}, {}, {a, b})));
+  ExpectControllerLoadThrows(cc, ControllerSection(cc, {}, {}, {a, b, a}),
+                             "sub-window 10 lists a spilled key twice");
 }
 
 TEST(ControllerLoadHardening, HistoryOutOfSubWindowOrderThrows) {

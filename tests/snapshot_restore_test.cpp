@@ -33,6 +33,7 @@
 #include "src/net/network.h"
 #include "src/obs/obs.h"
 #include "src/telemetry/exact_count.h"
+#include "src/telemetry/query_builder.h"
 #include "src/trace/generator.h"
 
 namespace ow {
@@ -345,6 +346,55 @@ TEST(SnapshotRestore, RestoreIsRepeatable) {
     runs.push_back(FingerprintOf(restored.Finish()));
   }
   EXPECT_EQ(runs[0], runs[1]);
+}
+
+TEST(SnapshotRestore, RewindInPlaceEqualsAFreshRestore) {
+  // Restoring into a session that already ran past the snapshot rewinds it:
+  // it must resume exactly as a fresh session restored from the same bytes.
+  // The SYN filter leaves most passes off the query's register arrays, so
+  // their last-access stamps spread over the pass counts of the extra
+  // drive; a restored count that met one of them again would read as a
+  // second access in one pass.
+  const Trace trace = FabricTrace(8108);
+  const NetworkRunConfig cfg = LeafSpineConfig(2, 2);
+  const QueryDef def = QueryBuilder("syn")
+                           .Filter(predicates::Syn)
+                           .KeyBy(FlowKeyKind::kDstIp)
+                           .Count()
+                           .Threshold(50)
+                           .Build();
+  const auto make_app = [&def](std::size_t) -> AdapterPtr {
+    return std::make_shared<QueryAdapter>(def, 2048);
+  };
+  const Nanos snap_t = 175 * kMilli;
+  std::vector<std::uint8_t> bytes;
+  {
+    FabricSession src(trace, make_app, cfg);
+    src.DriveUntil(snap_t);
+    bytes = src.Snapshot();
+  }
+  FabricSession fresh(trace, make_app, cfg);
+  fresh.Restore(bytes);
+  const Fingerprint ref = FingerprintOf(fresh.Finish());
+  ASSERT_GT(ref.delivered, 0u);
+
+  // Extra drives of 0.1 to 40 ms in 0.7 ms steps: 58 rewinds.
+  int rewinds = 0;
+  for (Nanos extra = 100 * kMicro; extra <= 40 * kMilli;
+       extra += 700 * kMicro, ++rewinds) {
+    SCOPED_TRACE("extra drive " + std::to_string(extra) + " ns");
+    FabricSession session(trace, make_app, cfg);
+    session.DriveUntil(snap_t);
+    session.DriveUntil(snap_t + extra);
+    try {
+      session.Restore(bytes);
+      EXPECT_EQ(FingerprintOf(session.Finish()), ref)
+          << "the rewound session diverged from a fresh restore";
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "the rewound session threw: " << e.what();
+    }
+  }
+  EXPECT_EQ(rewinds, 58);
 }
 
 TEST(SnapshotRestore, ShapeMismatchThrows) {

@@ -25,19 +25,26 @@ are gated, all lower-is-better (shrinking is always good):
 
 Throughput fields ride along informationally.
 
+Noise: pass --fresh once per run of the bench. With several runs the gate
+reads each metric's median over them and prints their min-max spread, so
+one run from a loaded stretch of a shared host cannot fail it alone. With
+a single --fresh the median is that run's value.
+
 Exit codes: 0 ok (warnings allowed), 1 regression beyond the fail
 threshold or malformed/missing input. A row present in the baseline but
-absent from the fresh run is a failure — silently dropping a workload
+absent from any fresh run is a failure — silently dropping a workload
 must not pass the gate.
 
 Usage:
   tools/check_bench_regression.py --fresh BENCH_pipeline.json \
+      [--fresh BENCH_pipeline.2.json ...] \
       --baseline bench/results/BENCH_pipeline.json \
       [--warn-pct 10] [--fail-pct 25] [--require-allocs]
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -73,7 +80,9 @@ def fmt_key(key):
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--fresh", required=True, help="bench JSON from this run")
+    ap.add_argument("--fresh", required=True, action="append",
+                    help="bench JSON from one run; repeat once per run to "
+                         "gate on their median")
     ap.add_argument("--baseline", required=True, help="committed baseline JSON")
     ap.add_argument("--warn-pct", type=float, default=10.0)
     ap.add_argument("--fail-pct", type=float, default=25.0)
@@ -94,13 +103,13 @@ def main():
     if unknown:
         sys.exit(f"error: unknown --metrics families: {sorted(unknown)}")
 
-    fresh = load_rows(args.fresh)
+    fresh_runs = [load_rows(path) for path in args.fresh]
     baseline = load_rows(args.baseline)
 
     failures = warnings = compared = 0
     for key, base_row in sorted(baseline.items()):
-        fresh_row = fresh.get(key)
-        if fresh_row is None:
+        fresh_rows = [run.get(key) for run in fresh_runs]
+        if None in fresh_rows:
             print(f"FAIL [{fmt_key(key)}] missing from fresh results")
             failures += 1
             continue
@@ -116,8 +125,8 @@ def main():
                 continue
             if not (is_latency or is_allocs or is_bytes):
                 continue
-            fresh_val = fresh_row.get(field)
-            if not isinstance(fresh_val, (int, float)):
+            values = [row.get(field) for row in fresh_rows]
+            if not all(isinstance(v, (int, float)) for v in values):
                 if is_allocs and not args.require_allocs:
                     # Normal (untraced) builds legitimately omit alloc
                     # counts; only the alloc-gate job demands them.
@@ -129,6 +138,13 @@ def main():
                 continue
             if not isinstance(base_val, (int, float)):
                 continue
+            fresh_val = statistics.median(values)
+            spread = ""
+            if len(values) > 1:
+                digits = 4 if is_allocs else 1
+                spread = (f" (median of {len(values)}, min "
+                          f"{min(values):.{digits}f} max "
+                          f"{max(values):.{digits}f})")
             if is_allocs:
                 # Zero-aware absolute floor: a 0-alloc baseline tolerates
                 # rounding noise only; nonzero baselines also get the
@@ -137,7 +153,7 @@ def main():
                 warn_at = base_val + max(0.005, base_val * args.warn_pct / 100)
                 compared += 1
                 line = (f"[{fmt_key(key)}] {field}: baseline {base_val:.4f} "
-                        f"fresh {fresh_val:.4f}")
+                        f"fresh {fresh_val:.4f}{spread}")
                 if fresh_val > fail_at:
                     print("FAIL " + line)
                     failures += 1
@@ -152,7 +168,7 @@ def main():
             delta_pct = 100.0 * (fresh_val - base_val) / base_val
             compared += 1
             line = (f"[{fmt_key(key)}] {field}: baseline {base_val:.1f} "
-                    f"fresh {fresh_val:.1f} ({delta_pct:+.1f}%)")
+                    f"fresh {fresh_val:.1f} ({delta_pct:+.1f}%){spread}")
             if delta_pct > args.fail_pct:
                 print("FAIL " + line)
                 failures += 1
