@@ -78,7 +78,10 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// stat (the restored table holds it) and a pending sub-window's number
 /// after its map key; the Session section its sink tallies (the sink links
 /// count them).
-inline constexpr std::uint32_t kSnapshotVersion = 11;
+/// v12: the Program section loses its RDMA cold-key append offset (0 in
+/// every checkpoint: a program with an RDMA context refuses Save), and the
+/// Controller section lists only sub-windows that have a spilled key.
+inline constexpr std::uint32_t kSnapshotVersion = 12;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;

@@ -13,6 +13,7 @@ KeyValueTable::KeyValueTable(std::size_t capacity) {
   capacity = std::bit_ceil(capacity);
   slots_.resize(capacity);
   occupied_.resize((capacity + 63) / 64);
+  summary_.resize((occupied_.size() + 63) / 64);
   mask_ = capacity - 1;
 }
 
@@ -51,6 +52,7 @@ KvSlot* KeyValueTable::TryFindOrInsert(const FlowKey& key, bool& created) {
       if (live_ + 1 > slots_.size() - slots_.size() / 8) break;
       s = KvSlot{.key = key, .hash_tag = tag, .state = KvSlot::State::kLive};
       occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
+      summary_[i / 4096] |= std::uint64_t{1} << (i / 64 % 64);
       ++live_;
       created = true;
       return &s;
@@ -82,13 +84,17 @@ bool KeyValueTable::Erase(const FlowKey& key) {
   // Only the final hole changes from live to empty.
   slots_[hole] = KvSlot{};
   occupied_[hole / 64] &= ~(std::uint64_t{1} << (hole % 64));
+  if (occupied_[hole / 64] == 0) {
+    summary_[hole / 4096] &= ~(std::uint64_t{1} << (hole / 64 % 64));
+  }
   --live_;
   return true;
 }
 
 void KeyValueTable::Clear() {
   ForEachLiveIndex([this](std::size_t i) { slots_[i] = KvSlot{}; });
-  std::fill(occupied_.begin(), occupied_.end(), 0);
+  ForEachOccupiedWord([this](std::size_t w) { occupied_[w] = 0; });
+  std::fill_n(summary_.data(), summary_.size(), 0);
   live_ = 0;
 }
 
@@ -180,6 +186,10 @@ void KeyValueTable::Load(SnapshotReader& r) {
   }
   std::memcpy(slots_.data(), scratch.data(), cap * sizeof(KvSlot));
   std::copy(live_bits.begin(), live_bits.end(), occupied_.begin());
+  std::fill(summary_.begin(), summary_.end(), 0);
+  for (std::size_t w = 0; w < occupied_.size(); ++w) {
+    if (occupied_[w] != 0) summary_[w / 64] |= std::uint64_t{1} << (w % 64);
+  }
   live_ = live;
   rejected_ = rejected;
 }

@@ -7,10 +7,12 @@
 // is the live-key count, and insert/erase churn never fills the table. An
 // Erase may move live slots (invalidating slot pointers); inserts never do.
 //
-// A one-bit-per-slot occupancy bitmap mirrors which slots are live. It is
-// derived state (never serialized): walks over the live slots (ForEach,
-// Save, Clear) read it instead of every slot, so they cost
-// O(live + capacity/64) rather than O(capacity).
+// A one-bit-per-slot occupancy bitmap mirrors which slots are live, and a
+// summary bitmap holds one bit per non-zero occupancy word. Both are
+// derived state (never serialized; Load rebuilds them): walks over the live
+// slots (ForEach, Save, Clear) read the summary, then only the occupancy
+// words it marks, so they cost O(live + capacity/4096) rather than
+// O(capacity).
 #pragma once
 
 #include <array>
@@ -106,14 +108,27 @@ class KeyValueTable {
  private:
   static std::uint64_t HashOf(const FlowKey& key);
 
+  /// Call `fn(word)` for every non-zero word of occupied_, ascending. The
+  /// loop reads the summary through a raw pointer: unoptimized builds pay
+  /// a call per container access, and most summary words are zero.
+  template <typename Fn>
+  void ForEachOccupiedWord(Fn&& fn) const {
+    const std::uint64_t* summary = summary_.data();
+    for (std::size_t s = 0, n = summary_.size(); s < n; ++s) {
+      for (std::uint64_t bits = summary[s]; bits != 0; bits &= bits - 1) {
+        fn(s * 64 + std::size_t(std::countr_zero(bits)));
+      }
+    }
+  }
+
   /// Call `fn(index)` for every set bit of occupied_, ascending.
   template <typename Fn>
   void ForEachLiveIndex(Fn&& fn) const {
-    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+    ForEachOccupiedWord([&](std::size_t w) {
       for (std::uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
         fn(w * 64 + std::size_t(std::countr_zero(bits)));
       }
-    }
+    });
   }
 
   // Pool-backed: QueryRange scratch tables recycle slot arrays instead of
@@ -121,6 +136,8 @@ class KeyValueTable {
   PooledVector<KvSlot> slots_;
   /// Bit i set <=> slots_[i] is live.
   PooledVector<std::uint64_t> occupied_;
+  /// Bit w set <=> occupied_[w] != 0.
+  PooledVector<std::uint64_t> summary_;
   std::size_t mask_;
   std::size_t live_ = 0;
   std::uint64_t rejected_ = 0;

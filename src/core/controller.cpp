@@ -206,13 +206,20 @@ void OmniWindowController::EnsureCollectedThrough(SubWindowNum through,
   }
 }
 
+std::span<const FlowKey> OmniWindowController::SpilledKeysOf(
+    SubWindowNum sw) const {
+  const auto it = spilled_.find(sw);
+  if (it == spilled_.end()) return {};
+  return it->second.keys;
+}
+
 void OmniWindowController::StartCollection(PendingSubWindow& pending,
                                            Nanos now) {
   if (pending.collection_started) return;
   obs::ScopedSpan span(obs::Global(), "controller.start_collection");
   pending.collection_started = true;
   const SubWindowNum sw = pending.subwindow;
-  const auto& spilled = spilled_[sw].keys;
+  const std::span<const FlowKey> spilled = SpilledKeysOf(sw);
   pending.expected_injected = std::uint32_t(spilled.size());
 
   if (!switch_) return;
@@ -554,7 +561,7 @@ void OmniWindowController::RequestRetransmissions(PendingSubWindow& pending,
     request(OwFlag::kCollection, kNoExplicitIndex, {});
   }
   // Missing injected keys.
-  for (const FlowKey& key : spilled_[pending.subwindow].keys) {
+  for (const FlowKey& key : SpilledKeysOf(pending.subwindow)) {
     if (!pending.injected_keys_seen.contains(key)) {
       request(OwFlag::kFlowkeyInject, 0, key);
     }
@@ -609,7 +616,7 @@ void OmniWindowController::DrainRdma(PendingSubWindow& pending) {
   }
   // A spilled key that went hot mid-stream lands in the mirror instead of
   // producing an injected-key record; its mirror value covers it.
-  for (const FlowKey& key : spilled_[pending.subwindow].keys) {
+  for (const FlowKey& key : SpilledKeysOf(pending.subwindow)) {
     if (pending.mirror_keys.contains(key)) {
       pending.injected_keys_seen.insert(key);
     }

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/packet.h"
@@ -255,6 +256,9 @@ class OmniWindowController {
   /// without one, its injected key) was seen before. A fresh record is
   /// appended and counted; returns whether it was fresh.
   bool AcceptRecord(PendingSubWindow& pending, const FlowRecord& rec);
+  /// Sub-window `sw`'s spilled keys in arrival order; empty when none
+  /// spilled. Only a spilled-key report creates a spilled_ entry.
+  std::span<const FlowKey> SpilledKeysOf(SubWindowNum sw) const;
   void StartCollection(PendingSubWindow& pending, Nanos now);
   /// Enqueue one controller packet for sub-window `sw` on the switch's
   /// management port: it leaves at `tx_time` and arrives one wire latency

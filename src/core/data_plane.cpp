@@ -494,7 +494,6 @@ void OmniWindowProgram::Save(SnapshotWriter& w) {
   w.U32(collect_.collect_counter);
   w.U32(collect_.reset_counter);
   w.U32(collect_.injected_remaining);
-  w.U64(collect_.buffer_cursor);
   w.Size(pending_starts_.size());
   for (const CollectStart& start : pending_starts_) {
     w.Pod(start.sw);
@@ -538,7 +537,9 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
   collect_.collect_counter = r.U32();
   collect_.reset_counter = r.U32();
   collect_.injected_remaining = r.U32();
-  collect_.buffer_cursor = r.U64();
+  // The RDMA cold-key append offset moves only under an RDMA context, and
+  // a program with one neither saves nor loads.
+  collect_.buffer_cursor = 0;
   // Counts come off the untrusted stream: bound each by its smallest
   // serialized entry (a sub-window number and an injected-key count; a
   // sub-window number and a length prefix; a sub-window number).

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <optional>
 #include <random>
@@ -346,15 +347,93 @@ TEST(KeyValueTable, ForEachVisitsOnlyLive) {
   EXPECT_EQ(table.Find(Key(3))->attrs[0], 31u);
 }
 
+TEST(KeyValueTable, ChurnAcrossSummaryBlocksWalksExactlyTheLiveSlots) {
+  // 2^14 slots: 256 occupancy words under four summary words, each summary
+  // word covering a 4,096-slot block. A few dozen live keys leave most
+  // occupancy words empty or holding one key, so erases empty words (and
+  // sometimes whole blocks) and inserts refill them. Every 250 steps
+  // tables[1] is cleared and reloaded from tables[0]'s checkpoint, so it
+  // walks the summary its Load rebuilt; between reloads it takes the same
+  // operations.
+  constexpr std::size_t kCap = 1 << 14;
+  std::mt19937_64 rng(0x5A11);
+  std::array<KeyValueTable, 2> tables{KeyValueTable(kCap),
+                                      KeyValueTable(kCap)};
+  std::unordered_map<std::uint32_t, std::uint64_t> model;
+  const auto save = [](const KeyValueTable& t) {
+    SnapshotWriter w;
+    t.Save(w);
+    return w.Take();
+  };
+  // The addresses ForEach visits, and the ones it must visit: every model
+  // key's slot as Find locates it, in ascending slot (address) order.
+  const auto walked = [](const KeyValueTable& t) {
+    std::vector<const KvSlot*> v;
+    t.ForEach([&v](const KvSlot& s) { v.push_back(&s); });
+    return v;
+  };
+  const auto live = [&model](const KeyValueTable& t) {
+    std::vector<const KvSlot*> v;
+    for (const auto& [id, value] : model) {
+      const KvSlot* s = t.Find(Key(id));
+      EXPECT_NE(s, nullptr) << "key " << id;
+      if (s == nullptr) continue;
+      EXPECT_EQ(s->attrs[0], value) << "key " << id;
+      v.push_back(s);
+    }
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  // Phases alternate a small key pool (blocks empty out) with larger ones.
+  const std::uint32_t pools[] = {12, 300, 40, 8, 120};
+  for (std::uint32_t step = 0; step < 10'000; ++step) {
+    const std::uint32_t pool = pools[step / 2'000];
+    const std::uint32_t id = std::uint32_t(rng() % pool) * 2654435761u;
+    if (rng() % 2) {
+      for (KeyValueTable& t : tables) {
+        bool created = false;
+        t.FindOrInsert(Key(id), created).attrs[0] = step;
+      }
+      model[id] = step;
+    } else {
+      for (KeyValueTable& t : tables) {
+        ASSERT_EQ(t.Erase(Key(id)), model.contains(id)) << "step " << step;
+      }
+      model.erase(id);
+    }
+    if (step % 2'000 == 1'999) {
+      for (KeyValueTable& t : tables) t.Clear();
+      model.clear();
+    }
+    for (const KeyValueTable& t : tables) {
+      ASSERT_EQ(t.size(), model.size()) << "step " << step;
+      ASSERT_EQ(walked(t), live(t)) << "step " << step;
+    }
+    ASSERT_EQ(save(tables[1]), save(tables[0])) << "step " << step;
+    if (step % 250 == 0) {
+      const std::vector<std::uint8_t> bytes = save(tables[0]);
+      SnapshotReader r(bytes);
+      tables[1].Clear();
+      tables[1].Load(r);
+      ASSERT_EQ(walked(tables[1]), live(tables[1])) << "step " << step;
+    }
+  }
+}
+
 TEST(KeyValueTable, LiveWalksCostWhatTheTableHolds) {
-  // 16 live keys in 2^18 slots (16 MB). Save, ForEach and Clear walk
-  // the occupancy bitmap (32 KB), not the slots: 50,000 rounds of each read
-  // ~5 GB of bitmap. Scanning every slot instead would read ~2.4 TB and blow
-  // the suite's TIMEOUT (tests/CMakeLists.txt).
-  KeyValueTable table(1 << 18);
+  // 4 live keys in 2^21 slots (128 MB). Save, ForEach and Clear walk the
+  // summary bitmap (4 KB), then only the occupancy words it marks: 300,000
+  // rounds read ~5 GB of summary, 1.4 s in the default build and 7-9 s in
+  // a Debug ASan+UBSan build on a 4-vCPU host. Walking every word of the
+  // 256 KB occupancy bitmap instead reads ~300 GB and took 51 s in the
+  // default build, past the suite's TIMEOUT (tests/CMakeLists.txt);
+  // scanning every slot would take far longer.
+  constexpr std::uint32_t kKeys = 4;
+  constexpr std::uint64_t kRounds = 300'000;
+  KeyValueTable table(1 << 21);
   const auto fill = [&table] {
     bool created = false;
-    for (std::uint32_t i = 0; i < 16; ++i) {
+    for (std::uint32_t i = 0; i < kKeys; ++i) {
       table.FindOrInsert(Key(i * 2654435761u), created).attrs[0] = i;
     }
   };
@@ -362,11 +441,12 @@ TEST(KeyValueTable, LiveWalksCostWhatTheTableHolds) {
   SnapshotWriter first;
   table.Save(first);
   const std::vector<std::uint8_t> expected = first.Take();
-  // Header (8), tag (4), capacity (8), listed count (8), 16 (index, slot)
-  // pairs, tallies (16): nothing proportional to the 2^18 slots.
-  ASSERT_EQ(expected.size(), 8 + 4 + 8 + 8 + 16 * (8 + sizeof(KvSlot)) + 16);
+  // Header (8), tag (4), capacity (8), listed count (8), one (index, slot)
+  // pair per key, tallies (16): nothing proportional to the 2^21 slots.
+  ASSERT_EQ(expected.size(),
+            8 + 4 + 8 + 8 + kKeys * (8 + sizeof(KvSlot)) + 16);
   std::uint64_t sum = 0;
-  for (int round = 0; round < 50'000; ++round) {
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
     SnapshotWriter w;
     table.Save(w);
     ASSERT_EQ(w.Take(), expected) << "round " << round;
@@ -375,8 +455,8 @@ TEST(KeyValueTable, LiveWalksCostWhatTheTableHolds) {
     ASSERT_EQ(table.size(), 0u);
     fill();
   }
-  EXPECT_EQ(sum, 50'000u * (15 * 16 / 2));
-  EXPECT_EQ(table.size(), 16u);
+  EXPECT_EQ(sum, kRounds * (kKeys * (kKeys - 1) / 2));
+  EXPECT_EQ(table.size(), kKeys);
 }
 
 // ----------------------------------------------------------------- merge

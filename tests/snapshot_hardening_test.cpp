@@ -33,6 +33,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <random>
 #include <span>
 #include <string>
 #include <utility>
@@ -574,15 +575,30 @@ TEST(Crc32, KnownAnswers) {
 
 TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
   // Lengths 0-67 cover the empty input, the bytewise tail alone, one to
-  // eight whole 8-byte words and every tail length after them.
-  const std::vector<std::uint8_t> buf = SeededBytes(8 + 67, 0xC3C32);
-  for (std::size_t start = 0; start < 8; ++start) {
-    for (std::size_t len = 0; len <= 67; ++len) {
-      const std::uint8_t* p = buf.data() + start;
-      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
-          << "start " << start << " length " << len;
-      ASSERT_EQ(Crc32(p, len, 0x12345678u),
-                ReferenceCrc32(p, len, 0x12345678u))
+  // eight whole 8-byte words and every tail length after them. From 64 B
+  // on, x86-64 hosts with PCLMULQDQ fold the 16-byte multiple with
+  // carry-less multiplies (four lanes of 64 B, then single 16-byte folds)
+  // and finish the tail with tables, so every length on either side of a
+  // 16-byte edge up to 4 KB is checked too, at 16 alignments, seeded and
+  // unseeded.
+  constexpr std::size_t kMaxLen = 4096 + 17;
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    if (len <= 67 || len % 16 == 15 || len % 16 <= 1) lengths.push_back(len);
+  }
+  const std::vector<std::uint8_t> buf = SeededBytes(16 + kMaxLen, 0xC3C32);
+  for (std::size_t start = 0; start < 16; ++start) {
+    const std::uint8_t* p = buf.data() + start;
+    // The reference runs once over the buffer, chained from length to
+    // length through its seed.
+    std::size_t done = 0;
+    std::uint32_t ref = 0, ref_seeded = 0x12345678u;
+    for (const std::size_t len : lengths) {
+      ref = ReferenceCrc32(p + done, len - done, ref);
+      ref_seeded = ReferenceCrc32(p + done, len - done, ref_seeded);
+      done = len;
+      ASSERT_EQ(Crc32(p, len), ref) << "start " << start << " length " << len;
+      ASSERT_EQ(Crc32(p, len, 0x12345678u), ref_seeded)
           << "seeded, start " << start << " length " << len;
     }
   }
@@ -686,6 +702,150 @@ TEST(SnapshotDelta, EveryBitFlipAndTruncationIsCaught) {
   }
 }
 
+/// The byte-at-a-time encoder EncodeSnapshotDelta replaced: the same
+/// stream layout, with ranges found by comparing one byte at a time. A
+/// range ends after kMergeGap + 1 equal bytes or at the end of the common
+/// prefix.
+std::vector<std::uint8_t> BytewiseDelta(std::span<const std::uint8_t> base,
+                                        std::span<const std::uint8_t> next) {
+  constexpr std::size_t kMergeGap = 16;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;  // (off, len)
+  const std::size_t common = std::min(base.size(), next.size());
+  std::size_t i = 0;
+  while (i < common) {
+    if (base[i] == next[i]) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    std::size_t j = i + 1;
+    std::size_t equal_run = 0;
+    while (j < common && equal_run <= kMergeGap) {
+      if (base[j] != next[j]) {
+        end = j + 1;
+        equal_run = 0;
+      } else {
+        ++equal_run;
+      }
+      ++j;
+    }
+    ranges.emplace_back(i, end - i);
+    i = j;
+  }
+  if (next.size() > common) {
+    if (!ranges.empty() &&
+        ranges.back().first + ranges.back().second == common) {
+      ranges.back().second += next.size() - common;
+    } else {
+      ranges.emplace_back(common, next.size() - common);
+    }
+  }
+  std::vector<std::uint8_t> out;
+  const auto put = [&out](const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    out.insert(out.end(), b, b + n);
+  };
+  const std::uint32_t base_crc = Crc32(base.data(), base.size());
+  const std::uint32_t result_crc = Crc32(next.data(), next.size());
+  const std::uint64_t base_len = base.size(), result_len = next.size();
+  const std::uint64_t count = ranges.size();
+  put(&kSnapshotDeltaMagic, 4);
+  put(&base_crc, 4);
+  put(&result_crc, 4);
+  put(&base_len, 8);
+  put(&result_len, 8);
+  put(&count, 8);
+  for (const auto& [off, len] : ranges) {
+    const std::uint64_t o = off, l = len;
+    put(&o, 8);
+    put(&l, 8);
+    put(next.data() + off, len);
+  }
+  return out;
+}
+
+TEST(SnapshotDelta, RangesMatchTheBytewiseEncoder) {
+  const auto check = [](const std::vector<std::uint8_t>& base,
+                        const std::vector<std::uint8_t>& next,
+                        const std::string& what) {
+    const std::vector<std::uint8_t> delta = EncodeSnapshotDelta(base, next);
+    ASSERT_EQ(delta, BytewiseDelta(base, next)) << what;
+    ASSERT_EQ(ApplySnapshotDelta(base, delta), next) << what;
+  };
+  const std::vector<std::uint8_t> base = Pattern(1000, 5);
+  // Two edits separated by a gap of 15 to 18 equal bytes, at offsets that
+  // put the gap inside one 64-byte block and across a block edge.
+  for (const std::size_t gap : {15u, 16u, 17u, 18u}) {
+    for (const std::size_t at : {3u, 50u, 60u, 63u, 64u, 120u}) {
+      std::vector<std::uint8_t> next = base;
+      next[at] ^= 0x01;
+      next[at + 1 + gap] ^= 0x01;
+      check(base, next, "gap " + std::to_string(gap) + " at " +
+                            std::to_string(at));
+      // The second edit a run of four bytes long.
+      for (std::size_t k = 0; k < 4; ++k) next[at + 1 + gap + k] ^= 0x40;
+      check(base, next, "gap " + std::to_string(gap) + " before a run at " +
+                            std::to_string(at));
+    }
+  }
+  {
+    std::vector<std::uint8_t> next = base;  // the last byte differs
+    next.back() ^= 0x80;
+    check(base, next, "last byte");
+    next.push_back(7);  // and the result grows right after it
+    check(base, next, "last byte, then growth");
+  }
+  // A run that ends fewer than 17 bytes before the end of the common
+  // prefix, with growth, shrink and equal length after it.
+  for (std::size_t before_end = 1; before_end <= 18; ++before_end) {
+    std::vector<std::uint8_t> next = base;
+    next[base.size() - before_end - 3] ^= 0x11;
+    next[base.size() - before_end - 1] ^= 0x11;
+    check(base, next, "equal length, " + std::to_string(before_end));
+    std::vector<std::uint8_t> grown = next;
+    grown.insert(grown.end(), 40, 0xEE);
+    check(base, grown, "growth, " + std::to_string(before_end));
+    const std::vector<std::uint8_t> shrunk(next.begin(), next.end() - 1);
+    check(base, shrunk, "shrink, " + std::to_string(before_end));
+  }
+  check(base, base, "identical");
+  check(base, Pattern(1000, 77), "fully rewritten");
+  check(base, Pattern(1500, 77), "rewritten and grown");
+  check(base, {base.begin(), base.begin() + 300}, "shrunk");
+  check(base, {}, "emptied");
+  check({}, base, "from empty");
+  check(Pattern(37, 1), Pattern(37, 2), "shorter than a block");
+
+  // Seeded random pairs with clustered edits: a few clusters of nearby
+  // byte edits, sometimes a changed length.
+  std::mt19937_64 rng(0xDE17A);
+  for (int pair = 0; pair < 200; ++pair) {
+    const std::size_t n = 1 + std::size_t(rng() % 3000);
+    const std::vector<std::uint8_t> a = SeededBytes(n, rng());
+    std::vector<std::uint8_t> b = a;
+    const int clusters = int(rng() % 6);
+    for (int c = 0; c < clusters; ++c) {
+      const std::size_t at = std::size_t(rng() % n);
+      const std::size_t edits = 1 + std::size_t(rng() % 12);
+      for (std::size_t e = 0; e < edits; ++e) {
+        const std::size_t k = at + std::size_t(rng() % 40);
+        if (k < n) b[k] = std::uint8_t(rng());
+      }
+    }
+    switch (rng() % 4) {
+      case 0:
+        b.resize(n + 1 + std::size_t(rng() % 100), 0x5A);  // grown
+        break;
+      case 1:
+        b.resize(std::size_t(rng() % n));  // shrunk
+        break;
+      default:
+        break;
+    }
+    check(a, b, "random pair " + std::to_string(pair));
+  }
+}
+
 // --- the stream version ----------------------------------------------------
 
 TEST(SnapshotVersion, OtherVersionIsRejectedNamingBoth) {
@@ -693,8 +853,8 @@ TEST(SnapshotVersion, OtherVersionIsRejectedNamingBoth) {
   w.Section(snap::kSwitch);
   const std::vector<std::uint8_t> good = w.Take();
   ASSERT_NO_THROW(SnapshotReader{good});
-  // The previous version (v8 still carried the Network section's clock
-  // word) and the next one are both refused.
+  // The previous version (v11 still wrote the Program section's RDMA
+  // cursor) and the next one are both refused.
   for (const std::uint32_t other :
        {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
     std::vector<std::uint8_t> bytes = good;
@@ -963,8 +1123,8 @@ TEST(SwitchLoadHardening, ForgedStagedCountFailsBeforeAllocation) {
 
 // --- OmniWindowProgram::Load: the collect state -----------------------------
 
-/// Bytes of the collect state: two flags, six u32 fields, the u64 cursor.
-constexpr std::size_t kCollectStateBytes = 2 + 6 * 4 + 8;
+/// Bytes of the collect state: two flags and six u32 fields.
+constexpr std::size_t kCollectStateBytes = 2 + 6 * 4;
 /// Offsets inside it: the region follows the flags and the sub-window, the
 /// key count follows the region.
 constexpr std::size_t kCollectRegionAt = 2 + 4;
