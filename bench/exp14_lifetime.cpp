@@ -206,7 +206,16 @@ void DumpRun(const FlatRun& run, const std::string& path) {
     w.U64(run.delivered);
     w.U64(run.link_dropped);
     w.U64(run.report_dropped);
-    w.PodVec(run.links);
+    // Field by field: FabricLinkStats has padding after its three ints.
+    w.Size(run.links.size());
+    for (const FabricLinkStats& l : run.links) {
+      w.Pod(l.from);
+      w.Pod(l.to);
+      w.Pod(l.port);
+      w.U64(l.transmitted);
+      w.U64(l.dropped);
+      w.U64(l.duplicates);
+    }
   }
   w.WriteFile(path);
 }
@@ -231,7 +240,15 @@ FlatRun ReadRun(const std::string& path) {
     run.delivered = r.U64();
     run.link_dropped = r.U64();
     run.report_dropped = r.U64();
-    r.PodVec(run.links);
+    run.links.resize(r.Count(3 * 4 + 3 * 8));
+    for (FabricLinkStats& l : run.links) {
+      r.Pod(l.from);
+      r.Pod(l.to);
+      r.Pod(l.port);
+      l.transmitted = r.U64();
+      l.dropped = r.U64();
+      l.duplicates = r.U64();
+    }
   }
   return run;
 }

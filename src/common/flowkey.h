@@ -41,7 +41,8 @@ enum class FlowKeyKind : std::uint8_t {
   kSrcIpDstPort = 4 ///< (src ip, dst port) — used by port-scan detection
 };
 
-/// Compact tagged flow key. 16 bytes, trivially copyable, totally ordered.
+/// Compact tagged flow key. 15 bytes (13 key bytes, the length, the kind;
+/// no padding), trivially copyable, totally ordered.
 class FlowKey {
  public:
   FlowKey() = default;
@@ -84,7 +85,7 @@ class FlowKey {
   FlowKeyKind kind_ = FlowKeyKind::kFiveTuple;
 };
 
-static_assert(sizeof(FlowKey) <= 16);
+static_assert(sizeof(FlowKey) == 15);
 
 /// std::unordered_map-compatible hasher.
 struct FlowKeyHasher {

@@ -39,14 +39,18 @@ enum class OwFlag : std::uint8_t {
 
 /// Application-derived flow record as carried on the wire: the flowkey plus
 /// up to four 64-bit attributes. `seq_id` is the per-sub-window sequence the
-/// controller uses to detect AFR loss (§8, "Reliability of AFRs").
+/// controller uses to detect AFR loss (§8, "Reliability of AFRs"). Fields
+/// are ordered by alignment, so a record is 56 bytes with no padding and a
+/// checkpoint writes it raw.
 struct FlowRecord {
-  FlowKey key;
   std::array<std::uint64_t, 4> attrs{};
+  FlowKey key;
   std::uint8_t num_attrs = 0;
   std::uint32_t seq_id = 0;
   SubWindowNum subwindow = kInvalidSubWindow;
 };
+
+static_assert(sizeof(FlowRecord) == 56);
 
 /// OmniWindow custom header. `present` models whether the header has been
 /// pushed onto the packet (done by the first-hop switch or the controller).

@@ -568,15 +568,29 @@ std::vector<std::uint8_t> ApplySnapshotDelta(
 void CheckKey(const FlowKey& key, std::uint32_t section_tag, const char* layer,
               const char* what) {
   if (key.WellFormed()) return;
-  char tag[16];
-  std::snprintf(tag, sizeof(tag), "0x%X", section_tag);
-  throw SnapshotError(std::string(layer) + " [section " + tag + "]: " + what +
-                      " is not a well-formed flow key");
+  throw SnapshotError(std::string(layer) + " [section " + HexTag(section_tag) +
+                      "]: " + what + " is not a well-formed flow key");
+}
+
+void CheckRecord(const FlowKey& key, std::uint8_t num_attrs,
+                 std::uint32_t section_tag, const char* layer,
+                 const char* what) {
+  constexpr std::size_t kAttrs = std::tuple_size_v<decltype(FlowRecord::attrs)>;
+  if (key.WellFormed() && num_attrs <= kAttrs) return;
+  CheckKey(key, section_tag, layer, (std::string(what) + "'s key").c_str());
+  throw SnapshotError(std::string(layer) + " [section " + HexTag(section_tag) +
+                      "]: " + what + " holds num_attrs " +
+                      std::to_string(num_attrs) + ", more than its " +
+                      std::to_string(kAttrs) + " attrs");
 }
 
 void SavePacket(SnapshotWriter& w, const Packet& p) {
   w.Section(snap::kPacket);
-  w.Pod(p.ft);
+  w.U32(p.ft.src_ip);
+  w.U32(p.ft.dst_ip);
+  w.Pod(p.ft.src_port);
+  w.Pod(p.ft.dst_port);
+  w.U8(p.ft.proto);
   w.Pod(p.size_bytes);
   w.Pod(p.ts);
   w.Pod(p.tcp_flags);
@@ -594,7 +608,11 @@ void SavePacket(SnapshotWriter& w, const Packet& p) {
 
 void LoadPacket(SnapshotReader& r, Packet& p) {
   r.Section(snap::kPacket);
-  r.Pod(p.ft);
+  p.ft.src_ip = r.U32();
+  p.ft.dst_ip = r.U32();
+  r.Pod(p.ft.src_port);
+  r.Pod(p.ft.dst_port);
+  p.ft.proto = r.U8();
   r.Pod(p.size_bytes);
   r.Pod(p.ts);
   r.Pod(p.tcp_flags);
@@ -610,7 +628,8 @@ void LoadPacket(SnapshotReader& r, Packet& p) {
   p.ow.degraded = r.Bool();
   r.PodVec(p.ow.afrs);
   for (const FlowRecord& rec : p.ow.afrs) {
-    CheckKey(rec.key, snap::kPacket, "Packet", "a report record's key");
+    CheckRecord(rec.key, rec.num_attrs, snap::kPacket, "Packet",
+                "a report record");
   }
 }
 

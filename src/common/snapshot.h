@@ -81,7 +81,15 @@ inline constexpr std::uint32_t kSnapshotMagic = 0x4F57534Eu;  // "OWSN"
 /// v12: the Program section loses its RDMA cold-key append offset (0 in
 /// every checkpoint: a program with an RDMA context refuses Save), and the
 /// Controller section lists only sub-windows that have a spilled key.
-inline constexpr std::uint32_t kSnapshotVersion = 12;
+/// v13: the occupancy bitmap is the only record of a live slot. The
+/// KeyValueTable section loses its trailing live tally (the pair count is
+/// the live count), and a slot its state byte (56 bytes, no padding). A
+/// FlowRecord is ordered by alignment (56 bytes, no padding), a packet's
+/// five-tuple is written field by field, and the Controller section loses
+/// its RDMA-only fields (a pending sub-window's RDMA flags, hole count and
+/// mirror keys, and the rdma_holes_detected stat; a controller with RDMA
+/// refuses Save).
+inline constexpr std::uint32_t kSnapshotVersion = 13;
 
 /// Footer magic of the durable file form ("OWSF").
 inline constexpr std::uint32_t kSnapshotFileMagic = 0x4F575346u;
@@ -91,6 +99,17 @@ inline constexpr std::uint32_t kSnapshotDeltaMagic = 0x4F57444Cu;
 /// CRC-32 (IEEE 802.3, reflected). `seed` chains incremental computation:
 /// pass the previous return value to continue over a second buffer.
 std::uint32_t Crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
+
+/// Types Pod and PodVec copy as raw bytes: every byte of the object is a
+/// byte of its value, so a checkpoint holds no indeterminate padding and
+/// repeats byte for byte. Floating point is exempt (its zeros and NaNs have
+/// several representations, but no padding); a struct with padding must
+/// be written field by field.
+template <typename T>
+inline constexpr bool IsRawBytes =
+    std::is_trivially_copyable_v<T> &&
+    (std::has_unique_object_representations_v<T> ||
+     std::is_floating_point_v<T>);
 
 class SnapshotWriter {
  public:
@@ -104,8 +123,7 @@ class SnapshotWriter {
 
   template <typename T>
   void Pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "Pod() requires a trivially copyable type");
+    static_assert(IsRawBytes<T>, "Pod() would write padding bytes");
     Bytes(&v, sizeof(T));
   }
 
@@ -122,7 +140,7 @@ class SnapshotWriter {
   template <typename Vec>
   void PodVec(const Vec& v) {
     using T = typename Vec::value_type;
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(IsRawBytes<T>, "PodVec() would write padding bytes");
     Size(v.size());
     if (!v.empty()) Bytes(v.data(), v.size() * sizeof(T));
   }
@@ -171,7 +189,7 @@ class SnapshotReader {
 
   template <typename T>
   void Pod(T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(IsRawBytes<T>, "Pod() would read into padding bytes");
     Bytes(&v, sizeof(T));
   }
 
@@ -210,7 +228,7 @@ class SnapshotReader {
   template <typename Vec>
   void PodVec(Vec& v) {
     using T = typename Vec::value_type;
-    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(IsRawBytes<T>, "PodVec() would read into padding bytes");
     const std::size_t n = Count(sizeof(T));
     v.resize(n);
     if (n != 0) Bytes(v.data(), n * sizeof(T));
@@ -304,10 +322,18 @@ class FlowKey;
 void CheckKey(const FlowKey& key, std::uint32_t section_tag, const char* layer,
               const char* what);
 
+/// Record guard for Load paths (flow-table slots and FlowRecords): CheckKey
+/// on the record's key ("<what>'s key"), and a SnapshotError naming the
+/// section and `what` when its num_attrs exceeds the four attrs it holds.
+/// Merge and eviction index attrs[i] for every i below num_attrs.
+void CheckRecord(const FlowKey& key, std::uint8_t num_attrs,
+                 std::uint32_t section_tag, const char* layer,
+                 const char* what);
+
 // ---- Packet serialization -------------------------------------------------
-// Packet is not trivially copyable (OwHeader carries the AFR vector), so it
-// serializes field-by-field. Declared here because packets appear in every
-// event-lane checkpoint.
+// Packet is not trivially copyable (OwHeader carries the AFR vector) and its
+// FiveTuple has padding, so it serializes field by field. Declared here
+// because packets appear in every event-lane checkpoint.
 
 struct Packet;
 

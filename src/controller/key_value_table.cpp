@@ -7,6 +7,25 @@
 #include "src/common/snapshot.h"
 
 namespace ow {
+namespace {
+
+bool TestBit(const std::uint64_t* words, std::size_t i) {
+  return (words[i / 64] >> (i % 64)) & 1;
+}
+
+void SetBit(std::uint64_t* words, std::size_t i) {
+  words[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+
+/// One (index, slot) pair as Save writes it: 64 bytes, no padding, so Load
+/// reads the listed pairs in one copy.
+struct ListedSlot {
+  std::uint64_t index;
+  KvSlot slot;
+};
+static_assert(sizeof(ListedSlot) == 8 + sizeof(KvSlot));
+
+}  // namespace
 
 KeyValueTable::KeyValueTable(std::size_t capacity) {
   if (capacity < 8) capacity = 8;
@@ -26,8 +45,8 @@ KvSlot* KeyValueTable::Find(const FlowKey& key) {
   const std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
   std::size_t i = static_cast<std::size_t>(h) & mask_;
   for (std::size_t n = 0; n <= mask_; ++n, i = (i + 1) & mask_) {
+    if (!TestBit(occupied_.data(), i)) return nullptr;
     KvSlot& s = slots_[i];
-    if (s.state == KvSlot::State::kEmpty) return nullptr;
     if (s.hash_tag == tag && s.key == key) return &s;
   }
   return nullptr;
@@ -48,11 +67,11 @@ KvSlot* KeyValueTable::TryFindOrInsert(const FlowKey& key, bool& created) {
   std::size_t i = static_cast<std::size_t>(h) & mask_;
   for (std::size_t n = 0; n <= mask_; ++n, i = (i + 1) & mask_) {
     KvSlot& s = slots_[i];
-    if (s.state == KvSlot::State::kEmpty) {
+    if (!TestBit(occupied_.data(), i)) {
       if (live_ + 1 > slots_.size() - slots_.size() / 8) break;
-      s = KvSlot{.key = key, .hash_tag = tag, .state = KvSlot::State::kLive};
-      occupied_[i / 64] |= std::uint64_t{1} << (i % 64);
-      summary_[i / 4096] |= std::uint64_t{1} << (i / 64 % 64);
+      s = KvSlot{.key = key, .hash_tag = tag};
+      SetBit(occupied_.data(), i);
+      SetBit(summary_.data(), i / 64);
       ++live_;
       created = true;
       return &s;
@@ -72,8 +91,8 @@ bool KeyValueTable::Erase(const FlowKey& key) {
   // Walk the rest of the cluster; a slot whose probe path from its home
   // passes the hole moves into it, and its old slot becomes the hole.
   std::size_t hole = static_cast<std::size_t>(s - slots_.data());
-  for (std::size_t j = (hole + 1) & mask_;
-       slots_[j].state == KvSlot::State::kLive; j = (j + 1) & mask_) {
+  for (std::size_t j = (hole + 1) & mask_; TestBit(occupied_.data(), j);
+       j = (j + 1) & mask_) {
     const std::size_t home =
         static_cast<std::size_t>(HashOf(slots_[j].key)) & mask_;
     if (((j - home) & mask_) >= ((j - hole) & mask_)) {
@@ -82,7 +101,6 @@ bool KeyValueTable::Erase(const FlowKey& key) {
     }
   }
   // Only the final hole changes from live to empty.
-  slots_[hole] = KvSlot{};
   occupied_[hole / 64] &= ~(std::uint64_t{1} << (hole % 64));
   if (occupied_[hole / 64] == 0) {
     summary_[hole / 4096] &= ~(std::uint64_t{1} << (hole / 64 % 64));
@@ -92,7 +110,6 @@ bool KeyValueTable::Erase(const FlowKey& key) {
 }
 
 void KeyValueTable::Clear() {
-  ForEachLiveIndex([this](std::size_t i) { slots_[i] = KvSlot{}; });
   ForEachOccupiedWord([this](std::size_t w) { occupied_[w] = 0; });
   std::fill_n(summary_.data(), summary_.size(), 0);
   live_ = 0;
@@ -106,89 +123,68 @@ void KeyValueTable::Save(SnapshotWriter& w) const {
     w.U64(i);
     w.Pod(slots_[i]);
   });
-  w.Size(live_);
   w.U64(rejected_);
 }
 
 void KeyValueTable::Load(SnapshotReader& r) {
   r.Section(snap::kKvTable);
   const std::size_t cap = slots_.size();
-  // Everything below validates against scratch state; this table is only
-  // touched once the whole section (counts included) has checked out, so a
-  // caller that catches the throw keeps a usable, unchanged table.
-  CheckShape(snap::kKvTable, "KeyValueTable", "capacity", cap, r.Size());
-  std::vector<KvSlot> scratch(cap);
-  const std::size_t listed = r.Count(8 + sizeof(KvSlot));
-  if (listed > cap) {
-    throw SnapshotError("KeyValueTable: " + std::to_string(listed) +
-                        " listed slots exceed capacity " +
-                        std::to_string(cap));
-  }
-  std::uint64_t prev = 0;
-  for (std::size_t n = 0; n < listed; ++n) {
-    const std::uint64_t idx = r.U64();
-    if (idx >= cap || (n > 0 && idx <= prev)) {
-      throw SnapshotError("KeyValueTable: slot index " + std::to_string(idx) +
-                          " out of order or beyond capacity " +
-                          std::to_string(cap));
-    }
-    r.Pod(scratch[idx]);
-    prev = idx;
-  }
-  const std::size_t live = r.Size();
-  const std::uint64_t rejected = r.U64();
-  // Verify the stream's tally against the array it described: a corrupt
-  // state byte or dropped entry surfaces here, not as a probe-chain
-  // heisenbug three windows later. The same pass rebuilds the occupancy
-  // bitmap, committed with the slots.
-  std::vector<std::uint64_t> live_bits(occupied_.size());
-  std::size_t rebuilt_live = 0;
-  for (std::size_t p = 0; p < cap; ++p) {
-    // Compare as raw bytes: the state came off an untrusted stream and may
-    // hold a value no enumerator names.
-    const std::uint8_t st = static_cast<std::uint8_t>(scratch[p].state);
-    if (st == static_cast<std::uint8_t>(KvSlot::State::kLive)) {
-      live_bits[p / 64] |= std::uint64_t{1} << (p % 64);
-      ++rebuilt_live;
-    } else if (st != static_cast<std::uint8_t>(KvSlot::State::kEmpty)) {
-      throw SnapshotError("KeyValueTable: invalid slot state " +
-                          std::to_string(unsigned(st)));
-    }
-  }
-  CheckShape(snap::kKvTable, "KeyValueTable", "live slots", rebuilt_live,
-             live);
   const auto corrupt = [](const std::string& what) {
     return SnapshotError("KeyValueTable [section 0x1B]: " + what);
   };
+  // Everything below validates the listed pairs alone; this table is only
+  // touched once the whole section has checked out, so a caller that
+  // catches the throw keeps a usable, unchanged table.
+  CheckShape(snap::kKvTable, "KeyValueTable", "capacity", cap, r.Size());
+  const std::size_t live = r.Count(sizeof(ListedSlot));
   if (const std::size_t max_live = cap - cap / 8; live > max_live) {
     throw corrupt(std::to_string(live) + " live slots exceed the load limit " +
                   std::to_string(max_live));
   }
-  // Every live key must be where Find's walk from its home (to the first
-  // empty slot or tag-and-key match) ends: a key past an empty slot, under
-  // a wrong tag, or stored twice is unreachable and would be stored again.
-  for (std::size_t p = 0; p < cap; ++p) {
-    const KvSlot& s = scratch[p];
-    if (s.state != KvSlot::State::kLive) continue;
-    CheckKey(s.key, snap::kKvTable, "KeyValueTable", "a live slot's key");
+  std::vector<ListedSlot> listed(live);
+  if (live != 0) r.Bytes(listed.data(), live * sizeof(ListedSlot));
+  for (std::size_t n = 0; n < live; ++n) {
+    const std::uint64_t index = listed[n].index;
+    if (index >= cap || (n > 0 && index <= listed[n - 1].index)) {
+      throw SnapshotError("KeyValueTable: slot index " + std::to_string(index) +
+                          " out of order or beyond capacity " +
+                          std::to_string(cap));
+    }
+    CheckRecord(listed[n].slot.key, listed[n].slot.num_attrs, snap::kKvTable,
+                "KeyValueTable", "a live slot");
+  }
+  const std::uint64_t rejected = r.U64();
+  // Every listed key must be where Find's walk from its home (to the first
+  // unlisted slot or tag-and-key match) ends: a key past an unlisted slot,
+  // under a wrong tag, or stored twice is unreachable and would be stored
+  // again. The walk from home to the key's slot crosses d slots; they are
+  // all listed exactly when the d pairs before it (cyclically) list them,
+  // so the check reads only those pairs.
+  for (std::size_t n = 0; n < live; ++n) {
+    const KvSlot& s = listed[n].slot;
     const std::uint64_t h = HashOf(s.key);
     const std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
-    std::size_t i = static_cast<std::size_t>(h) & mask_;
-    while (scratch[i].state == KvSlot::State::kLive &&
-           !(scratch[i].hash_tag == tag && scratch[i].key == s.key)) {
-      i = (i + 1) & mask_;
+    const std::size_t home = static_cast<std::size_t>(h) & mask_;
+    const std::size_t d = (listed[n].index - home) & mask_;
+    bool reachable = d < live && s.hash_tag == tag;
+    std::size_t at = n + (n < d ? live : 0) - d;
+    for (std::size_t j = 0; reachable && j < d; ++j) {
+      const ListedSlot& t = listed[at];
+      reachable = t.index == ((home + j) & mask_) &&
+                  !(t.slot.hash_tag == tag && t.slot.key == s.key);
+      at = at + 1 < live ? at + 1 : 0;
     }
-    if (i != p) {
-      throw corrupt("the key in slot " + std::to_string(p) +
-                    " is unreachable: its probe ends at slot " +
-                    std::to_string(i));
+    if (!reachable) {
+      throw corrupt("the key in slot " + std::to_string(listed[n].index) +
+                    " is unreachable from its home slot " +
+                    std::to_string(home));
     }
   }
-  std::memcpy(slots_.data(), scratch.data(), cap * sizeof(KvSlot));
-  std::copy(live_bits.begin(), live_bits.end(), occupied_.begin());
-  std::fill(summary_.begin(), summary_.end(), 0);
-  for (std::size_t w = 0; w < occupied_.size(); ++w) {
-    if (occupied_[w] != 0) summary_[w / 64] |= std::uint64_t{1} << (w % 64);
+  Clear();
+  for (const ListedSlot& l : listed) {
+    slots_[l.index] = l.slot;
+    SetBit(occupied_.data(), l.index);
+    SetBit(summary_.data(), l.index / 64);
   }
   live_ = live;
   rejected_ = rejected;

@@ -7,12 +7,11 @@
 // is the live-key count, and insert/erase churn never fills the table. An
 // Erase may move live slots (invalidating slot pointers); inserts never do.
 //
-// A one-bit-per-slot occupancy bitmap mirrors which slots are live, and a
-// summary bitmap holds one bit per non-zero occupancy word. Both are
-// derived state (never serialized; Load rebuilds them): walks over the live
-// slots (ForEach, Save, Clear) read the summary, then only the occupancy
-// words it marks, so they cost O(live + capacity/4096) rather than
-// O(capacity).
+// A one-bit-per-slot occupancy bitmap is the only record of which slots
+// are live (a dead slot's bytes mean nothing), and a summary bitmap holds
+// one bit per non-zero occupancy word. Walks over the live slots (ForEach,
+// Save, Clear, Load's commit) read the summary, then only the occupancy
+// words it marks, so they cost O(live + capacity/4096), not O(capacity).
 #pragma once
 
 #include <array>
@@ -29,9 +28,10 @@ namespace ow {
 class SnapshotWriter;
 class SnapshotReader;
 
+/// Ordered by alignment: 56 bytes and no padding, as checkpoints write it.
 struct KvSlot {
-  FlowKey key;
   std::array<std::uint64_t, 4> attrs{};
+  FlowKey key;
   std::uint8_t num_attrs = 0;
   std::uint32_t last_subwindow = 0;  ///< most recent sub-window contributing
   /// Upper 32 bits of the probe hash, cached at insert. Probing compares
@@ -40,9 +40,9 @@ struct KvSlot {
   /// from the index bits (low bits & mask), so they discriminate within a
   /// chain.
   std::uint32_t hash_tag = 0;
-  enum class State : std::uint8_t { kEmpty, kLive };
-  State state = State::kEmpty;
 };
+
+static_assert(sizeof(KvSlot) == 56);
 
 class KeyValueTable {
  public:
@@ -93,15 +93,13 @@ class KeyValueTable {
   }
 
   /// Checkpoint the live slots as (index, slot) pairs in ascending index
-  /// order (slots are trivially copyable), so a restored table probes
-  /// exactly like the saved one and checkpoint cost scales with state, not
-  /// provisioned capacity: a pair costs 8 bytes more than the slot, and the
-  /// 7/8 load limit keeps the pairs below the whole slot array. Load
-  /// validates the claimed capacity and every untrusted count BEFORE
-  /// touching this table, reconstructs the full array, verifies the rebuilt
-  /// live tally against the stream's and that every live key sits where its
-  /// own probe finds it exactly once, and leaves the table UNCHANGED if it
-  /// throws.
+  /// order, so a restored table probes exactly like the saved one and
+  /// checkpoint cost scales with state, not provisioned capacity (at the 7/8
+  /// load limit the pairs take the bytes of the whole slot array). Load
+  /// checks only the listed pairs (indices, count, records, and that each
+  /// key sits where Find's walk over the listed slots ends), then commits
+  /// with Clear() and the listed writes: O(live + capacity/4096), and the
+  /// table is UNCHANGED if it throws.
   void Save(SnapshotWriter& w) const;
   void Load(SnapshotReader& r);
 

@@ -756,11 +756,7 @@ void OmniWindowController::SavePending(SnapshotWriter& w,
   SaveSet(w, p.injected_keys_seen);
   w.Bool(p.collection_started);
   w.U32(p.retransmit_attempts);
-  w.Bool(p.rdma_done);
   w.Bool(p.count_final);
-  w.Bool(p.rdma_drained);
-  w.U32(p.rdma_holes);
-  SaveSet(w, p.mirror_keys);
   w.Bool(p.lost);
   w.Pod(p.o1_collect);
 }
@@ -771,8 +767,8 @@ void OmniWindowController::LoadPending(SnapshotReader& r,
   p.expected_injected = r.U32();
   r.PodVec(p.records);
   for (const FlowRecord& rec : p.records) {
-    CheckKey(rec.key, snap::kController, "OmniWindowController",
-             "a pending record's key");
+    CheckRecord(rec.key, rec.num_attrs, snap::kController,
+                "OmniWindowController", "a pending record");
   }
   r.PodVec(p.seqs_seen);
   // IsComplete and the seq inserts rely on a sorted, unique list.
@@ -793,15 +789,10 @@ void OmniWindowController::LoadPending(SnapshotReader& r,
   }
   p.collection_started = r.Bool();
   p.retransmit_attempts = r.U32();
-  p.rdma_done = r.Bool();
   p.count_final = r.Bool();
-  p.rdma_drained = r.Bool();
-  p.rdma_holes = r.U32();
-  LoadSet(r, p.mirror_keys);
-  for (const FlowKey& key : p.mirror_keys) {
-    CheckKey(key, snap::kController, "OmniWindowController",
-             "a pending mirror key");
-  }
+  // The RDMA flags, hole count and mirror keys keep the defaults Load's
+  // fresh pending_ entry has: they move only under RDMA, and a controller
+  // with RDMA neither saves nor loads.
   p.lost = r.Bool();
   r.Pod(p.o1_collect);
 }
@@ -841,7 +832,6 @@ void OmniWindowController::Save(SnapshotWriter& w) const {
   w.U64(stats_.spike_packets);
   w.U64(stats_.duplicate_afrs);
   w.U64(stats_.windows_partial);
-  w.U64(stats_.rdma_holes_detected);
   w.U64(stats_.subwindows_degraded_by_switch);
   w.PodVec(stats_.degraded_subwindows);
 }
@@ -873,8 +863,8 @@ void OmniWindowController::Load(SnapshotReader& r) {
     RecordVec recs;
     r.PodVec(recs);
     for (const FlowRecord& rec : recs) {
-      CheckKey(rec.key, snap::kController, "OmniWindowController",
-               "a history record's key");
+      CheckRecord(rec.key, rec.num_attrs, snap::kController,
+                  "OmniWindowController", "a history record");
     }
     history_.emplace_back(sub, std::move(recs));
   }
@@ -916,7 +906,7 @@ void OmniWindowController::Load(SnapshotReader& r) {
   stats_.spike_packets = r.U64();
   stats_.duplicate_afrs = r.U64();
   stats_.windows_partial = r.U64();
-  stats_.rdma_holes_detected = r.U64();
+  stats_.rdma_holes_detected = 0;
   stats_.subwindows_degraded_by_switch = r.U64();
   r.PodVec(stats_.degraded_subwindows);
 }

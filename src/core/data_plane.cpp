@@ -572,8 +572,8 @@ void OmniWindowProgram::Load(SnapshotReader& r) {
     RecordVec recs;
     r.PodVec(recs);
     for (const FlowRecord& rec : recs) {
-      CheckKey(rec.key, snap::kProgram, "OmniWindowProgram",
-               "a retransmission-cache record's key");
+      CheckRecord(rec.key, rec.num_attrs, snap::kProgram, "OmniWindowProgram",
+                  "a retransmission-cache record");
     }
     afr_cache_.emplace(sub, std::move(recs));
   }

@@ -6,9 +6,13 @@
 // here: forged length prefixes bounded by the remaining stream,
 // KeyValueTable::Load's strong exception guarantee (throw => table unchanged
 // and still usable), its rejection of a live key its own probe cannot reach
-// or that is stored twice, the live-slot encoding's round trip and exact
-// size across the occupancy range, the durable-file framing (every bit flip
-// and truncation of a WriteFile checkpoint is caught, with the error naming
+// (under a wrong tag, past an unlisted slot, also on a walk that wraps) or
+// that is stored twice, and of more live slots than the load limit allows,
+// the live-slot encoding's round trip and exact size across the occupancy
+// range, the attribute-count guard (a flow-table slot, history, pending or
+// retransmission-cache record, or packet report record claiming more than
+// its four attrs throws), the durable-file framing (every bit flip and
+// truncation of a WriteFile checkpoint is caught, with the error naming
 // the section and absolute file offsets), the CRC-32 every checksum above
 // rests on (known answers, a bytewise reference at every length and
 // alignment, seed chaining), the delta-checkpoint encode/apply pair, the
@@ -90,12 +94,12 @@ void LoadInto(KeyValueTable& table, const std::vector<std::uint8_t>& bytes) {
 
 /// The stream offset of the first (index, slot) pair: after the writer
 /// header (magic+version = 8), section tag (4), capacity (8) and the
-/// listed-slot count (8).
+/// live-slot count (8).
 constexpr std::size_t kKvPairsAt = 8 + 4 + 8 + 8;
 /// The bytes of one (index, slot) pair.
 constexpr std::size_t kKvPairBytes = 8 + sizeof(KvSlot);
-/// The trailing tallies: live slots (8) and rejected inserts (8).
-constexpr std::size_t kKvTallyBytes = 8 + 8;
+/// The trailing tally: rejected inserts (8).
+constexpr std::size_t kKvTallyBytes = 8;
 
 // --- forged length prefixes -------------------------------------------------
 
@@ -199,7 +203,7 @@ TEST(KvTableHardening, TruncatedStreamLeavesTableUntouchedAndUsable) {
   KeyValueTable src(64);
   Fill(src, 12, /*with_erasures=*/true);
   std::vector<std::uint8_t> bytes = SaveBytes(src);
-  bytes.resize(bytes.size() - 40);  // cut into the trailing tallies/entries
+  bytes.resize(bytes.size() - 40);  // cut into the last pair
 
   KeyValueTable dst(64);
   Fill(dst, 5, /*with_erasures=*/false);
@@ -211,51 +215,6 @@ TEST(KvTableHardening, TruncatedStreamLeavesTableUntouchedAndUsable) {
   bool created = false;
   dst.FindOrInsert(Key(31), created);
   EXPECT_TRUE(created);
-}
-
-TEST(KvTableHardening, TamperedTallyIsCaughtBeforeCommit) {
-  KeyValueTable src(64);
-  Fill(src, 9, /*with_erasures=*/false);
-  std::vector<std::uint8_t> bytes = SaveBytes(src);
-  // Trailing fields are live(8) | rejected(8); bump `live` so the stream's
-  // tally disagrees with the slots it describes.
-  bytes[bytes.size() - 16] ^= 0x01;
-
-  KeyValueTable dst(64);
-  try {
-    LoadInto(dst, bytes);
-    FAIL() << "tally mismatch must throw";
-  } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("live slots"), std::string::npos)
-        << e.what();
-  }
-  EXPECT_EQ(dst.size(), 0u);  // untouched: still the fresh empty table
-  bool created = false;
-  dst.FindOrInsert(Key(1), created);
-  EXPECT_TRUE(created);
-}
-
-TEST(KvTableHardening, InvalidSlotStateByteIsRejected) {
-  KeyValueTable src(64);
-  Fill(src, 4, /*with_erasures=*/false);
-  // 0x77 is a value no enumerator names; 2 was a tombstone up to format v4,
-  // and no table writes it any more.
-  for (const std::uint8_t state : {std::uint8_t{0x77}, std::uint8_t{2}}) {
-    std::vector<std::uint8_t> bytes = SaveBytes(src);
-    // Overwrite the state byte of the first listed (live) slot.
-    bytes[kKvPairsAt + 8 + offsetof(KvSlot, state)] = state;
-
-    KeyValueTable dst(64);
-    try {
-      LoadInto(dst, bytes);
-      FAIL() << "state byte " << unsigned(state) << " must throw";
-    } catch (const SnapshotError& e) {
-      EXPECT_NE(std::string(e.what()).find("invalid slot state " +
-                                           std::to_string(state)),
-                std::string::npos)
-          << e.what();
-    }
-  }
 }
 
 /// A one-key 64-slot table's checkpoint, and the slot index it was saved at
@@ -272,7 +231,7 @@ LoneKey SaveLoneKey(std::uint32_t id) {
   table.FindOrInsert(Key(id), created).attrs[0] = 7;
   LoneKey lone;
   lone.bytes = SaveBytes(table);
-  // Payload: listed count (8), then the one (index, slot) pair.
+  // Payload: live count (8), then the one (index, slot) pair.
   std::memcpy(&lone.home, lone.bytes.data() + kKvPairsAt, 8);
   std::memcpy(&lone.slot, lone.bytes.data() + kKvPairsAt + 8, sizeof(KvSlot));
   return lone;
@@ -293,9 +252,9 @@ void ExpectKvCorrupt(const std::vector<std::uint8_t>& bytes,
 }
 
 TEST(KvTableHardening, KeyPastAnEmptySlotOnItsProbeIsRejected) {
-  // The lone live slot moved three slots past its home, tallies intact:
-  // Find would stop at the empty home and miss it, and a later insert
-  // would store the key a second time.
+  // The lone live slot moved three slots past its home: Find would stop
+  // at the empty home and miss it, and a later insert would store the key
+  // a second time.
   LoneKey lone = SaveLoneKey(5);
   const std::uint64_t moved = (lone.home + 3) % 64;
   std::memcpy(lone.bytes.data() + kKvPairsAt, &moved, 8);
@@ -311,14 +270,64 @@ TEST(KvTableHardening, KeyStoredTwiceIsRejected) {
   SnapshotWriter w;
   w.Section(snap::kKvTable);
   w.Size(64); // capacity
-  w.Size(2);  // listed
+  w.Size(2);  // live
   for (const std::uint64_t idx : {lone.home, lone.home + 1}) {
     w.U64(idx);
     w.Pod(lone.slot);
   }
-  w.Size(2);  // live
   w.U64(0);   // rejected inserts
   ExpectKvCorrupt(w.Take(), "unreachable");
+}
+
+TEST(KvTableHardening, WrongHashTagIsRejected) {
+  // Find compares the cached tag before the key, so it never finds a slot
+  // under another tag, and a later insert would store the key again.
+  LoneKey lone = SaveLoneKey(5);
+  lone.slot.hash_tag ^= 1;
+  std::memcpy(lone.bytes.data() + kKvPairsAt + 8, &lone.slot, sizeof(KvSlot));
+  ExpectKvCorrupt(lone.bytes, "unreachable");
+}
+
+TEST(KvTableHardening, ClusterWrappingPastTheLastSlotLoadsOnlyWhole) {
+  // Three keys whose home is the last slot fill slots 63, 0 and 1, so the
+  // walks to the last two wrap: Load finds their home among the pairs at
+  // the end of the list.
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t id = 1; ids.size() < 3; ++id) {
+    if (SaveLoneKey(id).home == 63) ids.push_back(id);
+  }
+  KeyValueTable src(64);
+  bool created = false;
+  for (const std::uint32_t id : ids) src.FindOrInsert(Key(id), created);
+  const std::vector<std::uint8_t> bytes = SaveBytes(src);
+  KeyValueTable dst(64);
+  ASSERT_NO_THROW(LoadInto(dst, bytes));
+  for (const std::uint32_t id : ids) EXPECT_NE(dst.Find(Key(id)), nullptr);
+  EXPECT_EQ(SaveBytes(dst), bytes);
+  // Without the pair at slot 63, the keys at slots 0 and 1 sit past an
+  // empty slot.
+  SnapshotWriter w;
+  w.Section(snap::kKvTable);
+  w.Size(64);  // capacity
+  w.Size(2);   // live
+  w.Bytes(bytes.data() + kKvPairsAt, 2 * kKvPairBytes);
+  w.U64(0);    // rejected inserts
+  ExpectKvCorrupt(w.Take(), "unreachable");
+}
+
+TEST(KvTableHardening, LiveCountPastTheLoadLimitIsRejected) {
+  // 57 pairs for 64 slots: one more than the 7/8 load limit lets a table
+  // hold.
+  SnapshotWriter w;
+  w.Section(snap::kKvTable);
+  w.Size(64);  // capacity
+  w.Size(57);  // live
+  for (std::uint64_t idx = 0; idx < 57; ++idx) {
+    w.U64(idx);
+    w.Pod(KvSlot{.key = Key(std::uint32_t(idx))});
+  }
+  w.U64(0);    // rejected inserts
+  ExpectKvCorrupt(w.Take(), "57 live slots exceed the load limit 56");
 }
 
 /// FlowKey's layout: 13 key bytes, then the length byte, then the kind.
@@ -332,12 +341,27 @@ TEST(KvTableHardening, ForgedKeyLengthIsRejectedBeforeHashing) {
   KeyValueTable src(64);
   Fill(src, 56, /*with_erasures=*/false);
   std::vector<std::uint8_t> bytes = SaveBytes(src);
-  // The last (index, slot) pair ends where the two tallies begin.
+  // The last (index, slot) pair ends where the rejected-insert tally begins.
   const std::size_t last_key =
       bytes.size() - kKvTallyBytes - sizeof(KvSlot) + offsetof(KvSlot, key);
   ASSERT_EQ(bytes[last_key + kKeyLengthAt], 4u);  // a kSrcIp key
   bytes[last_key + kKeyLengthAt] = 200;
   ExpectKvCorrupt(bytes, "live slot's key is not a well-formed flow key");
+}
+
+TEST(KvTableHardening, ForgedNumAttrsIsRejected) {
+  // Merge and eviction index attrs[i] for every i below num_attrs; the
+  // array holds four.
+  KeyValueTable src(64);
+  Fill(src, 3, /*with_erasures=*/false);
+  std::vector<std::uint8_t> bytes = SaveBytes(src);
+  const std::size_t num_attrs_at = kKvPairsAt + 8 + offsetof(KvSlot, num_attrs);
+  ASSERT_EQ(bytes[num_attrs_at], 2u);
+  bytes[num_attrs_at] = 4;
+  KeyValueTable dst(64);
+  ASSERT_NO_THROW(LoadInto(dst, bytes));
+  bytes[num_attrs_at] = 200;
+  ExpectKvCorrupt(bytes, "a live slot holds num_attrs 200, more than its 4");
 }
 
 TEST(KvTableHardening, SparseIndexOutOfOrderOrBeyondCapacityRejected) {
@@ -375,8 +399,8 @@ TEST(KvTableHardening, RoundTripAcrossOccupancies) {
 }
 
 TEST(KvTableHardening, CheckpointBytesAreExactlyTheLiveSlots) {
-  // Header, one (index, slot) pair per live slot, tallies: nothing scales
-  // with the provisioned capacity.
+  // Header, one (index, slot) pair per live slot, the rejected-insert
+  // tally: nothing scales with the provisioned capacity.
   for (const std::size_t capacity : {std::size_t{8}, std::size_t{64},
                                      std::size_t{1} << 12}) {
     const std::size_t ceiling = capacity - capacity / 8;
@@ -390,11 +414,9 @@ TEST(KvTableHardening, CheckpointBytesAreExactlyTheLiveSlots) {
       EXPECT_EQ(SaveBytes(table).size(),
                 kKvPairsAt + occupancy * kKvPairBytes + kKvTallyBytes);
     }
-    // At the load ceiling the pairs plus their count still fit in the
-    // bytes of the whole slot array, with equality only at 8 slots.
-    const std::size_t pairs = 8 + ceiling * kKvPairBytes;
-    EXPECT_LE(pairs, capacity * sizeof(KvSlot));
-    EXPECT_EQ(pairs == capacity * sizeof(KvSlot), capacity == 8);
+    // At the load ceiling the pairs take exactly the bytes of the whole
+    // slot array: a pair is 8/7 of a slot.
+    EXPECT_EQ(ceiling * kKvPairBytes, capacity * sizeof(KvSlot));
   }
 }
 
@@ -853,8 +875,8 @@ TEST(SnapshotVersion, OtherVersionIsRejectedNamingBoth) {
   w.Section(snap::kSwitch);
   const std::vector<std::uint8_t> good = w.Take();
   ASSERT_NO_THROW(SnapshotReader{good});
-  // The previous version (v11 still wrote the Program section's RDMA
-  // cursor) and the next one are both refused.
+  // The previous version (v12 still wrote each table slot's state byte)
+  // and the next one are both refused.
   for (const std::uint32_t other :
        {kSnapshotVersion - 1, kSnapshotVersion + 1}) {
     std::vector<std::uint8_t> bytes = good;
@@ -1209,7 +1231,40 @@ TEST(ProgramLoadHardening, ForgedNumKeysThrows) {
   }
 }
 
-// --- LoadPacket: the injected key -------------------------------------------
+TEST(ProgramLoadHardening, CachedRecordNumAttrsPastFourThrows) {
+  // A retransmission answer re-sends cached records, which merge by
+  // num_attrs. Splice one cached sub-window (3) holding one record in place
+  // of a fresh program's empty cache: after the collect state come the
+  // queued-start and collect-key counts, then the cache count.
+  OmniWindowProgram program({}, std::make_shared<ExactCountApp>());
+  const auto [fresh, collect_at] = SaveFreshProgram(program);
+  const std::size_t cache_at = collect_at + kCollectStateBytes + 8 + 8;
+  const auto with_record = [&](std::uint8_t num_attrs) {
+    FlowRecord rec;
+    rec.key = Key(9);
+    rec.num_attrs = num_attrs;
+    rec.subwindow = 3;
+    std::vector<std::uint8_t> entry(8 + 4 + 8 + sizeof(FlowRecord));
+    const std::uint64_t one = 1;
+    const std::uint32_t sub = 3;
+    std::memcpy(entry.data(), &one, 8);
+    std::memcpy(entry.data() + 8, &sub, 4);
+    std::memcpy(entry.data() + 12, &one, 8);
+    std::memcpy(entry.data() + 20, &rec, sizeof(FlowRecord));
+    std::vector<std::uint8_t> bytes = fresh;
+    bytes.erase(bytes.begin() + std::ptrdiff_t(cache_at),
+                bytes.begin() + std::ptrdiff_t(cache_at + 8));
+    bytes.insert(bytes.begin() + std::ptrdiff_t(cache_at), entry.begin(),
+                 entry.end());
+    return bytes;
+  };
+  ASSERT_NO_THROW(LoadProgram(program, with_record(4)));
+  ExpectProgramLoadThrows(
+      program, with_record(5),
+      "a retransmission-cache record holds num_attrs 5, more than its 4");
+}
+
+// --- LoadPacket: the injected key and report records ------------------------
 
 TEST(PacketLoadHardening, ForgedInjectedKeyKindIsRejected) {
   // A kind byte no FlowKeyKind names (9) must not load into a packet that a
@@ -1247,6 +1302,40 @@ TEST(PacketLoadHardening, ForgedInjectedKeyKindIsRejected) {
     const std::string what = e.what();
     EXPECT_NE(what.find("section 0x20"), std::string::npos) << what;
     EXPECT_NE(what.find("injected key is not a well-formed flow key"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(PacketLoadHardening, ReportRecordNumAttrsPastFourIsRejected) {
+  // A report's records merge by num_attrs. The record list closes the
+  // packet section, so its one record is the last 56 bytes.
+  Packet p;
+  p.ow.present = true;
+  p.ow.flag = OwFlag::kAfrReport;
+  p.ow.afrs.push_back(FlowRecord{.key = Key(5), .num_attrs = 4});
+  SnapshotWriter w;
+  SavePacket(w, p);
+  std::vector<std::uint8_t> bytes = w.Take();
+  const std::size_t num_attrs_at =
+      bytes.size() - sizeof(FlowRecord) + offsetof(FlowRecord, num_attrs);
+  ASSERT_EQ(bytes[num_attrs_at], 4u);
+  {
+    Packet q;
+    SnapshotReader r(bytes);
+    ASSERT_NO_THROW(LoadPacket(r, q));
+    EXPECT_EQ(q.ow.afrs.size(), 1u);
+  }
+  bytes[num_attrs_at] = 200;
+  Packet q;
+  SnapshotReader r(bytes);
+  try {
+    LoadPacket(r, q);
+    FAIL() << "a report record with num_attrs 200 loaded";
+  } catch (const SnapshotError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("section 0x20"), std::string::npos) << what;
+    EXPECT_NE(what.find("a report record holds num_attrs 200, more than its 4"),
               std::string::npos)
         << what;
   }
@@ -1302,46 +1391,45 @@ TEST(AppLoadHardening, ExactCountRefusesForgedCountOrKey) {
 // --- OmniWindowController::Load: ordered lists -------------------------------
 
 /// A hand-written kController section for a controller with `cc`: an empty
-/// flow table, one record-less history entry per `history` sub-window, one
-/// collecting pending sub-window (10) whose sequence list is `seqs`, and,
-/// unless `spilled` is empty, sub-window 10's spilled keys, in the listed
-/// orders. Everything after them is empty or zero.
+/// flow table, one history entry per `history` sub-window holding
+/// `history_records`, one collecting pending sub-window (10) whose sequence
+/// list is `seqs` and whose records are `pending_records`, and, unless
+/// `spilled` is empty, sub-window 10's spilled keys, in the listed orders.
+/// Everything after them is empty or zero.
 std::vector<std::uint8_t> ControllerSection(
     const ControllerConfig& cc, const std::vector<SubWindowNum>& history,
     const std::vector<std::uint32_t>& seqs,
-    const std::vector<FlowKey>& spilled = {}) {
+    const std::vector<FlowKey>& spilled = {},
+    const std::vector<FlowRecord>& history_records = {},
+    const std::vector<FlowRecord>& pending_records = {}) {
   SnapshotWriter w;
   w.Section(snap::kController);
   KeyValueTable(cc.kv_capacity).Save(w);
   w.Size(history.size());
   for (const SubWindowNum sub : history) {
     w.U32(sub);
-    w.Size(0);  // records
+    w.PodVec(history_records);
   }
   // One pending sub-window: sub-window 10 (the map key), `seqs.size()`
-  // expected data-plane records, no injected keys, no records, `seqs`.
+  // expected data-plane records, no injected keys, `pending_records`,
+  // `seqs`.
   w.Size(1);
   w.U32(10);
   w.U32(std::uint32_t(seqs.size()));
   w.U32(0);
-  w.Size(0);
+  w.PodVec(pending_records);
   w.Size(seqs.size());
   for (const std::uint32_t seq : seqs) w.U32(seq);
-  // No injected key seen; collection started; no retransmit attempt; RDMA
-  // not done; count not final; not drained; no holes; no mirror key; not
-  // lost; no O1 cost.
+  // No injected key seen; collection started; no retransmit attempt; count
+  // not final; not lost; no O1 cost.
   w.Size(0);
   w.Bool(true);
   w.U32(0);
   w.Bool(false);
   w.Bool(false);
-  w.Bool(false);
-  w.U32(0);
-  w.Size(0);
-  w.Bool(false);
   w.I64(0);
   // Sub-window 10's spilled keys, if any; no degraded marks; next to
-  // finalize and table floor 10; eleven zero stats; no degraded sub-window
+  // finalize and table floor 10; ten zero stats; no degraded sub-window
   // list.
   w.Size(spilled.empty() ? 0 : 1);
   if (!spilled.empty()) {
@@ -1351,7 +1439,7 @@ std::vector<std::uint8_t> ControllerSection(
   w.Size(0);
   w.U32(10);
   w.U32(10);
-  for (int i = 0; i < 11; ++i) w.U64(0);
+  for (int i = 0; i < 10; ++i) w.U64(0);
   w.Size(0);
   return w.Take();
 }
@@ -1411,6 +1499,30 @@ TEST(ControllerLoadHardening, HistoryOutOfSubWindowOrderThrows) {
                              "history entry 1 (sub-window 3)");
   ExpectControllerLoadThrows(cc, ControllerSection(cc, {4, 4}, {}),
                              "history entry 1 (sub-window 4)");
+}
+
+TEST(ControllerLoadHardening, HistoryRecordNumAttrsPastFourThrows) {
+  // O5 eviction re-merges history records by num_attrs.
+  ControllerConfig cc;
+  cc.kv_capacity = 64;
+  FlowRecord rec{.key = Key(3), .num_attrs = 4, .subwindow = 3};
+  ASSERT_NO_THROW(
+      LoadController(cc, ControllerSection(cc, {3}, {}, {}, {rec})));
+  rec.num_attrs = 200;
+  ExpectControllerLoadThrows(cc, ControllerSection(cc, {3}, {}, {}, {rec}),
+                             "a history record holds num_attrs 200");
+}
+
+TEST(ControllerLoadHardening, PendingRecordNumAttrsPastFourThrows) {
+  // Finalizing a pending sub-window merges its records by num_attrs.
+  ControllerConfig cc;
+  cc.kv_capacity = 64;
+  FlowRecord rec{.key = Key(3), .num_attrs = 4, .seq_id = 0, .subwindow = 10};
+  ASSERT_NO_THROW(
+      LoadController(cc, ControllerSection(cc, {}, {0}, {}, {}, {rec})));
+  rec.num_attrs = 200;
+  ExpectControllerLoadThrows(cc, ControllerSection(cc, {}, {0}, {}, {}, {rec}),
+                             "a pending record holds num_attrs 200");
 }
 
 }  // namespace
