@@ -20,7 +20,9 @@ void* ArenaPool::Bump(std::size_t block) {
   };
   if (pad(cur_) + block > std::size_t(end_ - cur_)) {
     const std::size_t size = std::max(kChunkBytes, block + 16);
-    chunks_.push_back(std::make_unique<std::byte[]>(size));  // zero-filled
+    // Not zero-filled: no page is written before a container
+    // initializes what it uses.
+    chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(size));
     reserved_ += size;
     cur_ = chunks_.back().get();
     end_ = cur_ + size;

@@ -42,6 +42,10 @@ namespace ow {
 /// free list on deallocate; allocate prefers the free list and only bumps
 /// the current chunk on a miss. Steady-state churn is therefore
 /// heap-silent: the chunk list grows during warm-up and then stops.
+/// The pool writes no block it hands out: a fresh block's bytes are
+/// indeterminate and a recycled one holds its last owner's, so a caller
+/// reads only what it wrote, and a page stays off the resident set until
+/// someone writes it.
 class ArenaPool {
  public:
   ArenaPool() = default;

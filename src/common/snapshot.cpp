@@ -620,7 +620,13 @@ void LoadPacket(SnapshotReader& r, Packet& p) {
   r.Pod(p.iteration);
   p.ow.present = r.Bool();
   r.Pod(p.ow.subwindow_num);
-  r.Pod(p.ow.flag);
+  const std::uint8_t flag = r.U8();
+  if (flag > std::uint8_t(OwFlag::kLatencySpike)) {
+    throw SnapshotError("Packet [section " + HexTag(snap::kPacket) +
+                        "]: flag byte " + std::to_string(flag) +
+                        " is not an OwFlag");
+  }
+  p.ow.flag = OwFlag(flag);
   r.Pod(p.ow.app_id);
   r.Pod(p.ow.injected_key);
   CheckKey(p.ow.injected_key, snap::kPacket, "Packet", "the injected key");

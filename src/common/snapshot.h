@@ -115,6 +115,10 @@ class SnapshotWriter {
  public:
   SnapshotWriter();
 
+  /// Reserve room for `bytes` of stream, so a writer that knows about how
+  /// much it will write does not grow its buffer by doubling.
+  void Reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
   void Bytes(const void* p, std::size_t n) {
     const std::size_t old = buf_.size();
     buf_.resize(old + n);

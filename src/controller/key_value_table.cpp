@@ -3,11 +3,36 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <type_traits>
 
 #include "src/common/snapshot.h"
 
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
+
 namespace ow {
 namespace {
+
+// Slots are assigned into storage no constructor ran on, and are never
+// destroyed.
+static_assert(std::is_trivially_copyable_v<KvSlot> &&
+              std::is_trivially_destructible_v<KvSlot>);
+
+// ASan builds poison every dead slot, so a read of one fails instead of
+// returning whatever the pool block held before. Other builds compile
+// these to nothing.
+void MarkDead([[maybe_unused]] KvSlot* slots, [[maybe_unused]] std::size_t n) {
+#ifdef __SANITIZE_ADDRESS__
+  ASAN_POISON_MEMORY_REGION(slots, n * sizeof(KvSlot));
+#endif
+}
+
+void MarkLive([[maybe_unused]] KvSlot* slots, [[maybe_unused]] std::size_t n) {
+#ifdef __SANITIZE_ADDRESS__
+  ASAN_UNPOISON_MEMORY_REGION(slots, n * sizeof(KvSlot));
+#endif
+}
 
 bool TestBit(const std::uint64_t* words, std::size_t i) {
   return (words[i / 64] >> (i % 64)) & 1;
@@ -27,10 +52,18 @@ static_assert(sizeof(ListedSlot) == 8 + sizeof(KvSlot));
 
 }  // namespace
 
+void KeyValueTable::SlotRelease::operator()(KvSlot* slots) const noexcept {
+  MarkLive(slots, capacity);
+  GlobalPool().Deallocate(slots, capacity * sizeof(KvSlot));
+}
+
 KeyValueTable::KeyValueTable(std::size_t capacity) {
   if (capacity < 8) capacity = 8;
   capacity = std::bit_ceil(capacity);
-  slots_.resize(capacity);
+  // Allocated, not constructed: no slot is written until it turns live.
+  void* block = GlobalPool().Allocate(capacity * sizeof(KvSlot));
+  slots_ = {static_cast<KvSlot*>(block), SlotRelease{capacity}};
+  MarkDead(slots_.get(), capacity);
   occupied_.resize((capacity + 63) / 64);
   summary_.resize((occupied_.size() + 63) / 64);
   mask_ = capacity - 1;
@@ -68,7 +101,8 @@ KvSlot* KeyValueTable::TryFindOrInsert(const FlowKey& key, bool& created) {
   for (std::size_t n = 0; n <= mask_; ++n, i = (i + 1) & mask_) {
     KvSlot& s = slots_[i];
     if (!TestBit(occupied_.data(), i)) {
-      if (live_ + 1 > slots_.size() - slots_.size() / 8) break;
+      if (live_ + 1 > capacity() - capacity() / 8) break;
+      MarkLive(&s, 1);
       s = KvSlot{.key = key, .hash_tag = tag};
       SetBit(occupied_.data(), i);
       SetBit(summary_.data(), i / 64);
@@ -90,7 +124,7 @@ bool KeyValueTable::Erase(const FlowKey& key) {
   if (!s) return false;
   // Walk the rest of the cluster; a slot whose probe path from its home
   // passes the hole moves into it, and its old slot becomes the hole.
-  std::size_t hole = static_cast<std::size_t>(s - slots_.data());
+  std::size_t hole = static_cast<std::size_t>(s - slots_.get());
   for (std::size_t j = (hole + 1) & mask_; TestBit(occupied_.data(), j);
        j = (j + 1) & mask_) {
     const std::size_t home =
@@ -101,6 +135,7 @@ bool KeyValueTable::Erase(const FlowKey& key) {
     }
   }
   // Only the final hole changes from live to empty.
+  MarkDead(&slots_[hole], 1);
   occupied_[hole / 64] &= ~(std::uint64_t{1} << (hole % 64));
   if (occupied_[hole / 64] == 0) {
     summary_[hole / 4096] &= ~(std::uint64_t{1} << (hole / 64 % 64));
@@ -110,6 +145,9 @@ bool KeyValueTable::Erase(const FlowKey& key) {
 }
 
 void KeyValueTable::Clear() {
+#ifdef __SANITIZE_ADDRESS__
+  ForEachLiveIndex([this](std::size_t i) { MarkDead(&slots_[i], 1); });
+#endif
   ForEachOccupiedWord([this](std::size_t w) { occupied_[w] = 0; });
   std::fill_n(summary_.data(), summary_.size(), 0);
   live_ = 0;
@@ -117,7 +155,7 @@ void KeyValueTable::Clear() {
 
 void KeyValueTable::Save(SnapshotWriter& w) const {
   w.Section(snap::kKvTable);
-  w.Size(slots_.size());
+  w.Size(capacity());
   w.Size(live_);
   ForEachLiveIndex([&](std::size_t i) {
     w.U64(i);
@@ -128,7 +166,7 @@ void KeyValueTable::Save(SnapshotWriter& w) const {
 
 void KeyValueTable::Load(SnapshotReader& r) {
   r.Section(snap::kKvTable);
-  const std::size_t cap = slots_.size();
+  const std::size_t cap = capacity();
   const auto corrupt = [](const std::string& what) {
     return SnapshotError("KeyValueTable [section 0x1B]: " + what);
   };
@@ -182,6 +220,7 @@ void KeyValueTable::Load(SnapshotReader& r) {
   }
   Clear();
   for (const ListedSlot& l : listed) {
+    MarkLive(&slots_[l.index], 1);
     slots_[l.index] = l.slot;
     SetBit(occupied_.data(), l.index);
     SetBit(summary_.data(), l.index / 64);

@@ -8,15 +8,23 @@
 // Erase may move live slots (invalidating slot pointers); inserts never do.
 //
 // A one-bit-per-slot occupancy bitmap is the only record of which slots
-// are live (a dead slot's bytes mean nothing), and a summary bitmap holds
-// one bit per non-zero occupancy word. Walks over the live slots (ForEach,
-// Save, Clear, Load's commit) read the summary, then only the occupancy
-// words it marks, so they cost O(live + capacity/4096), not O(capacity).
+// are live, and a summary bitmap holds one bit per non-zero occupancy word.
+// Walks over the live slots (ForEach, Save, Clear, Load's commit) read the
+// summary, then only the occupancy words it marks, so they cost
+// O(live + capacity/4096), not O(capacity).
+//
+// The slot array is a pool block that is allocated, not constructed: a
+// dead slot holds whatever bytes the block held before and is never read
+// or written. A slot is written only by an insert, Erase's backward shift
+// or Load, so construction zeroes just the bitmaps, O(capacity/64), and a
+// table's resident memory follows the slots it has used, not its
+// capacity. ASan builds poison dead slots, so a read of one fails.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -72,10 +80,10 @@ class KeyValueTable {
   void Clear();
 
   std::size_t size() const noexcept { return live_; }
-  std::size_t capacity() const noexcept { return slots_.size(); }
+  std::size_t capacity() const noexcept { return mask_ + 1; }
   /// Live slots over capacity (the table refuses fresh inserts past 7/8).
   double load_factor() const noexcept {
-    return slots_.empty() ? 0.0 : double(live_) / double(slots_.size());
+    return double(live_) / double(capacity());
   }
   /// Inserts refused at the load limit since construction (monotonic;
   /// Clear() does not reset it).
@@ -129,9 +137,15 @@ class KeyValueTable {
     });
   }
 
+  /// Returns the slot array's block to the pool.
+  struct SlotRelease {
+    std::size_t capacity;
+    void operator()(KvSlot* slots) const noexcept;
+  };
+
   // Pool-backed: QueryRange scratch tables recycle slot arrays instead of
   // reallocating.
-  PooledVector<KvSlot> slots_;
+  std::unique_ptr<KvSlot[], SlotRelease> slots_;
   /// Bit i set <=> slots_[i] is live.
   PooledVector<std::uint64_t> occupied_;
   /// Bit w set <=> occupied_[w] != 0.

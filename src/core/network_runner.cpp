@@ -272,10 +272,16 @@ void FabricSession::RestoreFromFile(const std::string& path) {
 
 std::vector<std::uint8_t> FabricSession::SnapshotControllers() const {
   SnapshotWriter w;
+  // A checkpoint is about as large as the previous one. Reserving that
+  // plus an eighth spares the ~15 doublings of a buffer grown from the
+  // 8-byte header.
+  w.Reserve(controller_plane_bytes_ + controller_plane_bytes_ / 8);
   w.Section(snap::kControllerPlane);
   w.Size(controllers_.size());
   for (const auto& controller : controllers_) controller->Save(w);
-  return w.Take();
+  std::vector<std::uint8_t> bytes = w.Take();
+  controller_plane_bytes_ = bytes.size();
+  return bytes;
 }
 
 FabricSession::TakeoverStats FabricSession::FailOver(

@@ -261,6 +261,8 @@ class FabricSession {
   NetworkRunResult result_;
   /// Per-switch catch-up targets recorded by FailOver (empty = no takeover).
   std::vector<SubWindowNum> takeover_targets_;
+  /// Size of the last SnapshotControllers() stream, which sizes the next.
+  mutable std::size_t controller_plane_bytes_ = 0;
   bool finished_ = false;
 };
 

@@ -1,7 +1,11 @@
 // Pool discipline: distinct aligned blocks, dedicated chunks for oversized
 // blocks, size-class recycling, pooled-container steady state, the
 // alloc-trace hook and the snapshot stream primitives.
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,6 +43,33 @@ TEST(ArenaPoolTest, OversizedRequestGetsDedicatedChunk) {
 #else
   (void)reserved;
 #endif
+  pool.Deallocate(big, kBig);
+}
+
+/// This process's resident set, in bytes (/proc/self/statm).
+std::int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t pages = 0, resident = 0;
+  statm >> pages >> resident;
+  return resident * std::int64_t(sysconf(_SC_PAGESIZE));
+}
+
+TEST(ArenaPoolTest, FreshChunkIsNotWritten) {
+#ifdef OW_POOL_PASSTHROUGH
+  GTEST_SKIP() << "sanitizer builds take each block from operator new, and "
+                  "ASan writes shadow memory for all of it";
+#endif
+  // A 64 MiB request opens a dedicated chunk. The pool does not write it,
+  // so its pages stay off the resident set until the caller writes them.
+  ArenaPool pool;
+  constexpr std::size_t kBig = std::size_t(1) << 26;
+  const std::int64_t before = ResidentBytes();
+  void* big = pool.Allocate(kBig);
+  EXPECT_LT(ResidentBytes() - before, std::int64_t{4} << 20);
+  EXPECT_GE(pool.stats().reserved_bytes, kBig);
+  // The reading does see the pages a write makes resident.
+  std::memset(big, 0x5A, kBig);
+  EXPECT_GE(ResidentBytes() - before, std::int64_t(kBig));
   pool.Deallocate(big, kBig);
 }
 

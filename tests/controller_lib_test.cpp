@@ -2,16 +2,20 @@
 // strategies, batch kernels.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstring>
+#include <fstream>
 #include <optional>
 #include <random>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/arena.h"
 #include "src/common/snapshot.h"
 #include "src/controller/key_value_table.h"
 #include "src/controller/merge.h"
@@ -433,6 +437,47 @@ TEST(KeyValueTable, ChurnAcrossSummaryBlocksWalksExactlyTheLiveSlots) {
       ASSERT_EQ(walked(tables[1]), live(tables[1])) << "step " << step;
     }
   }
+}
+
+/// This process's resident set, in bytes (/proc/self/statm).
+std::int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t pages = 0, resident = 0;
+  statm >> pages >> resident;
+  return resident * std::int64_t(sysconf(_SC_PAGESIZE));
+}
+
+TEST(KeyValueTable, ConstructionWritesOnlyItsBitmaps) {
+#ifdef OW_POOL_PASSTHROUGH
+  GTEST_SKIP() << "sanitizer builds take each block from operator new, and "
+                  "ASan writes shadow memory for all of it";
+#endif
+  // 2^21 slots take a 128 MiB pool block, a class no earlier test in this
+  // binary uses, so it is carved from a fresh chunk no one has written.
+  // Construction writes only the bitmaps (256 KB of occupancy words, 4 KB
+  // of summary); value-initializing the slots would make 117 MB resident.
+  constexpr std::size_t kCap = std::size_t{1} << 21;
+  const std::size_t reserved = GlobalPool().stats().reserved_bytes;
+  const std::int64_t before = ResidentBytes();
+  ASSERT_GT(before, 0);
+  KeyValueTable table(kCap);
+  const std::int64_t grown = ResidentBytes() - before;
+  ASSERT_GE(GlobalPool().stats().reserved_bytes - reserved,
+            kCap * sizeof(KvSlot))
+      << "the slot array was a recycled block";
+  EXPECT_LT(grown, std::int64_t{4} << 20);
+  // The table works as constructed: a key lands in a slot, is found there,
+  // and leaves no trace once erased.
+  EXPECT_EQ(table.capacity(), kCap);
+  bool created = false;
+  table.FindOrInsert(Key(7), created).attrs[0] = 70;
+  ASSERT_TRUE(created);
+  ASSERT_NE(table.Find(Key(7)), nullptr);
+  EXPECT_EQ(table.Find(Key(7))->attrs[0], 70u);
+  EXPECT_EQ(table.Find(Key(8)), nullptr);
+  EXPECT_TRUE(table.Erase(Key(7)));
+  EXPECT_EQ(table.Find(Key(7)), nullptr);
+  EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(KeyValueTable, LiveWalksCostWhatTheTableHolds) {

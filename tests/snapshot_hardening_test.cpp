@@ -1307,6 +1307,52 @@ TEST(PacketLoadHardening, ForgedInjectedKeyKindIsRejected) {
   }
 }
 
+TEST(PacketLoadHardening, FlagByteOutOfRangeIsRejected) {
+  // A flag byte no OwFlag names must not load into a packet that a
+  // restored switch lane or link would dispatch. The flag is the one byte
+  // where a report's stream differs from a normal packet's.
+  const auto save = [](OwFlag flag) {
+    Packet p;
+    p.ow.present = true;
+    p.ow.flag = flag;
+    SnapshotWriter w;
+    SavePacket(w, p);
+    return w.Take();
+  };
+  std::vector<std::uint8_t> bytes = save(OwFlag::kAfrReport);
+  const std::vector<std::uint8_t> normal = save(OwFlag::kNormal);
+  ASSERT_EQ(bytes.size(), normal.size());
+  const auto diff = std::mismatch(bytes.begin(), bytes.end(), normal.begin());
+  ASSERT_NE(diff.first, bytes.end());
+  ASSERT_TRUE(std::equal(diff.first + 1, bytes.end(), diff.second + 1));
+  const std::size_t flag_at = std::size_t(diff.first - bytes.begin());
+  ASSERT_EQ(bytes[flag_at], std::uint8_t(OwFlag::kAfrReport));
+  // The last enumerator loads.
+  bytes[flag_at] = std::uint8_t(OwFlag::kLatencySpike);
+  {
+    Packet q;
+    SnapshotReader r(bytes);
+    ASSERT_NO_THROW(LoadPacket(r, q));
+    EXPECT_EQ(q.ow.flag, OwFlag::kLatencySpike);
+  }
+  for (const std::uint8_t forged : {std::uint8_t(8), std::uint8_t(0x77)}) {
+    bytes[flag_at] = forged;
+    Packet q;
+    SnapshotReader r(bytes);
+    try {
+      LoadPacket(r, q);
+      FAIL() << "a packet with flag byte " << int(forged) << " loaded";
+    } catch (const SnapshotError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("section 0x20"), std::string::npos) << what;
+      EXPECT_NE(what.find("flag byte " + std::to_string(forged) +
+                          " is not an OwFlag"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(PacketLoadHardening, ReportRecordNumAttrsPastFourIsRejected) {
   // A report's records merge by num_attrs. The record list closes the
   // packet section, so its one record is the last 56 bytes.
